@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 verification violations, 3 parse/validation errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import pathlib
 import sys
@@ -117,15 +116,6 @@ def _cmd_module_endring(args) -> int:
     return 0
 
 
-def _verify_instance(inst, caps, requested):
-    if inst.kind == "ring":
-        ctx = InstanceContext(inst.name, "ring", inst.ring, None, caps)
-    else:
-        ctx = InstanceContext(inst.name, "module", inst.ring, inst.module,
-                              caps)
-    return verify_all(ctx, requested)
-
-
 def _cmd_verify(args) -> int:
     caps = _caps_for(args)
     requested = None
@@ -133,14 +123,11 @@ def _cmd_verify(args) -> int:
         requested = [t for t in args.theorems.split(",") if t.strip()]
         expand_ids(requested)  # fail fast on unknown ids
     instances = load_dir(pathlib.Path(args.dir), caps)
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(instances) <= 1:
-        results = [_verify_instance(i, caps, requested) for i in instances]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda i: _verify_instance(i, caps, requested), instances))
-    verdicts = [v for chunk in results for v in chunk]
+    verdicts = []
+    for inst in instances:
+        ctx = InstanceContext(inst.name, inst.kind, inst.ring, inst.module,
+                              caps)
+        verdicts.extend(verify_all(ctx, requested))
     for v in verdicts:
         witness = v.witness if v.witness else "-"
         print(f"{v.instance}\t{v.theorem_id}\t{v.status}\t{witness}")
@@ -236,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--theorems", metavar="LIST",
                         help="comma-separated registry ids (prefixes allowed)")
     verify.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers across instances")
+                        help="accepted for compatibility; instances are "
+                             "always verified serially")
     _common_flags(verify)
     verify.set_defaults(func=_cmd_verify)
 

@@ -3,8 +3,8 @@
 A ModuleMap is a full table (tuple over the domain's element indices) and is
 validated on construction: additivity against both addition tables and
 linearity against both action tables, fully vectorized.  Maps produced by
-provably-safe recipes (composition of validated maps, pointwise sums,
-identity, zero) skip re-validation.
+provably-safe recipes (composition of validated maps, identity, tables
+already checked by hom_set) skip re-validation.
 
 hom_set enumerates Hom(M, N) exactly: a generating set of M is chosen, every
 assignment of generator images is expanded to a full table along a fixed
@@ -85,23 +85,11 @@ def identity_map(module: FiniteModule) -> ModuleMap:
     return ModuleMap(module, module, range(module.order), _validated=True)
 
 
-def zero_map(domain: FiniteModule, codomain: FiniteModule) -> ModuleMap:
-    return ModuleMap(domain, codomain, (0,) * domain.order, _validated=True)
-
-
 def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     """f after g (domain of f must be the codomain of g)."""
     if f.domain is not g.codomain:
         raise PirickError("composition mismatch")
     return ModuleMap(g.domain, f.codomain, f.table_np[g.table_np],
-                     _validated=True)
-
-
-def map_add(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    if f.domain is not g.domain or f.codomain is not g.codomain:
-        raise PirickError("sum of maps with different domains/codomains")
-    add_c = f.codomain.add_group.add_table()
-    return ModuleMap(f.domain, f.codomain, add_c[f.table_np, g.table_np],
                      _validated=True)
 
 
@@ -216,9 +204,12 @@ class EndRing:
 
 
 def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
-    """Compute End(M) with composition, as a validated FiniteRing."""
-    if "end_ring" in module._memo:
-        return module._memo["end_ring"]
+    """Compute End(M) with composition, as a validated FiniteRing.
+
+    Memoized per caps value: a build made under other caps is not reused."""
+    key = ("end_ring", caps)
+    if key in module._memo:
+        return module._memo[key]
     raw = hom_set(module, module, caps)
     tables = np.stack([f.table_np for f in raw])       # (s, n)
     add_m = module.add_group.add_table()
@@ -257,7 +248,7 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
                                   f"composition at ({i}, {j})")
 
     out = EndRing(module, ring, maps, index_of)
-    module._memo["end_ring"] = out
+    module._memo[key] = out
     return out
 
 

@@ -302,13 +302,6 @@ def submodule_sum(n1: Submodule, n2: Submodule) -> Submodule:
     return Submodule(n1.module, np.unique(add[np.ix_(a1, a2)]).tolist())
 
 
-def submodule_meet(n1: Submodule, n2: Submodule) -> Submodule:
-    if n1.module is not n2.module:
-        raise PirickError("submodules of different modules")
-    mask = n1.mask & n2.mask
-    return Submodule(n1.module, [e for e in n1.elems if (mask >> e) & 1])
-
-
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
     """Every submodule, sorted by ascending bitmask (deterministic order)."""
     if module.order > caps.lattice:

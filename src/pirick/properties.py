@@ -135,17 +135,34 @@ def min_exponent(module: FiniteModule, f, caps: Caps = DEFAULT_CAPS):
     return None
 
 
-def decide_dual_rickart(facts: Facts) -> Verdict:
-    """Im f is generated by an idempotent endomorphism, for every f."""
+def _idempotent_generated(facts: Facts, kernels: bool,
+                          any_power: bool) -> Verdict:
+    """Im f (Ker f with `kernels`) is the image of an idempotent, for every
+    f; with `any_power`, for some term of the power chain of f.
+
+    Witnesses map f to the smallest such idempotent, or with `any_power` to
+    (smallest exponent n, smallest idempotent realizing that term).
+    """
     end = facts.end()
     masks = facts.idem_masks()
     witnesses = {}
     for f in range(end.ring.order):
-        mask = image(end.maps[f]).mask
-        if mask not in masks:
+        if any_power:
+            chain, _ = facts.ker_chains(f) if kernels else facts.chains(f)
+        else:
+            chain = [(kernel if kernels else image)(end.maps[f])]
+        found = next(((n, masks[sub.mask])
+                      for n, sub in enumerate(chain, start=1)
+                      if sub.mask in masks), None)
+        if found is None:
             return Verdict(False, witnesses, f)
-        witnesses[f] = masks[mask]
+        witnesses[f] = found if any_power else found[1]
     return Verdict(True, witnesses, None)
+
+
+def decide_dual_rickart(facts: Facts) -> Verdict:
+    """Im f is generated by an idempotent endomorphism, for every f."""
+    return _idempotent_generated(facts, kernels=False, any_power=False)
 
 
 def decide_dual_pi_rickart(facts: Facts) -> Verdict:
@@ -154,51 +171,17 @@ def decide_dual_pi_rickart(facts: Facts) -> Verdict:
     Witnesses map f to (smallest such exponent n, smallest idempotent whose
     image equals Im f^n).
     """
-    end = facts.end()
-    masks = facts.idem_masks()
-    witnesses = {}
-    for f in range(end.ring.order):
-        imgs, _ = facts.chains(f)
-        found = None
-        for n, im in enumerate(imgs, start=1):
-            if im.mask in masks:
-                found = (n, masks[im.mask])
-                break
-        if found is None:
-            return Verdict(False, witnesses, f)
-        witnesses[f] = found
-    return Verdict(True, witnesses, None)
+    return _idempotent_generated(facts, kernels=False, any_power=True)
 
 
 def decide_rickart(facts: Facts) -> Verdict:
     """Ker f is generated by an idempotent endomorphism, for every f."""
-    end = facts.end()
-    masks = facts.idem_masks()
-    witnesses = {}
-    for f in range(end.ring.order):
-        mask = kernel(end.maps[f]).mask
-        if mask not in masks:
-            return Verdict(False, witnesses, f)
-        witnesses[f] = masks[mask]
-    return Verdict(True, witnesses, None)
+    return _idempotent_generated(facts, kernels=True, any_power=False)
 
 
 def decide_pi_rickart(facts: Facts) -> Verdict:
     """Some power of every f has kernel generated by an idempotent."""
-    end = facts.end()
-    masks = facts.idem_masks()
-    witnesses = {}
-    for f in range(end.ring.order):
-        kers, _ = facts.ker_chains(f)
-        found = None
-        for n, ker in enumerate(kers, start=1):
-            if ker.mask in masks:
-                found = (n, masks[ker.mask])
-                break
-        if found is None:
-            return Verdict(False, witnesses, f)
-        witnesses[f] = found
-    return Verdict(True, witnesses, None)
+    return _idempotent_generated(facts, kernels=True, any_power=True)
 
 
 def decide_fitting(facts: Facts) -> Verdict:
@@ -253,25 +236,23 @@ def decide_co_hopfian(facts: Facts) -> Verdict:
     return Verdict(True, {}, None)
 
 
-def decide_strongly_co_hopfian(facts: Facts) -> Verdict:
-    """The image chain of every endomorphism stabilizes; witnesses record
-    the stabilization exponent per endomorphism."""
+def _chain_stabilization(facts: Facts, kernels: bool) -> Verdict:
+    """Always true for a finite module; witnesses record the exponent at
+    which the image (kernel) chain of each endomorphism stabilizes."""
     end = facts.end()
-    witnesses = {}
-    for f in range(end.ring.order):
-        _, stab = facts.chains(f)
-        witnesses[f] = stab
-    return Verdict(True, witnesses, None)
+    chain_of = facts.ker_chains if kernels else facts.chains
+    return Verdict(True, {f: chain_of(f)[1] for f in range(end.ring.order)},
+                   None)
+
+
+def decide_strongly_co_hopfian(facts: Facts) -> Verdict:
+    """The image chain of every endomorphism stabilizes."""
+    return _chain_stabilization(facts, kernels=False)
 
 
 def decide_strongly_hopfian(facts: Facts) -> Verdict:
     """The kernel chain of every endomorphism stabilizes."""
-    end = facts.end()
-    witnesses = {}
-    for f in range(end.ring.order):
-        _, stab = facts.ker_chains(f)
-        witnesses[f] = stab
-    return Verdict(True, witnesses, None)
+    return _chain_stabilization(facts, kernels=True)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +392,9 @@ def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     Left ideals are enumerated as submodules of the regular module of the
     opposite ring, so this is gated by the lattice cap.
     """
-    if "left_singular" in ring._memo:
-        return ring._memo["left_singular"]
+    key = ("left_singular", caps)
+    if key in ring._memo:
+        return ring._memo[key]
     opp = opposite_ring(ring, caps, name=f"{ring.name}_op")
     reg = ring_as_module(opp, caps)
     out = []
@@ -422,7 +404,7 @@ def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
         if is_essential(sub, caps):
             out.append(f)
     result = np.array(out, dtype=np.int64)
-    ring._memo["left_singular"] = result
+    ring._memo[key] = result
     return result
 
 
@@ -516,10 +498,7 @@ def _witness_string(facts: Facts, prop: str, verdict: Verdict) -> str:
         f_max = max(w, key=lambda f: (w[f][0], f))
         n, e = w[f_max]
         return f"f={f_max},n={n},e={e}"
-    if prop == "fitting" and w:
-        f_max = max(w, key=lambda f: (w[f], f))
-        return f"f={f_max},n={w[f_max]}"
-    if prop in ("strongly_co_hopfian", "strongly_hopfian") and w:
+    if prop in ("fitting", "strongly_co_hopfian", "strongly_hopfian") and w:
         f_max = max(w, key=lambda f: (w[f], f))
         return f"f={f_max},n={w[f_max]}"
     if prop in ("dual_rickart", "rickart") and w:

@@ -27,10 +27,10 @@ from .caps import Caps, DEFAULT_CAPS
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
 from .homs import hom_set, image, left_annihilator, right_annihilator
 from .modules import (FiniteModule, Submodule, free_module,
-                      is_fully_invariant, radical, ring_as_module, socle,
-                      submodule_module)
-from .properties import (DECIDERS, Facts, singular_nil_jacobson,
-                         small_image_endos)
+                      is_direct_summand, is_fully_invariant, radical,
+                      ring_as_module, socle, submodule_module)
+from .properties import (DECIDERS, Facts, is_epimorphism,
+                         singular_nil_jacobson, small_image_endos)
 from .rings import (FiniteRing, Verdict, corner_ring, is_generalized_left_pp,
                     is_pi_regular, is_strongly_pi_regular, matrix_ring,
                     nil_radical_check, ring_idempotents, ring_neg,
@@ -70,19 +70,19 @@ class InstanceContext:
         return Facts(self.module, self.caps)
 
     def reg_module(self) -> FiniteModule:
-        memo = self.ring._memo
-        if "reg_module" not in memo:
-            memo["reg_module"] = ring_as_module(self.ring, self.caps)
-        return memo["reg_module"]
+        key = ("reg_module", self.caps)
+        if key not in self.ring._memo:
+            self.ring._memo[key] = ring_as_module(self.ring, self.caps)
+        return self.ring._memo[key]
 
     def reg_facts(self) -> Facts:
         return Facts(self.reg_module(), self.caps)
 
     def free2(self) -> FiniteModule:
-        memo = self.ring._memo
-        if "free2" not in memo:
-            memo["free2"] = free_module(self.ring, 2, self.caps)
-        return memo["free2"]
+        key = ("free2", self.caps)
+        if key not in self.ring._memo:
+            self.ring._memo[key] = free_module(self.ring, 2, self.caps)
+        return self.ring._memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +132,6 @@ def _one_minus(ring: FiniteRing, e: int) -> int:
     return int(add[ring.one, ring_neg(ring)[e]])
 
 
-def _is_epi(end, f: int) -> bool:
-    return np.unique(end.maps[f].table_np).size == end.module.order
-
-
 def _dual_pi_of(module: FiniteModule, caps: Caps) -> Verdict:
     return Facts(module, caps).verdict("dual_pi_rickart",
                                        DECIDERS["dual_pi_rickart"])
@@ -146,21 +142,77 @@ def _right_ideal(reg: FiniteModule, ring: FiniteRing, e: int) -> Submodule:
     return Submodule(reg, np.unique(ring.mul_np[e, :]).tolist())
 
 
-def _summand_masks_by_complement(facts: Facts) -> set:
-    """Masks of submodules with a lattice complement (independent of the
-    idempotent route)."""
-    store = facts._store
-    if "complement_masks" not in store:
-        lattice = facts.lattice()
-        full = facts.module.order
-        out = set()
-        for sub in lattice:
-            for other in lattice:
-                if (sub.mask & other.mask) == 1 and sub.size * other.size == full:
-                    out.add(sub.mask)
-                    break
-        store["complement_masks"] = out
-    return store["complement_masks"]
+# ---------------------------------------------------------------------------
+# implications declared as data
+# ---------------------------------------------------------------------------
+
+
+def _decide(facts: Facts, name: str):
+    """(holds, counterexample) of a predicate: a DECIDERS property name, or
+    "end." followed by reduced, local, pi_regular, strongly_pi_regular,
+    gen_left_pp or nil_radical for that ring check on End(M)."""
+    if not name.startswith("end."):
+        v = _prop(facts, name)
+        return v.holds, v.counterexample
+    ring = facts.end().ring
+    kind = name[len("end."):]
+    if kind in ("reduced", "local"):
+        return getattr(ring_predicates(ring), kind), None
+    v = nil_radical_check(ring) if kind == "nil_radical" \
+        else _ring_check(ring, kind)
+    return v.holds, v.counterexample
+
+
+def _hypotheses_met(ctx, hypotheses: tuple):
+    """Facts of a module instance when every hypothesis holds, else None.
+
+    End(M) is built first, as every hypothesis needs it, so a cap on it
+    skips the entry before any other work; the hypotheses are then decided
+    left to right, stopping at the first false one.
+    """
+    facts = ctx.facts()
+    facts.end()
+    if all(_decide(facts, h)[0] for h in hypotheses):
+        return facts
+    return None
+
+
+def _implies(hypotheses: tuple, conclusions: tuple):
+    """Check for "all hypotheses => all conclusions" on a module.
+
+    A single failed conclusion is witnessed by its counterexample, as
+    f=<map> for a module property or a=<element> for an "end." check;
+    with several conclusions the witness lists the failed names.
+    """
+    def check(ctx):
+        facts = _hypotheses_met(ctx, hypotheses)
+        if facts is None:
+            return NOT_MET, "-"
+        failed = {}
+        for name in conclusions:
+            holds, cex = _decide(facts, name)
+            if not holds:
+                failed[name] = cex
+        if not failed:
+            return HOLDS, "-"
+        if len(conclusions) > 1:
+            return VIOLATION, ",".join(n.removeprefix("end.") for n in failed)
+        [(name, cex)] = failed.items()
+        return VIOLATION, f"{'a' if name.startswith('end.') else 'f'}={cex}"
+    return check
+
+
+def _equiv(hypotheses: tuple, a: str, b: str):
+    """Check for "all hypotheses => (a iff b)" on a module."""
+    def check(ctx):
+        facts = _hypotheses_met(ctx, hypotheses)
+        if facts is None:
+            return NOT_MET, "-"
+        x, y = _decide(facts, a)[0], _decide(facts, b)[0]
+        if x != y:
+            return VIOLATION, f"{a}={x},{b}={y}"
+        return HOLDS, f"both={x}"
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +255,6 @@ def _chk_p2_4_1(ctx):
     return HOLDS, "n=1 throughout"
 
 
-def _chk_p2_4_2(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    if not ring_predicates(end.ring).reduced:
-        return NOT_MET, "-"
-    if not _prop(facts, "dual_pi_rickart").holds:
-        return NOT_MET, "-"
-    v = _prop(facts, "dual_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, "-"
-
-
 def _chk_l2_5_1(ctx):
     facts = ctx.facts()
     end = facts.end()
@@ -224,7 +263,7 @@ def _chk_l2_5_1(ctx):
     if not ring_predicates(end.ring).domain:
         return NOT_MET, "-"
     for f in range(1, end.ring.order):
-        if not _is_epi(end, f):
+        if not is_epimorphism(end.maps[f].table_np):
             return VIOLATION, f"f={f}"
     return HOLDS, f"nonzero_maps={end.ring.order - 1}"
 
@@ -233,7 +272,7 @@ def _chk_l2_5_2(ctx):
     facts = ctx.facts()
     end = facts.end()
     for f in range(1, end.ring.order):
-        if not _is_epi(end, f):
+        if not is_epimorphism(end.maps[f].table_np):
             return NOT_MET, f"f={f} not epi"
     problems = []
     if not _prop(facts, "dual_pi_rickart").holds:
@@ -245,53 +284,12 @@ def _chk_l2_5_2(ctx):
     return HOLDS, "-"
 
 
-def _chk_t2_7_1(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "d2").holds and _prop(facts, "dual_pi_rickart").holds):
-        return NOT_MET, "-"
-    v = _prop(facts, "pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, "-"
-
-
-def _chk_t2_7_2(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "c2").holds and _prop(facts, "pi_rickart").holds):
-        return NOT_MET, "-"
-    v = _prop(facts, "dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, "-"
-
-
-def _chk_t2_7_3(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "quasi_projective").holds
-            and _prop(facts, "morphic").holds):
-        return NOT_MET, "-"
-    a = _prop(facts, "pi_rickart").holds
-    b = _prop(facts, "dual_pi_rickart").holds
-    if a != b:
-        return VIOLATION, f"pi_rickart={a},dual_pi_rickart={b}"
-    return HOLDS, f"both={a}"
-
-
-def _chk_c2_8(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "c2").holds and _prop(facts, "d2").holds):
-        return NOT_MET, "-"
-    a = _prop(facts, "dual_pi_rickart").holds
-    b = _prop(facts, "pi_rickart").holds
-    if a != b:
-        return VIOLATION, f"dual_pi_rickart={a},pi_rickart={b}"
-    return HOLDS, f"both={a}"
-
-
 def _chk_l2_9(ctx):
     facts = ctx.facts()
     idem_route = set(facts.idem_masks())
-    complement_route = _summand_masks_by_complement(facts)
+    # the independent route: a complement in the submodule lattice
+    complement_route = {sub.mask for sub in facts.lattice()
+                        if is_direct_summand(sub, ctx.caps)[0]}
     if idem_route != complement_route:
         only_a = sorted(idem_route - complement_route)
         only_b = sorted(complement_route - idem_route)
@@ -356,10 +354,6 @@ def _chk_c2_13(ctx):
             if not is_pi_regular(corner).holds:
                 return VIOLATION, f"c={c},corner_at={piece}"
     return HOLDS, f"decompositions={len(centrals)}"
-
-
-def _chk_t2_14_1(ctx):
-    return _chk_c2_12(ctx)
 
 
 def _chk_t2_14_2(ctx):
@@ -576,19 +570,6 @@ def _chk_t3_4_1(ctx):
     return HOLDS, f"triples={checked}"
 
 
-def _chk_t3_4_2(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    if not _prop(facts, "self_cogenerator").holds:
-        return NOT_MET, "-"
-    if not _ring_check(end.ring, "gen_left_pp").holds:
-        return NOT_MET, "-"
-    v = _prop(facts, "dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, "-"
-
-
 def _chk_l3_6(ctx):
     facts = ctx.facts()
     end = facts.end()
@@ -598,17 +579,6 @@ def _chk_l3_6(ctx):
     if not v.holds:
         return VIOLATION, f"f={v.counterexample}"
     return HOLDS, f"|S|={end.ring.order}"
-
-
-def _chk_c3_7(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    if not _ring_check(end.ring, "strongly_pi_regular").holds:
-        return NOT_MET, "-"
-    v = _prop(facts, "dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, "-"
 
 
 def _both_summand_exponent(facts: Facts, f: int):
@@ -669,10 +639,10 @@ def _mat2(ctx):
     if ring.order ** 4 > ctx.caps.matrix_check:
         raise SizeCapExceeded("matrix ring", ring.order ** 4,
                               ctx.caps.matrix_check)
-    memo = ring._memo
-    if "mat2" not in memo:
-        memo["mat2"] = matrix_ring(ring, 2, ctx.caps)
-    return memo["mat2"]
+    key = ("mat2", ctx.caps)
+    if key not in ring._memo:
+        ring._memo[key] = matrix_ring(ring, 2, ctx.caps)
+    return ring._memo[key]
 
 
 def _chk_l3_10_2(ctx):
@@ -719,39 +689,6 @@ def _chk_p3_11(ctx):
             return VIOLATION, f"e={e},f={v.counterexample}"
         checked += 1
     return HOLDS, f"projectives={checked}"
-
-
-def _chk_t3_12_1(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "d2").holds and _prop(facts, "dual_pi_rickart").holds):
-        return NOT_MET, "-"
-    v = _ring_check(facts.end().ring, "pi_regular")
-    if not v.holds:
-        return VIOLATION, f"a={v.counterexample}"
-    return HOLDS, "-"
-
-
-def _chk_t3_12_2(ctx):
-    facts = ctx.facts()
-    if not _prop(facts, "d2").holds:
-        return NOT_MET, "-"
-    if not _ring_check(facts.end().ring, "pi_regular").holds:
-        return NOT_MET, "-"
-    v = _prop(facts, "dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, "-"
-
-
-def _chk_c3_14(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "quasi_projective").holds
-            and _prop(facts, "dual_pi_rickart").holds):
-        return NOT_MET, "-"
-    v = _ring_check(facts.end().ring, "pi_regular")
-    if not v.holds:
-        return VIOLATION, f"a={v.counterexample}"
-    return HOLDS, "-"
 
 
 def _chk_c3_15(ctx):
@@ -914,7 +851,7 @@ def _chk_p3_21_1(ctx):
     end = facts.end()
     epis = nilps = 0
     for f in range(end.ring.order):
-        epi = _is_epi(end, f)
+        epi = is_epimorphism(end.maps[f].table_np)
         imgs, _ = facts.chains(f)
         nilp = imgs[-1].is_zero()
         if not (epi or nilp):
@@ -931,7 +868,7 @@ def _chk_p3_21_2(ctx):
     end = facts.end()
     for f in range(end.ring.order):
         imgs, _ = facts.chains(f)
-        if not (_is_epi(end, f) or imgs[-1].is_zero()):
+        if not (is_epimorphism(end.maps[f].table_np) or imgs[-1].is_zero()):
             return NOT_MET, f"f={f}"
     problems = []
     if not _prop(facts, "indecomposable").holds:
@@ -961,23 +898,6 @@ def _chk_t3_22_1(ctx):
     return HOLDS, "-"
 
 
-def _chk_t3_22_2(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "morphic").holds
-            and _prop(facts, "indecomposable").holds
-            and _prop(facts, "dual_pi_rickart").holds):
-        return NOT_MET, "-"
-    end = facts.end()
-    problems = []
-    if not ring_predicates(end.ring).local:
-        problems.append("local")
-    if not nil_radical_check(end.ring).holds:
-        problems.append("nil_radical")
-    if problems:
-        return VIOLATION, ",".join(problems)
-    return HOLDS, "-"
-
-
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
@@ -1000,22 +920,27 @@ REGISTRY = {e.id: e for e in [
     Entry("P2.4.1", "module",
           "dual Rickart => dual pi-Rickart with exponent 1", _chk_p2_4_1),
     Entry("P2.4.2", "module",
-          "End reduced and dual pi-Rickart => dual Rickart", _chk_p2_4_2),
+          "End reduced and dual pi-Rickart => dual Rickart",
+          _implies(("end.reduced", "dual_pi_rickart"), ("dual_rickart",))),
     Entry("L2.5.1", "module",
           "dual pi-Rickart and End a domain => nonzero maps epi", _chk_l2_5_1),
     Entry("L2.5.2", "module",
           "nonzero maps epi => dual pi-Rickart and End a domain", _chk_l2_5_2),
     Entry("T2.7.1", "module",
-          "D2 and dual pi-Rickart => pi-Rickart", _chk_t2_7_1),
+          "D2 and dual pi-Rickart => pi-Rickart",
+          _implies(("d2", "dual_pi_rickart"), ("pi_rickart",))),
     Entry("T2.7.2", "module",
-          "C2 and pi-Rickart => dual pi-Rickart", _chk_t2_7_2),
+          "C2 and pi-Rickart => dual pi-Rickart",
+          _implies(("c2", "pi_rickart"), ("dual_pi_rickart",))),
     Entry("T2.7.3", "module",
           "quasi-projective and morphic => pi-Rickart equiv dual pi-Rickart",
-          _chk_t2_7_3,
+          _equiv(("quasi_projective", "morphic"), "pi_rickart",
+                 "dual_pi_rickart"),
           note="projectivity hypothesis represented by quasi-projective"
                " plus morphic"),
     Entry("C2.8", "module",
-          "C2 and D2 => dual pi-Rickart equiv pi-Rickart", _chk_c2_8),
+          "C2 and D2 => dual pi-Rickart equiv pi-Rickart",
+          _equiv(("c2", "d2"), "dual_pi_rickart", "pi_rickart")),
     Entry("L2.9", "module",
           "summand via idempotent image equals summand via complement",
           _chk_l2_9),
@@ -1027,7 +952,7 @@ REGISTRY = {e.id: e for e in [
           "pi-regular product => pi-regular factors", _chk_c2_13),
     Entry("T2.14.1", "ring",
           "pi-regular => every summand ideal e*R dual pi-Rickart",
-          _chk_t2_14_1),
+          _chk_c2_12),
     Entry("T2.14.2", "ring",
           "every summand ideal e*R dual pi-Rickart => pi-regular",
           _chk_t2_14_2),
@@ -1063,11 +988,13 @@ REGISTRY = {e.id: e for e in [
           _chk_t3_4_1),
     Entry("T3.4.2", "module",
           "self-cogenerator with gen left pp End => dual pi-Rickart",
-          _chk_t3_4_2),
+          _implies(("self_cogenerator", "end.gen_left_pp"),
+                   ("dual_pi_rickart",))),
     Entry("L3.6", "module",
           "pi-regular End => dual pi-Rickart", _chk_l3_6),
     Entry("C3.7", "module",
-          "strongly pi-regular End => dual pi-Rickart", _chk_c3_7),
+          "strongly pi-regular End => dual pi-Rickart",
+          _implies(("end.strongly_pi_regular",), ("dual_pi_rickart",))),
     Entry("L3.9.1", "module",
           "pi-regular End => some power has kernel and image summands",
           _chk_l3_9_1),
@@ -1087,11 +1014,15 @@ REGISTRY = {e.id: e for e in [
           _chk_p3_11, note="projectives realized as idempotent images of"
                            " the rank-2 free module"),
     Entry("T3.12.1", "module",
-          "D2 and dual pi-Rickart => End pi-regular", _chk_t3_12_1),
+          "D2 and dual pi-Rickart => End pi-regular",
+          _implies(("d2", "dual_pi_rickart"), ("end.pi_regular",))),
     Entry("T3.12.2", "module",
-          "D2 and End pi-regular => dual pi-Rickart", _chk_t3_12_2),
+          "D2 and End pi-regular => dual pi-Rickart",
+          _implies(("d2", "end.pi_regular"), ("dual_pi_rickart",))),
     Entry("C3.14", "module",
-          "quasi-projective dual pi-Rickart => End pi-regular", _chk_c3_14),
+          "quasi-projective dual pi-Rickart => End pi-regular",
+          _implies(("quasi_projective", "dual_pi_rickart"),
+                   ("end.pi_regular",))),
     Entry("C3.15", "module",
           "quasi-projective dual pi-Rickart => fully invariant quotients"
           " dual pi-Rickart", _chk_c3_15),
@@ -1130,7 +1061,9 @@ REGISTRY = {e.id: e for e in [
           _chk_t3_22_1),
     Entry("T3.22.2", "module",
           "morphic indecomposable dual pi-Rickart => End local with nil"
-          " radical", _chk_t3_22_2),
+          " radical",
+          _implies(("morphic", "indecomposable", "dual_pi_rickart"),
+                   ("end.local", "end.nil_radical"))),
 ]}
 
 
@@ -1155,36 +1088,27 @@ def expand_ids(requested=None) -> list:
     return unique
 
 
+def _evaluate(tid: str, ctx: InstanceContext) -> TheoremVerdict:
+    entry = REGISTRY[tid]
+    if entry.scope != ctx.kind:
+        return TheoremVerdict(tid, ctx.name, SKIPPED,
+                              f"needs a {entry.scope} instance")
+    try:
+        status, witness = entry.check(ctx)
+    except SizeCapExceeded as exc:
+        status, witness = SKIPPED, f"cap:{exc.what}"
+    return TheoremVerdict(tid, ctx.name, status, witness)
+
+
 def verify(theorem_id: str, ctx: InstanceContext) -> list:
     """Evaluate one registry id (or prefix) on an instance."""
-    out = []
-    for tid in expand_ids([theorem_id]):
-        entry = REGISTRY[tid]
-        if entry.scope != ctx.kind:
-            out.append(TheoremVerdict(tid, ctx.name, SKIPPED,
-                                      f"needs a {entry.scope} instance"))
-            continue
-        try:
-            status, witness = entry.check(ctx)
-        except SizeCapExceeded as exc:
-            status, witness = SKIPPED, f"cap:{exc.what}"
-        out.append(TheoremVerdict(tid, ctx.name, status, witness))
-    return out
+    return [_evaluate(tid, ctx) for tid in expand_ids([theorem_id])]
 
 
 def verify_all(ctx: InstanceContext, requested=None) -> list:
     """Evaluate every applicable registry entry on an instance."""
-    out = []
-    for tid in expand_ids(requested):
-        entry = REGISTRY[tid]
-        if entry.scope != ctx.kind:
-            continue
-        try:
-            status, witness = entry.check(ctx)
-        except SizeCapExceeded as exc:
-            status, witness = SKIPPED, f"cap:{exc.what}"
-        out.append(TheoremVerdict(tid, ctx.name, status, witness))
-    return out
+    return [_evaluate(tid, ctx) for tid in expand_ids(requested)
+            if REGISTRY[tid].scope == ctx.kind]
 
 
 def summarize(verdicts: list) -> dict:

@@ -2,7 +2,11 @@
 
 import dataclasses
 
-from pirick.caps import caps_from_env
+import pytest
+
+import pirick.properties as properties
+from pirick.caps import Caps, caps_from_env
+from pirick.errors import SizeCapExceeded
 from pirick.families import ex23_module, zmod
 from pirick.homs import end_ring
 from pirick.modules import ring_as_module
@@ -139,3 +143,27 @@ def test_analyze_is_memoized_per_caps():
     va = facts_a.verdict("fitting", DECIDERS["fitting"])
     vb = facts_b.verdict("fitting", DECIDERS["fitting"])
     assert va is vb
+
+
+def test_decider_table_holds_distinct_public_functions():
+    fns = list(DECIDERS.values())
+    assert len(set(fns)) == len(PROPERTY_ORDER)
+    for fn in fns:
+        assert not fn.__name__.startswith("_")
+        assert getattr(properties, fn.__name__) is fn
+
+
+def test_caps_decide_even_after_a_looser_run():
+    module = ring_as_module(zmod(12), CAPS, name="z12_reg")
+    tight = Caps(hom=2)
+    assert analyze(module, tight).statuses["dual_pi_rickart"] == "skipped"
+    assert analyze(module, CAPS).statuses["dual_pi_rickart"] == "true"
+    # the End(M) built under the default caps must not leak into this run
+    assert analyze(module, tight).statuses["dual_pi_rickart"] == "skipped"
+
+
+def test_left_singular_ideal_respects_caps():
+    ring = zmod(12)
+    assert left_singular_ideal(ring, CAPS).tolist() == [0, 6]
+    with pytest.raises(SizeCapExceeded):
+        left_singular_ideal(ring, Caps(lattice=4))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from pirick.caps import caps_from_env
+from pirick import theorems
+from pirick.caps import Caps, caps_from_env
 from pirick.errors import UnknownTheorem
 from pirick.families import ex23_module, ex23_ring, zmod
 from pirick.modules import ring_as_module
@@ -108,3 +109,84 @@ def test_wrong_kind_construction_rejected():
     from pirick.errors import PirickError
     with pytest.raises(PirickError):
         InstanceContext("x", "monoid", zmod(4), None, CAPS)
+
+
+def test_ring_memos_respect_caps():
+    # each memo below used to serve a build made under looser caps
+    ring = zmod(2)
+    loose = _ring_ctx(ring)
+    tight = InstanceContext("z2", "ring", ring, None, Caps(construct=8))
+    assert verify("L3.10.2", loose)[0].status == HOLDS      # 2x2 matrices
+    assert verify("L3.10.2", tight)[0].witness == "cap:matrix ring over z2"
+    tighter = InstanceContext("z2", "ring", ring, None, Caps(construct=2))
+    assert verify("T2.15", loose)[0].status == HOLDS        # rank-2 free
+    assert verify("T2.15", tighter)[0].witness == "cap:module construction"
+
+
+# ---------------------------------------------------------------------------
+# implications declared as data: the rule's outcomes and witness strings,
+# driven by stubbed predicates (the corpus never reaches a violation)
+# ---------------------------------------------------------------------------
+
+
+class _StubFacts:
+    def facts(self):
+        return self
+
+    def end(self):
+        return None
+
+
+def _run_stubbed(monkeypatch, tid, values):
+    """Evaluate one entry with predicates read from `values`: name ->
+    (holds, counterexample); records the names decided, in order."""
+    asked = []
+
+    def decide(facts, name):
+        asked.append(name)
+        return values[name]
+
+    monkeypatch.setattr(theorems, "_decide", decide)
+    return REGISTRY[tid].check(_StubFacts()), asked
+
+
+def test_implication_violation_witnesses(monkeypatch):
+    ok = (True, None)
+    got, _ = _run_stubbed(monkeypatch, "T2.7.1", {
+        "d2": ok, "dual_pi_rickart": ok, "pi_rickart": (False, 3)})
+    assert got == (VIOLATION, "f=3")
+    got, _ = _run_stubbed(monkeypatch, "T3.12.1", {
+        "d2": ok, "dual_pi_rickart": ok, "end.pi_regular": (False, 5)})
+    assert got == (VIOLATION, "a=5")
+    hyps = {"morphic": ok, "indecomposable": ok, "dual_pi_rickart": ok}
+    got, _ = _run_stubbed(monkeypatch, "T3.22.2", {
+        **hyps, "end.local": (False, None), "end.nil_radical": (False, 7)})
+    assert got == (VIOLATION, "local,nil_radical")
+    got, _ = _run_stubbed(monkeypatch, "T3.22.2", {
+        **hyps, "end.local": ok, "end.nil_radical": (False, 7)})
+    assert got == (VIOLATION, "nil_radical")
+    got, _ = _run_stubbed(monkeypatch, "T3.22.2", {
+        **hyps, "end.local": ok, "end.nil_radical": ok})
+    assert got == (HOLDS, "-")
+
+
+def test_implication_hypotheses_stop_at_first_false(monkeypatch):
+    got, asked = _run_stubbed(monkeypatch, "T3.22.2", {
+        "morphic": (True, None), "indecomposable": (False, 1)})
+    assert got == (NOT_MET, "-")
+    assert asked == ["morphic", "indecomposable"]
+
+
+def test_equivalence_witnesses(monkeypatch):
+    ok = (True, None)
+    got, _ = _run_stubbed(monkeypatch, "T2.7.3", {
+        "quasi_projective": ok, "morphic": ok,
+        "pi_rickart": ok, "dual_pi_rickart": (False, 2)})
+    assert got == (VIOLATION, "pi_rickart=True,dual_pi_rickart=False")
+    got, _ = _run_stubbed(monkeypatch, "C2.8", {
+        "c2": ok, "d2": ok,
+        "dual_pi_rickart": (False, 2), "pi_rickart": (False, 4)})
+    assert got == (HOLDS, "both=False")
+    got, asked = _run_stubbed(monkeypatch, "C2.8", {
+        "c2": (False, None)})
+    assert got == (NOT_MET, "-") and asked == ["c2"]
