@@ -11,10 +11,15 @@ assignment of generator images is expanded to a full table along a fixed
 derivation plan, and the table is kept iff it validates.  end_ring re-equips
 Hom(M, M) with composition as a FiniteRing (via a cyclic decomposition of
 its additive group), giving every ring-theoretic tool access to End(M).
+
+End(M) is built at most once per (structure, caps) in a process: another
+module object of a cached structure gets the ring with the maps re-bound to
+it, a cap failure is remembered, and the composition self-check is exhaustive.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 
@@ -191,25 +196,75 @@ class EndRing:
     """End(M) as a FiniteRing whose element i is the ModuleMap maps[i].
 
     Multiplication is composition: (f * g)(m) = f(g(m)).  index_of maps a
-    table tuple to its ring index.
+    table tuple to its ring index; row i of tables is maps[i].table_np.
+    EndRings of one structure and caps share tables, index_of and idem_masks.
     """
 
     module: FiniteModule
     ring: FiniteRing
     maps: tuple
     index_of: dict
+    tables: np.ndarray
+    idem_masks: dict = dataclasses.field(default_factory=dict)
 
     def map_index(self, f: ModuleMap) -> int:
         return self.index_of[f.table]
 
 
+# (structure, caps) -> the first EndRing built, or the SizeCapExceeded
+# arguments (what, size, cap) of a failed build.
+_END_CACHE = {}
+
+
+def _structure_key(module: FiniteModule) -> tuple:
+    ring = module.ring
+    return (ring.add_group.factors, ring.one,
+            tuple(sorted(ring.constants.items())),
+            module.add_group.factors, tuple(sorted(module.constants.items())))
+
+
+def _rebind(end: EndRing, module: FiniteModule) -> EndRing:
+    """end's maps and ring, bound to another module of the same structure."""
+    maps = []
+    for f in end.maps:
+        g = ModuleMap.__new__(ModuleMap)
+        g.domain = g.codomain = module
+        g.table, g.table_np = f.table, f.table_np
+        maps.append(g)
+    ring = end.ring
+    if ring.name != f"end_{module.name}":
+        ring = copy.copy(ring)               # shares the tables and _memo
+        ring.name = f"end_{module.name}"
+    return dataclasses.replace(end, module=module, ring=ring, maps=tuple(maps))
+
+
 def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     """Compute End(M) with composition, as a validated FiniteRing.
 
-    Memoized per caps value: a build made under other caps is not reused."""
+    Built at most once per structure and caps in a process: another module
+    object of that structure gets the cached ring with its maps re-bound to
+    it, and a build over a cap raises the same SizeCapExceeded again without
+    rebuilding.  A build under other caps is never reused."""
     key = ("end_ring", caps)
     if key in module._memo:
         return module._memo[key]
+    cache_key = (_structure_key(module), caps)
+    cached = _END_CACHE.get(cache_key)
+    if isinstance(cached, tuple):
+        raise SizeCapExceeded(*cached)
+    if cached is None:
+        try:
+            cached = _build_end_ring(module, caps)
+        except SizeCapExceeded as err:
+            _END_CACHE[cache_key] = (err.what, err.size, err.cap)
+            raise
+        _END_CACHE[cache_key] = cached
+    out = cached if cached.module is module else _rebind(cached, module)
+    module._memo[key] = out
+    return out
+
+
+def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     raw = hom_set(module, module, caps)
     tables = np.stack([f.table_np for f in raw])       # (s, n)
     add_m = module.add_group.add_table()
@@ -222,7 +277,8 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     group, to_index, from_label = group_embedding(
         list(range(len(raw))), add_maps, zero_raw)
 
-    maps = tuple(raw[from_label[i]] for i in range(group.order))
+    order = [from_label[i] for i in range(group.order)]
+    maps = tuple(raw[k] for k in order)
     constants = {}
     for i in range(len(group.factors)):
         fi = maps[group.basis_index(i)]
@@ -235,21 +291,16 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     one = to_index[key_to_raw[tuple(range(module.order))]]
     ring = ring_make(group, constants, one, caps, f"end_{module.name}")
 
-    # Independent check: the ring's multiplication table must agree with
-    # composition of the underlying maps on every pair.
-    index_of = {maps[i].table: i for i in range(group.order)}
-    stacked = np.stack([f.table_np for f in maps])
+    # Independent check, exhaustive over all |End|^2 pairs: the map at
+    # ring index mul[i, j] must be the composition of map i after map j.
+    stacked = tables[order]
     for i in range(group.order):
-        comp_tables = stacked[i][stacked]             # (s, n): map i after map j
-        for j in range(group.order):
-            expected = index_of[tuple(int(x) for x in comp_tables[j])]
-            if ring.mul_np[i, j] != expected:
-                raise PirickError("endomorphism ring table disagrees with "
-                                  f"composition at ({i}, {j})")
-
-    out = EndRing(module, ring, maps, index_of)
-    module._memo[key] = out
-    return out
+        bad = (stacked[ring.mul_np[i]] != stacked[i][stacked]).any(axis=1)
+        if bad.any():
+            raise PirickError("endomorphism ring table disagrees with "
+                              f"composition at ({i}, {int(np.argmax(bad))})")
+    index_of = {maps[i].table: i for i in range(group.order)}
+    return EndRing(module, ring, maps, index_of, stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +355,18 @@ def is_nilpotent_map(f: ModuleMap):
 
 def left_annihilator(end: EndRing, elems) -> np.ndarray:
     """Indices of {g in End(M) : g(x) == 0 for every x in elems}."""
-    stacked = np.stack([f.table_np for f in end.maps])
     arr = np.array(sorted(set(int(e) for e in elems)), dtype=np.int64)
     if arr.size == 0:
         return np.arange(len(end.maps), dtype=np.int64)
-    mask = (stacked[:, arr] == 0).all(axis=1)
+    mask = (end.tables[:, arr] == 0).all(axis=1)
     return np.nonzero(mask)[0].astype(np.int64)
 
 
 def right_annihilator(end: EndRing, endo_indices) -> Submodule:
     """r_M(X) = {m : g(m) == 0 for every g in X}, as a Submodule of M."""
-    module = end.module
-    keep = np.ones(module.order, dtype=bool)
-    for i in endo_indices:
-        keep &= end.maps[int(i)].table_np == 0
-    return Submodule(module, np.nonzero(keep)[0].tolist())
+    idx = np.array([int(i) for i in endo_indices], dtype=np.int64)
+    keep = (end.tables[idx] == 0).all(axis=0)
+    return Submodule(end.module, np.nonzero(keep)[0].tolist())
 
 
 def principal_left_ideal(end: EndRing, e: int) -> np.ndarray:
@@ -328,16 +376,11 @@ def principal_left_ideal(end: EndRing, e: int) -> np.ndarray:
 
 def idempotent_image_masks(end: EndRing) -> dict:
     """Map from image bitmask of an idempotent endomorphism to the smallest
-    such idempotent's ring index."""
-    memo_key = "idempotent_image_masks"
-    if memo_key in end.module._memo:
-        return end.module._memo[memo_key]
-    out = {}
-    for e in ring_idempotents(end.ring).tolist():
-        mask = image(end.maps[e]).mask
-        if mask not in out:
-            out[mask] = int(e)
-    end.module._memo[memo_key] = out
+    such idempotent's ring index; computed once per structure and caps."""
+    out = end.idem_masks
+    if not out:                 # never empty once filled: 0 is idempotent
+        for e in ring_idempotents(end.ring).tolist():
+            out.setdefault(image(end.maps[e]).mask, int(e))
     return out
 
 

@@ -312,12 +312,11 @@ def decide_abelian(facts: Facts) -> Verdict:
 def decide_duo(facts: Facts) -> Verdict:
     """Every submodule is stable under every endomorphism."""
     end = facts.end()
-    stacked = np.stack([f.table_np for f in end.maps])
     member = np.zeros(facts.module.order, dtype=bool)
     for sub in facts.lattice():
         member[:] = False
         member[list(sub.elems)] = True
-        hits = member[stacked[:, list(sub.elems)]]
+        hits = member[end.tables[:, list(sub.elems)]]
         if not hits.all():
             f = int(np.nonzero(~hits.all(axis=1))[0][0])
             return Verdict(False, {}, (f, sub.mask))
@@ -340,11 +339,9 @@ def decide_self_cogenerator(facts: Facts) -> Verdict:
 def decide_quasi_projective(facts: Facts) -> Verdict:
     """Every homomorphism M -> M/N lifts through the projection."""
     end = facts.end()
-    stacked = np.stack([f.table_np for f in end.maps])
     for sub in facts.lattice():
         quot, proj = facts.quotient(sub.mask)
-        lifted = {tuple(int(x) for x in proj.table_np[stacked[f]])
-                  for f in range(end.ring.order)}
+        lifted = set(map(tuple, proj.table_np[end.tables].tolist()))
         for h in hom_set(facts.module, quot, facts.caps):
             if h.table not in lifted:
                 return Verdict(False, {}, (sub.mask, h.table))

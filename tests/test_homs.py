@@ -1,8 +1,11 @@
 """Hom-sets, endomorphism rings, chains, annihilators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pirick import homs
 from pirick.caps import caps_from_env
 from pirick.errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from pirick.families import ex23_module, zmod
@@ -13,6 +16,7 @@ from pirick.homs import (ModuleMap, compose, end_ring, hom_set, identity_map,
                          principal_left_ideal, right_annihilator,
                          summand_by_idempotent)
 from pirick.modules import all_submodules, free_module, ring_as_module
+from pirick.properties import PROPERTY_ORDER, analyze
 from pirick.rings import ring_idempotents
 
 CAPS = caps_from_env()
@@ -146,8 +150,67 @@ def test_hom_between_different_modules():
 
 
 def test_hom_cap():
-    import dataclasses
     tight = dataclasses.replace(CAPS, hom=2)
     f2 = free_module(zmod(2), 2, CAPS)
     with pytest.raises(SizeCapExceeded):
         hom_set(f2, f2, tight)
+
+
+def _record_end_homs(monkeypatch) -> list:
+    """Give end_ring an empty cache; record each hom_set call it makes."""
+    monkeypatch.setattr(homs, "_END_CACHE", {})
+    calls = []
+    real = homs.hom_set
+
+    def counted(domain, codomain, caps=CAPS):
+        calls.append((domain, codomain, caps))
+        return real(domain, codomain, caps)
+
+    monkeypatch.setattr(homs, "hom_set", counted)
+    return calls
+
+
+def test_self_check_catches_a_corrupted_table(monkeypatch):
+    module = ring_as_module(zmod(4), CAPS, name="z4_corrupt")
+    monkeypatch.setattr(homs, "_END_CACHE", {})
+    real = homs.ring_make
+
+    def corrupted(*args, **kwargs):
+        ring = real(*args, **kwargs)
+        ring.mul_np[2, 3] = (ring.mul_np[2, 3] + 1) % ring.order
+        return ring
+
+    monkeypatch.setattr(homs, "ring_make", corrupted)
+    with pytest.raises(PirickError, match=r"composition at \(2, 3\)"):
+        end_ring(module, CAPS)
+
+
+def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch):
+    module = free_module(zmod(2), 3, CAPS, name="z2_free3")
+    calls = _record_end_homs(monkeypatch)
+    tight = dataclasses.replace(CAPS, construct=256)
+    report = analyze(module, tight)
+    assert len(calls) == 1
+    skipped = {p for p, s in report.statuses.items() if s == "skipped"}
+    assert skipped == set(PROPERTY_ORDER) - {"self_cogenerator"}
+    assert {report.witnesses[p] for p in skipped} == {"cap:ring construction"}
+    with pytest.raises(SizeCapExceeded,
+                       match="ring construction: size 512 exceeds cap 256"):
+        end_ring(module, tight)
+    assert len(calls) == 1
+    assert end_ring(module, CAPS).ring.order == 512
+    assert calls == [(module, module, tight), (module, module, CAPS)]
+
+
+def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch):
+    first = ring_as_module(zmod(6), CAPS, name="first")
+    second = ring_as_module(zmod(6), CAPS, name="second")
+    calls = _record_end_homs(monkeypatch)
+    end1 = end_ring(first, CAPS)
+    end2 = end_ring(second, CAPS)
+    assert calls == [(first, first, CAPS)]
+    assert all(f.domain is second and f.codomain is second
+               for f in end2.maps)
+    assert np.array_equal(end1.ring.mul_np, end2.ring.mul_np)
+    assert (end1.ring.name, end2.ring.name) == ("end_first", "end_second")
+    assert end_ring(second, CAPS) is end2
