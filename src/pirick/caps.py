@@ -9,11 +9,16 @@ or partial answer.
 Defaults can be overridden process-wide with the PIRICK_CAPS environment
 variable (e.g. ``PIRICK_CAPS=lattice=128,hom=1048576``) or per-call by
 passing an explicit Caps.
+
+Also here: `cached`, the one memo for derived per-object results, since the
+caps a result was computed under are part of its key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import os
 
 from .errors import PirickError
@@ -75,3 +80,25 @@ def caps_from_env(env=None):
 
 
 DEFAULT_CAPS = caps_from_env()
+
+
+def cached(fn):
+    """Memoize ``fn(obj, *args)`` in ``obj._memo``.
+
+    The key is fn itself plus the positional arguments with defaults filled
+    in, so ``f(m)`` and ``f(m, DEFAULT_CAPS)`` share an entry and a result
+    is never served to a call under other caps.  Exceptions are not stored:
+    a cap check at the top of fn runs again on every call that misses.
+    """
+    defaults = tuple(p.default for p in
+                     list(inspect.signature(fn).parameters.values())[1:])
+
+    @functools.wraps(fn)
+    def memoized(obj, *args):
+        key = (fn, *args, *defaults[len(args):])
+        memo = obj._memo
+        if key not in memo:
+            memo[key] = fn(obj, *args)
+        return memo[key]
+
+    return memoized

@@ -25,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from .groups import group_embedding
 from .modules import FiniteModule, Submodule, module_generators, same_ring
@@ -238,6 +238,7 @@ def _rebind(end: EndRing, module: FiniteModule) -> EndRing:
     return dataclasses.replace(end, module=module, ring=ring, maps=tuple(maps))
 
 
+@cached
 def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     """Compute End(M) with composition, as a validated FiniteRing.
 
@@ -245,23 +246,18 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     object of that structure gets the cached ring with its maps re-bound to
     it, and a build over a cap raises the same SizeCapExceeded again without
     rebuilding.  A build under other caps is never reused."""
-    key = ("end_ring", caps)
-    if key in module._memo:
-        return module._memo[key]
     cache_key = (_structure_key(module), caps)
-    cached = _END_CACHE.get(cache_key)
-    if isinstance(cached, tuple):
-        raise SizeCapExceeded(*cached)
-    if cached is None:
+    entry = _END_CACHE.get(cache_key)
+    if isinstance(entry, tuple):
+        raise SizeCapExceeded(*entry)
+    if entry is None:
         try:
-            cached = _build_end_ring(module, caps)
+            entry = _build_end_ring(module, caps)
         except SizeCapExceeded as err:
             _END_CACHE[cache_key] = (err.what, err.size, err.cap)
             raise
-        _END_CACHE[cache_key] = cached
-    out = cached if cached.module is module else _rebind(cached, module)
-    module._memo[key] = out
-    return out
+        _END_CACHE[cache_key] = entry
+    return entry if entry.module is module else _rebind(entry, module)
 
 
 def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:

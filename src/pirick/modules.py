@@ -20,13 +20,10 @@ import itertools
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import AxiomViolation, PirickError, SizeCapExceeded
 from .groups import FinAbGroup, elementary_divisors, group_embedding
-from .rings import FiniteRing
-
-_RNG_SEED = 20260814
-_RANDOM_TRIPLES = 10_000
+from .rings import _RANDOM_TRIPLES, _RNG_SEED, FiniteRing, _first_mismatch
 
 
 class FiniteModule:
@@ -97,19 +94,14 @@ def _validate_module(mod: FiniteModule, caps: Caps):
     mul = ring.mul_np
     add_m = mod.add_group.add_table()
     add_r = ring.add_group.add_table()
-    idx = np.arange(n_m, dtype=np.int32)
 
-    bad = np.nonzero(act[:, ring.one] != idx)[0]
-    if bad.size:
-        raise AxiomViolation("identity", (int(bad[0]), ring.one))
+    bad = _first_mismatch(act[:, ring.one], np.arange(n_m, dtype=np.int32))
+    if bad:
+        raise AxiomViolation("identity", (bad[0], ring.one))
 
     budget = caps.scan ** 3
     if n_m * n_r * n_r <= budget:
-        left = act[act, :]                      # (m*r)*s
-        right = act[:, mul]                     # m*(r*s)
-        if not np.array_equal(left, right):
-            m, r, s = np.argwhere(left != right)[0]
-            raise AxiomViolation("associativity", (int(m), int(r), int(s)))
+        bad = _first_mismatch(act[act, :], act[:, mul])  # (mr)s, m(rs)
     else:
         basis_m = [mod.add_group.basis_index(j)
                    for j in range(len(mod.add_group.factors))]
@@ -118,53 +110,38 @@ def _validate_module(mod: FiniteModule, caps: Caps):
         for m, r, s in itertools.product(basis_m, basis_r, basis_r):
             if act[act[m, r], s] != act[m, mul[r, s]]:
                 raise AxiomViolation("associativity", (int(m), int(r), int(s)))
-        rng = np.random.default_rng(_RNG_SEED)
-        ms = rng.integers(0, n_m, size=_RANDOM_TRIPLES)
-        rs = rng.integers(0, n_r, size=_RANDOM_TRIPLES)
-        ss = rng.integers(0, n_r, size=_RANDOM_TRIPLES)
-        bad = np.nonzero(act[act[ms, rs], ss] != act[ms, mul[rs, ss]])[0]
-        if bad.size:
-            b = bad[0]
-            raise AxiomViolation("associativity",
-                                 (int(ms[b]), int(rs[b]), int(ss[b])))
+        ms, rs, ss = sampled = _draw(_RNG_SEED, n_m, n_r, n_r)
+        bad = _first_mismatch(act[act[ms, rs], ss], act[ms, mul[rs, ss]],
+                              sampled)
+    if bad:
+        raise AxiomViolation("associativity", bad)
 
     if n_m * n_m * n_r <= budget:
-        dl = act[add_m, :]                      # (m1+m2)*r
-        dr = add_m[act[:, None, :], act[None, :, :]]  # m1*r + m2*r
-        if not np.array_equal(dl, dr):
-            m1, m2, r = np.argwhere(dl != dr)[0]
-            raise AxiomViolation("distributivity_module",
-                                 (int(m1), int(m2), int(r)))
+        bad = _first_mismatch(act[add_m, :],                 # (m1+m2)r
+                              add_m[act[:, None, :], act[None, :, :]])
     else:
-        rng = np.random.default_rng(_RNG_SEED + 1)
-        m1 = rng.integers(0, n_m, size=_RANDOM_TRIPLES)
-        m2 = rng.integers(0, n_m, size=_RANDOM_TRIPLES)
-        rs = rng.integers(0, n_r, size=_RANDOM_TRIPLES)
-        bad = np.nonzero(act[add_m[m1, m2], rs]
-                         != add_m[act[m1, rs], act[m2, rs]])[0]
-        if bad.size:
-            b = bad[0]
-            raise AxiomViolation("distributivity_module",
-                                 (int(m1[b]), int(m2[b]), int(rs[b])))
+        m1, m2, rs = sampled = _draw(_RNG_SEED + 1, n_m, n_m, n_r)
+        bad = _first_mismatch(act[add_m[m1, m2], rs],
+                              add_m[act[m1, rs], act[m2, rs]], sampled)
+    if bad:
+        raise AxiomViolation("distributivity_module", bad)
 
     if n_m * n_r * n_r <= budget:
-        dl = act[:, add_r]                      # m*(r+s)
-        dr = add_m[act[:, :, None], act[:, None, :]]  # m*r + m*s
-        if not np.array_equal(dl, dr):
-            m, r, s = np.argwhere(dl != dr)[0]
-            raise AxiomViolation("distributivity_ring",
-                                 (int(m), int(r), int(s)))
+        bad = _first_mismatch(act[:, add_r],                 # m(r+s)
+                              add_m[act[:, :, None], act[:, None, :]])
     else:
-        rng = np.random.default_rng(_RNG_SEED + 2)
-        ms = rng.integers(0, n_m, size=_RANDOM_TRIPLES)
-        rs = rng.integers(0, n_r, size=_RANDOM_TRIPLES)
-        ss = rng.integers(0, n_r, size=_RANDOM_TRIPLES)
-        bad = np.nonzero(act[ms, add_r[rs, ss]]
-                         != add_m[act[ms, rs], act[ms, ss]])[0]
-        if bad.size:
-            b = bad[0]
-            raise AxiomViolation("distributivity_ring",
-                                 (int(ms[b]), int(rs[b]), int(ss[b])))
+        ms, rs, ss = sampled = _draw(_RNG_SEED + 2, n_m, n_r, n_r)
+        bad = _first_mismatch(act[ms, add_r[rs, ss]],
+                              add_m[act[ms, rs], act[ms, ss]], sampled)
+    if bad:
+        raise AxiomViolation("distributivity_ring", bad)
+
+
+def _draw(seed: int, *bounds) -> tuple:
+    """_RANDOM_TRIPLES random indices below each bound, drawn in order."""
+    rng = np.random.default_rng(seed)
+    return tuple(rng.integers(0, bound, size=_RANDOM_TRIPLES)
+                 for bound in bounds)
 
 
 def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
@@ -302,12 +279,11 @@ def submodule_sum(n1: Submodule, n2: Submodule) -> Submodule:
     return Submodule(n1.module, np.unique(add[np.ix_(a1, a2)]).tolist())
 
 
+@cached
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
     """Every submodule, sorted by ascending bitmask (deterministic order)."""
     if module.order > caps.lattice:
         raise SizeCapExceeded("submodule lattice", module.order, caps.lattice)
-    if "lattice" in module._memo:
-        return module._memo["lattice"]
     seen = {}
     for m in range(module.order):
         sub = cyclic_submodule(module, m)
@@ -322,9 +298,7 @@ def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
                     seen[s.mask] = s
                     new.append(s)
         frontier = new
-    lattice = [seen[k] for k in sorted(seen)]
-    module._memo["lattice"] = lattice
-    return lattice
+    return [seen[k] for k in sorted(seen)]
 
 
 def is_direct_summand(sub: Submodule, caps: Caps = DEFAULT_CAPS):
@@ -539,14 +513,13 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule,
 # ---------------------------------------------------------------------------
 
 
+@cached
 def module_generators(module: FiniteModule) -> tuple:
     """A small generating set: greedy cover by cyclic submodules.
 
     Deterministically picks the element whose cyclic submodule adds the most
     new elements (ties: smallest index) until everything is covered.
     """
-    if "generators" in module._memo:
-        return module._memo["generators"]
     n = module.order
     covered = {0}
     gens = []
@@ -567,9 +540,7 @@ def module_generators(module: FiniteModule) -> tuple:
             new = set(np.unique(add[np.ix_(arr, arr)]).tolist()) - covered
             changed = bool(new)
             covered |= new
-    result = tuple(gens)
-    module._memo["generators"] = result
-    return result
+    return tuple(gens)
 
 
 def same_ring(r1: FiniteRing, r2: FiniteRing) -> bool:

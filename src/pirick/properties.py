@@ -2,8 +2,10 @@
 
 Every decider is exact: it enumerates the endomorphism ring, the submodule
 lattice, or a hom set outright and returns a Verdict with explicit witnesses
-(exponents, idempotents, counterexample elements).  A Facts object memoizes
-the expensive shared objects so a full analysis touches each one once.
+(exponents, idempotents, counterexample elements).  A Facts object hands
+the deciders the shared objects (End(M), the lattice, chains, quotients,
+submodules, verdicts), each memoized per module and caps by `caps.cached`, so
+a full analysis builds each one once.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -17,7 +19,7 @@ import time
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import SizeCapExceeded
 from .homs import (EndRing, end_ring, hom_set, image, image_chain,
                    idempotent_image_masks, is_indecomposable, kernel,
@@ -49,12 +51,16 @@ PROPERTY_ORDER = (
 
 
 class Facts:
-    """Memoized per-module computations shared by the property deciders."""
+    """The per-module computations shared by the property deciders.
+
+    Every Facts of one module and caps shares one memo, so the methods
+    marked `cached` run once per (module, caps, arguments).
+    """
 
     def __init__(self, module: FiniteModule, caps: Caps = DEFAULT_CAPS):
         self.module = module
         self.caps = caps
-        self._store = module._memo.setdefault(("facts", caps), {})
+        self._memo = module._memo.setdefault(("facts", caps), {})
 
     def end(self) -> EndRing:
         return end_ring(self.module, self.caps)
@@ -62,55 +68,35 @@ class Facts:
     def lattice(self) -> list:
         return all_submodules(self.module, self.caps)
 
-    def lattice_by_mask(self) -> dict:
-        if "by_mask" not in self._store:
-            self._store["by_mask"] = {s.mask: s for s in self.lattice()}
-        return self._store["by_mask"]
-
     def idem_masks(self) -> dict:
         return idempotent_image_masks(self.end())
 
+    @cached
     def chains(self, f_idx: int):
         """(image chain, stabilization exponent) for endomorphism f_idx."""
-        memo = self._store.setdefault("img_chains", {})
-        if f_idx not in memo:
-            memo[f_idx] = image_chain(self.end().maps[f_idx])
-        return memo[f_idx]
+        return image_chain(self.end().maps[f_idx])
 
+    @cached
     def ker_chains(self, f_idx: int):
-        memo = self._store.setdefault("ker_chains", {})
-        if f_idx not in memo:
-            memo[f_idx] = kernel_chain(self.end().maps[f_idx])
-        return memo[f_idx]
+        return kernel_chain(self.end().maps[f_idx])
 
+    @cached
     def quotient(self, mask: int):
         """(M/N, projection) for the submodule with this bitmask."""
-        memo = self._store.setdefault("quotients", {})
-        if mask not in memo:
-            sub = self._sub(mask)
-            memo[mask] = quotient_module(self.module, sub, self.caps)
-        return memo[mask]
+        return quotient_module(self.module, self._sub(mask), self.caps)
 
+    @cached
     def inner(self, mask: int):
         """(N as a module, inclusion) for the submodule with this bitmask."""
-        memo = self._store.setdefault("inners", {})
-        if mask not in memo:
-            sub = self._sub(mask)
-            memo[mask] = submodule_module(sub, self.caps)
-        return memo[mask]
+        return submodule_module(self._sub(mask), self.caps)
 
     def _sub(self, mask: int) -> Submodule:
-        by_mask = self._store.get("by_mask")
-        if by_mask and mask in by_mask:
-            return by_mask[mask]
         elems = [e for e in range(self.module.order) if (mask >> e) & 1]
         return Submodule(self.module, elems)
 
+    @cached
     def verdict(self, prop: str, decider) -> Verdict:
-        memo = self._store.setdefault("verdicts", {})
-        if prop not in memo:
-            memo[prop] = decider(self)
-        return memo[prop]
+        return decider(self)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +369,13 @@ DECIDERS = {
 # ---------------------------------------------------------------------------
 
 
+@cached
 def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     """Elements whose left annihilator is an essential left ideal.
 
     Left ideals are enumerated as submodules of the regular module of the
     opposite ring, so this is gated by the lattice cap.
     """
-    key = ("left_singular", caps)
-    if key in ring._memo:
-        return ring._memo[key]
     opp = opposite_ring(ring, caps, name=f"{ring.name}_op")
     reg = ring_as_module(opp, caps)
     out = []
@@ -400,9 +384,7 @@ def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
         sub = Submodule(reg, ann)
         if is_essential(sub, caps):
             out.append(f)
-    result = np.array(out, dtype=np.int64)
-    ring._memo[key] = result
-    return result
+    return np.array(out, dtype=np.int64)
 
 
 def singular_nil_jacobson(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
@@ -528,7 +510,8 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
         end_order = end.ring.order
         idem_count = int(ring_idempotents(end.ring).size)
         if statuses.get("dual_pi_rickart") == "true":
-            dpr = facts._store["verdicts"]["dual_pi_rickart"]
+            dpr = facts.verdict("dual_pi_rickart",
+                                DECIDERS["dual_pi_rickart"])
             max_n = max((n for n, _ in dpr.witnesses.values()), default=1)
     except SizeCapExceeded:
         pass

@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
                      NotIdempotent, PirickError, SizeCapExceeded)
 from .groups import FinAbGroup, elementary_divisors, group_embedding
@@ -119,35 +119,41 @@ def _validate_constants(add_group: FinAbGroup, constants: dict):
                 raise NotDistributive(triple)
 
 
+def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, sampled=None):
+    """Index tuple of the first entry with lhs != rhs, or None.
+
+    For a sampled check, lhs and rhs run over the samples and `sampled`
+    holds one index array per coordinate; the tuple is read from those.
+    """
+    diff = lhs != rhs
+    if not diff.any():
+        return None
+    first = np.argwhere(diff)[0]
+    if sampled is None:
+        return tuple(int(i) for i in first)
+    return tuple(int(arr[first[0]]) for arr in sampled)
+
+
 def _validate_ring(ring: FiniteRing, caps: Caps):
     mul = ring.mul_np
     n = ring.order
     idx = np.arange(n, dtype=np.int32)
 
-    bad = np.nonzero(mul[ring.one, :] != idx)[0]
-    if bad.size:
-        raise BadIdentity(int(bad[0]))
-    bad = np.nonzero(mul[:, ring.one] != idx)[0]
-    if bad.size:
-        raise BadIdentity(int(bad[0]))
+    for row in (mul[ring.one, :], mul[:, ring.one]):
+        bad = _first_mismatch(row, idx)
+        if bad:
+            raise BadIdentity(*bad)
 
     add = ring.add_group.add_table()
     if n <= caps.scan:
-        left = mul[mul, :]           # (a,b,c) -> (a*b)*c
-        right = mul[:, mul]          # (a,b,c) -> a*(b*c)
-        if not np.array_equal(left, right):
-            a, b, c = np.argwhere(left != right)[0]
-            raise NonAssociative((int(a), int(b), int(c)))
-        dl = mul[:, add]             # a*(b+c)
-        dr = add[mul[:, :, None], mul[:, None, :]]  # a*b + a*c
-        if not np.array_equal(dl, dr):
-            a, b, c = np.argwhere(dl != dr)[0]
-            raise NotDistributive((int(a), int(b), int(c)))
-        rl = mul[add, :]             # (a+b)*c
-        rr = add[mul[:, None, :], mul[None, :, :]]  # a*c + b*c
-        if not np.array_equal(rl, rr):
-            a, b, c = np.argwhere(rl != rr)[0]
-            raise NotDistributive((int(a), int(b), int(c)))
+        sampled = None
+        checks = (
+            (NonAssociative, mul[mul, :], mul[:, mul]),  # (ab)c, a(bc)
+            (NotDistributive, mul[:, add],               # a(b+c)
+             add[mul[:, :, None], mul[:, None, :]]),     # ab + ac
+            (NotDistributive, mul[add, :],               # (a+b)c
+             add[mul[:, None, :], mul[None, :, :]]),     # ac + bc
+        )
     else:
         # Multiplication is bilinear by construction, so associativity of
         # all basis triples implies associativity everywhere; random triples
@@ -159,19 +165,16 @@ def _validate_ring(ring: FiniteRing, caps: Caps):
                 raise NonAssociative((int(a), int(b), int(c)))
         rng = np.random.default_rng(_RNG_SEED)
         trip = rng.integers(0, n, size=(_RANDOM_TRIPLES, 3))
-        a, b, c = trip[:, 0], trip[:, 1], trip[:, 2]
-        bad = np.nonzero(mul[mul[a, b], c] != mul[a, mul[b, c]])[0]
-        if bad.size:
-            t = trip[bad[0]]
-            raise NonAssociative((int(t[0]), int(t[1]), int(t[2])))
-        bad = np.nonzero(mul[a, add[b, c]] != add[mul[a, b], mul[a, c]])[0]
-        if bad.size:
-            t = trip[bad[0]]
-            raise NotDistributive((int(t[0]), int(t[1]), int(t[2])))
-        bad = np.nonzero(mul[add[a, b], c] != add[mul[a, c], mul[b, c]])[0]
-        if bad.size:
-            t = trip[bad[0]]
-            raise NotDistributive((int(t[0]), int(t[1]), int(t[2])))
+        sampled = a, b, c = trip[:, 0], trip[:, 1], trip[:, 2]
+        checks = (
+            (NonAssociative, mul[mul[a, b], c], mul[a, mul[b, c]]),
+            (NotDistributive, mul[a, add[b, c]], add[mul[a, b], mul[a, c]]),
+            (NotDistributive, mul[add[a, b], c], add[mul[a, c], mul[b, c]]),
+        )
+    for error, lhs, rhs in checks:
+        bad = _first_mismatch(lhs, rhs, sampled)
+        if bad:
+            raise error(bad)
 
 
 def ring_make(add_group: FinAbGroup, constants: dict, one: int,
@@ -196,44 +199,39 @@ def ring_make(add_group: FinAbGroup, constants: dict, one: int,
 # ---------------------------------------------------------------------------
 
 
+@cached
 def ring_neg(ring: FiniteRing) -> np.ndarray:
-    if "neg" not in ring._memo:
-        ring._memo["neg"] = ring.add_group.neg_vector()
-    return ring._memo["neg"]
+    return ring.add_group.neg_vector()
 
 
+@cached
 def ring_idempotents(ring: FiniteRing) -> np.ndarray:
     """Sorted indices of all elements with e*e == e."""
-    if "idempotents" not in ring._memo:
-        n = ring.order
-        idx = np.arange(n, dtype=np.int32)
-        diag = ring.mul_np[idx, idx]
-        ring._memo["idempotents"] = np.nonzero(diag == idx)[0].astype(np.int32)
-    return ring._memo["idempotents"]
+    idx = np.arange(ring.order, dtype=np.int32)
+    diag = ring.mul_np[idx, idx]
+    return np.nonzero(diag == idx)[0].astype(np.int32)
 
 
+@cached
 def ring_units(ring: FiniteRing):
     """(unit_mask, inverse) arrays: two-sided units and their inverses."""
-    if "units" not in ring._memo:
-        mul = ring.mul_np
-        both = (mul == ring.one) & (mul.T == ring.one)
-        mask = both.any(axis=1)
-        inv = np.where(mask, both.argmax(axis=1), -1).astype(np.int64)
-        ring._memo["units"] = (mask, inv)
-    return ring._memo["units"]
+    mul = ring.mul_np
+    both = (mul == ring.one) & (mul.T == ring.one)
+    mask = both.any(axis=1)
+    inv = np.where(mask, both.argmax(axis=1), -1).astype(np.int64)
+    return mask, inv
 
 
+@cached
 def jacobson_radical(ring: FiniteRing) -> np.ndarray:
     """Sorted indices of J(R) = {a : 1 - r*a is a unit for every r}."""
-    if "jacobson" not in ring._memo:
-        mul = ring.mul_np
-        add = ring.add_group.add_table()
-        neg = ring_neg(ring)
-        unit_mask, _ = ring_units(ring)
-        candidates = add[ring.one, neg[mul]]     # [r, a] -> 1 - r*a
-        in_j = unit_mask[candidates].all(axis=0)
-        ring._memo["jacobson"] = np.nonzero(in_j)[0].astype(np.int32)
-    return ring._memo["jacobson"]
+    mul = ring.mul_np
+    add = ring.add_group.add_table()
+    neg = ring_neg(ring)
+    unit_mask, _ = ring_units(ring)
+    candidates = add[ring.one, neg[mul]]     # [r, a] -> 1 - r*a
+    in_j = unit_mask[candidates].all(axis=0)
+    return np.nonzero(in_j)[0].astype(np.int32)
 
 
 def power_trail(ring: FiniteRing, a: int) -> list:
@@ -324,19 +322,17 @@ def left_annihilator_key(ring: FiniteRing, a: int) -> bytes:
     return np.packbits(ring.mul_np[:, a] == 0).tobytes()
 
 
+@cached
 def principal_left_ideal_keys(ring: FiniteRing) -> dict:
     """Map from canonical set-key of R*e to the smallest such idempotent e."""
-    if "Re_keys" not in ring._memo:
-        out = {}
-        n = ring.order
-        for e in ring_idempotents(ring):
-            member = np.zeros(n, dtype=bool)
-            member[ring.mul_np[:, e]] = True
-            key = np.packbits(member).tobytes()
-            if key not in out:
-                out[key] = int(e)
-        ring._memo["Re_keys"] = out
-    return ring._memo["Re_keys"]
+    out = {}
+    for e in ring_idempotents(ring):
+        member = np.zeros(ring.order, dtype=bool)
+        member[ring.mul_np[:, e]] = True
+        key = np.packbits(member).tobytes()
+        if key not in out:
+            out[key] = int(e)
+    return out
 
 
 def is_generalized_left_pp(ring: FiniteRing) -> Verdict:
@@ -376,9 +372,8 @@ class RingPredicates:
     witnesses: dict
 
 
+@cached
 def ring_predicates(ring: FiniteRing) -> RingPredicates:
-    if "predicates" in ring._memo:
-        return ring._memo["predicates"]
     mul = ring.mul_np
     n = ring.order
     wit = {}
@@ -424,10 +419,8 @@ def ring_predicates(ring: FiniteRing) -> RingPredicates:
     if not division:
         wit["nonzero_nonunit"] = int(nonzero_nonunit[0])
 
-    preds = RingPredicates(commutative, reduced, abelian, domain, local,
-                           division, wit)
-    ring._memo["predicates"] = preds
-    return preds
+    return RingPredicates(commutative, reduced, abelian, domain, local,
+                          division, wit)
 
 
 def nil_radical_check(ring: FiniteRing) -> Verdict:

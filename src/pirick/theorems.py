@@ -23,7 +23,7 @@ import dataclasses
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
 from .homs import hom_set, image, left_annihilator, right_annihilator
 from .modules import (FiniteModule, Submodule, free_module,
@@ -70,19 +70,23 @@ class InstanceContext:
         return Facts(self.module, self.caps)
 
     def reg_module(self) -> FiniteModule:
-        key = ("reg_module", self.caps)
-        if key not in self.ring._memo:
-            self.ring._memo[key] = ring_as_module(self.ring, self.caps)
-        return self.ring._memo[key]
+        return _reg_module(self.ring, self.caps)
 
     def reg_facts(self) -> Facts:
         return Facts(self.reg_module(), self.caps)
 
     def free2(self) -> FiniteModule:
-        key = ("free2", self.caps)
-        if key not in self.ring._memo:
-            self.ring._memo[key] = free_module(self.ring, 2, self.caps)
-        return self.ring._memo[key]
+        return _free2(self.ring, self.caps)
+
+
+@cached
+def _reg_module(ring: FiniteRing, caps: Caps) -> FiniteModule:
+    return ring_as_module(ring, caps)
+
+
+@cached
+def _free2(ring: FiniteRing, caps: Caps) -> FiniteModule:
+    return free_module(ring, 2, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +98,12 @@ def _prop(facts: Facts, name: str) -> Verdict:
     return facts.verdict(name, DECIDERS[name])
 
 
+@cached
 def _ring_check(ring: FiniteRing, kind: str) -> Verdict:
-    memo = ring._memo.setdefault("checks", {})
-    if kind not in memo:
-        fn = {"pi_regular": is_pi_regular,
-              "strongly_pi_regular": is_strongly_pi_regular,
-              "gen_left_pp": is_generalized_left_pp}[kind]
-        memo[kind] = fn(ring)
-    return memo[kind]
+    fn = {"pi_regular": is_pi_regular,
+          "strongly_pi_regular": is_strongly_pi_regular,
+          "gen_left_pp": is_generalized_left_pp}[kind]
+    return fn(ring)
 
 
 def _pow_index(end, f: int, n: int) -> int:
@@ -117,14 +119,11 @@ def _l_ann_elem(ring: FiniteRing, x: int) -> frozenset:
     return frozenset(np.nonzero(ring.mul_np[:, x] == 0)[0].tolist())
 
 
+@cached
 def _idem_principal_left(ring: FiniteRing) -> dict:
     """Idempotent e -> the set S*e, for every idempotent of the ring."""
-    memo = ring._memo
-    if "idem_pli" not in memo:
-        memo["idem_pli"] = {
-            int(e): frozenset(np.unique(ring.mul_np[:, e]).tolist())
+    return {int(e): frozenset(np.unique(ring.mul_np[:, e]).tolist())
             for e in ring_idempotents(ring).tolist()}
-    return memo["idem_pli"]
 
 
 def _one_minus(ring: FiniteRing, e: int) -> int:
@@ -486,7 +485,7 @@ def _chk_p2_23(ctx):
         raise SizeCapExceeded("matrix ring", ring.order ** 4,
                               ctx.caps.matrix_check)
     for n in (1, 2):
-        mat = ring if n == 1 else matrix_ring(ring, 2, ctx.caps)
+        mat = ring if n == 1 else _mat2(ring, ctx.caps)
         if not _ring_check(mat, "strongly_pi_regular").holds:
             return NOT_MET, f"n={n}"
         mod = ctx.reg_module() if n == 1 else ctx.free2()
@@ -634,19 +633,16 @@ def _chk_l3_10_1(ctx):
     return HOLDS, f"corners={checked}"
 
 
-def _mat2(ctx):
-    ring = ctx.ring
-    if ring.order ** 4 > ctx.caps.matrix_check:
+@cached
+def _mat2(ring: FiniteRing, caps: Caps) -> FiniteRing:
+    if ring.order ** 4 > caps.matrix_check:
         raise SizeCapExceeded("matrix ring", ring.order ** 4,
-                              ctx.caps.matrix_check)
-    key = ("mat2", ctx.caps)
-    if key not in ring._memo:
-        ring._memo[key] = matrix_ring(ring, 2, ctx.caps)
-    return ring._memo[key]
+                              caps.matrix_check)
+    return matrix_ring(ring, 2, caps)
 
 
 def _chk_l3_10_2(ctx):
-    mat = _mat2(ctx)
+    mat = _mat2(ctx.ring, ctx.caps)
     if not _ring_check(mat, "pi_regular").holds:
         return NOT_MET, "-"
     v = _ring_check(ctx.ring, "pi_regular")
@@ -658,7 +654,7 @@ def _chk_l3_10_2(ctx):
 def _chk_l3_10_3(ctx):
     if not ring_predicates(ctx.ring).commutative:
         return NOT_MET, "-"
-    mat = _mat2(ctx)
+    mat = _mat2(ctx.ring, ctx.caps)
     a = _ring_check(ctx.ring, "pi_regular").holds
     b = _ring_check(mat, "pi_regular").holds
     if a != b:

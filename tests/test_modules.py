@@ -1,7 +1,11 @@
 """Modules: lattice, summands, radical/socle, quotients, isomorphism."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from pirick import modules
 from pirick.caps import caps_from_env
 from pirick.errors import AxiomViolation, SizeCapExceeded
 from pirick.families import ex23_module, zmod
@@ -173,3 +177,45 @@ def test_lattice_cap(z4_reg):
     small = dataclasses.replace(CAPS, lattice=2)
     with pytest.raises(SizeCapExceeded):
         all_submodules(z4_reg, small)
+
+
+# Action tables of R^2 corrupted after construction.  Under scan=2 the module
+# laws exceed the scan**3 budget and are checked on random triples; the
+# recorded triples pin each law's seed and draw order (|M| != |R| here).
+_BUILD = modules._biadditive_table
+TIGHT = dataclasses.replace(CAPS, scan=2)
+
+
+def _zero_row_2(ring, group, constants):
+    table = _BUILD(ring, group, constants)
+    table[2, :] = 0
+    table[2, ring.one] = 2               # keeps the identity law
+    return table
+
+
+def _swap_2_3(ring, group, constants):
+    """m*r moved through the non-additive bijection 2 <-> 3 of M."""
+    s = np.array([0, 1, 3, 2] + list(range(4, group.order)))
+    return s[_BUILD(ring, group, constants)[s, :]].astype(np.int32)
+
+
+def _fifth_power(ring, group, constants):
+    """m*r^5: multiplicative in r, not additive."""
+    r = np.arange(ring.order)
+    return _BUILD(ring, group, constants)[:, r ** 5 % ring.order]
+
+
+@pytest.mark.parametrize("n, caps, table, law, triple", [
+    (4, TIGHT, _zero_row_2, "associativity", (1, 2, 3)),
+    (3, TIGHT, _swap_2_3, "distributivity_module", (7, 1, 2)),
+    (3, CAPS, _swap_2_3, "distributivity_module", (1, 3, 2)),
+    (7, TIGHT, _fifth_power, "distributivity_ring", (6, 3, 2)),
+    (7, CAPS, _fifth_power, "distributivity_ring", (1, 1, 1)),
+])
+def test_validation_names_the_first_bad_triple(monkeypatch, n, caps, table,
+                                               law, triple):
+    ring = zmod(n, caps)
+    monkeypatch.setattr(modules, "_biadditive_table", table)
+    with pytest.raises(AxiomViolation) as err:
+        free_module(ring, 2, caps)
+    assert (err.value.axiom, err.value.witness) == (law, triple)

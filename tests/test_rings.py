@@ -1,8 +1,11 @@
 """Finite rings: construction, validation, regularity family, builders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pirick import rings
 from pirick.caps import caps_from_env
 from pirick.errors import (BadIdentity, NonAssociative, NotDistributive,
                            NotIdempotent, SizeCapExceeded)
@@ -165,3 +168,59 @@ def test_construction_cap():
     big = FinAbGroup((5,) * 6)           # order 15625 > construct cap
     with pytest.raises(SizeCapExceeded):
         ring_make(big, {}, 0, CAPS, "too-big")
+
+
+# A table on Z_n corrupted after construction, as a table-building bug would
+# leave it.  Z_67 is over the scan cap, so its laws are checked on random
+# triples; the recorded triples pin the seed and the draw order.
+_BUILD = rings._bilinear_table
+
+
+def _zero_row_5(group, constants):
+    table = _BUILD(group, constants)
+    table[5, :] = 0
+    table[5, 1] = 5                      # keeps 1 the identity
+    return table
+
+
+def _swap_2_3(group, constants):
+    """Z_n's product moved through the non-additive bijection 2 <-> 3: still
+    associative with identity 1, but not distributive."""
+    s = np.array([0, 1, 3, 2] + list(range(4, group.order)))
+    return s[_BUILD(group, constants)[np.ix_(s, s)]].astype(np.int32)
+
+
+@pytest.mark.parametrize("n, table, error, triple", [
+    (67, _zero_row_5, NonAssociative, (12, 6, 59)),
+    (67, _swap_2_3, NotDistributive, (61, 42, 22)),
+    (7, _swap_2_3, NotDistributive, (2, 1, 1)),         # every triple
+])
+def test_validation_names_the_first_bad_triple(monkeypatch, n, table, error,
+                                               triple):
+    monkeypatch.setattr(rings, "_bilinear_table", table)
+    with pytest.raises(error) as err:
+        zmod(n, CAPS)
+    assert err.value.triple == triple
+
+
+def _maps_of_z2(group, constants):
+    """Element (f0, f1) is the map x -> f_x of Z_2 and a*b = b(a(x)): this is
+    associative with identity (0, 1) and left but not right distributive."""
+    table = np.empty((4, 4), dtype=np.int32)
+    for i in range(4):
+        a = group.tuple_of(i)
+        for j in range(4):
+            b = group.tuple_of(j)
+            table[i, j] = group.index_of((b[a[0]], b[a[1]]))
+    return table
+
+
+@pytest.mark.parametrize("scan, triple", [(64, (0, 0, 2)), (2, (0, 3, 2))])
+def test_validation_catches_a_right_distributivity_failure(monkeypatch, scan,
+                                                           triple):
+    monkeypatch.setattr(rings, "_bilinear_table", _maps_of_z2)
+    group = FinAbGroup((2, 2))
+    with pytest.raises(NotDistributive) as err:
+        ring_make(group, {}, group.index_of((0, 1)),
+                  dataclasses.replace(CAPS, scan=scan))
+    assert err.value.triple == triple
