@@ -6,11 +6,11 @@ tuples (index 0 is always the zero element), which keeps every downstream
 table (addition, multiplication, module action) a plain numpy array indexed
 by small ints.
 
-The module also provides `decompose_abelian` / `group_embedding`: given an
-abstract finite abelian group presented only by labels and an addition
-callback, find a cyclic decomposition and re-present the group as a
-FinAbGroup.  This is how endomorphism rings, corner rings, quotient modules
-and submodule modules acquire coordinates.
+The module also provides `group_embedding`: given a finite abelian group as
+a sorted array of integer labels and an addition that works on whole label
+arrays, it finds a cyclic decomposition in one greedy pass and re-presents
+the group as a FinAbGroup.  This is how endomorphism rings, corner rings,
+quotient modules and submodule modules acquire coordinates.
 """
 
 from __future__ import annotations
@@ -177,105 +177,69 @@ def elementary_divisors(factors: Sequence[int]) -> tuple:
     return tuple(sorted(out))
 
 
-def decompose_abelian(labels: Sequence, add: Callable, zero):
-    """Cyclic decomposition of an abstract finite abelian group.
+def group_embedding(labels: np.ndarray, add: Callable):
+    """Re-present a finite abelian group, given by labels, as a FinAbGroup.
 
-    The group is presented by a list of hashable labels, an addition callback
-    and the zero label.  Returns a list of (generator_label, order) such that
-    the group is the internal direct sum of the cyclic subgroups generated by
-    the generators.  The trivial group returns [].
+    `labels` is a sorted integer array whose first entry is the zero label,
+    and `add(x, y)` adds two label arrays elementwise.  Returns (group,
+    from_label), where from_label[i] is the label of FinAbGroup index i.
 
-    Strategy: greedy choice of a maximal-order element whose cyclic subgroup
-    meets the current span trivially, with full backtracking (candidates are
-    ranked by decreasing order, then by position in `labels`, which makes the
-    result deterministic).
+    The cyclic factors come from one greedy pass: take the first label, by
+    largest order and then earliest position, whose cyclic subgroup meets the
+    span H of the labels taken so far only in 0.  The pass never needs to
+    backtrack: if H (+) K = G and g = h + k has the largest such order, then
+    ord(k) = ord(g) = exp(K), so <k> is a summand of K and H + <g> =
+    H (+) <k> is again a summand of G.
     """
+    labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
-    if n == 1:
-        return []
 
-    position = {lab: i for i, lab in enumerate(labels)}
-    orders = {}
-    multiples = {}
-    for lab in labels:
-        chain = [lab]
-        cur = lab
-        while cur != zero:
-            if len(chain) > n:
-                raise PirickError(f"element {lab!r} has no finite order "
-                                  "reaching zero; input is not a group")
-            cur = add(cur, lab)
-            chain.append(cur)
-        orders[lab] = len(chain)
-        multiples[lab] = chain  # lab, 2*lab, ..., ord*lab == zero
-    candidates = sorted((lab for lab in labels if lab != zero),
-                        key=lambda lab: (-orders[lab], position[lab]))
+    position = np.zeros(labels[-1] + 1, dtype=np.int64)
+    position[labels] = np.arange(n)
 
-    def extend(span: dict, chosen: list):
-        """span maps label -> coordinate tuple relative to `chosen` generators."""
-        if len(span) == n:
-            return chosen
-        for g in candidates:
-            if g in span:
-                continue
-            # require <g> to meet the current span trivially: no nonzero
-            # multiple of g may already lie in it
-            if any(m in span for m in multiples[g][:-1]):
-                continue
-            new_span = dict(span)
-            ok = True
-            for h, coord in span.items():
-                acc = h
-                for a in range(1, orders[g]):
-                    acc = add(acc, g)
-                    if acc in new_span:
-                        ok = False
-                        break
-                    new_span[acc] = coord + (a,)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            for h in span:
-                new_span[h] = span[h] + (0,)
-            result = extend(new_span, chosen + [(g, orders[g])])
-            if result is not None:
-                return result
-        return None
+    def plus(i, j):                      # positions in labels, elementwise
+        return position[add(labels[i], labels[j])]
 
-    result = extend({zero: ()}, [])
-    if result is None:  # cannot happen for a genuine finite abelian group
-        raise RuntimeError("cyclic decomposition failed; input is not an "
-                           "abelian group")
-    return result
+    # additive orders by repeated addition, position 0 being zero
+    orders = np.ones(n, dtype=np.int64)
+    multiple = np.arange(n)
+    live = np.arange(1, n)
+    while live.size:
+        if orders[live[0]] >= n:
+            raise PirickError(f"element {int(labels[live[0]])} has no finite "
+                              "order reaching zero; input is not a group")
+        multiple[live] = plus(multiple[live], live)
+        orders[live] += 1
+        live = live[multiple[live] != 0]
 
-
-def group_embedding(labels: Sequence, add: Callable, zero):
-    """Re-present an abstract finite abelian group as a FinAbGroup.
-
-    Returns (group, to_index, from_label) where `to_index[label]` is the
-    FinAbGroup index of `label` and `from_label[i]` is the label of index i.
-    """
-    labels = list(labels)
-    gens = decompose_abelian(labels, add, zero)
-    if not gens:
-        return FinAbGroup((1,)), {zero: 0}, [zero]
-    group = FinAbGroup([o for (_, o) in gens])
-    from_label = [None] * group.order
-    to_index = {}
-    # walk all coordinate tuples by repeated addition of generators
-    cur = {(): zero}
-    for g, o in gens:
-        nxt = {}
-        for prefix, lab in cur.items():
-            acc = lab
-            nxt[prefix + (0,)] = acc
-            for a in range(1, o):
-                acc = add(acc, g)
-                nxt[prefix + (a,)] = acc
-        cur = nxt
-    for coords, lab in cur.items():
-        idx = group.index_of(coords)
-        from_label[idx] = lab
-        to_index[lab] = idx
-    return group, to_index, from_label
+    rank = np.argsort(-orders[1:], kind="stable") + 1
+    in_span = np.zeros(n, dtype=bool)
+    in_span[0] = True
+    span = np.zeros(1, dtype=np.int64)
+    factors = []
+    while span.size < n:
+        # candidates whose multiples a*c, 0 < a < ord(c), all miss the span
+        # (every candidate, while the span is {0})
+        cand = rank[~in_span[rank]]
+        ok = np.ones(cand.size, dtype=bool)
+        idx, mult, a = np.arange(cand.size), cand, 1
+        while idx.size and span.size > 1:
+            ok[idx[in_span[mult]]] = False
+            a += 1
+            keep = ok[idx] & (orders[cand[idx]] > a)
+            idx = idx[keep]
+            mult = plus(mult[keep], cand[idx])
+        if not ok.any():
+            raise PirickError("cyclic decomposition failed; input is not an "
+                              "abelian group")
+        g = int(cand[np.argmax(ok)])
+        cosets = [span]
+        for _ in range(1, int(orders[g])):
+            cosets.append(plus(cosets[-1], np.full(span.size, g)))
+        span = np.stack(cosets, axis=1).ravel()
+        in_span[span] = True
+        factors.append(int(orders[g]))
+    if span.size != n or not np.array_equal(np.sort(span), np.arange(n)):
+        raise PirickError("cyclic decomposition failed; input is not an "
+                          "abelian group")
+    return FinAbGroup(factors or (1,)), labels[span]

@@ -6,11 +6,12 @@ linearity against both action tables, fully vectorized.  Maps produced by
 provably-safe recipes (composition of validated maps, identity, tables
 already checked by hom_set) skip re-validation.
 
-hom_set enumerates Hom(M, N) exactly: a generating set of M is chosen, every
-assignment of generator images is expanded to a full table along a fixed
-derivation plan, and the table is kept iff it validates.  end_ring re-equips
-Hom(M, M) with composition as a FiniteRing (via a cyclic decomposition of
-its additive group), giving every ring-theoretic tool access to End(M).
+hom_set enumerates Hom(M, N) exactly: a generating set of M is chosen, the
+assignments of generator images are expanded, a block at a time, to full
+tables along a fixed derivation plan, and a table is kept iff it validates;
+the result is one (count, |M|) array.  end_ring re-equips Hom(M, M) with
+composition as a FiniteRing (via a cyclic decomposition of its additive
+group), giving every ring-theoretic tool access to End(M).
 
 End(M) is built at most once per (structure, caps) in a process: another
 module object of a cached structure gets the ring with the maps re-bound to
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def map_power(f: ModuleMap, n: int) -> ModuleMap:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_plan(module: FiniteModule, gens: tuple) -> list:
+def _derivation_plan(module: FiniteModule, gens: list) -> list:
     """Steps (target, source, gen_pos, r) deriving every element of the module.
 
     Interpretation: target = source + gens[gen_pos] * r.  Sources are always
@@ -149,16 +149,18 @@ def _derivation_plan(module: FiniteModule, gens: tuple) -> list:
 
 
 def hom_set(domain: FiniteModule, codomain: FiniteModule,
-            caps: Caps = DEFAULT_CAPS) -> list:
-    """All module homomorphisms domain -> codomain, deterministically ordered.
+            caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+    """All module homomorphisms domain -> codomain, as one int64 array of
+    shape (count, |domain|) whose row i is the table of the i-th map.
 
-    Enumerates candidate images for a generating set of the domain in
-    lexicographic order and keeps exactly the assignments that extend to a
-    valid homomorphism.
+    Candidate images for a generating set of the domain are enumerated in
+    lexicographic order, in blocks; each block is expanded along the
+    derivation plan and the rows that are additive, linear and send 0 to 0
+    are kept, in that order.
     """
     if not same_ring(domain.ring, codomain.ring):
         raise PirickError("hom set requires a common base ring")
-    gens = module_generators(domain)
+    gens = list(module_generators(domain))
     count = codomain.order ** len(gens)
     if count > caps.hom:
         raise SizeCapExceeded("hom-set enumeration", count, caps.hom)
@@ -168,22 +170,24 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
     add_d = domain.add_group.add_table()
     act_d = domain.act_np
     n_d = domain.order
-    maps = []
-    table = [0] * n_d
-    for images in itertools.product(range(codomain.order), repeat=len(gens)):
-        for pos, g in enumerate(gens):
-            table[g] = images[pos]
-        if table[0] != 0:
-            continue
+    radix = codomain.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
+    kept = []
+    # Chunk candidates so the (chunk, n_d, n_d) additivity and the
+    # (chunk, n_d, |R|) linearity temporaries stay small.
+    chunk = max(1, (1 << 18) // (n_d * max(n_d, domain.ring.order)))
+    for lo in range(0, count, chunk):
+        cand = np.arange(lo, min(count, lo + chunk), dtype=np.int64)
+        images = cand[:, None] // radix % codomain.order
+        t = np.zeros((cand.size, n_d), dtype=np.int64)
+        t[:, gens] = images
         for tgt, src, pos, r in plan:
-            table[tgt] = int(add_c[table[src], act_c[images[pos], r]])
-        t = np.array(table, dtype=np.int64)
-        if not np.array_equal(t[add_d], add_c[t[:, None], t[None, :]]):
-            continue
-        if not np.array_equal(t[act_d], act_c[t, :]):
-            continue
-        maps.append(ModuleMap(domain, codomain, table, _validated=True))
-    return maps
+            t[:, tgt] = add_c[t[:, src], act_c[images[:, pos], r]]
+        ok = t[:, 0] == 0
+        ok &= (t[:, add_d] == add_c[t[:, :, None], t[:, None, :]]) \
+            .all(axis=(1, 2))
+        ok &= (t[:, act_d] == act_c[t, :]).all(axis=(1, 2))
+        kept.append(t[ok])
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -261,41 +265,45 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
 
 
 def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
-    raw = hom_set(module, module, caps)
-    tables = np.stack([f.table_np for f in raw])       # (s, n)
+    raw = hom_set(module, module, caps)                  # (s, n)
+    if len(raw) > caps.construct:
+        raise SizeCapExceeded("ring construction", len(raw), caps.construct)
+    # A map is determined by its generator images; read in mixed radix they
+    # give its candidate number, which increases along hom_set's rows.
+    gens = list(module_generators(module))
+    radix = module.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
+    images = raw[:, gens]
+    keys = images @ radix
     add_m = module.add_group.add_table()
-    key_to_raw = {f.table: i for i, f in enumerate(raw)}
 
-    def add_maps(i, j):
-        return key_to_raw[tuple(int(x) for x in add_m[tables[i], tables[j]])]
+    def raw_index(gen_images):
+        """Row of raw for each map given by a (..., #gens) image stack."""
+        return np.searchsorted(keys, gen_images @ radix)
 
-    zero_raw = key_to_raw[(0,) * module.order]
-    group, to_index, from_label = group_embedding(
-        list(range(len(raw))), add_maps, zero_raw)
+    group, from_label = group_embedding(
+        np.arange(len(raw)),
+        lambda i, j: raw_index(add_m[images[i], images[j]]))
+    stacked = raw[from_label]
+    to_index = np.empty(len(raw), dtype=np.int64)
+    to_index[from_label] = np.arange(len(raw))
 
-    order = [from_label[i] for i in range(group.order)]
-    maps = tuple(raw[k] for k in order)
-    constants = {}
-    for i in range(len(group.factors)):
-        fi = maps[group.basis_index(i)]
-        for j in range(len(group.factors)):
-            fj = maps[group.basis_index(j)]
-            comp = tuple(int(x) for x in fi.table_np[fj.table_np])
-            c = to_index[key_to_raw[comp]]
-            if c:
-                constants[(i, j)] = c
-    one = to_index[key_to_raw[tuple(range(module.order))]]
+    basis = stacked[[group.basis_index(i) for i in range(len(group.factors))]]
+    # products[i, j] is the index of basis map i after basis map j
+    products = to_index[raw_index(basis[:, basis[:, gens]])]
+    constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products) if c}
+    one = int(to_index[raw_index(np.array(gens, dtype=np.int64))])
     ring = ring_make(group, constants, one, caps, f"end_{module.name}")
 
     # Independent check, exhaustive over all |End|^2 pairs: the map at
     # ring index mul[i, j] must be the composition of map i after map j.
-    stacked = tables[order]
     for i in range(group.order):
         bad = (stacked[ring.mul_np[i]] != stacked[i][stacked]).any(axis=1)
         if bad.any():
             raise PirickError("endomorphism ring table disagrees with "
                               f"composition at ({i}, {int(np.argmax(bad))})")
-    index_of = {maps[i].table: i for i in range(group.order)}
+    maps = tuple(ModuleMap(module, module, row, _validated=True)
+                 for row in stacked.tolist())
+    index_of = {f.table: i for i, f in enumerate(maps)}
     return EndRing(module, ring, maps, index_of, stacked)
 
 

@@ -219,9 +219,6 @@ class Submodule:
     def is_zero(self) -> bool:
         return self.mask == 1
 
-    def is_full(self) -> bool:
-        return self.size == self.module.order
-
 
 def submodule_check(module: FiniteModule, elems) -> Submodule:
     """Build a Submodule, verifying closure under addition and the action."""
@@ -391,28 +388,17 @@ def quotient_module(module: FiniteModule, sub: Submodule,
     """M/N with its projection.  Returns (quotient, projection ModuleMap)."""
     from .homs import ModuleMap
     add = module.add_group.add_table()
-    n = module.order
     arr = np.array(sub.elems, dtype=np.int64)
     # coset label = least element index in m + N
     labels = add[:, arr].min(axis=1)
-    unique = sorted(set(labels.tolist()))
-
-    def coset_add(x, y):
-        return int(labels[add[x, y]])
-
-    group, to_index, from_label = group_embedding(unique, coset_add, 0)
-    constants = {}
-    k_r = len(module.ring.add_group.factors)
-    for j in range(len(group.factors)):
-        rep = from_label[group.basis_index(j)]
-        for i in range(k_r):
-            b = module.ring.add_group.basis_index(i)
-            c = to_index[int(labels[module.act_np[rep, b]])]
-            if c:
-                constants[(i, j)] = c
-    quotient = module_make(module.ring, group, constants, caps,
-                           f"{module.name}/{sub.size}")
-    table = tuple(to_index[int(labels[m])] for m in range(n))
+    group, from_label = group_embedding(
+        np.unique(labels), lambda x, y: labels[add[x, y]])
+    to_index = np.zeros(module.order, dtype=np.int64)
+    to_index[from_label] = np.arange(group.order)
+    table = to_index[labels]
+    quotient = module_make(module.ring, group,
+                           _action_constants(module, group, from_label, table),
+                           caps, f"{module.name}/{sub.size}")
     proj = ModuleMap(module, quotient, table)
     return quotient, proj
 
@@ -422,22 +408,27 @@ def submodule_module(sub: Submodule, caps: Caps = DEFAULT_CAPS):
     from .homs import ModuleMap
     parent = sub.module
     add = parent.add_group.add_table()
-    labels = list(sub.elems)
-    group, to_index, from_label = group_embedding(
-        labels, lambda x, y: int(add[x, y]), 0)
-    constants = {}
-    k_r = len(parent.ring.add_group.factors)
-    for j in range(len(group.factors)):
-        rep = from_label[group.basis_index(j)]
-        for i in range(k_r):
-            b = parent.ring.add_group.basis_index(i)
-            c = to_index[int(parent.act_np[rep, b])]
-            if c:
-                constants[(i, j)] = c
-    inner = module_make(parent.ring, group, constants, caps,
-                        f"{parent.name}|{sub.size}")
-    incl = ModuleMap(inner, parent, tuple(from_label))
+    group, from_label = group_embedding(
+        np.array(sub.elems, dtype=np.int64), lambda x, y: add[x, y])
+    to_index = np.zeros(parent.order, dtype=np.int64)
+    to_index[from_label] = np.arange(group.order)
+    inner = module_make(parent.ring, group,
+                        _action_constants(parent, group, from_label, to_index),
+                        caps, f"{parent.name}|{sub.size}")
+    incl = ModuleMap(inner, parent, from_label)
     return inner, incl
+
+
+def _action_constants(module: FiniteModule, group: FinAbGroup, from_label,
+                      index) -> dict:
+    """Structure constants of the module on `group` whose basis element j is
+    from_label[group.basis_index(j)] in `module`; index[m] is the index in
+    `group` of the element m of `module`."""
+    reps = from_label[[group.basis_index(j) for j in range(len(group.factors))]]
+    ring_group = module.ring.add_group
+    basis_r = [ring_group.basis_index(i) for i in range(len(ring_group.factors))]
+    acted = index[module.act_np[np.ix_(reps, basis_r)]]      # [j, i]
+    return {(i, j): int(c) for (j, i), c in np.ndenumerate(acted) if c}
 
 
 def free_module(ring: FiniteRing, rank: int, caps: Caps = DEFAULT_CAPS,

@@ -315,8 +315,7 @@ def decide_self_cogenerator(facts: Facts) -> Verdict:
     for sub in facts.lattice():
         quot, _ = facts.quotient(sub.mask)
         homs = hom_set(quot, facts.module, facts.caps)
-        stacked = np.stack([h.table_np for h in homs])
-        in_all_kernels = (stacked == 0).all(axis=0)
+        in_all_kernels = (homs == 0).all(axis=0)
         if int(in_all_kernels.sum()) != 1:
             return Verdict(False, {}, sub.mask)
     return Verdict(True, {}, None)
@@ -328,9 +327,9 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
     for sub in facts.lattice():
         quot, proj = facts.quotient(sub.mask)
         lifted = set(map(tuple, proj.table_np[end.tables].tolist()))
-        for h in hom_set(facts.module, quot, facts.caps):
-            if h.table not in lifted:
-                return Verdict(False, {}, (sub.mask, h.table))
+        for h in map(tuple, hom_set(facts.module, quot, facts.caps).tolist()):
+            if h not in lifted:
+                return Verdict(False, {}, (sub.mask, h))
     return Verdict(True, {}, None)
 
 

@@ -449,21 +449,18 @@ def corner_ring(ring: FiniteRing, e: int, caps: Caps = DEFAULT_CAPS,
     mul = ring.mul_np
     if mul[e, e] != e:
         raise NotIdempotent(e)
-    labels = np.unique(mul[mul[e, :], e]).tolist()
     add = ring.add_group.add_table()
-    group, to_index, from_label = group_embedding(
-        labels, lambda x, y: int(add[x, y]), 0)
-    constants = {}
-    k = len(group.factors)
-    for i in range(k):
-        pi = from_label[group.basis_index(i)]
-        for j in range(k):
-            pj = from_label[group.basis_index(j)]
-            constants[(i, j)] = to_index[int(mul[pi, pj])]
+    group, from_label = group_embedding(np.unique(mul[mul[e, :], e]),
+                                        lambda x, y: add[x, y])
+    to_index = np.zeros(ring.order, dtype=np.int64)
+    to_index[from_label] = np.arange(group.order)
+    basis = from_label[[group.basis_index(i) for i in range(len(group.factors))]]
+    products = to_index[mul[np.ix_(basis, basis)]]
+    constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
     if name is None:
         name = f"{ring.name}_c{e}"
-    corner = ring_make(group, constants, to_index[int(e)], caps, name)
-    return corner, tuple(from_label)
+    corner = ring_make(group, constants, int(to_index[e]), caps, name)
+    return corner, tuple(from_label.tolist())
 
 
 def _matrix_like_ring(ring: FiniteRing, positions: list, k: int,

@@ -1,10 +1,10 @@
 """Finite abelian groups: arithmetic, decomposition, embedding."""
 
+import numpy as np
 import pytest
 
 from pirick.errors import EmptyFactorList, PirickError, ZeroFactor
-from pirick.groups import (FinAbGroup, decompose_abelian, elementary_divisors,
-                           group_embedding)
+from pirick.groups import FinAbGroup, elementary_divisors, group_embedding
 
 
 def test_cyclic_group_arithmetic():
@@ -51,47 +51,37 @@ def test_elementary_divisors_canonicalization():
     assert elementary_divisors((1, 5)) == elementary_divisors((5,))
 
 
-def _factors_of(gens):
-    return tuple(order for _, order in gens)
+def test_group_embedding_recovers_invariant_factors():
+    # labels 6a + b form Z_2 x Z_6 with componentwise addition
+    labels = np.arange(12)
+    add = lambda x, y: ((x // 6 + y // 6) % 2) * 6 + (x % 6 + y % 6) % 6
+    group, _ = group_embedding(labels, add)
+    assert elementary_divisors(group.factors) == elementary_divisors((2, 6))
 
 
-def test_decompose_abelian_recovers_invariant_factors():
-    # labels form Z_2 x Z_6 presented as pairs with componentwise addition
-    labels = [(a, b) for a in range(2) for b in range(6)]
-    add = lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 6)
-    gens = decompose_abelian(labels, add, (0, 0))
-    assert elementary_divisors(_factors_of(gens)) == elementary_divisors((2, 6))
-
-
-def test_decompose_abelian_klein_vs_cyclic():
-    cyclic = decompose_abelian(list(range(4)), lambda x, y: (x + y) % 4, 0)
-    assert elementary_divisors(_factors_of(cyclic)) == elementary_divisors((4,))
-    klein = [(a, b) for a in range(2) for b in range(2)]
-    add = lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2)
-    kf = decompose_abelian(klein, add, (0, 0))
-    assert elementary_divisors(_factors_of(kf)) == elementary_divisors((2, 2))
+def test_group_embedding_klein_vs_cyclic():
+    cyclic, _ = group_embedding(np.arange(4), lambda x, y: (x + y) % 4)
+    assert elementary_divisors(cyclic.factors) == elementary_divisors((4,))
+    # labels 2a + b form Z_2 x Z_2, whose addition is bitwise xor
+    klein, _ = group_embedding(np.arange(4), np.bitwise_xor)
+    assert elementary_divisors(klein.factors) == elementary_divisors((2, 2))
 
 
 def test_group_embedding_round_trip():
-    labels = ["zero", "a", "b", "ab"]
-    table = {
-        ("zero", "zero"): "zero", ("zero", "a"): "a", ("zero", "b"): "b",
-        ("zero", "ab"): "ab", ("a", "a"): "zero", ("a", "b"): "ab",
-        ("a", "ab"): "b", ("b", "b"): "zero", ("b", "ab"): "a",
-        ("ab", "ab"): "zero",
-    }
-    add = lambda x, y: table.get((x, y)) or table[(y, x)]
-    group, to_index, from_label = group_embedding(labels, add, "zero")
+    labels = np.array([0, 3, 5, 6])          # zero, a, b, ab under xor
+    add = np.bitwise_xor
+    group, from_label = group_embedding(labels, add)
+    to_index = {int(lab): i for i, lab in enumerate(from_label)}
     assert group.order == 4
-    assert to_index["zero"] == 0
+    assert to_index[0] == 0
     # embedding is a homomorphism
     tbl = group.add_table()
-    for x in labels:
-        for y in labels:
-            assert tbl[to_index[x], to_index[y]] == to_index[add(x, y)]
-    assert [from_label[to_index[x]] for x in labels] == labels
+    for x in labels.tolist():
+        for y in labels.tolist():
+            assert tbl[to_index[x], to_index[y]] == to_index[x ^ y]
+    assert [int(from_label[to_index[x]]) for x in labels] == labels.tolist()
 
 
-def test_decompose_rejects_non_group():
+def test_group_embedding_rejects_non_group():
     with pytest.raises(PirickError):
-        decompose_abelian([0, 1, 2], lambda x, y: min(x + y, 2), 0)
+        group_embedding(np.array([0, 1, 2]), lambda x, y: np.minimum(x + y, 2))

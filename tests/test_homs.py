@@ -43,7 +43,7 @@ def test_hom_set_of_regular_module_matches_ring(z4_reg):
     homs = hom_set(z4_reg, z4_reg, CAPS)
     # End(R as module over itself) has exactly |R| maps: left multiplications
     assert len(homs) == 4
-    tables = sorted(f.table for f in homs)
+    tables = sorted(map(tuple, homs.tolist()))
     assert tables == [(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 2, 1)]
 
 
@@ -145,7 +145,7 @@ def test_hom_between_different_modules():
     homs = hom_set(inner, z4_reg, CAPS)
     # maps {0,2} -> Z_4 over Z_4: generator must land on an element killed by 2
     assert len(homs) == 2
-    images = sorted(f.table for f in homs)
+    images = sorted(map(tuple, homs.tolist()))
     assert images == [(0, 0), (0, 2)]
 
 
@@ -214,3 +214,17 @@ def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch):
     assert np.array_equal(end1.ring.mul_np, end2.ring.mul_np)
     assert (end1.ring.name, end2.ring.name) == ("end_first", "end_second")
     assert end_ring(second, CAPS) is end2
+
+
+def test_construct_cap_is_raised_before_coordinates(monkeypatch):
+    module = free_module(zmod(2), 3, CAPS, name="z2_free3")
+    monkeypatch.setattr(homs, "_END_CACHE", {})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("End(M) was given coordinates over the cap")
+
+    monkeypatch.setattr(homs, "group_embedding", unreachable)
+    tight = dataclasses.replace(CAPS, construct=256)
+    with pytest.raises(SizeCapExceeded,
+                       match="ring construction: size 512 exceeds cap 256"):
+        end_ring(module, tight)
