@@ -1,11 +1,5 @@
 """Module homomorphisms, hom-sets, and endomorphism rings.
 
-A ModuleMap is a full table (tuple over the domain's element indices) and is
-validated on construction: additivity against both addition tables and
-linearity against both action tables, fully vectorized.  Maps produced by
-provably-safe recipes (composition of validated maps, identity, tables
-already checked by hom_set) skip re-validation.
-
 hom_set enumerates Hom(M, N) exactly: a generating set of M is chosen, the
 assignments of generator images are expanded, a block at a time, to full
 tables along a fixed derivation plan, and a table is kept iff it validates;
@@ -13,42 +7,52 @@ the result is one (count, |M|) array.  end_ring re-equips Hom(M, M) with
 composition as a FiniteRing (via a cyclic decomposition of its additive
 group), giving every ring-theoretic tool access to End(M).
 
+An endomorphism is a row of End(M)'s table array and nothing else:
+power_chains takes a whole stack of tables and returns the image and
+kernel bitmasks of every power of every row in one batch, and End(M) keeps
+that result for all of its elements.  ModuleMap, a validated table between
+two modules, is only the projections and inclusions of quotient,
+submodule and direct-sum constructions.
+
 End(M) is built at most once per (structure, caps) in a process: another
-module object of a cached structure gets the ring with the maps re-bound to
-it, a cap failure is remembered, and the composition self-check is exhaustive.
+module object of a cached structure gets the same ring, tables and chains
+re-bound to it, a cap failure is remembered, and the composition
+self-check is exhaustive.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from .groups import group_embedding
-from .modules import FiniteModule, Submodule, module_generators, same_ring
+from .modules import (FiniteModule, Submodule, masks, module_generators,
+                      same_ring)
 from .rings import FiniteRing, ring_idempotents, ring_make
 
 
 class ModuleMap:
-    """A homomorphism of right modules over a common ring, as a full table."""
+    """A homomorphism of right modules over a common ring, as one table
+    array over the domain's element indices, validated on construction:
+    additivity against both addition tables and linearity against both
+    action tables."""
 
-    __slots__ = ("domain", "codomain", "table", "table_np")
+    __slots__ = ("domain", "codomain", "table_np")
 
-    def __init__(self, domain: FiniteModule, codomain: FiniteModule,
-                 table, _validated: bool = False):
+    def __init__(self, domain: FiniteModule, codomain: FiniteModule, table):
         if not same_ring(domain.ring, codomain.ring):
             raise PirickError("domain and codomain have different base rings")
         self.domain = domain
         self.codomain = codomain
-        self.table = tuple(int(x) for x in table)
-        if len(self.table) != domain.order:
+        self.table_np = np.array([int(x) for x in table], dtype=np.int64)
+        if len(self.table_np) != domain.order:
             raise PirickError("map table length does not match domain order")
-        self.table_np = np.array(self.table, dtype=np.int64)
-        if not _validated:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         t = self.table_np
@@ -67,49 +71,13 @@ class ModuleMap:
             m, r = np.argwhere(lhs != rhs)[0]
             raise NotAHomomorphism("linearity", (int(m), int(r)))
 
-    def __call__(self, m: int) -> int:
-        return self.table[m]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ModuleMap) and self.domain is other.domain
-                and self.codomain is other.codomain
-                and self.table == other.table)
-
-    def __hash__(self) -> int:
-        return hash((id(self.domain), id(self.codomain), self.table))
+    @property
+    def table(self) -> tuple:
+        return tuple(self.table_np.tolist())
 
     def __repr__(self) -> str:
         return (f"ModuleMap({self.domain.name!r} -> {self.codomain.name!r}, "
                 f"{self.table})")
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.table)
-
-
-def identity_map(module: FiniteModule) -> ModuleMap:
-    return ModuleMap(module, module, range(module.order), _validated=True)
-
-
-def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    """f after g (domain of f must be the codomain of g)."""
-    if f.domain is not g.codomain:
-        raise PirickError("composition mismatch")
-    return ModuleMap(g.domain, f.codomain, f.table_np[g.table_np],
-                     _validated=True)
-
-
-def map_power(f: ModuleMap, n: int) -> ModuleMap:
-    """n-th compositional power of an endomorphism (power 0 is the identity)."""
-    if f.domain is not f.codomain:
-        raise PirickError("powers need an endomorphism")
-    if n < 0:
-        raise PirickError("power must be >= 0")
-    if n == 0:
-        return identity_map(f.domain)
-    out = f
-    for _ in range(n - 1):
-        out = compose(f, out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,28 +159,82 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
 
 
 # ---------------------------------------------------------------------------
+# image and kernel chains
+# ---------------------------------------------------------------------------
+
+
+class PowerChains(NamedTuple):
+    """Image and kernel chains of a stack of endomorphisms, as bitmasks.
+
+    For the map f in row i, images[i] is (Im f, Im f^2, ..., Im f^s) and
+    image_stab[i] is s, the first n with Im f^n == Im f^(n+1);
+    kernels[i] and kernel_stab[i] are the same for Ker f^n.
+    """
+
+    images: tuple
+    kernels: tuple
+    image_stab: tuple
+    kernel_stab: tuple
+
+
+def power_chains(tables: np.ndarray) -> PowerChains:
+    """The image and kernel chains of every row of a (k, |M|) stack of
+    endomorphism tables, every row and power in one batch.
+
+    Row i of the n-th power is f^n for the map f of row i, and the (n+1)-th
+    power is one gather of `tables` by it.  Once Im f^n == Im f^(n+1) every
+    later term is the same (Ker likewise), so powers are taken until no
+    row's image or kernel changes, and each chain is cut at its first
+    repeated term.
+    """
+    k, n = tables.shape
+    rows = np.arange(k)[:, None]
+    steps = []                    # steps[p]: (image masks, kernel masks)
+    power = tables
+    while True:
+        in_image = np.zeros((k, n), dtype=bool)
+        in_image[rows, power] = True
+        step = (masks(in_image), masks(power == 0))
+        if steps and step == steps[-1]:
+            break
+        steps.append(step)
+        power = np.take_along_axis(tables, power, axis=1)
+    images = [_until_repeat(terms) for terms in zip(*(s[0] for s in steps))]
+    kernels = [_until_repeat(terms) for terms in zip(*(s[1] for s in steps))]
+    return PowerChains(tuple(images), tuple(kernels),
+                       tuple(map(len, images)), tuple(map(len, kernels)))
+
+
+def _until_repeat(terms) -> tuple:
+    """The terms before the first one equal to its predecessor."""
+    out = [terms[0]]
+    for term in terms[1:]:
+        if term == out[-1]:
+            break
+        out.append(term)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # endomorphism rings
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass
 class EndRing:
-    """End(M) as a FiniteRing whose element i is the ModuleMap maps[i].
+    """End(M) as a FiniteRing whose element i is the endomorphism with
+    table tables[i]; multiplication is composition, (f * g)(m) = f(g(m)).
 
-    Multiplication is composition: (f * g)(m) = f(g(m)).  index_of maps a
-    table tuple to its ring index; row i of tables is maps[i].table_np.
-    EndRings of one structure and caps share tables, index_of and idem_masks.
+    powers holds the image and kernel chains of every element, and
+    idem_masks (filled on first use) the image masks of the idempotents.
+    EndRings of one structure and caps share tables, powers and idem_masks.
     """
 
     module: FiniteModule
     ring: FiniteRing
-    maps: tuple
-    index_of: dict
     tables: np.ndarray
+    powers: PowerChains
     idem_masks: dict = dataclasses.field(default_factory=dict)
-
-    def map_index(self, f: ModuleMap) -> int:
-        return self.index_of[f.table]
 
 
 # (structure, caps) -> the first EndRing built, or the SizeCapExceeded
@@ -228,18 +250,12 @@ def _structure_key(module: FiniteModule) -> tuple:
 
 
 def _rebind(end: EndRing, module: FiniteModule) -> EndRing:
-    """end's maps and ring, bound to another module of the same structure."""
-    maps = []
-    for f in end.maps:
-        g = ModuleMap.__new__(ModuleMap)
-        g.domain = g.codomain = module
-        g.table, g.table_np = f.table, f.table_np
-        maps.append(g)
+    """end, bound to another module of the same structure."""
     ring = end.ring
     if ring.name != f"end_{module.name}":
         ring = copy.copy(ring)               # shares the tables and _memo
         ring.name = f"end_{module.name}"
-    return dataclasses.replace(end, module=module, ring=ring, maps=tuple(maps))
+    return dataclasses.replace(end, module=module, ring=ring)
 
 
 @cached
@@ -247,8 +263,8 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     """Compute End(M) with composition, as a validated FiniteRing.
 
     Built at most once per structure and caps in a process: another module
-    object of that structure gets the cached ring with its maps re-bound to
-    it, and a build over a cap raises the same SizeCapExceeded again without
+    object of that structure gets the cached ring re-bound to it, and a
+    build over a cap raises the same SizeCapExceeded again without
     rebuilding.  A build under other caps is never reused."""
     cache_key = (_structure_key(module), caps)
     entry = _END_CACHE.get(cache_key)
@@ -301,10 +317,7 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
         if bad.any():
             raise PirickError("endomorphism ring table disagrees with "
                               f"composition at ({i}, {int(np.argmax(bad))})")
-    maps = tuple(ModuleMap(module, module, row, _validated=True)
-                 for row in stacked.tolist())
-    index_of = {f.table: i for i, f in enumerate(maps)}
-    return EndRing(module, ring, maps, index_of, stacked)
+    return EndRing(module, ring, stacked, power_chains(stacked))
 
 
 # ---------------------------------------------------------------------------
@@ -312,56 +325,28 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
 # ---------------------------------------------------------------------------
 
 
-def image(f: ModuleMap) -> Submodule:
-    return Submodule(f.codomain, np.unique(f.table_np).tolist())
+def image(end: EndRing, f: int) -> int:
+    """The bitmask of Im f for the endomorphism f of End(M)."""
+    return end.powers.images[f][0]
 
 
-def kernel(f: ModuleMap) -> Submodule:
-    return Submodule(f.domain, np.nonzero(f.table_np == 0)[0].tolist())
+def image_chain(end: EndRing, f: int):
+    """([Im f, Im f^2, ..., Im f^s], s) as bitmasks, where s is the first n
+    with Im f^n == Im f^(n+1) (the last entry is the stable image)."""
+    return end.powers.images[f], end.powers.image_stab[f]
 
 
-def image_chain(f: ModuleMap):
-    """([Im f, Im f^2, ..., Im f^s], s) where s is the first n with
-    Im f^n == Im f^(n+1) (equivalently the last entry is the stable image)."""
-    if f.domain is not f.codomain:
-        raise PirickError("image chain needs an endomorphism")
-    imgs = [image(f)]
-    cur = f
-    while True:
-        cur = compose(f, cur)
-        im = image(cur)
-        if im == imgs[-1]:
-            return imgs, len(imgs)
-        imgs.append(im)
-
-
-def kernel_chain(f: ModuleMap):
-    """([Ker f, Ker f^2, ..., Ker f^s], s) with s the first stable exponent."""
-    if f.domain is not f.codomain:
-        raise PirickError("kernel chain needs an endomorphism")
-    kers = [kernel(f)]
-    cur = f
-    while True:
-        cur = compose(f, cur)
-        ker = kernel(cur)
-        if ker == kers[-1]:
-            return kers, len(kers)
-        kers.append(ker)
-
-
-def is_nilpotent_map(f: ModuleMap):
-    """(bool, index): whether some power of f is the zero map."""
-    imgs, _ = image_chain(f)
-    if imgs[-1].is_zero():
-        return True, len(imgs)
-    return False, None
+def kernel_chain(end: EndRing, f: int):
+    """([Ker f, Ker f^2, ..., Ker f^s], s) as bitmasks, with s the first
+    stable exponent."""
+    return end.powers.kernels[f], end.powers.kernel_stab[f]
 
 
 def left_annihilator(end: EndRing, elems) -> np.ndarray:
     """Indices of {g in End(M) : g(x) == 0 for every x in elems}."""
     arr = np.array(sorted(set(int(e) for e in elems)), dtype=np.int64)
     if arr.size == 0:
-        return np.arange(len(end.maps), dtype=np.int64)
+        return np.arange(len(end.tables), dtype=np.int64)
     mask = (end.tables[:, arr] == 0).all(axis=1)
     return np.nonzero(mask)[0].astype(np.int64)
 
@@ -370,12 +355,7 @@ def right_annihilator(end: EndRing, endo_indices) -> Submodule:
     """r_M(X) = {m : g(m) == 0 for every g in X}, as a Submodule of M."""
     idx = np.array([int(i) for i in endo_indices], dtype=np.int64)
     keep = (end.tables[idx] == 0).all(axis=0)
-    return Submodule(end.module, np.nonzero(keep)[0].tolist())
-
-
-def principal_left_ideal(end: EndRing, e: int) -> np.ndarray:
-    """Indices of S*e = {g * e : g in S} (composition g after e)."""
-    return np.unique(end.ring.mul_np[:, e]).astype(np.int64)
+    return Submodule(end.module, masks(keep[None])[0])
 
 
 def idempotent_image_masks(end: EndRing) -> dict:
@@ -384,24 +364,8 @@ def idempotent_image_masks(end: EndRing) -> dict:
     out = end.idem_masks
     if not out:                 # never empty once filled: 0 is idempotent
         for e in ring_idempotents(end.ring).tolist():
-            out.setdefault(image(end.maps[e]).mask, int(e))
+            out.setdefault(image(end, e), int(e))
     return out
-
-
-def summand_by_idempotent(sub: Submodule, end: EndRing):
-    """Decide 'is a direct summand' via idempotent endomorphisms.
-
-    N is a summand iff N == e(M) for some idempotent e in End(M); this is an
-    independent route from the complement search over the lattice.
-    Returns (bool, idempotent ring index or None).
-    """
-    if sub.module is not end.module:
-        raise PirickError("submodule does not belong to the endomorphism "
-                          "ring's module")
-    masks = idempotent_image_masks(end)
-    if sub.mask in masks:
-        return True, masks[sub.mask]
-    return False, None
 
 
 def is_indecomposable(end: EndRing) -> bool:

@@ -245,8 +245,8 @@ def export_endring(end: EndRing, path) -> None:
     header = f"# endring-of: {end.module.name}\n"
     out.write_text(header + serialize_ring(end.ring), encoding="utf-8")
     sidecar = out.with_name(out.name + ".maps")
-    rows = [f"{i}: " + " ".join(str(x) for x in end.maps[i].table)
-            for i in range(end.ring.order)]
+    rows = [f"{i}: " + " ".join(map(str, row))
+            for i, row in enumerate(end.tables.tolist())]
     sidecar.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

@@ -5,12 +5,12 @@ given by structure constants on the two additive bases and extended
 biadditively to a full (|M| x |R|) table, then validated against the module
 axioms (identity, associativity of the action, both distributive laws).
 
-Submodules are represented as bitmasks over element indices plus a sorted
-element tuple; the full submodule lattice (when the module is small enough)
-is the closure of the cyclic submodules under pairwise sum.  On top of this
-sit the lattice predicates (direct summand, small, essential), quotient and
-submodule modules with their canonical maps, direct sums, and isomorphism
-search.
+A submodule is a bitmask over element indices (bit e set iff element e is
+in it); its elements and size are derived from the mask.  The full
+submodule lattice (when the module is small enough) is the closure of the
+cyclic submodules under pairwise sum.  On top of this sit the lattice
+predicates (direct summand, small, essential), quotient and submodule
+modules with their canonical maps, direct sums, and isomorphism search.
 """
 
 from __future__ import annotations
@@ -186,22 +186,51 @@ def ring_as_module(ring: FiniteRing, caps: Caps = DEFAULT_CAPS,
 # ---------------------------------------------------------------------------
 
 
+def masks(bits: np.ndarray) -> list:
+    """The bitmask of each row of a (k, n) boolean array, as Python ints:
+    bit e of mask i is bits[i, e]."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
+
+
+def elems_mask(elems, order: int) -> int:
+    """The bitmask of an array of element indices below `order`."""
+    bits = np.zeros(order, dtype=bool)
+    bits[elems] = True
+    return masks(bits[None])[0]
+
+
+def mask_bits(mask: int, order: int) -> np.ndarray:
+    """The (order,) boolean array whose entry e is bit e of mask."""
+    raw = np.frombuffer(mask.to_bytes((order + 7) // 8, "little"),
+                        dtype=np.uint8)
+    return np.unpackbits(raw, count=order, bitorder="little").view(bool)
+
+
 class Submodule:
-    """A submodule as a bitmask + sorted element tuple over a fixed module."""
+    """A submodule of a fixed module, as a bitmask over its element indices;
+    the elements and the size are read off the mask."""
 
-    __slots__ = ("module", "mask", "elems")
+    __slots__ = ("module", "mask")
 
-    def __init__(self, module: FiniteModule, elems):
+    def __init__(self, module: FiniteModule, mask: int):
         self.module = module
-        self.elems = tuple(sorted(int(e) for e in set(elems)))
-        mask = 0
-        for e in self.elems:
-            mask |= 1 << e
         self.mask = mask
+
+    def bits(self) -> np.ndarray:
+        return mask_bits(self.mask, self.module.order)
+
+    @property
+    def elems(self) -> tuple:
+        """The elements in ascending order."""
+        return tuple(np.flatnonzero(self.bits()).tolist())
 
     @property
     def size(self) -> int:
-        return len(self.elems)
+        return self.mask.bit_count()
 
     def __contains__(self, e: int) -> bool:
         return bool((self.mask >> e) & 1)
@@ -222,58 +251,61 @@ class Submodule:
 
 def submodule_check(module: FiniteModule, elems) -> Submodule:
     """Build a Submodule, verifying closure under addition and the action."""
-    sub = Submodule(module, elems)
+    elems = np.array(list(elems), dtype=np.int64)
+    if ((elems < 0) | (elems >= module.order)).any():
+        raise PirickError("candidate element out of range")
+    sub = Submodule(module, elems_mask(elems, module.order))
     if 0 not in sub:
         raise PirickError("submodule candidate misses the zero element")
-    arr = np.array(sub.elems, dtype=np.int64)
+    bits = sub.bits()
     add = module.add_group.add_table()
-    sums = np.unique(add[np.ix_(arr, arr)])
-    if not set(sums.tolist()) <= set(sub.elems):
+    if not bits[add[np.ix_(bits, bits)]].all():
         raise PirickError("candidate set is not closed under addition")
-    acted = np.unique(module.act_np[arr, :])
-    if not set(acted.tolist()) <= set(sub.elems):
+    if not bits[module.act_np[bits, :]].all():
         raise PirickError("candidate set is not closed under the action")
     return sub
 
 
 def cyclic_submodule(module: FiniteModule, m: int) -> Submodule:
     """The submodule m*R (already closed: m*r + m*s = m*(r+s))."""
-    return Submodule(module, np.unique(module.act_np[m, :]).tolist())
+    return Submodule(module, elems_mask(module.act_np[m, :], module.order))
+
+
+def _additive_closure(module: FiniteModule, mask: int) -> int:
+    """The mask of the subgroup generated by the elements of mask."""
+    add = module.add_group.add_table()
+    while True:
+        bits = mask_bits(mask, module.order)
+        grown = mask | elems_mask(add[np.ix_(bits, bits)], module.order)
+        if grown == mask:
+            return mask
+        mask = grown
 
 
 def submodule_generated(module: FiniteModule, gens) -> Submodule:
     """Smallest submodule containing the given elements."""
-    current = {0}
+    mask = 1
     for g in gens:
-        current.update(int(x) for x in module.act_np[g, :])
-    add = module.add_group.add_table()
-    frontier = list(current)
-    while frontier:
-        arr = np.array(sorted(current), dtype=np.int64)
-        new = set(np.unique(add[np.ix_(arr, arr)]).tolist()) - current
-        if not new:
-            break
-        current |= new
-        frontier = list(new)
-    return Submodule(module, current)
+        mask |= elems_mask(module.act_np[g, :], module.order)
+    return Submodule(module, _additive_closure(module, mask))
 
 
 def zero_submodule(module: FiniteModule) -> Submodule:
-    return Submodule(module, [0])
+    return Submodule(module, 1)
 
 
 def full_submodule(module: FiniteModule) -> Submodule:
-    return Submodule(module, range(module.order))
+    return Submodule(module, (1 << module.order) - 1)
 
 
 def submodule_sum(n1: Submodule, n2: Submodule) -> Submodule:
     """N1 + N2 (the join; as sets {x + y}, already a submodule)."""
     if n1.module is not n2.module:
         raise PirickError("submodules of different modules")
-    add = n1.module.add_group.add_table()
-    a1 = np.array(n1.elems, dtype=np.int64)
-    a2 = np.array(n2.elems, dtype=np.int64)
-    return Submodule(n1.module, np.unique(add[np.ix_(a1, a2)]).tolist())
+    module = n1.module
+    add = module.add_group.add_table()
+    sums = add[np.ix_(n1.bits(), n2.bits())]
+    return Submodule(module, elems_mask(sums, module.order))
 
 
 @cached
@@ -281,21 +313,25 @@ def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
     """Every submodule, sorted by ascending bitmask (deterministic order)."""
     if module.order > caps.lattice:
         raise SizeCapExceeded("submodule lattice", module.order, caps.lattice)
-    seen = {}
-    for m in range(module.order):
-        sub = cyclic_submodule(module, m)
-        seen.setdefault(sub.mask, sub)
-    frontier = list(seen.values())
+    n = module.order
+    add = module.add_group.add_table()
+    bits = {}                                   # mask -> boolean elements
+    for m in range(n):
+        mask = elems_mask(module.act_np[m, :], n)
+        bits.setdefault(mask, mask_bits(mask, n))
+    frontier = list(bits)
     while frontier:
         new = []
         for a in frontier:
-            for b in list(seen.values()):
-                s = submodule_sum(a, b)
-                if s.mask not in seen:
-                    seen[s.mask] = s
-                    new.append(s)
+            for b in list(bits):
+                if (a | b) in (a, b):           # one contains the other
+                    continue
+                mask = elems_mask(add[np.ix_(bits[a], bits[b])], n)
+                if mask not in bits:
+                    bits[mask] = mask_bits(mask, n)
+                    new.append(mask)
         frontier = new
-    return [seen[k] for k in sorted(seen)]
+    return [Submodule(module, mask) for mask in sorted(bits)]
 
 
 def is_direct_summand(sub: Submodule, caps: Caps = DEFAULT_CAPS):
@@ -331,15 +367,11 @@ def is_essential(sub: Submodule, caps: Caps = DEFAULT_CAPS) -> bool:
     return True
 
 
-def is_fully_invariant(sub: Submodule, endo_maps) -> bool:
-    """N is stable under every endomorphism in `endo_maps`."""
-    arr = np.array(sub.elems, dtype=np.int64)
-    for f in endo_maps:
-        images = f.table_np[arr]
-        for x in images.tolist():
-            if x not in sub:
-                return False
-    return True
+def is_fully_invariant(sub: Submodule, tables: np.ndarray) -> bool:
+    """N is stable under every endomorphism whose table is a row of
+    `tables`."""
+    bits = sub.bits()
+    return bool(bits[tables[:, bits]].all())
 
 
 def radical(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Submodule:
@@ -360,7 +392,7 @@ def radical(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Submodule:
     mask = maximal[0].mask
     for cand in maximal[1:]:
         mask &= cand.mask
-    return Submodule(module, [e for e in range(full) if (mask >> e) & 1])
+    return Submodule(module, mask)
 
 
 def socle(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Submodule:
@@ -388,7 +420,7 @@ def quotient_module(module: FiniteModule, sub: Submodule,
     """M/N with its projection.  Returns (quotient, projection ModuleMap)."""
     from .homs import ModuleMap
     add = module.add_group.add_table()
-    arr = np.array(sub.elems, dtype=np.int64)
+    arr = np.flatnonzero(sub.bits())
     # coset label = least element index in m + N
     labels = add[:, arr].min(axis=1)
     group, from_label = group_embedding(
@@ -409,7 +441,7 @@ def submodule_module(sub: Submodule, caps: Caps = DEFAULT_CAPS):
     parent = sub.module
     add = parent.add_group.add_table()
     group, from_label = group_embedding(
-        np.array(sub.elems, dtype=np.int64), lambda x, y: add[x, y])
+        np.flatnonzero(sub.bits()), lambda x, y: add[x, y])
     to_index = np.zeros(parent.order, dtype=np.int64)
     to_index[from_label] = np.arange(group.order)
     inner = module_make(parent.ring, group,
@@ -512,25 +544,14 @@ def module_generators(module: FiniteModule) -> tuple:
     new elements (ties: smallest index) until everything is covered.
     """
     n = module.order
-    covered = {0}
+    cyclics = [elems_mask(module.act_np[m, :], n) for m in range(n)]
+    covered = 1
     gens = []
-    cyclics = [set(np.unique(module.act_np[m, :]).tolist()) for m in range(n)]
-    while len(covered) < n:
-        best, best_gain = None, -1
-        for m in range(n):
-            gain = len(cyclics[m] - covered)
-            if gain > best_gain:
-                best, best_gain = m, gain
+    while covered != (1 << n) - 1:
+        gains = [(c & ~covered).bit_count() for c in cyclics]
+        best = gains.index(max(gains))
         gens.append(best)
-        covered |= cyclics[best]
-        # additive closure of what is covered so far
-        add = module.add_group.add_table()
-        changed = True
-        while changed:
-            arr = np.array(sorted(covered), dtype=np.int64)
-            new = set(np.unique(add[np.ix_(arr, arr)]).tolist()) - covered
-            changed = bool(new)
-            covered |= new
+        covered = _additive_closure(module, covered | cyclics[best])
     return tuple(gens)
 
 

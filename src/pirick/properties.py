@@ -3,9 +3,10 @@
 Every decider is exact: it enumerates the endomorphism ring, the submodule
 lattice, or a hom set outright and returns a Verdict with explicit witnesses
 (exponents, idempotents, counterexample elements).  A Facts object hands
-the deciders the shared objects (End(M), the lattice, chains, quotients,
+the deciders the shared objects (End(M), the lattice, quotients,
 submodules, verdicts), each memoized per module and caps by `caps.cached`, so
-a full analysis builds each one once.
+a full analysis builds each one once.  The image and kernel chains of every
+endomorphism are bitmasks read from End(M)'s one `powers` result.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -15,17 +16,15 @@ guessing.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import SizeCapExceeded
-from .homs import (EndRing, end_ring, hom_set, image, image_chain,
-                   idempotent_image_masks, is_indecomposable, kernel,
-                   kernel_chain)
+from .homs import (EndRing, end_ring, hom_set, image_chain,
+                   idempotent_image_masks, is_indecomposable, kernel_chain)
 from .modules import (FiniteModule, Submodule, all_submodules, are_isomorphic,
-                      is_small, is_essential, module_generators,
+                      is_small, is_essential, masks, module_generators,
                       quotient_module, ring_as_module, submodule_module)
 from .rings import (FiniteRing, Verdict, jacobson_radical, opposite_ring,
                     power_trail, ring_idempotents)
@@ -71,28 +70,26 @@ class Facts:
     def idem_masks(self) -> dict:
         return idempotent_image_masks(self.end())
 
-    @cached
     def chains(self, f_idx: int):
-        """(image chain, stabilization exponent) for endomorphism f_idx."""
-        return image_chain(self.end().maps[f_idx])
+        """(image chain as bitmasks, stabilization exponent) for
+        endomorphism f_idx."""
+        return image_chain(self.end(), f_idx)
 
-    @cached
     def ker_chains(self, f_idx: int):
-        return kernel_chain(self.end().maps[f_idx])
+        return kernel_chain(self.end(), f_idx)
 
     @cached
     def quotient(self, mask: int):
         """(M/N, projection) for the submodule with this bitmask."""
-        return quotient_module(self.module, self._sub(mask), self.caps)
+        return quotient_module(self.module, self.sub(mask), self.caps)
 
     @cached
     def inner(self, mask: int):
         """(N as a module, inclusion) for the submodule with this bitmask."""
-        return submodule_module(self._sub(mask), self.caps)
+        return submodule_module(self.sub(mask), self.caps)
 
-    def _sub(self, mask: int) -> Submodule:
-        elems = [e for e in range(self.module.order) if (mask >> e) & 1]
-        return Submodule(self.module, elems)
+    def sub(self, mask: int) -> Submodule:
+        return Submodule(self.module, mask)
 
     @cached
     def verdict(self, prop: str, decider) -> Verdict:
@@ -104,23 +101,6 @@ class Facts:
 # ---------------------------------------------------------------------------
 
 
-def min_exponent(module: FiniteModule, f, caps: Caps = DEFAULT_CAPS):
-    """Smallest n with Im f^n equal to e(M) for an idempotent e in End(M).
-
-    Returns (n, idempotent ring index) or None when no power works.  The
-    idempotent is the smallest ring index realizing the stable image.
-    """
-    end = end_ring(module, caps)
-    if not isinstance(f, int):
-        f = end.map_index(f)
-    masks = idempotent_image_masks(end)
-    imgs, _ = image_chain(end.maps[f])
-    for n, im in enumerate(imgs, start=1):
-        if im.mask in masks:
-            return n, masks[im.mask]
-    return None
-
-
 def _idempotent_generated(facts: Facts, kernels: bool,
                           any_power: bool) -> Verdict:
     """Im f (Ker f with `kernels`) is the image of an idempotent, for every
@@ -129,17 +109,14 @@ def _idempotent_generated(facts: Facts, kernels: bool,
     Witnesses map f to the smallest such idempotent, or with `any_power` to
     (smallest exponent n, smallest idempotent realizing that term).
     """
-    end = facts.end()
-    masks = facts.idem_masks()
+    powers = facts.end().powers
+    idem = facts.idem_masks()
     witnesses = {}
-    for f in range(end.ring.order):
-        if any_power:
-            chain, _ = facts.ker_chains(f) if kernels else facts.chains(f)
-        else:
-            chain = [(kernel if kernels else image)(end.maps[f])]
-        found = next(((n, masks[sub.mask])
-                      for n, sub in enumerate(chain, start=1)
-                      if sub.mask in masks), None)
+    for f, chain in enumerate(powers.kernels if kernels else powers.images):
+        if not any_power:
+            chain = chain[:1]
+        found = next(((n, idem[mask]) for n, mask in enumerate(chain, start=1)
+                      if mask in idem), None)
         if found is None:
             return Verdict(False, witnesses, f)
         witnesses[f] = found if any_power else found[1]
@@ -172,18 +149,16 @@ def decide_pi_rickart(facts: Facts) -> Verdict:
 
 def decide_fitting(facts: Facts) -> Verdict:
     """For every f some power splits M as Ker f^n + Im f^n (sum direct)."""
-    end = facts.end()
+    powers = facts.end().powers
     full = facts.module.order
     witnesses = {}
-    for f in range(end.ring.order):
-        imgs, si = facts.chains(f)
-        kers, sk = facts.ker_chains(f)
-        bound = max(si, sk)
+    for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
+        si, sk = len(imgs), len(kers)
         found = None
-        for n in range(1, bound + 1):
+        for n in range(1, max(si, sk) + 1):
             im = imgs[min(n, si) - 1]
             ker = kers[min(n, sk) - 1]
-            if (im.mask & ker.mask) == 1 and im.size * ker.size == full:
+            if (im & ker) == 1 and im.bit_count() * ker.bit_count() == full:
                 found = n
                 break
         if found is None:
@@ -194,15 +169,13 @@ def decide_fitting(facts: Facts) -> Verdict:
 
 def decide_morphic(facts: Facts) -> Verdict:
     """M/Im f and Ker f are isomorphic, for every f."""
-    end = facts.end()
+    powers = facts.end().powers
     seen = {}
-    for f in range(end.ring.order):
-        im = image(end.maps[f])
-        ker = kernel(end.maps[f])
-        key = (im.mask, ker.mask)
+    for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
+        key = (imgs[0], kers[0])
         if key not in seen:
-            quot, _ = facts.quotient(im.mask)
-            inner, _ = facts.inner(ker.mask)
+            quot, _ = facts.quotient(imgs[0])
+            inner, _ = facts.inner(kers[0])
             seen[key] = are_isomorphic(quot, inner)
         if not seen[key]:
             return Verdict(False, {}, f)
@@ -211,13 +184,10 @@ def decide_morphic(facts: Facts) -> Verdict:
 
 def decide_co_hopfian(facts: Facts) -> Verdict:
     """Every injective endomorphism is surjective."""
-    end = facts.end()
-    full = facts.module.order
-    for f in range(end.ring.order):
-        counts = np.bincount(end.maps[f].table_np, minlength=full)
-        injective = bool((counts <= 1).all())
-        surjective = bool((counts >= 1).all())
-        if injective and not surjective:
+    powers = facts.end().powers
+    everything = (1 << facts.module.order) - 1
+    for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
+        if kers[0] == 1 and imgs[0] != everything:   # injective, not onto
             return Verdict(False, {}, f)
     return Verdict(True, {}, None)
 
@@ -225,10 +195,9 @@ def decide_co_hopfian(facts: Facts) -> Verdict:
 def _chain_stabilization(facts: Facts, kernels: bool) -> Verdict:
     """Always true for a finite module; witnesses record the exponent at
     which the image (kernel) chain of each endomorphism stabilizes."""
-    end = facts.end()
-    chain_of = facts.ker_chains if kernels else facts.chains
-    return Verdict(True, {f: chain_of(f)[1] for f in range(end.ring.order)},
-                   None)
+    powers = facts.end().powers
+    stab = powers.kernel_stab if kernels else powers.image_stab
+    return Verdict(True, dict(enumerate(stab)), None)
 
 
 def decide_strongly_co_hopfian(facts: Facts) -> Verdict:
@@ -248,15 +217,14 @@ def decide_strongly_hopfian(facts: Facts) -> Verdict:
 
 def decide_c2(facts: Facts) -> Verdict:
     """Every submodule isomorphic to a direct summand is itself a summand."""
-    masks = facts.idem_masks()
-    summands = sorted(masks)
+    idem = facts.idem_masks()
+    summands = sorted(idem)
     for sub in facts.lattice():
-        if sub.mask in masks:
+        if sub.mask in idem:
             continue
         inner, _ = facts.inner(sub.mask)
         for dmask in summands:
-            dsub = facts._sub(dmask)
-            if dsub.size != sub.size:
+            if dmask.bit_count() != sub.size:
                 continue
             dinner, _ = facts.inner(dmask)
             if are_isomorphic(inner, dinner):
@@ -266,15 +234,14 @@ def decide_c2(facts: Facts) -> Verdict:
 
 def decide_d2(facts: Facts) -> Verdict:
     """Whenever M/N is isomorphic to a direct summand, N is a summand."""
-    masks = facts.idem_masks()
-    summands = sorted(masks)
+    idem = facts.idem_masks()
+    summands = sorted(idem)
     for sub in facts.lattice():
-        if sub.mask in masks:
+        if sub.mask in idem:
             continue
         quot, _ = facts.quotient(sub.mask)
         for dmask in summands:
-            dsub = facts._sub(dmask)
-            if dsub.size != quot.order:
+            if dmask.bit_count() != quot.order:
                 continue
             dinner, _ = facts.inner(dmask)
             if are_isomorphic(quot, dinner):
@@ -297,15 +264,12 @@ def decide_abelian(facts: Facts) -> Verdict:
 
 def decide_duo(facts: Facts) -> Verdict:
     """Every submodule is stable under every endomorphism."""
-    end = facts.end()
-    member = np.zeros(facts.module.order, dtype=bool)
+    tables = facts.end().tables
     for sub in facts.lattice():
-        member[:] = False
-        member[list(sub.elems)] = True
-        hits = member[end.tables[:, list(sub.elems)]]
-        if not hits.all():
-            f = int(np.nonzero(~hits.all(axis=1))[0][0])
-            return Verdict(False, {}, (f, sub.mask))
+        bits = sub.bits()
+        stays = bits[tables[:, bits]].all(axis=1)
+        if not stays.all():
+            return Verdict(False, {}, (int(np.argmin(stays)), sub.mask))
     return Verdict(True, {}, None)
 
 
@@ -378,10 +342,9 @@ def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     opp = opposite_ring(ring, caps, name=f"{ring.name}_op")
     reg = ring_as_module(opp, caps)
     out = []
-    for f in range(ring.order):
-        ann = np.nonzero(ring.mul_np[:, f] == 0)[0].tolist()
-        sub = Submodule(reg, ann)
-        if is_essential(sub, caps):
+    # row f of the transposed table holds g * f for every g
+    for f, ann in enumerate(masks(ring.mul_np.T == 0)):
+        if is_essential(Submodule(reg, ann), caps):
             out.append(f)
     return np.array(out, dtype=np.int64)
 
@@ -408,15 +371,13 @@ def small_image_endos(facts: Facts):
 
     Returns a list of (f index, is_nilpotent, nilpotency index or None).
     """
-    end = facts.end()
+    powers = facts.end().powers
     facts.lattice()  # raises through the lattice cap before any work
     out = []
-    for f in range(end.ring.order):
-        im = image(end.maps[f])
-        if not is_small(im, facts.caps):
+    for f, imgs in enumerate(powers.images):
+        if not is_small(facts.sub(imgs[0]), facts.caps):
             continue
-        imgs, _ = facts.chains(f)
-        if imgs[-1].is_zero():
+        if imgs[-1] == 1:
             out.append((f, True, len(imgs)))
         else:
             out.append((f, False, None))
@@ -440,13 +401,12 @@ class PropertyReport:
     generators: int
     statuses: dict
     witnesses: dict
-    timings: dict
     max_witness_n: int | None
     idempotent_count: int | None
 
 
 def _fmt_sub(facts: Facts, mask: int) -> str:
-    elems = [e for e in range(facts.module.order) if (mask >> e) & 1]
+    elems = facts.sub(mask).elems
     if len(elems) <= 8:
         return "{" + ",".join(str(e) for e in elems) + "}"
     return f"sub(size={len(elems)},min={elems[1] if len(elems) > 1 else 0})"
@@ -489,9 +449,8 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
             name: str | None = None) -> PropertyReport:
     """Run every property decider and collect statuses plus witnesses."""
     facts = Facts(module, caps)
-    statuses, witnesses, timings = {}, {}, {}
+    statuses, witnesses = {}, {}
     for prop in PROPERTY_ORDER:
-        start = time.perf_counter()
         try:
             verdict = facts.verdict(prop, DECIDERS[prop])
             statuses[prop] = "true" if verdict.holds else "false"
@@ -499,7 +458,6 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
         except SizeCapExceeded as exc:
             statuses[prop] = "skipped"
             witnesses[prop] = f"cap:{exc.what}"
-        timings[prop] = time.perf_counter() - start
 
     end_order = None
     idem_count = None
@@ -522,7 +480,6 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
         generators=len(module_generators(module)),
         statuses=statuses,
         witnesses=witnesses,
-        timings=timings,
         max_witness_n=max_n,
         idempotent_count=idem_count,
     )

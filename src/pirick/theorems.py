@@ -26,7 +26,7 @@ import numpy as np
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
 from .homs import hom_set, image, left_annihilator, right_annihilator
-from .modules import (FiniteModule, Submodule, free_module,
+from .modules import (FiniteModule, Submodule, elems_mask, free_module,
                       is_direct_summand, is_fully_invariant, radical,
                       ring_as_module, socle, submodule_module)
 from .properties import (DECIDERS, Facts, is_epimorphism,
@@ -138,7 +138,7 @@ def _dual_pi_of(module: FiniteModule, caps: Caps) -> Verdict:
 
 def _right_ideal(reg: FiniteModule, ring: FiniteRing, e: int) -> Submodule:
     """e*R inside the right regular module (element indices coincide)."""
-    return Submodule(reg, np.unique(ring.mul_np[e, :]).tolist())
+    return Submodule(reg, elems_mask(ring.mul_np[e, :], reg.order))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def _chk_l2_5_1(ctx):
     if not ring_predicates(end.ring).domain:
         return NOT_MET, "-"
     for f in range(1, end.ring.order):
-        if not is_epimorphism(end.maps[f].table_np):
+        if not is_epimorphism(end.tables[f]):
             return VIOLATION, f"f={f}"
     return HOLDS, f"nonzero_maps={end.ring.order - 1}"
 
@@ -271,7 +271,7 @@ def _chk_l2_5_2(ctx):
     facts = ctx.facts()
     end = facts.end()
     for f in range(1, end.ring.order):
-        if not is_epimorphism(end.maps[f].table_np):
+        if not is_epimorphism(end.tables[f]):
             return NOT_MET, f"f={f} not epi"
     problems = []
     if not _prop(facts, "dual_pi_rickart").holds:
@@ -298,7 +298,7 @@ def _chk_l2_9(ctx):
     for f in range(end.ring.order):
         imgs, _ = facts.chains(f)
         for im in imgs:
-            if (im.mask in idem_route) != (im.mask in complement_route):
+            if (im in idem_route) != (im in complement_route):
                 return VIOLATION, f"f={f}"
             checked += 1
     return HOLDS, f"masks={len(idem_route)},chain_points={checked}"
@@ -313,8 +313,7 @@ def _chk_p2_11(ctx):
     for e in ring_idempotents(end.ring).tolist():
         if e in (0, end.ring.one):
             continue
-        sub = image(end.maps[e])
-        inner, _ = facts.inner(sub.mask)
+        inner, _ = facts.inner(image(end, e))
         v = _dual_pi_of(inner, ctx.caps)
         if not v.holds:
             return VIOLATION, f"e={e},f={v.counterexample}"
@@ -386,8 +385,7 @@ def _chk_t2_15(ctx):
     for e in ring_idempotents(end.ring).tolist():
         if e in (0, end.ring.one):
             continue
-        sub = image(end.maps[e])
-        inner, _ = facts.inner(sub.mask)
+        inner, _ = facts.inner(image(end, e))
         if not _dual_pi_of(inner, ctx.caps).holds:
             return VIOLATION, f"rank=2,e={e}"
         checked += 1
@@ -400,15 +398,14 @@ def _chk_l2_16(ctx):
     mul = end.ring.mul_np
     central = [int(e) for e in ring_idempotents(end.ring).tolist()
                if np.array_equal(mul[e, :], mul[:, e])]
-    central_masks = {image(end.maps[e]).mask for e in central}
+    central_masks = {image(end, e) for e in central}
     checked = 0
     for f in range(end.ring.order):
         imgs, stab = facts.chains(f)
         for n, im in enumerate(imgs, start=1):
-            if im.mask not in central_masks:
+            if im not in central_masks:
                 continue
-            nxt = imgs[min(n + 1, stab) - 1]
-            if nxt.mask != im.mask:
+            if imgs[min(n + 1, stab) - 1] != im:
                 return VIOLATION, f"f={f},n={n}"
             checked += 1
     if checked == 0:
@@ -424,8 +421,8 @@ def _chk_p2_17(ctx):
         if e in (0, end.ring.one):
             continue
         comp = _one_minus(end.ring, int(e))
-        m1, _ = facts.inner(image(end.maps[e]).mask)
-        m2, _ = facts.inner(image(end.maps[comp]).mask)
+        m1, _ = facts.inner(image(end, e))
+        m2, _ = facts.inner(image(end, comp))
         f1, f2 = Facts(m1, ctx.caps), Facts(m2, ctx.caps)
         if not (_prop(f1, "abelian").holds and _prop(f2, "abelian").holds):
             continue
@@ -506,7 +503,7 @@ def _chk_l3_1(ctx):
         return VIOLATION, f"a={g.counterexample}"
     pli = _idem_principal_left(end.ring)
     for f, (n, e) in v.witnesses.items():
-        im = facts.chains(f)[0][n - 1]
+        im = facts.sub(facts.chains(f)[0][n - 1])
         ann_module = frozenset(left_annihilator(end, im.elems).tolist())
         ann_elem = _l_ann_elem(end.ring, _pow_index(end, f, n))
         comp = _one_minus(end.ring, e)
@@ -560,8 +557,7 @@ def _chk_t3_4_1(ctx):
                 continue
             inter = right_annihilator(end, sorted(ann))
             for e in hits:
-                comp_image = image(end.maps[_one_minus(end.ring, e)])
-                if inter.mask != comp_image.mask:
+                if inter.mask != image(end, _one_minus(end.ring, e)):
                     return VIOLATION, f"f={f},n={n},e={e}"
                 checked += 1
     if checked == 0:
@@ -588,7 +584,7 @@ def _both_summand_exponent(facts: Facts, f: int):
     for n in range(1, max(si, sk) + 1):
         im = imgs[min(n, si) - 1]
         ker = kers[min(n, sk) - 1]
-        if im.mask in masks and ker.mask in masks:
+        if im in masks and ker in masks:
             return n
     return None
 
@@ -679,7 +675,7 @@ def _chk_p3_11(ctx):
         if e == end.ring.one:
             v = _prop(facts, "dual_pi_rickart")
         else:
-            inner, _ = facts.inner(image(end.maps[e]).mask)
+            inner, _ = facts.inner(image(end, e))
             v = _dual_pi_of(inner, ctx.caps)
         if not v.holds:
             return VIOLATION, f"e={e},f={v.counterexample}"
@@ -695,7 +691,7 @@ def _chk_c3_15(ctx):
     end = facts.end()
     checked = 0
     for sub in facts.lattice():
-        if not is_fully_invariant(sub, end.maps):
+        if not is_fully_invariant(sub, end.tables):
             continue
         quot, _ = facts.quotient(sub.mask)
         v = _dual_pi_of(quot, ctx.caps)
@@ -751,9 +747,8 @@ def _annihilator_equality(facts: Facts, f: int, n: int) -> bool:
     end = facts.end()
     imgs, stab = facts.chains(f)
     im = imgs[min(n, stab) - 1]
-    ann = left_annihilator(end, im.elems)
-    rm = right_annihilator(end, ann.tolist())
-    return rm.mask == im.mask
+    ann = left_annihilator(end, facts.sub(im).elems)
+    return right_annihilator(end, ann.tolist()).mask == im
 
 
 def _chk_t3_19_1(ctx):
@@ -802,7 +797,7 @@ def _chk_t3_19c_1(ctx):
     for f, (n, _) in v.witnesses.items():
         imgs, stab = facts.chains(f)
         im = imgs[min(n, stab) - 1]
-        if not _annihilator_equality(facts, f, n) or im.mask not in masks:
+        if not _annihilator_equality(facts, f, n) or im not in masks:
             return VIOLATION, f"f={f},n={n}"
     return HOLDS, "-"
 
@@ -816,7 +811,7 @@ def _chk_t3_19c_2(ctx):
         good = None
         for n in range(1, stab + 1):
             im = imgs[n - 1]
-            if im.mask in masks and _annihilator_equality(facts, f, n):
+            if im in masks and _annihilator_equality(facts, f, n):
                 good = n
                 break
         if good is None:
@@ -847,9 +842,9 @@ def _chk_p3_21_1(ctx):
     end = facts.end()
     epis = nilps = 0
     for f in range(end.ring.order):
-        epi = is_epimorphism(end.maps[f].table_np)
+        epi = is_epimorphism(end.tables[f])
         imgs, _ = facts.chains(f)
-        nilp = imgs[-1].is_zero()
+        nilp = imgs[-1] == 1
         if not (epi or nilp):
             return VIOLATION, f"f={f} neither"
         if epi and nilp and facts.module.order > 1:
@@ -864,7 +859,7 @@ def _chk_p3_21_2(ctx):
     end = facts.end()
     for f in range(end.ring.order):
         imgs, _ = facts.chains(f)
-        if not (is_epimorphism(end.maps[f].table_np) or imgs[-1].is_zero()):
+        if not (is_epimorphism(end.tables[f]) or imgs[-1] == 1):
             return NOT_MET, f"f={f}"
     problems = []
     if not _prop(facts, "indecomposable").holds:

@@ -7,6 +7,8 @@ counts throughout; nothing here is approximate.
 from __future__ import annotations
 
 import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,13 @@ from pirick.caps import caps_from_env
 from pirick.catalog import catalog_rows, render_catalog
 from pirick.cli import main
 from pirick.errors import SizeCapExceeded
-from pirick.homs import (end_ring, image, left_annihilator, map_power,
-                         right_annihilator, summand_by_idempotent)
-from pirick.modules import (all_submodules, is_direct_summand,
-                            quotient_module, ring_as_module,
-                            submodule_module)
+from pirick.homs import (end_ring, idempotent_image_masks, image,
+                         left_annihilator, right_annihilator)
+from pirick.modules import (Submodule, all_submodules, elems_mask,
+                            is_direct_summand, quotient_module,
+                            ring_as_module, submodule_module)
 from pirick.properties import (DECIDERS, Facts, is_epimorphism,
-                               min_exponent, singular_nil_jacobson,
-                               small_image_endos)
+                               singular_nil_jacobson, small_image_endos)
 from pirick.query import match_report, parse_query
 from pirick.rings import (is_generalized_left_pp, is_pi_regular,
                           is_strongly_pi_regular, ring_neg)
@@ -29,6 +30,16 @@ from pirick.theorems import (HOLDS, InstanceContext, VIOLATION, summarize,
                              verify_all)
 
 CAPS = caps_from_env()
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
+    / "reference" / "verify_corpus.out"
+
+
+def _power(table, n: int):
+    """The table of the n-th compositional power of an endomorphism."""
+    out = np.arange(table.size)
+    for _ in range(n):
+        out = table[out]
+    return out
 
 
 @pytest.fixture
@@ -65,8 +76,8 @@ def test_criterion_01_case_table(instances, reports, announce):
 
     expected = {(a, b, c): param_table(a, b, c)
                 for a in (0, 1) for b in (0, 1) for c in (0, 1)}
-    actual = {f.table for f in end.maps}
-    ok = len(end.maps) == 8 and set(expected.values()) == actual
+    actual = {tuple(row) for row in end.tables.tolist()}
+    ok = len(end.tables) == 8 and set(expected.values()) == actual
 
     by_param = {abc: t for abc, t in expected.items()}
     lower_row = frozenset({0, 1, 2, 3})
@@ -90,10 +101,10 @@ def test_criterion_01_case_table(instances, reports, announce):
 
     # the images claimed to be summands are summands
     lattice = {s.mask: s for s in all_submodules(ex23, CAPS)}
+    idempotent_images = idempotent_image_masks(end)
     for abc in ((0, 1, 1), (0, 1, 0), (1, 0, 1), (1, 0, 0)):
         mask = sum(1 << m for m in image_set(abc))
-        summand, _ = summand_by_idempotent(lattice[mask], end)
-        ok = ok and summand
+        ok = ok and mask in lattice and mask in idempotent_images
 
     report = reports["ex23"]
     ok = ok and report.statuses["dual_pi_rickart"] == "true"
@@ -101,7 +112,7 @@ def test_criterion_01_case_table(instances, reports, announce):
     # the recorded counterexample is exactly the (0,0,1) map
     facts = Facts(ex23, CAPS)
     verdict = facts.verdict("dual_rickart", DECIDERS["dual_rickart"])
-    counter = end.maps[verdict.counterexample].table
+    counter = tuple(end.tables[verdict.counterexample].tolist())
     ok = ok and counter == by_param[(0, 0, 1)]
 
     announce(1, "endomorphism case table", ok,
@@ -181,12 +192,14 @@ def test_criterion_05_annihilator_identities(module_instances, announce):
         ring = end.ring
         neg = ring_neg(ring)
         add = ring.add_group.add_table()
+        # f -> (smallest n with Im f^n = e(M), smallest such idempotent e)
+        witnesses = DECIDERS["dual_pi_rickart"](Facts(module, CAPS)).witnesses
         for f in range(ring.order):
-            n, e = min_exponent(module, f, CAPS)
-            fn = map_power(end.maps[f], n)
-            fn_idx = end.map_index(fn)
-            im = image(fn)
-            ok1 = im.mask == image(end.maps[e]).mask
+            n, e = witnesses[f]
+            fn = _power(end.tables[f], n)
+            fn_idx = int(np.flatnonzero((end.tables == fn).all(axis=1))[0])
+            im = Submodule(module, elems_mask(fn, module.order))
+            ok1 = im.mask == image(end, e)
             left_ann = np.nonzero(ring.mul_np[:, fn_idx] == 0)[0]
             one_minus_e = int(add[ring.one, neg[e]])
             principal = np.unique(ring.mul_np[:, one_minus_e])
@@ -212,10 +225,10 @@ def test_criterion_06_summand_oracle_agreement(module_instances, announce):
     def check(module):
         nonlocal pairs, disagreements
         lattice = all_submodules(module, CAPS)
-        end = end_ring(module, CAPS)
+        idempotent_images = idempotent_image_masks(end_ring(module, CAPS))
         for sub in lattice:
             by_complement, _ = is_direct_summand(sub, CAPS)
-            by_idempotent, _ = summand_by_idempotent(sub, end)
+            by_idempotent = sub.mask in idempotent_images
             pairs += 1
             if by_complement != by_idempotent:
                 disagreements += 1
@@ -278,11 +291,10 @@ def test_criterion_08_singular_and_small(module_instances, announce):
         facts = Facts(inst.module, wide)
         for f, is_nil, idx in small_image_endos(facts):
             small_total += 1
-            powered = map_power(end.maps[f], idx) if is_nil else None
-            verified = (is_nil and set(powered.table) == {0}
+            table = end.tables[f]
+            verified = (is_nil and set(_power(table, idx).tolist()) == {0}
                         and (idx == 1
-                             or set(map_power(end.maps[f], idx - 1).table)
-                             != {0}))
+                             or set(_power(table, idx - 1).tolist()) != {0}))
             if not verified:
                 small_failures += 1
     ok = sing_failures == 0 and small_failures == 0
@@ -305,9 +317,9 @@ def test_criterion_09_epi_or_nilpotent(module_instances, reports, announce):
         facts = Facts(inst.module, CAPS)
         end = facts.end()
         for f in range(end.ring.order):
-            epi = is_epimorphism(end.maps[f].table_np)
+            epi = is_epimorphism(end.tables[f])
             imgs, _ = facts.chains(f)
-            nilpotent = imgs[-1].mask == 1
+            nilpotent = imgs[-1] == 1
             classified += 1
             if not (epi or nilpotent):
                 unclassified += 1
@@ -329,11 +341,11 @@ def test_criterion_10_determinism(corpus_dir, instances, capsys, announce):
     second = render_catalog(catalog_rows(instances, CAPS))
     catalog_ok = first == second
 
-    main(["verify", str(corpus_dir), "--jobs", "1"])
-    jobs1 = capsys.readouterr().out
+    # tests/test_golden.py pins the default run to the same reference
     main(["verify", str(corpus_dir), "--jobs", "8"])
     jobs8 = capsys.readouterr().out
-    verify_ok = jobs1 == jobs8 and jobs1.count("\n") > 100
+    verify_ok = jobs8 == REFERENCE.read_text(encoding="utf-8") \
+        and jobs8.count("\n") > 100
 
     ok = catalog_ok and verify_ok
     announce(10, "determinism", ok,

@@ -9,13 +9,11 @@ from pirick import homs
 from pirick.caps import caps_from_env
 from pirick.errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from pirick.families import ex23_module, zmod
-from pirick.homs import (ModuleMap, compose, end_ring, hom_set, identity_map,
-                         idempotent_image_masks, image, image_chain,
-                         is_indecomposable, is_nilpotent_map, kernel,
-                         kernel_chain, left_annihilator, map_power,
-                         principal_left_ideal, right_annihilator,
-                         summand_by_idempotent)
-from pirick.modules import all_submodules, free_module, ring_as_module
+from pirick.homs import (ModuleMap, end_ring, hom_set, idempotent_image_masks,
+                         image, image_chain, is_indecomposable, kernel_chain,
+                         left_annihilator, power_chains, right_annihilator)
+from pirick.modules import (Submodule, all_submodules, free_module,
+                            ring_as_module)
 from pirick.properties import PROPERTY_ORDER, analyze
 from pirick.rings import ring_idempotents
 
@@ -47,15 +45,20 @@ def test_hom_set_of_regular_module_matches_ring(z4_reg):
     assert tables == [(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 2, 1)]
 
 
+def _row(end, table) -> int:
+    """The ring index of the endomorphism with this table."""
+    return int(np.flatnonzero((end.tables == table).all(axis=1))[0])
+
+
 def test_end_ring_structure(z4_reg):
     end = end_ring(z4_reg, CAPS)
     assert end.ring.order == 4
-    # ring multiplication agrees with composition of the stored maps
+    # ring multiplication agrees with composition of the stored tables
     for i in range(4):
         for j in range(4):
-            composed = compose(end.maps[i], end.maps[j])
-            assert end.maps[int(end.ring.mul_np[i, j])].table == composed.table
-    assert end.ring.one == end.map_index(identity_map(z4_reg))
+            composed = end.tables[i][end.tables[j]]
+            assert (end.tables[int(end.ring.mul_np[i, j])] == composed).all()
+    assert end.ring.one == _row(end, np.arange(4))
 
 
 def test_end_ring_of_free_module():
@@ -67,31 +70,47 @@ def test_end_ring_of_free_module():
 
 def test_map_power_and_identity(z4_reg):
     end = end_ring(z4_reg, CAPS)
-    doubling = [f for f in end.maps if f.table == (0, 2, 0, 2)][0]
-    assert map_power(doubling, 2).table == (0, 0, 0, 0)
-    assert map_power(doubling, 0).table == (0, 1, 2, 3)
-    with pytest.raises(PirickError):
-        map_power(doubling, -1)
+    doubling = end.tables[_row(end, [0, 2, 0, 2])]
+    assert doubling[doubling].tolist() == [0, 0, 0, 0]
+    assert end.tables[end.ring.one].tolist() == [0, 1, 2, 3]
 
 
 def test_image_and_kernel(z4_reg):
     end = end_ring(z4_reg, CAPS)
-    doubling = [f for f in end.maps if f.table == (0, 2, 0, 2)][0]
-    assert image(doubling).elems == (0, 2)
-    assert kernel(doubling).elems == (0, 2)
+    doubling = _row(end, [0, 2, 0, 2])
+    assert Submodule(z4_reg, image(end, doubling)).elems == (0, 2)
+    kers, _ = kernel_chain(end, doubling)
+    assert Submodule(z4_reg, kers[0]).elems == (0, 2)
 
 
 def test_chains_stabilize(z4_reg):
     end = end_ring(z4_reg, CAPS)
-    doubling = [f for f in end.maps if f.table == (0, 2, 0, 2)][0]
-    imgs, s = image_chain(doubling)
-    assert [i.elems for i in imgs] == [(0, 2), (0,)]
+    doubling = _row(end, [0, 2, 0, 2])
+    imgs, s = image_chain(end, doubling)
+    assert [Submodule(z4_reg, i).elems for i in imgs] == [(0, 2), (0,)]
     assert s == 2
-    kers, t = kernel_chain(doubling)
-    assert [k.elems for k in kers] == [(0, 2), (0, 1, 2, 3)]
+    kers, t = kernel_chain(end, doubling)
+    assert [Submodule(z4_reg, k).elems for k in kers] == \
+        [(0, 2), (0, 1, 2, 3)]
     assert t == 2
-    nil, idx = is_nilpotent_map(doubling)
-    assert nil and idx == 2
+    # nilpotent of index 2: the stable image is zero
+    assert imgs[-1] == 1 and len(imgs) == 2
+
+
+def test_power_chains_match_powers_taken_one_at_a_time(ex23):
+    tables = end_ring(ex23, CAPS).tables
+    chains = power_chains(tables)
+    for i, f in enumerate(tables):
+        power, imgs, kers = f, [], []
+        for _ in range(ex23.order + 1):
+            imgs.append(sum(1 << x for x in set(power.tolist())))
+            kers.append(sum(1 << x for x in np.flatnonzero(power == 0)))
+            power = f[power]
+        s = next(n for n in range(1, len(imgs)) if imgs[n] == imgs[n - 1])
+        t = next(n for n in range(1, len(kers)) if kers[n] == kers[n - 1])
+        assert chains.images[i] == tuple(imgs[:s])
+        assert chains.kernels[i] == tuple(kers[:t])
+        assert (chains.image_stab[i], chains.kernel_stab[i]) == (s, t)
 
 
 def test_annihilators(ex23):
@@ -109,26 +128,25 @@ def test_idempotent_images_are_summands(ex23):
     end = end_ring(ex23, CAPS)
     masks = idempotent_image_masks(end)
     lattice = {sub.mask: sub for sub in all_submodules(ex23, CAPS)}
-    for mask in masks:
+    for mask, e in masks.items():
         assert mask in lattice
-        ok, e = summand_by_idempotent(lattice[mask], end)
-        assert ok and e in ring_idempotents(end.ring).tolist()
+        assert e in ring_idempotents(end.ring).tolist()
+        assert image(end, e) == mask
 
 
 def test_summand_routes_agree_on_ex23(ex23):
     from pirick.modules import is_direct_summand
-    end = end_ring(ex23, CAPS)
+    masks = idempotent_image_masks(end_ring(ex23, CAPS))
     for sub in all_submodules(ex23, CAPS):
         by_complement, _ = is_direct_summand(sub, CAPS)
-        by_idempotent, _ = summand_by_idempotent(sub, end)
-        assert by_complement == by_idempotent
+        assert by_complement == (sub.mask in masks)
 
 
 def test_principal_left_ideal(z4_reg):
     end = end_ring(z4_reg, CAPS)
     # S*1 is everything, S*0 is zero
-    assert principal_left_ideal(end, end.ring.one).size == 4
-    assert principal_left_ideal(end, 0).tolist() == [0]
+    assert np.unique(end.ring.mul_np[:, end.ring.one]).size == 4
+    assert np.unique(end.ring.mul_np[:, 0]).tolist() == [0]
 
 
 def test_indecomposability(z4_reg):
@@ -209,8 +227,8 @@ def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch):
     end1 = end_ring(first, CAPS)
     end2 = end_ring(second, CAPS)
     assert calls == [(first, first, CAPS)]
-    assert all(f.domain is second and f.codomain is second
-               for f in end2.maps)
+    assert end2.module is second
+    assert end2.tables is end1.tables and end2.powers is end1.powers
     assert np.array_equal(end1.ring.mul_np, end2.ring.mul_np)
     assert (end1.ring.name, end2.ring.name) == ("end_first", "end_second")
     assert end_ring(second, CAPS) is end2

@@ -108,7 +108,7 @@ def test_fully_invariant(ex23):
     end = end_ring(ex23, CAPS)
     lattice = all_submodules(ex23, CAPS)
     invariant = sorted(sub.elems for sub in lattice
-                       if is_fully_invariant(sub, end.maps))
+                       if is_fully_invariant(sub, end.tables))
     # the non-invariant ones witness that the module is not duo
     assert (0,) in invariant and tuple(range(8)) in invariant
     assert len(invariant) < len(lattice)

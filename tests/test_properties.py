@@ -12,8 +12,8 @@ from pirick.homs import end_ring
 from pirick.modules import ring_as_module
 from pirick.properties import (DECIDERS, Facts, PROPERTY_ORDER, analyze,
                                is_epimorphism, left_singular_ideal,
-                               min_exponent, render_report,
-                               singular_nil_jacobson, small_image_endos)
+                               render_report, singular_nil_jacobson,
+                               small_image_endos)
 
 CAPS = caps_from_env()
 
@@ -74,16 +74,21 @@ def test_dual_pi_rickart_witnesses_on_z4():
     assert verdict.holds
     # the doubling map needs exponent 2 and lands on the zero idempotent
     end = facts.end()
-    doubling = [i for i in range(4) if end.maps[i].table == (0, 2, 0, 2)][0]
+    doubling = _doubling(end)
     assert verdict.witnesses[doubling] == (2, 0)
 
 
+def _doubling(end) -> int:
+    return [i for i in range(4) if end.tables[i].tolist() == [0, 2, 0, 2]][0]
+
+
 def test_min_exponent(z4_reg=None):
+    # the smallest n with Im f^n = e(M), and the smallest such idempotent e
     module = ring_as_module(zmod(4), CAPS)
     end = end_ring(module, CAPS)
-    doubling = [i for i in range(4) if end.maps[i].table == (0, 2, 0, 2)][0]
-    assert min_exponent(module, doubling, CAPS) == (2, 0)
-    assert min_exponent(module, end.ring.one, CAPS) == (1, end.ring.one)
+    witnesses = DECIDERS["dual_pi_rickart"](Facts(module, CAPS)).witnesses
+    assert witnesses[_doubling(end)] == (2, 0)
+    assert witnesses[end.ring.one] == (1, end.ring.one)
 
 
 def test_skipped_when_lattice_cap_hit():

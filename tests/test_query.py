@@ -10,7 +10,7 @@ from pirick.query import match_report, parse_query
 def _report(statuses):
     return PropertyReport(name="m", module_order=4, end_order=4,
                           generators=1, statuses=statuses, witnesses={},
-                          timings={}, max_witness_n=None,
+                          max_witness_n=None,
                           idempotent_count=None)
 
 

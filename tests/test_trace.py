@@ -1,0 +1,39 @@
+"""Smoke test of the benchmark's tracer against the current package.
+
+`perfbench/trace.py` wraps public functions by name, so renaming or deleting
+one leaves its per-layer metrics at 0 without any error.  This runs the
+tracer on one module and checks that the End(M) build, the hom set and all
+sixteen deciders were seen.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+from pirick.properties import DECIDERS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_deciders_are_sixteen_distinct_public_functions():
+    names = [fn.__name__ for fn in DECIDERS.values()]
+    assert len(set(names)) == len(DECIDERS) == 16
+    assert all(name.startswith("decide_") for name in names)
+
+
+def test_trace_sees_end_ring_hom_set_and_every_decider(tmp_path):
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("PIRICK_CAPS", None)
+    subprocess.run([sys.executable, "perfbench/trace.py", str(out), "--",
+                    "module", "check", "corpus/ex23.mod"],
+                   cwd=ROOT, env=env, check=True, capture_output=True)
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["counts"]["end_ring.builds"] == 1
+    assert report["counts"]["hom_set.kept"] > 0
+    deciders = {f"properties.decider.{prop}" for prop in DECIDERS}
+    assert len(deciders) == 16
+    assert deciders <= set(report["calls"])
