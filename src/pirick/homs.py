@@ -10,9 +10,9 @@ group), giving every ring-theoretic tool access to End(M).
 An endomorphism is a row of End(M)'s table array and nothing else:
 power_chains takes a whole stack of tables and returns the image and
 kernel bitmasks of every power of every row in one batch, and End(M) keeps
-that result for all of its elements.  ModuleMap, a validated table between
-two modules, is only the projections and inclusions of quotient,
-submodule and direct-sum constructions.
+that result for all of its elements; chain_term reads term n of a chain.
+ModuleMap, a validated table between two modules, is only the projections
+and inclusions of quotient, submodule and direct-sum constructions.
 
 End(M) is built at most once per (structure, caps) in a process: another
 module object of a cached structure gets the same ring, tables and chains
@@ -166,15 +166,13 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
 class PowerChains(NamedTuple):
     """Image and kernel chains of a stack of endomorphisms, as bitmasks.
 
-    For the map f in row i, images[i] is (Im f, Im f^2, ..., Im f^s) and
-    image_stab[i] is s, the first n with Im f^n == Im f^(n+1);
-    kernels[i] and kernel_stab[i] are the same for Ker f^n.
+    For the map f in row i, images[i] is (Im f, Im f^2, ..., Im f^s), where
+    s = len(images[i]) is the first n with Im f^n == Im f^(n+1), so the
+    last term is the stable image; kernels[i] is the same for Ker f^n.
     """
 
     images: tuple
     kernels: tuple
-    image_stab: tuple
-    kernel_stab: tuple
 
 
 def power_chains(tables: np.ndarray) -> PowerChains:
@@ -201,8 +199,13 @@ def power_chains(tables: np.ndarray) -> PowerChains:
         power = np.take_along_axis(tables, power, axis=1)
     images = [_until_repeat(terms) for terms in zip(*(s[0] for s in steps))]
     kernels = [_until_repeat(terms) for terms in zip(*(s[1] for s in steps))]
-    return PowerChains(tuple(images), tuple(kernels),
-                       tuple(map(len, images)), tuple(map(len, kernels)))
+    return PowerChains(tuple(images), tuple(kernels))
+
+
+def chain_term(chain: tuple, n: int) -> int:
+    """Term n of a power chain, Im f^n (Ker f^n) for chain images[f]
+    (kernels[f]), also for n past its end, where every term is the last."""
+    return chain[min(n, len(chain)) - 1]
 
 
 def _until_repeat(terms) -> tuple:
@@ -328,18 +331,6 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
 def image(end: EndRing, f: int) -> int:
     """The bitmask of Im f for the endomorphism f of End(M)."""
     return end.powers.images[f][0]
-
-
-def image_chain(end: EndRing, f: int):
-    """([Im f, Im f^2, ..., Im f^s], s) as bitmasks, where s is the first n
-    with Im f^n == Im f^(n+1) (the last entry is the stable image)."""
-    return end.powers.images[f], end.powers.image_stab[f]
-
-
-def kernel_chain(end: EndRing, f: int):
-    """([Ker f, Ker f^2, ..., Ker f^s], s) as bitmasks, with s the first
-    stable exponent."""
-    return end.powers.kernels[f], end.powers.kernel_stab[f]
 
 
 def left_annihilator(end: EndRing, elems) -> np.ndarray:

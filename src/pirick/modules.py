@@ -245,9 +245,6 @@ class Submodule:
     def __repr__(self) -> str:
         return f"Submodule(of={self.module.name!r}, size={self.size})"
 
-    def is_zero(self) -> bool:
-        return self.mask == 1
-
 
 def submodule_check(module: FiniteModule, elems) -> Submodule:
     """Build a Submodule, verifying closure under addition and the action."""

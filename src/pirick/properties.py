@@ -5,8 +5,10 @@ lattice, or a hom set outright and returns a Verdict with explicit witnesses
 (exponents, idempotents, counterexample elements).  A Facts object hands
 the deciders the shared objects (End(M), the lattice, quotients,
 submodules, verdicts), each memoized per module and caps by `caps.cached`, so
-a full analysis builds each one once.  The image and kernel chains of every
-endomorphism are bitmasks read from End(M)'s one `powers` result.
+a full analysis builds each one once; the registry in `theorems` builds its
+submodules, e*R among them, through the same Facts.  The image and kernel
+chains of every endomorphism are bitmasks read from End(M)'s one `powers`
+result, and nowhere else.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -21,8 +23,8 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import SizeCapExceeded
-from .homs import (EndRing, end_ring, hom_set, image_chain,
-                   idempotent_image_masks, is_indecomposable, kernel_chain)
+from .homs import (EndRing, chain_term, end_ring, hom_set,
+                   idempotent_image_masks, is_indecomposable)
 from .modules import (FiniteModule, Submodule, all_submodules, are_isomorphic,
                       is_small, is_essential, masks, module_generators,
                       quotient_module, ring_as_module, submodule_module)
@@ -69,14 +71,6 @@ class Facts:
 
     def idem_masks(self) -> dict:
         return idempotent_image_masks(self.end())
-
-    def chains(self, f_idx: int):
-        """(image chain as bitmasks, stabilization exponent) for
-        endomorphism f_idx."""
-        return image_chain(self.end(), f_idx)
-
-    def ker_chains(self, f_idx: int):
-        return kernel_chain(self.end(), f_idx)
 
     @cached
     def quotient(self, mask: int):
@@ -153,11 +147,9 @@ def decide_fitting(facts: Facts) -> Verdict:
     full = facts.module.order
     witnesses = {}
     for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
-        si, sk = len(imgs), len(kers)
         found = None
-        for n in range(1, max(si, sk) + 1):
-            im = imgs[min(n, si) - 1]
-            ker = kers[min(n, sk) - 1]
+        for n in range(1, max(len(imgs), len(kers)) + 1):
+            im, ker = chain_term(imgs, n), chain_term(kers, n)
             if (im & ker) == 1 and im.bit_count() * ker.bit_count() == full:
                 found = n
                 break
@@ -196,8 +188,8 @@ def _chain_stabilization(facts: Facts, kernels: bool) -> Verdict:
     """Always true for a finite module; witnesses record the exponent at
     which the image (kernel) chain of each endomorphism stabilizes."""
     powers = facts.end().powers
-    stab = powers.kernel_stab if kernels else powers.image_stab
-    return Verdict(True, dict(enumerate(stab)), None)
+    chains = powers.kernels if kernels else powers.images
+    return Verdict(True, dict(enumerate(map(len, chains))), None)
 
 
 def decide_strongly_co_hopfian(facts: Facts) -> Verdict:
@@ -290,10 +282,14 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
     end = facts.end()
     for sub in facts.lattice():
         quot, proj = facts.quotient(sub.mask)
-        lifted = set(map(tuple, proj.table_np[end.tables].tolist()))
-        for h in map(tuple, hom_set(facts.module, quot, facts.caps).tolist()):
-            if h not in lifted:
-                return Verdict(False, {}, (sub.mask, h))
+        homs = hom_set(facts.module, quot, facts.caps)
+        lifted = proj.table_np[end.tables]
+        # each lifted row is a map M -> M/N, so all of Hom(M, M/N) is lifted
+        # iff there are as many distinct lifted rows as maps
+        if len(set(map(bytes, lifted))) != len(homs):
+            lifted = set(map(tuple, lifted.tolist()))
+            h = next(h for h in map(tuple, homs.tolist()) if h not in lifted)
+            return Verdict(False, {}, (sub.mask, h))
     return Verdict(True, {}, None)
 
 

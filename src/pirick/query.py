@@ -54,7 +54,7 @@ class Query:
 
     __slots__ = ("text", "ast", "names")
 
-    def __init__(self, text: str, ast, names: frozenset):
+    def __init__(self, text: str, ast, names: set):
         self.text = text
         self.ast = ast
         self.names = names
@@ -155,7 +155,7 @@ def parse_query(text: str) -> Query:
     """Parse an expression; raises QueryParseError with a 1-based position."""
     parser = _Parser(text)
     ast = parser.parse()
-    return Query(text, ast, frozenset(parser.names))
+    return Query(text, ast, parser.names)
 
 
 def match_report(query: Query, report: PropertyReport):

@@ -324,14 +324,13 @@ def left_annihilator_key(ring: FiniteRing, a: int) -> bytes:
 
 @cached
 def principal_left_ideal_keys(ring: FiniteRing) -> dict:
-    """Map from canonical set-key of R*e to the smallest such idempotent e."""
+    """Map from the key of each R*e, in the form of `left_annihilator_key`,
+    to every idempotent e generating it, in ascending order."""
     out = {}
-    for e in ring_idempotents(ring):
+    for e in ring_idempotents(ring).tolist():
         member = np.zeros(ring.order, dtype=bool)
         member[ring.mul_np[:, e]] = True
-        key = np.packbits(member).tobytes()
-        if key not in out:
-            out[key] = int(e)
+        out.setdefault(np.packbits(member).tobytes(), []).append(e)
     return out
 
 
@@ -348,7 +347,7 @@ def is_generalized_left_pp(ring: FiniteRing) -> Verdict:
         for pos, an in enumerate(power_trail(ring, a)):
             key = left_annihilator_key(ring, an)
             if key in keys:
-                found = (pos + 1, keys[key])
+                found = (pos + 1, keys[key][0])
                 break
         if found is None:
             return Verdict(False, witnesses, counterexample=a)

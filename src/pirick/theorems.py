@@ -15,6 +15,13 @@ outcome is one of:
 Biconditional statements are split into directed sub-entries (id suffixes
 .1/.2) so a failure pinpoints the direction.  Entry ids such as "P2.2" are
 stable registry tokens used by the command-line interface.
+
+Entries read End(M) through the deciders' paths: the image and kernel
+chains of End(M).powers, with `chain_term` for a term past a chain's end;
+a left ideal of a ring as one packed key (`rings.left_annihilator_key`,
+`rings.principal_left_ideal_keys`); f^n as a term of `power_trail`.  Each
+derived object is built once per instance and caps: e*R is `Facts.inner`
+of the right regular module, and eRe comes from one cached corner helper.
 """
 
 from __future__ import annotations
@@ -25,16 +32,18 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
-from .homs import hom_set, image, left_annihilator, right_annihilator
-from .modules import (FiniteModule, Submodule, elems_mask, free_module,
+from .homs import (chain_term, hom_set, image, left_annihilator,
+                   right_annihilator)
+from .modules import (FiniteModule, elems_mask, free_module,
                       is_direct_summand, is_fully_invariant, radical,
-                      ring_as_module, socle, submodule_module)
+                      ring_as_module, socle)
 from .properties import (DECIDERS, Facts, is_epimorphism,
                          singular_nil_jacobson, small_image_endos)
 from .rings import (FiniteRing, Verdict, corner_ring, is_generalized_left_pp,
-                    is_pi_regular, is_strongly_pi_regular, matrix_ring,
-                    nil_radical_check, ring_idempotents, ring_neg,
-                    ring_predicates)
+                    is_pi_regular, is_strongly_pi_regular,
+                    left_annihilator_key, matrix_ring, nil_radical_check,
+                    power_trail, principal_left_ideal_keys, ring_idempotents,
+                    ring_neg, ring_predicates)
 
 HOLDS = "holds"
 NOT_MET = "hypothesis_not_met"
@@ -78,6 +87,13 @@ class InstanceContext:
     def free2(self) -> FiniteModule:
         return _free2(self.ring, self.caps)
 
+    def summand_ideal(self, e: int) -> FiniteModule:
+        """e*R for an idempotent e: the submodule of the right regular
+        module whose elements are row e of the multiplication table."""
+        reg = self.reg_module()
+        mask = elems_mask(self.ring.mul_np[e], reg.order)
+        return self.reg_facts().inner(mask)[0]
+
 
 @cached
 def _reg_module(ring: FiniteRing, caps: Caps) -> FiniteModule:
@@ -87,6 +103,12 @@ def _reg_module(ring: FiniteRing, caps: Caps) -> FiniteModule:
 @cached
 def _free2(ring: FiniteRing, caps: Caps) -> FiniteModule:
     return free_module(ring, 2, caps)
+
+
+@cached
+def _corner(ring: FiniteRing, e: int, caps: Caps) -> FiniteRing:
+    """The corner ring e*R*e."""
+    return corner_ring(ring, e, caps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -106,24 +128,9 @@ def _ring_check(ring: FiniteRing, kind: str) -> Verdict:
     return fn(ring)
 
 
-def _pow_index(end, f: int, n: int) -> int:
-    """Ring index of the n-th compositional power of endomorphism f."""
-    out = f
-    for _ in range(n - 1):
-        out = int(end.ring.mul_np[f, out])
-    return out
-
-
-def _l_ann_elem(ring: FiniteRing, x: int) -> frozenset:
-    """{g : g * x == 0} as a set of ring indices."""
-    return frozenset(np.nonzero(ring.mul_np[:, x] == 0)[0].tolist())
-
-
-@cached
-def _idem_principal_left(ring: FiniteRing) -> dict:
-    """Idempotent e -> the set S*e, for every idempotent of the ring."""
-    return {int(e): frozenset(np.unique(ring.mul_np[:, e]).tolist())
-            for e in ring_idempotents(ring).tolist()}
+def _nontrivial_idempotents(ring: FiniteRing) -> list:
+    return [e for e in ring_idempotents(ring).tolist()
+            if e not in (0, ring.one)]
 
 
 def _one_minus(ring: FiniteRing, e: int) -> int:
@@ -136,9 +143,15 @@ def _dual_pi_of(module: FiniteModule, caps: Caps) -> Verdict:
                                        DECIDERS["dual_pi_rickart"])
 
 
-def _right_ideal(reg: FiniteModule, ring: FiniteRing, e: int) -> Submodule:
-    """e*R inside the right regular module (element indices coincide)."""
-    return Submodule(reg, elems_mask(ring.mul_np[e, :], reg.order))
+def _first_not_dual_pi(labelled, caps: Caps):
+    """"<label>,f=<map>" for the first (label, module) pair whose module is
+    not dual pi-Rickart, else None.  Pairs are taken lazily, in order, so
+    no module after the first failure is built."""
+    for label, module in labelled:
+        v = _dual_pi_of(module, caps)
+        if not v.holds:
+            return f"{label},f={v.counterexample}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +306,8 @@ def _chk_l2_9(ctx):
         only_a = sorted(idem_route - complement_route)
         only_b = sorted(complement_route - idem_route)
         return VIOLATION, f"idem_only={len(only_a)},complement_only={len(only_b)}"
-    end = facts.end()
     checked = 0
-    for f in range(end.ring.order):
-        imgs, _ = facts.chains(f)
+    for f, imgs in enumerate(facts.end().powers.images):
         for im in imgs:
             if (im in idem_route) != (im in complement_route):
                 return VIOLATION, f"f={f}"
@@ -309,31 +320,19 @@ def _chk_p2_11(ctx):
     if not _prop(facts, "dual_pi_rickart").holds:
         return NOT_MET, "-"
     end = facts.end()
-    checked = 0
-    for e in ring_idempotents(end.ring).tolist():
-        if e in (0, end.ring.one):
-            continue
-        inner, _ = facts.inner(image(end, e))
-        v = _dual_pi_of(inner, ctx.caps)
-        if not v.holds:
-            return VIOLATION, f"e={e},f={v.counterexample}"
-        checked += 1
-    return HOLDS, f"summands={checked}"
+    idems = _nontrivial_idempotents(end.ring)
+    bad = _first_not_dual_pi(((f"e={e}", facts.inner(image(end, e))[0])
+                              for e in idems), ctx.caps)
+    return (VIOLATION, bad) if bad else (HOLDS, f"summands={len(idems)}")
 
 
 def _chk_c2_12(ctx):
     if not _ring_check(ctx.ring, "pi_regular").holds:
         return NOT_MET, "-"
-    reg = ctx.reg_module()
-    checked = 0
-    for e in ring_idempotents(ctx.ring).tolist():
-        sub = _right_ideal(reg, ctx.ring, int(e))
-        inner, _ = submodule_module(sub, ctx.caps)
-        v = _dual_pi_of(inner, ctx.caps)
-        if not v.holds:
-            return VIOLATION, f"e={e},f={v.counterexample}"
-        checked += 1
-    return HOLDS, f"ideals={checked}"
+    idems = ring_idempotents(ctx.ring).tolist()
+    bad = _first_not_dual_pi(((f"e={e}", ctx.summand_ideal(e))
+                              for e in idems), ctx.caps)
+    return (VIOLATION, bad) if bad else (HOLDS, f"ideals={len(idems)}")
 
 
 def _chk_c2_13(ctx):
@@ -341,25 +340,21 @@ def _chk_c2_13(ctx):
     if not _ring_check(ring, "pi_regular").holds:
         return NOT_MET, "-"
     mul = ring.mul_np
-    centrals = [int(e) for e in ring_idempotents(ring).tolist()
-                if e not in (0, ring.one)
-                and np.array_equal(mul[e, :], mul[:, e])]
+    centrals = [e for e in _nontrivial_idempotents(ring)
+                if np.array_equal(mul[e, :], mul[:, e])]
     if not centrals:
         return NOT_MET, "no nontrivial central idempotent"
     for c in centrals:
         for piece in (c, _one_minus(ring, c)):
-            corner, _ = corner_ring(ring, piece, ctx.caps)
-            if not is_pi_regular(corner).holds:
+            if not _ring_check(_corner(ring, piece, ctx.caps),
+                               "pi_regular").holds:
                 return VIOLATION, f"c={c},corner_at={piece}"
     return HOLDS, f"decompositions={len(centrals)}"
 
 
 def _chk_t2_14_2(ctx):
-    reg = ctx.reg_module()
     for e in ring_idempotents(ctx.ring).tolist():
-        sub = _right_ideal(reg, ctx.ring, int(e))
-        inner, _ = submodule_module(sub, ctx.caps)
-        if not _dual_pi_of(inner, ctx.caps).holds:
+        if not _dual_pi_of(ctx.summand_ideal(e), ctx.caps).holds:
             return NOT_MET, f"e={e}"
     v = _ring_check(ctx.ring, "pi_regular")
     if not v.holds:
@@ -372,24 +367,18 @@ def _chk_t2_15(ctx):
     if ring.order ** 4 > ctx.caps.matrix_check:
         raise SizeCapExceeded("rank-2 endomorphism ring", ring.order ** 4,
                               ctx.caps.matrix_check)
-    checked = 0
-    for rank in (1, 2):
-        mod = ctx.reg_module() if rank == 1 else ctx.free2()
-        v = _dual_pi_of(mod, ctx.caps)
-        if not v.holds:
-            return VIOLATION, f"rank={rank},f={v.counterexample}"
-        checked += 1
-    mod = ctx.free2()
-    facts = Facts(mod, ctx.caps)
+    bad = _first_not_dual_pi(
+        ((f"rank={rank}", ctx.reg_module() if rank == 1 else ctx.free2())
+         for rank in (1, 2)), ctx.caps)
+    if bad:
+        return VIOLATION, bad
+    facts = Facts(ctx.free2(), ctx.caps)
     end = facts.end()
-    for e in ring_idempotents(end.ring).tolist():
-        if e in (0, end.ring.one):
-            continue
-        inner, _ = facts.inner(image(end, e))
-        if not _dual_pi_of(inner, ctx.caps).holds:
+    idems = _nontrivial_idempotents(end.ring)
+    for e in idems:
+        if not _dual_pi_of(facts.inner(image(end, e))[0], ctx.caps).holds:
             return VIOLATION, f"rank=2,e={e}"
-        checked += 1
-    return HOLDS, f"modules={checked}"
+    return HOLDS, f"modules={2 + len(idems)}"
 
 
 def _chk_l2_16(ctx):
@@ -400,12 +389,11 @@ def _chk_l2_16(ctx):
                if np.array_equal(mul[e, :], mul[:, e])]
     central_masks = {image(end, e) for e in central}
     checked = 0
-    for f in range(end.ring.order):
-        imgs, stab = facts.chains(f)
+    for f, imgs in enumerate(end.powers.images):
         for n, im in enumerate(imgs, start=1):
             if im not in central_masks:
                 continue
-            if imgs[min(n + 1, stab) - 1] != im:
+            if chain_term(imgs, n + 1) != im:
                 return VIOLATION, f"f={f},n={n}"
             checked += 1
     if checked == 0:
@@ -417,10 +405,8 @@ def _chk_p2_17(ctx):
     facts = ctx.facts()
     end = facts.end()
     fired = None
-    for e in ring_idempotents(end.ring).tolist():
-        if e in (0, end.ring.one):
-            continue
-        comp = _one_minus(end.ring, int(e))
+    for e in _nontrivial_idempotents(end.ring):
+        comp = _one_minus(end.ring, e)
         m1, _ = facts.inner(image(end, e))
         m2, _ = facts.inner(image(end, comp))
         f1, f2 = Facts(m1, ctx.caps), Facts(m2, ctx.caps)
@@ -433,7 +419,7 @@ def _chk_p2_17(ctx):
             continue
         if len(hom_set(m2, m1, ctx.caps)) != 1:
             continue
-        fired = int(e)
+        fired = e
         break
     if fired is None:
         return NOT_MET, "no qualifying decomposition"
@@ -498,35 +484,32 @@ def _chk_l3_1(ctx):
     if not v.holds:
         return NOT_MET, "-"
     end = facts.end()
-    g = _ring_check(end.ring, "gen_left_pp")
+    ring = end.ring
+    g = _ring_check(ring, "gen_left_pp")
     if not g.holds:
         return VIOLATION, f"a={g.counterexample}"
-    pli = _idem_principal_left(end.ring)
+    principal = principal_left_ideal_keys(ring)
     for f, (n, e) in v.witnesses.items():
-        im = facts.sub(facts.chains(f)[0][n - 1])
-        ann_module = frozenset(left_annihilator(end, im.elems).tolist())
-        ann_elem = _l_ann_elem(end.ring, _pow_index(end, f, n))
-        comp = _one_minus(end.ring, e)
-        principal = pli[comp] if comp in pli else frozenset(
-            np.unique(end.ring.mul_np[:, comp]).tolist())
-        if not (ann_module == ann_elem == principal):
+        fn = power_trail(ring, f)[n - 1]
+        im = facts.sub(end.powers.images[f][n - 1])
+        # l_M(f^n M) == l_S(f^n) == S(1 - e)
+        if not (np.array_equal(left_annihilator(end, im.elems),
+                               np.flatnonzero(ring.mul_np[:, fn] == 0))
+                and _one_minus(ring, e) in
+                principal.get(left_annihilator_key(ring, fn), ())):
             return VIOLATION, f"f={f},n={n}"
-    return HOLDS, f"maps={end.ring.order}"
+    return HOLDS, f"maps={ring.order}"
 
 
 def _chk_c3_2(ctx):
     if not _ring_check(ctx.ring, "pi_regular").holds:
         return NOT_MET, "-"
-    checked = 0
-    for e in ring_idempotents(ctx.ring).tolist():
-        if e == 0:
-            continue
-        corner, _ = corner_ring(ctx.ring, int(e), ctx.caps)
-        g = is_generalized_left_pp(corner)
+    idems = [e for e in ring_idempotents(ctx.ring).tolist() if e]
+    for e in idems:
+        g = _ring_check(_corner(ctx.ring, e, ctx.caps), "gen_left_pp")
         if not g.holds:
             return VIOLATION, f"e={e},a={g.counterexample}"
-        checked += 1
-    return HOLDS, f"corners={checked}"
+    return HOLDS, f"corners={len(idems)}"
 
 
 def _chk_c3_3(ctx):
@@ -534,30 +517,32 @@ def _chk_c3_3(ctx):
     v = _prop(facts, "dual_pi_rickart")
     if not v.holds:
         return NOT_MET, "-"
-    end = facts.end()
-    pli = _idem_principal_left(end.ring)
+    ring = facts.end().ring
+    principal = principal_left_ideal_keys(ring)
     for f, (n, _) in v.witnesses.items():
-        ann = _l_ann_elem(end.ring, _pow_index(end, f, n))
-        if not any(s == ann for s in pli.values()):
+        fn = power_trail(ring, f)[n - 1]
+        if left_annihilator_key(ring, fn) not in principal:
             return VIOLATION, f"f={f},n={n}"
-    return HOLDS, f"maps={end.ring.order}"
+    return HOLDS, f"maps={ring.order}"
 
 
 def _chk_t3_4_1(ctx):
     facts = ctx.facts()
     end = facts.end()
-    pli = _idem_principal_left(end.ring)
+    ring = end.ring
+    principal = principal_left_ideal_keys(ring)
     checked = 0
-    for f in range(end.ring.order):
-        imgs, stab = facts.chains(f)
-        for n in range(1, stab + 1):
-            ann = _l_ann_elem(end.ring, _pow_index(end, f, n))
-            hits = [e for e, s in pli.items() if s == ann]
+    for f, imgs in enumerate(end.powers.images):
+        # n runs up to len(imgs), which is at most len(trail)
+        trail = power_trail(ring, f)
+        for n, fn in enumerate(trail[:len(imgs)], start=1):
+            hits = principal.get(left_annihilator_key(ring, fn), ())
             if not hits:
                 continue
-            inter = right_annihilator(end, sorted(ann))
+            inter = right_annihilator(
+                end, np.flatnonzero(ring.mul_np[:, fn] == 0))
             for e in hits:
-                if inter.mask != image(end, _one_minus(end.ring, e)):
+                if inter.mask != image(end, _one_minus(ring, e)):
                     return VIOLATION, f"f={f},n={n},e={e}"
                 checked += 1
     if checked == 0:
@@ -579,14 +564,11 @@ def _chk_l3_6(ctx):
 def _both_summand_exponent(facts: Facts, f: int):
     """Smallest n with Ker f^n and Im f^n both idempotent images."""
     masks = facts.idem_masks()
-    imgs, si = facts.chains(f)
-    kers, sk = facts.ker_chains(f)
-    for n in range(1, max(si, sk) + 1):
-        im = imgs[min(n, si) - 1]
-        ker = kers[min(n, sk) - 1]
-        if im in masks and ker in masks:
-            return n
-    return None
+    powers = facts.end().powers
+    imgs, kers = powers.images[f], powers.kernels[f]
+    return next((n for n in range(1, max(len(imgs), len(kers)) + 1)
+                 if chain_term(imgs, n) in masks
+                 and chain_term(kers, n) in masks), None)
 
 
 def _chk_l3_9_1(ctx):
@@ -618,15 +600,12 @@ def _chk_l3_9_2(ctx):
 def _chk_l3_10_1(ctx):
     if not _ring_check(ctx.ring, "pi_regular").holds:
         return NOT_MET, "-"
-    checked = 0
-    for e in ring_idempotents(ctx.ring).tolist():
-        if e == 0:
-            continue
-        corner, _ = corner_ring(ctx.ring, int(e), ctx.caps)
-        if not is_pi_regular(corner).holds:
+    idems = [e for e in ring_idempotents(ctx.ring).tolist() if e]
+    for e in idems:
+        if not _ring_check(_corner(ctx.ring, e, ctx.caps),
+                           "pi_regular").holds:
             return VIOLATION, f"e={e}"
-        checked += 1
-    return HOLDS, f"corners={checked}"
+    return HOLDS, f"corners={len(idems)}"
 
 
 @cached
@@ -668,19 +647,11 @@ def _chk_p3_11(ctx):
     mod = ctx.free2()
     facts = Facts(mod, ctx.caps)
     end = facts.end()
-    checked = 0
-    for e in ring_idempotents(end.ring).tolist():
-        if e == 0:
-            continue
-        if e == end.ring.one:
-            v = _prop(facts, "dual_pi_rickart")
-        else:
-            inner, _ = facts.inner(image(end, e))
-            v = _dual_pi_of(inner, ctx.caps)
-        if not v.holds:
-            return VIOLATION, f"e={e},f={v.counterexample}"
-        checked += 1
-    return HOLDS, f"projectives={checked}"
+    idems = [e for e in ring_idempotents(end.ring).tolist() if e]
+    bad = _first_not_dual_pi(
+        ((f"e={e}", mod if e == end.ring.one
+          else facts.inner(image(end, e))[0]) for e in idems), ctx.caps)
+    return (VIOLATION, bad) if bad else (HOLDS, f"projectives={len(idems)}")
 
 
 def _chk_c3_15(ctx):
@@ -688,17 +659,12 @@ def _chk_c3_15(ctx):
     if not (_prop(facts, "quasi_projective").holds
             and _prop(facts, "dual_pi_rickart").holds):
         return NOT_MET, "-"
-    end = facts.end()
-    checked = 0
-    for sub in facts.lattice():
-        if not is_fully_invariant(sub, end.tables):
-            continue
-        quot, _ = facts.quotient(sub.mask)
-        v = _dual_pi_of(quot, ctx.caps)
-        if not v.holds:
-            return VIOLATION, f"N={sub.size},f={v.counterexample}"
-        checked += 1
-    return HOLDS, f"quotients={checked}"
+    tables = facts.end().tables
+    subs = [sub for sub in facts.lattice()
+            if is_fully_invariant(sub, tables)]
+    bad = _first_not_dual_pi(((f"N={sub.size}", facts.quotient(sub.mask)[0])
+                              for sub in subs), ctx.caps)
+    return (VIOLATION, bad) if bad else (HOLDS, f"quotients={len(subs)}")
 
 
 def _chk_c3_16(ctx):
@@ -707,14 +673,10 @@ def _chk_c3_16(ctx):
             and _prop(facts, "duo").holds
             and _prop(facts, "dual_pi_rickart").holds):
         return NOT_MET, "-"
-    checked = 0
-    for sub in facts.lattice():
-        quot, _ = facts.quotient(sub.mask)
-        v = _dual_pi_of(quot, ctx.caps)
-        if not v.holds:
-            return VIOLATION, f"N={sub.size},f={v.counterexample}"
-        checked += 1
-    return HOLDS, f"quotients={checked}"
+    subs = facts.lattice()
+    bad = _first_not_dual_pi(((f"N={sub.size}", facts.quotient(sub.mask)[0])
+                              for sub in subs), ctx.caps)
+    return (VIOLATION, bad) if bad else (HOLDS, f"quotients={len(subs)}")
 
 
 def _chk_c3_17(ctx):
@@ -724,11 +686,11 @@ def _chk_c3_17(ctx):
         return NOT_MET, "-"
     rad = radical(facts.module, ctx.caps)
     soc = socle(facts.module, ctx.caps)
-    for label, sub in (("rad", rad), ("soc", soc)):
-        quot, _ = facts.quotient(sub.mask)
-        v = _dual_pi_of(quot, ctx.caps)
-        if not v.holds:
-            return VIOLATION, f"{label},f={v.counterexample}"
+    quotients = ((label, facts.quotient(sub.mask)[0])
+                 for label, sub in (("rad", rad), ("soc", soc)))
+    bad = _first_not_dual_pi(quotients, ctx.caps)
+    if bad:
+        return VIOLATION, bad
     return HOLDS, f"|rad|={rad.size},|soc|={soc.size}"
 
 
@@ -745,10 +707,9 @@ def _chk_p3_18(ctx):
 
 def _annihilator_equality(facts: Facts, f: int, n: int) -> bool:
     end = facts.end()
-    imgs, stab = facts.chains(f)
-    im = imgs[min(n, stab) - 1]
+    im = chain_term(end.powers.images[f], n)
     ann = left_annihilator(end, facts.sub(im).elems)
-    return right_annihilator(end, ann.tolist()).mask == im
+    return right_annihilator(end, ann).mask == im
 
 
 def _chk_t3_19_1(ctx):
@@ -770,17 +731,12 @@ def _chk_t3_19_2(ctx):
     end = facts.end()
     if not _ring_check(end.ring, "gen_left_pp").holds:
         return NOT_MET, "gen_left_pp false"
-    pli = _idem_principal_left(end.ring)
-    for f in range(end.ring.order):
-        _, stab = facts.chains(f)
-        good = None
-        for n in range(1, stab + 1):
-            ann = _l_ann_elem(end.ring, _pow_index(end, f, n))
-            if any(s == ann for s in pli.values()) \
-                    and _annihilator_equality(facts, f, n):
-                good = n
-                break
-        if good is None:
+    principal = principal_left_ideal_keys(end.ring)
+    for f, imgs in enumerate(end.powers.images):
+        trail = power_trail(end.ring, f)
+        if not any(left_annihilator_key(end.ring, fn) in principal
+                   and _annihilator_equality(facts, f, n)
+                   for n, fn in enumerate(trail[:len(imgs)], start=1)):
             return NOT_MET, f"f={f}"
     v = _prop(facts, "dual_pi_rickart")
     if not v.holds:
@@ -794,9 +750,9 @@ def _chk_t3_19c_1(ctx):
     if not v.holds:
         return NOT_MET, "-"
     masks = facts.idem_masks()
+    images = facts.end().powers.images
     for f, (n, _) in v.witnesses.items():
-        imgs, stab = facts.chains(f)
-        im = imgs[min(n, stab) - 1]
+        im = chain_term(images[f], n)
         if not _annihilator_equality(facts, f, n) or im not in masks:
             return VIOLATION, f"f={f},n={n}"
     return HOLDS, "-"
@@ -804,17 +760,10 @@ def _chk_t3_19c_1(ctx):
 
 def _chk_t3_19c_2(ctx):
     facts = ctx.facts()
-    end = facts.end()
     masks = facts.idem_masks()
-    for f in range(end.ring.order):
-        imgs, stab = facts.chains(f)
-        good = None
-        for n in range(1, stab + 1):
-            im = imgs[n - 1]
-            if im in masks and _annihilator_equality(facts, f, n):
-                good = n
-                break
-        if good is None:
+    for f, imgs in enumerate(facts.end().powers.images):
+        if not any(im in masks and _annihilator_equality(facts, f, n)
+                   for n, im in enumerate(imgs, start=1)):
             return NOT_MET, f"f={f}"
     v = _prop(facts, "dual_pi_rickart")
     if not v.holds:
@@ -843,8 +792,7 @@ def _chk_p3_21_1(ctx):
     epis = nilps = 0
     for f in range(end.ring.order):
         epi = is_epimorphism(end.tables[f])
-        imgs, _ = facts.chains(f)
-        nilp = imgs[-1] == 1
+        nilp = end.powers.images[f][-1] == 1
         if not (epi or nilp):
             return VIOLATION, f"f={f} neither"
         if epi and nilp and facts.module.order > 1:
@@ -857,8 +805,7 @@ def _chk_p3_21_1(ctx):
 def _chk_p3_21_2(ctx):
     facts = ctx.facts()
     end = facts.end()
-    for f in range(end.ring.order):
-        imgs, _ = facts.chains(f)
+    for f, imgs in enumerate(end.powers.images):
         if not (is_epimorphism(end.tables[f]) or imgs[-1] == 1):
             return NOT_MET, f"f={f}"
     problems = []

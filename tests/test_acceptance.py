@@ -318,8 +318,7 @@ def test_criterion_09_epi_or_nilpotent(module_instances, reports, announce):
         end = facts.end()
         for f in range(end.ring.order):
             epi = is_epimorphism(end.tables[f])
-            imgs, _ = facts.chains(f)
-            nilpotent = imgs[-1] == 1
+            nilpotent = end.powers.images[f][-1] == 1
             classified += 1
             if not (epi or nilpotent):
                 unclassified += 1

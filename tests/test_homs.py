@@ -9,8 +9,8 @@ from pirick import homs
 from pirick.caps import caps_from_env
 from pirick.errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from pirick.families import ex23_module, zmod
-from pirick.homs import (ModuleMap, end_ring, hom_set, idempotent_image_masks,
-                         image, image_chain, is_indecomposable, kernel_chain,
+from pirick.homs import (ModuleMap, chain_term, end_ring, hom_set,
+                         idempotent_image_masks, image, is_indecomposable,
                          left_annihilator, power_chains, right_annihilator)
 from pirick.modules import (Submodule, all_submodules, free_module,
                             ring_as_module)
@@ -79,20 +79,23 @@ def test_image_and_kernel(z4_reg):
     end = end_ring(z4_reg, CAPS)
     doubling = _row(end, [0, 2, 0, 2])
     assert Submodule(z4_reg, image(end, doubling)).elems == (0, 2)
-    kers, _ = kernel_chain(end, doubling)
+    kers = end.powers.kernels[doubling]
     assert Submodule(z4_reg, kers[0]).elems == (0, 2)
 
 
 def test_chains_stabilize(z4_reg):
     end = end_ring(z4_reg, CAPS)
     doubling = _row(end, [0, 2, 0, 2])
-    imgs, s = image_chain(end, doubling)
+    imgs = end.powers.images[doubling]
     assert [Submodule(z4_reg, i).elems for i in imgs] == [(0, 2), (0,)]
-    assert s == 2
-    kers, t = kernel_chain(end, doubling)
+    assert len(imgs) == 2
+    kers = end.powers.kernels[doubling]
     assert [Submodule(z4_reg, k).elems for k in kers] == \
         [(0, 2), (0, 1, 2, 3)]
-    assert t == 2
+    assert len(kers) == 2
+    # past the end of a chain every term is the stable one
+    assert [chain_term(imgs, n) for n in (1, 2, 3, 9)] == \
+        [imgs[0], imgs[1], imgs[1], imgs[1]]
     # nilpotent of index 2: the stable image is zero
     assert imgs[-1] == 1 and len(imgs) == 2
 
@@ -110,7 +113,7 @@ def test_power_chains_match_powers_taken_one_at_a_time(ex23):
         t = next(n for n in range(1, len(kers)) if kers[n] == kers[n - 1])
         assert chains.images[i] == tuple(imgs[:s])
         assert chains.kernels[i] == tuple(kers[:t])
-        assert (chains.image_stab[i], chains.kernel_stab[i]) == (s, t)
+        assert (len(chains.images[i]), len(chains.kernels[i])) == (s, t)
 
 
 def test_annihilators(ex23):

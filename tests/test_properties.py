@@ -8,7 +8,8 @@ import pirick.properties as properties
 from pirick.caps import Caps, caps_from_env
 from pirick.errors import SizeCapExceeded
 from pirick.families import ex23_module, zmod
-from pirick.homs import end_ring
+from pirick.homs import end_ring, hom_set
+from pirick.io import parse_module
 from pirick.modules import ring_as_module
 from pirick.properties import (DECIDERS, Facts, PROPERTY_ORDER, analyze,
                                is_epimorphism, left_singular_ideal,
@@ -172,3 +173,19 @@ def test_left_singular_ideal_respects_caps():
     assert left_singular_ideal(ring, CAPS).tolist() == [0, 6]
     with pytest.raises(SizeCapExceeded):
         left_singular_ideal(ring, Caps(lattice=4))
+
+
+def test_quasi_projective_names_the_first_map_that_does_not_lift(z4):
+    # Z2 + Z4 over Z4: the corpus has no module that is not quasi-projective
+    module = parse_module("z2xz4.mod", {"z4": z4}, CAPS, text=(
+        "module z2xz4 over z4\nadd 2 4\nact 1 1 1 0\nact 1 2 0 1\nend\n"))
+    facts = Facts(module, CAPS)
+    v = facts.verdict("quasi_projective", DECIDERS["quasi_projective"])
+    assert (v.holds, v.counterexample) == \
+        (False, (5, (0, 0, 0, 0, 2, 2, 2, 2)))
+    mask, h = v.counterexample
+    quot, proj = facts.quotient(mask)
+    tables = end_ring(module, CAPS).tables
+    lifted = {tuple(row) for row in proj.table_np[tables].tolist()}
+    homs = [tuple(row) for row in hom_set(module, quot, CAPS).tolist()]
+    assert h == next(g for g in homs if g not in lifted)

@@ -83,6 +83,26 @@ def test_generalized_left_pp_witnesses():
     assert ln == gen
 
 
+def test_principal_left_ideal_keys_list_every_idempotent():
+    t2z2 = triangular_ring(zmod(2), 2, CAPS)
+    keys = rings.principal_left_ideal_keys(t2z2)
+    listed = [e for es in keys.values() for e in es]
+    assert sorted(listed) == ring_idempotents(t2z2).tolist()
+    for key, es in keys.items():
+        assert es == sorted(es)
+        # R*e as a set is the column e of the table
+        assert all(set(t2z2.mul_np[:, e].tolist())
+                   == set(t2z2.mul_np[:, es[0]].tolist()) for e in es)
+        assert key == np.packbits(np.isin(np.arange(t2z2.order),
+                                          t2z2.mul_np[:, es[0]])).tobytes()
+    assert len(keys) < len(listed)       # some R*e has two generators
+    # generalized left pp names the smallest idempotent of its key
+    v = is_generalized_left_pp(t2z2)
+    assert all(e == keys[rings.left_annihilator_key(
+        t2z2, power_trail(t2z2, a)[n - 1])][0]
+        for a, (n, e) in v.witnesses.items())
+
+
 def test_jacobson_radical():
     assert jacobson_radical(zmod(4)).tolist() == [0, 2]
     assert jacobson_radical(zmod(6)).tolist() == [0]

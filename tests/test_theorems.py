@@ -1,17 +1,22 @@
 """Implication registry: expansion, scoping, statuses, summaries."""
 
+import pathlib
+
 import pytest
 
-from pirick import theorems
+from pirick import homs, modules, properties, rings, theorems
 from pirick.caps import Caps, caps_from_env
 from pirick.errors import UnknownTheorem
 from pirick.families import ex23_module, ex23_ring, zmod
-from pirick.modules import ring_as_module
+from pirick.io import parse_ring
+from pirick.modules import elems_mask, ring_as_module
+from pirick.rings import Verdict, ring_idempotents
 from pirick.theorems import (HOLDS, InstanceContext, NOT_MET, REGISTRY,
                              SKIPPED, VIOLATION, expand_ids, summarize,
                              verify, verify_all)
 
 CAPS = caps_from_env()
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _ring_ctx(ring, name=None):
@@ -190,3 +195,59 @@ def test_equivalence_witnesses(monkeypatch):
     got, asked = _run_stubbed(monkeypatch, "C2.8", {
         "c2": (False, None)})
     assert got == (NOT_MET, "-") and asked == ["c2"]
+
+
+def test_each_dual_pi_loop_names_the_first_failure(monkeypatch):
+    # z4 has the idempotents 0 and 1; only 1*R has order 4
+    monkeypatch.setattr(theorems, "_dual_pi_of",
+                        lambda module, caps: Verdict(module.order != 4, {}, 9))
+    ctx = _ring_ctx(zmod(4))
+    assert REGISTRY["C2.12"].check(ctx) == (VIOLATION, "e=1,f=9")
+    assert REGISTRY["T2.15"].check(ctx) == (VIOLATION, "rank=1,f=9")
+
+
+# ---------------------------------------------------------------------------
+# derived objects of a ring instance: built once, whatever ran before
+# ---------------------------------------------------------------------------
+
+
+def _fresh_ring(name):
+    """The corpus ring, parsed again: a new object with empty memos."""
+    return parse_ring(CORPUS / f"{name}.ring", CAPS)
+
+
+def _count_calls(monkeypatch, fn):
+    """The arguments of every call of fn, wherever pirick binds it."""
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in (homs, modules, properties, rings, theorems):
+        if getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["t2z2", "z12"])
+def test_each_summand_ideal_and_corner_is_built_once(monkeypatch, name):
+    ring = _fresh_ring(name)
+    ctx = _ring_ctx(ring)
+    idems = ring_idempotents(ring).tolist()
+    built = _count_calls(monkeypatch, modules.submodule_module)
+    verdicts = verify_all(ctx, ["C2.12", "T2.14.1", "T2.14.2"])
+    assert [v.status for v in verdicts] == [HOLDS] * 3
+    ideals = {elems_mask(ring.mul_np[e], ring.order) for e in idems}
+    assert sorted(sub.mask for sub, *_ in built) == sorted(ideals)
+    corners = _count_calls(monkeypatch, rings.corner_ring)
+    verify_all(ctx, ["C2.13", "C3.2", "L3.10.1"])
+    assert sorted(e for _, e, *_ in corners) == [e for e in idems if e]
+
+
+@pytest.mark.parametrize("name", ["z12", "t2z2", "m2z2", "z2xz3"])
+def test_ring_entries_do_not_depend_on_what_ran_before(name):
+    shared = verify_all(_ring_ctx(_fresh_ring(name)))
+    alone = [v for tid in expand_ids() if REGISTRY[tid].scope == "ring"
+             for v in verify_all(_ring_ctx(_fresh_ring(name)), [tid])]
+    assert alone == shared

@@ -13,12 +13,17 @@ map with the largest (exponent or idempotent, index), its smallest
 sufficient exponent n and the smallest-index idempotent e realizing it; a
 negative `f=` witness is the first map for which no idempotent realizes
 any term.
+
+The `P2.2.1` witnesses `a=,n=,x=` of the `verify corpus` reference are
+re-verified the same way, from the multiplication table alone, rebuilt in
+plain Python from the `.ring` text.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import pathlib
 import re
 
@@ -26,7 +31,9 @@ import pytest
 
 from pirick.cli import main
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+VERIFY_REFERENCE = ROOT / "perfbench" / "reference" / "verify_corpus.out"
 MODULES = sorted(CORPUS.glob("*.mod"))
 IDEMPOTENT_GENERATED = ("dual_rickart", "dual_pi_rickart", "rickart",
                         "pi_rickart")
@@ -242,3 +249,82 @@ def test_witness_with_the_next_idempotent_is_rejected(loaded):
             assert check(end, prop, status, bad), (name, prop, bad)
             mutated += 1
     assert mutated == 43
+
+
+# ---------------------------------------------------------------------------
+# P2.2.1: a dual pi-Rickart regular module makes the ring pi-regular
+# ---------------------------------------------------------------------------
+
+
+def ring_table(text: str) -> list:
+    """The multiplication table of a `.ring` file: elements are coordinate
+    tuples in lexicographic order, and products of basis elements extend
+    bilinearly."""
+    rows = [line.split("#")[0].split() for line in text.splitlines()]
+    rows = [row for row in rows if row]
+    factors = [int(n) for n in rows[1][1:]]
+    products = {(int(i) - 1, int(j) - 1): [int(c) for c in coords]
+                for _, i, j, *coords in (r for r in rows if r[0] == "mul")}
+    elems = list(itertools.product(*map(range, factors)))
+    index = {x: i for i, x in enumerate(elems)}
+
+    def mul(x, y):
+        out = [0] * len(factors)
+        for (i, j), coords in products.items():
+            for t, c in enumerate(coords):
+                out[t] += x[i] * y[j] * c
+        return index[tuple(v % n for v, n in zip(out, factors))]
+
+    return [[mul(x, y) for y in elems] for x in elems]
+
+
+def pi_regular_witness(mul: list, a: int):
+    """(smallest n, smallest x) with a^n x a^n == a^n, or None; every power
+    of a is one of its distinct powers a, a^2, ..."""
+    power, seen = a, []
+    while power not in seen:
+        seen.append(power)
+        x = next((x for x in range(len(mul))
+                  if mul[mul[power][x]][power] == power), None)
+        if x is not None:
+            return len(seen), x
+        power = mul[power][a]
+    return None
+
+
+def check_p2_2_1(mul: list, a: int, n: int, x: int) -> list:
+    """Problems with the witness a=,n=,x= of a pi-regular ring; [] if none."""
+    power = a
+    for _ in range(n - 1):
+        power = mul[power][a]
+    out = []
+    if mul[mul[power][x]][power] != power:
+        out.append(f"a^n x a^n != a^n for a={a},n={n},x={x}")
+    best = pi_regular_witness(mul, a)
+    if best is not None and best[0] != n:
+        out.append(f"smallest exponent of a={a} is {best[0]}, not {n}")
+    elif best is not None and best[1] != x:
+        out.append(f"x={best[1]} < x={x} works too")
+    exponents = [pi_regular_witness(mul, b) for b in range(len(mul))]
+    if None in exponents:
+        return out + [f"a={exponents.index(None)} has no exponent"]
+    largest = max(range(len(mul)), key=lambda b: (exponents[b][0], b))
+    if largest != a:
+        out.append(f"a={largest} is the largest, not a={a}")
+    return out
+
+
+def test_p2_2_1_witnesses_recheck_from_the_ring_tables():
+    lines = [line.split("\t") for line in
+             VERIFY_REFERENCE.read_text(encoding="utf-8").splitlines()]
+    witnesses = {name: w for name, tid, status, w in
+                 (line for line in lines if len(line) == 4)
+                 if tid == "P2.2.1" and status == "holds"}
+    assert len(witnesses) == len(list(CORPUS.glob("*.ring"))) == 26
+    for name, w in witnesses.items():
+        mul = ring_table((CORPUS / f"{name}.ring").read_text())
+        a, n, x = (int(v) for v in re.fullmatch(r"a=(\d+),n=(\d+),x=(\d+)",
+                                                 w).groups())
+        assert check_p2_2_1(mul, a, n, x) == [], name
+        shifted = (x + 1) % len(mul)
+        assert check_p2_2_1(mul, a, n, shifted), (name, shifted)
