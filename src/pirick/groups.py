@@ -15,7 +15,6 @@ quotient modules and submodule modules acquire coordinates.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,23 +72,8 @@ class FinAbGroup:
 
     # -- arithmetic --------------------------------------------------------
 
-    def add(self, i: int, j: int) -> int:
-        a, b = self.tuple_of(i), self.tuple_of(j)
-        return self.index_of(x + y for x, y in zip(a, b))
-
-    def neg(self, i: int) -> int:
-        return self.index_of(-x for x in self.tuple_of(i))
-
     def scale(self, i: int, k: int) -> int:
         return self.index_of(k * x for x in self.tuple_of(i))
-
-    def element_order(self, i: int) -> int:
-        """Additive order of element i (1 for the zero element)."""
-        out = 1
-        for c, n in zip(self.tuple_of(i), self.factors):
-            if c:
-                out = math.lcm(out, n // math.gcd(n, c))
-        return out
 
     # -- bulk tables -------------------------------------------------------
 
@@ -130,9 +114,6 @@ class FinAbGroup:
         return (((-coords) % facs) * strides).sum(axis=1).astype(np.int32)
 
     # -- misc ----------------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:
         return f"FinAbGroup{self.factors}"

@@ -3,7 +3,9 @@
 hom_set enumerates Hom(M, N) exactly: a generating set of M is chosen, the
 assignments of generator images are expanded, a block at a time, to full
 tables along a fixed derivation plan, and a table is kept iff it validates;
-the result is one (count, |M|) array.  end_ring re-equips Hom(M, M) with
+the result is one (count, |M|) array.  Isomorphism is decided from the
+same enumeration: find_isomorphism returns the first bijective row of
+hom_set, after cheap invariant checks.  end_ring re-equips Hom(M, M) with
 composition as a FiniteRing (via a cyclic decomposition of its additive
 group), giving every ring-theoretic tool access to End(M).
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
-from .groups import group_embedding
+from .groups import elementary_divisors, group_embedding
 from .modules import (FiniteModule, Submodule, masks, module_generators,
                       same_ring)
 from .rings import FiniteRing, ring_idempotents, ring_make
@@ -156,6 +158,33 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
         ok &= (t[:, act_d] == act_c[t, :]).all(axis=(1, 2))
         kept.append(t[ok])
     return np.concatenate(kept)
+
+
+def find_isomorphism(m1: FiniteModule, m2: FiniteModule,
+                     caps: Caps = DEFAULT_CAPS):
+    """A module isomorphism m1 -> m2 over the same ring, as the full index
+    map tuple, or None.
+
+    Modules over other rings, of other orders or with other elementary
+    divisors are told apart before anything is enumerated.  Otherwise the
+    answer is the first bijective row of hom_set(m1, m2, caps): the rows
+    come in lexicographic order of the generator images, so this is the
+    isomorphism with the smallest generator images.
+    """
+    if not same_ring(m1.ring, m2.ring) or m1.order != m2.order or \
+            elementary_divisors(m1.add_group.factors) != \
+            elementary_divisors(m2.add_group.factors):
+        return None
+    maps = hom_set(m1, m2, caps)
+    bijective = (np.sort(maps, axis=1) == np.arange(m1.order)).all(axis=1)
+    if not bijective.any():
+        return None
+    return tuple(maps[np.argmax(bijective)].tolist())
+
+
+def are_isomorphic(m1: FiniteModule, m2: FiniteModule,
+                   caps: Caps = DEFAULT_CAPS) -> bool:
+    return find_isomorphism(m1, m2, caps) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ in it); its elements and size are derived from the mask.  The full
 submodule lattice (when the module is small enough) is the closure of the
 cyclic submodules under pairwise sum.  On top of this sit the lattice
 predicates (direct summand, small, essential), quotient and submodule
-modules with their canonical maps, direct sums, and isomorphism search.
+modules with their canonical maps, direct sums, and the generating set
+that hom-set enumeration assigns images to.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import AxiomViolation, PirickError, SizeCapExceeded
-from .groups import FinAbGroup, elementary_divisors, group_embedding
+from .groups import FinAbGroup, group_embedding
 from .rings import _RANDOM_TRIPLES, _RNG_SEED, FiniteRing, _first_mismatch
 
 
@@ -42,9 +43,6 @@ class FiniteModule:
     @property
     def order(self) -> int:
         return self.add_group.order
-
-    def add(self, m1: int, m2: int) -> int:
-        return int(self.add_group.add_table()[m1, m2])
 
     def act(self, m: int, r: int) -> int:
         return int(self.act_np[m, r])
@@ -246,23 +244,6 @@ class Submodule:
         return f"Submodule(of={self.module.name!r}, size={self.size})"
 
 
-def submodule_check(module: FiniteModule, elems) -> Submodule:
-    """Build a Submodule, verifying closure under addition and the action."""
-    elems = np.array(list(elems), dtype=np.int64)
-    if ((elems < 0) | (elems >= module.order)).any():
-        raise PirickError("candidate element out of range")
-    sub = Submodule(module, elems_mask(elems, module.order))
-    if 0 not in sub:
-        raise PirickError("submodule candidate misses the zero element")
-    bits = sub.bits()
-    add = module.add_group.add_table()
-    if not bits[add[np.ix_(bits, bits)]].all():
-        raise PirickError("candidate set is not closed under addition")
-    if not bits[module.act_np[bits, :]].all():
-        raise PirickError("candidate set is not closed under the action")
-    return sub
-
-
 def cyclic_submodule(module: FiniteModule, m: int) -> Submodule:
     """The submodule m*R (already closed: m*r + m*s = m*(r+s))."""
     return Submodule(module, elems_mask(module.act_np[m, :], module.order))
@@ -277,14 +258,6 @@ def _additive_closure(module: FiniteModule, mask: int) -> int:
         if grown == mask:
             return mask
         mask = grown
-
-
-def submodule_generated(module: FiniteModule, gens) -> Submodule:
-    """Smallest submodule containing the given elements."""
-    mask = 1
-    for g in gens:
-        mask |= elems_mask(module.act_np[g, :], module.order)
-    return Submodule(module, _additive_closure(module, mask))
 
 
 def zero_submodule(module: FiniteModule) -> Submodule:
@@ -529,7 +502,7 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule,
 
 
 # ---------------------------------------------------------------------------
-# isomorphism
+# generators and rings
 # ---------------------------------------------------------------------------
 
 
@@ -559,85 +532,3 @@ def same_ring(r1: FiniteRing, r2: FiniteRing) -> bool:
     return r1 is r2 or (r1.add_group.factors == r2.add_group.factors
                         and r1.one == r2.one
                         and r1.constants == r2.constants)
-
-
-def find_isomorphism(m1: FiniteModule, m2: FiniteModule):
-    """Search for a module isomorphism m1 -> m2 over the same ring.
-
-    Returns the full index map as a tuple, or None.  Deterministic: images
-    are tried in increasing element order; the first isomorphism found wins.
-    """
-    if not same_ring(m1.ring, m2.ring):
-        return None
-    if m1.order != m2.order:
-        return None
-    if elementary_divisors(m1.add_group.factors) != \
-            elementary_divisors(m2.add_group.factors):
-        return None
-    n = m1.order
-    n_r = m1.ring.order
-    add1 = m1.add_group.add_table()
-    add2 = m2.add_group.add_table()
-    act1, act2 = m1.act_np, m2.act_np
-    gens = module_generators(m1)
-
-    orders2 = {}
-    for x in range(n):
-        orders2.setdefault(m2.add_group.element_order(x), []).append(x)
-
-    def propagate(fwd, bwd, queue):
-        """Close the partial map under addition and the ring action."""
-        while queue:
-            x = queue.pop()
-            u = fwd[x]
-            for r in range(n_r):
-                xr, ur = int(act1[x, r]), int(act2[u, r])
-                if xr in fwd:
-                    if fwd[xr] != ur:
-                        return False
-                elif ur in bwd:
-                    return False
-                else:
-                    fwd[xr] = ur
-                    bwd[ur] = xr
-                    queue.append(xr)
-            for y in list(fwd):
-                v = fwd[y]
-                xy, uv = int(add1[x, y]), int(add2[u, v])
-                if xy in fwd:
-                    if fwd[xy] != uv:
-                        return False
-                elif uv in bwd:
-                    return False
-                else:
-                    fwd[xy] = uv
-                    bwd[uv] = xy
-                    queue.append(xy)
-        return True
-
-    def extend(i, fwd, bwd):
-        if len(fwd) == n:
-            return tuple(fwd[x] for x in range(n))
-        if i == len(gens):
-            return None
-        g = gens[i]
-        if g in fwd:
-            return extend(i + 1, fwd, bwd)
-        for img in orders2.get(m1.add_group.element_order(g), []):
-            if img in bwd:
-                continue
-            new_fwd = dict(fwd)
-            new_bwd = dict(bwd)
-            new_fwd[g] = img
-            new_bwd[img] = g
-            if propagate(new_fwd, new_bwd, [g]):
-                result = extend(i + 1, new_fwd, new_bwd)
-                if result is not None:
-                    return result
-        return None
-
-    return extend(0, {0: 0}, {0: 0})
-
-
-def are_isomorphic(m1: FiniteModule, m2: FiniteModule) -> bool:
-    return find_isomorphism(m1, m2) is not None

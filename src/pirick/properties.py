@@ -23,10 +23,10 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import SizeCapExceeded
-from .homs import (EndRing, chain_term, end_ring, hom_set,
+from .homs import (EndRing, are_isomorphic, chain_term, end_ring, hom_set,
                    idempotent_image_masks, is_indecomposable)
-from .modules import (FiniteModule, Submodule, all_submodules, are_isomorphic,
-                      is_small, is_essential, masks, module_generators,
+from .modules import (FiniteModule, Submodule, all_submodules, is_small,
+                      is_essential, masks, module_generators,
                       quotient_module, ring_as_module, submodule_module)
 from .rings import (FiniteRing, Verdict, jacobson_radical, opposite_ring,
                     power_trail, ring_idempotents)
@@ -168,7 +168,7 @@ def decide_morphic(facts: Facts) -> Verdict:
         if key not in seen:
             quot, _ = facts.quotient(imgs[0])
             inner, _ = facts.inner(kers[0])
-            seen[key] = are_isomorphic(quot, inner)
+            seen[key] = are_isomorphic(quot, inner, facts.caps)
         if not seen[key]:
             return Verdict(False, {}, f)
     return Verdict(True, {}, None)
@@ -219,7 +219,7 @@ def decide_c2(facts: Facts) -> Verdict:
             if dmask.bit_count() != sub.size:
                 continue
             dinner, _ = facts.inner(dmask)
-            if are_isomorphic(inner, dinner):
+            if are_isomorphic(inner, dinner, facts.caps):
                 return Verdict(False, {}, (sub.mask, dmask))
     return Verdict(True, {}, None)
 
@@ -236,7 +236,7 @@ def decide_d2(facts: Facts) -> Verdict:
             if dmask.bit_count() != quot.order:
                 continue
             dinner, _ = facts.inner(dmask)
-            if are_isomorphic(quot, dinner):
+            if are_isomorphic(quot, dinner, facts.caps):
                 return Verdict(False, {}, (sub.mask, dmask))
     return Verdict(True, {}, None)
 
@@ -378,10 +378,6 @@ def small_image_endos(facts: Facts):
         else:
             out.append((f, False, None))
     return out
-
-
-def is_epimorphism(table_np) -> bool:
-    return np.unique(table_np).size == table_np.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Also here: the regularity family of ring properties (regular, pi-regular,
 strongly pi-regular, generalized left principally-projective), classical
 predicates (local, division, domain, reduced, abelian, commutative), the
 Jacobson radical, and ring constructions (corner, matrix, triangular,
-product, opposite) plus isomorphism search.
+product, opposite).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
                      NotIdempotent, PirickError, SizeCapExceeded)
-from .groups import FinAbGroup, elementary_divisors, group_embedding
+from .groups import FinAbGroup, group_embedding
 
 _RNG_SEED = 20260814
 _RANDOM_TRIPLES = 10_000
@@ -59,15 +59,6 @@ class FiniteRing:
     @property
     def order(self) -> int:
         return self.add_group.order
-
-    def add(self, i: int, j: int) -> int:
-        return int(self.add_group.add_table()[i, j])
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mul_np[i, j])
-
-    def neg(self, i: int) -> int:
-        return int(ring_neg(self)[i])
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name!r}, order={self.order})"
@@ -563,87 +554,3 @@ def opposite_ring(ring: FiniteRing, caps: Caps = DEFAULT_CAPS,
     if name is None:
         name = f"{ring.name}_op"
     return ring_make(ring.add_group, constants, ring.one, caps, name)
-
-
-def find_ring_isomorphism(r1: FiniteRing, r2: FiniteRing):
-    """Search for a unital ring isomorphism r1 -> r2.
-
-    Returns the full index map as a tuple (phi[i] = image of i), or None.
-    Deterministic: basis images are tried in increasing element order.
-
-    The search assigns images to additive basis elements one at a time,
-    extending the partial additive map and pruning on injectivity and on
-    every product that already lands inside the partial domain.
-    """
-    if r1.order != r2.order:
-        return None
-    g1, g2 = r1.add_group, r2.add_group
-    if elementary_divisors(g1.factors) != elementary_divisors(g2.factors):
-        return None
-    if ring_idempotents(r1).size != ring_idempotents(r2).size:
-        return None
-    if int(ring_units(r1)[0].sum()) != int(ring_units(r2)[0].sum()):
-        return None
-    k = len(g1.factors)
-    n = r1.order
-    mul1, mul2 = r1.mul_np, r2.mul_np
-    add1, add2 = g1.add_table(), g2.add_table()
-
-    by_order = {}
-    for x in range(n):
-        by_order.setdefault(g2.element_order(x), []).append(x)
-
-    def check_products(fwd, new_elts):
-        """Products touching a new element that land in the domain must agree."""
-        for x in new_elts:
-            fx = fwd[x]
-            for y, fy in fwd.items():
-                p = int(mul1[x, y])
-                if p in fwd and fwd[p] != int(mul2[fx, fy]):
-                    return False
-                p = int(mul1[y, x])
-                if p in fwd and fwd[p] != int(mul2[fy, fx]):
-                    return False
-        return True
-
-    def extend(j, fwd):
-        if len(fwd) == n:
-            if fwd[r1.one] != r2.one:
-                return None
-            return tuple(fwd[i] for i in range(n))
-        if j == k:
-            return None
-        bj = g1.basis_index(j)
-        oj = g1.factors[j]
-        if oj == 1:
-            return extend(j + 1, fwd)
-        for img in by_order.get(g1.element_order(bj), []):
-            new_fwd = dict(fwd)
-            new_elts = []
-            ok = True
-            for src, dst in fwd.items():
-                acc_s, acc_d = src, dst
-                for _ in range(1, oj):
-                    acc_s = int(add1[acc_s, bj])
-                    acc_d = int(add2[acc_d, img])
-                    if acc_s in new_fwd:
-                        ok = False
-                        break
-                    new_fwd[acc_s] = acc_d
-                    new_elts.append(acc_s)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            if len(set(new_fwd.values())) != len(new_fwd):
-                continue
-            if r1.one in new_fwd and new_fwd[r1.one] != r2.one:
-                continue
-            if not check_products(new_fwd, new_elts):
-                continue
-            result = extend(j + 1, new_fwd)
-            if result is not None:
-                return result
-        return None
-
-    return extend(0, {0: 0})

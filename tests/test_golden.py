@@ -1,5 +1,6 @@
-"""Byte-level goldens: whole-corpus `verify`, `catalog` and `module endring`
-output, and the corpus itself as `build_corpus` writes it."""
+"""Byte-level goldens: whole-corpus `verify`, `catalog`, `module endring`
+and `module check --witnesses` output, and the corpus itself as
+`build_corpus` writes it."""
 
 import hashlib
 import pathlib
@@ -38,6 +39,17 @@ def test_endring_corpus_matches_golden(tmp_path, capsys):
             lines.append(f"{digest}  {path.name}\n")
     assert "".join(lines) == \
         (GOLDEN / "endring_corpus.sha256").read_text(encoding="utf-8")
+
+
+def test_module_check_corpus_matches_golden(capsys):
+    # the c2, d2 and morphic witnesses come from the isomorphism step
+    out = []
+    for mod in sorted(CORPUS.glob("*.mod")):
+        assert main(["module", "check", str(mod), "--witnesses",
+                     "--format", "machine"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == \
+        (GOLDEN / "module_check_corpus.txt").read_text(encoding="utf-8")
 
 
 def test_build_corpus_reproduces_the_shipped_corpus(tmp_path):

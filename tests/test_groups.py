@@ -28,13 +28,6 @@ def test_product_group_lex_indexing():
     assert table[4, 5] == 0
 
 
-def test_element_orders():
-    g = FinAbGroup((4, 2))
-    orders = [g.element_order(i) for i in range(8)]
-    assert orders[0] == 1
-    assert sorted(orders) == [1, 2, 2, 2, 4, 4, 4, 4]
-
-
 def test_group_rejects_bad_factors():
     with pytest.raises(EmptyFactorList):
         FinAbGroup(())

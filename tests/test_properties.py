@@ -12,9 +12,8 @@ from pirick.homs import end_ring, hom_set
 from pirick.io import parse_module
 from pirick.modules import ring_as_module
 from pirick.properties import (DECIDERS, Facts, PROPERTY_ORDER, analyze,
-                               is_epimorphism, left_singular_ideal,
-                               render_report, singular_nil_jacobson,
-                               small_image_endos)
+                               left_singular_ideal, render_report,
+                               singular_nil_jacobson, small_image_endos)
 
 CAPS = caps_from_env()
 
@@ -124,12 +123,6 @@ def test_small_image_endos_on_z4():
     assert all(is_nil for _, is_nil, _ in rows)
     indices = sorted(idx for _, _, idx in rows)
     assert indices == [1, 2]
-
-
-def test_is_epimorphism():
-    import numpy as np
-    assert is_epimorphism(np.array([1, 0, 2]))
-    assert not is_epimorphism(np.array([0, 0, 2]))
 
 
 def test_render_report_formats():

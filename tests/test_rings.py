@@ -11,13 +11,12 @@ from pirick.errors import (BadIdentity, NonAssociative, NotDistributive,
                            NotIdempotent, SizeCapExceeded)
 from pirick.families import zmod
 from pirick.groups import FinAbGroup
-from pirick.rings import (corner_ring, find_ring_isomorphism,
-                          is_generalized_left_pp, is_pi_regular, is_regular,
-                          is_strongly_pi_regular, jacobson_radical,
-                          matrix_ring, nil_radical_check, opposite_ring,
-                          power_trail, product_ring, ring_idempotents,
-                          ring_make, ring_predicates, ring_units,
-                          triangular_ring)
+from pirick.rings import (corner_ring, is_generalized_left_pp, is_pi_regular,
+                          is_regular, is_strongly_pi_regular,
+                          jacobson_radical, matrix_ring, nil_radical_check,
+                          opposite_ring, power_trail, product_ring,
+                          ring_idempotents, ring_make, ring_predicates,
+                          ring_units, triangular_ring)
 
 CAPS = caps_from_env()
 
@@ -155,7 +154,16 @@ def test_triangular_ring_arithmetic():
 def test_product_and_opposite():
     z2xz3 = product_ring(zmod(2), zmod(3), CAPS)
     assert z2xz3.order == 6
-    assert find_ring_isomorphism(z2xz3, zmod(6)) is not None
+    # i -> (i mod 2, i mod 3) carries Z6's tables onto the product's
+    z6 = zmod(6)
+    phi = np.array([z2xz3.add_group.index_of((i % 2, i % 3))
+                    for i in range(6)])
+    assert sorted(phi.tolist()) == list(range(6))
+    assert phi[z6.one] == z2xz3.one
+    add6, add_p = z6.add_group.add_table(), z2xz3.add_group.add_table()
+    assert np.array_equal(phi[add6], add_p[phi[:, None], phi[None, :]])
+    assert np.array_equal(phi[z6.mul_np],
+                          z2xz3.mul_np[phi[:, None], phi[None, :]])
     t2 = triangular_ring(zmod(2), 2, CAPS)
     op = opposite_ring(t2, CAPS)
     assert np.array_equal(op.mul_np, t2.mul_np.T)
@@ -169,19 +177,6 @@ def test_corner_ring():
     assert corner.one == 1
     with pytest.raises(NotIdempotent):
         corner_ring(z6, 2, CAPS)
-
-
-def test_ring_isomorphism_search():
-    # Z_4 and Z_2 x Z_2 have the same order but different additive groups
-    klein = product_ring(zmod(2), zmod(2), CAPS)
-    assert find_ring_isomorphism(zmod(4), klein) is None
-    # an isomorphism is a genuine multiplicative bijection
-    z6 = zmod(6)
-    phi = find_ring_isomorphism(product_ring(zmod(2), zmod(3), CAPS), z6)
-    src = product_ring(zmod(2), zmod(3), CAPS)
-    for a in range(6):
-        for b in range(6):
-            assert phi[src.mul_np[a, b]] == z6.mul_np[phi[a], phi[b]]
 
 
 def test_construction_cap():
