@@ -29,8 +29,10 @@ class Caps:
     """Limits for table constructions and exhaustive scans.
 
     construct:    largest ring/module order for which full tables are built.
-    scan:         largest ring order for which associativity is checked on
-                  all |R|^3 triples (above it: basis triples + random triples).
+    scan:         one rule for every ring and module law: a law is checked
+                  on all its triples while they number at most scan**3 (for
+                  a ring, |R| <= scan); above that on seeded random triples,
+                  and associativity first on all basis triples.
     lattice:      largest module order for which the submodule lattice is
                   enumerated.
     hom:          largest number of candidate generator-image assignments

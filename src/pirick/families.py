@@ -27,9 +27,7 @@ def zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     if n < 1:
         raise PirickError("zmod needs n >= 1")
     group = FinAbGroup((n,))
-    constants = {(0, 0): 1 % n}
-    return ring_make(group, {k: v for k, v in constants.items() if v},
-                     1 % n, caps, f"z{n}")
+    return ring_make(group, {(0, 0): 1 % n}, 1 % n, caps, f"z{n}")
 
 
 def _resolve_ring(token: str, caps: Caps) -> FiniteRing:

@@ -338,7 +338,7 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     basis = stacked[[group.basis_index(i) for i in range(len(group.factors))]]
     # products[i, j] is the index of basis map i after basis map j
     products = to_index[raw_index(basis[:, basis[:, gens]])]
-    constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products) if c}
+    constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
     one = int(to_index[raw_index(np.array(gens, dtype=np.int64))])
     ring = ring_make(group, constants, one, caps, f"end_{module.name}")
 

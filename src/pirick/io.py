@@ -146,9 +146,7 @@ def parse_ring(source: str | pathlib.Path, caps: Caps = DEFAULT_CAPS,
         if not (0 <= i < k and 0 <= j < k):
             raise FileSyntaxError(lineno, f"{path}: basis index out of "
                                           f"range 1..{k}")
-        value = _parse_coords(group, coord_tokens, lineno, path)
-        if value:
-            constants[(i, j)] = value
+        constants[(i, j)] = _parse_coords(group, coord_tokens, lineno, path)
     return ring_make(group, constants, one, caps, name)
 
 
@@ -191,9 +189,7 @@ def parse_module(source: str | pathlib.Path, ring_registry: dict,
         if not 0 <= j < k_mod:
             raise FileSyntaxError(lineno, f"{path}: module basis index "
                                           f"{j + 1} out of range 1..{k_mod}")
-        value = _parse_coords(group, coord_tokens, lineno, path)
-        if value:
-            constants[(i, j)] = value
+        constants[(i, j)] = _parse_coords(group, coord_tokens, lineno, path)
     return module_make(ring, group, constants, caps, name)
 
 
@@ -211,10 +207,8 @@ def serialize_ring(ring: FiniteRing) -> str:
     lines = [f"ring {ring.name}",
              "add " + " ".join(str(n) for n in group.factors),
              "one " + _coords_str(group, ring.one)]
-    for (i, j) in sorted(ring.constants):
-        value = ring.constants[(i, j)]
-        if value:
-            lines.append(f"mul {i + 1} {j + 1} {_coords_str(group, value)}")
+    for (i, j), value in sorted(ring.constants.items()):
+        lines.append(f"mul {i + 1} {j + 1} {_coords_str(group, value)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -223,10 +217,8 @@ def serialize_module(module: FiniteModule) -> str:
     group = module.add_group
     lines = [f"module {module.name} over {module.ring.name}",
              "add " + " ".join(str(n) for n in group.factors)]
-    for (i, j) in sorted(module.constants):
-        value = module.constants[(i, j)]
-        if value:
-            lines.append(f"act {i + 1} {j + 1} {_coords_str(group, value)}")
+    for (i, j), value in sorted(module.constants.items()):
+        lines.append(f"act {i + 1} {j + 1} {_coords_str(group, value)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -1,9 +1,11 @@
 """Finite right modules over finite rings, with explicit action tables.
 
 A FiniteModule is a FinAbGroup together with a right action of a FiniteRing,
-given by structure constants on the two additive bases and extended
-biadditively to a full (|M| x |R|) table, then validated against the module
-axioms (identity, associativity of the action, both distributive laws).
+given by structure constants on the two additive bases (zero values
+dropped) and extended biadditively to a full (|M| x |R|) table by the
+ring's own builder, `rings._bilinear_table`, then validated against the
+module axioms (identity, associativity of the action, both distributive
+laws) by `rings._failed_law`, the check that rings go through too.
 
 A submodule is a bitmask over element indices (bit e set iff element e is
 in it); its elements and size are derived from the mask.  The full
@@ -17,14 +19,13 @@ that hom-set enumeration assigns images to.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, cached
 from .errors import AxiomViolation, PirickError, SizeCapExceeded
 from .groups import FinAbGroup, group_embedding
-from .rings import _RANDOM_TRIPLES, _RNG_SEED, FiniteRing, _first_mismatch
+from .rings import FiniteRing, _bilinear_table, _failed_law
 
 
 class FiniteModule:
@@ -44,9 +45,6 @@ class FiniteModule:
     def order(self) -> int:
         return self.add_group.order
 
-    def act(self, m: int, r: int) -> int:
-        return int(self.act_np[m, r])
-
     def __repr__(self) -> str:
         return (f"FiniteModule({self.name!r}, order={self.order}, "
                 f"over={self.ring.name!r})")
@@ -57,94 +55,14 @@ class FiniteModule:
 # ---------------------------------------------------------------------------
 
 
-def _biadditive_table(ring: FiniteRing, add_group: FinAbGroup,
-                      constants: dict) -> np.ndarray:
-    """Extend basis action constants to the full (|M|, |R|) action table.
-
-    constants maps (ring_basis_i, module_basis_j) -> module element index of
-    (module_basis_j acted on by ring_basis_i); missing pairs default to zero.
-    """
-    n_m = add_group.order
-    k_m = len(add_group.factors)
-    k_r = len(ring.add_group.factors)
-    facs = np.array(add_group.factors, dtype=np.int64)
-    strides = np.array(add_group.strides, dtype=np.int64)
-    cmat = np.zeros((k_r, k_m, k_m), dtype=np.int64)
-    for (i, j), c in constants.items():
-        cmat[i, j, :] = add_group.tuple_of(c)
-    mcoords = add_group.coords_matrix()
-    rcoords = ring.add_group.coords_matrix()
-    partial = np.einsum("pj,ijl->pil", mcoords, cmat)  # (n_m, k_r, k_m)
-    n_r = ring.order
-    out = np.empty((n_m, n_r), dtype=np.int32)
-    chunk = max(1, (1 << 22) // max(1, n_r * k_m))
-    for lo in range(0, n_m, chunk):
-        hi = min(n_m, lo + chunk)
-        prod = np.einsum("qi,pil->pql", rcoords, partial[lo:hi])
-        out[lo:hi] = ((prod % facs) * strides).sum(axis=2).astype(np.int32)
-    return out
-
-
-def _validate_module(mod: FiniteModule, caps: Caps):
-    act = mod.act_np
-    ring = mod.ring
-    n_m, n_r = act.shape
-    mul = ring.mul_np
-    add_m = mod.add_group.add_table()
-    add_r = ring.add_group.add_table()
-
-    bad = _first_mismatch(act[:, ring.one], np.arange(n_m, dtype=np.int32))
-    if bad:
-        raise AxiomViolation("identity", (bad[0], ring.one))
-
-    budget = caps.scan ** 3
-    if n_m * n_r * n_r <= budget:
-        bad = _first_mismatch(act[act, :], act[:, mul])  # (mr)s, m(rs)
-    else:
-        basis_m = [mod.add_group.basis_index(j)
-                   for j in range(len(mod.add_group.factors))]
-        basis_r = [ring.add_group.basis_index(i)
-                   for i in range(len(ring.add_group.factors))]
-        for m, r, s in itertools.product(basis_m, basis_r, basis_r):
-            if act[act[m, r], s] != act[m, mul[r, s]]:
-                raise AxiomViolation("associativity", (int(m), int(r), int(s)))
-        ms, rs, ss = sampled = _draw(_RNG_SEED, n_m, n_r, n_r)
-        bad = _first_mismatch(act[act[ms, rs], ss], act[ms, mul[rs, ss]],
-                              sampled)
-    if bad:
-        raise AxiomViolation("associativity", bad)
-
-    if n_m * n_m * n_r <= budget:
-        bad = _first_mismatch(act[add_m, :],                 # (m1+m2)r
-                              add_m[act[:, None, :], act[None, :, :]])
-    else:
-        m1, m2, rs = sampled = _draw(_RNG_SEED + 1, n_m, n_m, n_r)
-        bad = _first_mismatch(act[add_m[m1, m2], rs],
-                              add_m[act[m1, rs], act[m2, rs]], sampled)
-    if bad:
-        raise AxiomViolation("distributivity_module", bad)
-
-    if n_m * n_r * n_r <= budget:
-        bad = _first_mismatch(act[:, add_r],                 # m(r+s)
-                              add_m[act[:, :, None], act[:, None, :]])
-    else:
-        ms, rs, ss = sampled = _draw(_RNG_SEED + 2, n_m, n_r, n_r)
-        bad = _first_mismatch(act[ms, add_r[rs, ss]],
-                              add_m[act[ms, rs], act[ms, ss]], sampled)
-    if bad:
-        raise AxiomViolation("distributivity_ring", bad)
-
-
-def _draw(seed: int, *bounds) -> tuple:
-    """_RANDOM_TRIPLES random indices below each bound, drawn in order."""
-    rng = np.random.default_rng(seed)
-    return tuple(rng.integers(0, bound, size=_RANDOM_TRIPLES)
-                 for bound in bounds)
-
-
 def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
                 caps: Caps = DEFAULT_CAPS, name: str = "M") -> FiniteModule:
-    """Build and validate a finite right module from action constants."""
+    """Build and validate a finite right module from action constants.
+
+    `constants` maps (ring_basis_i, module_basis_j) -> the module element
+    index of module basis j acted on by ring basis i; missing pairs default
+    to zero, and zero values are dropped.
+    """
     if add_group.order > caps.construct:
         raise SizeCapExceeded("module construction", add_group.order,
                               caps.construct)
@@ -159,21 +77,19 @@ def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
         if add_group.scale(c, ring.add_group.factors[i]) != 0 \
                 or add_group.scale(c, add_group.factors[j]) != 0:
             raise AxiomViolation("biadditivity", (i, j, c))
-    act = _biadditive_table(ring, add_group, constants)
-    mod = FiniteModule(ring, add_group, constants, act, name)
-    _validate_module(mod, caps)
-    return mod
+    constants = {key: c for key, c in constants.items() if c}
+    act = _bilinear_table(add_group, ring.add_group,
+                          {(j, i): c for (i, j), c in constants.items()})
+    failed = _failed_law(act, ring, add_group, caps)
+    if failed:
+        raise AxiomViolation(*failed)
+    return FiniteModule(ring, add_group, constants, act, name)
 
 
 def ring_as_module(ring: FiniteRing, caps: Caps = DEFAULT_CAPS,
                    name: str = None) -> FiniteModule:
     """The right regular module R_R."""
-    constants = {}
-    for i in range(len(ring.add_group.factors)):
-        for j in range(len(ring.add_group.factors)):
-            c = ring.constants.get((j, i), 0)
-            if c:
-                constants[(i, j)] = c
+    constants = {(i, j): c for (j, i), c in ring.constants.items()}
     if name is None:
         name = f"{ring.name}_reg"
     return module_make(ring, ring.add_group, constants, caps, name)
@@ -430,7 +346,7 @@ def _action_constants(module: FiniteModule, group: FinAbGroup, from_label,
     ring_group = module.ring.add_group
     basis_r = [ring_group.basis_index(i) for i in range(len(ring_group.factors))]
     acted = index[module.act_np[np.ix_(reps, basis_r)]]      # [j, i]
-    return {(i, j): int(c) for (j, i), c in np.ndenumerate(acted) if c}
+    return {(i, j): int(c) for (j, i), c in np.ndenumerate(acted)}
 
 
 def free_module(ring: FiniteRing, rank: int, caps: Caps = DEFAULT_CAPS,
@@ -442,13 +358,10 @@ def free_module(ring: FiniteRing, rank: int, caps: Caps = DEFAULT_CAPS,
     group = FinAbGroup(ring.add_group.factors * rank)
     constants = {}
     for c in range(rank):
-        for j in range(k):
-            for i in range(k):
-                prod = ring.constants.get((j, i), 0)
-                if prod:
-                    coords = [0] * (k * rank)
-                    coords[c * k:(c + 1) * k] = ring.add_group.tuple_of(prod)
-                    constants[(i, c * k + j)] = group.index_of(tuple(coords))
+        for (j, i), prod in ring.constants.items():
+            coords = [0] * (k * rank)
+            coords[c * k:(c + 1) * k] = ring.add_group.tuple_of(prod)
+            constants[(i, c * k + j)] = group.index_of(tuple(coords))
     return module_make(ring, group, constants, caps,
                        name or f"{ring.name}_free{rank}")
 
@@ -478,18 +391,13 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule,
     def embed2(e):
         return group.index_of((0,) * k1 + m2.add_group.tuple_of(e))
 
-    constants = {}
-    for (i, j), c in m1.constants.items():
-        if c:
-            constants[(i, j)] = embed1(c)
+    constants = {(i, j): embed1(c) for (i, j), c in m1.constants.items()}
     for (i, j), c in m2.constants.items():
-        if c:
-            constants[(i, k1 + j)] = embed2(c)
+        constants[(i, k1 + j)] = embed2(c)
     total = module_make(m1.ring, group, constants, caps,
                         f"{m1.name}(+){m2.name}")
     inj1 = ModuleMap(m1, total, tuple(embed1(e) for e in range(m1.order)))
     inj2 = ModuleMap(m2, total, tuple(embed2(e) for e in range(m2.order)))
-    strides = group.strides
     proj1_table = []
     proj2_table = []
     for x in range(total.order):

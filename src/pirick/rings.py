@@ -1,10 +1,13 @@
 """Finite associative rings with identity, as explicit tables.
 
 A FiniteRing is a FinAbGroup plus multiplication.  Multiplication is given
-by structure constants on the additive basis and extended bilinearly to a
-full (order x order) table, which is then validated (identity laws,
-associativity, distributivity).  Elements are the group's integer indices,
-so every ring-theoretic scan below is a vectorized numpy pass over tables.
+by structure constants on the additive basis, with zero values dropped, and
+extended bilinearly to a full (order x order) table.  The table is checked
+for 1*a = a and then, by `_failed_law`, as the action table of the ring's
+right regular module (a*1 = a, associativity, both distributive laws).
+`_bilinear_table` and `_failed_law` also build and check every module's
+action table.  Elements are the group's integer indices, so every
+ring-theoretic scan below is a vectorized numpy pass over tables.
 
 Also here: the regularity family of ring properties (regular, pi-regular,
 strongly pi-regular, generalized left principally-projective), classical
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -69,22 +73,28 @@ class FiniteRing:
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_table(add_group: FinAbGroup, constants: dict) -> np.ndarray:
-    """Extend basis structure constants to the full multiplication table."""
-    n = add_group.order
-    k = len(add_group.factors)
-    facs = np.array(add_group.factors, dtype=np.int64)
-    strides = np.array(add_group.strides, dtype=np.int64)
-    cmat = np.zeros((k, k, k), dtype=np.int64)
+def _bilinear_table(left: FinAbGroup, right: FinAbGroup,
+                    constants: dict) -> np.ndarray:
+    """Extend basis structure constants to the full (|left|, |right|) table.
+
+    `constants` maps (i, j) -> the index in `left` of left basis i times
+    right basis j; missing pairs are zero.  A ring's multiplication is the
+    table of (G, G), a module's action the table of (M, R).
+    """
+    n = left.order
+    facs = np.array(left.factors, dtype=np.int64)
+    strides = np.array(left.strides, dtype=np.int64)
+    cmat = np.zeros((len(left.factors), len(right.factors),
+                     len(left.factors)), dtype=np.int64)
     for (i, j), c in constants.items():
-        cmat[i, j, :] = add_group.tuple_of(c)
-    coords = add_group.coords_matrix()
-    left = np.einsum("pi,ijl->pjl", coords, cmat)  # (n, k, k)
-    out = np.empty((n, n), dtype=np.int32)
-    chunk = max(1, (1 << 22) // max(1, n * k))
+        cmat[i, j, :] = left.tuple_of(c)
+    partial = np.einsum("pi,ijl->pjl", left.coords_matrix(), cmat)
+    right_coords = right.coords_matrix()
+    out = np.empty((n, right.order), dtype=np.int32)
+    chunk = max(1, (1 << 22) // max(1, right.order * len(left.factors)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        prod = np.einsum("qj,pjl->pql", coords, left[lo:hi])
+        prod = np.einsum("qj,pjl->pql", right_coords, partial[lo:hi])
         out[lo:hi] = ((prod % facs) * strides).sum(axis=2).astype(np.int32)
     return out
 
@@ -125,47 +135,74 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, sampled=None):
     return tuple(int(arr[first[0]]) for arr in sampled)
 
 
-def _validate_ring(ring: FiniteRing, caps: Caps):
+def _draw(seed: int, *bounds) -> tuple:
+    """_RANDOM_TRIPLES random indices below each bound, drawn in order."""
+    rng = np.random.default_rng(seed)
+    return tuple(rng.integers(0, bound, size=_RANDOM_TRIPLES)
+                 for bound in bounds)
+
+
+def _failed_law(act: np.ndarray, ring: FiniteRing, group: FinAbGroup,
+                caps: Caps):
+    """(law, witness) for the first right-module law that the action table
+    `act` of `group` by `ring` breaks, or None.
+
+    The laws, in order: identity m*1 = m, associativity (mr)s = m(rs),
+    distributivity_module (m1+m2)r = m1r + m2r and distributivity_ring
+    m(r+s) = mr + ms.  A law is checked on every triple while it has at
+    most caps.scan**3 of them.  Above that it is checked on _RANDOM_TRIPLES
+    seeded random triples, and associativity first on every basis triple,
+    which suffices for a table built bilinearly.  A ring's multiplication
+    is the action table of its right regular module.
+    """
     mul = ring.mul_np
-    n = ring.order
-    idx = np.arange(n, dtype=np.int32)
-
-    for row in (mul[ring.one, :], mul[:, ring.one]):
-        bad = _first_mismatch(row, idx)
-        if bad:
-            raise BadIdentity(*bad)
-
-    add = ring.add_group.add_table()
-    if n <= caps.scan:
-        sampled = None
-        checks = (
-            (NonAssociative, mul[mul, :], mul[:, mul]),  # (ab)c, a(bc)
-            (NotDistributive, mul[:, add],               # a(b+c)
-             add[mul[:, :, None], mul[:, None, :]]),     # ab + ac
-            (NotDistributive, mul[add, :],               # (a+b)c
-             add[mul[:, None, :], mul[None, :, :]]),     # ac + bc
-        )
-    else:
-        # Multiplication is bilinear by construction, so associativity of
-        # all basis triples implies associativity everywhere; random triples
-        # guard against table-construction bugs.
-        basis = [ring.add_group.basis_index(j)
-                 for j in range(len(ring.add_group.factors))]
-        for a, b, c in itertools.product(basis, repeat=3):
-            if mul[mul[a, b], c] != mul[a, mul[b, c]]:
-                raise NonAssociative((int(a), int(b), int(c)))
-        rng = np.random.default_rng(_RNG_SEED)
-        trip = rng.integers(0, n, size=(_RANDOM_TRIPLES, 3))
-        sampled = a, b, c = trip[:, 0], trip[:, 1], trip[:, 2]
-        checks = (
-            (NonAssociative, mul[mul[a, b], c], mul[a, mul[b, c]]),
-            (NotDistributive, mul[a, add[b, c]], add[mul[a, b], mul[a, c]]),
-            (NotDistributive, mul[add[a, b], c], add[mul[a, c], mul[b, c]]),
-        )
-    for error, lhs, rhs in checks:
+    add_m = group.add_table()
+    add_r = ring.add_group.add_table()
+    n_m, n_r = act.shape
+    bad = _first_mismatch(act[:, ring.one], np.arange(n_m))
+    if bad:
+        return "identity", (bad[0], ring.one)
+    if n_m * n_r * n_r > caps.scan ** 3:
+        basis_m = [group.basis_index(j) for j in range(len(group.factors))]
+        basis_r = [ring.add_group.basis_index(i)
+                   for i in range(len(ring.add_group.factors))]
+        for m, r, s in itertools.product(basis_m, basis_r, basis_r):
+            if act[act[m, r], s] != act[m, mul[r, s]]:
+                return "associativity", (int(m), int(r), int(s))
+    # each law: its name, the bounds of its triples, and its two sides on
+    # every triple and on index arrays of sampled triples
+    laws = (
+        ("associativity", (n_m, n_r, n_r),
+         lambda: (act[act, :], act[:, mul]),
+         lambda m, r, s: (act[act[m, r], s], act[m, mul[r, s]])),
+        ("distributivity_module", (n_m, n_m, n_r),
+         lambda: (act[add_m, :], add_m[act[:, None, :], act[None, :, :]]),
+         lambda m1, m2, r: (act[add_m[m1, m2], r],
+                            add_m[act[m1, r], act[m2, r]])),
+        ("distributivity_ring", (n_m, n_r, n_r),
+         lambda: (act[:, add_r], add_m[act[:, :, None], act[:, None, :]]),
+         lambda m, r, s: (act[m, add_r[r, s]],
+                          add_m[act[m, r], act[m, s]])),
+    )
+    for seed, (law, bounds, every, at) in enumerate(laws):
+        if math.prod(bounds) <= caps.scan ** 3:
+            sampled = None
+            lhs, rhs = every()
+        else:
+            sampled = _draw(_RNG_SEED + seed, *bounds)
+            lhs, rhs = at(*sampled)
         bad = _first_mismatch(lhs, rhs, sampled)
         if bad:
-            raise error(bad)
+            return law, bad
+    return None
+
+
+_RING_ERRORS = {
+    "identity": lambda witness: BadIdentity(witness[0]),
+    "associativity": NonAssociative,
+    "distributivity_module": NotDistributive,
+    "distributivity_ring": NotDistributive,
+}
 
 
 def ring_make(add_group: FinAbGroup, constants: dict, one: int,
@@ -173,15 +210,23 @@ def ring_make(add_group: FinAbGroup, constants: dict, one: int,
     """Build and fully validate a finite ring from structure constants.
 
     `constants` maps (i, j) -> element index of (basis_i * basis_j); missing
-    pairs default to zero.  `one` is the element index of the identity.
+    pairs default to zero, and zero values are dropped.  `one` is the
+    element index of the identity.
     """
     if add_group.order > caps.construct:
         raise SizeCapExceeded("ring construction", add_group.order,
                               caps.construct)
     _validate_constants(add_group, constants)
-    mul = _bilinear_table(add_group, constants)
+    constants = {key: c for key, c in constants.items() if c}
+    mul = _bilinear_table(add_group, add_group, constants)
     ring = FiniteRing(add_group, one, constants, mul, name)
-    _validate_ring(ring, caps)
+    bad = _first_mismatch(mul[ring.one, :], np.arange(ring.order))
+    if bad:
+        raise BadIdentity(*bad)
+    failed = _failed_law(mul, ring, add_group, caps)
+    if failed:
+        law, witness = failed
+        raise _RING_ERRORS[law](witness)
     return ring
 
 
@@ -487,12 +532,8 @@ def _matrix_like_ring(ring: FiniteRing, positions: list, k: int,
             if target is None:
                 raise PirickError(f"matrix positions not closed: "
                                   f"({p1},{q1})*({p2},{q2})")
-            for m1 in range(kb):
-                for m2 in range(kb):
-                    c = ring.constants.get((m1, m2), 0)
-                    if c:
-                        constants[(s1 * kb + m1, s2 * kb + m2)] = \
-                            embed(target, c)
+            for (m1, m2), c in ring.constants.items():
+                constants[(s1 * kb + m1, s2 * kb + m2)] = embed(target, c)
     one_coords = [0] * len(factors)
     one_tuple = base.tuple_of(ring.one)
     for s, (p, q) in enumerate(positions):
@@ -533,13 +574,9 @@ def product_ring(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS,
     def embed2(e):
         return group.index_of((0,) * k1 + r2.add_group.tuple_of(e))
 
-    constants = {}
-    for (i, j), c in r1.constants.items():
-        if c:
-            constants[(i, j)] = embed1(c)
+    constants = {(i, j): embed1(c) for (i, j), c in r1.constants.items()}
     for (i, j), c in r2.constants.items():
-        if c:
-            constants[(k1 + i, k1 + j)] = embed2(c)
+        constants[(k1 + i, k1 + j)] = embed2(c)
     one = group.index_of(r1.add_group.tuple_of(r1.one)
                          + r2.add_group.tuple_of(r2.one))
     if name is None:

@@ -1,12 +1,19 @@
-"""Byte-level goldens: whole-corpus `verify`, `catalog`, `module endring`
-and `module check --witnesses` output, and the corpus itself as
-`build_corpus` writes it."""
+"""Byte-level goldens: whole-corpus `verify`, `catalog`, `module endring`,
+`module check --witnesses` and `ring check` output, the corpus itself as
+`build_corpus` writes it, and the error (or none) that `ring_make` and
+`module_make` give on a fixed sweep of small constant tables."""
 
 import hashlib
+import itertools
 import pathlib
 
+from pirick.caps import Caps
 from pirick.cli import main
-from pirick.families import build_corpus
+from pirick.errors import PirickError
+from pirick.families import build_corpus, zmod
+from pirick.groups import FinAbGroup
+from pirick.modules import module_make
+from pirick.rings import product_ring, ring_make, triangular_ring
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -50,6 +57,112 @@ def test_module_check_corpus_matches_golden(capsys):
         out.append(capsys.readouterr().out)
     assert "".join(out) == \
         (GOLDEN / "module_check_corpus.txt").read_text(encoding="utf-8")
+
+
+def test_ring_check_corpus_matches_golden(capsys):
+    out = []
+    for ring in sorted(CORPUS.glob("*.ring")):
+        assert main(["ring", "check", str(ring), "--format", "machine"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == \
+        (GOLDEN / "ring_check_corpus.txt").read_text(encoding="utf-8")
+
+
+def _tables(keys, order, step=1):
+    """Every step-th map from `keys` to values below `order`, in
+    lexicographic order of the value tuples."""
+    values = itertools.product(range(order), repeat=len(keys))
+    for row in itertools.islice(values, 0, None, step):
+        yield dict(zip(keys, row))
+
+
+def _outcome(build) -> str:
+    try:
+        build()
+    except PirickError as err:
+        return f"{type(err).__name__}: {err}"
+    return "ok"
+
+
+def _validation_sweep() -> str:
+    """One line per case: the constants given and what construction did.
+
+    `fixed` constants are added to every swept table, so that sweeps with
+    the identity pinned reach the laws checked after it."""
+    lines = []
+    tight = Caps(scan=2)
+
+    def ring_case(factors, constants, one, caps=Caps()):
+        group = FinAbGroup(factors)
+        text = " ".join(f"{i}{j}:{c}" for (i, j), c in constants.items())
+        got = _outcome(lambda: ring_make(group, constants, one, caps))
+        lines.append(f"ring {factors} scan={caps.scan} one={one} "
+                     f"[{text}] -> {got}\n")
+
+    def ring_sweep(factors, caps=Caps(), step=1, one=None, fixed=None):
+        fixed = fixed or {}
+        group = FinAbGroup(factors)
+        keys = [key for key in itertools.product(range(len(factors)),
+                                                 repeat=2) if key not in fixed]
+        ones = range(group.order) if one is None else (one,)
+        cases = itertools.product(_tables(keys, group.order), ones)
+        for constants, one in itertools.islice(cases, 0, None, step):
+            ring_case(factors, {**fixed, **constants}, one, caps)
+
+    for factors in ((1,), (2,), (3,), (4,), (6,)):
+        ring_sweep(factors)
+    ring_sweep((2, 2), step=3)
+    ring_sweep((2, 2), tight, step=5)
+    ring_sweep((2, 4), step=64)
+    # basis element 0 of Z_2^3 is the identity: only products of the other
+    # two basis elements are swept
+    unit = {(0, 0): 4, (0, 1): 2, (1, 0): 2, (0, 2): 1, (2, 0): 1}
+    ring_sweep((2, 2, 2), step=8, one=4, fixed=unit)
+    ring_sweep((2, 2, 2), tight, step=17, one=4, fixed=unit)
+    ring_case((2,), {(0, 0): 2}, 1)
+    ring_case((2,), {(1, 0): 1}, 1)
+    ring_case((2, 2), {(0, 2): 1}, 1)
+
+    def module_sweep(ring, factors, caps=Caps(), step=1, fixed=None):
+        fixed = fixed or {}
+        group = FinAbGroup(factors)
+        keys = [key for key in itertools.product(
+            range(len(ring.add_group.factors)), range(len(factors)))
+            if key not in fixed]
+        for constants in _tables(keys, group.order, step):
+            constants = {**fixed, **constants}
+            text = " ".join(f"{i}{j}:{c}" for (i, j), c in constants.items())
+            got = _outcome(lambda: module_make(ring, group, constants, caps))
+            lines.append(f"module {ring.name} {factors} scan={caps.scan} "
+                         f"[{text}] -> {got}\n")
+
+    z2, z4 = zmod(2), zmod(4)
+    z2xz2 = product_ring(z2, z2, name="z2xz2")
+    t2z2 = triangular_ring(z2, 2, name="t2z2")
+    for ring, all_factors in ((z2, ((2,), (4,), (2, 2))),
+                              (z4, ((2,), (4,), (2, 2), (2, 4))),
+                              (z2xz2, ((2,),)),
+                              (t2z2, ((2,),))):
+        for factors in all_factors:
+            module_sweep(ring, factors)
+    module_sweep(z2xz2, (2, 2), step=3)
+    module_sweep(t2z2, (2, 2), step=20)
+    module_sweep(t2z2, (2, 2), tight, step=23)
+    # Z_2[x]/(x^2) with basis (1, x): 1 acts as the identity and only the
+    # action of x is swept
+    dual = ring_make(FinAbGroup((2, 2)), {(0, 0): 2, (0, 1): 1, (1, 0): 1},
+                     2, name="z2x")
+    for factors, caps, step in (((2, 2), Caps(), 1), ((2, 2, 2), Caps(), 2),
+                                ((2, 4), Caps(), 1), ((2, 2, 2), tight, 3)):
+        group = FinAbGroup(factors)
+        unit = {(0, j): group.basis_index(j) for j in range(len(factors))}
+        module_sweep(dual, factors, caps, step, fixed=unit)
+    return "".join(lines)
+
+
+def test_validation_errors_match_golden():
+    assert _validation_sweep() == \
+        (GOLDEN / "validation_errors.txt").read_text(encoding="utf-8")
 
 
 def test_build_corpus_reproduces_the_shipped_corpus(tmp_path):

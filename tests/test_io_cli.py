@@ -11,6 +11,8 @@ from pirick.errors import FileSyntaxError, UnknownRing
 from pirick.families import build_instance, ex23_module, ex23_ring, zmod
 from pirick.io import (load_dir, parse_module, parse_ring, serialize_module,
                        serialize_ring, write_module, write_ring)
+from pirick.modules import same_ring
+from pirick.rings import corner_ring, matrix_ring, triangular_ring
 
 CAPS = caps_from_env()
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -26,6 +28,10 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
     lambda: ex23_ring(CAPS),
     lambda: build_instance("matrix", ["z2", "2"], CAPS)[1],
     lambda: build_instance("product", ["z2", "z3"], CAPS)[1],
+    # corners whose products include zero: a zero product is no constant
+    lambda: corner_ring(matrix_ring(zmod(2), 2, CAPS), 9, CAPS)[0],
+    lambda: corner_ring(triangular_ring(zmod(2), 3, CAPS), 5, CAPS)[0],
+    lambda: corner_ring(triangular_ring(zmod(3), 2, CAPS), 10, CAPS)[0],
 ])
 def test_ring_round_trip(tmp_path, builder):
     ring = builder()
@@ -36,6 +42,7 @@ def test_ring_round_trip(tmp_path, builder):
     assert back.add_group.factors == ring.add_group.factors
     assert back.one == ring.one
     assert back.constants == ring.constants
+    assert same_ring(back, ring)
     assert serialize_ring(back) == serialize_ring(ring)
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pirick import modules
+from pirick import modules, rings
 from pirick.caps import caps_from_env
 from pirick.errors import AxiomViolation, SizeCapExceeded
 from pirick.families import ex23_module, zmod
@@ -46,9 +46,16 @@ def test_module_make_validates_action():
 
 def test_regular_module_action(z4_reg):
     # module elements are ring elements; action is ring multiplication
-    assert z4_reg.act(3, 3) == 1
-    assert z4_reg.act(2, 2) == 0
+    assert z4_reg.act_np[3, 3] == 1
+    assert z4_reg.act_np[2, 2] == 0
     assert z4_reg.order == 4
+
+
+def test_regular_module_action_is_the_ring_multiplication(ring_instances):
+    # one builder serves both: R_R's action table is R's multiplication
+    for inst in ring_instances:
+        assert np.array_equal(ring_as_module(inst.ring, CAPS).act_np,
+                              inst.ring.mul_np), inst.name
 
 
 def test_submodule_lattice_of_z4(z4_reg):
@@ -175,27 +182,27 @@ def test_lattice_cap(z4_reg):
 # Action tables of R^2 corrupted after construction.  Under scan=2 the module
 # laws exceed the scan**3 budget and are checked on random triples; the
 # recorded triples pin each law's seed and draw order (|M| != |R| here).
-_BUILD = modules._biadditive_table
+_BUILD = rings._bilinear_table
 TIGHT = dataclasses.replace(CAPS, scan=2)
 
 
-def _zero_row_2(ring, group, constants):
-    table = _BUILD(ring, group, constants)
+def _zero_row_2(group, ring_group, constants):
+    table = _BUILD(group, ring_group, constants)
     table[2, :] = 0
-    table[2, ring.one] = 2               # keeps the identity law
+    table[2, 1] = 2                      # keeps the identity law of Z_n
     return table
 
 
-def _swap_2_3(ring, group, constants):
+def _swap_2_3(group, ring_group, constants):
     """m*r moved through the non-additive bijection 2 <-> 3 of M."""
     s = np.array([0, 1, 3, 2] + list(range(4, group.order)))
-    return s[_BUILD(ring, group, constants)[s, :]].astype(np.int32)
+    return s[_BUILD(group, ring_group, constants)[s, :]].astype(np.int32)
 
 
-def _fifth_power(ring, group, constants):
+def _fifth_power(group, ring_group, constants):
     """m*r^5: multiplicative in r, not additive."""
-    r = np.arange(ring.order)
-    return _BUILD(ring, group, constants)[:, r ** 5 % ring.order]
+    r = np.arange(ring_group.order)
+    return _BUILD(group, ring_group, constants)[:, r ** 5 % ring_group.order]
 
 
 @pytest.mark.parametrize("n, caps, table, law, triple", [
@@ -208,7 +215,7 @@ def _fifth_power(ring, group, constants):
 def test_validation_names_the_first_bad_triple(monkeypatch, n, caps, table,
                                                law, triple):
     ring = zmod(n, caps)
-    monkeypatch.setattr(modules, "_biadditive_table", table)
+    monkeypatch.setattr(modules, "_bilinear_table", table)
     with pytest.raises(AxiomViolation) as err:
         free_module(ring, 2, caps)
     assert (err.value.axiom, err.value.witness) == (law, triple)

@@ -1,6 +1,7 @@
 """Finite rings: construction, validation, regularity family, builders."""
 
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -191,24 +192,34 @@ def test_construction_cap():
 _BUILD = rings._bilinear_table
 
 
-def _zero_row_5(group, constants):
-    table = _BUILD(group, constants)
+def _zero_row_5(left, right, constants):
+    table = _BUILD(left, right, constants)
     table[5, :] = 0
     table[5, 1] = 5                      # keeps 1 the identity
     return table
 
 
-def _swap_2_3(group, constants):
+def _swap_2_3(left, right, constants):
     """Z_n's product moved through the non-additive bijection 2 <-> 3: still
     associative with identity 1, but not distributive."""
-    s = np.array([0, 1, 3, 2] + list(range(4, group.order)))
-    return s[_BUILD(group, constants)[np.ix_(s, s)]].astype(np.int32)
+    s = np.array([0, 1, 3, 2] + list(range(4, left.order)))
+    return s[_BUILD(left, right, constants)[np.ix_(s, s)]].astype(np.int32)
+
+
+def _breaks(error, mul, add, triple) -> bool:
+    """Whether the triple (a, b, c) breaks, in table mul with addition add,
+    a law whose failure raises `error`."""
+    a, b, c = triple
+    if error is NonAssociative:
+        return mul[mul[a, b], c] != mul[a, mul[b, c]]
+    return (mul[a, add(b, c)] != add(mul[a, b], mul[a, c])
+            or mul[add(a, b), c] != add(mul[a, c], mul[b, c]))
 
 
 @pytest.mark.parametrize("n, table, error, triple", [
-    (67, _zero_row_5, NonAssociative, (12, 6, 59)),
-    (67, _swap_2_3, NotDistributive, (61, 42, 22)),
-    (7, _swap_2_3, NotDistributive, (2, 1, 1)),         # every triple
+    (67, _zero_row_5, NonAssociative, (25, 27, 25)),
+    (67, _swap_2_3, NotDistributive, (55, 15, 20)),
+    (7, _swap_2_3, NotDistributive, (1, 1, 2)),         # every triple
 ])
 def test_validation_names_the_first_bad_triple(monkeypatch, n, table, error,
                                                triple):
@@ -216,9 +227,12 @@ def test_validation_names_the_first_bad_triple(monkeypatch, n, table, error,
     with pytest.raises(error) as err:
         zmod(n, CAPS)
     assert err.value.triple == triple
+    group = FinAbGroup((n,))
+    mul = table(group, group, {(0, 0): 1})
+    assert _breaks(error, mul, lambda x, y: (x + y) % n, triple)
 
 
-def _maps_of_z2(group, constants):
+def _maps_of_z2(group, right, constants):
     """Element (f0, f1) is the map x -> f_x of Z_2 and a*b = b(a(x)): this is
     associative with identity (0, 1) and left but not right distributive."""
     table = np.empty((4, 4), dtype=np.int32)
@@ -230,7 +244,7 @@ def _maps_of_z2(group, constants):
     return table
 
 
-@pytest.mark.parametrize("scan, triple", [(64, (0, 0, 2)), (2, (0, 3, 2))])
+@pytest.mark.parametrize("scan, triple", [(64, (0, 0, 2)), (2, (3, 0, 3))])
 def test_validation_catches_a_right_distributivity_failure(monkeypatch, scan,
                                                            triple):
     monkeypatch.setattr(rings, "_bilinear_table", _maps_of_z2)
@@ -239,3 +253,6 @@ def test_validation_catches_a_right_distributivity_failure(monkeypatch, scan,
         ring_make(group, {}, group.index_of((0, 1)),
                   dataclasses.replace(CAPS, scan=scan))
     assert err.value.triple == triple
+    # Z_2 x Z_2 adds indices as bit vectors
+    assert _breaks(NotDistributive, _maps_of_z2(group, group, {}),
+                   operator.xor, triple)
