@@ -10,8 +10,10 @@ Defaults can be overridden process-wide with the PIRICK_CAPS environment
 variable (e.g. ``PIRICK_CAPS=lattice=128,hom=1048576``) or per-call by
 passing an explicit Caps.
 
-Also here: `cached`, the one memo for derived per-object results, since the
-caps a result was computed under are part of its key.
+Also here: the two caches, both keyed by caps.  `INTERNED`, the one table
+of structures, builds each group, ring table, module table, hom set and
+End(M) once per (kind, structure key, caps) in a process; `cached` memoizes
+derived results per object, because those carry the object's name.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import functools
 import inspect
 import os
 
-from .errors import PirickError
+from .errors import PirickError, SizeCapExceeded
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,3 +106,29 @@ def cached(fn):
         return memo[key]
 
     return memoized
+
+
+class InternTable(dict):
+    """(kind, structure key, caps) -> what was built for that structure.
+
+    A build that raised SizeCapExceeded is stored as that error, unraised;
+    any other error is not stored.  Builders make the arrays they store
+    read-only, since every object of the structure shares them.
+    """
+
+    def get_or_build(self, kind: str, key, caps, build):
+        """The value stored for (kind, key, caps), from build() on the first
+        call; a stored cap failure is raised again without rebuilding."""
+        full = (kind, key, caps)
+        if full not in self:
+            try:
+                self[full] = build()
+            except SizeCapExceeded as err:
+                self[full] = SizeCapExceeded(err.what, err.size, err.cap)
+        value = self[full]
+        if isinstance(value, SizeCapExceeded):
+            raise SizeCapExceeded(value.what, value.size, value.cap)
+        return value
+
+
+INTERNED = InternTable()

@@ -15,38 +15,43 @@ quotient modules and submodule modules acquire coordinates.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .caps import INTERNED
 from .errors import EmptyFactorList, PirickError, ZeroFactor
 
 
 class FinAbGroup:
-    """Z_{n1} x ... x Z_{nk} with elements indexed lexicographically."""
+    """Z_{n1} x ... x Z_{nk} with elements indexed lexicographically.
+
+    FinAbGroup(factors) returns the one group of those factors in the
+    process, so its add table and coordinates are built once."""
 
     __slots__ = ("factors", "order", "strides", "_add_table", "_coords")
 
-    def __init__(self, factors: Sequence[int]):
+    def __new__(cls, factors: Sequence[int]):
         factors = tuple(int(n) for n in factors)
         if not factors:
             raise EmptyFactorList("a group needs at least one cyclic factor")
         for n in factors:
             if n < 1:
                 raise ZeroFactor(f"cyclic factor {n} is not a positive integer")
+        return INTERNED.get_or_build("group", factors, None,
+                                     lambda: cls._build(factors))
+
+    @classmethod
+    def _build(cls, factors: tuple):
+        self = super().__new__(cls)
         self.factors = factors
-        order = 1
-        for n in factors:
-            order *= n
-        self.order = order
-        strides = [0] * len(factors)
-        acc = 1
-        for i in range(len(factors) - 1, -1, -1):
-            strides[i] = acc
-            acc *= factors[i]
-        self.strides = tuple(strides)
+        self.order = math.prod(factors)
+        self.strides = tuple(math.prod(factors[i + 1:])
+                             for i in range(len(factors)))
         self._add_table = None
         self._coords = None
+        return self
 
     # -- element <-> index ------------------------------------------------
 
@@ -86,6 +91,7 @@ class FinAbGroup:
             idx = np.arange(n, dtype=np.int64)
             for j, (f, s) in enumerate(zip(self.factors, self.strides)):
                 mat[:, j] = (idx // s) % f
+            mat.flags.writeable = False
             self._coords = mat
         return self._coords
 
@@ -103,6 +109,7 @@ class FinAbGroup:
                 hi = min(n, lo + chunk)
                 sums = (coords[lo:hi, None, :] + coords[None, :, :]) % facs
                 out[lo:hi] = (sums * strides).sum(axis=2).astype(np.int32)
+            out.flags.writeable = False
             self._add_table = out
         return self._add_table
 
@@ -118,11 +125,8 @@ class FinAbGroup:
     def __repr__(self) -> str:
         return f"FinAbGroup{self.factors}"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FinAbGroup) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(("FinAbGroup", self.factors))
+    def __reduce__(self):                    # copies and pickles intern too
+        return FinAbGroup, (self.factors,)
 
 
 def elementary_divisors(factors: Sequence[int]) -> tuple:

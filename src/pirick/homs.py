@@ -14,12 +14,12 @@ power_chains takes a whole stack of tables and returns the image and
 kernel bitmasks of every power of every row in one batch, and End(M) keeps
 that result for all of its elements; chain_term reads term n of a chain.
 ModuleMap, a validated table between two modules, is only the projections
-and inclusions of quotient, submodule and direct-sum constructions.
+and inclusions of quotient and submodule constructions.
 
-End(M) is built at most once per (structure, caps) in a process: another
-module object of a cached structure gets the same ring, tables and chains
-re-bound to it, a cap failure is remembered, and the composition
-self-check is exhaustive.
+A hom set and End(M) are built once per structure and caps in a process,
+in the intern table `caps.INTERNED`; other module objects of the structure
+share them, End(M) under their own names, and a cap failure is remembered.
+The composition self-check of End(M) is exhaustive.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, cached
+from .caps import Caps, DEFAULT_CAPS, INTERNED, cached
 from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from .groups import elementary_divisors, group_embedding
 from .modules import (FiniteModule, Submodule, masks, module_generators,
@@ -126,10 +126,17 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
     Candidate images for a generating set of the domain are enumerated in
     lexicographic order, in blocks; each block is expanded along the
     derivation plan and the rows that are additive, linear and send 0 to 0
-    are kept, in that order.
+    are kept, in that order.  The array is read-only.
     """
     if not same_ring(domain.ring, codomain.ring):
         raise PirickError("hom set requires a common base ring")
+    return INTERNED.get_or_build(
+        "hom_set", (domain.key, codomain.key), caps,
+        lambda: _enumerate_homs(domain, codomain, caps))
+
+
+def _enumerate_homs(domain: FiniteModule, codomain: FiniteModule,
+                    caps: Caps) -> np.ndarray:
     gens = list(module_generators(domain))
     count = codomain.order ** len(gens)
     if count > caps.hom:
@@ -157,7 +164,9 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
             .all(axis=(1, 2))
         ok &= (t[:, act_d] == act_c[t, :]).all(axis=(1, 2))
         kept.append(t[ok])
-    return np.concatenate(kept)
+    out = np.concatenate(kept)
+    out.flags.writeable = False             # shared by every caller
+    return out
 
 
 def find_isomorphism(m1: FiniteModule, m2: FiniteModule,
@@ -269,47 +278,19 @@ class EndRing:
     idem_masks: dict = dataclasses.field(default_factory=dict)
 
 
-# (structure, caps) -> the first EndRing built, or the SizeCapExceeded
-# arguments (what, size, cap) of a failed build.
-_END_CACHE = {}
-
-
-def _structure_key(module: FiniteModule) -> tuple:
-    ring = module.ring
-    return (ring.add_group.factors, ring.one,
-            tuple(sorted(ring.constants.items())),
-            module.add_group.factors, tuple(sorted(module.constants.items())))
-
-
-def _rebind(end: EndRing, module: FiniteModule) -> EndRing:
-    """end, bound to another module of the same structure."""
-    ring = end.ring
-    if ring.name != f"end_{module.name}":
-        ring = copy.copy(ring)               # shares the tables and _memo
-        ring.name = f"end_{module.name}"
-    return dataclasses.replace(end, module=module, ring=ring)
-
-
 @cached
 def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     """Compute End(M) with composition, as a validated FiniteRing.
 
-    Built at most once per structure and caps in a process: another module
-    object of that structure gets the cached ring re-bound to it, and a
-    build over a cap raises the same SizeCapExceeded again without
+    Built at most once per structure and caps in a process: each module
+    object of that structure gets it with a ring named `end_<module>`, and
+    a build over a cap raises the same SizeCapExceeded again without
     rebuilding.  A build under other caps is never reused."""
-    cache_key = (_structure_key(module), caps)
-    entry = _END_CACHE.get(cache_key)
-    if isinstance(entry, tuple):
-        raise SizeCapExceeded(*entry)
-    if entry is None:
-        try:
-            entry = _build_end_ring(module, caps)
-        except SizeCapExceeded as err:
-            _END_CACHE[cache_key] = (err.what, err.size, err.cap)
-            raise
-        _END_CACHE[cache_key] = entry
-    return entry if entry.module is module else _rebind(entry, module)
+    end = INTERNED.get_or_build("end_ring", module.key, caps,
+                                lambda: _build_end_ring(module, caps))
+    ring = copy.copy(end.ring)               # shares the tables and _memo
+    ring.name = f"end_{module.name}"
+    return dataclasses.replace(end, module=module, ring=ring)
 
 
 def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
@@ -349,6 +330,7 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
         if bad.any():
             raise PirickError("endomorphism ring table disagrees with "
                               f"composition at ({i}, {int(np.argmax(bad))})")
+    stacked.flags.writeable = False
     return EndRing(module, ring, stacked, power_chains(stacked))
 
 

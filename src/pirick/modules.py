@@ -5,38 +5,43 @@ given by structure constants on the two additive bases (zero values
 dropped) and extended biadditively to a full (|M| x |R|) table by the
 ring's own builder, `rings._bilinear_table`, then validated against the
 module axioms (identity, associativity of the action, both distributive
-laws) by `rings._failed_law`, the check that rings go through too.
+laws) by `rings._failed_law`, the check that rings go through too.  The
+table is built and checked once per structure and caps in a process (the
+intern table `caps.INTERNED`); each module_make call returns a new module
+with its own name and memo that shares it.
 
 A submodule is a bitmask over element indices (bit e set iff element e is
 in it); its elements and size are derived from the mask.  The full
 submodule lattice (when the module is small enough) is the closure of the
 cyclic submodules under pairwise sum.  On top of this sit the lattice
 predicates (direct summand, small, essential), quotient and submodule
-modules with their canonical maps, direct sums, and the generating set
-that hom-set enumeration assigns images to.
+modules with their canonical maps, and the generating set that hom-set
+enumeration assigns images to.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, cached
+from .caps import Caps, DEFAULT_CAPS, INTERNED, cached
 from .errors import AxiomViolation, PirickError, SizeCapExceeded
 from .groups import FinAbGroup, group_embedding
 from .rings import FiniteRing, _bilinear_table, _failed_law
 
 
 class FiniteModule:
-    """A finite right module, with the action as a full (|M|, |R|) table."""
+    """A finite right module, with the action as a full (|M|, |R|) table;
+    modules of one structure `key` share act_np."""
 
-    __slots__ = ("ring", "add_group", "constants", "act_np", "name", "_memo")
+    __slots__ = ("ring", "add_group", "constants", "key", "act_np", "name",
+                 "_memo")
 
     def __init__(self, ring, add_group, constants, act_np, name):
         self.ring = ring
         self.add_group = add_group
-        self.constants = dict(constants)
+        self.constants = constants
+        self.key = (ring.key, add_group.factors,
+                    tuple(sorted(constants.items())))
         self.act_np = act_np
         self.name = name
         self._memo = {}
@@ -77,13 +82,23 @@ def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
         if add_group.scale(c, ring.add_group.factors[i]) != 0 \
                 or add_group.scale(c, add_group.factors[j]) != 0:
             raise AxiomViolation("biadditivity", (i, j, c))
-    constants = {key: c for key, c in constants.items() if c}
-    act = _bilinear_table(add_group, ring.add_group,
-                          {(j, i): c for (i, j), c in constants.items()})
-    failed = _failed_law(act, ring, add_group, caps)
+    module = FiniteModule(ring, add_group,
+                          {key: c for key, c in constants.items() if c},
+                          None, name)
+    module.act_np = INTERNED.get_or_build("module", module.key, caps,
+                                          lambda: _checked_act(module, caps))
+    return module
+
+
+def _checked_act(module: FiniteModule, caps: Caps) -> np.ndarray:
+    """module's action table, built from its constants and checked."""
+    act = _bilinear_table(module.add_group, module.ring.add_group,
+                          {(j, i): c for (i, j), c in module.constants.items()})
+    failed = _failed_law(act, module.ring, module.add_group, caps)
     if failed:
         raise AxiomViolation(*failed)
-    return FiniteModule(ring, add_group, constants, act, name)
+    act.flags.writeable = False
+    return act
 
 
 def ring_as_module(ring: FiniteRing, caps: Caps = DEFAULT_CAPS,
@@ -145,9 +160,6 @@ class Submodule:
     @property
     def size(self) -> int:
         return self.mask.bit_count()
-
-    def __contains__(self, e: int) -> bool:
-        return bool((self.mask >> e) & 1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Submodule) and self.module is other.module
@@ -366,49 +378,6 @@ def free_module(ring: FiniteRing, rank: int, caps: Caps = DEFAULT_CAPS,
                        name or f"{ring.name}_free{rank}")
 
 
-@dataclasses.dataclass
-class DirectSum:
-    module: FiniteModule
-    inj1: object
-    inj2: object
-    proj1: object
-    proj2: object
-
-
-def direct_sum(m1: FiniteModule, m2: FiniteModule,
-               caps: Caps = DEFAULT_CAPS) -> DirectSum:
-    """External direct sum of two modules over the same ring."""
-    from .homs import ModuleMap
-    if not same_ring(m1.ring, m2.ring):
-        raise PirickError("direct sum requires a common base ring")
-    k1 = len(m1.add_group.factors)
-    k2 = len(m2.add_group.factors)
-    group = FinAbGroup(m1.add_group.factors + m2.add_group.factors)
-
-    def embed1(e):
-        return group.index_of(m1.add_group.tuple_of(e) + (0,) * k2)
-
-    def embed2(e):
-        return group.index_of((0,) * k1 + m2.add_group.tuple_of(e))
-
-    constants = {(i, j): embed1(c) for (i, j), c in m1.constants.items()}
-    for (i, j), c in m2.constants.items():
-        constants[(i, k1 + j)] = embed2(c)
-    total = module_make(m1.ring, group, constants, caps,
-                        f"{m1.name}(+){m2.name}")
-    inj1 = ModuleMap(m1, total, tuple(embed1(e) for e in range(m1.order)))
-    inj2 = ModuleMap(m2, total, tuple(embed2(e) for e in range(m2.order)))
-    proj1_table = []
-    proj2_table = []
-    for x in range(total.order):
-        coords = group.tuple_of(x)
-        proj1_table.append(m1.add_group.index_of(coords[:k1]))
-        proj2_table.append(m2.add_group.index_of(coords[k1:]))
-    proj1 = ModuleMap(total, m1, tuple(proj1_table))
-    proj2 = ModuleMap(total, m2, tuple(proj2_table))
-    return DirectSum(total, inj1, inj2, proj1, proj2)
-
-
 # ---------------------------------------------------------------------------
 # generators and rings
 # ---------------------------------------------------------------------------
@@ -434,9 +403,6 @@ def module_generators(module: FiniteModule) -> tuple:
 
 
 def same_ring(r1: FiniteRing, r2: FiniteRing) -> bool:
-    """True when two ring objects are interchangeable: identical structure
-    constants over the same additive presentation, so element indices mean
-    the same thing in both."""
-    return r1 is r2 or (r1.add_group.factors == r2.add_group.factors
-                        and r1.one == r2.one
-                        and r1.constants == r2.constants)
+    """True when two ring objects are interchangeable: one structure key,
+    so element indices mean the same thing in both."""
+    return r1.key == r2.key

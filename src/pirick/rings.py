@@ -6,8 +6,11 @@ extended bilinearly to a full (order x order) table.  The table is checked
 for 1*a = a and then, by `_failed_law`, as the action table of the ring's
 right regular module (a*1 = a, associativity, both distributive laws).
 `_bilinear_table` and `_failed_law` also build and check every module's
-action table.  Elements are the group's integer indices, so every
-ring-theoretic scan below is a vectorized numpy pass over tables.
+action table.  Each table is built and checked once per structure and caps
+in a process (the intern table `caps.INTERNED`); each ring_make call returns
+a new ring with its own name and memo that shares it.  Elements are the
+group's integer indices, so every ring-theoretic scan below is a vectorized
+numpy pass over tables.
 
 Also here: the regularity family of ring properties (regular, pi-regular,
 strongly pi-regular, generalized left principally-projective), classical
@@ -24,7 +27,7 @@ import math
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, cached
+from .caps import Caps, DEFAULT_CAPS, INTERNED, cached
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
                      NotIdempotent, PirickError, SizeCapExceeded)
 from .groups import FinAbGroup, group_embedding
@@ -48,14 +51,17 @@ class Verdict:
 
 
 class FiniteRing:
-    """An associative unital ring on a FinAbGroup, with full tables."""
+    """An associative unital ring on a FinAbGroup, with full tables; rings
+    of one structure `key` share mul_np."""
 
-    __slots__ = ("add_group", "one", "constants", "name", "mul_np", "_memo")
+    __slots__ = ("add_group", "one", "constants", "key", "name", "mul_np",
+                 "_memo")
 
     def __init__(self, add_group, one, constants, mul_np, name):
         self.add_group = add_group
-        self.one = int(one)
-        self.constants = dict(constants)
+        self.one = one
+        self.constants = constants
+        self.key = (add_group.factors, one, tuple(sorted(constants.items())))
         self.mul_np = mul_np
         self.name = name
         self._memo = {}
@@ -217,17 +223,30 @@ def ring_make(add_group: FinAbGroup, constants: dict, one: int,
         raise SizeCapExceeded("ring construction", add_group.order,
                               caps.construct)
     _validate_constants(add_group, constants)
-    constants = {key: c for key, c in constants.items() if c}
-    mul = _bilinear_table(add_group, add_group, constants)
-    ring = FiniteRing(add_group, one, constants, mul, name)
+    if not 0 <= one < add_group.order:
+        raise PirickError(f"identity index {one} out of range for order "
+                          f"{add_group.order}")
+    ring = FiniteRing(add_group, int(one),
+                      {key: c for key, c in constants.items() if c}, None,
+                      name)
+    ring.mul_np = INTERNED.get_or_build("ring", ring.key, caps,
+                                        lambda: _checked_mul(ring, caps))
+    return ring
+
+
+def _checked_mul(ring: FiniteRing, caps: Caps) -> np.ndarray:
+    """ring's multiplication table, built from its constants and checked."""
+    ring.mul_np = mul = _bilinear_table(ring.add_group, ring.add_group,
+                                        ring.constants)
     bad = _first_mismatch(mul[ring.one, :], np.arange(ring.order))
     if bad:
         raise BadIdentity(*bad)
-    failed = _failed_law(mul, ring, add_group, caps)
+    failed = _failed_law(mul, ring, ring.add_group, caps)
     if failed:
         law, witness = failed
         raise _RING_ERRORS[law](witness)
-    return ring
+    mul.flags.writeable = False
+    return mul
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,25 @@ import pathlib
 
 import pytest
 
-from pirick.caps import caps_from_env
+from pirick.caps import INTERNED, caps_from_env
 from pirick.families import ex23_module, ex23_ring, zmod
 from pirick.io import load_dir
 from pirick.properties import analyze
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.fixture
+def fresh_intern():
+    """An empty intern table for one test, for tests that replace a builder
+    (`_bilinear_table`, `ring_make`, `hom_set`): the replacement runs on
+    every structure, and what it builds is not served to later tests.  The
+    table as it was is put back afterwards."""
+    saved = dict(INTERNED)
+    INTERNED.clear()
+    yield INTERNED
+    INTERNED.clear()
+    INTERNED.update(saved)
 
 
 @pytest.fixture(scope="session")

@@ -178,8 +178,7 @@ def test_hom_cap():
 
 
 def _record_end_homs(monkeypatch) -> list:
-    """Give end_ring an empty cache; record each hom_set call it makes."""
-    monkeypatch.setattr(homs, "_END_CACHE", {})
+    """Record each hom_set call that end_ring makes."""
     calls = []
     real = homs.hom_set
 
@@ -191,13 +190,15 @@ def _record_end_homs(monkeypatch) -> list:
     return calls
 
 
-def test_self_check_catches_a_corrupted_table(monkeypatch):
+def test_self_check_catches_a_corrupted_table(monkeypatch, fresh_intern):
     module = ring_as_module(zmod(4), CAPS, name="z4_corrupt")
-    monkeypatch.setattr(homs, "_END_CACHE", {})
     real = homs.ring_make
 
     def corrupted(*args, **kwargs):
         ring = real(*args, **kwargs)
+        with pytest.raises(ValueError, match="read-only"):
+            ring.mul_np[2, 3] = 0                # the shared table
+        ring.mul_np = ring.mul_np.copy()         # a private copy
         ring.mul_np[2, 3] = (ring.mul_np[2, 3] + 1) % ring.order
         return ring
 
@@ -206,7 +207,8 @@ def test_self_check_catches_a_corrupted_table(monkeypatch):
         end_ring(module, CAPS)
 
 
-def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch):
+def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch,
+                                                          fresh_intern):
     module = free_module(zmod(2), 3, CAPS, name="z2_free3")
     calls = _record_end_homs(monkeypatch)
     tight = dataclasses.replace(CAPS, construct=256)
@@ -223,7 +225,8 @@ def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch):
     assert calls == [(module, module, tight), (module, module, CAPS)]
 
 
-def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch):
+def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch,
+                                                        fresh_intern):
     first = ring_as_module(zmod(6), CAPS, name="first")
     second = ring_as_module(zmod(6), CAPS, name="second")
     calls = _record_end_homs(monkeypatch)
@@ -237,9 +240,9 @@ def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch):
     assert end_ring(second, CAPS) is end2
 
 
-def test_construct_cap_is_raised_before_coordinates(monkeypatch):
+def test_construct_cap_is_raised_before_coordinates(monkeypatch,
+                                                    fresh_intern):
     module = free_module(zmod(2), 3, CAPS, name="z2_free3")
-    monkeypatch.setattr(homs, "_END_CACHE", {})
 
     def unreachable(*args, **kwargs):
         raise AssertionError("End(M) was given coordinates over the cap")

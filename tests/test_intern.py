@@ -1,0 +1,174 @@
+"""The intern table: each group, ring table, module table, hom set and
+End(M) is built once per structure and caps in a process, and every object
+of that structure shares it under its own name."""
+
+import collections
+import copy
+import dataclasses
+import pathlib
+import pickle
+
+import pytest
+
+from pirick import homs, modules, rings
+from pirick.caps import caps_from_env
+from pirick.cli import main
+from pirick.errors import PirickError, SizeCapExceeded
+from pirick.families import zmod
+from pirick.groups import FinAbGroup
+from pirick.homs import end_ring, hom_set
+from pirick.modules import free_module, ring_as_module
+from pirick.rings import ring_make
+
+CAPS = caps_from_env()
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+BUILDERS = ((rings, "_bilinear_table"), (rings, "_failed_law"),
+            (modules, "_bilinear_table"), (modules, "_failed_law"),
+            (homs, "_enumerate_homs"), (homs, "_build_end_ring"))
+
+
+def _count_builds(monkeypatch) -> collections.Counter:
+    """Count ring and module validations, hom enumerations and End(M)
+    builds, wherever pirick calls them."""
+    counts = collections.Counter()
+    real_law, real_homs, real_end = (rings._failed_law, homs._enumerate_homs,
+                                     homs._build_end_ring)
+
+    def failed_law(act, ring, group, caps):
+        counts["ring" if act is ring.mul_np else "module"] += 1
+        return real_law(act, ring, group, caps)
+
+    def enumerate_homs(*args):
+        counts["hom_set"] += 1
+        return real_homs(*args)
+
+    def build_end_ring(*args):
+        counts["end_ring"] += 1
+        return real_end(*args)
+
+    monkeypatch.setattr(rings, "_failed_law", failed_law)
+    monkeypatch.setattr(modules, "_failed_law", failed_law)
+    monkeypatch.setattr(homs, "_enumerate_homs", enumerate_homs)
+    monkeypatch.setattr(homs, "_build_end_ring", build_end_ring)
+    return counts
+
+
+def test_a_second_object_of_a_known_structure_builds_nothing(monkeypatch,
+                                                            fresh_intern):
+    first = ring_as_module(zmod(4, CAPS), CAPS, name="first")
+    first_homs = hom_set(first, first, CAPS)
+    first_end = end_ring(first, CAPS)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a known structure was built again")
+
+    for mod, name in BUILDERS:
+        monkeypatch.setattr(mod, name, unreachable)
+    ring = ring_make(FinAbGroup((4,)), {(0, 0): 1}, 1, CAPS, "other_z4")
+    second = ring_as_module(ring, CAPS, name="second")
+    assert (ring.name, second.name, second.ring) == ("other_z4", "second",
+                                                     ring)
+    assert ring.mul_np is first.ring.mul_np
+    assert second.act_np is first.act_np
+    assert hom_set(second, first, CAPS) is first_homs
+    second_end = end_ring(second, CAPS)
+    assert second_end.tables is first_end.tables
+    assert (first_end.ring.name, second_end.ring.name) == ("end_first",
+                                                           "end_second")
+    assert FinAbGroup((4,)) is first.add_group
+
+
+def test_copied_and_unpickled_groups_are_the_interned_group():
+    ring = zmod(4, CAPS)
+    assert copy.copy(ring.add_group) is ring.add_group
+    back = pickle.loads(pickle.dumps(ring))
+    assert back.add_group is ring.add_group
+    assert (back.name, back.key) == (ring.name, ring.key)
+
+
+def test_shared_arrays_are_read_only(fresh_intern):
+    module = free_module(zmod(2, CAPS), 2, CAPS)
+    end = end_ring(module, CAPS)
+    for array in (module.add_group.add_table(), module.add_group
+                  .coords_matrix(), module.ring.mul_np, module.act_np,
+                  hom_set(module, module, CAPS), end.tables):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+
+
+def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
+                                                  capsys):
+    counts = _count_builds(monkeypatch)
+    assert main(["verify", str(CORPUS)]) == 0
+    assert "total=1157" in capsys.readouterr().out
+    assert counts == {"ring": 44, "module": 109, "hom_set": 275,
+                      "end_ring": 89}
+
+
+def test_other_scan_or_hom_caps_rebuild_the_structure(monkeypatch,
+                                                      fresh_intern):
+    counts = _count_builds(monkeypatch)
+    wide = dataclasses.replace(CAPS, hom=CAPS.hom + 1)
+    narrow = dataclasses.replace(CAPS, scan=2)
+    for caps in (CAPS, CAPS, wide, narrow):
+        module = ring_as_module(zmod(6, caps), caps)
+        end_ring(module, caps)
+    # CAPS once, then wide and narrow once more each.  End(Z_6) comes out
+    # as Z_6 in the same presentation, so it shares zmod(6)'s ring table.
+    assert counts == {"ring": 3, "module": 3, "hom_set": 3, "end_ring": 3}
+
+
+def test_a_cap_failure_is_served_again_without_rebuilding(monkeypatch,
+                                                          fresh_intern):
+    tight = dataclasses.replace(CAPS, hom=2)
+    first = free_module(zmod(2, CAPS), 2, CAPS, name="first")
+    with pytest.raises(SizeCapExceeded) as err:
+        hom_set(first, first, tight)
+    counts = _count_builds(monkeypatch)
+    second = free_module(zmod(2, CAPS), 2, CAPS, name="second")
+    for module in (first, second):
+        with pytest.raises(SizeCapExceeded) as again:
+            hom_set(module, module, tight)
+        assert str(again.value) == str(err.value)
+        with pytest.raises(SizeCapExceeded):
+            end_ring(module, tight)
+    assert counts == {"end_ring": 1}
+    assert len(hom_set(second, second, CAPS)) == 16
+
+
+def test_validation_errors_are_not_stored(fresh_intern):
+    for _ in range(2):
+        with pytest.raises(PirickError, match="identity index"):
+            ring_make(FinAbGroup((2,)), {(0, 0): 1}, 5, CAPS)
+    assert not any(key[0] == "ring" for key in fresh_intern)
+
+
+@pytest.mark.parametrize("one", [-1, 2, 5])
+def test_ring_make_range_checks_the_identity(one):
+    with pytest.raises(PirickError, match=f"identity index {one} out of "
+                                          "range for order 2"):
+        ring_make(FinAbGroup((2,)), {(0, 0): 1}, one, CAPS)
+
+
+def test_modules_of_one_structure_keep_their_names(tmp_path, capsys):
+    (tmp_path / "z4.ring").write_text((CORPUS / "z4.ring").read_text())
+    for name in ("first", "second"):
+        (tmp_path / f"{name}.mod").write_text(
+            f"module {name} over z4\nadd 4\nact 1 1 1\nend\n")
+    outputs = []
+    for name in ("first", "second"):
+        path = str(tmp_path / f"{name}.mod")
+        assert main(["module", "check", path, "--format", "machine"]) == 0
+        assert main(["module", "endring", path, "--out",
+                     str(tmp_path / f"end_{name}.ring")]) == 0
+        outputs.append(capsys.readouterr().out)
+        ring_file = (tmp_path / f"end_{name}.ring").read_text()
+        assert ring_file.startswith(f"# endring-of: {name}\nring end_{name}\n")
+    first, second = (out.replace(name, "NAME") for out, name in
+                     zip(outputs, ("first", "second")))
+    assert outputs[0].startswith("instance=first;")
+    assert outputs[1].startswith("instance=second;")
+    assert first == second
+    maps = [(tmp_path / f"end_{name}.ring.maps").read_text()
+            for name in ("first", "second")]
+    assert maps[0] == maps[1]

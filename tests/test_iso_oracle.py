@@ -174,7 +174,8 @@ def test_find_isomorphism_reaches_the_hom_cap():
         find_isomorphism(cyclic, cyclic, Caps(hom=1))
 
 
-def test_other_invariants_are_told_apart_before_any_hom_set(monkeypatch):
+def test_other_invariants_are_told_apart_before_any_hom_set(monkeypatch,
+                                                             fresh_intern):
     cyclic, klein = _z4_squared_halves()
     assert cyclic.order == klein.order == 4
 

@@ -221,8 +221,8 @@ def _breaks(error, mul, add, triple) -> bool:
     (67, _swap_2_3, NotDistributive, (55, 15, 20)),
     (7, _swap_2_3, NotDistributive, (1, 1, 2)),         # every triple
 ])
-def test_validation_names_the_first_bad_triple(monkeypatch, n, table, error,
-                                               triple):
+def test_validation_names_the_first_bad_triple(monkeypatch, fresh_intern, n,
+                                               table, error, triple):
     monkeypatch.setattr(rings, "_bilinear_table", table)
     with pytest.raises(error) as err:
         zmod(n, CAPS)
@@ -245,7 +245,8 @@ def _maps_of_z2(group, right, constants):
 
 
 @pytest.mark.parametrize("scan, triple", [(64, (0, 0, 2)), (2, (3, 0, 3))])
-def test_validation_catches_a_right_distributivity_failure(monkeypatch, scan,
+def test_validation_catches_a_right_distributivity_failure(monkeypatch,
+                                                           fresh_intern, scan,
                                                            triple):
     monkeypatch.setattr(rings, "_bilinear_table", _maps_of_z2)
     group = FinAbGroup((2, 2))
