@@ -11,8 +11,9 @@ variable (e.g. ``PIRICK_CAPS=lattice=128,hom=1048576``) or per-call by
 passing an explicit Caps.
 
 Also here: the two caches, both keyed by caps.  `INTERNED`, the one table
-of structures, builds each group, ring table, module table, hom set and
-End(M) once per (kind, structure key, caps) in a process; `cached` memoizes
+of structures, builds each group, ring table, module table, module
+generating set, hom set and End(M) once per (kind, structure key, caps) in
+a process; `cached` memoizes
 derived results per object, because those carry the object's name.
 """
 

@@ -8,7 +8,8 @@ module axioms (identity, associativity of the action, both distributive
 laws) by `rings._failed_law`, the check that rings go through too.  The
 table is built and checked once per structure and caps in a process (the
 intern table `caps.INTERNED`); each module_make call returns a new module
-with its own name and memo that shares it.
+with its own name and memo that shares it.  The generating set is interned
+by structure too.
 
 A submodule is a bitmask over element indices (bit e set iff element e is
 in it); its elements and size are derived from the mask.  The full
@@ -383,13 +384,19 @@ def free_module(ring: FiniteRing, rank: int, caps: Caps = DEFAULT_CAPS,
 # ---------------------------------------------------------------------------
 
 
-@cached
 def module_generators(module: FiniteModule) -> tuple:
     """A small generating set: greedy cover by cyclic submodules.
 
     Deterministically picks the element whose cyclic submodule adds the most
-    new elements (ties: smallest index) until everything is covered.
+    new elements (ties: smallest index) until everything is covered.  The
+    indices depend only on the structure, so they are found once per
+    structure in a process.
     """
+    return INTERNED.get_or_build("generators", module.key, None,
+                                 lambda: _cyclic_cover(module))
+
+
+def _cyclic_cover(module: FiniteModule) -> tuple:
     n = module.order
     cyclics = [elems_mask(module.act_np[m, :], n) for m in range(n)]
     covered = 1

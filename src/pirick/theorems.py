@@ -16,6 +16,15 @@ Biconditional statements are split into directed sub-entries (id suffixes
 .1/.2) so a failure pinpoints the direction.  Entry ids such as "P2.2" are
 stable registry tokens used by the command-line interface.
 
+Three shapes are declared as data: `_implies`/`_equiv` over named
+predicates, `_every_dual_pi` ("the hypotheses => every module of a family
+is dual pi-Rickart") and `_every_corner` ("pi-regular => every nonzero
+corner eRe passes a ring check").  A family is a generator of (label,
+module) pairs taken lazily, so no module after the first failure is built;
+a family over R^2 first calls `_matrix_gate`, the one test of a 2x2 matrix
+size against caps.matrix_check, which `_mat2` calls too.  The gate thus
+fires after the hypotheses, when the family is first advanced.
+
 Entries read End(M) through the deciders' paths: the image and kernel
 chains of End(M).powers, with `chain_term` for a term past a chain's end;
 a left ideal of a ring as one packed key (`rings.left_annihilator_key`,
@@ -143,88 +152,195 @@ def _dual_pi_of(module: FiniteModule, caps: Caps) -> Verdict:
                                        DECIDERS["dual_pi_rickart"])
 
 
-def _first_not_dual_pi(labelled, caps: Caps):
-    """"<label>,f=<map>" for the first (label, module) pair whose module is
-    not dual pi-Rickart, else None.  Pairs are taken lazily, in order, so
-    no module after the first failure is built."""
-    for label, module in labelled:
-        v = _dual_pi_of(module, caps)
-        if not v.holds:
-            return f"{label},f={v.counterexample}"
-    return None
+def _matrix_gate(ring: FiniteRing, caps: Caps, what: str) -> None:
+    """Raise SizeCapExceeded(what) when 2x2 matrices over the ring, order
+    |R|^4, are over caps.matrix_check."""
+    if ring.order ** 4 > caps.matrix_check:
+        raise SizeCapExceeded(what, ring.order ** 4, caps.matrix_check)
+
+
+@cached
+def _mat2(ring: FiniteRing, caps: Caps) -> FiniteRing:
+    _matrix_gate(ring, caps, "matrix ring")
+    return matrix_ring(ring, 2, caps)
 
 
 # ---------------------------------------------------------------------------
-# implications declared as data
+# entries declared as data
 # ---------------------------------------------------------------------------
 
 
-def _decide(facts: Facts, name: str):
-    """(holds, counterexample) of a predicate: a DECIDERS property name, or
-    "end." followed by reduced, local, pi_regular, strongly_pi_regular,
-    gen_left_pp or nil_radical for that ring check on End(M)."""
-    if not name.startswith("end."):
-        v = _prop(facts, name)
-        return v.holds, v.counterexample
-    ring = facts.end().ring
-    kind = name[len("end."):]
-    if kind in ("reduced", "local"):
+def _ring_decide(ring: FiniteRing, kind: str):
+    """(holds, counterexample) of a ring check: reduced, local, commutative,
+    domain, pi_regular, strongly_pi_regular, gen_left_pp or nil_radical."""
+    if kind in ("reduced", "local", "commutative", "domain"):
         return getattr(ring_predicates(ring), kind), None
     v = nil_radical_check(ring) if kind == "nil_radical" \
         else _ring_check(ring, kind)
     return v.holds, v.counterexample
 
 
-def _hypotheses_met(ctx, hypotheses: tuple):
-    """Facts of a module instance when every hypothesis holds, else None.
-
-    End(M) is built first, as every hypothesis needs it, so a cap on it
-    skips the entry before any other work; the hypotheses are then decided
-    left to right, stopping at the first false one.
-    """
+def _decide(ctx, name: str):
+    """(holds, counterexample) of a predicate on an instance: a DECIDERS
+    property name, "end." followed by a ring check on End(M), or "ring."
+    followed by a ring check on the instance's ring."""
+    if name.startswith("ring."):
+        return _ring_decide(ctx.ring, name[len("ring."):])
     facts = ctx.facts()
-    facts.end()
-    if all(_decide(facts, h)[0] for h in hypotheses):
-        return facts
-    return None
+    if name.startswith("end."):
+        return _ring_decide(facts.end().ring, name[len("end."):])
+    v = _prop(facts, name)
+    return v.holds, v.counterexample
+
+
+def _hypotheses_met(ctx, hypotheses: tuple) -> bool:
+    """Whether every hypothesis holds, decided left to right and stopping
+    at the first false one.
+
+    When a hypothesis reads the module, End(M) is built first, as every
+    such hypothesis needs it, so a cap on it skips the entry before any
+    other work.  "ring." hypotheses alone never touch a module, so a ring
+    instance's entries never ask for its Facts.
+    """
+    if not all(h.startswith("ring.") for h in hypotheses):
+        ctx.facts().end()
+    return all(_decide(ctx, h)[0] for h in hypotheses)
+
+
+def _conclude(ctx, conclusions: tuple):
+    """(status, witness) of "all conclusions hold" on an instance.
+
+    A single failed conclusion is witnessed by its counterexample, as
+    f=<map> for a module property or a=<element> for a ring check; with
+    several conclusions the witness lists the failed names.
+    """
+    failed = {}
+    for name in conclusions:
+        holds, cex = _decide(ctx, name)
+        if not holds:
+            failed[name] = cex
+    if not failed:
+        return HOLDS, "-"
+    if len(conclusions) > 1:
+        return VIOLATION, ",".join(n.rpartition(".")[2] for n in failed)
+    [(name, cex)] = failed.items()
+    return VIOLATION, f"{'a' if '.' in name else 'f'}={cex}"
 
 
 def _implies(hypotheses: tuple, conclusions: tuple):
-    """Check for "all hypotheses => all conclusions" on a module.
-
-    A single failed conclusion is witnessed by its counterexample, as
-    f=<map> for a module property or a=<element> for an "end." check;
-    with several conclusions the witness lists the failed names.
-    """
+    """Check for "all hypotheses => all conclusions" on an instance."""
     def check(ctx):
-        facts = _hypotheses_met(ctx, hypotheses)
-        if facts is None:
+        if not _hypotheses_met(ctx, hypotheses):
             return NOT_MET, "-"
-        failed = {}
-        for name in conclusions:
-            holds, cex = _decide(facts, name)
-            if not holds:
-                failed[name] = cex
-        if not failed:
-            return HOLDS, "-"
-        if len(conclusions) > 1:
-            return VIOLATION, ",".join(n.removeprefix("end.") for n in failed)
-        [(name, cex)] = failed.items()
-        return VIOLATION, f"{'a' if name.startswith('end.') else 'f'}={cex}"
+        return _conclude(ctx, conclusions)
     return check
 
 
 def _equiv(hypotheses: tuple, a: str, b: str):
     """Check for "all hypotheses => (a iff b)" on a module."""
     def check(ctx):
-        facts = _hypotheses_met(ctx, hypotheses)
-        if facts is None:
+        if not _hypotheses_met(ctx, hypotheses):
             return NOT_MET, "-"
-        x, y = _decide(facts, a)[0], _decide(facts, b)[0]
+        x, y = _decide(ctx, a)[0], _decide(ctx, b)[0]
         if x != y:
             return VIOLATION, f"{a}={x},{b}={y}"
         return HOLDS, f"both={x}"
     return check
+
+
+def _every_dual_pi(hypotheses: tuple, family, holds):
+    """Check for "all hypotheses => every module of family(ctx) is dual
+    pi-Rickart".
+
+    The family yields (label, module) pairs and is advanced only after the
+    hypotheses hold, one pair at a time: the first failure is witnessed as
+    <label>,f=<map> and nothing after it is built.  When every module
+    passes, the witness is <holds>=<pairs taken>, or holds(ctx) when holds
+    is callable.
+    """
+    def check(ctx):
+        if not _hypotheses_met(ctx, hypotheses):
+            return NOT_MET, "-"
+        taken = 0
+        for label, module in family(ctx):
+            taken += 1
+            v = _dual_pi_of(module, ctx.caps)
+            if not v.holds:
+                return VIOLATION, f"{label},f={v.counterexample}"
+        return HOLDS, holds(ctx) if callable(holds) else f"{holds}={taken}"
+    return check
+
+
+def _every_corner(kind: str, violation: str):
+    """Check for "pi-regular ring => every nonzero corner eRe passes ring
+    check `kind`"; a failure is witnessed by violation.format(e=, a=)."""
+    def check(ctx):
+        if not _ring_check(ctx.ring, "pi_regular").holds:
+            return NOT_MET, "-"
+        idems = [e for e in ring_idempotents(ctx.ring).tolist() if e]
+        for e in idems:
+            v = _ring_check(_corner(ctx.ring, e, ctx.caps), kind)
+            if not v.holds:
+                return VIOLATION, violation.format(e=e, a=v.counterexample)
+        return HOLDS, f"corners={len(idems)}"
+    return check
+
+
+# ---------------------------------------------------------------------------
+# families of derived modules, for _every_dual_pi
+# ---------------------------------------------------------------------------
+
+
+def _idempotent_images(facts: Facts, prefix: str = "", whole: bool = False):
+    """(<prefix>e=<e>, eM) for each idempotent e of End(M) but 0 and, unless
+    whole, 1; the image of 1 is M itself."""
+    end = facts.end()
+    for e in ring_idempotents(end.ring).tolist():
+        if e and (whole or e != end.ring.one):
+            yield f"{prefix}e={e}", (facts.module if e == end.ring.one
+                                     else facts.inner(image(end, e))[0])
+
+
+def _summand_ideals(ctx):
+    """(e=<e>, e*R) for each idempotent e of the ring."""
+    for e in ring_idempotents(ctx.ring).tolist():
+        yield f"e={e}", ctx.summand_ideal(e)
+
+
+def _free_ranks_and_summands(ctx):
+    """R, R^2 and the nontrivial summands of R^2, behind the rank-2 gate."""
+    _matrix_gate(ctx.ring, ctx.caps, "rank-2 endomorphism ring")
+    yield "rank=1", ctx.reg_module()
+    yield "rank=2", ctx.free2()
+    yield from _idempotent_images(Facts(ctx.free2(), ctx.caps), "rank=2,")
+
+
+def _rank2_projectives(ctx):
+    """Every nonzero summand of R^2, R^2 included, behind the rank-2 gate."""
+    _matrix_gate(ctx.ring, ctx.caps, "rank-2 endomorphism ring")
+    yield from _idempotent_images(Facts(ctx.free2(), ctx.caps), whole=True)
+
+
+def _quotients(ctx, fully_invariant: bool):
+    """(N=<|N|>, M/N) for each submodule N of M, or each fully invariant
+    one."""
+    facts = ctx.facts()
+    tables = facts.end().tables
+    for sub in facts.lattice():
+        if not fully_invariant or is_fully_invariant(sub, tables):
+            yield f"N={sub.size}", facts.quotient(sub.mask)[0]
+
+
+@cached
+def _rad_soc(facts: Facts) -> tuple:
+    return radical(facts.module, facts.caps), socle(facts.module, facts.caps)
+
+
+def _rad_soc_quotients(ctx):
+    """(rad, M/rad M) and (soc, M/soc M)."""
+    facts = ctx.facts()
+    for label, sub in zip(("rad", "soc"), _rad_soc(facts)):
+        yield label, facts.quotient(sub.mask)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +404,7 @@ def _chk_l2_5_2(ctx):
     for f in range(1, end.ring.order):
         if end.powers.images[f][0] != everything:
             return NOT_MET, f"f={f} not epi"
-    problems = []
-    if not _prop(facts, "dual_pi_rickart").holds:
-        problems.append("dual_pi_rickart")
-    if not ring_predicates(end.ring).domain:
-        problems.append("domain")
-    if problems:
-        return VIOLATION, ",".join(problems)
-    return HOLDS, "-"
+    return _conclude(ctx, ("dual_pi_rickart", "end.domain"))
 
 
 def _chk_l2_9(ctx):
@@ -317,26 +426,6 @@ def _chk_l2_9(ctx):
     return HOLDS, f"masks={len(idem_route)},chain_points={checked}"
 
 
-def _chk_p2_11(ctx):
-    facts = ctx.facts()
-    if not _prop(facts, "dual_pi_rickart").holds:
-        return NOT_MET, "-"
-    end = facts.end()
-    idems = _nontrivial_idempotents(end.ring)
-    bad = _first_not_dual_pi(((f"e={e}", facts.inner(image(end, e))[0])
-                              for e in idems), ctx.caps)
-    return (VIOLATION, bad) if bad else (HOLDS, f"summands={len(idems)}")
-
-
-def _chk_c2_12(ctx):
-    if not _ring_check(ctx.ring, "pi_regular").holds:
-        return NOT_MET, "-"
-    idems = ring_idempotents(ctx.ring).tolist()
-    bad = _first_not_dual_pi(((f"e={e}", ctx.summand_ideal(e))
-                              for e in idems), ctx.caps)
-    return (VIOLATION, bad) if bad else (HOLDS, f"ideals={len(idems)}")
-
-
 def _chk_c2_13(ctx):
     ring = ctx.ring
     if not _ring_check(ring, "pi_regular").holds:
@@ -355,32 +444,10 @@ def _chk_c2_13(ctx):
 
 
 def _chk_t2_14_2(ctx):
-    for e in ring_idempotents(ctx.ring).tolist():
-        if not _dual_pi_of(ctx.summand_ideal(e), ctx.caps).holds:
-            return NOT_MET, f"e={e}"
-    v = _ring_check(ctx.ring, "pi_regular")
-    if not v.holds:
-        return VIOLATION, f"a={v.counterexample}"
-    return HOLDS, "-"
-
-
-def _chk_t2_15(ctx):
-    ring = ctx.ring
-    if ring.order ** 4 > ctx.caps.matrix_check:
-        raise SizeCapExceeded("rank-2 endomorphism ring", ring.order ** 4,
-                              ctx.caps.matrix_check)
-    bad = _first_not_dual_pi(
-        ((f"rank={rank}", ctx.reg_module() if rank == 1 else ctx.free2())
-         for rank in (1, 2)), ctx.caps)
-    if bad:
-        return VIOLATION, bad
-    facts = Facts(ctx.free2(), ctx.caps)
-    end = facts.end()
-    idems = _nontrivial_idempotents(end.ring)
-    for e in idems:
-        if not _dual_pi_of(facts.inner(image(end, e))[0], ctx.caps).holds:
-            return VIOLATION, f"rank=2,e={e}"
-    return HOLDS, f"modules={2 + len(idems)}"
+    for label, ideal in _summand_ideals(ctx):
+        if not _dual_pi_of(ideal, ctx.caps).holds:
+            return NOT_MET, label
+    return _conclude(ctx, ("ring.pi_regular",))
 
 
 def _chk_l2_16(ctx):
@@ -444,14 +511,10 @@ def _chk_c2_19(ctx):
 
 
 def _chk_c2_21(ctx):
-    facts = ctx.facts()
-    v = _prop(facts, "fitting")
+    v = _prop(ctx.facts(), "fitting")
     if not v.holds:
         return NOT_MET, f"f={v.counterexample}"
-    w = _prop(facts, "dual_pi_rickart")
-    if not w.holds:
-        return VIOLATION, f"f={w.counterexample}"
-    return HOLDS, "-"
+    return _conclude(ctx, ("dual_pi_rickart",))
 
 
 def _chk_p2_22(ctx):
@@ -465,12 +528,9 @@ def _chk_p2_22(ctx):
 
 
 def _chk_p2_23(ctx):
-    ring = ctx.ring
-    if ring.order ** 4 > ctx.caps.matrix_check:
-        raise SizeCapExceeded("matrix ring", ring.order ** 4,
-                              ctx.caps.matrix_check)
+    mat2 = _mat2(ctx.ring, ctx.caps)
     for n in (1, 2):
-        mat = ring if n == 1 else _mat2(ring, ctx.caps)
+        mat = ctx.ring if n == 1 else mat2
         if not _ring_check(mat, "strongly_pi_regular").holds:
             return NOT_MET, f"n={n}"
         mod = ctx.reg_module() if n == 1 else ctx.free2()
@@ -501,17 +561,6 @@ def _chk_l3_1(ctx):
                 principal.get(left_annihilator_key(ring, fn), ())):
             return VIOLATION, f"f={f},n={n}"
     return HOLDS, f"maps={ring.order}"
-
-
-def _chk_c3_2(ctx):
-    if not _ring_check(ctx.ring, "pi_regular").holds:
-        return NOT_MET, "-"
-    idems = [e for e in ring_idempotents(ctx.ring).tolist() if e]
-    for e in idems:
-        g = _ring_check(_corner(ctx.ring, e, ctx.caps), "gen_left_pp")
-        if not g.holds:
-            return VIOLATION, f"e={e},a={g.counterexample}"
-    return HOLDS, f"corners={len(idems)}"
 
 
 def _chk_c3_3(ctx):
@@ -599,25 +648,6 @@ def _chk_l3_9_2(ctx):
     return HOLDS, "-"
 
 
-def _chk_l3_10_1(ctx):
-    if not _ring_check(ctx.ring, "pi_regular").holds:
-        return NOT_MET, "-"
-    idems = [e for e in ring_idempotents(ctx.ring).tolist() if e]
-    for e in idems:
-        if not _ring_check(_corner(ctx.ring, e, ctx.caps),
-                           "pi_regular").holds:
-            return VIOLATION, f"e={e}"
-    return HOLDS, f"corners={len(idems)}"
-
-
-@cached
-def _mat2(ring: FiniteRing, caps: Caps) -> FiniteRing:
-    if ring.order ** 4 > caps.matrix_check:
-        raise SizeCapExceeded("matrix ring", ring.order ** 4,
-                              caps.matrix_check)
-    return matrix_ring(ring, 2, caps)
-
-
 def _chk_l3_10_2(ctx):
     mat = _mat2(ctx.ring, ctx.caps)
     if not _ring_check(mat, "pi_regular").holds:
@@ -637,63 +667,6 @@ def _chk_l3_10_3(ctx):
     if a != b:
         return VIOLATION, f"base={a},matrix={b}"
     return HOLDS, f"both={a}"
-
-
-def _chk_p3_11(ctx):
-    preds = ring_predicates(ctx.ring)
-    if not (preds.commutative and _ring_check(ctx.ring, "pi_regular").holds):
-        return NOT_MET, "-"
-    if ctx.ring.order ** 4 > ctx.caps.matrix_check:
-        raise SizeCapExceeded("rank-2 endomorphism ring",
-                              ctx.ring.order ** 4, ctx.caps.matrix_check)
-    mod = ctx.free2()
-    facts = Facts(mod, ctx.caps)
-    end = facts.end()
-    idems = [e for e in ring_idempotents(end.ring).tolist() if e]
-    bad = _first_not_dual_pi(
-        ((f"e={e}", mod if e == end.ring.one
-          else facts.inner(image(end, e))[0]) for e in idems), ctx.caps)
-    return (VIOLATION, bad) if bad else (HOLDS, f"projectives={len(idems)}")
-
-
-def _chk_c3_15(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "quasi_projective").holds
-            and _prop(facts, "dual_pi_rickart").holds):
-        return NOT_MET, "-"
-    tables = facts.end().tables
-    subs = [sub for sub in facts.lattice()
-            if is_fully_invariant(sub, tables)]
-    bad = _first_not_dual_pi(((f"N={sub.size}", facts.quotient(sub.mask)[0])
-                              for sub in subs), ctx.caps)
-    return (VIOLATION, bad) if bad else (HOLDS, f"quotients={len(subs)}")
-
-
-def _chk_c3_16(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "quasi_projective").holds
-            and _prop(facts, "duo").holds
-            and _prop(facts, "dual_pi_rickart").holds):
-        return NOT_MET, "-"
-    subs = facts.lattice()
-    bad = _first_not_dual_pi(((f"N={sub.size}", facts.quotient(sub.mask)[0])
-                              for sub in subs), ctx.caps)
-    return (VIOLATION, bad) if bad else (HOLDS, f"quotients={len(subs)}")
-
-
-def _chk_c3_17(ctx):
-    facts = ctx.facts()
-    if not (_prop(facts, "quasi_projective").holds
-            and _prop(facts, "dual_pi_rickart").holds):
-        return NOT_MET, "-"
-    rad = radical(facts.module, ctx.caps)
-    soc = socle(facts.module, ctx.caps)
-    quotients = ((label, facts.quotient(sub.mask)[0])
-                 for label, sub in (("rad", rad), ("soc", soc)))
-    bad = _first_not_dual_pi(quotients, ctx.caps)
-    if bad:
-        return VIOLATION, bad
-    return HOLDS, f"|rad|={rad.size},|soc|={soc.size}"
 
 
 def _chk_p3_18(ctx):
@@ -740,10 +713,7 @@ def _chk_t3_19_2(ctx):
                    and _annihilator_equality(facts, f, n)
                    for n, fn in enumerate(trail[:len(imgs)], start=1)):
             return NOT_MET, f"f={f}"
-    v = _prop(facts, "dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, "-"
+    return _conclude(ctx, ("dual_pi_rickart",))
 
 
 def _chk_t3_19c_1(ctx):
@@ -767,10 +737,7 @@ def _chk_t3_19c_2(ctx):
         if not any(im in masks and _annihilator_equality(facts, f, n)
                    for n, im in enumerate(imgs, start=1)):
             return NOT_MET, f"f={f}"
-    v = _prop(facts, "dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, "-"
+    return _conclude(ctx, ("dual_pi_rickart",))
 
 
 def _chk_t3_20(ctx):
@@ -811,32 +778,7 @@ def _chk_p3_21_2(ctx):
     for f, imgs in enumerate(facts.end().powers.images):
         if not (imgs[0] == everything or imgs[-1] == 1):
             return NOT_MET, f"f={f}"
-    problems = []
-    if not _prop(facts, "indecomposable").holds:
-        problems.append("indecomposable")
-    if not _prop(facts, "dual_pi_rickart").holds:
-        problems.append("dual_pi_rickart")
-    if problems:
-        return VIOLATION, ",".join(problems)
-    return HOLDS, "-"
-
-
-def _chk_t3_22_1(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    if not ring_predicates(end.ring).local:
-        return NOT_MET, "-"
-    nil = nil_radical_check(end.ring)
-    if not nil.holds:
-        return NOT_MET, f"a={nil.counterexample}"
-    problems = []
-    if not _prop(facts, "indecomposable").holds:
-        problems.append("indecomposable")
-    if not _prop(facts, "dual_pi_rickart").holds:
-        problems.append("dual_pi_rickart")
-    if problems:
-        return VIOLATION, ",".join(problems)
-    return HOLDS, "-"
+    return _conclude(ctx, ("indecomposable", "dual_pi_rickart"))
 
 
 # ---------------------------------------------------------------------------
@@ -886,19 +828,24 @@ REGISTRY = {e.id: e for e in [
           "summand via idempotent image equals summand via complement",
           _chk_l2_9),
     Entry("P2.11", "module",
-          "dual pi-Rickart passes to images of idempotents", _chk_p2_11),
+          "dual pi-Rickart passes to images of idempotents",
+          _every_dual_pi(("dual_pi_rickart",),
+                         lambda ctx: _idempotent_images(ctx.facts()),
+                         "summands")),
     Entry("C2.12", "ring",
-          "pi-regular ring => cyclic ideals e*R dual pi-Rickart", _chk_c2_12),
+          "pi-regular ring => cyclic ideals e*R dual pi-Rickart",
+          _every_dual_pi(("ring.pi_regular",), _summand_ideals, "ideals")),
     Entry("C2.13", "ring",
           "pi-regular product => pi-regular factors", _chk_c2_13),
     Entry("T2.14.1", "ring",
           "pi-regular => every summand ideal e*R dual pi-Rickart",
-          _chk_c2_12),
+          _every_dual_pi(("ring.pi_regular",), _summand_ideals, "ideals")),
     Entry("T2.14.2", "ring",
           "every summand ideal e*R dual pi-Rickart => pi-regular",
           _chk_t2_14_2),
     Entry("T2.15", "ring",
-          "free modules and their summands are dual pi-Rickart", _chk_t2_15,
+          "free modules and their summands are dual pi-Rickart",
+          _every_dual_pi((), _free_ranks_and_summands, "modules"),
           note="partial: exercised on free ranks 1 and 2 only"),
     Entry("L2.16", "module",
           "central idempotent images are stable along the power chain",
@@ -920,7 +867,8 @@ REGISTRY = {e.id: e for e in [
           "dual pi-Rickart => End generalized left pp with matching"
           " annihilators", _chk_l3_1),
     Entry("C3.2", "ring",
-          "pi-regular => corners generalized left pp", _chk_c3_2),
+          "pi-regular => corners generalized left pp",
+          _every_corner("gen_left_pp", "e={e},a={a}")),
     Entry("C3.3", "module",
           "dual pi-Rickart => left annihilator of f^n is a principal"
           " idempotent ideal", _chk_c3_3),
@@ -944,7 +892,8 @@ REGISTRY = {e.id: e for e in [
           _chk_l3_9_2,
           note="tentative converse: failures are flagged, not violations"),
     Entry("L3.10.1", "ring",
-          "pi-regular => corners pi-regular", _chk_l3_10_1),
+          "pi-regular => corners pi-regular",
+          _every_corner("pi_regular", "e={e}")),
     Entry("L3.10.2", "ring",
           "pi-regular 2x2 matrix ring => pi-regular base", _chk_l3_10_2),
     Entry("L3.10.3", "ring",
@@ -952,7 +901,9 @@ REGISTRY = {e.id: e for e in [
           _chk_l3_10_3),
     Entry("P3.11", "ring",
           "commutative pi-regular => rank-2 projectives dual pi-Rickart",
-          _chk_p3_11, note="projectives realized as idempotent images of"
+          _every_dual_pi(("ring.commutative", "ring.pi_regular"),
+                         _rank2_projectives, "projectives"),
+          note="projectives realized as idempotent images of"
                            " the rank-2 free module"),
     Entry("T3.12.1", "module",
           "D2 and dual pi-Rickart => End pi-regular",
@@ -966,13 +917,21 @@ REGISTRY = {e.id: e for e in [
                    ("end.pi_regular",))),
     Entry("C3.15", "module",
           "quasi-projective dual pi-Rickart => fully invariant quotients"
-          " dual pi-Rickart", _chk_c3_15),
+          " dual pi-Rickart",
+          _every_dual_pi(("quasi_projective", "dual_pi_rickart"),
+                         lambda ctx: _quotients(ctx, True), "quotients")),
     Entry("C3.16", "module",
           "quasi-projective duo dual pi-Rickart => all quotients dual"
-          " pi-Rickart", _chk_c3_16),
+          " pi-Rickart",
+          _every_dual_pi(("quasi_projective", "duo", "dual_pi_rickart"),
+                         lambda ctx: _quotients(ctx, False), "quotients")),
     Entry("C3.17", "module",
           "quasi-projective dual pi-Rickart => M/rad and M/soc dual"
-          " pi-Rickart", _chk_c3_17),
+          " pi-Rickart",
+          _every_dual_pi(("quasi_projective", "dual_pi_rickart"),
+                         _rad_soc_quotients,
+                         lambda ctx: "|rad|={0.size},|soc|={1.size}".format(
+                             *_rad_soc(ctx.facts())))),
     Entry("P3.18", "module",
           "dual pi-Rickart => small-image endomorphisms nilpotent",
           _chk_p3_18),
@@ -999,7 +958,8 @@ REGISTRY = {e.id: e for e in [
           _chk_p3_21_2),
     Entry("T3.22.1", "module",
           "End local with nil radical => indecomposable dual pi-Rickart",
-          _chk_t3_22_1),
+          _implies(("end.local", "end.nil_radical"),
+                   ("indecomposable", "dual_pi_rickart"))),
     Entry("T3.22.2", "module",
           "morphic indecomposable dual pi-Rickart => End local with nil"
           " radical",
@@ -1020,13 +980,7 @@ def expand_ids(requested=None) -> list:
         if not hits:
             raise UnknownTheorem(token)
         out.extend(hits)
-    seen = set()
-    unique = []
-    for tid in out:
-        if tid not in seen:
-            seen.add(tid)
-            unique.append(tid)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def _evaluate(tid: str, ctx: InstanceContext) -> TheoremVerdict:

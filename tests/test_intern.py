@@ -28,15 +28,20 @@ BUILDERS = ((rings, "_bilinear_table"), (rings, "_failed_law"),
 
 
 def _count_builds(monkeypatch) -> collections.Counter:
-    """Count ring and module validations, hom enumerations and End(M)
-    builds, wherever pirick calls them."""
+    """Count ring and module validations, generator searches, hom
+    enumerations and End(M) builds, wherever pirick calls them."""
     counts = collections.Counter()
     real_law, real_homs, real_end = (rings._failed_law, homs._enumerate_homs,
                                      homs._build_end_ring)
+    real_cover = modules._cyclic_cover
 
     def failed_law(act, ring, group, caps):
         counts["ring" if act is ring.mul_np else "module"] += 1
         return real_law(act, ring, group, caps)
+
+    def cyclic_cover(module):
+        counts["generators"] += 1
+        return real_cover(module)
 
     def enumerate_homs(*args):
         counts["hom_set"] += 1
@@ -48,6 +53,7 @@ def _count_builds(monkeypatch) -> collections.Counter:
 
     monkeypatch.setattr(rings, "_failed_law", failed_law)
     monkeypatch.setattr(modules, "_failed_law", failed_law)
+    monkeypatch.setattr(modules, "_cyclic_cover", cyclic_cover)
     monkeypatch.setattr(homs, "_enumerate_homs", enumerate_homs)
     monkeypatch.setattr(homs, "_build_end_ring", build_end_ring)
     return counts
@@ -101,8 +107,8 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     counts = _count_builds(monkeypatch)
     assert main(["verify", str(CORPUS)]) == 0
     assert "total=1157" in capsys.readouterr().out
-    assert counts == {"ring": 44, "module": 109, "hom_set": 275,
-                      "end_ring": 89}
+    assert counts == {"ring": 44, "module": 109, "generators": 99,
+                      "hom_set": 275, "end_ring": 89}
 
 
 def test_other_scan_or_hom_caps_rebuild_the_structure(monkeypatch,
@@ -115,7 +121,9 @@ def test_other_scan_or_hom_caps_rebuild_the_structure(monkeypatch,
         end_ring(module, caps)
     # CAPS once, then wide and narrow once more each.  End(Z_6) comes out
     # as Z_6 in the same presentation, so it shares zmod(6)'s ring table.
-    assert counts == {"ring": 3, "module": 3, "hom_set": 3, "end_ring": 3}
+    # The generating set does not depend on caps: it is found once.
+    assert counts == {"ring": 3, "module": 3, "generators": 1, "hom_set": 3,
+                      "end_ring": 3}
 
 
 def test_a_cap_failure_is_served_again_without_rebuilding(monkeypatch,

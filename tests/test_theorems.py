@@ -97,6 +97,12 @@ def test_matrix_gated_entries_skip_on_large_rings():
     assert any(v.status == SKIPPED and v.witness.startswith("cap:")
                for v in verdicts) or all(v.status != VIOLATION
                                          for v in verdicts)
+    # a family's gate fires after the hypotheses: t2z2 (order 8) is not
+    # commutative, z5 (order 5) is
+    assert verify("P3.11", _ring_ctx(ring))[0].status == NOT_MET
+    for tid in ("P3.11", "T2.15"):
+        assert verify(tid, _ring_ctx(zmod(5)))[0].witness == \
+            "cap:rank-2 endomorphism ring"
 
 
 def test_summarize_counts_and_never_fired():
@@ -197,13 +203,80 @@ def test_equivalence_witnesses(monkeypatch):
     assert got == (NOT_MET, "-") and asked == ["c2"]
 
 
+def _fail_at(monkeypatch, k):
+    """Stub _dual_pi_of: the k-th module asked about (from 1; never for
+    k=0) is not dual pi-Rickart, with f=9.  Returns the modules asked."""
+    asked = []
+
+    def dual_pi_of(module, caps):
+        asked.append(module)
+        return Verdict(len(asked) != k, {}, 9)
+
+    monkeypatch.setattr(theorems, "_dual_pi_of", dual_pi_of)
+    return asked
+
+
+def _fresh_ctx(name):
+    """A context on a fresh object with empty memos: a corpus ring, its
+    right regular module (<ring>_reg) or its rank-2 free module
+    (<ring>_free2)."""
+    ring_name, _, kind = name.partition("_")
+    ring = _fresh_ring(ring_name)
+    if not kind:
+        return _ring_ctx(ring)
+    if kind == "reg":
+        return _module_ctx(ring_as_module(ring, CAPS, name=name))
+    return _module_ctx(modules.free_module(ring, 2, CAPS, name=name))
+
+
+# End(Z_6) = Z_6 has the nontrivial idempotents 3 and 4 and the submodules
+# of sizes 1, 2, 3, 6 (rad 0, soc Z_6); Z_2^2 has two fully invariant
+# submodules (0 and all) of five; End(Z_2^2) = M_2(Z_2) has the nonzero
+# idempotents 2, 3, 4, 5, 6, 10, 12, where 6 is the identity; the other six
+# have three images (the lines of Z_2^2), each built once.
+FAMILY_CASES = [
+    # entry, instance, k, verdict, submodule and free modules built
+    ("P2.11", "z6_reg", 1, (VIOLATION, "e=3,f=9"), 1),
+    ("P2.11", "z6_reg", 2, (VIOLATION, "e=4,f=9"), 2),
+    ("P2.11", "z6_reg", 0, (HOLDS, "summands=2"), 2),
+    ("C2.12", "z6", 3, (VIOLATION, "e=3,f=9"), 3),
+    ("T2.14.1", "z6", 2, (VIOLATION, "e=1,f=9"), 2),
+    ("T2.14.1", "z6", 0, (HOLDS, "ideals=4"), 4),
+    ("T2.15", "z2", 1, (VIOLATION, "rank=1,f=9"), 0),
+    ("T2.15", "z2", 2, (VIOLATION, "rank=2,f=9"), 1),
+    ("T2.15", "z2", 3, (VIOLATION, "rank=2,e=2,f=9"), 2),
+    ("T2.15", "z2", 0, (HOLDS, "modules=8"), 4),
+    ("P3.11", "z2", 1, (VIOLATION, "e=2,f=9"), 2),
+    ("P3.11", "z2", 5, (VIOLATION, "e=6,f=9"), 4),
+    ("P3.11", "z2", 0, (HOLDS, "projectives=7"), 4),
+    # the quasi-projective hypothesis has built every quotient already
+    ("C3.15", "z2_free2", 2, (VIOLATION, "N=4,f=9"), 0),
+    ("C3.15", "z2_free2", 0, (HOLDS, "quotients=2"), 0),
+    ("C3.16", "z6_reg", 3, (VIOLATION, "N=3,f=9"), 0),
+    ("C3.16", "z6_reg", 0, (HOLDS, "quotients=4"), 0),
+    ("C3.17", "z6_reg", 1, (VIOLATION, "rad,f=9"), 0),
+    ("C3.17", "z6_reg", 2, (VIOLATION, "soc,f=9"), 0),
+    ("C3.17", "z6_reg", 0, (HOLDS, "|rad|=1,|soc|=6"), 0),
+]
+
+
 def test_each_dual_pi_loop_names_the_first_failure(monkeypatch):
-    # z4 has the idempotents 0 and 1; only 1*R has order 4
-    monkeypatch.setattr(theorems, "_dual_pi_of",
-                        lambda module, caps: Verdict(module.order != 4, {}, 9))
-    ctx = _ring_ctx(zmod(4))
-    assert REGISTRY["C2.12"].check(ctx) == (VIOLATION, "e=1,f=9")
-    assert REGISTRY["T2.15"].check(ctx) == (VIOLATION, "rank=1,f=9")
+    for tid, name, k, verdict, builds in FAMILY_CASES:
+        ctx = _fresh_ctx(name)
+        with monkeypatch.context() as patch:
+            asked = _fail_at(patch, k)
+            inner = _count_calls(patch, modules.submodule_module)
+            free = _count_calls(patch, modules.free_module)
+            got = REGISTRY[tid].check(ctx)
+        case = (tid, name, k)
+        assert got == verdict, case
+        assert len(asked) == (k or len(asked)), case
+        assert len(inner) + len(free) == builds, case
+    # P3.11's fifth projective is R^2 itself, not a copy of it
+    ctx = _fresh_ctx("z2")
+    asked = _fail_at(monkeypatch, 5)
+    REGISTRY["P3.11"].check(ctx)
+    assert asked[-1] is ctx.free2()
 
 
 # ---------------------------------------------------------------------------
