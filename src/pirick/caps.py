@@ -12,8 +12,8 @@ passing an explicit Caps.
 
 Also here: the two caches, both keyed by caps.  `INTERNED`, the one table
 of structures, builds each group, ring table, module table, module
-generating set, hom set and End(M) once per (kind, structure key, caps) in
-a process; `cached` memoizes
+generating set, submodule lattice, submodule coordinates, hom set and End(M)
+once per (kind, structure key, caps) in a process; `cached` memoizes
 derived results per object, because those carry the object's name.
 """
 

@@ -96,19 +96,19 @@ class FinAbGroup:
         return self._coords
 
     def add_table(self) -> np.ndarray:
-        """(order, order) int32 table T with T[i, j] = index of element i + j."""
+        """(order, order) int32 table T with T[i, j] = index of element i + j,
+        by a mixed-radix row recurrence: row p + basis_j is row p gathered
+        by the permutation q -> q + basis_j, a block of rows at a time."""
         if self._add_table is None:
-            coords = self.coords_matrix()
-            facs = np.array(self.factors, dtype=np.int64)
-            strides = np.array(self.strides, dtype=np.int64)
             n = self.order
+            idx = np.arange(n, dtype=np.int32)
             out = np.empty((n, n), dtype=np.int32)
-            # Chunk rows so the (chunk, n, k) intermediate stays small.
-            chunk = max(1, (1 << 21) // max(1, n))
-            for lo in range(0, n, chunk):
-                hi = min(n, lo + chunk)
-                sums = (coords[lo:hi, None, :] + coords[None, :, :]) % facs
-                out[lo:hi] = (sums * strides).sum(axis=2).astype(np.int32)
+            out[0] = idx
+            for f, s in zip(reversed(self.factors), reversed(self.strides)):
+                plus = idx + s - np.where(idx // s % f == f - 1, f * s, 0)
+                for c in range(1, f):     # "clip" writes to out unbuffered
+                    np.take(out[(c - 1) * s:c * s], plus, axis=1,
+                            out=out[c * s:(c + 1) * s], mode="clip")
             out.flags.writeable = False
             self._add_table = out
         return self._add_table

@@ -8,8 +8,8 @@ module axioms (identity, associativity of the action, both distributive
 laws) by `rings._failed_law`, the check that rings go through too.  The
 table is built and checked once per structure and caps in a process (the
 intern table `caps.INTERNED`); each module_make call returns a new module
-with its own name and memo that shares it.  The generating set is interned
-by structure too.
+with its own name and memo that shares it.  The generating set, the
+lattice's masks and submodule coordinates are interned by structure too.
 
 A submodule is a bitmask over element indices (bit e set iff element e is
 in it); its elements and size are derived from the mask.  The full
@@ -209,7 +209,13 @@ def submodule_sum(n1: Submodule, n2: Submodule) -> Submodule:
 
 @cached
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
-    """Every submodule, sorted by ascending bitmask (deterministic order)."""
+    """Every submodule, sorted by ascending bitmask (deterministic order);
+    the masks are enumerated once per structure and caps in a process."""
+    return [Submodule(module, mask) for mask in INTERNED.get_or_build(
+        "lattice", module.key, caps, lambda: _lattice_masks(module, caps))]
+
+
+def _lattice_masks(module: FiniteModule, caps: Caps) -> tuple:
     if module.order > caps.lattice:
         raise SizeCapExceeded("submodule lattice", module.order, caps.lattice)
     n = module.order
@@ -230,7 +236,7 @@ def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
                     bits[mask] = mask_bits(mask, n)
                     new.append(mask)
         frontier = new
-    return [Submodule(module, mask) for mask in sorted(bits)]
+    return tuple(sorted(bits))
 
 
 def is_direct_summand(sub: Submodule, caps: Caps = DEFAULT_CAPS):
@@ -323,7 +329,7 @@ def quotient_module(module: FiniteModule, sub: Submodule,
     # coset label = least element index in m + N
     labels = add[:, arr].min(axis=1)
     group, from_label = group_embedding(
-        np.unique(labels), lambda x, y: labels[add[x, y]])
+        np.flatnonzero(np.bincount(labels)), lambda x, y: labels[add[x, y]])
     to_index = np.zeros(module.order, dtype=np.int64)
     to_index[from_label] = np.arange(group.order)
     table = to_index[labels]
@@ -335,19 +341,30 @@ def quotient_module(module: FiniteModule, sub: Submodule,
 
 
 def submodule_module(sub: Submodule, caps: Caps = DEFAULT_CAPS):
-    """N as a module in its own right.  Returns (module, inclusion ModuleMap)."""
+    """N as a module in its own right.  Returns (module, inclusion ModuleMap).
+    Its coordinates are found once per parent structure and mask."""
     from .homs import ModuleMap
+    parent = sub.module
+    group, from_label, constants = INTERNED.get_or_build(
+        "submodule", (parent.key, sub.mask), None,
+        lambda: _submodule_coordinates(sub))
+    inner = module_make(parent.ring, group, constants, caps,
+                        f"{parent.name}|{sub.size}")
+    return inner, ModuleMap(inner, parent, from_label)
+
+
+def _submodule_coordinates(sub: Submodule) -> tuple:
+    """(group, from_label, action constants) of the submodule on its own
+    cyclic decomposition; from_label[i] is the parent element of index i."""
     parent = sub.module
     add = parent.add_group.add_table()
     group, from_label = group_embedding(
         np.flatnonzero(sub.bits()), lambda x, y: add[x, y])
     to_index = np.zeros(parent.order, dtype=np.int64)
     to_index[from_label] = np.arange(group.order)
-    inner = module_make(parent.ring, group,
-                        _action_constants(parent, group, from_label, to_index),
-                        caps, f"{parent.name}|{sub.size}")
-    incl = ModuleMap(inner, parent, from_label)
-    return inner, incl
+    from_label.flags.writeable = False
+    return group, from_label, _action_constants(parent, group, from_label,
+                                                to_index)
 
 
 def _action_constants(module: FiniteModule, group: FinAbGroup, from_label,

@@ -2,9 +2,9 @@
 
 A FiniteRing is a FinAbGroup plus multiplication.  Multiplication is given
 by structure constants on the additive basis, with zero values dropped, and
-extended bilinearly to a full (order x order) table.  The table is checked
-for 1*a = a and then, by `_failed_law`, as the action table of the ring's
-right regular module (a*1 = a, associativity, both distributive laws).
+extended bilinearly to a full (order x order) table by row recurrence.
+The table is checked for 1*a = a and then, by `_failed_law`, as the
+action table of the ring's right regular module (a*1 = a, associativity, both distributive laws).
 `_bilinear_table` and `_failed_law` also build and check every module's
 action table.  Each table is built and checked once per structure and caps
 in a process (the intern table `caps.INTERNED`); each ring_make call returns
@@ -85,23 +85,24 @@ def _bilinear_table(left: FinAbGroup, right: FinAbGroup,
 
     `constants` maps (i, j) -> the index in `left` of left basis i times
     right basis j; missing pairs are zero.  A ring's multiplication is the
-    table of (G, G), a module's action the table of (M, R).
+    table of (G, G), a module's action the table of (M, R).  The basis
+    rows come from coordinates, the others by the mixed-radix recurrence
+    row(p + b_i) = row(p) + row(b_i), one add-table gather per block; that
+    is additivity in the left argument, so it holds for any constants.
     """
-    n = left.order
-    facs = np.array(left.factors, dtype=np.int64)
-    strides = np.array(left.strides, dtype=np.int64)
-    cmat = np.zeros((len(left.factors), len(right.factors),
-                     len(left.factors)), dtype=np.int64)
+    k = len(left.factors)
+    cmat = np.zeros((k, len(right.factors), k), dtype=np.int64)
     for (i, j), c in constants.items():
         cmat[i, j, :] = left.tuple_of(c)
-    partial = np.einsum("pi,ijl->pjl", left.coords_matrix(), cmat)
-    right_coords = right.coords_matrix()
-    out = np.empty((n, right.order), dtype=np.int32)
-    chunk = max(1, (1 << 22) // max(1, right.order * len(left.factors)))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        prod = np.einsum("qj,pjl->pql", right_coords, partial[lo:hi])
-        out[lo:hi] = ((prod % facs) * strides).sum(axis=2).astype(np.int32)
+    coords = np.einsum("qj,ijl->iql", right.coords_matrix(), cmat)
+    basis_rows = (coords % np.array(left.factors)) @ np.array(left.strides)
+    add = left.add_table()
+    out = np.empty((left.order, right.order), dtype=np.int32)
+    out[0] = 0
+    for f, s, row in zip(reversed(left.factors), reversed(left.strides),
+                         basis_rows[::-1]):
+        for c in range(1, f):
+            out[c * s:(c + 1) * s] = add[out[(c - 1) * s:c * s], row]
     return out
 
 
@@ -504,8 +505,8 @@ def corner_ring(ring: FiniteRing, e: int, caps: Caps = DEFAULT_CAPS,
     if mul[e, e] != e:
         raise NotIdempotent(e)
     add = ring.add_group.add_table()
-    group, from_label = group_embedding(np.unique(mul[mul[e, :], e]),
-                                        lambda x, y: add[x, y])
+    elems = np.flatnonzero(np.bincount(mul[mul[e, :], e]))     # of eRe
+    group, from_label = group_embedding(elems, lambda x, y: add[x, y])
     to_index = np.zeros(ring.order, dtype=np.int64)
     to_index[from_label] = np.arange(group.order)
     basis = from_label[[group.basis_index(i) for i in range(len(group.factors))]]

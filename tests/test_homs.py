@@ -207,6 +207,37 @@ def test_self_check_catches_a_corrupted_table(monkeypatch, fresh_intern):
         end_ring(module, CAPS)
 
 
+def test_self_check_compares_every_generator_column(monkeypatch,
+                                                   fresh_intern):
+    """End(Z_2^2) = M_2(Z_2) needs two generators.  A product of two
+    nonzero maps is corrupted into a map that agrees with the composition on
+    the first generator and differs on the second; the generator-column
+    self-check names its pair."""
+    module = free_module(zmod(2), 2, CAPS, name="z2_free2")
+    gens = list(homs.module_generators(module))
+    end = end_ring(module, CAPS)
+    tables, mul = end.tables, end.ring.mul_np
+    assert len(gens) == 2
+    i, j, wrong = next(
+        (i, j, v) for i in range(1, len(tables))
+        for j in range(1, len(tables)) for v in range(len(tables))
+        if tables[v, gens[0]] == tables[i][tables[j, gens[0]]]
+        and tables[v, gens[1]] != tables[i][tables[j, gens[1]]])
+    assert wrong != mul[i, j]
+    fresh_intern.clear()
+    real = homs.ring_make
+
+    def corrupted(*args, **kwargs):
+        ring = real(*args, **kwargs)
+        ring.mul_np = ring.mul_np.copy()
+        ring.mul_np[i, j] = wrong
+        return ring
+
+    monkeypatch.setattr(homs, "ring_make", corrupted)
+    with pytest.raises(PirickError, match=rf"composition at \({i}, {j}\)"):
+        end_ring(free_module(zmod(2), 2, CAPS, name="z2_free2"), CAPS)
+
+
 def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch,
                                                           fresh_intern):
     module = free_module(zmod(2), 3, CAPS, name="z2_free3")

@@ -28,12 +28,15 @@ BUILDERS = ((rings, "_bilinear_table"), (rings, "_failed_law"),
 
 
 def _count_builds(monkeypatch) -> collections.Counter:
-    """Count ring and module validations, generator searches, hom
-    enumerations and End(M) builds, wherever pirick calls them."""
+    """Count ring and module validations, generator searches, lattice
+    enumerations, submodule coordinates, hom enumerations and End(M)
+    builds, wherever pirick calls them."""
     counts = collections.Counter()
     real_law, real_homs, real_end = (rings._failed_law, homs._enumerate_homs,
                                      homs._build_end_ring)
-    real_cover = modules._cyclic_cover
+    real_cover, real_lattice, real_coords = (modules._cyclic_cover,
+                                             modules._lattice_masks,
+                                             modules._submodule_coordinates)
 
     def failed_law(act, ring, group, caps):
         counts["ring" if act is ring.mul_np else "module"] += 1
@@ -42,6 +45,14 @@ def _count_builds(monkeypatch) -> collections.Counter:
     def cyclic_cover(module):
         counts["generators"] += 1
         return real_cover(module)
+
+    def lattice_masks(*args):
+        counts["lattice"] += 1
+        return real_lattice(*args)
+
+    def submodule_coordinates(*args):
+        counts["submodule"] += 1
+        return real_coords(*args)
 
     def enumerate_homs(*args):
         counts["hom_set"] += 1
@@ -54,6 +65,9 @@ def _count_builds(monkeypatch) -> collections.Counter:
     monkeypatch.setattr(rings, "_failed_law", failed_law)
     monkeypatch.setattr(modules, "_failed_law", failed_law)
     monkeypatch.setattr(modules, "_cyclic_cover", cyclic_cover)
+    monkeypatch.setattr(modules, "_lattice_masks", lattice_masks)
+    monkeypatch.setattr(modules, "_submodule_coordinates",
+                        submodule_coordinates)
     monkeypatch.setattr(homs, "_enumerate_homs", enumerate_homs)
     monkeypatch.setattr(homs, "_build_end_ring", build_end_ring)
     return counts
@@ -108,7 +122,8 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     assert main(["verify", str(CORPUS)]) == 0
     assert "total=1157" in capsys.readouterr().out
     assert counts == {"ring": 44, "module": 109, "generators": 99,
-                      "hom_set": 275, "end_ring": 89}
+                      "lattice": 28, "submodule": 111, "hom_set": 275,
+                      "end_ring": 89}
 
 
 def test_other_scan_or_hom_caps_rebuild_the_structure(monkeypatch,
@@ -180,3 +195,24 @@ def test_modules_of_one_structure_keep_their_names(tmp_path, capsys):
     maps = [(tmp_path / f"end_{name}.ring.maps").read_text()
             for name in ("first", "second")]
     assert maps[0] == maps[1]
+
+
+def test_lattice_and_submodule_coordinates_are_shared_by_structure(
+        monkeypatch, fresh_intern):
+    counts = _count_builds(monkeypatch)
+    tight = dataclasses.replace(CAPS, lattice=2)
+    subs = []
+    for name in ("first", "second"):
+        module = ring_as_module(zmod(4, CAPS), CAPS, name=name)
+        with pytest.raises(SizeCapExceeded, match="submodule lattice"):
+            modules.all_submodules(module, tight)
+        lattice = modules.all_submodules(module, CAPS)
+        assert [sub.module for sub in lattice] == [module] * 3
+        inner, incl = modules.submodule_module(lattice[1], CAPS)
+        assert (inner.name, incl.domain, incl.codomain) == (
+            f"{name}|2", inner, module)
+        subs.append((lattice, inner))
+    assert [s.mask for s in subs[0][0]] == [s.mask for s in subs[1][0]]
+    assert subs[0][1].act_np is subs[1][1].act_np
+    # each under CAPS once and the cap failure once, for both objects
+    assert counts["lattice"] == 2 and counts["submodule"] == 1

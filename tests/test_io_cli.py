@@ -1,6 +1,8 @@
 """File formats, corpus loading, and the command-line surface."""
 
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -240,3 +242,21 @@ def test_cli_cap_flags(tmp_path, capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["ring", "check", "/does/not/exist.ring"]) == 3
+
+
+def test_a_run_does_not_load_numpy_ma(tmp_path):
+    """`module check` and `verify` in a fresh process, quotients and corner
+    rings included, never import numpy.ma (about 0.03 s of start-up)."""
+    for name in ("z4.ring", "z4_free2.mod", "t2z2.ring", "t2z2_reg.mod"):
+        (tmp_path / name).write_text((CORPUS / name).read_text())
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; from pirick.cli import main; "
+             f"main(['module', 'check', {str(CORPUS / 'ex23.mod')!r}]); "
+             f"main(['verify', {str(tmp_path)!r}]); "
+             "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={"PYTHONPATH": str(src),
+                              "OPENBLAS_NUM_THREADS": "1"})
+    assert "violation=0" in run.stdout
+    assert run.stdout.splitlines()[-1] == "False"
