@@ -10,11 +10,13 @@ Defaults can be overridden process-wide with the PIRICK_CAPS environment
 variable (e.g. ``PIRICK_CAPS=lattice=128,hom=1048576``) or per-call by
 passing an explicit Caps.
 
-Also here: the two caches, both keyed by caps.  `INTERNED`, the one table
-of structures, builds each group, ring table, module table, module
-generating set, submodule lattice, submodule coordinates, hom set and End(M)
-once per (kind, structure key, caps) in a process; `cached` memoizes
-derived results per object, because those carry the object's name.
+Also here: the one cache, `INTERNED`, keyed by structure and caps.  It
+builds each group, ring table, module table, module generating set,
+submodule lattice, submodule coordinates and hom set once per (kind,
+structure key, caps) in a process, and `interned` memoizes every derived
+result in it the same way, End(M) among them.  A value depends only on the
+structure and the caps, so objects of one structure share it whatever
+their names; a name reaches output only from the caller's own object.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import dataclasses
 import functools
 import inspect
 import os
+
+import numpy as np
 
 from .errors import PirickError, SizeCapExceeded
 
@@ -87,37 +91,16 @@ def caps_from_env(env=None):
 DEFAULT_CAPS = caps_from_env()
 
 
-def cached(fn):
-    """Memoize ``fn(obj, *args)`` in ``obj._memo``.
-
-    The key is fn itself plus the positional arguments with defaults filled
-    in, so ``f(m)`` and ``f(m, DEFAULT_CAPS)`` share an entry and a result
-    is never served to a call under other caps.  Exceptions are not stored:
-    a cap check at the top of fn runs again on every call that misses.
-    """
-    defaults = tuple(p.default for p in
-                     list(inspect.signature(fn).parameters.values())[1:])
-
-    @functools.wraps(fn)
-    def memoized(obj, *args):
-        key = (fn, *args, *defaults[len(args):])
-        memo = obj._memo
-        if key not in memo:
-            memo[key] = fn(obj, *args)
-        return memo[key]
-
-    return memoized
-
-
 class InternTable(dict):
     """(kind, structure key, caps) -> what was built for that structure.
 
+    Under `interned` the kind is a function and caps its other arguments.
     A build that raised SizeCapExceeded is stored as that error, unraised;
-    any other error is not stored.  Builders make the arrays they store
-    read-only, since every object of the structure shares them.
+    any other error is not stored.  The arrays stored are read-only, since
+    every object of the structure shares them.
     """
 
-    def get_or_build(self, kind: str, key, caps, build):
+    def get_or_build(self, kind, key, caps, build):
         """The value stored for (kind, key, caps), from build() on the first
         call; a stored cap failure is raised again without rebuilding."""
         full = (kind, key, caps)
@@ -133,3 +116,31 @@ class InternTable(dict):
 
 
 INTERNED = InternTable()
+
+
+def interned(fn):
+    """Memoize ``fn(obj, *args)`` in INTERNED under (fn, obj.key, args).
+
+    obj.key is a structure key (with the caps, for a Facts or an
+    InstanceContext), and the args have their defaults filled in, so
+    ``f(m)`` and ``f(m, DEFAULT_CAPS)`` share an entry and no call is
+    served a value built under other caps.  An array returned, alone or in
+    a tuple, is made read-only.
+    """
+    defaults = tuple(p.default for p in
+                     list(inspect.signature(fn).parameters.values())[1:])
+
+    def build(obj, args):
+        value = fn(obj, *args)
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        return value
+
+    @functools.wraps(fn)
+    def memoized(obj, *args):
+        args = (*args, *defaults[len(args):])
+        return INTERNED.get_or_build(fn, obj.key, args,
+                                     lambda: build(obj, args))
+
+    return memoized

@@ -110,7 +110,7 @@ def _cmd_module_endring(args) -> int:
     caps = _caps_for(args)
     module = _load_module(args, caps)
     end = end_ring(module, caps)
-    export_endring(end, pathlib.Path(args.out))
+    export_endring(end, pathlib.Path(args.out), module.name)
     print(f"endring of {module.name}: order {end.ring.order}, "
           f"written to {args.out}")
     return 0

@@ -9,8 +9,9 @@ by small ints.
 The module also provides `group_embedding`: given a finite abelian group as
 a sorted array of integer labels and an addition that works on whole label
 arrays, it finds a cyclic decomposition in one greedy pass and re-presents
-the group as a FinAbGroup.  This is how endomorphism rings, corner rings,
-quotient modules and submodule modules acquire coordinates.
+the group as a FinAbGroup, with the label of each index, the index of each
+label and the labels of the basis.  This is how endomorphism rings, corner
+rings, quotient modules and submodule modules acquire coordinates.
 """
 
 from __future__ import annotations
@@ -162,12 +163,14 @@ def elementary_divisors(factors: Sequence[int]) -> tuple:
     return tuple(sorted(out))
 
 
-def group_embedding(labels: np.ndarray, add: Callable):
+def group_embedding(labels: np.ndarray, add: Callable) -> tuple:
     """Re-present a finite abelian group, given by labels, as a FinAbGroup.
 
     `labels` is a sorted integer array whose first entry is the zero label,
     and `add(x, y)` adds two label arrays elementwise.  Returns (group,
-    from_label), where from_label[i] is the label of FinAbGroup index i.
+    from_label, to_index, basis): from_label[i] is the label of index i,
+    to_index[label] the index of a label, and basis[j] the label of the
+    j-th standard generator.
 
     The cyclic factors come from one greedy pass: take the first label, by
     largest order and then earliest position, whose cyclic subgroup meets the
@@ -227,4 +230,10 @@ def group_embedding(labels: np.ndarray, add: Callable):
     if span.size != n or not np.array_equal(np.sort(span), np.arange(n)):
         raise PirickError("cyclic decomposition failed; input is not an "
                           "abelian group")
-    return FinAbGroup(factors or (1,)), labels[span]
+    group = FinAbGroup(factors or (1,))
+    from_label = labels[span]
+    to_index = np.zeros(labels[-1] + 1, dtype=np.int64)
+    to_index[from_label] = np.arange(n)
+    basis = from_label[[group.basis_index(j)
+                        for j in range(len(group.factors))]]
+    return group, from_label, to_index, basis

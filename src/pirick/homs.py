@@ -17,24 +17,24 @@ ModuleMap, a validated table between two modules, is only the projections
 and inclusions of quotient and submodule constructions.
 
 A hom set and End(M) are built once per structure and caps in a process,
-in the intern table `caps.INTERNED`; other module objects of the structure
-share them, End(M) under their own names, and a cap failure is remembered.
-The composition self-check of End(M) is exhaustive, on generator columns.
+in the intern table `caps.INTERNED`; every module object of the structure
+gets the same ones, whatever its name, and a cap failure is remembered.
+End(M) carries no module and no module name: a caller that prints one adds
+its own.  The composition self-check of End(M) is exhaustive, on generator
+columns.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import NamedTuple
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED, cached
+from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from .groups import elementary_divisors, group_embedding
-from .modules import (FiniteModule, Submodule, masks, module_generators,
-                      same_ring)
+from .modules import FiniteModule, masks, module_generators, same_ring
 from .rings import FiniteRing, ring_idempotents, ring_make
 
 
@@ -42,7 +42,7 @@ class ModuleMap:
     """A homomorphism of right modules over a common ring, as one table
     array over the domain's element indices, validated on construction:
     additivity against both addition tables and linearity against both
-    action tables."""
+    action tables.  The table is read-only."""
 
     __slots__ = ("domain", "codomain", "table_np")
 
@@ -55,6 +55,7 @@ class ModuleMap:
         if len(self.table_np) != domain.order:
             raise PirickError("map table length does not match domain order")
         self._validate()
+        self.table_np.flags.writeable = False
 
     def _validate(self):
         t = self.table_np
@@ -266,31 +267,25 @@ class EndRing:
     """End(M) as a FiniteRing whose element i is the endomorphism with
     table tables[i]; multiplication is composition, (f * g)(m) = f(g(m)).
 
-    powers holds the image and kernel chains of every element, and
-    idem_masks (filled on first use) the image masks of the idempotents.
-    EndRings of one structure and caps share tables, powers and idem_masks.
+    key is (structure key of M, caps), and powers holds the image and
+    kernel chains of every element.
     """
 
-    module: FiniteModule
+    key: tuple
     ring: FiniteRing
     tables: np.ndarray
     powers: PowerChains
-    idem_masks: dict = dataclasses.field(default_factory=dict)
 
 
-@cached
+@interned
 def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     """Compute End(M) with composition, as a validated FiniteRing.
 
-    Built at most once per structure and caps in a process: each module
-    object of that structure gets it with a ring named `end_<module>`, and
-    a build over a cap raises the same SizeCapExceeded again without
-    rebuilding.  A build under other caps is never reused."""
-    end = INTERNED.get_or_build("end_ring", module.key, caps,
-                                lambda: _build_end_ring(module, caps))
-    ring = copy.copy(end.ring)               # shares the tables and _memo
-    ring.name = f"end_{module.name}"
-    return dataclasses.replace(end, module=module, ring=ring)
+    Built at most once per structure and caps in a process, and every
+    module object of that structure gets the same one; a build over a cap
+    raises the same SizeCapExceeded again without rebuilding.  A build
+    under other caps is never reused."""
+    return _build_end_ring(module, caps)
 
 
 def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
@@ -309,19 +304,16 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
         """Row of raw for each map given by a (..., #gens) image stack."""
         return np.searchsorted(keys, gen_images @ radix)
 
-    group, from_label = group_embedding(
+    group, from_label, to_index, basis_labels = group_embedding(
         np.arange(len(raw)),
         lambda i, j: raw_index(add_m[images[i], images[j]]))
     stacked = raw[from_label]
-    to_index = np.empty(len(raw), dtype=np.int64)
-    to_index[from_label] = np.arange(len(raw))
-
-    basis = stacked[[group.basis_index(i) for i in range(len(group.factors))]]
+    basis = raw[basis_labels]
     # products[i, j] is the index of basis map i after basis map j
     products = to_index[raw_index(basis[:, basis[:, gens]])]
     constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
     one = int(to_index[raw_index(np.array(gens, dtype=np.int64))])
-    ring = ring_make(group, constants, one, caps, f"end_{module.name}")
+    ring = ring_make(group, constants, one, caps, "End(M)")
 
     # Independent check, exhaustive over all |End|^2 pairs: the map at
     # ring index mul[i, j] must be the composition of map i after map j.
@@ -334,7 +326,7 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
             raise PirickError("endomorphism ring table disagrees with "
                               f"composition at ({i}, {int(np.argmax(bad))})")
     stacked.flags.writeable = False
-    return EndRing(module, ring, stacked, power_chains(stacked))
+    return EndRing((module.key, caps), ring, stacked, power_chains(stacked))
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +348,18 @@ def left_annihilator(end: EndRing, elems) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def right_annihilator(end: EndRing, endo_indices) -> Submodule:
-    """r_M(X) = {m : g(m) == 0 for every g in X}, as a Submodule of M."""
+def right_annihilator(end: EndRing, endo_indices) -> int:
+    """The bitmask of r_M(X) = {m : g(m) == 0 for every g in X}."""
     idx = np.array([int(i) for i in endo_indices], dtype=np.int64)
     keep = (end.tables[idx] == 0).all(axis=0)
-    return Submodule(end.module, masks(keep[None])[0])
+    return masks(keep[None])[0]
 
 
+@interned
 def idempotent_image_masks(end: EndRing) -> dict:
     """Map from image bitmask of an idempotent endomorphism to the smallest
     such idempotent's ring index; computed once per structure and caps."""
-    out = end.idem_masks
-    if not out:                 # never empty once filled: 0 is idempotent
-        for e in ring_idempotents(end.ring).tolist():
-            out.setdefault(image(end, e), int(e))
+    out = {}
+    for e in ring_idempotents(end.ring).tolist():
+        out.setdefault(image(end, e), e)
     return out
-
-
-def is_indecomposable(end: EndRing) -> bool:
-    """No idempotent endomorphisms besides 0 and the identity."""
-    idem = set(ring_idempotents(end.ring).tolist())
-    one = end.ring.one
-    return idem <= {0, one}

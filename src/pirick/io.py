@@ -202,9 +202,10 @@ def _coords_str(group: FinAbGroup, index: int) -> str:
     return " ".join(str(c) for c in group.tuple_of(index))
 
 
-def serialize_ring(ring: FiniteRing) -> str:
+def serialize_ring(ring: FiniteRing, name: str | None = None) -> str:
+    """The ring file of `ring`, under `name` when given."""
     group = ring.add_group
-    lines = [f"ring {ring.name}",
+    lines = [f"ring {name or ring.name}",
              "add " + " ".join(str(n) for n in group.factors),
              "one " + _coords_str(group, ring.one)]
     for (i, j), value in sorted(ring.constants.items()):
@@ -231,11 +232,13 @@ def write_module(module: FiniteModule, path) -> None:
     pathlib.Path(path).write_text(serialize_module(module), encoding="utf-8")
 
 
-def export_endring(end: EndRing, path) -> None:
-    """Write End(M) as a ring file plus a `.maps` sidecar with the tables."""
+def export_endring(end: EndRing, path, name: str) -> None:
+    """Write End(M) of the module called `name` as a ring file named
+    end_<name>, plus a `.maps` sidecar with the tables."""
     out = pathlib.Path(path)
-    header = f"# endring-of: {end.module.name}\n"
-    out.write_text(header + serialize_ring(end.ring), encoding="utf-8")
+    header = f"# endring-of: {name}\n"
+    out.write_text(header + serialize_ring(end.ring, f"end_{name}"),
+                   encoding="utf-8")
     sidecar = out.with_name(out.name + ".maps")
     rows = [f"{i}: " + " ".join(map(str, row))
             for i, row in enumerate(end.tables.tolist())]

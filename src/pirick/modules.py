@@ -8,8 +8,8 @@ module axioms (identity, associativity of the action, both distributive
 laws) by `rings._failed_law`, the check that rings go through too.  The
 table is built and checked once per structure and caps in a process (the
 intern table `caps.INTERNED`); each module_make call returns a new module
-with its own name and memo that shares it.  The generating set, the
-lattice's masks and submodule coordinates are interned by structure too.
+with its own name that shares it.  The generating set, the lattice's masks
+and submodule coordinates are interned by structure too.
 
 A submodule is a bitmask over element indices (bit e set iff element e is
 in it); its elements and size are derived from the mask.  The full
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED, cached
+from .caps import Caps, DEFAULT_CAPS, INTERNED
 from .errors import AxiomViolation, PirickError, SizeCapExceeded
 from .groups import FinAbGroup, group_embedding
 from .rings import FiniteRing, _bilinear_table, _failed_law
@@ -34,8 +34,7 @@ class FiniteModule:
     """A finite right module, with the action as a full (|M|, |R|) table;
     modules of one structure `key` share act_np."""
 
-    __slots__ = ("ring", "add_group", "constants", "key", "act_np", "name",
-                 "_memo")
+    __slots__ = ("ring", "add_group", "constants", "key", "act_np", "name")
 
     def __init__(self, ring, add_group, constants, act_np, name):
         self.ring = ring
@@ -45,7 +44,6 @@ class FiniteModule:
                     tuple(sorted(constants.items())))
         self.act_np = act_np
         self.name = name
-        self._memo = {}
 
     @property
     def order(self) -> int:
@@ -207,7 +205,6 @@ def submodule_sum(n1: Submodule, n2: Submodule) -> Submodule:
     return Submodule(module, elems_mask(sums, module.order))
 
 
-@cached
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
     """Every submodule, sorted by ascending bitmask (deterministic order);
     the masks are enumerated once per structure and caps in a process."""
@@ -328,13 +325,11 @@ def quotient_module(module: FiniteModule, sub: Submodule,
     arr = np.flatnonzero(sub.bits())
     # coset label = least element index in m + N
     labels = add[:, arr].min(axis=1)
-    group, from_label = group_embedding(
+    group, _, to_index, basis = group_embedding(
         np.flatnonzero(np.bincount(labels)), lambda x, y: labels[add[x, y]])
-    to_index = np.zeros(module.order, dtype=np.int64)
-    to_index[from_label] = np.arange(group.order)
     table = to_index[labels]
     quotient = module_make(module.ring, group,
-                           _action_constants(module, group, from_label, table),
+                           _action_constants(module, basis, table),
                            caps, f"{module.name}/{sub.size}")
     proj = ModuleMap(module, quotient, table)
     return quotient, proj
@@ -358,21 +353,16 @@ def _submodule_coordinates(sub: Submodule) -> tuple:
     cyclic decomposition; from_label[i] is the parent element of index i."""
     parent = sub.module
     add = parent.add_group.add_table()
-    group, from_label = group_embedding(
+    group, from_label, to_index, basis = group_embedding(
         np.flatnonzero(sub.bits()), lambda x, y: add[x, y])
-    to_index = np.zeros(parent.order, dtype=np.int64)
-    to_index[from_label] = np.arange(group.order)
     from_label.flags.writeable = False
-    return group, from_label, _action_constants(parent, group, from_label,
-                                                to_index)
+    return group, from_label, _action_constants(parent, basis, to_index)
 
 
-def _action_constants(module: FiniteModule, group: FinAbGroup, from_label,
-                      index) -> dict:
-    """Structure constants of the module on `group` whose basis element j is
-    from_label[group.basis_index(j)] in `module`; index[m] is the index in
-    `group` of the element m of `module`."""
-    reps = from_label[[group.basis_index(j) for j in range(len(group.factors))]]
+def _action_constants(module: FiniteModule, reps, index) -> dict:
+    """Structure constants of the module on a group whose basis element j
+    is reps[j] in `module`; index[m] is the index in that group of the
+    element m of `module`."""
     ring_group = module.ring.add_group
     basis_r = [ring_group.basis_index(i) for i in range(len(ring_group.factors))]
     acted = index[module.act_np[np.ix_(reps, basis_r)]]      # [j, i]

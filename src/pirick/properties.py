@@ -4,11 +4,13 @@ Every decider is exact: it enumerates the endomorphism ring, the submodule
 lattice, or a hom set outright and returns a Verdict with explicit witnesses
 (exponents, idempotents, counterexample elements).  A Facts object hands
 the deciders the shared objects (End(M), the lattice, quotients,
-submodules, verdicts), each memoized per module and caps by `caps.cached`, so
-a full analysis builds each one once; the registry in `theorems` builds its
-submodules, e*R among them, through the same Facts.  The image and kernel
-chains of every endomorphism are bitmasks read from End(M)'s one `powers`
-result, and nowhere else.
+submodules, verdicts).  Its key is (structure key of the module, caps), and
+each of those is memoized under it in the one cache, `caps.INTERNED`, so
+every module of one structure gets one of each, and a decider runs once per
+structure and caps; the registry in `theorems` builds its submodules, e*R
+among them, through the same Facts.  The image and kernel chains of every
+endomorphism are bitmasks read from End(M)'s one `powers` result, and
+nowhere else.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -21,14 +23,15 @@ import dataclasses
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, cached
+from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
 from .homs import (EndRing, are_isomorphic, chain_term, end_ring, hom_set,
-                   idempotent_image_masks, is_indecomposable)
+                   idempotent_image_masks)
 from .modules import (FiniteModule, Submodule, all_submodules, is_small,
                       is_essential, masks, module_generators,
                       quotient_module, ring_as_module, submodule_module)
-from .rings import (FiniteRing, Verdict, jacobson_radical, opposite_ring,
+from .rings import (FiniteRing, Verdict, central_idempotent_scan,
+                    jacobson_radical, nontrivial_idempotents, opposite_ring,
                     power_trail, ring_idempotents)
 
 PROPERTY_ORDER = (
@@ -54,14 +57,17 @@ PROPERTY_ORDER = (
 class Facts:
     """The per-module computations shared by the property deciders.
 
-    Every Facts of one module and caps shares one memo, so the methods
-    marked `cached` run once per (module, caps, arguments).
+    Every Facts of one structure and caps has one key, so the methods
+    marked `interned` run once per (structure, caps, arguments).  The
+    modules that quotient and inner return are shared the same way: their
+    names, and the module they map from or to, are those of the first
+    module of the structure that asked, and no output reads them.
     """
 
     def __init__(self, module: FiniteModule, caps: Caps = DEFAULT_CAPS):
         self.module = module
         self.caps = caps
-        self._memo = module._memo.setdefault(("facts", caps), {})
+        self.key = (module.key, caps)
 
     def end(self) -> EndRing:
         return end_ring(self.module, self.caps)
@@ -72,12 +78,12 @@ class Facts:
     def idem_masks(self) -> dict:
         return idempotent_image_masks(self.end())
 
-    @cached
+    @interned
     def quotient(self, mask: int):
         """(M/N, projection) for the submodule with this bitmask."""
         return quotient_module(self.module, self.sub(mask), self.caps)
 
-    @cached
+    @interned
     def inner(self, mask: int):
         """(N as a module, inclusion) for the submodule with this bitmask."""
         return submodule_module(self.sub(mask), self.caps)
@@ -85,9 +91,10 @@ class Facts:
     def sub(self, mask: int) -> Submodule:
         return Submodule(self.module, mask)
 
-    @cached
-    def verdict(self, prop: str, decider) -> Verdict:
-        return decider(self)
+    @interned
+    def verdict(self, prop: str) -> Verdict:
+        """The verdict of the decider of property `prop`."""
+        return DECIDERS[prop](self)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +250,8 @@ def decide_d2(facts: Facts) -> Verdict:
 
 def decide_abelian(facts: Facts) -> Verdict:
     """Every idempotent endomorphism is central in End(M)."""
-    end = facts.end()
-    mul = end.ring.mul_np
-    for e in ring_idempotents(end.ring).tolist():
-        left = mul[e, :]
-        right = mul[:, e]
-        if not np.array_equal(left, right):
-            f = int(np.nonzero(left != right)[0][0])
-            return Verdict(False, {}, (e, f))
-    return Verdict(True, {}, None)
+    noncentral = central_idempotent_scan(facts.end().ring)[1]
+    return Verdict(noncentral is None, {}, noncentral)
 
 
 def decide_duo(facts: Facts) -> Verdict:
@@ -295,12 +295,8 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
 
 def decide_indecomposable(facts: Facts) -> Verdict:
     """Only 0 and the identity are idempotent endomorphisms."""
-    end = facts.end()
-    if is_indecomposable(end):
-        return Verdict(True, {}, None)
-    extra = [e for e in ring_idempotents(end.ring).tolist()
-             if e not in (0, end.ring.one)]
-    return Verdict(False, {}, extra[0])
+    extra = nontrivial_idempotents(facts.end().ring)
+    return Verdict(not extra, {}, extra[0] if extra else None)
 
 
 DECIDERS = {
@@ -328,14 +324,14 @@ DECIDERS = {
 # ---------------------------------------------------------------------------
 
 
-@cached
+@interned
 def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     """Elements whose left annihilator is an essential left ideal.
 
     Left ideals are enumerated as submodules of the regular module of the
     opposite ring, so this is gated by the lattice cap.
     """
-    opp = opposite_ring(ring, caps, name=f"{ring.name}_op")
+    opp = opposite_ring(ring, caps)
     reg = ring_as_module(opp, caps)
     out = []
     # row f of the transposed table holds g * f for every g
@@ -444,7 +440,7 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
     statuses, witnesses = {}, {}
     for prop in PROPERTY_ORDER:
         try:
-            verdict = facts.verdict(prop, DECIDERS[prop])
+            verdict = facts.verdict(prop)
             statuses[prop] = "true" if verdict.holds else "false"
             witnesses[prop] = _witness_string(facts, prop, verdict)
         except SizeCapExceeded as exc:
@@ -459,8 +455,7 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
         end_order = end.ring.order
         idem_count = int(ring_idempotents(end.ring).size)
         if statuses.get("dual_pi_rickart") == "true":
-            dpr = facts.verdict("dual_pi_rickart",
-                                DECIDERS["dual_pi_rickart"])
+            dpr = facts.verdict("dual_pi_rickart")
             max_n = max((n for n, _ in dpr.witnesses.values()), default=1)
     except SizeCapExceeded:
         pass

@@ -8,9 +8,10 @@ action table of the ring's right regular module (a*1 = a, associativity, both di
 `_bilinear_table` and `_failed_law` also build and check every module's
 action table.  Each table is built and checked once per structure and caps
 in a process (the intern table `caps.INTERNED`); each ring_make call returns
-a new ring with its own name and memo that shares it.  Elements are the
-group's integer indices, so every ring-theoretic scan below is a vectorized
-numpy pass over tables.
+a new ring with its own name that shares it, and the per-ring data below
+(idempotents, units, J(R), predicates) is found once per structure.
+Elements are the group's integer indices, so every ring-theoretic scan
+below is a vectorized numpy pass over tables.
 
 Also here: the regularity family of ring properties (regular, pi-regular,
 strongly pi-regular, generalized left principally-projective), classical
@@ -27,7 +28,7 @@ import math
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED, cached
+from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
                      NotIdempotent, PirickError, SizeCapExceeded)
 from .groups import FinAbGroup, group_embedding
@@ -54,8 +55,7 @@ class FiniteRing:
     """An associative unital ring on a FinAbGroup, with full tables; rings
     of one structure `key` share mul_np."""
 
-    __slots__ = ("add_group", "one", "constants", "key", "name", "mul_np",
-                 "_memo")
+    __slots__ = ("add_group", "one", "constants", "key", "name", "mul_np")
 
     def __init__(self, add_group, one, constants, mul_np, name):
         self.add_group = add_group
@@ -64,7 +64,6 @@ class FiniteRing:
         self.key = (add_group.factors, one, tuple(sorted(constants.items())))
         self.mul_np = mul_np
         self.name = name
-        self._memo = {}
 
     @property
     def order(self) -> int:
@@ -251,16 +250,16 @@ def _checked_mul(ring: FiniteRing, caps: Caps) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cached per-ring data
+# per-ring data, found once per structure
 # ---------------------------------------------------------------------------
 
 
-@cached
+@interned
 def ring_neg(ring: FiniteRing) -> np.ndarray:
     return ring.add_group.neg_vector()
 
 
-@cached
+@interned
 def ring_idempotents(ring: FiniteRing) -> np.ndarray:
     """Sorted indices of all elements with e*e == e."""
     idx = np.arange(ring.order, dtype=np.int32)
@@ -268,7 +267,7 @@ def ring_idempotents(ring: FiniteRing) -> np.ndarray:
     return np.nonzero(diag == idx)[0].astype(np.int32)
 
 
-@cached
+@interned
 def ring_units(ring: FiniteRing):
     """(unit_mask, inverse) arrays: two-sided units and their inverses."""
     mul = ring.mul_np
@@ -278,7 +277,29 @@ def ring_units(ring: FiniteRing):
     return mask, inv
 
 
-@cached
+@interned
+def central_idempotent_scan(ring: FiniteRing) -> tuple:
+    """(central, noncentral): the central idempotents in ascending order,
+    and (e, f) for the first idempotent e that is not, f being the first
+    element with e*f != f*e; noncentral is None when every one is."""
+    mul = ring.mul_np
+    central, noncentral = [], None
+    for e in ring_idempotents(ring).tolist():
+        bad = np.flatnonzero(mul[e, :] != mul[:, e])
+        if not bad.size:
+            central.append(e)
+        elif noncentral is None:
+            noncentral = (e, int(bad[0]))
+    return tuple(central), noncentral
+
+
+def nontrivial_idempotents(ring: FiniteRing) -> list:
+    """The idempotents other than 0 and 1, in ascending order."""
+    return [e for e in ring_idempotents(ring).tolist()
+            if e not in (0, ring.one)]
+
+
+@interned
 def jacobson_radical(ring: FiniteRing) -> np.ndarray:
     """Sorted indices of J(R) = {a : 1 - r*a is a unit for every r}."""
     mul = ring.mul_np
@@ -378,7 +399,7 @@ def left_annihilator_key(ring: FiniteRing, a: int) -> bytes:
     return np.packbits(ring.mul_np[:, a] == 0).tobytes()
 
 
-@cached
+@interned
 def principal_left_ideal_keys(ring: FiniteRing) -> dict:
     """Map from the key of each R*e, in the form of `left_annihilator_key`,
     to every idempotent e generating it, in ascending order."""
@@ -427,7 +448,7 @@ class RingPredicates:
     witnesses: dict
 
 
-@cached
+@interned
 def ring_predicates(ring: FiniteRing) -> RingPredicates:
     mul = ring.mul_np
     n = ring.order
@@ -445,13 +466,10 @@ def ring_predicates(ring: FiniteRing) -> RingPredicates:
     if not reduced:
         wit["square_zero"] = int(nilsq[0])
 
-    abelian = True
-    for e in ring_idempotents(ring):
-        bad = np.nonzero(mul[e, :] != mul[:, e])[0]
-        if bad.size:
-            abelian = False
-            wit["noncentral_idempotent"] = (int(e), int(bad[0]))
-            break
+    noncentral = central_idempotent_scan(ring)[1]
+    abelian = noncentral is None
+    if not abelian:
+        wit["noncentral_idempotent"] = noncentral
 
     zero_prod = mul == 0
     zero_prod[0, :] = False
@@ -506,10 +524,8 @@ def corner_ring(ring: FiniteRing, e: int, caps: Caps = DEFAULT_CAPS,
         raise NotIdempotent(e)
     add = ring.add_group.add_table()
     elems = np.flatnonzero(np.bincount(mul[mul[e, :], e]))     # of eRe
-    group, from_label = group_embedding(elems, lambda x, y: add[x, y])
-    to_index = np.zeros(ring.order, dtype=np.int64)
-    to_index[from_label] = np.arange(group.order)
-    basis = from_label[[group.basis_index(i) for i in range(len(group.factors))]]
+    group, from_label, to_index, basis = group_embedding(
+        elems, lambda x, y: add[x, y])
     products = to_index[mul[np.ix_(basis, basis)]]
     constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
     if name is None:

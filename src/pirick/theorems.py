@@ -29,8 +29,10 @@ Entries read End(M) through the deciders' paths: the image and kernel
 chains of End(M).powers, with `chain_term` for a term past a chain's end;
 a left ideal of a ring as one packed key (`rings.left_annihilator_key`,
 `rings.principal_left_ideal_keys`); f^n as a term of `power_trail`.  Each
-derived object is built once per instance and caps: e*R is `Facts.inner`
-of the right regular module, and eRe comes from one cached corner helper.
+derived object and each ring check is found once per structure and caps,
+in the one cache: e*R is `Facts.inner` of the right regular module, and eRe
+is `InstanceContext.corner`.  The 2x2 matrix ring is built anew for each
+caller, so its cap message names the caller's own ring.
 """
 
 from __future__ import annotations
@@ -39,20 +41,20 @@ import dataclasses
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, cached
+from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
 from .homs import (chain_term, hom_set, image, left_annihilator,
                    right_annihilator)
 from .modules import (FiniteModule, elems_mask, free_module,
                       is_direct_summand, is_fully_invariant, radical,
                       ring_as_module, socle)
-from .properties import (DECIDERS, Facts, singular_nil_jacobson,
-                         small_image_endos)
-from .rings import (FiniteRing, Verdict, corner_ring, is_generalized_left_pp,
-                    is_pi_regular, is_strongly_pi_regular,
-                    left_annihilator_key, matrix_ring, nil_radical_check,
-                    power_trail, principal_left_ideal_keys, ring_idempotents,
-                    ring_neg, ring_predicates)
+from .properties import Facts, singular_nil_jacobson, small_image_endos
+from .rings import (FiniteRing, Verdict, central_idempotent_scan, corner_ring,
+                    is_generalized_left_pp, is_pi_regular,
+                    is_strongly_pi_regular, left_annihilator_key, matrix_ring,
+                    nil_radical_check, nontrivial_idempotents, power_trail,
+                    principal_left_ideal_keys, ring_idempotents, ring_neg,
+                    ring_predicates)
 
 HOLDS = "holds"
 NOT_MET = "hypothesis_not_met"
@@ -70,7 +72,11 @@ class TheoremVerdict:
 
 
 class InstanceContext:
-    """One corpus instance (a ring or a module) plus its evaluation caps."""
+    """One corpus instance (a ring or a module) plus its evaluation caps.
+
+    Its key is (structure key of the ring, caps): the modules and corners
+    built from the ring are found once per ring structure and caps.
+    """
 
     def __init__(self, name: str, kind: str, ring: FiniteRing,
                  module: FiniteModule | None, caps: Caps = DEFAULT_CAPS):
@@ -81,20 +87,28 @@ class InstanceContext:
         self.ring = ring
         self.module = module
         self.caps = caps
+        self.key = (ring.key, caps)
 
     def facts(self) -> Facts:
         if self.module is None:
             raise PirickError("ring instance has no module")
         return Facts(self.module, self.caps)
 
+    @interned
     def reg_module(self) -> FiniteModule:
-        return _reg_module(self.ring, self.caps)
+        return ring_as_module(self.ring, self.caps)
 
     def reg_facts(self) -> Facts:
         return Facts(self.reg_module(), self.caps)
 
+    @interned
     def free2(self) -> FiniteModule:
-        return _free2(self.ring, self.caps)
+        return free_module(self.ring, 2, self.caps)
+
+    @interned
+    def corner(self, e: int) -> FiniteRing:
+        """The corner ring e*R*e."""
+        return corner_ring(self.ring, e, self.caps)[0]
 
     def summand_ideal(self, e: int) -> FiniteModule:
         """e*R for an idempotent e: the submodule of the right regular
@@ -104,42 +118,17 @@ class InstanceContext:
         return self.reg_facts().inner(mask)[0]
 
 
-@cached
-def _reg_module(ring: FiniteRing, caps: Caps) -> FiniteModule:
-    return ring_as_module(ring, caps)
-
-
-@cached
-def _free2(ring: FiniteRing, caps: Caps) -> FiniteModule:
-    return free_module(ring, 2, caps)
-
-
-@cached
-def _corner(ring: FiniteRing, e: int, caps: Caps) -> FiniteRing:
-    """The corner ring e*R*e."""
-    return corner_ring(ring, e, caps)[0]
-
-
 # ---------------------------------------------------------------------------
 # shared computations
 # ---------------------------------------------------------------------------
 
 
-def _prop(facts: Facts, name: str) -> Verdict:
-    return facts.verdict(name, DECIDERS[name])
-
-
-@cached
+@interned
 def _ring_check(ring: FiniteRing, kind: str) -> Verdict:
     fn = {"pi_regular": is_pi_regular,
           "strongly_pi_regular": is_strongly_pi_regular,
           "gen_left_pp": is_generalized_left_pp}[kind]
     return fn(ring)
-
-
-def _nontrivial_idempotents(ring: FiniteRing) -> list:
-    return [e for e in ring_idempotents(ring).tolist()
-            if e not in (0, ring.one)]
 
 
 def _one_minus(ring: FiniteRing, e: int) -> int:
@@ -148,8 +137,7 @@ def _one_minus(ring: FiniteRing, e: int) -> int:
 
 
 def _dual_pi_of(module: FiniteModule, caps: Caps) -> Verdict:
-    return Facts(module, caps).verdict("dual_pi_rickart",
-                                       DECIDERS["dual_pi_rickart"])
+    return Facts(module, caps).verdict("dual_pi_rickart")
 
 
 def _matrix_gate(ring: FiniteRing, caps: Caps, what: str) -> None:
@@ -159,8 +147,9 @@ def _matrix_gate(ring: FiniteRing, caps: Caps, what: str) -> None:
         raise SizeCapExceeded(what, ring.order ** 4, caps.matrix_check)
 
 
-@cached
 def _mat2(ring: FiniteRing, caps: Caps) -> FiniteRing:
+    """M2(ring), built for each call (its table is interned), so a cap
+    failure names the caller's own ring."""
     _matrix_gate(ring, caps, "matrix ring")
     return matrix_ring(ring, 2, caps)
 
@@ -189,7 +178,7 @@ def _decide(ctx, name: str):
     facts = ctx.facts()
     if name.startswith("end."):
         return _ring_decide(facts.end().ring, name[len("end."):])
-    v = _prop(facts, name)
+    v = facts.verdict(name)
     return v.holds, v.counterexample
 
 
@@ -279,7 +268,7 @@ def _every_corner(kind: str, violation: str):
             return NOT_MET, "-"
         idems = [e for e in ring_idempotents(ctx.ring).tolist() if e]
         for e in idems:
-            v = _ring_check(_corner(ctx.ring, e, ctx.caps), kind)
+            v = _ring_check(ctx.corner(e), kind)
             if not v.holds:
                 return VIOLATION, violation.format(e=e, a=v.counterexample)
         return HOLDS, f"corners={len(idems)}"
@@ -331,16 +320,18 @@ def _quotients(ctx, fully_invariant: bool):
             yield f"N={sub.size}", facts.quotient(sub.mask)[0]
 
 
-@cached
+@interned
 def _rad_soc(facts: Facts) -> tuple:
-    return radical(facts.module, facts.caps), socle(facts.module, facts.caps)
+    """The bitmasks of rad M and soc M."""
+    return (radical(facts.module, facts.caps).mask,
+            socle(facts.module, facts.caps).mask)
 
 
 def _rad_soc_quotients(ctx):
     """(rad, M/rad M) and (soc, M/soc M)."""
     facts = ctx.facts()
-    for label, sub in zip(("rad", "soc"), _rad_soc(facts)):
-        yield label, facts.quotient(sub.mask)[0]
+    for label, mask in zip(("rad", "soc"), _rad_soc(facts)):
+        yield label, facts.quotient(mask)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +341,7 @@ def _rad_soc_quotients(ctx):
 
 def _chk_p2_2_1(ctx):
     facts = ctx.reg_facts()
-    if not _prop(facts, "dual_pi_rickart").holds:
+    if not facts.verdict("dual_pi_rickart").holds:
         return NOT_MET, "-"
     v = _ring_check(ctx.ring, "pi_regular")
     if not v.holds:
@@ -363,7 +354,7 @@ def _chk_p2_2_2(ctx):
     if not _ring_check(ctx.ring, "pi_regular").holds:
         return NOT_MET, "-"
     facts = ctx.reg_facts()
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return VIOLATION, f"f={v.counterexample}"
     f, (n, e) = max(v.witnesses.items(), key=lambda kv: (kv[1][0], kv[0]))
@@ -372,9 +363,9 @@ def _chk_p2_2_2(ctx):
 
 def _chk_p2_4_1(ctx):
     facts = ctx.facts()
-    if not _prop(facts, "dual_rickart").holds:
+    if not facts.verdict("dual_rickart").holds:
         return NOT_MET, "-"
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return VIOLATION, f"f={v.counterexample}"
     bad = [f for f, (n, _) in v.witnesses.items() if n != 1]
@@ -386,7 +377,7 @@ def _chk_p2_4_1(ctx):
 def _chk_l2_5_1(ctx):
     facts = ctx.facts()
     end = facts.end()
-    if not _prop(facts, "dual_pi_rickart").holds:
+    if not facts.verdict("dual_pi_rickart").holds:
         return NOT_MET, "-"
     if not ring_predicates(end.ring).domain:
         return NOT_MET, "-"
@@ -430,15 +421,13 @@ def _chk_c2_13(ctx):
     ring = ctx.ring
     if not _ring_check(ring, "pi_regular").holds:
         return NOT_MET, "-"
-    mul = ring.mul_np
-    centrals = [e for e in _nontrivial_idempotents(ring)
-                if np.array_equal(mul[e, :], mul[:, e])]
+    centrals = [e for e in central_idempotent_scan(ring)[0]
+                if e not in (0, ring.one)]
     if not centrals:
         return NOT_MET, "no nontrivial central idempotent"
     for c in centrals:
         for piece in (c, _one_minus(ring, c)):
-            if not _ring_check(_corner(ring, piece, ctx.caps),
-                               "pi_regular").holds:
+            if not _ring_check(ctx.corner(piece), "pi_regular").holds:
                 return VIOLATION, f"c={c},corner_at={piece}"
     return HOLDS, f"decompositions={len(centrals)}"
 
@@ -453,10 +442,8 @@ def _chk_t2_14_2(ctx):
 def _chk_l2_16(ctx):
     facts = ctx.facts()
     end = facts.end()
-    mul = end.ring.mul_np
-    central = [int(e) for e in ring_idempotents(end.ring).tolist()
-               if np.array_equal(mul[e, :], mul[:, e])]
-    central_masks = {image(end, e) for e in central}
+    central_masks = {image(end, e)
+                     for e in central_idempotent_scan(end.ring)[0]}
     checked = 0
     for f, imgs in enumerate(end.powers.images):
         for n, im in enumerate(imgs, start=1):
@@ -474,15 +461,15 @@ def _chk_p2_17(ctx):
     facts = ctx.facts()
     end = facts.end()
     fired = None
-    for e in _nontrivial_idempotents(end.ring):
+    for e in nontrivial_idempotents(end.ring):
         comp = _one_minus(end.ring, e)
         m1, _ = facts.inner(image(end, e))
         m2, _ = facts.inner(image(end, comp))
         f1, f2 = Facts(m1, ctx.caps), Facts(m2, ctx.caps)
-        if not (_prop(f1, "abelian").holds and _prop(f2, "abelian").holds):
+        if not (f1.verdict("abelian").holds and f2.verdict("abelian").holds):
             continue
-        if not (_prop(f1, "dual_pi_rickart").holds
-                and _prop(f2, "dual_pi_rickart").holds):
+        if not (f1.verdict("dual_pi_rickart").holds
+                and f2.verdict("dual_pi_rickart").holds):
             continue
         if len(hom_set(m1, m2, ctx.caps)) != 1:
             continue
@@ -492,7 +479,7 @@ def _chk_p2_17(ctx):
         break
     if fired is None:
         return NOT_MET, "no qualifying decomposition"
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return VIOLATION, f"e={fired},f={v.counterexample}"
     return HOLDS, f"e={fired}"
@@ -500,10 +487,10 @@ def _chk_p2_17(ctx):
 
 def _chk_c2_19(ctx):
     facts = ctx.facts()
-    if not (_prop(facts, "dual_pi_rickart").holds
-            and _prop(facts, "abelian").holds):
+    if not (facts.verdict("dual_pi_rickart").holds
+            and facts.verdict("abelian").holds):
         return NOT_MET, "-"
-    v = _prop(facts, "strongly_co_hopfian")
+    v = facts.verdict("strongly_co_hopfian")
     if not v.holds:
         return VIOLATION, f"f={v.counterexample}"
     n = max(v.witnesses.values(), default=1)
@@ -511,7 +498,7 @@ def _chk_c2_19(ctx):
 
 
 def _chk_c2_21(ctx):
-    v = _prop(ctx.facts(), "fitting")
+    v = ctx.facts().verdict("fitting")
     if not v.holds:
         return NOT_MET, f"f={v.counterexample}"
     return _conclude(ctx, ("dual_pi_rickart",))
@@ -521,7 +508,7 @@ def _chk_p2_22(ctx):
     # The base ring is finite, hence Artinian, and every finite module is
     # finitely generated: the hypotheses hold for every instance.
     facts = ctx.facts()
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return VIOLATION, f"f={v.counterexample}"
     return HOLDS, f"|R|={ctx.ring.order}"
@@ -542,7 +529,7 @@ def _chk_p2_23(ctx):
 
 def _chk_l3_1(ctx):
     facts = ctx.facts()
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return NOT_MET, "-"
     end = facts.end()
@@ -565,7 +552,7 @@ def _chk_l3_1(ctx):
 
 def _chk_c3_3(ctx):
     facts = ctx.facts()
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return NOT_MET, "-"
     ring = facts.end().ring
@@ -593,7 +580,7 @@ def _chk_t3_4_1(ctx):
             inter = right_annihilator(
                 end, np.flatnonzero(ring.mul_np[:, fn] == 0))
             for e in hits:
-                if inter.mask != image(end, _one_minus(ring, e)):
+                if inter != image(end, _one_minus(ring, e)):
                     return VIOLATION, f"f={f},n={n},e={e}"
                 checked += 1
     if checked == 0:
@@ -606,7 +593,7 @@ def _chk_l3_6(ctx):
     end = facts.end()
     if not _ring_check(end.ring, "pi_regular").holds:
         return NOT_MET, "-"
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return VIOLATION, f"f={v.counterexample}"
     return HOLDS, f"|S|={end.ring.order}"
@@ -671,7 +658,7 @@ def _chk_l3_10_3(ctx):
 
 def _chk_p3_18(ctx):
     facts = ctx.facts()
-    if not _prop(facts, "dual_pi_rickart").holds:
+    if not facts.verdict("dual_pi_rickart").holds:
         return NOT_MET, "-"
     rows = small_image_endos(facts)
     for f, nilpotent, _ in rows:
@@ -684,12 +671,12 @@ def _annihilator_equality(facts: Facts, f: int, n: int) -> bool:
     end = facts.end()
     im = chain_term(end.powers.images[f], n)
     ann = left_annihilator(end, facts.sub(im).elems)
-    return right_annihilator(end, ann).mask == im
+    return right_annihilator(end, ann) == im
 
 
 def _chk_t3_19_1(ctx):
     facts = ctx.facts()
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return NOT_MET, "-"
     end = facts.end()
@@ -718,7 +705,7 @@ def _chk_t3_19_2(ctx):
 
 def _chk_t3_19c_1(ctx):
     facts = ctx.facts()
-    v = _prop(facts, "dual_pi_rickart")
+    v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return NOT_MET, "-"
     masks = facts.idem_masks()
@@ -742,7 +729,7 @@ def _chk_t3_19c_2(ctx):
 
 def _chk_t3_20(ctx):
     facts = ctx.facts()
-    if not _prop(facts, "dual_pi_rickart").holds:
+    if not facts.verdict("dual_pi_rickart").holds:
         return NOT_MET, "-"
     end = facts.end()
     verdict, sing = singular_nil_jacobson(end.ring, ctx.caps)
@@ -754,8 +741,8 @@ def _chk_t3_20(ctx):
 
 def _chk_p3_21_1(ctx):
     facts = ctx.facts()
-    if not (_prop(facts, "indecomposable").holds
-            and _prop(facts, "dual_pi_rickart").holds):
+    if not (facts.verdict("indecomposable").holds
+            and facts.verdict("dual_pi_rickart").holds):
         return NOT_MET, "-"
     end = facts.end()
     everything = (1 << facts.module.order) - 1
@@ -930,8 +917,8 @@ REGISTRY = {e.id: e for e in [
           " pi-Rickart",
           _every_dual_pi(("quasi_projective", "dual_pi_rickart"),
                          _rad_soc_quotients,
-                         lambda ctx: "|rad|={0.size},|soc|={1.size}".format(
-                             *_rad_soc(ctx.facts())))),
+                         lambda ctx: "|rad|={},|soc|={}".format(
+                             *map(int.bit_count, _rad_soc(ctx.facts()))))),
     Entry("P3.18", "module",
           "dual pi-Rickart => small-image endomorphisms nilpotent",
           _chk_p3_18),

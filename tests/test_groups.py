@@ -48,23 +48,22 @@ def test_group_embedding_recovers_invariant_factors():
     # labels 6a + b form Z_2 x Z_6 with componentwise addition
     labels = np.arange(12)
     add = lambda x, y: ((x // 6 + y // 6) % 2) * 6 + (x % 6 + y % 6) % 6
-    group, _ = group_embedding(labels, add)
+    group, *_ = group_embedding(labels, add)
     assert elementary_divisors(group.factors) == elementary_divisors((2, 6))
 
 
 def test_group_embedding_klein_vs_cyclic():
-    cyclic, _ = group_embedding(np.arange(4), lambda x, y: (x + y) % 4)
+    cyclic, *_ = group_embedding(np.arange(4), lambda x, y: (x + y) % 4)
     assert elementary_divisors(cyclic.factors) == elementary_divisors((4,))
     # labels 2a + b form Z_2 x Z_2, whose addition is bitwise xor
-    klein, _ = group_embedding(np.arange(4), np.bitwise_xor)
+    klein, *_ = group_embedding(np.arange(4), np.bitwise_xor)
     assert elementary_divisors(klein.factors) == elementary_divisors((2, 2))
 
 
 def test_group_embedding_round_trip():
     labels = np.array([0, 3, 5, 6])          # zero, a, b, ab under xor
     add = np.bitwise_xor
-    group, from_label = group_embedding(labels, add)
-    to_index = {int(lab): i for i, lab in enumerate(from_label)}
+    group, from_label, to_index, basis = group_embedding(labels, add)
     assert group.order == 4
     assert to_index[0] == 0
     # embedding is a homomorphism
@@ -73,6 +72,8 @@ def test_group_embedding_round_trip():
         for y in labels.tolist():
             assert tbl[to_index[x], to_index[y]] == to_index[x ^ y]
     assert [int(from_label[to_index[x]]) for x in labels] == labels.tolist()
+    assert basis.tolist() == [int(from_label[group.basis_index(j)])
+                              for j in range(len(group.factors))]
 
 
 def test_group_embedding_rejects_non_group():

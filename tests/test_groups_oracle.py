@@ -155,8 +155,9 @@ def presented_groups(draw):
 @given(presented_groups())
 def test_group_embedding_matches_the_backtracking_oracle(presented):
     labels, add = presented
-    group, from_label = group_embedding(labels, add)
+    group, from_label, to_index, _ = group_embedding(labels, add)
     old_group, _, old_from_label = oracle_group_embedding(
         labels.tolist(), lambda x, y: int(add(x, y)), 0)
     assert group.factors == old_group.factors
     assert from_label.tolist() == old_from_label
+    assert to_index[from_label].tolist() == list(range(len(labels)))

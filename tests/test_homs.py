@@ -10,12 +10,12 @@ from pirick.caps import caps_from_env
 from pirick.errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from pirick.families import ex23_module, zmod
 from pirick.homs import (ModuleMap, chain_term, end_ring, hom_set,
-                         idempotent_image_masks, image, is_indecomposable,
-                         left_annihilator, power_chains, right_annihilator)
+                         idempotent_image_masks, image, left_annihilator,
+                         power_chains, right_annihilator)
 from pirick.modules import (Submodule, all_submodules, free_module,
                             ring_as_module)
 from pirick.properties import PROPERTY_ORDER, analyze
-from pirick.rings import ring_idempotents
+from pirick.rings import nontrivial_idempotents, ring_idempotents
 
 CAPS = caps_from_env()
 
@@ -120,7 +120,7 @@ def test_annihilators(ex23):
     end = end_ring(ex23, CAPS)
     # l_S(0 element set) is everything; r_M(whole ring) is 0
     assert left_annihilator(end, [0]).size == end.ring.order
-    assert right_annihilator(end, range(end.ring.order)).elems == (0,)
+    assert right_annihilator(end, range(end.ring.order)) == 1    # {0}
     # l_S and r_M are antitone
     small = left_annihilator(end, [0, 1])
     large = left_annihilator(end, [0, 1, 4])
@@ -153,9 +153,9 @@ def test_principal_left_ideal(z4_reg):
 
 
 def test_indecomposability(z4_reg):
-    assert is_indecomposable(end_ring(z4_reg, CAPS))
+    assert not nontrivial_idempotents(end_ring(z4_reg, CAPS).ring)
     z6_reg = ring_as_module(zmod(6), CAPS)
-    assert not is_indecomposable(end_ring(z6_reg, CAPS))
+    assert nontrivial_idempotents(end_ring(z6_reg, CAPS).ring)
 
 
 def test_hom_between_different_modules():
@@ -264,11 +264,9 @@ def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch,
     end1 = end_ring(first, CAPS)
     end2 = end_ring(second, CAPS)
     assert calls == [(first, first, CAPS)]
-    assert end2.module is second
-    assert end2.tables is end1.tables and end2.powers is end1.powers
-    assert np.array_equal(end1.ring.mul_np, end2.ring.mul_np)
-    assert (end1.ring.name, end2.ring.name) == ("end_first", "end_second")
-    assert end_ring(second, CAPS) is end2
+    # one End(M), named after neither module
+    assert end2 is end1
+    assert end1.ring.name == "End(M)"
 
 
 def test_construct_cap_is_raised_before_coordinates(monkeypatch,

@@ -1,6 +1,7 @@
-"""The intern table: each group, ring table, module table, hom set and
-End(M) is built once per structure and caps in a process, and every object
-of that structure shares it under its own name."""
+"""The intern table: each group, ring table, module table, hom set,
+End(M), decider verdict and ring check is built once per structure and caps
+in a process, and every object of that structure shares it; names are
+added only where output is written."""
 
 import collections
 import copy
@@ -10,7 +11,7 @@ import pickle
 
 import pytest
 
-from pirick import homs, modules, rings
+from pirick import homs, modules, properties, rings, theorems
 from pirick.caps import caps_from_env
 from pirick.cli import main
 from pirick.errors import PirickError, SizeCapExceeded
@@ -18,7 +19,9 @@ from pirick.families import zmod
 from pirick.groups import FinAbGroup
 from pirick.homs import end_ring, hom_set
 from pirick.modules import free_module, ring_as_module
-from pirick.rings import ring_make
+from pirick.properties import left_singular_ideal
+from pirick.rings import (jacobson_radical, ring_idempotents, ring_make,
+                          ring_units)
 
 CAPS = caps_from_env()
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -91,10 +94,7 @@ def test_a_second_object_of_a_known_structure_builds_nothing(monkeypatch,
     assert ring.mul_np is first.ring.mul_np
     assert second.act_np is first.act_np
     assert hom_set(second, first, CAPS) is first_homs
-    second_end = end_ring(second, CAPS)
-    assert second_end.tables is first_end.tables
-    assert (first_end.ring.name, second_end.ring.name) == ("end_first",
-                                                           "end_second")
+    assert end_ring(second, CAPS) is first_end
     assert FinAbGroup((4,)) is first.add_group
 
 
@@ -111,19 +111,40 @@ def test_shared_arrays_are_read_only(fresh_intern):
     end = end_ring(module, CAPS)
     for array in (module.add_group.add_table(), module.add_group
                   .coords_matrix(), module.ring.mul_np, module.act_np,
-                  hom_set(module, module, CAPS), end.tables):
+                  hom_set(module, module, CAPS), end.tables,
+                  ring_idempotents(end.ring), *ring_units(end.ring),
+                  jacobson_radical(end.ring),
+                  left_singular_ideal(end.ring, CAPS)):
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1
+            array[(0,) * array.ndim] = 1
 
 
 def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
                                                   capsys):
     counts = _count_builds(monkeypatch)
+    deciders = collections.Counter()
+    for prop, decide in properties.DECIDERS.items():
+        def counted(facts, prop=prop, decide=decide):
+            deciders[prop, facts.key] += 1
+            return decide(facts)
+        monkeypatch.setitem(properties.DECIDERS, prop, counted)
+    checks = collections.Counter()
+    for name in ("is_pi_regular", "is_strongly_pi_regular",
+                 "is_generalized_left_pp"):
+        def counted(ring, name=name, check=getattr(theorems, name)):
+            checks[name, ring.key] += 1
+            return check(ring)
+        monkeypatch.setattr(theorems, name, counted)
     assert main(["verify", str(CORPUS)]) == 0
     assert "total=1157" in capsys.readouterr().out
     assert counts == {"ring": 44, "module": 109, "generators": 99,
                       "lattice": 28, "submodule": 111, "hom_set": 275,
                       "end_ring": 89}
+    # One decider body per (structure, caps, property): 348 that return a
+    # verdict and 4 that stop at a cap.  One registry ring check per (ring
+    # structure, check): 82.
+    assert (sum(deciders.values()), len(deciders)) == (352, 352)
+    assert (sum(checks.values()), len(checks)) == (82, 82)
 
 
 def test_other_scan_or_hom_caps_rebuild_the_structure(monkeypatch,
@@ -216,3 +237,29 @@ def test_lattice_and_submodule_coordinates_are_shared_by_structure(
     assert subs[0][1].act_np is subs[1][1].act_np
     # each under CAPS once and the cap failure once, for both objects
     assert counts["lattice"] == 2 and counts["submodule"] == 1
+
+
+@pytest.mark.parametrize("order", [("z2", "m2z2_c1"), ("m2z2_c1", "z2")])
+def test_a_cap_message_names_the_callers_ring(tmp_path, monkeypatch, capsys,
+                                              fresh_intern, order):
+    """z2 and m2z2_c1 are one structure; under construct=8 their 2x2 matrix
+    rings are over the cap, and each message names its own ring, in
+    whichever order the two are verified in one process."""
+    monkeypatch.setenv("PIRICK_CAPS", "construct=8")
+    both = tmp_path / "both"
+    both.mkdir()
+    for name in order:
+        (tmp_path / name).mkdir()
+        for folder in (tmp_path / name, both):
+            (folder / f"{name}.ring").write_text(
+                (CORPUS / f"{name}.ring").read_text())
+    for folder in (*order, "both"):
+        assert main(["verify", str(tmp_path / folder)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skips = [line.split("\t") for line in lines
+             if line.split("\t")[1:2] in (["L3.10.2"], ["L3.10.3"],
+                                          ["P2.23"])]
+    expected = [[name, tid, "skipped", f"cap:matrix ring over {name}"]
+                for name in (*order, "m2z2_c1", "z2")
+                for tid in ("P2.23", "L3.10.2", "L3.10.3")]
+    assert skips == expected

@@ -70,7 +70,7 @@ def test_z6_everything_positive():
 def test_dual_pi_rickart_witnesses_on_z4():
     module = ring_as_module(zmod(4), CAPS)
     facts = Facts(module, CAPS)
-    verdict = facts.verdict("dual_pi_rickart", DECIDERS["dual_pi_rickart"])
+    verdict = facts.verdict("dual_pi_rickart")
     assert verdict.holds
     # the doubling map needs exponent 2 and lands on the zero idempotent
     end = facts.end()
@@ -139,8 +139,8 @@ def test_analyze_is_memoized_per_caps():
     module = ring_as_module(zmod(4), CAPS)
     facts_a = Facts(module, CAPS)
     facts_b = Facts(module, CAPS)
-    va = facts_a.verdict("fitting", DECIDERS["fitting"])
-    vb = facts_b.verdict("fitting", DECIDERS["fitting"])
+    va = facts_a.verdict("fitting")
+    vb = facts_b.verdict("fitting")
     assert va is vb
 
 
@@ -173,7 +173,7 @@ def test_quasi_projective_names_the_first_map_that_does_not_lift(z4):
     module = parse_module("z2xz4.mod", {"z4": z4}, CAPS, text=(
         "module z2xz4 over z4\nadd 2 4\nact 1 1 1 0\nact 1 2 0 1\nend\n"))
     facts = Facts(module, CAPS)
-    v = facts.verdict("quasi_projective", DECIDERS["quasi_projective"])
+    v = facts.verdict("quasi_projective")
     assert (v.holds, v.counterexample) == \
         (False, (5, (0, 0, 0, 0, 2, 2, 2, 2)))
     mask, h = v.counterexample

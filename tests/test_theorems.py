@@ -217,9 +217,8 @@ def _fail_at(monkeypatch, k):
 
 
 def _fresh_ctx(name):
-    """A context on a fresh object with empty memos: a corpus ring, its
-    right regular module (<ring>_reg) or its rank-2 free module
-    (<ring>_free2)."""
+    """A context on a fresh object: a corpus ring, its right regular module
+    (<ring>_reg) or its rank-2 free module (<ring>_free2)."""
     ring_name, _, kind = name.partition("_")
     ring = _fresh_ring(ring_name)
     if not kind:
@@ -260,8 +259,10 @@ FAMILY_CASES = [
 ]
 
 
-def test_each_dual_pi_loop_names_the_first_failure(monkeypatch):
+def test_each_dual_pi_loop_names_the_first_failure(monkeypatch,
+                                                  fresh_intern):
     for tid, name, k, verdict, builds in FAMILY_CASES:
+        fresh_intern.clear()            # nothing of the structure is known
         ctx = _fresh_ctx(name)
         with monkeypatch.context() as patch:
             asked = _fail_at(patch, k)
@@ -285,7 +286,7 @@ def test_each_dual_pi_loop_names_the_first_failure(monkeypatch):
 
 
 def _fresh_ring(name):
-    """The corpus ring, parsed again: a new object with empty memos."""
+    """The corpus ring, parsed again: a new object."""
     return parse_ring(CORPUS / f"{name}.ring", CAPS)
 
 
@@ -304,7 +305,8 @@ def _count_calls(monkeypatch, fn):
 
 
 @pytest.mark.parametrize("name", ["t2z2", "z12"])
-def test_each_summand_ideal_and_corner_is_built_once(monkeypatch, name):
+def test_each_summand_ideal_and_corner_is_built_once(monkeypatch, name,
+                                                    fresh_intern):
     ring = _fresh_ring(name)
     ctx = _ring_ctx(ring)
     idems = ring_idempotents(ring).tolist()
