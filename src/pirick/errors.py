@@ -73,7 +73,7 @@ class AxiomViolation(PirickError):
 
 
 class NotAHomomorphism(PirickError):
-    """A map table fails additivity or linearity; carries a witness pair."""
+    """A map table moves 0 or breaks a relation; carries the witness."""
 
     def __init__(self, law, witness):
         self.law = law

@@ -1,20 +1,21 @@
 """Module homomorphisms, hom-sets, and endomorphism rings.
 
-hom_set enumerates Hom(M, N) exactly: a generating set of M is chosen, the
-assignments of generator images are expanded, a block at a time, to full
-tables along a fixed derivation plan, and a table is kept iff it validates;
-the result is one (count, |M|) array.  Isomorphism is decided from the
-same enumeration: find_isomorphism returns the first bijective row of
-hom_set, after cheap invariant checks.  end_ring re-equips Hom(M, M) with
-composition as a FiniteRing (via a cyclic decomposition of its additive
-group), giving every ring-theoretic tool access to End(M).
+hom_set enumerates Hom(M, N) exactly: images of generators g_i of M are
+expanded, a block at a time, to full tables along the relation edges
+x -> x + g_i b_j (b_j the ring's additive basis), and a table is kept iff
+it sends 0 to 0 and respects every edge; the result is one (count, |M|)
+array.  Isomorphism is decided from the same enumeration: find_isomorphism
+returns the first bijective row of hom_set, after cheap invariant checks.
+end_ring re-equips Hom(M, M) with composition as a FiniteRing (via a
+cyclic decomposition of its additive group), giving every ring-theoretic
+tool access to End(M).
 
 An endomorphism is a row of End(M)'s table array and nothing else:
 power_chains takes a whole stack of tables and returns the image and
 kernel bitmasks of every power of every row in one batch, and End(M) keeps
 that result for all of its elements; chain_term reads term n of a chain.
-ModuleMap, a validated table between two modules, is only the projections
-and inclusions of quotient and submodule constructions.
+ModuleMap, a table between two modules validated by the same relation
+check, is only the projections and inclusions of quotients and submodules.
 
 A hom set and End(M) are built once per structure and caps in a process,
 in the intern table `caps.INTERNED`; every module object of the structure
@@ -40,9 +41,8 @@ from .rings import FiniteRing, ring_idempotents, ring_make
 
 class ModuleMap:
     """A homomorphism of right modules over a common ring, as one table
-    array over the domain's element indices, validated on construction:
-    additivity against both addition tables and linearity against both
-    action tables.  The table is read-only."""
+    array over the domain's element indices, validated on construction by
+    the relation check of hom_set.  The table is read-only."""
 
     __slots__ = ("domain", "codomain", "table_np")
 
@@ -54,25 +54,14 @@ class ModuleMap:
         self.table_np = np.array([int(x) for x in table], dtype=np.int64)
         if len(self.table_np) != domain.order:
             raise PirickError("map table length does not match domain order")
-        self._validate()
+        gens, basis, ends = edges = _relation_edges(domain)
+        holds = _relations_hold(self.table_np[:, None], codomain, edges)[:, 0]
+        if not holds[0]:
+            raise NotAHomomorphism("zero", (0,))
+        if not holds.all():
+            x, i, j = np.unravel_index(np.argmin(holds) - 1, ends.shape)
+            raise NotAHomomorphism("relation", (int(x), gens[i], basis[j]))
         self.table_np.flags.writeable = False
-
-    def _validate(self):
-        t = self.table_np
-        add_d = self.domain.add_group.add_table()
-        add_c = self.codomain.add_group.add_table()
-        lhs_add = t[add_d]
-        rhs_add = add_c[t[:, None], t[None, :]]
-        if not np.array_equal(lhs_add, rhs_add):
-            a, b = np.argwhere(lhs_add != rhs_add)[0]
-            raise NotAHomomorphism("additivity", (int(a), int(b)))
-        act_d = self.domain.act_np
-        act_c = self.codomain.act_np
-        lhs = t[act_d]
-        rhs = act_c[t, :]
-        if not np.array_equal(lhs, rhs):
-            m, r = np.argwhere(lhs != rhs)[0]
-            raise NotAHomomorphism("linearity", (int(m), int(r)))
 
     @property
     def table(self) -> tuple:
@@ -88,34 +77,52 @@ class ModuleMap:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_plan(module: FiniteModule, gens: list) -> list:
-    """Steps (target, source, gen_pos, r) deriving every element of the module.
+@interned
+def _relation_edges(module: FiniteModule) -> tuple:
+    """The generators g_i of a module M, the additive basis b_j of its ring,
+    and the (|M|, k, b) array whose entry [x, i, j] is x + g_i b_j."""
+    gens = list(module_generators(module))
+    group = module.ring.add_group
+    basis = [group.basis_index(j) for j in range(len(group.factors))]
+    steps = module.act_np[gens][:, basis]
+    return gens, basis, module.add_group.add_table()[:, steps]
 
-    Interpretation: target = source + gens[gen_pos] * r.  Sources are always
-    derived (or zero / a generator) before they are used, and each element is
-    derived exactly once; together with images for the generators this
-    determines a candidate map table completely.
-    """
-    add = module.add_group.add_table()
-    act = module.act_np
-    derived = {0}
-    for g in gens:
-        derived.add(g)
+
+def _relations_hold(tables: np.ndarray, codomain: FiniteModule,
+                    edges: tuple) -> np.ndarray:
+    """For an (|M|, count) array whose columns are tables t: M -> codomain,
+    the boolean (1 + |M| * k * b, count) array whose row 0 is t(0) == 0 and
+    whose row 1 + (x * k + i) * b + j is t(x + g_i b_j) == t(x) + t(g_i) b_j.
+
+    A table is a homomorphism iff its column is all True.  Every m = sum
+    g_i r_i is a sum of terms g_i b_j, and induction on that sum gives
+    t(x + m) = t(x) + sum t(g_i) r_i; with x = 0 and t(0) = 0, t(m) = sum
+    t(g_i) r_i, so t is additive, and R-linear as (sum t(g_i) r_i) s = sum
+    t(g_i)(r_i s).  The converse is immediate; the argument holds for any
+    table, however it was derived."""
+    gens, basis, ends = edges
+    moved = codomain.act_np[tables[gens][:, None], np.array(basis)[:, None]]
+    rhs = codomain.add_group.add_table()[tables[:, None, None], moved[None]]
+    holds = (tables[ends] == rhs).reshape(-1, tables.shape[1])
+    return np.concatenate([tables[:1] == 0, holds])
+
+
+def _derivation_plan(module: FiniteModule, gens: list,
+                     ends: np.ndarray) -> list:
+    """Steps (target, source, e), target = ends[source].flat[e]: a spanning
+    tree of the relation edges from zero and the generators, each source
+    derived before its use, along which generator images fix a table."""
+    queue = [0, *sorted(gens)]             # grows breadth first
+    derived = set(queue)
     plan = []
-    frontier = sorted(derived)
-    while len(derived) < module.order:
-        new = []
-        for src in frontier:
-            for pos, g in enumerate(gens):
-                for r in range(module.ring.order):
-                    tgt = int(add[src, act[g, r]])
-                    if tgt not in derived:
-                        derived.add(tgt)
-                        plan.append((tgt, src, pos, r))
-                        new.append(tgt)
-        if not new and len(derived) < module.order:
-            raise PirickError("generators do not generate the module")
-        frontier = new
+    for src in queue:
+        for e, tgt in enumerate(ends[src].ravel().tolist()):
+            if tgt not in derived:
+                derived.add(tgt)
+                plan.append((tgt, src, e))
+                queue.append(tgt)
+    if len(derived) < module.order:
+        raise PirickError("generators do not generate the module")
     return plan
 
 
@@ -126,8 +133,9 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
 
     Candidate images for a generating set of the domain are enumerated in
     lexicographic order, in blocks; each block is expanded along the
-    derivation plan and the rows that are additive, linear and send 0 to 0
-    are kept, in that order.  The array is read-only.
+    derivation plan and the tables that send 0 to 0 and satisfy t(x + g b) =
+    t(x) + t(g) b for every element x, generator g and additive basis
+    element b of the ring are kept, in that order.  The array is read-only.
     """
     if not same_ring(domain.ring, codomain.ring):
         raise PirickError("hom set requires a common base ring")
@@ -138,33 +146,25 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
 
 def _enumerate_homs(domain: FiniteModule, codomain: FiniteModule,
                     caps: Caps) -> np.ndarray:
-    gens = list(module_generators(domain))
+    gens, basis, ends = edges = _relation_edges(domain)
     count = codomain.order ** len(gens)
     if count > caps.hom:
         raise SizeCapExceeded("hom-set enumeration", count, caps.hom)
-    plan = _derivation_plan(domain, gens)
+    plan = _derivation_plan(domain, gens, ends)
     add_c = codomain.add_group.add_table()
-    act_c = codomain.act_np
-    add_d = domain.add_group.add_table()
-    act_d = domain.act_np
-    n_d = domain.order
     radix = codomain.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
     kept = []
-    # Chunk candidates so the (chunk, n_d, n_d) additivity and the
-    # (chunk, n_d, |R|) linearity temporaries stay small.
-    chunk = max(1, (1 << 18) // (n_d * max(n_d, domain.ring.order)))
+    # t holds candidate tables as columns; the zero module has no edges.
+    chunk = max(1, (1 << 16) // max(1, ends.size))
     for lo in range(0, count, chunk):
         cand = np.arange(lo, min(count, lo + chunk), dtype=np.int64)
-        images = cand[:, None] // radix % codomain.order
-        t = np.zeros((cand.size, n_d), dtype=np.int64)
-        t[:, gens] = images
-        for tgt, src, pos, r in plan:
-            t[:, tgt] = add_c[t[:, src], act_c[images[:, pos], r]]
-        ok = t[:, 0] == 0
-        ok &= (t[:, add_d] == add_c[t[:, :, None], t[:, None, :]]) \
-            .all(axis=(1, 2))
-        ok &= (t[:, act_d] == act_c[t, :]).all(axis=(1, 2))
-        kept.append(t[ok])
+        t = np.zeros((domain.order, cand.size), dtype=np.int64)
+        t[gens] = cand // radix[:, None] % codomain.order
+        moved = codomain.act_np[t[gens][:, None], np.array(basis)[:, None]] \
+            .reshape(-1, cand.size)                    # t(g_i) b_j
+        for tgt, src, e in plan:
+            t[tgt] = add_c[t[src], moved[e]]
+        kept.append(t[:, _relations_hold(t, codomain, edges).all(axis=0)].T)
     out = np.concatenate(kept)
     out.flags.writeable = False             # shared by every caller
     return out

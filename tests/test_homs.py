@@ -31,8 +31,10 @@ def ex23():
 
 
 def test_module_map_validation(z4_reg):
-    with pytest.raises(NotAHomomorphism):
+    with pytest.raises(NotAHomomorphism) as err:
         ModuleMap(z4_reg, z4_reg, (0, 1, 3, 2))  # not additive
+    # first failing (x, generator, basis element): t(1 + 1*1) != t(1) + t(1)
+    assert (err.value.law, err.value.witness) == ("relation", (1, 1, 1))
     doubling = ModuleMap(z4_reg, z4_reg, (0, 2, 0, 2))
     assert doubling.table == (0, 2, 0, 2)
 
