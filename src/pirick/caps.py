@@ -41,7 +41,7 @@ class Caps:
                   a ring, |R| <= scan); above that on seeded random triples,
                   and associativity first on all basis triples.
     lattice:      largest module order for which the submodule lattice is
-                  enumerated.
+                  enumerated, or the radical and socle are computed.
     hom:          largest number of candidate generator-image assignments
                   enumerated when computing a hom-set.
     matrix_check: largest ring order for which matrix-ring constructions are

@@ -35,7 +35,8 @@ import numpy as np
 from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from .groups import elementary_divisors, group_embedding
-from .modules import FiniteModule, masks, module_generators, same_ring
+from .modules import (FiniteModule, mask_bits, masks, module_generators,
+                      same_ring)
 from .rings import FiniteRing, ring_idempotents, ring_make
 
 
@@ -339,13 +340,10 @@ def image(end: EndRing, f: int) -> int:
     return end.powers.images[f][0]
 
 
-def left_annihilator(end: EndRing, elems) -> np.ndarray:
-    """Indices of {g in End(M) : g(x) == 0 for every x in elems}."""
-    arr = np.array(sorted(set(int(e) for e in elems)), dtype=np.int64)
-    if arr.size == 0:
-        return np.arange(len(end.tables), dtype=np.int64)
-    mask = (end.tables[:, arr] == 0).all(axis=1)
-    return np.nonzero(mask)[0].astype(np.int64)
+def left_annihilator(end: EndRing, mask: int) -> np.ndarray:
+    """Indices of {g in End(M) : g(x) == 0 for every x in the bitmask}."""
+    bits = mask_bits(mask, end.tables.shape[1])
+    return np.flatnonzero((end.tables[:, bits] == 0).all(axis=1))
 
 
 def right_annihilator(end: EndRing, endo_indices) -> int:

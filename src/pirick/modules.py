@@ -12,22 +12,25 @@ with its own name that shares it.  The generating set, the lattice's masks
 and submodule coordinates are interned by structure too.
 
 A submodule is a bitmask over element indices (bit e set iff element e is
-in it); its elements and size are derived from the mask.  The full
-submodule lattice (when the module is small enough) is the closure of the
-cyclic submodules under pairwise sum.  On top of this sit the lattice
-predicates (direct summand, small, essential), quotient and submodule
-modules with their canonical maps, and the generating set that hom-set
-enumeration assigns images to.
+in it); its elements and size are derived from the mask.  The lattice, in
+which direct summands are found, is the closure of 0 under S -> S + mR.
+Over a finite, so Artinian, ring the rest needs no lattice: Rad M =
+M*J(R), Soc M = ann_M(J(R)), N is small iff N <= Rad M and essential iff
+Soc M <= N (Anderson and Fuller, GTM 13, sections 9, 10 and 15), and
+`lattice_gate` holds all of them to caps.lattice.  Also here: quotient and
+submodule modules with their canonical maps, and the generating set that
+hom-set enumeration assigns images to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED
+from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import AxiomViolation, PirickError, SizeCapExceeded
 from .groups import FinAbGroup, group_embedding
-from .rings import FiniteRing, _bilinear_table, _failed_law
+from .rings import (FiniteRing, _bilinear_table, _failed_law,
+                    jacobson_radical)
 
 
 class FiniteModule:
@@ -187,22 +190,11 @@ def _additive_closure(module: FiniteModule, mask: int) -> int:
         mask = grown
 
 
-def zero_submodule(module: FiniteModule) -> Submodule:
-    return Submodule(module, 1)
-
-
-def full_submodule(module: FiniteModule) -> Submodule:
-    return Submodule(module, (1 << module.order) - 1)
-
-
-def submodule_sum(n1: Submodule, n2: Submodule) -> Submodule:
-    """N1 + N2 (the join; as sets {x + y}, already a submodule)."""
-    if n1.module is not n2.module:
-        raise PirickError("submodules of different modules")
-    module = n1.module
-    add = module.add_group.add_table()
-    sums = add[np.ix_(n1.bits(), n2.bits())]
-    return Submodule(module, elems_mask(sums, module.order))
+def lattice_gate(module: FiniteModule, caps: Caps) -> None:
+    """Raise SizeCapExceeded("submodule lattice") when the module's order
+    is over caps.lattice."""
+    if module.order > caps.lattice:
+        raise SizeCapExceeded("submodule lattice", module.order, caps.lattice)
 
 
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
@@ -213,27 +205,31 @@ def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
 
 
 def _lattice_masks(module: FiniteModule, caps: Caps) -> tuple:
-    if module.order > caps.lattice:
-        raise SizeCapExceeded("submodule lattice", module.order, caps.lattice)
+    """The closure of {0} under S -> S + mR, one m per distinct cyclic
+    submodule: every submodule is a sum of cyclic ones.  S + mR is the
+    set of x whose coset x + S meets mR."""
+    lattice_gate(module, caps)
     n = module.order
     add = module.add_group.add_table()
-    bits = {}                                   # mask -> boolean elements
+    reps = {}                                   # cyclic mask -> first m
     for m in range(n):
-        mask = elems_mask(module.act_np[m, :], n)
-        bits.setdefault(mask, mask_bits(mask, n))
-    frontier = list(bits)
+        reps.setdefault(cyclic_submodule(module, m).mask, m)
+    products = module.act_np[list(reps.values())]           # [m, r] -> mr
+    rows = np.arange(len(reps))[:, None]
+    seen = {1}
+    frontier = [1]
     while frontier:
         new = []
-        for a in frontier:
-            for b in list(bits):
-                if (a | b) in (a, b):           # one contains the other
-                    continue
-                mask = elems_mask(add[np.ix_(bits[a], bits[b])], n)
-                if mask not in bits:
-                    bits[mask] = mask_bits(mask, n)
-                    new.append(mask)
+        for mask in frontier:
+            coset = add[:, np.flatnonzero(mask_bits(mask, n))].min(axis=1)
+            hit = np.zeros((len(reps), n), dtype=bool)
+            hit[rows, coset[products]] = True
+            for grown in masks(hit[:, coset]):
+                if grown not in seen:
+                    seen.add(grown)
+                    new.append(grown)
         frontier = new
-    return tuple(sorted(bits))
+    return tuple(sorted(seen))
 
 
 def is_direct_summand(sub: Submodule, caps: Caps = DEFAULT_CAPS):
@@ -249,24 +245,17 @@ def is_direct_summand(sub: Submodule, caps: Caps = DEFAULT_CAPS):
 
 
 def is_small(sub: Submodule, caps: Caps = DEFAULT_CAPS) -> bool:
-    """N is superfluous: N + K = M forces K = M."""
-    module = sub.module
-    total = module.order
-    for cand in all_submodules(module, caps):
-        if cand.size == total:
-            continue
-        inter = (sub.mask & cand.mask).bit_count()
-        if sub.size * cand.size == total * inter:
-            return False
-    return True
+    """N is superfluous (N + K = M forces K = M) iff N is inside Rad M,
+    since M is finitely generated."""
+    rad = radical(sub.module, caps).mask
+    return sub.mask | rad == rad
 
 
 def is_essential(sub: Submodule, caps: Caps = DEFAULT_CAPS) -> bool:
-    """N is essential: N meet K = 0 forces K = 0."""
-    for cand in all_submodules(sub.module, caps):
-        if cand.mask != 1 and (sub.mask & cand.mask) == 1:
-            return False
-    return True
+    """N is essential (N meet K = 0 forces K = 0) iff N contains Soc M,
+    since M has finite length."""
+    soc = socle(sub.module, caps).mask
+    return sub.mask & soc == soc
 
 
 def is_fully_invariant(sub: Submodule, tables: np.ndarray) -> bool:
@@ -277,39 +266,24 @@ def is_fully_invariant(sub: Submodule, tables: np.ndarray) -> bool:
 
 
 def radical(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Submodule:
-    """Intersection of the maximal submodules (all of M when none exist)."""
-    lattice = all_submodules(module, caps)
-    full = module.order
-    maximal = []
-    for cand in lattice:
-        if cand.size == full:
-            continue
-        covered = any(other.size < full and other.mask != cand.mask
-                      and (cand.mask & other.mask) == cand.mask
-                      for other in lattice)
-        if not covered:
-            maximal.append(cand)
-    if not maximal:
-        return full_submodule(module)
-    mask = maximal[0].mask
-    for cand in maximal[1:]:
-        mask &= cand.mask
-    return Submodule(module, mask)
+    """Rad M, the intersection of the maximal submodules."""
+    return Submodule(module, _rad_soc_masks(module, caps)[0])
 
 
 def socle(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Submodule:
-    """Sum of the simple (minimal nonzero) submodules."""
-    lattice = all_submodules(module, caps)
-    out = zero_submodule(module)
-    for cand in lattice:
-        if cand.mask == 1:
-            continue
-        has_proper = any(other.mask != 1 and other.mask != cand.mask
-                         and (other.mask & cand.mask) == other.mask
-                         for other in lattice)
-        if not has_proper:
-            out = submodule_sum(out, cand)
-    return out
+    """Soc M, the sum of the simple submodules."""
+    return Submodule(module, _rad_soc_masks(module, caps)[1])
+
+
+@interned
+def _rad_soc_masks(module: FiniteModule, caps: Caps) -> tuple:
+    """The masks of Rad M = M*J(R), the subgroup generated by the products
+    m*j, since R is Artinian; and of Soc M, the elements that J(R) kills,
+    since R/J(R) is semisimple."""
+    lattice_gate(module, caps)
+    products = module.act_np[:, jacobson_radical(module.ring)]
+    rad = _additive_closure(module, elems_mask(products, module.order))
+    return rad, masks((products == 0).all(axis=1)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +379,7 @@ def module_generators(module: FiniteModule) -> tuple:
 
 def _cyclic_cover(module: FiniteModule) -> tuple:
     n = module.order
-    cyclics = [elems_mask(module.act_np[m, :], n) for m in range(n)]
+    cyclics = [cyclic_submodule(module, m).mask for m in range(n)]
     covered = 1
     gens = []
     while covered != (1 << n) - 1:

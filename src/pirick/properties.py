@@ -214,38 +214,36 @@ def decide_strongly_hopfian(facts: Facts) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def decide_c2(facts: Facts) -> Verdict:
-    """Every submodule isomorphic to a direct summand is itself a summand."""
+def _summand_when_isomorphic(facts: Facts, quotients: bool) -> Verdict:
+    """Every submodule N (with `quotients`, every M/N) isomorphic to a
+    direct summand has N itself a summand.
+
+    The counterexample is (N, D) for the first such N that is not a
+    summand and the smallest summand D it is isomorphic to.
+    """
     idem = facts.idem_masks()
     summands = sorted(idem)
     for sub in facts.lattice():
         if sub.mask in idem:
             continue
-        inner, _ = facts.inner(sub.mask)
+        shape = (facts.quotient if quotients else facts.inner)(sub.mask)[0]
         for dmask in summands:
-            if dmask.bit_count() != sub.size:
+            if dmask.bit_count() != shape.order:
                 continue
             dinner, _ = facts.inner(dmask)
-            if are_isomorphic(inner, dinner, facts.caps):
+            if are_isomorphic(shape, dinner, facts.caps):
                 return Verdict(False, {}, (sub.mask, dmask))
     return Verdict(True, {}, None)
+
+
+def decide_c2(facts: Facts) -> Verdict:
+    """Every submodule isomorphic to a direct summand is itself a summand."""
+    return _summand_when_isomorphic(facts, quotients=False)
 
 
 def decide_d2(facts: Facts) -> Verdict:
     """Whenever M/N is isomorphic to a direct summand, N is a summand."""
-    idem = facts.idem_masks()
-    summands = sorted(idem)
-    for sub in facts.lattice():
-        if sub.mask in idem:
-            continue
-        quot, _ = facts.quotient(sub.mask)
-        for dmask in summands:
-            if dmask.bit_count() != quot.order:
-                continue
-            dinner, _ = facts.inner(dmask)
-            if are_isomorphic(quot, dinner, facts.caps):
-                return Verdict(False, {}, (sub.mask, dmask))
-    return Verdict(True, {}, None)
+    return _summand_when_isomorphic(facts, quotients=True)
 
 
 def decide_abelian(facts: Facts) -> Verdict:
@@ -328,8 +326,9 @@ DECIDERS = {
 def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     """Elements whose left annihilator is an essential left ideal.
 
-    Left ideals are enumerated as submodules of the regular module of the
-    opposite ring, so this is gated by the lattice cap.
+    A left ideal is a submodule of the regular module of the opposite
+    ring, and essential iff it contains that module's socle; the check is
+    gated by the lattice cap.
     """
     opp = opposite_ring(ring, caps)
     reg = ring_as_module(opp, caps)
@@ -364,7 +363,6 @@ def small_image_endos(facts: Facts):
     Returns a list of (f index, is_nilpotent, nilpotency index or None).
     """
     powers = facts.end().powers
-    facts.lattice()  # raises through the lattice cap before any work
     out = []
     for f, imgs in enumerate(powers.images):
         if not is_small(facts.sub(imgs[0]), facts.caps):

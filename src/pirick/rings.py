@@ -126,6 +126,13 @@ def _validate_constants(add_group: FinAbGroup, constants: dict):
                 raise NotDistributive(triple)
 
 
+def _first_true(bits: np.ndarray) -> tuple:
+    """Index tuple of the first True entry of a boolean array that has one,
+    in row-major order, found without listing the others."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bits),
+                                                  bits.shape))
+
+
 def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, sampled=None):
     """Index tuple of the first entry with lhs != rhs, or None.
 
@@ -135,9 +142,9 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, sampled=None):
     diff = lhs != rhs
     if not diff.any():
         return None
-    first = np.argwhere(diff)[0]
+    first = _first_true(diff)
     if sampled is None:
-        return tuple(int(i) for i in first)
+        return first
     return tuple(int(arr[first[0]]) for arr in sampled)
 
 
@@ -456,8 +463,7 @@ def ring_predicates(ring: FiniteRing) -> RingPredicates:
 
     commutative = bool(np.array_equal(mul, mul.T))
     if not commutative:
-        a, b = np.argwhere(mul != mul.T)[0]
-        wit["not_commutative"] = (int(a), int(b))
+        wit["not_commutative"] = _first_true(mul != mul.T)
 
     idx = np.arange(n, dtype=np.int32)
     diag = mul[idx, idx]
@@ -476,8 +482,7 @@ def ring_predicates(ring: FiniteRing) -> RingPredicates:
     zero_prod[:, 0] = False
     domain = not zero_prod.any()
     if not domain:
-        a, b = np.argwhere(zero_prod)[0]
-        wit["zero_divisors"] = (int(a), int(b))
+        wit["zero_divisors"] = _first_true(zero_prod)
 
     unit_mask, _ = ring_units(ring)
     jac = set(jacobson_radical(ring).tolist())

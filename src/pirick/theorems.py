@@ -320,18 +320,11 @@ def _quotients(ctx, fully_invariant: bool):
             yield f"N={sub.size}", facts.quotient(sub.mask)[0]
 
 
-@interned
-def _rad_soc(facts: Facts) -> tuple:
-    """The bitmasks of rad M and soc M."""
-    return (radical(facts.module, facts.caps).mask,
-            socle(facts.module, facts.caps).mask)
-
-
 def _rad_soc_quotients(ctx):
     """(rad, M/rad M) and (soc, M/soc M)."""
     facts = ctx.facts()
-    for label, mask in zip(("rad", "soc"), _rad_soc(facts)):
-        yield label, facts.quotient(mask)[0]
+    for label, part in (("rad", radical), ("soc", socle)):
+        yield label, facts.quotient(part(ctx.module, ctx.caps).mask)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +533,9 @@ def _chk_l3_1(ctx):
     principal = principal_left_ideal_keys(ring)
     for f, (n, e) in v.witnesses.items():
         fn = power_trail(ring, f)[n - 1]
-        im = facts.sub(end.powers.images[f][n - 1])
+        im = end.powers.images[f][n - 1]
         # l_M(f^n M) == l_S(f^n) == S(1 - e)
-        if not (np.array_equal(left_annihilator(end, im.elems),
+        if not (np.array_equal(left_annihilator(end, im),
                                np.flatnonzero(ring.mul_np[:, fn] == 0))
                 and _one_minus(ring, e) in
                 principal.get(left_annihilator_key(ring, fn), ())):
@@ -670,7 +663,7 @@ def _chk_p3_18(ctx):
 def _annihilator_equality(facts: Facts, f: int, n: int) -> bool:
     end = facts.end()
     im = chain_term(end.powers.images[f], n)
-    ann = left_annihilator(end, facts.sub(im).elems)
+    ann = left_annihilator(end, im)
     return right_annihilator(end, ann) == im
 
 
@@ -918,7 +911,8 @@ REGISTRY = {e.id: e for e in [
           _every_dual_pi(("quasi_projective", "dual_pi_rickart"),
                          _rad_soc_quotients,
                          lambda ctx: "|rad|={},|soc|={}".format(
-                             *map(int.bit_count, _rad_soc(ctx.facts()))))),
+                             radical(ctx.module, ctx.caps).size,
+                             socle(ctx.module, ctx.caps).size))),
     Entry("P3.18", "module",
           "dual pi-Rickart => small-image endomorphisms nilpotent",
           _chk_p3_18),

@@ -204,7 +204,7 @@ def test_criterion_05_annihilator_identities(module_instances, announce):
             principal = np.unique(ring.mul_np[:, one_minus_e])
             ok2 = np.array_equal(left_ann, np.sort(principal))
             closure = right_annihilator(
-                end, left_annihilator(end, im.elems))
+                end, left_annihilator(end, im.mask))
             ok3 = closure == im.mask
             checked += 1
             if not (ok1 and ok2 and ok3):

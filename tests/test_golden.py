@@ -7,6 +7,8 @@ import hashlib
 import itertools
 import pathlib
 
+import pytest
+
 from pirick.caps import Caps
 from pirick.cli import main
 from pirick.errors import PirickError
@@ -26,6 +28,22 @@ def test_verify_corpus_matches_benchmark_reference(capsys):
         .read_text(encoding="utf-8")
     assert main(["verify", str(CORPUS)]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("lattice, digest", [
+    (8, "216c39aa34aa6c3681f71355ca3287841dfcd331b1437c45d553f18079c27be5"),
+    (128, "b4c49d7c9e6b896156b0d4fc6b6a7314ae76ba3910acad6173bc41ada8ce52b4"),
+])
+def test_verify_corpus_at_both_edges_of_the_lattice_cap(monkeypatch, capsys,
+                                                        lattice, digest):
+    # At 8 the lattice-gated entries run on modules of order <= 8 only, at
+    # 128 on every corpus module.  Both digests were recorded with the
+    # pairwise lattice and the lattice scans for radical, socle, small and
+    # essential submodules.
+    monkeypatch.setenv("PIRICK_CAPS", f"lattice={lattice}")
+    assert main(["verify", str(CORPUS)]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_catalog_corpus_matches_golden(tmp_path, capsys):

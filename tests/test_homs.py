@@ -120,12 +120,12 @@ def test_power_chains_match_powers_taken_one_at_a_time(ex23):
 
 def test_annihilators(ex23):
     end = end_ring(ex23, CAPS)
-    # l_S(0 element set) is everything; r_M(whole ring) is 0
-    assert left_annihilator(end, [0]).size == end.ring.order
+    # l_S({0}) is everything; r_M(whole ring) is 0
+    assert left_annihilator(end, 0b1).size == end.ring.order
     assert right_annihilator(end, range(end.ring.order)) == 1    # {0}
     # l_S and r_M are antitone
-    small = left_annihilator(end, [0, 1])
-    large = left_annihilator(end, [0, 1, 4])
+    small = left_annihilator(end, 0b11)                          # {0, 1}
+    large = left_annihilator(end, 0b10011)                       # {0, 1, 4}
     assert set(large.tolist()) <= set(small.tolist())
 
 

@@ -11,12 +11,11 @@ from pirick.errors import AxiomViolation, SizeCapExceeded
 from pirick.families import ex23_module, zmod
 from pirick.groups import FinAbGroup
 from pirick.homs import are_isomorphic, find_isomorphism
-from pirick.modules import (all_submodules, cyclic_submodule, free_module,
-                            full_submodule, is_direct_summand, is_essential,
+from pirick.modules import (Submodule, all_submodules, cyclic_submodule,
+                            free_module, is_direct_summand, is_essential,
                             is_fully_invariant, is_small, module_generators,
                             module_make, quotient_module, radical,
-                            ring_as_module, socle, submodule_module,
-                            zero_submodule)
+                            ring_as_module, socle, submodule_module)
 
 CAPS = caps_from_env()
 
@@ -99,8 +98,8 @@ def test_small_and_essential(z4_reg, z6_reg):
     three = cyclic_submodule(z6_reg, 3)
     assert not is_small(three, CAPS)      # {0,3} + {0,2,4} = Z_6
     assert not is_essential(three, CAPS)
-    assert not is_small(full_submodule(z4_reg), CAPS)
-    assert is_small(zero_submodule(z4_reg), CAPS)
+    assert not is_small(Submodule(z4_reg, 0b1111), CAPS)
+    assert is_small(Submodule(z4_reg, 0b1), CAPS)
 
 
 def test_fully_invariant(ex23):

@@ -111,6 +111,16 @@ def test_jacobson_radical():
     assert jacobson_radical(t2z2).size == 2   # zero and the strict corner
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (5, 5), (3, 4, 6), (2, 1, 3)])
+def test_first_true_is_the_row_major_first(shape):
+    rng = np.random.default_rng(sum(shape))
+    for density in (0.02, 0.3, 1.0):
+        bits = rng.random(shape) < density
+        bits.flat[-1] = True                     # at least one True
+        assert rings._first_true(bits) == \
+            tuple(int(i) for i in np.argwhere(bits)[0])
+
+
 def test_nil_radical_check():
     v = nil_radical_check(zmod(4))
     assert v.holds
