@@ -11,11 +11,13 @@ intern table `caps.INTERNED`); each module_make call returns a new module
 with its own name that shares it.  The generating set, the lattice's masks
 and submodule coordinates are interned by structure too.
 
-A submodule is a bitmask over element indices (bit e set iff element e is
-in it); its elements and size are derived from the mask.  The lattice, in
-which direct summands are found, is the closure of 0 under S -> S + mR.
-Over a finite, so Artinian, ring the rest needs no lattice: Rad M =
-M*J(R), Soc M = ann_M(J(R)), N is small iff N <= Rad M and essential iff
+A submodule of M is an int, a bitmask over M's element indices (bit e set
+iff element e is in it), and the functions below take and return it beside
+M: its size is mask.bit_count() and its elements are read through
+mask_bits.  The lattice, the tuple of every such mask, in which direct
+summands are found, is the closure of 0 under S -> S + mR.  Over a
+finite, so Artinian, ring the rest needs no lattice: Rad M = M*J(R),
+Soc M = ann_M(J(R)), N is small iff N <= Rad M and essential iff
 Soc M <= N (Anderson and Fuller, GTM 13, sections 9, 10 and 15), and
 `lattice_gate` holds all of them to caps.lattice.  Also here: quotient and
 submodule modules with their canonical maps, and the generating set that
@@ -141,42 +143,10 @@ def mask_bits(mask: int, order: int) -> np.ndarray:
     return np.unpackbits(raw, count=order, bitorder="little").view(bool)
 
 
-class Submodule:
-    """A submodule of a fixed module, as a bitmask over its element indices;
-    the elements and the size are read off the mask."""
-
-    __slots__ = ("module", "mask")
-
-    def __init__(self, module: FiniteModule, mask: int):
-        self.module = module
-        self.mask = mask
-
-    def bits(self) -> np.ndarray:
-        return mask_bits(self.mask, self.module.order)
-
-    @property
-    def elems(self) -> tuple:
-        """The elements in ascending order."""
-        return tuple(np.flatnonzero(self.bits()).tolist())
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Submodule) and self.module is other.module
-                and self.mask == other.mask)
-
-    def __hash__(self) -> int:
-        return hash((id(self.module), self.mask))
-
-    def __repr__(self) -> str:
-        return f"Submodule(of={self.module.name!r}, size={self.size})"
-
-
-def cyclic_submodule(module: FiniteModule, m: int) -> Submodule:
-    """The submodule m*R (already closed: m*r + m*s = m*(r+s))."""
-    return Submodule(module, elems_mask(module.act_np[m, :], module.order))
+def cyclic_submodule(module: FiniteModule, m: int) -> int:
+    """The mask of the submodule m*R (already closed: m*r + m*s =
+    m*(r+s))."""
+    return elems_mask(module.act_np[m, :], module.order)
 
 
 def _additive_closure(module: FiniteModule, mask: int) -> int:
@@ -190,30 +160,30 @@ def _additive_closure(module: FiniteModule, mask: int) -> int:
         mask = grown
 
 
-def lattice_gate(module: FiniteModule, caps: Caps) -> None:
-    """Raise SizeCapExceeded("submodule lattice") when the module's order
-    is over caps.lattice."""
-    if module.order > caps.lattice:
-        raise SizeCapExceeded("submodule lattice", module.order, caps.lattice)
+def lattice_gate(order: int, caps: Caps) -> None:
+    """Raise SizeCapExceeded("submodule lattice") when a module's order is
+    over caps.lattice."""
+    if order > caps.lattice:
+        raise SizeCapExceeded("submodule lattice", order, caps.lattice)
 
 
-def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> list:
-    """Every submodule, sorted by ascending bitmask (deterministic order);
-    the masks are enumerated once per structure and caps in a process."""
-    return [Submodule(module, mask) for mask in INTERNED.get_or_build(
-        "lattice", module.key, caps, lambda: _lattice_masks(module, caps))]
+def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> tuple:
+    """The mask of every submodule, ascending (deterministic order); one
+    tuple per structure and caps in a process."""
+    return INTERNED.get_or_build("lattice", module.key, caps,
+                                 lambda: _lattice_masks(module, caps))
 
 
 def _lattice_masks(module: FiniteModule, caps: Caps) -> tuple:
     """The closure of {0} under S -> S + mR, one m per distinct cyclic
     submodule: every submodule is a sum of cyclic ones.  S + mR is the
     set of x whose coset x + S meets mR."""
-    lattice_gate(module, caps)
+    lattice_gate(module.order, caps)
     n = module.order
     add = module.add_group.add_table()
     reps = {}                                   # cyclic mask -> first m
     for m in range(n):
-        reps.setdefault(cyclic_submodule(module, m).mask, m)
+        reps.setdefault(cyclic_submodule(module, m), m)
     products = module.act_np[list(reps.values())]           # [m, r] -> mr
     rows = np.arange(len(reps))[:, None]
     seen = {1}
@@ -232,47 +202,49 @@ def _lattice_masks(module: FiniteModule, caps: Caps) -> tuple:
     return tuple(sorted(seen))
 
 
-def is_direct_summand(sub: Submodule, caps: Caps = DEFAULT_CAPS):
+def is_direct_summand(module: FiniteModule, mask: int,
+                      caps: Caps = DEFAULT_CAPS):
     """Decide by complement search: N is a summand iff some submodule K has
-    N meet K = 0 and |N| * |K| = |M|.  Returns (bool, complement or None),
-    with the complement of smallest bitmask."""
-    module = sub.module
-    total = module.order
+    N meet K = 0 and |N| * |K| = |M|.  Returns (bool, complement mask or
+    None), with the complement of smallest bitmask."""
+    size = mask.bit_count()
     for cand in all_submodules(module, caps):
-        if (sub.mask & cand.mask) == 1 and sub.size * cand.size == total:
+        if mask & cand == 1 and size * cand.bit_count() == module.order:
             return True, cand
     return False, None
 
 
-def is_small(sub: Submodule, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_small(module: FiniteModule, mask: int,
+             caps: Caps = DEFAULT_CAPS) -> bool:
     """N is superfluous (N + K = M forces K = M) iff N is inside Rad M,
     since M is finitely generated."""
-    rad = radical(sub.module, caps).mask
-    return sub.mask | rad == rad
+    rad = radical(module, caps)
+    return mask | rad == rad
 
 
-def is_essential(sub: Submodule, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_essential(module: FiniteModule, mask: int,
+                 caps: Caps = DEFAULT_CAPS) -> bool:
     """N is essential (N meet K = 0 forces K = 0) iff N contains Soc M,
     since M has finite length."""
-    soc = socle(sub.module, caps).mask
-    return sub.mask & soc == soc
+    soc = socle(module, caps)
+    return mask & soc == soc
 
 
-def is_fully_invariant(sub: Submodule, tables: np.ndarray) -> bool:
+def is_fully_invariant(mask: int, tables: np.ndarray) -> bool:
     """N is stable under every endomorphism whose table is a row of
     `tables`."""
-    bits = sub.bits()
+    bits = mask_bits(mask, tables.shape[1])
     return bool(bits[tables[:, bits]].all())
 
 
-def radical(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Submodule:
-    """Rad M, the intersection of the maximal submodules."""
-    return Submodule(module, _rad_soc_masks(module, caps)[0])
+def radical(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> int:
+    """The mask of Rad M, the intersection of the maximal submodules."""
+    return _rad_soc_masks(module, caps)[0]
 
 
-def socle(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> Submodule:
-    """Soc M, the sum of the simple submodules."""
-    return Submodule(module, _rad_soc_masks(module, caps)[1])
+def socle(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> int:
+    """The mask of Soc M, the sum of the simple submodules."""
+    return _rad_soc_masks(module, caps)[1]
 
 
 @interned
@@ -280,7 +252,7 @@ def _rad_soc_masks(module: FiniteModule, caps: Caps) -> tuple:
     """The masks of Rad M = M*J(R), the subgroup generated by the products
     m*j, since R is Artinian; and of Soc M, the elements that J(R) kills,
     since R/J(R) is semisimple."""
-    lattice_gate(module, caps)
+    lattice_gate(module.order, caps)
     products = module.act_np[:, jacobson_radical(module.ring)]
     rad = _additive_closure(module, elems_mask(products, module.order))
     return rad, masks((products == 0).all(axis=1)[None])[0]
@@ -291,12 +263,13 @@ def _rad_soc_masks(module: FiniteModule, caps: Caps) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def quotient_module(module: FiniteModule, sub: Submodule,
+def quotient_module(module: FiniteModule, mask: int,
                     caps: Caps = DEFAULT_CAPS):
-    """M/N with its projection.  Returns (quotient, projection ModuleMap)."""
+    """M/N for the submodule N with this mask, with its projection.
+    Returns (quotient, projection ModuleMap)."""
     from .homs import ModuleMap
     add = module.add_group.add_table()
-    arr = np.flatnonzero(sub.bits())
+    arr = np.flatnonzero(mask_bits(mask, module.order))
     # coset label = least element index in m + N
     labels = add[:, arr].min(axis=1)
     group, _, to_index, basis = group_embedding(
@@ -304,31 +277,31 @@ def quotient_module(module: FiniteModule, sub: Submodule,
     table = to_index[labels]
     quotient = module_make(module.ring, group,
                            _action_constants(module, basis, table),
-                           caps, f"{module.name}/{sub.size}")
+                           caps, f"{module.name}/{mask.bit_count()}")
     proj = ModuleMap(module, quotient, table)
     return quotient, proj
 
 
-def submodule_module(sub: Submodule, caps: Caps = DEFAULT_CAPS):
-    """N as a module in its own right.  Returns (module, inclusion ModuleMap).
-    Its coordinates are found once per parent structure and mask."""
+def submodule_module(parent: FiniteModule, mask: int,
+                     caps: Caps = DEFAULT_CAPS):
+    """The submodule N of parent with this mask as a module in its own
+    right.  Returns (module, inclusion ModuleMap).  Its coordinates are
+    found once per parent structure and mask."""
     from .homs import ModuleMap
-    parent = sub.module
     group, from_label, constants = INTERNED.get_or_build(
-        "submodule", (parent.key, sub.mask), None,
-        lambda: _submodule_coordinates(sub))
+        "submodule", (parent.key, mask), None,
+        lambda: _submodule_coordinates(parent, mask))
     inner = module_make(parent.ring, group, constants, caps,
-                        f"{parent.name}|{sub.size}")
+                        f"{parent.name}|{mask.bit_count()}")
     return inner, ModuleMap(inner, parent, from_label)
 
 
-def _submodule_coordinates(sub: Submodule) -> tuple:
+def _submodule_coordinates(parent: FiniteModule, mask: int) -> tuple:
     """(group, from_label, action constants) of the submodule on its own
     cyclic decomposition; from_label[i] is the parent element of index i."""
-    parent = sub.module
     add = parent.add_group.add_table()
     group, from_label, to_index, basis = group_embedding(
-        np.flatnonzero(sub.bits()), lambda x, y: add[x, y])
+        np.flatnonzero(mask_bits(mask, parent.order)), lambda x, y: add[x, y])
     from_label.flags.writeable = False
     return group, from_label, _action_constants(parent, basis, to_index)
 
@@ -379,7 +352,7 @@ def module_generators(module: FiniteModule) -> tuple:
 
 def _cyclic_cover(module: FiniteModule) -> tuple:
     n = module.order
-    cyclics = [cyclic_submodule(module, m).mask for m in range(n)]
+    cyclics = [cyclic_submodule(module, m) for m in range(n)]
     covered = 1
     gens = []
     while covered != (1 << n) - 1:

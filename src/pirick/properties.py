@@ -8,9 +8,11 @@ submodules, verdicts).  Its key is (structure key of the module, caps), and
 each of those is memoized under it in the one cache, `caps.INTERNED`, so
 every module of one structure gets one of each, and a decider runs once per
 structure and caps; the registry in `theorems` builds its submodules, e*R
-among them, through the same Facts.  The image and kernel chains of every
-endomorphism are bitmasks read from End(M)'s one `powers` result, and
-nowhere else.
+among them, through the same Facts.  Every submodule is a bitmask over the
+module's elements, as in `modules`: the lattice's masks, and the image and
+kernel chains of every endomorphism, read from End(M)'s one `powers`
+result and nowhere else.  The left singular ideal of End(M) is read from
+End(M)'s own multiplication table.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -27,12 +29,12 @@ from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
 from .homs import (EndRing, are_isomorphic, chain_term, end_ring, hom_set,
                    idempotent_image_masks)
-from .modules import (FiniteModule, Submodule, all_submodules, is_small,
-                      is_essential, masks, module_generators,
-                      quotient_module, ring_as_module, submodule_module)
+from .modules import (FiniteModule, all_submodules, is_small, lattice_gate,
+                      mask_bits, module_generators, quotient_module,
+                      submodule_module)
 from .rings import (FiniteRing, Verdict, central_idempotent_scan,
-                    jacobson_radical, nontrivial_idempotents, opposite_ring,
-                    power_trail, ring_idempotents)
+                    jacobson_radical, nontrivial_idempotents, power_trail,
+                    ring_idempotents)
 
 PROPERTY_ORDER = (
     "dual_rickart",
@@ -72,7 +74,7 @@ class Facts:
     def end(self) -> EndRing:
         return end_ring(self.module, self.caps)
 
-    def lattice(self) -> list:
+    def lattice(self) -> tuple:
         return all_submodules(self.module, self.caps)
 
     def idem_masks(self) -> dict:
@@ -81,15 +83,12 @@ class Facts:
     @interned
     def quotient(self, mask: int):
         """(M/N, projection) for the submodule with this bitmask."""
-        return quotient_module(self.module, self.sub(mask), self.caps)
+        return quotient_module(self.module, mask, self.caps)
 
     @interned
     def inner(self, mask: int):
         """(N as a module, inclusion) for the submodule with this bitmask."""
-        return submodule_module(self.sub(mask), self.caps)
-
-    def sub(self, mask: int) -> Submodule:
-        return Submodule(self.module, mask)
+        return submodule_module(self.module, mask, self.caps)
 
     @interned
     def verdict(self, prop: str) -> Verdict:
@@ -223,16 +222,16 @@ def _summand_when_isomorphic(facts: Facts, quotients: bool) -> Verdict:
     """
     idem = facts.idem_masks()
     summands = sorted(idem)
-    for sub in facts.lattice():
-        if sub.mask in idem:
+    for mask in facts.lattice():
+        if mask in idem:
             continue
-        shape = (facts.quotient if quotients else facts.inner)(sub.mask)[0]
+        shape = (facts.quotient if quotients else facts.inner)(mask)[0]
         for dmask in summands:
             if dmask.bit_count() != shape.order:
                 continue
             dinner, _ = facts.inner(dmask)
             if are_isomorphic(shape, dinner, facts.caps):
-                return Verdict(False, {}, (sub.mask, dmask))
+                return Verdict(False, {}, (mask, dmask))
     return Verdict(True, {}, None)
 
 
@@ -255,31 +254,31 @@ def decide_abelian(facts: Facts) -> Verdict:
 def decide_duo(facts: Facts) -> Verdict:
     """Every submodule is stable under every endomorphism."""
     tables = facts.end().tables
-    for sub in facts.lattice():
-        bits = sub.bits()
+    for mask in facts.lattice():
+        bits = mask_bits(mask, facts.module.order)
         stays = bits[tables[:, bits]].all(axis=1)
         if not stays.all():
-            return Verdict(False, {}, (int(np.argmin(stays)), sub.mask))
+            return Verdict(False, {}, (int(np.argmin(stays)), mask))
     return Verdict(True, {}, None)
 
 
 def decide_self_cogenerator(facts: Facts) -> Verdict:
     """Every factor module M/N is cogenerated by M: the kernels of all
     homomorphisms M/N -> M intersect to zero."""
-    for sub in facts.lattice():
-        quot, _ = facts.quotient(sub.mask)
+    for mask in facts.lattice():
+        quot, _ = facts.quotient(mask)
         homs = hom_set(quot, facts.module, facts.caps)
         in_all_kernels = (homs == 0).all(axis=0)
         if int(in_all_kernels.sum()) != 1:
-            return Verdict(False, {}, sub.mask)
+            return Verdict(False, {}, mask)
     return Verdict(True, {}, None)
 
 
 def decide_quasi_projective(facts: Facts) -> Verdict:
     """Every homomorphism M -> M/N lifts through the projection."""
     end = facts.end()
-    for sub in facts.lattice():
-        quot, proj = facts.quotient(sub.mask)
+    for mask in facts.lattice():
+        quot, proj = facts.quotient(mask)
         homs = hom_set(facts.module, quot, facts.caps)
         lifted = proj.table_np[end.tables]
         # each lifted row is a map M -> M/N, so all of Hom(M, M/N) is lifted
@@ -287,7 +286,7 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
         if len(set(map(bytes, lifted))) != len(homs):
             lifted = set(map(tuple, lifted.tolist()))
             h = next(h for h in map(tuple, homs.tolist()) if h not in lifted)
-            return Verdict(False, {}, (sub.mask, h))
+            return Verdict(False, {}, (mask, h))
     return Verdict(True, {}, None)
 
 
@@ -324,20 +323,18 @@ DECIDERS = {
 
 @interned
 def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
-    """Elements whose left annihilator is an essential left ideal.
+    """Z_l(R), the elements f whose left annihilator {g : g*f = 0} is an
+    essential left ideal, read off the ring's own table.
 
-    A left ideal is a submodule of the regular module of the opposite
-    ring, and essential iff it contains that module's socle; the check is
-    gated by the lattice cap.
+    As for `modules.is_essential` on the left regular module, a left ideal
+    is essential iff it contains the left socle {x : J(R)*x = 0}, so f is
+    in Z_l(R) iff s*f = 0 for every s in that socle.  The check is gated by
+    the lattice cap at the order of R, the order of that module.
     """
-    opp = opposite_ring(ring, caps)
-    reg = ring_as_module(opp, caps)
-    out = []
-    # row f of the transposed table holds g * f for every g
-    for f, ann in enumerate(masks(ring.mul_np.T == 0)):
-        if is_essential(Submodule(reg, ann), caps):
-            out.append(f)
-    return np.array(out, dtype=np.int64)
+    lattice_gate(ring.order, caps)
+    mul = ring.mul_np                                 # mul[g, f] = g * f
+    soc = (mul[jacobson_radical(ring)] == 0).all(axis=0)
+    return np.flatnonzero((mul[soc] == 0).all(axis=0))
 
 
 def singular_nil_jacobson(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
@@ -365,7 +362,7 @@ def small_image_endos(facts: Facts):
     powers = facts.end().powers
     out = []
     for f, imgs in enumerate(powers.images):
-        if not is_small(facts.sub(imgs[0]), facts.caps):
+        if not is_small(facts.module, imgs[0], facts.caps):
             continue
         if imgs[-1] == 1:
             out.append((f, True, len(imgs)))
@@ -392,7 +389,7 @@ class PropertyReport:
 
 
 def _fmt_sub(facts: Facts, mask: int) -> str:
-    elems = facts.sub(mask).elems
+    elems = np.flatnonzero(mask_bits(mask, facts.module.order)).tolist()
     if len(elems) <= 8:
         return "{" + ",".join(str(e) for e in elems) + "}"
     return f"sub(size={len(elems)},min={elems[1] if len(elems) > 1 else 0})"

@@ -17,7 +17,7 @@ Also here: the regularity family of ring properties (regular, pi-regular,
 strongly pi-regular, generalized left principally-projective), classical
 predicates (local, division, domain, reduced, abelian, commutative), the
 Jacobson radical, and ring constructions (corner, matrix, triangular,
-product, opposite).
+product).
 """
 
 from __future__ import annotations
@@ -623,12 +623,3 @@ def product_ring(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS,
     if name is None:
         name = f"{r1.name}x{r2.name}"
     return ring_make(group, constants, one, caps, name)
-
-
-def opposite_ring(ring: FiniteRing, caps: Caps = DEFAULT_CAPS,
-                  name: str = None) -> FiniteRing:
-    """Same additive group, multiplication reversed."""
-    constants = {(j, i): c for (i, j), c in ring.constants.items()}
-    if name is None:
-        name = f"{ring.name}_op"
-    return ring_make(ring.add_group, constants, ring.one, caps, name)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
-from .homs import (chain_term, hom_set, image, left_annihilator,
+from .homs import (EndRing, chain_term, hom_set, image, left_annihilator,
                    right_annihilator)
 from .modules import (FiniteModule, elems_mask, free_module,
                       is_direct_summand, is_fully_invariant, radical,
@@ -315,16 +315,16 @@ def _quotients(ctx, fully_invariant: bool):
     one."""
     facts = ctx.facts()
     tables = facts.end().tables
-    for sub in facts.lattice():
-        if not fully_invariant or is_fully_invariant(sub, tables):
-            yield f"N={sub.size}", facts.quotient(sub.mask)[0]
+    for mask in facts.lattice():
+        if not fully_invariant or is_fully_invariant(mask, tables):
+            yield f"N={mask.bit_count()}", facts.quotient(mask)[0]
 
 
 def _rad_soc_quotients(ctx):
     """(rad, M/rad M) and (soc, M/soc M)."""
     facts = ctx.facts()
     for label, part in (("rad", radical), ("soc", socle)):
-        yield label, facts.quotient(part(ctx.module, ctx.caps).mask)[0]
+        yield label, facts.quotient(part(ctx.module, ctx.caps))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +395,8 @@ def _chk_l2_9(ctx):
     facts = ctx.facts()
     idem_route = set(facts.idem_masks())
     # the independent route: a complement in the submodule lattice
-    complement_route = {sub.mask for sub in facts.lattice()
-                        if is_direct_summand(sub, ctx.caps)[0]}
+    complement_route = {mask for mask in facts.lattice()
+                        if is_direct_summand(ctx.module, mask, ctx.caps)[0]}
     if idem_route != complement_route:
         only_a = sorted(idem_route - complement_route)
         only_b = sorted(complement_route - idem_route)
@@ -660,11 +660,10 @@ def _chk_p3_18(ctx):
     return HOLDS, f"small_image={len(rows)}"
 
 
-def _annihilator_equality(facts: Facts, f: int, n: int) -> bool:
-    end = facts.end()
-    im = chain_term(end.powers.images[f], n)
-    ann = left_annihilator(end, im)
-    return right_annihilator(end, ann) == im
+@interned
+def _double_annihilator_closed(end: EndRing, mask: int) -> bool:
+    """r_M(l_S(N)) == N for the submodule N with this mask, S = End(M)."""
+    return right_annihilator(end, left_annihilator(end, mask)) == mask
 
 
 def _chk_t3_19_1(ctx):
@@ -676,7 +675,8 @@ def _chk_t3_19_1(ctx):
     if not _ring_check(end.ring, "gen_left_pp").holds:
         return VIOLATION, "gen_left_pp"
     for f, (n, _) in v.witnesses.items():
-        if not _annihilator_equality(facts, f, n):
+        im = chain_term(end.powers.images[f], n)
+        if not _double_annihilator_closed(end, im):
             return VIOLATION, f"f={f},n={n}"
     return HOLDS, f"maps={end.ring.order}"
 
@@ -690,7 +690,7 @@ def _chk_t3_19_2(ctx):
     for f, imgs in enumerate(end.powers.images):
         trail = power_trail(end.ring, f)
         if not any(left_annihilator_key(end.ring, fn) in principal
-                   and _annihilator_equality(facts, f, n)
+                   and _double_annihilator_closed(end, chain_term(imgs, n))
                    for n, fn in enumerate(trail[:len(imgs)], start=1)):
             return NOT_MET, f"f={f}"
     return _conclude(ctx, ("dual_pi_rickart",))
@@ -702,10 +702,10 @@ def _chk_t3_19c_1(ctx):
     if not v.holds:
         return NOT_MET, "-"
     masks = facts.idem_masks()
-    images = facts.end().powers.images
+    end = facts.end()
     for f, (n, _) in v.witnesses.items():
-        im = chain_term(images[f], n)
-        if not _annihilator_equality(facts, f, n) or im not in masks:
+        im = chain_term(end.powers.images[f], n)
+        if not _double_annihilator_closed(end, im) or im not in masks:
             return VIOLATION, f"f={f},n={n}"
     return HOLDS, "-"
 
@@ -713,9 +713,10 @@ def _chk_t3_19c_1(ctx):
 def _chk_t3_19c_2(ctx):
     facts = ctx.facts()
     masks = facts.idem_masks()
-    for f, imgs in enumerate(facts.end().powers.images):
-        if not any(im in masks and _annihilator_equality(facts, f, n)
-                   for n, im in enumerate(imgs, start=1)):
+    end = facts.end()
+    for f, imgs in enumerate(end.powers.images):
+        if not any(im in masks and _double_annihilator_closed(end, im)
+                   for im in imgs):
             return NOT_MET, f"f={f}"
     return _conclude(ctx, ("dual_pi_rickart",))
 
@@ -911,8 +912,8 @@ REGISTRY = {e.id: e for e in [
           _every_dual_pi(("quasi_projective", "dual_pi_rickart"),
                          _rad_soc_quotients,
                          lambda ctx: "|rad|={},|soc|={}".format(
-                             radical(ctx.module, ctx.caps).size,
-                             socle(ctx.module, ctx.caps).size))),
+                             radical(ctx.module, ctx.caps).bit_count(),
+                             socle(ctx.module, ctx.caps).bit_count()))),
     Entry("P3.18", "module",
           "dual pi-Rickart => small-image endomorphisms nilpotent",
           _chk_p3_18),

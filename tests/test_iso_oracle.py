@@ -23,8 +23,9 @@ from pirick.families import ex23_module, ex23_ring, zmod
 from pirick.groups import elementary_divisors
 from pirick.homs import find_isomorphism
 from pirick.modules import (FiniteModule, all_submodules, cyclic_submodule,
-                            free_module, module_generators, quotient_module,
-                            ring_as_module, same_ring, submodule_module)
+                            free_module, mask_bits, module_generators,
+                            quotient_module, ring_as_module, same_ring,
+                            submodule_module)
 
 CAPS = caps_from_env()
 
@@ -120,7 +121,7 @@ def _derived(module: FiniteModule) -> list:
     """Every submodule and every quotient of module, as modules."""
     out = []
     for sub in all_submodules(module, CAPS):
-        out.append(submodule_module(sub, CAPS)[0])
+        out.append(submodule_module(module, sub, CAPS)[0])
         out.append(quotient_module(module, sub, CAPS)[0])
     return out
 
@@ -161,10 +162,11 @@ def _z4_squared_halves():
     """Two order-4 submodules of Z4^2 over Z4, as modules: the cyclic one
     of element 1 (additively Z4) and 2(Z4^2) (additively Z2 x Z2)."""
     free = free_module(zmod(4, CAPS), 2, CAPS)
-    cyclic = submodule_module(cyclic_submodule(free, 1), CAPS)[0]
-    doubled = [sub for sub in all_submodules(free, CAPS) if sub.size == 4
-               and all(free.act_np[m, 2] == 0 for m in sub.elems)]
-    klein = submodule_module(doubled[0], CAPS)[0]
+    cyclic = submodule_module(free, cyclic_submodule(free, 1), CAPS)[0]
+    doubled = [sub for sub in all_submodules(free, CAPS)
+               if sub.bit_count() == 4
+               and not free.act_np[mask_bits(sub, free.order), 2].any()]
+    klein = submodule_module(free, doubled[0], CAPS)[0]
     return cyclic, klein
 
 

@@ -9,6 +9,11 @@ when no proper K has N + K = M (no nonzero K has N meet K = 0).  Hypothesis
 draws modules from the pools of `test_iso_oracle.py` and from one more pool
 over A = F2[x, y]/(x, y)^2, whose radical J = {0, x, y, x + y} is not a
 principal left ideal, so that M*J is not always the set of products m*j.
+
+The left singular ideal, read off a ring's own table, is checked the same
+way against the route it replaced: the socle of the regular module of the
+opposite ring.  Its rings are the pools' base rings and the End rings of
+their modules; a socle read from the wrong side must fail.
 """
 
 import dataclasses
@@ -18,14 +23,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirick import modules
+from pirick import modules, rings
 from pirick.caps import caps_from_env
 from pirick.errors import SizeCapExceeded
-from pirick.families import zmod
+from pirick.families import ex23_ring, zmod
 from pirick.groups import FinAbGroup
-from pirick.modules import (FiniteModule, Submodule, all_submodules,
-                            elems_mask, free_module, is_essential, is_small,
-                            mask_bits, radical, ring_as_module, socle)
+from pirick.homs import end_ring
+from pirick.modules import (FiniteModule, all_submodules, elems_mask,
+                            free_module, is_essential, is_small, lattice_gate,
+                            mask_bits, masks, radical, ring_as_module, socle)
+from pirick.properties import left_singular_ideal
 from pirick.rings import jacobson_radical, ring_make
 
 from test_iso_oracle import _derived, _pools
@@ -117,13 +124,14 @@ def pool_modules(draw):
 
 def _assert_matches_oracle(module: FiniteModule):
     lattice = oracle_lattice_masks(module)
-    assert tuple(sub.mask for sub in all_submodules(module, CAPS)) == lattice
-    assert radical(module, CAPS).mask == oracle_radical(module, lattice)
-    assert socle(module, CAPS).mask == oracle_socle(module, lattice)
+    assert all_submodules(module, CAPS) == lattice
+    assert radical(module, CAPS) == oracle_radical(module, lattice)
+    assert socle(module, CAPS) == oracle_socle(module, lattice)
     for mask in lattice:
-        sub = Submodule(module, mask)
-        assert is_small(sub, CAPS) == oracle_is_small(module, lattice, mask)
-        assert is_essential(sub, CAPS) == oracle_is_essential(lattice, mask)
+        assert is_small(module, mask, CAPS) == \
+            oracle_is_small(module, lattice, mask)
+        assert is_essential(module, mask, CAPS) == \
+            oracle_is_essential(lattice, mask)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -136,8 +144,7 @@ def test_lattice_and_predicates_match_the_lattice_oracle(module):
 def test_lattice_of_free_modules_matches_the_oracle(n, rank):
     caps = dataclasses.replace(CAPS, lattice=n ** rank)
     module = free_module(zmod(n, caps), rank, caps)
-    assert tuple(sub.mask for sub in all_submodules(module, caps)) == \
-        oracle_lattice_masks(module)
+    assert all_submodules(module, caps) == oracle_lattice_masks(module)
 
 
 def test_the_radical_is_closed_under_addition():
@@ -145,7 +152,7 @@ def test_the_radical_is_closed_under_addition():
     module = free_module(_local_ring(), 2, CAPS)
     products = elems_mask(module.act_np[:, jacobson_radical(module.ring)],
                           module.order)
-    rad = radical(module, CAPS).mask
+    rad = radical(module, CAPS)
     assert products | rad == rad and products != rad
     _assert_matches_oracle(module)
 
@@ -158,15 +165,114 @@ def test_the_four_predicates_never_enumerate_the_lattice(monkeypatch,
     monkeypatch.setattr(modules, "all_submodules", unreachable)
     monkeypatch.setattr(modules, "_lattice_masks", unreachable)
     module = ring_as_module(zmod(12, CAPS), CAPS)
-    two = Submodule(module, elems_mask(np.arange(0, 12, 2), 12))
-    assert radical(module, CAPS).size == 2 and socle(module, CAPS).size == 6
-    assert not is_small(two, CAPS) and is_essential(two, CAPS)
+    two = elems_mask(np.arange(0, 12, 2), 12)
+    assert radical(module, CAPS).bit_count() == 2
+    assert socle(module, CAPS).bit_count() == 6
+    assert not is_small(module, two, CAPS)
+    assert is_essential(module, two, CAPS)
     tight = dataclasses.replace(CAPS, lattice=11)
     for call in (lambda: radical(module, tight),
                  lambda: socle(module, tight),
-                 lambda: is_small(two, tight),
-                 lambda: is_essential(two, tight)):
+                 lambda: is_small(module, two, tight),
+                 lambda: is_essential(module, two, tight)):
         with pytest.raises(SizeCapExceeded) as err:
             call()
         assert (err.value.what, err.value.size, err.value.cap) == \
             ("submodule lattice", 12, 11)
+
+
+# ---------------------------------------------------------------------------
+# the left singular ideal, against the opposite-ring socle route
+# ---------------------------------------------------------------------------
+
+SINGULAR_CAPS = dataclasses.replace(CAPS, construct=256, lattice=256)
+
+
+def oracle_left_singular_ideal(ring, caps) -> list:
+    """The f whose left annihilator {g : g*f = 0} is essential as a
+    submodule of the right regular module of R^op (a left ideal of R), by
+    that module's socle.  R^op is ring_make with swapped constants."""
+    opposite = ring_make(ring.add_group,
+                         {(j, i): c for (i, j), c in ring.constants.items()},
+                         ring.one, caps, f"{ring.name}_op")
+    reg = ring_as_module(opposite, caps)
+    # row f of the transposed table holds g * f for every g
+    return [f for f, ann in enumerate(masks(ring.mul_np.T == 0))
+            if is_essential(reg, ann, caps)]
+
+
+def right_socle_mutant(ring, caps):
+    """left_singular_ideal with the socle read from the right, x*J = 0."""
+    lattice_gate(ring.order, caps)
+    mul = ring.mul_np
+    soc = (mul[:, jacobson_radical(ring)] == 0).all(axis=1)
+    return np.flatnonzero((mul[soc] == 0).all(axis=0))
+
+
+@functools.lru_cache(maxsize=None)
+def _singular_rings() -> tuple:
+    """The base rings of the lattice pools (Z/n, t2z2 and A), and the End
+    rings of order <= 256 of their modules: one ring per structure."""
+    rings = {}
+    for module in (m for pool in _lattice_pools() for m in pool):
+        rings.setdefault(module.ring.key, module.ring)
+        try:
+            end = end_ring(module, SINGULAR_CAPS).ring
+        except SizeCapExceeded:
+            continue
+        rings.setdefault(end.key, end)
+    return tuple(rings.values())
+
+
+def _outcome(fn, ring, caps):
+    """fn(ring, caps) as a list, or the (what, size, cap) of its cap error."""
+    try:
+        return [int(f) for f in fn(ring, caps)]
+    except SizeCapExceeded as err:
+        return err.what, err.size, err.cap
+
+
+def _assert_singular_matches_oracle(ring, fn=left_singular_ideal):
+    for caps in (CAPS, SINGULAR_CAPS):
+        assert _outcome(fn, ring, caps) == \
+            _outcome(oracle_left_singular_ideal, ring, caps)
+
+
+@st.composite
+def singular_rings(draw):
+    return draw(st.sampled_from(_singular_rings()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(singular_rings())
+def test_left_singular_ideal_matches_the_opposite_ring_oracle(ring):
+    _assert_singular_matches_oracle(ring)
+
+
+def test_left_singular_ideal_of_a_is_its_radical():
+    """J(A)^2 = 0, so the left socle of A is J(A) and so is Z_l(A)."""
+    ring = _local_ring()
+    sing = left_singular_ideal(ring, CAPS).tolist()
+    assert sing == jacobson_radical(ring).tolist() and len(sing) == 4
+    _assert_singular_matches_oracle(ring)
+
+
+def test_a_socle_read_from_the_right_fails_the_oracle():
+    ring = ex23_ring(CAPS)                                  # t2z2
+    assert left_singular_ideal(ring, CAPS).tolist() == [0]
+    assert right_socle_mutant(ring, CAPS).tolist() == [0, 2, 4, 6]
+    with pytest.raises(AssertionError):
+        _assert_singular_matches_oracle(ring, right_socle_mutant)
+
+
+def test_left_singular_ideal_builds_no_ring_and_no_module(monkeypatch,
+                                                          fresh_intern):
+    ring = ex23_ring(CAPS)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a ring or module table was built")
+
+    for mod in (rings, modules):
+        monkeypatch.setattr(mod, "_failed_law", unreachable)
+        monkeypatch.setattr(mod, "_bilinear_table", unreachable)
+    assert left_singular_ideal(ring, CAPS).tolist() == [0]

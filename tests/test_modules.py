@@ -11,13 +11,18 @@ from pirick.errors import AxiomViolation, SizeCapExceeded
 from pirick.families import ex23_module, zmod
 from pirick.groups import FinAbGroup
 from pirick.homs import are_isomorphic, find_isomorphism
-from pirick.modules import (Submodule, all_submodules, cyclic_submodule,
-                            free_module, is_direct_summand, is_essential,
-                            is_fully_invariant, is_small, module_generators,
-                            module_make, quotient_module, radical,
-                            ring_as_module, socle, submodule_module)
+from pirick.modules import (all_submodules, cyclic_submodule, free_module,
+                            is_direct_summand, is_essential,
+                            is_fully_invariant, is_small, mask_bits,
+                            module_generators, module_make, quotient_module,
+                            radical, ring_as_module, socle, submodule_module)
 
 CAPS = caps_from_env()
+
+
+def _elems(module, mask: int) -> tuple:
+    """The elements of the submodule with this mask, ascending."""
+    return tuple(np.flatnonzero(mask_bits(mask, module.order)).tolist())
 
 
 @pytest.fixture(scope="module")
@@ -59,54 +64,54 @@ def test_regular_module_action_is_the_ring_multiplication(ring_instances):
 
 def test_submodule_lattice_of_z4(z4_reg):
     lattice = all_submodules(z4_reg, CAPS)
-    masks = sorted(sub.elems for sub in lattice)
+    masks = sorted(_elems(z4_reg, sub) for sub in lattice)
     assert masks == [(0,), (0, 1, 2, 3), (0, 2)]
 
 
 def test_submodule_lattice_of_z6(z6_reg):
     lattice = all_submodules(z6_reg, CAPS)
-    sizes = sorted(sub.size for sub in lattice)
+    sizes = sorted(sub.bit_count() for sub in lattice)
     assert sizes == [1, 2, 3, 6]
 
 
 def test_lattice_of_ex23(ex23):
     lattice = all_submodules(ex23, CAPS)
     assert len(lattice) == 7
-    elems = sorted(sub.elems for sub in lattice)
+    elems = sorted(_elems(ex23, sub) for sub in lattice)
     assert elems == [(0,), (0, 1), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5, 6, 7),
                      (0, 1, 4, 5), (0, 4), (0, 5)]
 
 
 def test_cyclic_and_generated(z4_reg):
-    assert cyclic_submodule(z4_reg, 2).elems == (0, 2)
-    assert cyclic_submodule(z4_reg, 1).size == 4
+    assert _elems(z4_reg, cyclic_submodule(z4_reg, 2)) == (0, 2)
+    assert cyclic_submodule(z4_reg, 1).bit_count() == 4
 
 
 def test_direct_summand_complement_route(z4_reg, z6_reg):
     sub = cyclic_submodule(z4_reg, 2)
-    ok, _ = is_direct_summand(sub, CAPS)
+    ok, _ = is_direct_summand(z4_reg, sub, CAPS)
     assert not ok                         # {0,2} has no complement in Z_4
     three = cyclic_submodule(z6_reg, 3)   # {0,3}, complement {0,2,4}
-    ok, comp = is_direct_summand(three, CAPS)
-    assert ok and comp.elems == (0, 2, 4)
+    ok, comp = is_direct_summand(z6_reg, three, CAPS)
+    assert ok and _elems(z6_reg, comp) == (0, 2, 4)
 
 
 def test_small_and_essential(z4_reg, z6_reg):
     two = cyclic_submodule(z4_reg, 2)
-    assert is_small(two, CAPS)            # {0,2} superfluous in Z_4
-    assert is_essential(two, CAPS)        # meets every nonzero submodule
+    assert is_small(z4_reg, two, CAPS)          # {0,2} superfluous in Z_4
+    assert is_essential(z4_reg, two, CAPS)      # meets every nonzero one
     three = cyclic_submodule(z6_reg, 3)
-    assert not is_small(three, CAPS)      # {0,3} + {0,2,4} = Z_6
-    assert not is_essential(three, CAPS)
-    assert not is_small(Submodule(z4_reg, 0b1111), CAPS)
-    assert is_small(Submodule(z4_reg, 0b1), CAPS)
+    assert not is_small(z6_reg, three, CAPS)    # {0,3} + {0,2,4} = Z_6
+    assert not is_essential(z6_reg, three, CAPS)
+    assert not is_small(z4_reg, 0b1111, CAPS)
+    assert is_small(z4_reg, 0b1, CAPS)
 
 
 def test_fully_invariant(ex23):
     from pirick.homs import end_ring
     end = end_ring(ex23, CAPS)
     lattice = all_submodules(ex23, CAPS)
-    invariant = sorted(sub.elems for sub in lattice
+    invariant = sorted(_elems(ex23, sub) for sub in lattice
                        if is_fully_invariant(sub, end.tables))
     # the non-invariant ones witness that the module is not duo
     assert (0,) in invariant and tuple(range(8)) in invariant
@@ -114,13 +119,13 @@ def test_fully_invariant(ex23):
 
 
 def test_radical_and_socle(z4_reg, z6_reg):
-    assert radical(z4_reg, CAPS).elems == (0, 2)
-    assert socle(z4_reg, CAPS).elems == (0, 2)
-    assert radical(z6_reg, CAPS).elems == (0,)
-    assert socle(z6_reg, CAPS).size == 6
+    assert _elems(z4_reg, radical(z4_reg, CAPS)) == (0, 2)
+    assert _elems(z4_reg, socle(z4_reg, CAPS)) == (0, 2)
+    assert _elems(z6_reg, radical(z6_reg, CAPS)) == (0,)
+    assert socle(z6_reg, CAPS).bit_count() == 6
     z12_reg = ring_as_module(zmod(12), CAPS)
-    assert radical(z12_reg, CAPS).elems == (0, 6)
-    assert socle(z12_reg, CAPS).elems == (0, 2, 4, 6, 8, 10)
+    assert _elems(z12_reg, radical(z12_reg, CAPS)) == (0, 6)
+    assert _elems(z12_reg, socle(z12_reg, CAPS)) == (0, 2, 4, 6, 8, 10)
 
 
 def test_quotient_module(z4_reg):
@@ -135,7 +140,7 @@ def test_quotient_module(z4_reg):
 
 def test_submodule_as_module(z6_reg):
     three = cyclic_submodule(z6_reg, 3)
-    inner, inclusion = submodule_module(three, CAPS)
+    inner, inclusion = submodule_module(z6_reg, three, CAPS)
     assert inner.order == 2
     assert inclusion.table_np.tolist() == [0, 3]
 
@@ -162,7 +167,7 @@ def test_quotient_of_ex23_sizes(ex23):
     lattice = all_submodules(ex23, CAPS)
     for sub in lattice:
         quotient, _ = quotient_module(ex23, sub, CAPS)
-        assert quotient.order * sub.size == ex23.order
+        assert quotient.order * sub.bit_count() == ex23.order
 
 
 def test_lattice_cap(z4_reg):
@@ -170,6 +175,15 @@ def test_lattice_cap(z4_reg):
     small = dataclasses.replace(CAPS, lattice=2)
     with pytest.raises(SizeCapExceeded):
         all_submodules(z4_reg, small)
+
+
+def test_lattice_is_the_interned_tuple(ex23):
+    """Every call returns the one interned tuple of masks, not a new
+    wrapping of it."""
+    lattice = all_submodules(ex23, CAPS)
+    assert all_submodules(ex23, CAPS) is lattice
+    assert isinstance(lattice, tuple)
+    assert all(isinstance(mask, int) for mask in lattice)
 
 
 # Action tables of R^2 corrupted after construction.  Under scan=2 the module

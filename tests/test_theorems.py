@@ -314,7 +314,7 @@ def test_each_summand_ideal_and_corner_is_built_once(monkeypatch, name,
     verdicts = verify_all(ctx, ["C2.12", "T2.14.1", "T2.14.2"])
     assert [v.status for v in verdicts] == [HOLDS] * 3
     ideals = {elems_mask(ring.mul_np[e], ring.order) for e in idems}
-    assert sorted(sub.mask for sub, *_ in built) == sorted(ideals)
+    assert sorted(sub for _, sub, *_ in built) == sorted(ideals)
     corners = _count_calls(monkeypatch, rings.corner_ring)
     verify_all(ctx, ["C2.13", "C3.2", "L3.10.1"])
     assert sorted(e for _, e, *_ in corners) == [e for e in idems if e]

@@ -3,8 +3,9 @@
 `perfbench/trace.py` wraps public functions by name, so renaming or deleting
 one leaves its per-layer metrics at 0 without any error.  This runs the
 tracer on one module and checks that the End(M) build, the hom set and all
-sixteen deciders were seen, and on the ring entries that build e*R and eRe
-through cached helpers, that the module and ring constructions were seen.
+sixteen deciders were seen, on the ring entries that build e*R and eRe
+through cached helpers, that the module and ring constructions were seen,
+and on two lattice entries, that the lattice sizes were counted.
 """
 
 import json
@@ -52,3 +53,11 @@ def test_trace_sees_the_constructions_behind_cached_helpers(tmp_path):
     for name in ("modules.submodule_module", "modules.module_make",
                  "rings.corner_ring", "rings.ring_make"):
         assert calls.get(name, 0) > 0, name
+
+
+def test_trace_counts_the_lattice_sizes(tmp_path):
+    """The tracer reads `all_submodules`' result with len(); the lattice
+    entries must see a nonzero total."""
+    report = _trace(tmp_path, "verify", "corpus", "--theorems", "L2.9,C3.16")
+    assert report["calls"].get("modules.all_submodules", 0) > 0
+    assert report["counts"]["all_submodules.lattice_size"] > 0
