@@ -88,7 +88,12 @@ def caps_from_env(env=None):
     return Caps(**values)
 
 
-DEFAULT_CAPS = caps_from_env()
+try:
+    DEFAULT_CAPS = caps_from_env()
+except PirickError:
+    # A malformed PIRICK_CAPS must not stop the import: the command line
+    # reads the variable again and reports the error.
+    DEFAULT_CAPS = Caps()
 
 
 class InternTable(dict):

@@ -230,11 +230,12 @@ def is_essential(module: FiniteModule, mask: int,
     return mask & soc == soc
 
 
-def is_fully_invariant(mask: int, tables: np.ndarray) -> bool:
-    """N is stable under every endomorphism whose table is a row of
-    `tables`."""
+def first_moving_map(mask: int, tables: np.ndarray):
+    """The first row f of `tables` that maps some element of N out of N,
+    or None: N is fully invariant iff every row keeps it in place."""
     bits = mask_bits(mask, tables.shape[1])
-    return bool(bits[tables[:, bits]].all())
+    stays = bits[tables[:, bits]].all(axis=1)
+    return None if stays.all() else int(np.argmin(stays))
 
 
 def radical(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> int:

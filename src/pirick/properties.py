@@ -29,9 +29,9 @@ from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
 from .homs import (EndRing, are_isomorphic, chain_term, end_ring, hom_set,
                    idempotent_image_masks)
-from .modules import (FiniteModule, all_submodules, is_small, lattice_gate,
-                      mask_bits, module_generators, quotient_module,
-                      submodule_module)
+from .modules import (FiniteModule, all_submodules, first_moving_map,
+                      is_small, lattice_gate, mask_bits, module_generators,
+                      quotient_module, submodule_module)
 from .rings import (FiniteRing, Verdict, central_idempotent_scan,
                     jacobson_radical, nontrivial_idempotents, power_trail,
                     ring_idempotents)
@@ -255,10 +255,9 @@ def decide_duo(facts: Facts) -> Verdict:
     """Every submodule is stable under every endomorphism."""
     tables = facts.end().tables
     for mask in facts.lattice():
-        bits = mask_bits(mask, facts.module.order)
-        stays = bits[tables[:, bits]].all(axis=1)
-        if not stays.all():
-            return Verdict(False, {}, (int(np.argmin(stays)), mask))
+        f = first_moving_map(mask, tables)
+        if f is not None:
+            return Verdict(False, {}, (f, mask))
     return Verdict(True, {}, None)
 
 

@@ -9,15 +9,18 @@ action table of the ring's right regular module (a*1 = a, associativity, both di
 action table.  Each table is built and checked once per structure and caps
 in a process (the intern table `caps.INTERNED`); each ring_make call returns
 a new ring with its own name that shares it, and the per-ring data below
-(idempotents, units, J(R), predicates) is found once per structure.
+(idempotents, units, J(R), ring checks) is found once per structure.
 Elements are the group's integer indices, so every ring-theoretic scan
 below is a vectorized numpy pass over tables.
 
-Also here: the regularity family of ring properties (regular, pi-regular,
-strongly pi-regular, generalized left principally-projective), classical
-predicates (local, division, domain, reduced, abelian, commutative), the
-Jacobson radical, and ring constructions (corner, matrix, triangular,
-product).
+Also here: the ring checks, one table `RING_CHECKS` from a name to a
+function returning a Verdict, read through `ring_check(ring, name)`.  The
+checks of the form "every a has a power a^n with property P" (regular,
+pi_regular, strongly_pi_regular, gen_left_pp, nil_radical) are one search
+over power trails, `_first_power`; the classical predicates (commutative,
+reduced, abelian, domain, local, division) report their first offender.
+Then the Jacobson radical, and ring constructions (corner, matrix,
+triangular, product).
 """
 
 from __future__ import annotations
@@ -337,68 +340,74 @@ def power_trail(ring: FiniteRing, a: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# regularity family
+# ring checks, by name
 # ---------------------------------------------------------------------------
 
 
-def is_regular(ring: FiniteRing) -> Verdict:
-    """Every a has x with a*x*a == a.  Witness: a -> x."""
-    mul = ring.mul_np
-    witnesses = {}
-    for a in range(ring.order):
-        hits = np.nonzero(mul[mul[a, :], a] == a)[0]
-        if hits.size == 0:
-            return Verdict(False, witnesses, counterexample=a)
-        witnesses[a] = int(hits[0])
-    return Verdict(True, witnesses)
+def _first_power(ring: FiniteRing, test, elements=None,
+                 terms=None) -> Verdict:
+    """Whether every a in `elements` (all of R by default) has a power a^n,
+    among the first `terms` of its power trail (all by default), for which
+    test(a, a^n) returns a witness w other than None.
 
-
-def is_pi_regular(ring: FiniteRing) -> Verdict:
-    """Every a has n >= 1 and x with a^n * x * a^n == a^n.  Witness: a -> (n, x)."""
-    mul = ring.mul_np
+    Witnesses map a -> (n, w) for the smallest such n; the counterexample
+    is the first a with none.
+    """
     witnesses = {}
-    for a in range(ring.order):
-        found = None
-        for pos, an in enumerate(power_trail(ring, a)):
-            hits = np.nonzero(mul[mul[an, :], an] == an)[0]
-            if hits.size:
-                found = (pos + 1, int(hits[0]))
-                break
+    for a in range(ring.order) if elements is None else elements:
+        found = next(((n, w) for n, an in
+                      enumerate(power_trail(ring, a)[:terms], start=1)
+                      if (w := test(a, an)) is not None), None)
         if found is None:
             return Verdict(False, witnesses, counterexample=a)
         witnesses[a] = found
     return Verdict(True, witnesses)
 
 
-def is_strongly_pi_regular(ring: FiniteRing) -> Verdict:
-    """Every a has n with a^n in a^(n+1)R and also some m with a^m in R*a^(m+1).
+def _no_offender(bad: np.ndarray) -> Verdict:
+    """Holds iff no entry of `bad` is True; the counterexample is the first
+    True entry, an element for a vector and a pair for a matrix."""
+    if not bad.any():
+        return Verdict(True)
+    first = _first_true(bad)
+    return Verdict(False, counterexample=first if bad.ndim > 1 else first[0])
 
-    Both one-sided conditions are checked independently for every element.
-    The stored witness is the right-side certificate a -> (n, x) with
-    a^(n+1) * x == a^n; a failure on either side is a counterexample
-    (a, 'right'|'left').
+
+def _first_hit(bits: np.ndarray):
+    """Index of the first True entry of a boolean vector, or None."""
+    return int(np.argmax(bits)) if bits.any() else None
+
+
+def _pi_regular(ring: FiniteRing, terms: int = None) -> Verdict:
+    """Every a has a power a^n, among the first `terms` of its power trail,
+    and x with a^n*x*a^n == a^n.  Witness: a -> (n, x).  With all terms
+    this is pi-regularity, and with terms=1 von Neumann regularity."""
+    mul = ring.mul_np
+    return _first_power(ring, lambda a, an: _first_hit(mul[mul[an], an] == an),
+                        terms=terms)
+
+
+def _strongly_pi_regular(ring: FiniteRing) -> Verdict:
+    """Every a has n with a^n in a^(n+1)*R and also some m with a^m in
+    R*a^(m+1).
+
+    Both sides are searched for every element.  The witness is the right
+    side's, a -> (n, x) with a^(n+1)*x == a^n; the counterexample is
+    (a, 'right'|'left') for the first a that fails a side, 'right' when it
+    fails both.
     """
     mul = ring.mul_np
-    witnesses = {}
-    for a in range(ring.order):
-        right = None
-        left_ok = False
-        for pos, an in enumerate(power_trail(ring, a)):
-            an1 = int(mul[a, an])
-            if right is None:
-                hits = np.nonzero(mul[an1, :] == an)[0]
-                if hits.size:
-                    right = (pos + 1, int(hits[0]))
-            if not left_ok and (mul[:, an1] == an).any():
-                left_ok = True
-            if right is not None and left_ok:
-                break
-        if right is None:
-            return Verdict(False, witnesses, counterexample=(a, "right"))
-        if not left_ok:
-            return Verdict(False, witnesses, counterexample=(a, "left"))
-        witnesses[a] = right
-    return Verdict(True, witnesses)
+    rv = _first_power(ring, lambda a, an: _first_hit(mul[mul[a, an]] == an))
+    lv = _first_power(ring,
+                      lambda a, an: _first_hit(mul[:, mul[a, an]] == an))
+    if rv.holds and lv.holds:
+        return rv
+    if lv.holds or not rv.holds and rv.counterexample <= lv.counterexample:
+        bad, side = rv.counterexample, "right"
+    else:
+        bad, side = lv.counterexample, "left"
+    return Verdict(False, {a: w for a, w in rv.witnesses.items() if a < bad},
+                   counterexample=(bad, side))
 
 
 def left_annihilator_key(ring: FiniteRing, a: int) -> bytes:
@@ -418,98 +427,64 @@ def principal_left_ideal_keys(ring: FiniteRing) -> dict:
     return out
 
 
-def is_generalized_left_pp(ring: FiniteRing) -> Verdict:
+def _gen_left_pp(ring: FiniteRing) -> Verdict:
     """Every a has n >= 1 with l(a^n) == R*e for an idempotent e.
 
     l(a^n) is the left annihilator {r : r * a^n == 0}.  Witness: a -> (n, e)
     with the smallest exponent first, then the smallest idempotent.
     """
     keys = principal_left_ideal_keys(ring)
-    witnesses = {}
-    for a in range(ring.order):
-        found = None
-        for pos, an in enumerate(power_trail(ring, a)):
-            key = left_annihilator_key(ring, an)
-            if key in keys:
-                found = (pos + 1, keys[key][0])
-                break
-        if found is None:
-            return Verdict(False, witnesses, counterexample=a)
-        witnesses[a] = found
-    return Verdict(True, witnesses)
+    return _first_power(ring, lambda a, an: keys.get(
+        left_annihilator_key(ring, an), [None])[0])
 
 
-# ---------------------------------------------------------------------------
-# classical predicates
-# ---------------------------------------------------------------------------
+def _nil_radical(ring: FiniteRing) -> Verdict:
+    """Every element of J(R) is nilpotent.  Witness: a -> (n, 0), n its
+    nilpotency index."""
+    return _first_power(ring, lambda a, an: 0 if an == 0 else None,
+                        jacobson_radical(ring).tolist())
 
 
-@dataclasses.dataclass
-class RingPredicates:
-    commutative: bool
-    reduced: bool
-    abelian: bool          # all idempotents central
-    domain: bool           # no nonzero zero-divisors
-    local: bool            # every non-unit lies in J(R)
-    division: bool         # every nonzero element is a unit
-    witnesses: dict
+def _abelian(ring: FiniteRing) -> Verdict:
+    """Every idempotent is central.  Counterexample: (e, f) with e*f != f*e."""
+    noncentral = central_idempotent_scan(ring)[1]
+    return Verdict(noncentral is None, counterexample=noncentral)
+
+
+def _domain(ring: FiniteRing) -> Verdict:
+    """No nonzero a, b with a*b == 0.  Counterexample: the first (a, b)."""
+    zero = ring.mul_np == 0
+    zero[0, :] = zero[:, 0] = False
+    return _no_offender(zero)
+
+
+RING_CHECKS = {
+    "regular": lambda ring: _pi_regular(ring, terms=1),
+    "pi_regular": _pi_regular,
+    "strongly_pi_regular": _strongly_pi_regular,
+    "gen_left_pp": _gen_left_pp,
+    "nil_radical": _nil_radical,
+    "commutative": lambda ring: _no_offender(ring.mul_np != ring.mul_np.T),
+    # no nonzero nilpotent, that is, no nonzero a with a*a == 0
+    "reduced": lambda ring: _no_offender(
+        (np.diagonal(ring.mul_np) == 0) & (np.arange(ring.order) != 0)),
+    "abelian": _abelian,
+    "domain": _domain,
+    # every non-unit lies in J(R)
+    "local": lambda ring: _no_offender(
+        ~ring_units(ring)[0]
+        & ~np.isin(np.arange(ring.order), jacobson_radical(ring))),
+    # every nonzero element is a unit
+    "division": lambda ring: _no_offender(
+        ~ring_units(ring)[0] & (np.arange(ring.order) != 0)),
+}
 
 
 @interned
-def ring_predicates(ring: FiniteRing) -> RingPredicates:
-    mul = ring.mul_np
-    n = ring.order
-    wit = {}
-
-    commutative = bool(np.array_equal(mul, mul.T))
-    if not commutative:
-        wit["not_commutative"] = _first_true(mul != mul.T)
-
-    idx = np.arange(n, dtype=np.int32)
-    diag = mul[idx, idx]
-    nilsq = np.nonzero((diag == 0) & (idx != 0))[0]
-    reduced = nilsq.size == 0
-    if not reduced:
-        wit["square_zero"] = int(nilsq[0])
-
-    noncentral = central_idempotent_scan(ring)[1]
-    abelian = noncentral is None
-    if not abelian:
-        wit["noncentral_idempotent"] = noncentral
-
-    zero_prod = mul == 0
-    zero_prod[0, :] = False
-    zero_prod[:, 0] = False
-    domain = not zero_prod.any()
-    if not domain:
-        wit["zero_divisors"] = _first_true(zero_prod)
-
-    unit_mask, _ = ring_units(ring)
-    jac = set(jacobson_radical(ring).tolist())
-    nonunits = np.nonzero(~unit_mask)[0]
-    outside = [int(a) for a in nonunits if int(a) not in jac]
-    local = not outside
-    if not local:
-        wit["nonunit_outside_radical"] = outside[0]
-
-    nonzero_nonunit = np.nonzero(~unit_mask & (idx != 0))[0]
-    division = nonzero_nonunit.size == 0
-    if not division:
-        wit["nonzero_nonunit"] = int(nonzero_nonunit[0])
-
-    return RingPredicates(commutative, reduced, abelian, domain, local,
-                          division, wit)
-
-
-def nil_radical_check(ring: FiniteRing) -> Verdict:
-    """Check every element of J(R) is nilpotent.  Witness: a -> nilpotency index."""
-    witnesses = {}
-    for a in jacobson_radical(ring).tolist():
-        trail = power_trail(ring, a)
-        if 0 not in trail:
-            return Verdict(False, witnesses, counterexample=int(a))
-        witnesses[int(a)] = trail.index(0) + 1
-    return Verdict(True, witnesses)
+def ring_check(ring: FiniteRing, name: str) -> Verdict:
+    """The Verdict of the ring check `name`, a key of RING_CHECKS, found
+    once per ring structure."""
+    return RING_CHECKS[name](ring)
 
 
 # ---------------------------------------------------------------------------

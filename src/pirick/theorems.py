@@ -19,7 +19,10 @@ stable registry tokens used by the command-line interface.
 Three shapes are declared as data: `_implies`/`_equiv` over named
 predicates, `_every_dual_pi` ("the hypotheses => every module of a family
 is dual pi-Rickart") and `_every_corner` ("pi-regular => every nonzero
-corner eRe passes a ring check").  A family is a generator of (label,
+corner eRe passes a ring check").  A named predicate is a module property
+of `properties.DECIDERS`, or "ring." or "end." followed by a name of
+`rings.RING_CHECKS`; every ring check, there and in the entries below, is
+read through `rings.ring_check`.  A family is a generator of (label,
 module) pairs taken lazily, so no module after the first failure is built;
 a family over R^2 first calls `_matrix_gate`, the one test of a 2x2 matrix
 size against caps.matrix_check, which `_mat2` calls too.  The gate thus
@@ -29,10 +32,11 @@ Entries read End(M) through the deciders' paths: the image and kernel
 chains of End(M).powers, with `chain_term` for a term past a chain's end;
 a left ideal of a ring as one packed key (`rings.left_annihilator_key`,
 `rings.principal_left_ideal_keys`); f^n as a term of `power_trail`.  Each
-derived object and each ring check is found once per structure and caps,
-in the one cache: e*R is `Facts.inner` of the right regular module, and eRe
-is `InstanceContext.corner`.  The 2x2 matrix ring is built anew for each
-caller, so its cap message names the caller's own ring.
+derived object is found once per structure and caps, and each ring check
+once per ring structure, in the one cache: e*R is `Facts.inner` of the
+right regular module, and eRe is `InstanceContext.corner`.  The 2x2 matrix
+ring is built anew for each caller, so its cap message names the caller's
+own ring.
 """
 
 from __future__ import annotations
@@ -45,16 +49,14 @@ from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
 from .homs import (EndRing, chain_term, hom_set, image, left_annihilator,
                    right_annihilator)
-from .modules import (FiniteModule, elems_mask, free_module,
-                      is_direct_summand, is_fully_invariant, radical,
+from .modules import (FiniteModule, elems_mask, first_moving_map,
+                      free_module, is_direct_summand, radical,
                       ring_as_module, socle)
 from .properties import Facts, singular_nil_jacobson, small_image_endos
 from .rings import (FiniteRing, Verdict, central_idempotent_scan, corner_ring,
-                    is_generalized_left_pp, is_pi_regular,
-                    is_strongly_pi_regular, left_annihilator_key, matrix_ring,
-                    nil_radical_check, nontrivial_idempotents, power_trail,
-                    principal_left_ideal_keys, ring_idempotents, ring_neg,
-                    ring_predicates)
+                    left_annihilator_key, matrix_ring, nontrivial_idempotents,
+                    power_trail, principal_left_ideal_keys, ring_check,
+                    ring_idempotents, ring_neg)
 
 HOLDS = "holds"
 NOT_MET = "hypothesis_not_met"
@@ -123,14 +125,6 @@ class InstanceContext:
 # ---------------------------------------------------------------------------
 
 
-@interned
-def _ring_check(ring: FiniteRing, kind: str) -> Verdict:
-    fn = {"pi_regular": is_pi_regular,
-          "strongly_pi_regular": is_strongly_pi_regular,
-          "gen_left_pp": is_generalized_left_pp}[kind]
-    return fn(ring)
-
-
 def _one_minus(ring: FiniteRing, e: int) -> int:
     add = ring.add_group.add_table()
     return int(add[ring.one, ring_neg(ring)[e]])
@@ -159,26 +153,18 @@ def _mat2(ring: FiniteRing, caps: Caps) -> FiniteRing:
 # ---------------------------------------------------------------------------
 
 
-def _ring_decide(ring: FiniteRing, kind: str):
-    """(holds, counterexample) of a ring check: reduced, local, commutative,
-    domain, pi_regular, strongly_pi_regular, gen_left_pp or nil_radical."""
-    if kind in ("reduced", "local", "commutative", "domain"):
-        return getattr(ring_predicates(ring), kind), None
-    v = nil_radical_check(ring) if kind == "nil_radical" \
-        else _ring_check(ring, kind)
-    return v.holds, v.counterexample
-
-
 def _decide(ctx, name: str):
     """(holds, counterexample) of a predicate on an instance: a DECIDERS
-    property name, "end." followed by a ring check on End(M), or "ring."
-    followed by a ring check on the instance's ring."""
-    if name.startswith("ring."):
-        return _ring_decide(ctx.ring, name[len("ring."):])
-    facts = ctx.facts()
-    if name.startswith("end."):
-        return _ring_decide(facts.end().ring, name[len("end."):])
-    v = facts.verdict(name)
+    property name, "end." followed by a ring check (a key of
+    `rings.RING_CHECKS`) on End(M), or "ring." followed by a ring check on
+    the instance's ring."""
+    scope, _, check = name.partition(".")
+    if scope == "ring":
+        v = ring_check(ctx.ring, check)
+    elif scope == "end":
+        v = ring_check(ctx.facts().end().ring, check)
+    else:
+        v = ctx.facts().verdict(name)
     return v.holds, v.counterexample
 
 
@@ -216,12 +202,16 @@ def _conclude(ctx, conclusions: tuple):
     return VIOLATION, f"{'a' if '.' in name else 'f'}={cex}"
 
 
-def _implies(hypotheses: tuple, conclusions: tuple):
-    """Check for "all hypotheses => all conclusions" on an instance."""
+def _implies(hypotheses: tuple, conclusions: tuple, holds=None):
+    """Check for "all hypotheses => all conclusions" on an instance.  When
+    the conclusions hold, the witness is holds(ctx), or "-" without it."""
     def check(ctx):
         if not _hypotheses_met(ctx, hypotheses):
             return NOT_MET, "-"
-        return _conclude(ctx, conclusions)
+        status, witness = _conclude(ctx, conclusions)
+        if status == HOLDS and holds is not None:
+            witness = holds(ctx)
+        return status, witness
     return check
 
 
@@ -264,11 +254,11 @@ def _every_corner(kind: str, violation: str):
     """Check for "pi-regular ring => every nonzero corner eRe passes ring
     check `kind`"; a failure is witnessed by violation.format(e=, a=)."""
     def check(ctx):
-        if not _ring_check(ctx.ring, "pi_regular").holds:
+        if not ring_check(ctx.ring, "pi_regular").holds:
             return NOT_MET, "-"
         idems = [e for e in ring_idempotents(ctx.ring).tolist() if e]
         for e in idems:
-            v = _ring_check(ctx.corner(e), kind)
+            v = ring_check(ctx.corner(e), kind)
             if not v.holds:
                 return VIOLATION, violation.format(e=e, a=v.counterexample)
         return HOLDS, f"corners={len(idems)}"
@@ -316,7 +306,7 @@ def _quotients(ctx, fully_invariant: bool):
     facts = ctx.facts()
     tables = facts.end().tables
     for mask in facts.lattice():
-        if not fully_invariant or is_fully_invariant(mask, tables):
+        if not fully_invariant or first_moving_map(mask, tables) is None:
             yield f"N={mask.bit_count()}", facts.quotient(mask)[0]
 
 
@@ -336,7 +326,7 @@ def _chk_p2_2_1(ctx):
     facts = ctx.reg_facts()
     if not facts.verdict("dual_pi_rickart").holds:
         return NOT_MET, "-"
-    v = _ring_check(ctx.ring, "pi_regular")
+    v = ring_check(ctx.ring, "pi_regular")
     if not v.holds:
         return VIOLATION, f"a={v.counterexample}"
     a, (n, x) = max(v.witnesses.items(), key=lambda kv: (kv[1][0], kv[0]))
@@ -344,7 +334,7 @@ def _chk_p2_2_1(ctx):
 
 
 def _chk_p2_2_2(ctx):
-    if not _ring_check(ctx.ring, "pi_regular").holds:
+    if not ring_check(ctx.ring, "pi_regular").holds:
         return NOT_MET, "-"
     facts = ctx.reg_facts()
     v = facts.verdict("dual_pi_rickart")
@@ -372,7 +362,7 @@ def _chk_l2_5_1(ctx):
     end = facts.end()
     if not facts.verdict("dual_pi_rickart").holds:
         return NOT_MET, "-"
-    if not ring_predicates(end.ring).domain:
+    if not ring_check(end.ring, "domain").holds:
         return NOT_MET, "-"
     everything = (1 << facts.module.order) - 1
     for f in range(1, end.ring.order):
@@ -412,7 +402,7 @@ def _chk_l2_9(ctx):
 
 def _chk_c2_13(ctx):
     ring = ctx.ring
-    if not _ring_check(ring, "pi_regular").holds:
+    if not ring_check(ring, "pi_regular").holds:
         return NOT_MET, "-"
     centrals = [e for e in central_idempotent_scan(ring)[0]
                 if e not in (0, ring.one)]
@@ -420,7 +410,7 @@ def _chk_c2_13(ctx):
         return NOT_MET, "no nontrivial central idempotent"
     for c in centrals:
         for piece in (c, _one_minus(ring, c)):
-            if not _ring_check(ctx.corner(piece), "pi_regular").holds:
+            if not ring_check(ctx.corner(piece), "pi_regular").holds:
                 return VIOLATION, f"c={c},corner_at={piece}"
     return HOLDS, f"decompositions={len(centrals)}"
 
@@ -478,40 +468,11 @@ def _chk_p2_17(ctx):
     return HOLDS, f"e={fired}"
 
 
-def _chk_c2_19(ctx):
-    facts = ctx.facts()
-    if not (facts.verdict("dual_pi_rickart").holds
-            and facts.verdict("abelian").holds):
-        return NOT_MET, "-"
-    v = facts.verdict("strongly_co_hopfian")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    n = max(v.witnesses.values(), default=1)
-    return HOLDS, f"max_stab={n}"
-
-
-def _chk_c2_21(ctx):
-    v = ctx.facts().verdict("fitting")
-    if not v.holds:
-        return NOT_MET, f"f={v.counterexample}"
-    return _conclude(ctx, ("dual_pi_rickart",))
-
-
-def _chk_p2_22(ctx):
-    # The base ring is finite, hence Artinian, and every finite module is
-    # finitely generated: the hypotheses hold for every instance.
-    facts = ctx.facts()
-    v = facts.verdict("dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, f"|R|={ctx.ring.order}"
-
-
 def _chk_p2_23(ctx):
     mat2 = _mat2(ctx.ring, ctx.caps)
     for n in (1, 2):
         mat = ctx.ring if n == 1 else mat2
-        if not _ring_check(mat, "strongly_pi_regular").holds:
+        if not ring_check(mat, "strongly_pi_regular").holds:
             return NOT_MET, f"n={n}"
         mod = ctx.reg_module() if n == 1 else ctx.free2()
         v = _dual_pi_of(mod, ctx.caps)
@@ -527,7 +488,7 @@ def _chk_l3_1(ctx):
         return NOT_MET, "-"
     end = facts.end()
     ring = end.ring
-    g = _ring_check(ring, "gen_left_pp")
+    g = ring_check(ring, "gen_left_pp")
     if not g.holds:
         return VIOLATION, f"a={g.counterexample}"
     principal = principal_left_ideal_keys(ring)
@@ -581,17 +542,6 @@ def _chk_t3_4_1(ctx):
     return HOLDS, f"triples={checked}"
 
 
-def _chk_l3_6(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    if not _ring_check(end.ring, "pi_regular").holds:
-        return NOT_MET, "-"
-    v = facts.verdict("dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    return HOLDS, f"|S|={end.ring.order}"
-
-
 def _both_summand_exponent(facts: Facts, f: int):
     """Smallest n with Ker f^n and Im f^n both idempotent images."""
     masks = facts.idem_masks()
@@ -605,7 +555,7 @@ def _both_summand_exponent(facts: Facts, f: int):
 def _chk_l3_9_1(ctx):
     facts = ctx.facts()
     end = facts.end()
-    if not _ring_check(end.ring, "pi_regular").holds:
+    if not ring_check(end.ring, "pi_regular").holds:
         return NOT_MET, "-"
     worst = 0
     for f in range(end.ring.order):
@@ -622,7 +572,7 @@ def _chk_l3_9_2(ctx):
     for f in range(end.ring.order):
         if _both_summand_exponent(facts, f) is None:
             return NOT_MET, f"f={f}"
-    v = _ring_check(end.ring, "pi_regular")
+    v = ring_check(end.ring, "pi_regular")
     if not v.holds:
         return READING_FLAG, f"a={v.counterexample}"
     return HOLDS, "-"
@@ -630,20 +580,20 @@ def _chk_l3_9_2(ctx):
 
 def _chk_l3_10_2(ctx):
     mat = _mat2(ctx.ring, ctx.caps)
-    if not _ring_check(mat, "pi_regular").holds:
+    if not ring_check(mat, "pi_regular").holds:
         return NOT_MET, "-"
-    v = _ring_check(ctx.ring, "pi_regular")
+    v = ring_check(ctx.ring, "pi_regular")
     if not v.holds:
         return VIOLATION, f"a={v.counterexample}"
     return HOLDS, f"|M2|={mat.order}"
 
 
 def _chk_l3_10_3(ctx):
-    if not ring_predicates(ctx.ring).commutative:
+    if not ring_check(ctx.ring, "commutative").holds:
         return NOT_MET, "-"
     mat = _mat2(ctx.ring, ctx.caps)
-    a = _ring_check(ctx.ring, "pi_regular").holds
-    b = _ring_check(mat, "pi_regular").holds
+    a = ring_check(ctx.ring, "pi_regular").holds
+    b = ring_check(mat, "pi_regular").holds
     if a != b:
         return VIOLATION, f"base={a},matrix={b}"
     return HOLDS, f"both={a}"
@@ -672,7 +622,7 @@ def _chk_t3_19_1(ctx):
     if not v.holds:
         return NOT_MET, "-"
     end = facts.end()
-    if not _ring_check(end.ring, "gen_left_pp").holds:
+    if not ring_check(end.ring, "gen_left_pp").holds:
         return VIOLATION, "gen_left_pp"
     for f, (n, _) in v.witnesses.items():
         im = chain_term(end.powers.images[f], n)
@@ -684,7 +634,7 @@ def _chk_t3_19_1(ctx):
 def _chk_t3_19_2(ctx):
     facts = ctx.facts()
     end = facts.end()
-    if not _ring_check(end.ring, "gen_left_pp").holds:
+    if not ring_check(end.ring, "gen_left_pp").holds:
         return NOT_MET, "gen_left_pp false"
     principal = principal_left_ideal_keys(end.ring)
     for f, imgs in enumerate(end.powers.images):
@@ -836,11 +786,20 @@ REGISTRY = {e.id: e for e in [
           _chk_p2_17),
     Entry("C2.19", "module",
           "dual pi-Rickart and abelian End => strongly co-Hopfian",
-          _chk_c2_19),
+          _implies(("dual_pi_rickart", "abelian"), ("strongly_co_hopfian",),
+                   lambda ctx: "max_stab={}".format(max(
+                       ctx.facts().verdict("strongly_co_hopfian")
+                       .witnesses.values(), default=1)))),
+    # every finite module is Fitting, so the hypothesis always holds
     Entry("C2.21", "module",
-          "Fitting => dual pi-Rickart", _chk_c2_21),
+          "Fitting => dual pi-Rickart",
+          _implies(("fitting",), ("dual_pi_rickart",))),
+    # The base ring is finite, hence Artinian, and every finite module is
+    # finitely generated: the hypotheses hold for every instance.
     Entry("P2.22", "module",
-          "finite base ring => dual pi-Rickart", _chk_p2_22),
+          "finite base ring => dual pi-Rickart",
+          _implies((), ("dual_pi_rickart",),
+                   lambda ctx: f"|R|={ctx.ring.order}")),
     Entry("P2.23", "ring",
           "strongly pi-regular matrix ring => free module dual pi-Rickart",
           _chk_p2_23, note="matrix sizes 1 and 2"),
@@ -861,7 +820,9 @@ REGISTRY = {e.id: e for e in [
           _implies(("self_cogenerator", "end.gen_left_pp"),
                    ("dual_pi_rickart",))),
     Entry("L3.6", "module",
-          "pi-regular End => dual pi-Rickart", _chk_l3_6),
+          "pi-regular End => dual pi-Rickart",
+          _implies(("end.pi_regular",), ("dual_pi_rickart",),
+                   lambda ctx: f"|S|={ctx.facts().end().ring.order}")),
     Entry("C3.7", "module",
           "strongly pi-regular End => dual pi-Rickart",
           _implies(("end.strongly_pi_regular",), ("dual_pi_rickart",))),

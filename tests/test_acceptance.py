@@ -24,8 +24,7 @@ from pirick.modules import (all_submodules, elems_mask, is_direct_summand,
 from pirick.properties import (DECIDERS, Facts, singular_nil_jacobson,
                                small_image_endos)
 from pirick.query import match_report, parse_query
-from pirick.rings import (is_generalized_left_pp, is_pi_regular,
-                          is_strongly_pi_regular, ring_neg)
+from pirick.rings import ring_check, ring_neg
 from pirick.theorems import (HOLDS, InstanceContext, VIOLATION, summarize,
                              verify_all)
 
@@ -131,7 +130,7 @@ def test_criterion_02_ring_equivalence(ring_instances, announce):
         reg = ring_as_module(inst.ring, CAPS, name=f"{inst.name}_as_module")
         facts = Facts(reg, CAPS)
         dual_pi = facts.verdict("dual_pi_rickart").holds
-        pi_reg = is_pi_regular(inst.ring).holds
+        pi_reg = ring_check(inst.ring, "pi_regular").holds
         if dual_pi != pi_reg:
             mismatches.append(inst.name)
     announce(2, "regular-module/ring equivalence", not mismatches,
@@ -151,9 +150,9 @@ def test_criterion_03_universal_facts(module_instances, reports, announce):
             if report.statuses[prop] != "true":
                 failures.append(f"{inst.name}:{prop}")
         end = end_ring(inst.module, CAPS)
-        if not is_strongly_pi_regular(end.ring).holds:
+        if not ring_check(end.ring, "strongly_pi_regular").holds:
             failures.append(f"{inst.name}:end_strongly_pi_regular")
-        if not is_generalized_left_pp(end.ring).holds:
+        if not ring_check(end.ring, "gen_left_pp").holds:
             failures.append(f"{inst.name}:end_generalized_left_pp")
     announce(3, "universal module and endomorphism-ring facts", not failures,
           f"{len(module_instances)} modules, failures: {failures or 'none'}")

@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from pirick import homs, modules, properties, rings, theorems
+from pirick import homs, modules, properties, rings
 from pirick.caps import caps_from_env
 from pirick.cli import main
 from pirick.errors import PirickError, SizeCapExceeded
@@ -129,12 +129,11 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
             return decide(facts)
         monkeypatch.setitem(properties.DECIDERS, prop, counted)
     checks = collections.Counter()
-    for name in ("is_pi_regular", "is_strongly_pi_regular",
-                 "is_generalized_left_pp"):
-        def counted(ring, name=name, check=getattr(theorems, name)):
+    for name, check in rings.RING_CHECKS.items():
+        def counted(ring, name=name, check=check):
             checks[name, ring.key] += 1
             return check(ring)
-        monkeypatch.setattr(theorems, name, counted)
+        monkeypatch.setitem(rings.RING_CHECKS, name, counted)
     assert main(["verify", str(CORPUS)]) == 0
     assert "total=1157" in capsys.readouterr().out
     # Lattices are built only for the lattice deciders and entries, and
@@ -144,10 +143,13 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
                       "lattice": 21, "submodule": 111, "hom_set": 275,
                       "end_ring": 89}
     # One decider body per (structure, caps, property): 348 that return a
-    # verdict and 4 that stop at a cap.  One registry ring check per (ring
-    # structure, check): 82.
+    # verdict and 4 that stop at a cap.  One ring check per (ring
+    # structure, name): 167, that is 32 pi_regular, 27 gen_left_pp and 23
+    # strongly_pi_regular, plus 20 each of reduced, domain and local, 17
+    # commutative and 8 nil_radical, which the registry's "ring." and
+    # "end." predicates and L2.5.1 and L3.10.3 read.
     assert (sum(deciders.values()), len(deciders)) == (352, 352)
-    assert (sum(checks.values()), len(checks)) == (82, 82)
+    assert (sum(checks.values()), len(checks)) == (167, 167)
 
 
 def test_other_scan_or_hom_caps_rebuild_the_structure(monkeypatch,

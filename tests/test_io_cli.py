@@ -8,13 +8,14 @@ import pytest
 
 from pirick.caps import caps_from_env
 from pirick.catalog import CATALOG_VERSION, HEADER_COLUMNS
-from pirick.cli import main
+from pirick.cli import RING_ROWS, main
 from pirick.errors import FileSyntaxError, UnknownRing
 from pirick.families import build_instance, ex23_module, ex23_ring, zmod
 from pirick.io import (load_dir, parse_module, parse_ring, serialize_module,
                        serialize_ring, write_module, write_ring)
 from pirick.modules import same_ring
-from pirick.rings import corner_ring, matrix_ring, triangular_ring
+from pirick.rings import (RING_CHECKS, corner_ring, matrix_ring,
+                          triangular_ring)
 
 CAPS = caps_from_env()
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -142,6 +143,14 @@ def test_cli_ring_check_machine(capsys):
     assert "name=z6" in out and "regular=true" in out
 
 
+def test_cli_ring_rows_are_the_ring_checks():
+    """`ring check` prints every ring check but nil_radical, which holds on
+    every finite ring, each once."""
+    assert len(set(RING_ROWS)) == len(RING_ROWS)
+    assert set(RING_ROWS) | {"nil_radical"} == set(RING_CHECKS)
+    assert "nil_radical" not in RING_ROWS
+
+
 def test_cli_module_check(capsys):
     assert main(["module", "check", str(CORPUS / "ex23.mod"),
                  "--witnesses"]) == 0
@@ -242,6 +251,24 @@ def test_cli_cap_flags(tmp_path, capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["ring", "check", "/does/not/exist.ring"]) == 3
+
+
+@pytest.mark.parametrize("value, message", [
+    ("bogus=1", "unknown cap 'bogus'"),
+    ("lattice=eight", "not an integer"),
+])
+def test_malformed_pirick_caps_is_an_error_not_a_traceback(value, message):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "pirick", "verify", str(CORPUS)],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+             "PIRICK_CAPS": value})
+    assert run.returncode == 3
+    assert run.stderr.startswith("pirick: error: PIRICK_CAPS")
+    assert message in run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
 
 
 def test_a_run_does_not_load_numpy_ma(tmp_path):

@@ -12,11 +12,9 @@ from pirick.errors import (BadIdentity, NonAssociative, NotDistributive,
                            NotIdempotent, SizeCapExceeded)
 from pirick.families import zmod
 from pirick.groups import FinAbGroup
-from pirick.rings import (corner_ring, is_generalized_left_pp, is_pi_regular,
-                          is_regular, is_strongly_pi_regular,
-                          jacobson_radical, matrix_ring, nil_radical_check,
-                          power_trail, product_ring, ring_idempotents,
-                          ring_make, ring_predicates, ring_units,
+from pirick.rings import (RING_CHECKS, corner_ring, jacobson_radical,
+                          matrix_ring, power_trail, product_ring, ring_check,
+                          ring_idempotents, ring_make, ring_units,
                           triangular_ring)
 
 CAPS = caps_from_env()
@@ -55,25 +53,25 @@ def test_power_trail_reaches_zero_for_nilpotents():
 
 def test_regularity_family_on_z4():
     z4 = zmod(4)
-    assert not is_regular(z4).holds      # a=2 has no x with 2x2=2
-    v = is_pi_regular(z4)
+    assert not ring_check(z4, "regular").holds      # a=2 has no x with 2x2=2
+    v = ring_check(z4, "pi_regular")
     assert v.holds
     assert v.witnesses[2] == (2, 0)      # 2^2 = 0 = 0*x*0 with x=0
-    s = is_strongly_pi_regular(z4)
+    s = ring_check(z4, "strongly_pi_regular")
     assert s.holds
 
 
 def test_regularity_family_on_z6():
     z6 = zmod(6)
-    v = is_regular(z6)
+    v = ring_check(z6, "regular")
     assert v.holds
-    p = is_pi_regular(z6)
+    p = ring_check(z6, "pi_regular")
     assert all(n == 1 for n, _ in p.witnesses.values())
 
 
 def test_generalized_left_pp_witnesses():
     z4 = zmod(4)
-    v = is_generalized_left_pp(z4)
+    v = ring_check(z4, "gen_left_pp")
     assert v.holds
     n, e = v.witnesses[2]
     # l(2^n) must equal Z4*e exactly
@@ -97,7 +95,7 @@ def test_principal_left_ideal_keys_list_every_idempotent():
                                           t2z2.mul_np[:, es[0]])).tobytes()
     assert len(keys) < len(listed)       # some R*e has two generators
     # generalized left pp names the smallest idempotent of its key
-    v = is_generalized_left_pp(t2z2)
+    v = ring_check(t2z2, "gen_left_pp")
     assert all(e == keys[rings.left_annihilator_key(
         t2z2, power_trail(t2z2, a)[n - 1])][0]
         for a, (n, e) in v.witnesses.items())
@@ -122,20 +120,34 @@ def test_first_true_is_the_row_major_first(shape):
 
 
 def test_nil_radical_check():
-    v = nil_radical_check(zmod(4))
+    v = ring_check(zmod(4), "nil_radical")
     assert v.holds
     assert set(v.witnesses) == {0, 2}
 
 
+def _holding(ring):
+    return {name for name in RING_CHECKS if ring_check(ring, name).holds}
+
+
 def test_ring_predicates():
+    z4 = _holding(zmod(4))
+    assert {"commutative", "local", "abelian"} <= z4
+    assert not {"reduced", "domain", "division"} & z4
+    assert {"division", "domain", "reduced"} <= _holding(zmod(5))
+    t2 = _holding(triangular_ring(zmod(2), 2, CAPS))
+    assert not {"commutative", "abelian"} & t2
+
+
+def test_ring_predicate_counterexamples_are_first_offenders():
     z4 = zmod(4)
-    p4 = ring_predicates(z4)
-    assert p4.commutative and p4.local and p4.abelian
-    assert not p4.reduced and not p4.domain and not p4.division
-    p5 = ring_predicates(zmod(5))
-    assert p5.division and p5.domain and p5.reduced
-    t2 = ring_predicates(triangular_ring(zmod(2), 2, CAPS))
-    assert not t2.commutative and not t2.abelian
+    assert ring_check(z4, "reduced").counterexample == 2      # 2*2 = 0
+    assert ring_check(z4, "domain").counterexample == (2, 2)
+    assert ring_check(z4, "division").counterexample == 2
+    t2z2 = triangular_ring(zmod(2), 2, CAPS)
+    a, b = ring_check(t2z2, "commutative").counterexample
+    assert t2z2.mul_np[a, b] != t2z2.mul_np[b, a]
+    e, f = ring_check(t2z2, "abelian").counterexample
+    assert t2z2.mul_np[e, e] == e and t2z2.mul_np[e, f] != t2z2.mul_np[f, e]
 
 
 def test_idempotents_and_units():
@@ -149,8 +161,8 @@ def test_idempotents_and_units():
 def test_matrix_ring_arithmetic():
     m2 = matrix_ring(zmod(2), 2, CAPS)
     assert m2.order == 16
-    assert not ring_predicates(m2).commutative
-    assert is_regular(m2).holds
+    assert not ring_check(m2, "commutative").holds
+    assert ring_check(m2, "regular").holds
     assert ring_idempotents(m2).size == 8
 
 
@@ -158,8 +170,8 @@ def test_triangular_ring_arithmetic():
     t2 = triangular_ring(zmod(2), 2, CAPS)
     assert t2.order == 8
     assert ring_idempotents(t2).size == 6
-    assert not is_regular(t2).holds
-    assert is_pi_regular(t2).holds
+    assert not ring_check(t2, "regular").holds
+    assert ring_check(t2, "pi_regular").holds
 
 
 def test_product_ring():
