@@ -13,7 +13,9 @@ tool access to End(M).
 An endomorphism is a row of End(M)'s table array and nothing else:
 power_chains takes a whole stack of tables and returns the image and
 kernel bitmasks of every power of every row in one batch, and End(M) keeps
-that result for all of its elements; chain_term reads term n of a chain.
+that result for all of its elements; chain_term reads term n of a chain,
+and first_chain_term is the one search "for every f, some power f^n has
+property P" over them, the module-side twin of `rings._first_power`.
 ModuleMap, a table between two modules validated by the same relation
 check, is only the projections and inclusions of quotients and submodules.
 
@@ -37,7 +39,7 @@ from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from .groups import elementary_divisors, group_embedding
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
-from .rings import FiniteRing, ring_idempotents, ring_make
+from .rings import FiniteRing, Verdict, ring_idempotents, ring_make
 
 
 class ModuleMap:
@@ -246,6 +248,24 @@ def chain_term(chain: tuple, n: int) -> int:
     """Term n of a power chain, Im f^n (Ker f^n) for chain images[f]
     (kernels[f]), also for n past its end, where every term is the last."""
     return chain[min(n, len(chain)) - 1]
+
+
+def first_chain_term(powers: PowerChains, test, terms: int = None) -> Verdict:
+    """Whether every row f has a power f^n, n among the first `terms` (by
+    default to the end of its longer chain), for which test(Im f^n, Ker f^n)
+    returns a witness w other than None.  Witnesses map f -> (n, w) for the
+    smallest such n; the counterexample is the first f with none.
+    """
+    witnesses = {}
+    for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
+        for n in range(1, (terms or max(len(imgs), len(kers))) + 1):
+            w = test(chain_term(imgs, n), chain_term(kers, n))
+            if w is not None:
+                witnesses[f] = (n, w)
+                break
+        else:
+            return Verdict(False, witnesses, counterexample=f)
+    return Verdict(True, witnesses)
 
 
 def _until_repeat(terms) -> tuple:

@@ -77,6 +77,19 @@ def _parse_coords(group: FinAbGroup, tokens, lineno, path) -> int:
     return group.index_of(tuple(coords))
 
 
+def _parse_add(lines, path) -> FinAbGroup:
+    """The group of the `add <factors>` line, the second line of a ring or
+    module file."""
+    if len(lines) < 2 or lines[1][1][0] != "add":
+        raise FileSyntaxError(lines[min(1, len(lines) - 1)][0],
+                              f"{path}: expected 'add <factors>'")
+    lineno, add_tokens = lines[1]
+    factors = _ints(add_tokens[1:], lineno, path, "factors")
+    if not factors or any(n < 1 for n in factors):
+        raise FileSyntaxError(lineno, f"{path}: factors must be >= 1")
+    return FinAbGroup(tuple(factors))
+
+
 def _parse_body(lines, start, path, kind):
     """Read `mul`/`act` rows and the closing `end`.
 
@@ -124,15 +137,8 @@ def parse_ring(source: str | pathlib.Path, caps: Caps = DEFAULT_CAPS,
         raise FileSyntaxError(lineno, f"{path}: expected 'ring <name>'")
     name = _check_name(head[1], lineno, path)
 
-    if len(lines) < 2 or lines[1][1][0] != "add":
-        raise FileSyntaxError(lines[min(1, len(lines) - 1)][0],
-                              f"{path}: expected 'add <factors>'")
-    lineno, add_tokens = lines[1]
-    factors = _ints(add_tokens[1:], lineno, path, "factors")
-    if not factors or any(n < 1 for n in factors):
-        raise FileSyntaxError(lineno, f"{path}: factors must be >= 1")
-    group = FinAbGroup(tuple(factors))
-    k = len(factors)
+    group = _parse_add(lines, path)
+    k = len(group.factors)
 
     if len(lines) < 3 or lines[2][1][0] != "one":
         raise FileSyntaxError(lines[min(2, len(lines) - 1)][0],
@@ -170,15 +176,8 @@ def parse_module(source: str | pathlib.Path, ring_registry: dict,
     ring = ring_registry[ring_name]
     k_ring = len(ring.add_group.factors)
 
-    if len(lines) < 2 or lines[1][1][0] != "add":
-        raise FileSyntaxError(lines[min(1, len(lines) - 1)][0],
-                              f"{path}: expected 'add <factors>'")
-    lineno, add_tokens = lines[1]
-    factors = _ints(add_tokens[1:], lineno, path, "factors")
-    if not factors or any(n < 1 for n in factors):
-        raise FileSyntaxError(lineno, f"{path}: factors must be >= 1")
-    group = FinAbGroup(tuple(factors))
-    k_mod = len(factors)
+    group = _parse_add(lines, path)
+    k_mod = len(group.factors)
 
     constants = {}
     for (i, j, lineno), coord_tokens in _parse_body(

@@ -11,8 +11,11 @@ structure and caps; the registry in `theorems` builds its submodules, e*R
 among them, through the same Facts.  Every submodule is a bitmask over the
 module's elements, as in `modules`: the lattice's masks, and the image and
 kernel chains of every endomorphism, read from End(M)'s one `powers`
-result and nowhere else.  The left singular ideal of End(M) is read from
-End(M)'s own multiplication table.
+result and nowhere else.  The deciders "every f has a power f^n with
+property P" (the four Rickart properties, Fitting, co-Hopfian) are each one
+`homs.first_chain_term` search over those chains; their witnesses, and the
+chain-stabilization deciders', map f to (n, w).  The left singular ideal of
+End(M) is read from End(M)'s own multiplication table.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -27,8 +30,8 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
-from .homs import (EndRing, are_isomorphic, chain_term, end_ring, hom_set,
-                   idempotent_image_masks)
+from .homs import (EndRing, are_isomorphic, end_ring, first_chain_term,
+                   hom_set, idempotent_image_masks)
 from .modules import (FiniteModule, all_submodules, first_moving_map,
                       is_small, lattice_gate, mask_bits, module_generators,
                       quotient_module, submodule_module)
@@ -106,21 +109,13 @@ def _idempotent_generated(facts: Facts, kernels: bool,
     """Im f (Ker f with `kernels`) is the image of an idempotent, for every
     f; with `any_power`, for some term of the power chain of f.
 
-    Witnesses map f to the smallest such idempotent, or with `any_power` to
-    (smallest exponent n, smallest idempotent realizing that term).
+    Witnesses map f to (smallest exponent n, smallest idempotent realizing
+    that term); without `any_power`, n is 1.
     """
-    powers = facts.end().powers
     idem = facts.idem_masks()
-    witnesses = {}
-    for f, chain in enumerate(powers.kernels if kernels else powers.images):
-        if not any_power:
-            chain = chain[:1]
-        found = next(((n, idem[mask]) for n, mask in enumerate(chain, start=1)
-                      if mask in idem), None)
-        if found is None:
-            return Verdict(False, witnesses, f)
-        witnesses[f] = found if any_power else found[1]
-    return Verdict(True, witnesses, None)
+    return first_chain_term(facts.end().powers,
+                            lambda im, ker: idem.get(ker if kernels else im),
+                            terms=None if any_power else 1)
 
 
 def decide_dual_rickart(facts: Facts) -> Verdict:
@@ -129,11 +124,7 @@ def decide_dual_rickart(facts: Facts) -> Verdict:
 
 
 def decide_dual_pi_rickart(facts: Facts) -> Verdict:
-    """Some power of every f has image generated by an idempotent.
-
-    Witnesses map f to (smallest such exponent n, smallest idempotent whose
-    image equals Im f^n).
-    """
+    """Some power of every f has image generated by an idempotent."""
     return _idempotent_generated(facts, kernels=False, any_power=True)
 
 
@@ -148,21 +139,11 @@ def decide_pi_rickart(facts: Facts) -> Verdict:
 
 
 def decide_fitting(facts: Facts) -> Verdict:
-    """For every f some power splits M as Ker f^n + Im f^n (sum direct)."""
-    powers = facts.end().powers
+    """For every f some power splits M as Ker f^n + Im f^n (sum direct).
+    Witnesses map f to (smallest such n, True)."""
     full = facts.module.order
-    witnesses = {}
-    for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
-        found = None
-        for n in range(1, max(len(imgs), len(kers)) + 1):
-            im, ker = chain_term(imgs, n), chain_term(kers, n)
-            if (im & ker) == 1 and im.bit_count() * ker.bit_count() == full:
-                found = n
-                break
-        if found is None:
-            return Verdict(False, witnesses, f)
-        witnesses[f] = found
-    return Verdict(True, witnesses, None)
+    return first_chain_term(facts.end().powers, lambda im, ker: (
+        im & ker) == 1 and im.bit_count() * ker.bit_count() == full or None)
 
 
 def decide_morphic(facts: Facts) -> Verdict:
@@ -182,20 +163,17 @@ def decide_morphic(facts: Facts) -> Verdict:
 
 def decide_co_hopfian(facts: Facts) -> Verdict:
     """Every injective endomorphism is surjective."""
-    powers = facts.end().powers
     everything = (1 << facts.module.order) - 1
-    for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
-        if kers[0] == 1 and imgs[0] != everything:   # injective, not onto
-            return Verdict(False, {}, f)
-    return Verdict(True, {}, None)
+    return first_chain_term(facts.end().powers, lambda im, ker: (
+        ker != 1 or im == everything or None), terms=1)
 
 
 def _chain_stabilization(facts: Facts, kernels: bool) -> Verdict:
-    """Always true for a finite module; witnesses record the exponent at
-    which the image (kernel) chain of each endomorphism stabilizes."""
+    """Always true for a finite module; witnesses map f to (n, True), n the
+    exponent at which the image (kernel) chain of f stabilizes."""
     powers = facts.end().powers
     chains = powers.kernels if kernels else powers.images
-    return Verdict(True, dict(enumerate(map(len, chains))), None)
+    return Verdict(True, {f: (len(c), True) for f, c in enumerate(chains)})
 
 
 def decide_strongly_co_hopfian(facts: Facts) -> Verdict:
@@ -394,6 +372,12 @@ def _fmt_sub(facts: Facts, mask: int) -> str:
     return f"sub(size={len(elems)},min={elems[1] if len(elems) > 1 else 0})"
 
 
+def largest_exponent(witnesses: dict) -> tuple:
+    """(a, n, w) for the witness a -> (n, w) with the largest (n, a)."""
+    a = max(witnesses, key=lambda a: (witnesses[a][0], a))
+    return (a, *witnesses[a])
+
+
 def _witness_string(facts: Facts, prop: str, verdict: Verdict) -> str:
     if not verdict.holds:
         c = verdict.counterexample
@@ -415,15 +399,12 @@ def _witness_string(facts: Facts, prop: str, verdict: Verdict) -> str:
         return str(c)
     w = verdict.witnesses
     if prop in ("dual_pi_rickart", "pi_rickart") and w:
-        f_max = max(w, key=lambda f: (w[f][0], f))
-        n, e = w[f_max]
-        return f"f={f_max},n={n},e={e}"
+        return "f={},n={},e={}".format(*largest_exponent(w))
     if prop in ("fitting", "strongly_co_hopfian", "strongly_hopfian") and w:
-        f_max = max(w, key=lambda f: (w[f], f))
-        return f"f={f_max},n={w[f_max]}"
+        return "f={},n={}".format(*largest_exponent(w))
     if prop in ("dual_rickart", "rickart") and w:
-        f_max = max(w, key=lambda f: (w[f], f))
-        return f"f={f_max},e={w[f_max]}"
+        f_max = max(w, key=lambda f: (w[f][1], f))
+        return f"f={f_max},e={w[f_max][1]}"
     return "-"
 
 
@@ -450,7 +431,7 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
         idem_count = int(ring_idempotents(end.ring).size)
         if statuses.get("dual_pi_rickart") == "true":
             dpr = facts.verdict("dual_pi_rickart")
-            max_n = max((n for n, _ in dpr.witnesses.values()), default=1)
+            max_n = largest_exponent(dpr.witnesses)[1]
     except SizeCapExceeded:
         pass
 

@@ -20,13 +20,16 @@ Three shapes are declared as data: `_implies`/`_equiv` over named
 predicates, `_every_dual_pi` ("the hypotheses => every module of a family
 is dual pi-Rickart") and `_every_corner` ("pi-regular => every nonzero
 corner eRe passes a ring check").  A named predicate is a module property
-of `properties.DECIDERS`, or "ring." or "end." followed by a name of
-`rings.RING_CHECKS`; every ring check, there and in the entries below, is
-read through `rings.ring_check`.  A family is a generator of (label,
-module) pairs taken lazily, so no module after the first failure is built;
-a family over R^2 first calls `_matrix_gate`, the one test of a 2x2 matrix
-size against caps.matrix_check, which `_mat2` calls too.  The gate thus
-fires after the hypotheses, when the family is first advanced.
+of `properties.DECIDERS`, or "reg." and one, for the ring's right regular
+module; "ring." or "end." and a name of `rings.RING_CHECKS`; or "maps." and
+a name of MAP_CHECKS ("every f in End(M) has a power f^n with property P",
+each one `homs.first_chain_term` search).  Every ring check, there and
+below, is read through `rings.ring_check`, and every map check through
+`map_check`.  A family is a generator of (label, module) pairs taken
+lazily, so no module after the first failure is built; a family over R^2
+first calls `_matrix_gate`, the one test of a 2x2 matrix size against
+caps.matrix_check, which `_mat2` calls too.  The gate thus fires after the
+hypotheses, when the family is first advanced.
 
 Entries read End(M) through the deciders' paths: the image and kernel
 chains of End(M).powers, with `chain_term` for a term past a chain's end;
@@ -47,12 +50,14 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
-from .homs import (EndRing, chain_term, hom_set, image, left_annihilator,
+from .homs import (EndRing, chain_term, first_chain_term, hom_set, image,
+                   idempotent_image_masks, left_annihilator,
                    right_annihilator)
 from .modules import (FiniteModule, elems_mask, first_moving_map,
                       free_module, is_direct_summand, radical,
                       ring_as_module, socle)
-from .properties import Facts, singular_nil_jacobson, small_image_endos
+from .properties import (Facts, largest_exponent, singular_nil_jacobson,
+                         small_image_endos)
 from .rings import (FiniteRing, Verdict, central_idempotent_scan, corner_ring,
                     left_annihilator_key, matrix_ring, nontrivial_idempotents,
                     power_trail, principal_left_ideal_keys, ring_check,
@@ -148,46 +153,104 @@ def _mat2(ring: FiniteRing, caps: Caps) -> FiniteRing:
     return matrix_ring(ring, 2, caps)
 
 
+@interned
+def _double_annihilator_closed(end: EndRing, mask: int) -> bool:
+    """r_M(l_S(N)) == N for the submodule N with this mask, S = End(M)."""
+    return right_annihilator(end, left_annihilator(end, mask)) == mask
+
+
+def _image_trivial(end: EndRing, terms: int = None) -> Verdict:
+    """Every f has Im f^n in {0, M} for some n among the first `terms`."""
+    trivial = (1, (1 << end.tables.shape[1]) - 1)
+    return first_chain_term(end.powers, lambda im, ker: im in trivial or None,
+                            terms)
+
+
+def _summands(end: EndRing, kernels: bool) -> Verdict:
+    """Every f has Im f^n a summand and, at the same n, Ker f^n a summand
+    (with `kernels`) or Im f^n double-annihilator closed (without)."""
+    idem = idempotent_image_masks(end)
+    return first_chain_term(end.powers, lambda im, ker: im in idem and (
+        ker in idem if kernels else _double_annihilator_closed(end, im))
+        or None)
+
+
+# The checks on End(M) of the form "every f has a power f^n with property
+# P", by name: each is one `homs.first_chain_term` search, with witnesses
+# f -> (n, True) and the first f with no such n as counterexample.
+MAP_CHECKS = {
+    # only f = 0 has Im f = 0, so this is "every nonzero f is epi"
+    "nonzero_epi": lambda end: _image_trivial(end, terms=1),
+    # Im f = M, or Im f^n = 0: f nilpotent
+    "epi_or_nilpotent": _image_trivial,
+    "summand_pair": lambda end: _summands(end, kernels=True),
+    "closed_summand": lambda end: _summands(end, kernels=False),
+}
+
+
+@interned
+def map_check(end: EndRing, name: str) -> Verdict:
+    """The Verdict of the map check `name`, a key of MAP_CHECKS, found
+    once per End(M) structure and caps."""
+    return MAP_CHECKS[name](end)
+
+
 # ---------------------------------------------------------------------------
 # entries declared as data
 # ---------------------------------------------------------------------------
 
 
-def _decide(ctx, name: str):
-    """(holds, counterexample) of a predicate on an instance: a DECIDERS
-    property name, "end." followed by a ring check (a key of
-    `rings.RING_CHECKS`) on End(M), or "ring." followed by a ring check on
-    the instance's ring."""
+def _verdict(ctx, name: str) -> Verdict:
+    """The Verdict of a predicate on an instance: a DECIDERS property name;
+    "reg." followed by one, on the ring's right regular module; "end."
+    followed by a ring check (a key of `rings.RING_CHECKS`) on End(M);
+    "ring." followed by a ring check on the instance's ring; or "maps."
+    followed by a key of MAP_CHECKS, on End(M)."""
     scope, _, check = name.partition(".")
     if scope == "ring":
-        v = ring_check(ctx.ring, check)
-    elif scope == "end":
-        v = ring_check(ctx.facts().end().ring, check)
-    else:
-        v = ctx.facts().verdict(name)
+        return ring_check(ctx.ring, check)
+    if scope == "end":
+        return ring_check(ctx.facts().end().ring, check)
+    if scope == "maps":
+        return map_check(ctx.facts().end(), check)
+    if scope == "reg":
+        return ctx.reg_facts().verdict(check)
+    return ctx.facts().verdict(name)
+
+
+def _decide(ctx, name: str):
+    """(holds, counterexample) of the predicate `name` on an instance."""
+    v = _verdict(ctx, name)
     return v.holds, v.counterexample
 
 
-def _hypotheses_met(ctx, hypotheses: tuple) -> bool:
-    """Whether every hypothesis holds, decided left to right and stopping
-    at the first false one.
+def _hypotheses_met(ctx, hypotheses: tuple) -> tuple:
+    """(met, counterexample): whether every hypothesis holds, decided left
+    to right and stopping at the first false one, whose counterexample
+    comes with it.
 
     When a hypothesis reads the module, End(M) is built first, as every
     such hypothesis needs it, so a cap on it skips the entry before any
-    other work.  "ring." hypotheses alone never touch a module, so a ring
-    instance's entries never ask for its Facts.
+    other work.  "ring." and "reg." hypotheses alone never touch the
+    instance's module, so a ring instance's entries never ask for its
+    Facts.
     """
-    if not all(h.startswith("ring.") for h in hypotheses):
+    if not all(h.startswith(("ring.", "reg.")) for h in hypotheses):
         ctx.facts().end()
-    return all(_decide(ctx, h)[0] for h in hypotheses)
+    for name in hypotheses:
+        holds, cex = _decide(ctx, name)
+        if not holds:
+            return False, cex
+    return True, None
 
 
 def _conclude(ctx, conclusions: tuple):
     """(status, witness) of "all conclusions hold" on an instance.
 
     A single failed conclusion is witnessed by its counterexample, as
-    f=<map> for a module property or a=<element> for a ring check; with
-    several conclusions the witness lists the failed names.
+    a=<element> for a ring check ("ring." or "end.") and f=<map> for any
+    other name; with several conclusions the witness lists the failed
+    names.
     """
     failed = {}
     for name in conclusions:
@@ -199,15 +262,19 @@ def _conclude(ctx, conclusions: tuple):
     if len(conclusions) > 1:
         return VIOLATION, ",".join(n.rpartition(".")[2] for n in failed)
     [(name, cex)] = failed.items()
-    return VIOLATION, f"{'a' if '.' in name else 'f'}={cex}"
+    ring_scope = name.startswith(("ring.", "end."))
+    return VIOLATION, f"{'a' if ring_scope else 'f'}={cex}"
 
 
-def _implies(hypotheses: tuple, conclusions: tuple, holds=None):
+def _implies(hypotheses: tuple, conclusions: tuple, holds=None,
+             unmet: str = "-"):
     """Check for "all hypotheses => all conclusions" on an instance.  When
-    the conclusions hold, the witness is holds(ctx), or "-" without it."""
+    the conclusions hold, the witness is holds(ctx), or "-" without it;
+    when a hypothesis fails, it is unmet.format(its counterexample)."""
     def check(ctx):
-        if not _hypotheses_met(ctx, hypotheses):
-            return NOT_MET, "-"
+        met, cex = _hypotheses_met(ctx, hypotheses)
+        if not met:
+            return NOT_MET, unmet.format(cex)
         status, witness = _conclude(ctx, conclusions)
         if status == HOLDS and holds is not None:
             witness = holds(ctx)
@@ -218,7 +285,7 @@ def _implies(hypotheses: tuple, conclusions: tuple, holds=None):
 def _equiv(hypotheses: tuple, a: str, b: str):
     """Check for "all hypotheses => (a iff b)" on a module."""
     def check(ctx):
-        if not _hypotheses_met(ctx, hypotheses):
+        if not _hypotheses_met(ctx, hypotheses)[0]:
             return NOT_MET, "-"
         x, y = _decide(ctx, a)[0], _decide(ctx, b)[0]
         if x != y:
@@ -238,7 +305,7 @@ def _every_dual_pi(hypotheses: tuple, family, holds):
     is callable.
     """
     def check(ctx):
-        if not _hypotheses_met(ctx, hypotheses):
+        if not _hypotheses_met(ctx, hypotheses)[0]:
             return NOT_MET, "-"
         taken = 0
         for label, module in family(ctx):
@@ -263,6 +330,13 @@ def _every_corner(kind: str, violation: str):
                 return VIOLATION, violation.format(e=e, a=v.counterexample)
         return HOLDS, f"corners={len(idems)}"
     return check
+
+
+def _largest_n(fmt: str, name: str):
+    """A holds witness for _implies: fmt.format(a, n, w) for the witness
+    a -> (n, w) of the predicate `name` with the largest (n, a)."""
+    return lambda ctx: fmt.format(
+        *largest_exponent(_verdict(ctx, name).witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +396,6 @@ def _rad_soc_quotients(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _chk_p2_2_1(ctx):
-    facts = ctx.reg_facts()
-    if not facts.verdict("dual_pi_rickart").holds:
-        return NOT_MET, "-"
-    v = ring_check(ctx.ring, "pi_regular")
-    if not v.holds:
-        return VIOLATION, f"a={v.counterexample}"
-    a, (n, x) = max(v.witnesses.items(), key=lambda kv: (kv[1][0], kv[0]))
-    return HOLDS, f"a={a},n={n},x={x}"
-
-
-def _chk_p2_2_2(ctx):
-    if not ring_check(ctx.ring, "pi_regular").holds:
-        return NOT_MET, "-"
-    facts = ctx.reg_facts()
-    v = facts.verdict("dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    f, (n, e) = max(v.witnesses.items(), key=lambda kv: (kv[1][0], kv[0]))
-    return HOLDS, f"f={f},n={n},e={e}"
-
-
 def _chk_p2_4_1(ctx):
     facts = ctx.facts()
     if not facts.verdict("dual_rickart").holds:
@@ -355,30 +407,6 @@ def _chk_p2_4_1(ctx):
     if bad:
         return VIOLATION, f"f={bad[0]},n>1"
     return HOLDS, "n=1 throughout"
-
-
-def _chk_l2_5_1(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    if not facts.verdict("dual_pi_rickart").holds:
-        return NOT_MET, "-"
-    if not ring_check(end.ring, "domain").holds:
-        return NOT_MET, "-"
-    everything = (1 << facts.module.order) - 1
-    for f in range(1, end.ring.order):
-        if end.powers.images[f][0] != everything:
-            return VIOLATION, f"f={f}"
-    return HOLDS, f"nonzero_maps={end.ring.order - 1}"
-
-
-def _chk_l2_5_2(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    everything = (1 << facts.module.order) - 1
-    for f in range(1, end.ring.order):
-        if end.powers.images[f][0] != everything:
-            return NOT_MET, f"f={f} not epi"
-    return _conclude(ctx, ("dual_pi_rickart", "end.domain"))
 
 
 def _chk_l2_9(ctx):
@@ -542,36 +570,11 @@ def _chk_t3_4_1(ctx):
     return HOLDS, f"triples={checked}"
 
 
-def _both_summand_exponent(facts: Facts, f: int):
-    """Smallest n with Ker f^n and Im f^n both idempotent images."""
-    masks = facts.idem_masks()
-    powers = facts.end().powers
-    imgs, kers = powers.images[f], powers.kernels[f]
-    return next((n for n in range(1, max(len(imgs), len(kers)) + 1)
-                 if chain_term(imgs, n) in masks
-                 and chain_term(kers, n) in masks), None)
-
-
-def _chk_l3_9_1(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    if not ring_check(end.ring, "pi_regular").holds:
-        return NOT_MET, "-"
-    worst = 0
-    for f in range(end.ring.order):
-        n = _both_summand_exponent(facts, f)
-        if n is None:
-            return VIOLATION, f"f={f}"
-        worst = max(worst, n)
-    return HOLDS, f"max_n={worst}"
-
-
 def _chk_l3_9_2(ctx):
-    facts = ctx.facts()
-    end = facts.end()
-    for f in range(end.ring.order):
-        if _both_summand_exponent(facts, f) is None:
-            return NOT_MET, f"f={f}"
+    end = ctx.facts().end()
+    pair = map_check(end, "summand_pair")
+    if not pair.holds:
+        return NOT_MET, f"f={pair.counterexample}"
     v = ring_check(end.ring, "pi_regular")
     if not v.holds:
         return READING_FLAG, f"a={v.counterexample}"
@@ -608,12 +611,6 @@ def _chk_p3_18(ctx):
         if not nilpotent:
             return VIOLATION, f"f={f}"
     return HOLDS, f"small_image={len(rows)}"
-
-
-@interned
-def _double_annihilator_closed(end: EndRing, mask: int) -> bool:
-    """r_M(l_S(N)) == N for the submodule N with this mask, S = End(M)."""
-    return right_annihilator(end, left_annihilator(end, mask)) == mask
 
 
 def _chk_t3_19_1(ctx):
@@ -660,17 +657,6 @@ def _chk_t3_19c_1(ctx):
     return HOLDS, "-"
 
 
-def _chk_t3_19c_2(ctx):
-    facts = ctx.facts()
-    masks = facts.idem_masks()
-    end = facts.end()
-    for f, imgs in enumerate(end.powers.images):
-        if not any(im in masks and _double_annihilator_closed(end, im)
-                   for im in imgs):
-            return NOT_MET, f"f={f}"
-    return _conclude(ctx, ("dual_pi_rickart",))
-
-
 def _chk_t3_20(ctx):
     facts = ctx.facts()
     if not facts.verdict("dual_pi_rickart").holds:
@@ -703,15 +689,6 @@ def _chk_p3_21_1(ctx):
     return HOLDS, f"epi={epis},nilpotent={nilps}"
 
 
-def _chk_p3_21_2(ctx):
-    facts = ctx.facts()
-    everything = (1 << facts.module.order) - 1
-    for f, imgs in enumerate(facts.end().powers.images):
-        if not (imgs[0] == everything or imgs[-1] == 1):
-            return NOT_MET, f"f={f}"
-    return _conclude(ctx, ("indecomposable", "dual_pi_rickart"))
-
-
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
@@ -723,35 +700,43 @@ class Entry:
     scope: str
     statement: str
     check: object
-    note: str = ""
 
 
 REGISTRY = {e.id: e for e in [
     Entry("P2.2.1", "ring",
-          "regular module dual pi-Rickart => ring pi-regular", _chk_p2_2_1),
+          "regular module dual pi-Rickart => ring pi-regular",
+          _implies(("reg.dual_pi_rickart",), ("ring.pi_regular",),
+                   _largest_n("a={},n={},x={}", "ring.pi_regular"))),
     Entry("P2.2.2", "ring",
-          "ring pi-regular => regular module dual pi-Rickart", _chk_p2_2_2),
+          "ring pi-regular => regular module dual pi-Rickart",
+          _implies(("ring.pi_regular",), ("reg.dual_pi_rickart",),
+                   _largest_n("f={},n={},e={}", "reg.dual_pi_rickart"))),
     Entry("P2.4.1", "module",
           "dual Rickart => dual pi-Rickart with exponent 1", _chk_p2_4_1),
     Entry("P2.4.2", "module",
           "End reduced and dual pi-Rickart => dual Rickart",
           _implies(("end.reduced", "dual_pi_rickart"), ("dual_rickart",))),
     Entry("L2.5.1", "module",
-          "dual pi-Rickart and End a domain => nonzero maps epi", _chk_l2_5_1),
+          "dual pi-Rickart and End a domain => nonzero maps epi",
+          _implies(("dual_pi_rickart", "end.domain"), ("maps.nonzero_epi",),
+                   lambda ctx: "nonzero_maps={}".format(
+                       ctx.facts().end().ring.order - 1))),
     Entry("L2.5.2", "module",
-          "nonzero maps epi => dual pi-Rickart and End a domain", _chk_l2_5_2),
+          "nonzero maps epi => dual pi-Rickart and End a domain",
+          _implies(("maps.nonzero_epi",), ("dual_pi_rickart", "end.domain"),
+                   unmet="f={} not epi")),
     Entry("T2.7.1", "module",
           "D2 and dual pi-Rickart => pi-Rickart",
           _implies(("d2", "dual_pi_rickart"), ("pi_rickart",))),
     Entry("T2.7.2", "module",
           "C2 and pi-Rickart => dual pi-Rickart",
           _implies(("c2", "pi_rickart"), ("dual_pi_rickart",))),
+    # the projectivity hypothesis is represented by quasi-projective plus
+    # morphic
     Entry("T2.7.3", "module",
           "quasi-projective and morphic => pi-Rickart equiv dual pi-Rickart",
           _equiv(("quasi_projective", "morphic"), "pi_rickart",
-                 "dual_pi_rickart"),
-          note="projectivity hypothesis represented by quasi-projective"
-               " plus morphic"),
+                 "dual_pi_rickart")),
     Entry("C2.8", "module",
           "C2 and D2 => dual pi-Rickart equiv pi-Rickart",
           _equiv(("c2", "d2"), "dual_pi_rickart", "pi_rickart")),
@@ -774,10 +759,10 @@ REGISTRY = {e.id: e for e in [
     Entry("T2.14.2", "ring",
           "every summand ideal e*R dual pi-Rickart => pi-regular",
           _chk_t2_14_2),
+    # partial: exercised on free ranks 1 and 2 only
     Entry("T2.15", "ring",
           "free modules and their summands are dual pi-Rickart",
-          _every_dual_pi((), _free_ranks_and_summands, "modules"),
-          note="partial: exercised on free ranks 1 and 2 only"),
+          _every_dual_pi((), _free_ranks_and_summands, "modules")),
     Entry("L2.16", "module",
           "central idempotent images are stable along the power chain",
           _chk_l2_16),
@@ -787,9 +772,7 @@ REGISTRY = {e.id: e for e in [
     Entry("C2.19", "module",
           "dual pi-Rickart and abelian End => strongly co-Hopfian",
           _implies(("dual_pi_rickart", "abelian"), ("strongly_co_hopfian",),
-                   lambda ctx: "max_stab={}".format(max(
-                       ctx.facts().verdict("strongly_co_hopfian")
-                       .witnesses.values(), default=1)))),
+                   _largest_n("max_stab={1}", "strongly_co_hopfian"))),
     # every finite module is Fitting, so the hypothesis always holds
     Entry("C2.21", "module",
           "Fitting => dual pi-Rickart",
@@ -800,9 +783,10 @@ REGISTRY = {e.id: e for e in [
           "finite base ring => dual pi-Rickart",
           _implies((), ("dual_pi_rickart",),
                    lambda ctx: f"|R|={ctx.ring.order}")),
+    # matrix sizes 1 and 2
     Entry("P2.23", "ring",
           "strongly pi-regular matrix ring => free module dual pi-Rickart",
-          _chk_p2_23, note="matrix sizes 1 and 2"),
+          _chk_p2_23),
     Entry("L3.1", "module",
           "dual pi-Rickart => End generalized left pp with matching"
           " annihilators", _chk_l3_1),
@@ -828,11 +812,12 @@ REGISTRY = {e.id: e for e in [
           _implies(("end.strongly_pi_regular",), ("dual_pi_rickart",))),
     Entry("L3.9.1", "module",
           "pi-regular End => some power has kernel and image summands",
-          _chk_l3_9_1),
+          _implies(("end.pi_regular",), ("maps.summand_pair",),
+                   _largest_n("max_n={1}", "maps.summand_pair"))),
+    # tentative converse: failures are flagged, not violations
     Entry("L3.9.2", "module",
           "kernel and image summands at some power => pi-regular End",
-          _chk_l3_9_2,
-          note="tentative converse: failures are flagged, not violations"),
+          _chk_l3_9_2),
     Entry("L3.10.1", "ring",
           "pi-regular => corners pi-regular",
           _every_corner("pi_regular", "e={e}")),
@@ -841,12 +826,11 @@ REGISTRY = {e.id: e for e in [
     Entry("L3.10.3", "ring",
           "commutative: pi-regular equiv pi-regular 2x2 matrices",
           _chk_l3_10_3),
+    # projectives realized as idempotent images of the rank-2 free module
     Entry("P3.11", "ring",
           "commutative pi-regular => rank-2 projectives dual pi-Rickart",
           _every_dual_pi(("ring.commutative", "ring.pi_regular"),
-                         _rank2_projectives, "projectives"),
-          note="projectives realized as idempotent images of"
-                           " the rank-2 free module"),
+                         _rank2_projectives, "projectives")),
     Entry("T3.12.1", "module",
           "D2 and dual pi-Rickart => End pi-regular",
           _implies(("d2", "dual_pi_rickart"), ("end.pi_regular",))),
@@ -889,7 +873,9 @@ REGISTRY = {e.id: e for e in [
           " summand", _chk_t3_19c_1),
     Entry("T3.19c.2", "module",
           "f^n M double-annihilator closed and a summand => dual"
-          " pi-Rickart", _chk_t3_19c_2),
+          " pi-Rickart",
+          _implies(("maps.closed_summand",), ("dual_pi_rickart",),
+                   unmet="f={}")),
     Entry("T3.20", "module",
           "dual pi-Rickart => left singular ideal of End nil and inside"
           " the radical", _chk_t3_20),
@@ -898,7 +884,8 @@ REGISTRY = {e.id: e for e in [
           _chk_p3_21_1),
     Entry("P3.21.2", "module",
           "maps all epi or nilpotent => indecomposable dual pi-Rickart",
-          _chk_p3_21_2),
+          _implies(("maps.epi_or_nilpotent",),
+                   ("indecomposable", "dual_pi_rickart"), unmet="f={}")),
     Entry("T3.22.1", "module",
           "End local with nil radical => indecomposable dual pi-Rickart",
           _implies(("end.local", "end.nil_radical"),

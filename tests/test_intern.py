@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from pirick import homs, modules, properties, rings
+from pirick import homs, modules, properties, rings, theorems
 from pirick.caps import caps_from_env
 from pirick.cli import main
 from pirick.errors import PirickError, SizeCapExceeded
@@ -134,6 +134,12 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
             checks[name, ring.key] += 1
             return check(ring)
         monkeypatch.setitem(rings.RING_CHECKS, name, counted)
+    map_checks = collections.Counter()
+    for name, check in theorems.MAP_CHECKS.items():
+        def counted(end, name=name, check=check):
+            map_checks[name, end.key] += 1
+            return check(end)
+        monkeypatch.setitem(theorems.MAP_CHECKS, name, counted)
     assert main(["verify", str(CORPUS)]) == 0
     assert "total=1157" in capsys.readouterr().out
     # Lattices are built only for the lattice deciders and entries, and
@@ -150,6 +156,11 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     # "end." predicates and L2.5.1 and L3.10.3 read.
     assert (sum(deciders.values()), len(deciders)) == (352, 352)
     assert (sum(checks.values()), len(checks)) == (167, 167)
+    # One map check per (End(M) structure, name): the four names of
+    # theorems.MAP_CHECKS on each of the 21 corpus modules' End(M).
+    assert (sum(map_checks.values()), len(map_checks)) == (84, 84)
+    assert collections.Counter(name for name, _ in map_checks) == {
+        name: 21 for name in theorems.MAP_CHECKS}
 
 
 def test_other_scan_or_hom_caps_rebuild_the_structure(monkeypatch,

@@ -103,6 +103,37 @@ def test_module_act_bounds(tmp_path):
         parse_module(path, {"z2": ring}, CAPS)
 
 
+# A ring and a module file whose `add` line is missing or has a 0 factor;
+# the error is on the line where `add` was due, counted with comments.
+ADD_LINE_CASES = [
+    ("bad.ring", "ring bad\none 1\nend\n", 2, "expected 'add <factors>'"),
+    ("bad.ring", "# c\nring bad\n\nadd 2 0\none 1 0\nend\n", 4,
+     "factors must be >= 1"),
+    ("bad.mod", "module bad over z2\nact 1 1 1\nend\n", 2,
+     "expected 'add <factors>'"),
+    ("bad.mod", "module bad over z2\n# c\nadd 0\nend\n", 3,
+     "factors must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("name, text, line, message", ADD_LINE_CASES)
+def test_a_bad_add_line_is_a_syntax_error(tmp_path, capsys, name, text,
+                                          line, message):
+    write_ring(zmod(2), tmp_path / "z2.ring")
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FileSyntaxError, match=message) as exc_info:
+        if name.endswith(".ring"):
+            parse_ring(path, CAPS)
+        else:
+            parse_module(path, {"z2": zmod(2)}, CAPS)
+    assert exc_info.value.line == line
+    kind = "ring" if name.endswith(".ring") else "module"
+    assert main([kind, "check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pirick: error:") and message in err
+
+
 def test_missing_rows_default_to_zero(tmp_path):
     # a module file with no act rows fails unitality, but the zero ring
     # (no mul rows at all) parses: the empty product table is the zero map
