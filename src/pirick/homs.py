@@ -15,9 +15,11 @@ power_chains takes a whole stack of tables and returns the image and
 kernel bitmasks of every power of every row in one batch, and End(M) keeps
 that result for all of its elements; chain_term reads term n of a chain,
 and first_chain_term is the one search "for every f, some power f^n has
-property P" over them, the module-side twin of `rings._first_power`.
-ModuleMap, a table between two modules validated by the same relation
-check, is only the projections and inclusions of quotients and submodules.
+property P" over them, the module-side twin of `rings._first_power`;
+MAP_CHECKS names the four such searches that the registry reads as
+predicates on End(M).  A map between two modules is its table too:
+check_map validates one by the relation check of hom_set, for the
+projections and inclusions of quotients and submodules.
 
 A hom set and End(M) are built once per structure and caps in a process,
 in the intern table `caps.INTERNED`; every module object of the structure
@@ -40,39 +42,6 @@ from .groups import elementary_divisors, group_embedding
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
 from .rings import FiniteRing, Verdict, ring_idempotents, ring_make
-
-
-class ModuleMap:
-    """A homomorphism of right modules over a common ring, as one table
-    array over the domain's element indices, validated on construction by
-    the relation check of hom_set.  The table is read-only."""
-
-    __slots__ = ("domain", "codomain", "table_np")
-
-    def __init__(self, domain: FiniteModule, codomain: FiniteModule, table):
-        if not same_ring(domain.ring, codomain.ring):
-            raise PirickError("domain and codomain have different base rings")
-        self.domain = domain
-        self.codomain = codomain
-        self.table_np = np.array([int(x) for x in table], dtype=np.int64)
-        if len(self.table_np) != domain.order:
-            raise PirickError("map table length does not match domain order")
-        gens, basis, ends = edges = _relation_edges(domain)
-        holds = _relations_hold(self.table_np[:, None], codomain, edges)[:, 0]
-        if not holds[0]:
-            raise NotAHomomorphism("zero", (0,))
-        if not holds.all():
-            x, i, j = np.unravel_index(np.argmin(holds) - 1, ends.shape)
-            raise NotAHomomorphism("relation", (int(x), gens[i], basis[j]))
-        self.table_np.flags.writeable = False
-
-    @property
-    def table(self) -> tuple:
-        return tuple(self.table_np.tolist())
-
-    def __repr__(self) -> str:
-        return (f"ModuleMap({self.domain.name!r} -> {self.codomain.name!r}, "
-                f"{self.table})")
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +77,27 @@ def _relations_hold(tables: np.ndarray, codomain: FiniteModule,
     rhs = codomain.add_group.add_table()[tables[:, None, None], moved[None]]
     holds = (tables[ends] == rhs).reshape(-1, tables.shape[1])
     return np.concatenate([tables[:1] == 0, holds])
+
+
+def check_map(domain: FiniteModule, codomain: FiniteModule,
+              table) -> np.ndarray:
+    """A homomorphism of right modules over a common ring, given by its
+    table over the domain's element indices, validated by the relation
+    check of hom_set; returned as a read-only int64 array."""
+    if not same_ring(domain.ring, codomain.ring):
+        raise PirickError("domain and codomain have different base rings")
+    table = np.array(table, dtype=np.int64)
+    if len(table) != domain.order:
+        raise PirickError("map table length does not match domain order")
+    gens, basis, ends = edges = _relation_edges(domain)
+    holds = _relations_hold(table[:, None], codomain, edges)[:, 0]
+    if not holds[0]:
+        raise NotAHomomorphism("zero", (0,))
+    if not holds.all():
+        x, i, j = np.unravel_index(np.argmin(holds) - 1, ends.shape)
+        raise NotAHomomorphism("relation", (int(x), gens[i], basis[j]))
+    table.flags.writeable = False
+    return table
 
 
 def _derivation_plan(module: FiniteModule, gens: list,
@@ -381,3 +371,43 @@ def idempotent_image_masks(end: EndRing) -> dict:
     for e in ring_idempotents(end.ring).tolist():
         out.setdefault(image(end, e), e)
     return out
+
+
+# ---------------------------------------------------------------------------
+# map checks: "every f has a power f^n with property P", by name
+# ---------------------------------------------------------------------------
+
+
+@interned
+def _double_annihilator_closed(end: EndRing, mask: int) -> bool:
+    """r_M(l_S(N)) == N for the submodule N with this mask, S = End(M)."""
+    return right_annihilator(end, left_annihilator(end, mask)) == mask
+
+
+def _image_trivial(end: EndRing, terms: int = None) -> Verdict:
+    """Every f has Im f^n in {0, M} for some n among the first `terms`."""
+    trivial = (1, (1 << end.tables.shape[1]) - 1)
+    return first_chain_term(end.powers, lambda im, ker: im in trivial or None,
+                            terms)
+
+
+def _summands(end: EndRing, kernels: bool) -> Verdict:
+    """Every f has Im f^n a summand and, at the same n, Ker f^n a summand
+    (with `kernels`) or Im f^n double-annihilator closed (without)."""
+    idem = idempotent_image_masks(end)
+    return first_chain_term(end.powers, lambda im, ker: im in idem and (
+        ker in idem if kernels else _double_annihilator_closed(end, im))
+        or None)
+
+
+# Each is one first_chain_term search over End(M), with witnesses
+# f -> (n, True) and the first f with no such n as counterexample; the
+# registry reads them by name through `properties.Facts.verdict`.
+MAP_CHECKS = {
+    # only f = 0 has Im f = 0, so this is "every nonzero f is epi"
+    "nonzero_epi": lambda end: _image_trivial(end, terms=1),
+    # Im f = M, or Im f^n = 0: f nilpotent
+    "epi_or_nilpotent": _image_trivial,
+    "summand_pair": lambda end: _summands(end, kernels=True),
+    "closed_summand": lambda end: _summands(end, kernels=False),
+}

@@ -267,8 +267,8 @@ def _rad_soc_masks(module: FiniteModule, caps: Caps) -> tuple:
 def quotient_module(module: FiniteModule, mask: int,
                     caps: Caps = DEFAULT_CAPS):
     """M/N for the submodule N with this mask, with its projection.
-    Returns (quotient, projection ModuleMap)."""
-    from .homs import ModuleMap
+    Returns (quotient, projection table)."""
+    from .homs import check_map
     add = module.add_group.add_table()
     arr = np.flatnonzero(mask_bits(mask, module.order))
     # coset label = least element index in m + N
@@ -279,22 +279,21 @@ def quotient_module(module: FiniteModule, mask: int,
     quotient = module_make(module.ring, group,
                            _action_constants(module, basis, table),
                            caps, f"{module.name}/{mask.bit_count()}")
-    proj = ModuleMap(module, quotient, table)
-    return quotient, proj
+    return quotient, check_map(module, quotient, table)
 
 
 def submodule_module(parent: FiniteModule, mask: int,
                      caps: Caps = DEFAULT_CAPS):
     """The submodule N of parent with this mask as a module in its own
-    right.  Returns (module, inclusion ModuleMap).  Its coordinates are
+    right.  Returns (module, inclusion table).  Its coordinates are
     found once per parent structure and mask."""
-    from .homs import ModuleMap
+    from .homs import check_map
     group, from_label, constants = INTERNED.get_or_build(
         "submodule", (parent.key, mask), None,
         lambda: _submodule_coordinates(parent, mask))
     inner = module_make(parent.ring, group, constants, caps,
                         f"{parent.name}|{mask.bit_count()}")
-    return inner, ModuleMap(inner, parent, from_label)
+    return inner, check_map(inner, parent, from_label)
 
 
 def _submodule_coordinates(parent: FiniteModule, mask: int) -> tuple:

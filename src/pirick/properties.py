@@ -14,8 +14,11 @@ kernel chains of every endomorphism, read from End(M)'s one `powers`
 result and nowhere else.  The deciders "every f has a power f^n with
 property P" (the four Rickart properties, Fitting, co-Hopfian) are each one
 `homs.first_chain_term` search over those chains; their witnesses, and the
-chain-stabilization deciders', map f to (n, w).  The left singular ideal of
-End(M) is read from End(M)'s own multiplication table.
+chain-stabilization deciders', map f to (n, w).  Facts.verdict also
+reads the map checks of `homs.MAP_CHECKS` by name, searches of the same
+shape that no report prints.  A quotient's projection and a submodule's
+inclusion are tables, as `homs.check_map` returns them.  The left singular
+ideal of End(M) is read from End(M)'s own multiplication table.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -30,8 +33,8 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
-from .homs import (EndRing, are_isomorphic, end_ring, first_chain_term,
-                   hom_set, idempotent_image_masks)
+from .homs import (MAP_CHECKS, EndRing, are_isomorphic, end_ring,
+                   first_chain_term, hom_set, idempotent_image_masks)
 from .modules import (FiniteModule, all_submodules, first_moving_map,
                       is_small, lattice_gate, mask_bits, module_generators,
                       quotient_module, submodule_module)
@@ -65,8 +68,8 @@ class Facts:
     Every Facts of one structure and caps has one key, so the methods
     marked `interned` run once per (structure, caps, arguments).  The
     modules that quotient and inner return are shared the same way: their
-    names, and the module they map from or to, are those of the first
-    module of the structure that asked, and no output reads them.
+    names are those of the first module of the structure that asked, and
+    no output reads them.
     """
 
     def __init__(self, module: FiniteModule, caps: Caps = DEFAULT_CAPS):
@@ -85,18 +88,22 @@ class Facts:
 
     @interned
     def quotient(self, mask: int):
-        """(M/N, projection) for the submodule with this bitmask."""
+        """(M/N, projection table) for the submodule with this bitmask."""
         return quotient_module(self.module, mask, self.caps)
 
     @interned
     def inner(self, mask: int):
-        """(N as a module, inclusion) for the submodule with this bitmask."""
+        """(N as a module, inclusion table) for the submodule with this
+        bitmask."""
         return submodule_module(self.module, mask, self.caps)
 
     @interned
     def verdict(self, prop: str) -> Verdict:
-        """The verdict of the decider of property `prop`."""
-        return DECIDERS[prop](self)
+        """The verdict of the decider of property `prop`, or else of the
+        map check of that name on End(M)."""
+        if prop in DECIDERS:
+            return DECIDERS[prop](self)
+        return MAP_CHECKS[prop](self.end())
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +264,7 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
     for mask in facts.lattice():
         quot, proj = facts.quotient(mask)
         homs = hom_set(facts.module, quot, facts.caps)
-        lifted = proj.table_np[end.tables]
+        lifted = proj[end.tables]
         # each lifted row is a map M -> M/N, so all of Hom(M, M/N) is lifted
         # iff there are as many distinct lifted rows as maps
         if len(set(map(bytes, lifted))) != len(homs):

@@ -278,13 +278,10 @@ def ring_idempotents(ring: FiniteRing) -> np.ndarray:
 
 
 @interned
-def ring_units(ring: FiniteRing):
-    """(unit_mask, inverse) arrays: two-sided units and their inverses."""
+def ring_units(ring: FiniteRing) -> np.ndarray:
+    """The boolean mask of the two-sided units."""
     mul = ring.mul_np
-    both = (mul == ring.one) & (mul.T == ring.one)
-    mask = both.any(axis=1)
-    inv = np.where(mask, both.argmax(axis=1), -1).astype(np.int64)
-    return mask, inv
+    return ((mul == ring.one) & (mul.T == ring.one)).any(axis=1)
 
 
 @interned
@@ -315,7 +312,7 @@ def jacobson_radical(ring: FiniteRing) -> np.ndarray:
     mul = ring.mul_np
     add = ring.add_group.add_table()
     neg = ring_neg(ring)
-    unit_mask, _ = ring_units(ring)
+    unit_mask = ring_units(ring)
     candidates = add[ring.one, neg[mul]]     # [r, a] -> 1 - r*a
     in_j = unit_mask[candidates].all(axis=0)
     return np.nonzero(in_j)[0].astype(np.int32)
@@ -472,11 +469,11 @@ RING_CHECKS = {
     "domain": _domain,
     # every non-unit lies in J(R)
     "local": lambda ring: _no_offender(
-        ~ring_units(ring)[0]
+        ~ring_units(ring)
         & ~np.isin(np.arange(ring.order), jacobson_radical(ring))),
     # every nonzero element is a unit
     "division": lambda ring: _no_offender(
-        ~ring_units(ring)[0] & (np.arange(ring.order) != 0)),
+        ~ring_units(ring) & (np.arange(ring.order) != 0)),
 }
 
 

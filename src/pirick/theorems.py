@@ -16,20 +16,24 @@ Biconditional statements are split into directed sub-entries (id suffixes
 .1/.2) so a failure pinpoints the direction.  Entry ids such as "P2.2" are
 stable registry tokens used by the command-line interface.
 
-Three shapes are declared as data: `_implies`/`_equiv` over named
+Four shapes are declared as data: `_implies`/`_equiv` over named
 predicates, `_every_dual_pi` ("the hypotheses => every module of a family
-is dual pi-Rickart") and `_every_corner` ("pi-regular => every nonzero
-corner eRe passes a ring check").  A named predicate is a module property
-of `properties.DECIDERS`, or "reg." and one, for the ring's right regular
-module; "ring." or "end." and a name of `rings.RING_CHECKS`; or "maps." and
-a name of MAP_CHECKS ("every f in End(M) has a power f^n with property P",
-each one `homs.first_chain_term` search).  Every ring check, there and
-below, is read through `rings.ring_check`, and every map check through
-`map_check`.  A family is a generator of (label, module) pairs taken
-lazily, so no module after the first failure is built; a family over R^2
-first calls `_matrix_gate`, the one test of a 2x2 matrix size against
-caps.matrix_check, which `_mat2` calls too.  The gate thus fires after the
-hypotheses, when the family is first advanced.
+is dual pi-Rickart"), `_every_corner` ("pi-regular => every nonzero corner
+eRe passes a ring check") and `_at_witnesses` ("the hypotheses => the
+conclusions, and a test holds at every dual pi-Rickart witness f -> (n, e),
+Im f^n = eM").  A named predicate is a name of `Facts.verdict`: a module
+property of `properties.DECIDERS` or a map check of `homs.MAP_CHECKS`
+("every f in End(M) has a power f^n with property P"); or "reg." and one,
+for the ring's right regular module; or "ring.", "mat2." or "end." and a
+name of `rings.RING_CHECKS`, for the ring, its 2x2 matrix ring or End(M).
+Every ring check, there and below, is read through `rings.ring_check`.  An
+entry marked tentative, a converse that holds only under one reading of its
+statement, reports a violation as reading_flag.  A family is a generator
+of (label, module) pairs taken lazily, so no module after the first
+failure is built; a family over R^2 first calls `_matrix_gate`, the one
+test of a 2x2 matrix size against caps.matrix_check, which `_mat2` calls
+too.  The gate thus fires after the hypotheses, when the family is first
+advanced.
 
 Entries read End(M) through the deciders' paths: the image and kernel
 chains of End(M).powers, with `chain_term` for a term past a chain's end;
@@ -50,8 +54,8 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
-from .homs import (EndRing, chain_term, first_chain_term, hom_set, image,
-                   idempotent_image_masks, left_annihilator,
+from .homs import (EndRing, _double_annihilator_closed, chain_term, hom_set,
+                   image, idempotent_image_masks, left_annihilator,
                    right_annihilator)
 from .modules import (FiniteModule, elems_mask, first_moving_map,
                       free_module, is_direct_summand, radical,
@@ -153,66 +157,24 @@ def _mat2(ring: FiniteRing, caps: Caps) -> FiniteRing:
     return matrix_ring(ring, 2, caps)
 
 
-@interned
-def _double_annihilator_closed(end: EndRing, mask: int) -> bool:
-    """r_M(l_S(N)) == N for the submodule N with this mask, S = End(M)."""
-    return right_annihilator(end, left_annihilator(end, mask)) == mask
-
-
-def _image_trivial(end: EndRing, terms: int = None) -> Verdict:
-    """Every f has Im f^n in {0, M} for some n among the first `terms`."""
-    trivial = (1, (1 << end.tables.shape[1]) - 1)
-    return first_chain_term(end.powers, lambda im, ker: im in trivial or None,
-                            terms)
-
-
-def _summands(end: EndRing, kernels: bool) -> Verdict:
-    """Every f has Im f^n a summand and, at the same n, Ker f^n a summand
-    (with `kernels`) or Im f^n double-annihilator closed (without)."""
-    idem = idempotent_image_masks(end)
-    return first_chain_term(end.powers, lambda im, ker: im in idem and (
-        ker in idem if kernels else _double_annihilator_closed(end, im))
-        or None)
-
-
-# The checks on End(M) of the form "every f has a power f^n with property
-# P", by name: each is one `homs.first_chain_term` search, with witnesses
-# f -> (n, True) and the first f with no such n as counterexample.
-MAP_CHECKS = {
-    # only f = 0 has Im f = 0, so this is "every nonzero f is epi"
-    "nonzero_epi": lambda end: _image_trivial(end, terms=1),
-    # Im f = M, or Im f^n = 0: f nilpotent
-    "epi_or_nilpotent": _image_trivial,
-    "summand_pair": lambda end: _summands(end, kernels=True),
-    "closed_summand": lambda end: _summands(end, kernels=False),
-}
-
-
-@interned
-def map_check(end: EndRing, name: str) -> Verdict:
-    """The Verdict of the map check `name`, a key of MAP_CHECKS, found
-    once per End(M) structure and caps."""
-    return MAP_CHECKS[name](end)
-
-
 # ---------------------------------------------------------------------------
 # entries declared as data
 # ---------------------------------------------------------------------------
 
 
 def _verdict(ctx, name: str) -> Verdict:
-    """The Verdict of a predicate on an instance: a DECIDERS property name;
-    "reg." followed by one, on the ring's right regular module; "end."
-    followed by a ring check (a key of `rings.RING_CHECKS`) on End(M);
-    "ring." followed by a ring check on the instance's ring; or "maps."
-    followed by a key of MAP_CHECKS, on End(M)."""
+    """The Verdict of a predicate on an instance: a name of
+    `Facts.verdict` (a DECIDERS property or a `homs.MAP_CHECKS` check);
+    "reg." followed by one, on the ring's right regular module; or a ring
+    check (a key of `rings.RING_CHECKS`) after "end.", on End(M), after
+    "ring.", on the instance's ring, or after "mat2.", on M2 of that ring."""
     scope, _, check = name.partition(".")
     if scope == "ring":
         return ring_check(ctx.ring, check)
+    if scope == "mat2":
+        return ring_check(_mat2(ctx.ring, ctx.caps), check)
     if scope == "end":
         return ring_check(ctx.facts().end().ring, check)
-    if scope == "maps":
-        return map_check(ctx.facts().end(), check)
     if scope == "reg":
         return ctx.reg_facts().verdict(check)
     return ctx.facts().verdict(name)
@@ -231,11 +193,11 @@ def _hypotheses_met(ctx, hypotheses: tuple) -> tuple:
 
     When a hypothesis reads the module, End(M) is built first, as every
     such hypothesis needs it, so a cap on it skips the entry before any
-    other work.  "ring." and "reg." hypotheses alone never touch the
-    instance's module, so a ring instance's entries never ask for its
+    other work.  "ring.", "mat2." and "reg." hypotheses alone never touch
+    the instance's module, so a ring instance's entries never ask for its
     Facts.
     """
-    if not all(h.startswith(("ring.", "reg.")) for h in hypotheses):
+    if not all(h.startswith(("ring.", "mat2.", "reg.")) for h in hypotheses):
         ctx.facts().end()
     for name in hypotheses:
         holds, cex = _decide(ctx, name)
@@ -248,9 +210,9 @@ def _conclude(ctx, conclusions: tuple):
     """(status, witness) of "all conclusions hold" on an instance.
 
     A single failed conclusion is witnessed by its counterexample, as
-    a=<element> for a ring check ("ring." or "end.") and f=<map> for any
-    other name; with several conclusions the witness lists the failed
-    names.
+    a=<element> for a ring check ("ring.", "mat2." or "end.") and f=<map>
+    for any other name; with several conclusions the witness lists the
+    failed names.
     """
     failed = {}
     for name in conclusions:
@@ -262,7 +224,7 @@ def _conclude(ctx, conclusions: tuple):
     if len(conclusions) > 1:
         return VIOLATION, ",".join(n.rpartition(".")[2] for n in failed)
     [(name, cex)] = failed.items()
-    ring_scope = name.startswith(("ring.", "end."))
+    ring_scope = name.startswith(("ring.", "mat2.", "end."))
     return VIOLATION, f"{'a' if ring_scope else 'f'}={cex}"
 
 
@@ -291,6 +253,28 @@ def _equiv(hypotheses: tuple, a: str, b: str):
         if x != y:
             return VIOLATION, f"{a}={x},{b}={y}"
         return HOLDS, f"both={x}"
+    return check
+
+
+def _at_witnesses(hypotheses: tuple, conclusions: tuple, test, holds=None):
+    """Check for "all hypotheses => all conclusions, and test(end, f, n, e)
+    holds at every witness f -> (n, e) of dual pi-Rickart", Im f^n = eM.
+
+    The witnesses are walked in order once the implication holds, and the
+    first that fails the test is witnessed as f=<f>,n=<n>.  When all pass,
+    the witness is holds(ctx), or "-" without it.
+    """
+    implication = _implies(hypotheses, conclusions)
+
+    def check(ctx):
+        status, witness = implication(ctx)
+        if status != HOLDS:
+            return status, witness
+        end = ctx.facts().end()
+        for f, (n, e) in _verdict(ctx, "dual_pi_rickart").witnesses.items():
+            if not test(end, f, n, e):
+                return VIOLATION, f"f={f},n={n}"
+        return HOLDS, "-" if holds is None else holds(ctx)
     return check
 
 
@@ -337,6 +321,45 @@ def _largest_n(fmt: str, name: str):
     a -> (n, w) of the predicate `name` with the largest (n, a)."""
     return lambda ctx: fmt.format(
         *largest_exponent(_verdict(ctx, name).witnesses))
+
+
+# ---------------------------------------------------------------------------
+# tests at a dual pi-Rickart witness f -> (n, e), for _at_witnesses
+# ---------------------------------------------------------------------------
+
+
+def _power(end: EndRing, f: int, n: int) -> int:
+    """f^n as an element of End(M)."""
+    return power_trail(end.ring, f)[n - 1]
+
+
+def _annihilators_match(end: EndRing, f: int, n: int, e: int) -> bool:
+    """l_M(f^n M) == l_S(f^n) == S(1 - e), S = End(M)."""
+    ring = end.ring
+    fn = _power(end, f, n)
+    return (np.array_equal(left_annihilator(end, end.powers.images[f][n - 1]),
+                           np.flatnonzero(ring.mul_np[:, fn] == 0))
+            and _one_minus(ring, e) in principal_left_ideal_keys(ring).get(
+                left_annihilator_key(ring, fn), ()))
+
+
+def _principal_annihilator(end: EndRing, f: int, n: int, e: int) -> bool:
+    """l_S(f^n) == S e' for an idempotent e' of S = End(M)."""
+    ring = end.ring
+    return (left_annihilator_key(ring, _power(end, f, n))
+            in principal_left_ideal_keys(ring))
+
+
+def _closed_summand(end: EndRing, f: int, n: int, e: int) -> bool:
+    """Im f^n is double-annihilator closed and, then, a summand."""
+    im = chain_term(end.powers.images[f], n)
+    return (_double_annihilator_closed(end, im)
+            and im in idempotent_image_masks(end))
+
+
+def _maps(ctx) -> str:
+    """The holds witness maps=<|End(M)|>."""
+    return f"maps={ctx.facts().end().ring.order}"
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +417,6 @@ def _rad_soc_quotients(ctx):
 # ---------------------------------------------------------------------------
 # entry checks: each returns (status, witness string)
 # ---------------------------------------------------------------------------
-
-
-def _chk_p2_4_1(ctx):
-    facts = ctx.facts()
-    if not facts.verdict("dual_rickart").holds:
-        return NOT_MET, "-"
-    v = facts.verdict("dual_pi_rickart")
-    if not v.holds:
-        return VIOLATION, f"f={v.counterexample}"
-    bad = [f for f, (n, _) in v.witnesses.items() if n != 1]
-    if bad:
-        return VIOLATION, f"f={bad[0]},n>1"
-    return HOLDS, "n=1 throughout"
 
 
 def _chk_l2_9(ctx):
@@ -509,43 +519,6 @@ def _chk_p2_23(ctx):
     return HOLDS, "n=1,2"
 
 
-def _chk_l3_1(ctx):
-    facts = ctx.facts()
-    v = facts.verdict("dual_pi_rickart")
-    if not v.holds:
-        return NOT_MET, "-"
-    end = facts.end()
-    ring = end.ring
-    g = ring_check(ring, "gen_left_pp")
-    if not g.holds:
-        return VIOLATION, f"a={g.counterexample}"
-    principal = principal_left_ideal_keys(ring)
-    for f, (n, e) in v.witnesses.items():
-        fn = power_trail(ring, f)[n - 1]
-        im = end.powers.images[f][n - 1]
-        # l_M(f^n M) == l_S(f^n) == S(1 - e)
-        if not (np.array_equal(left_annihilator(end, im),
-                               np.flatnonzero(ring.mul_np[:, fn] == 0))
-                and _one_minus(ring, e) in
-                principal.get(left_annihilator_key(ring, fn), ())):
-            return VIOLATION, f"f={f},n={n}"
-    return HOLDS, f"maps={ring.order}"
-
-
-def _chk_c3_3(ctx):
-    facts = ctx.facts()
-    v = facts.verdict("dual_pi_rickart")
-    if not v.holds:
-        return NOT_MET, "-"
-    ring = facts.end().ring
-    principal = principal_left_ideal_keys(ring)
-    for f, (n, _) in v.witnesses.items():
-        fn = power_trail(ring, f)[n - 1]
-        if left_annihilator_key(ring, fn) not in principal:
-            return VIOLATION, f"f={f},n={n}"
-    return HOLDS, f"maps={ring.order}"
-
-
 def _chk_t3_4_1(ctx):
     facts = ctx.facts()
     end = facts.end()
@@ -570,38 +543,6 @@ def _chk_t3_4_1(ctx):
     return HOLDS, f"triples={checked}"
 
 
-def _chk_l3_9_2(ctx):
-    end = ctx.facts().end()
-    pair = map_check(end, "summand_pair")
-    if not pair.holds:
-        return NOT_MET, f"f={pair.counterexample}"
-    v = ring_check(end.ring, "pi_regular")
-    if not v.holds:
-        return READING_FLAG, f"a={v.counterexample}"
-    return HOLDS, "-"
-
-
-def _chk_l3_10_2(ctx):
-    mat = _mat2(ctx.ring, ctx.caps)
-    if not ring_check(mat, "pi_regular").holds:
-        return NOT_MET, "-"
-    v = ring_check(ctx.ring, "pi_regular")
-    if not v.holds:
-        return VIOLATION, f"a={v.counterexample}"
-    return HOLDS, f"|M2|={mat.order}"
-
-
-def _chk_l3_10_3(ctx):
-    if not ring_check(ctx.ring, "commutative").holds:
-        return NOT_MET, "-"
-    mat = _mat2(ctx.ring, ctx.caps)
-    a = ring_check(ctx.ring, "pi_regular").holds
-    b = ring_check(mat, "pi_regular").holds
-    if a != b:
-        return VIOLATION, f"base={a},matrix={b}"
-    return HOLDS, f"both={a}"
-
-
 def _chk_p3_18(ctx):
     facts = ctx.facts()
     if not facts.verdict("dual_pi_rickart").holds:
@@ -611,21 +552,6 @@ def _chk_p3_18(ctx):
         if not nilpotent:
             return VIOLATION, f"f={f}"
     return HOLDS, f"small_image={len(rows)}"
-
-
-def _chk_t3_19_1(ctx):
-    facts = ctx.facts()
-    v = facts.verdict("dual_pi_rickart")
-    if not v.holds:
-        return NOT_MET, "-"
-    end = facts.end()
-    if not ring_check(end.ring, "gen_left_pp").holds:
-        return VIOLATION, "gen_left_pp"
-    for f, (n, _) in v.witnesses.items():
-        im = chain_term(end.powers.images[f], n)
-        if not _double_annihilator_closed(end, im):
-            return VIOLATION, f"f={f},n={n}"
-    return HOLDS, f"maps={end.ring.order}"
 
 
 def _chk_t3_19_2(ctx):
@@ -641,20 +567,6 @@ def _chk_t3_19_2(ctx):
                    for n, fn in enumerate(trail[:len(imgs)], start=1)):
             return NOT_MET, f"f={f}"
     return _conclude(ctx, ("dual_pi_rickart",))
-
-
-def _chk_t3_19c_1(ctx):
-    facts = ctx.facts()
-    v = facts.verdict("dual_pi_rickart")
-    if not v.holds:
-        return NOT_MET, "-"
-    masks = facts.idem_masks()
-    end = facts.end()
-    for f, (n, _) in v.witnesses.items():
-        im = chain_term(end.powers.images[f], n)
-        if not _double_annihilator_closed(end, im) or im not in masks:
-            return VIOLATION, f"f={f},n={n}"
-    return HOLDS, "-"
 
 
 def _chk_t3_20(ctx):
@@ -700,6 +612,8 @@ class Entry:
     scope: str
     statement: str
     check: object
+    # a tentative converse: its violations are reported as reading_flag
+    tentative: bool = False
 
 
 REGISTRY = {e.id: e for e in [
@@ -712,18 +626,21 @@ REGISTRY = {e.id: e for e in [
           _implies(("ring.pi_regular",), ("reg.dual_pi_rickart",),
                    _largest_n("f={},n={},e={}", "reg.dual_pi_rickart"))),
     Entry("P2.4.1", "module",
-          "dual Rickart => dual pi-Rickart with exponent 1", _chk_p2_4_1),
+          "dual Rickart => dual pi-Rickart with exponent 1",
+          _at_witnesses(("dual_rickart",), ("dual_pi_rickart",),
+                        lambda end, f, n, e: n == 1,
+                        lambda ctx: "n=1 throughout")),
     Entry("P2.4.2", "module",
           "End reduced and dual pi-Rickart => dual Rickart",
           _implies(("end.reduced", "dual_pi_rickart"), ("dual_rickart",))),
     Entry("L2.5.1", "module",
           "dual pi-Rickart and End a domain => nonzero maps epi",
-          _implies(("dual_pi_rickart", "end.domain"), ("maps.nonzero_epi",),
+          _implies(("dual_pi_rickart", "end.domain"), ("nonzero_epi",),
                    lambda ctx: "nonzero_maps={}".format(
                        ctx.facts().end().ring.order - 1))),
     Entry("L2.5.2", "module",
           "nonzero maps epi => dual pi-Rickart and End a domain",
-          _implies(("maps.nonzero_epi",), ("dual_pi_rickart", "end.domain"),
+          _implies(("nonzero_epi",), ("dual_pi_rickart", "end.domain"),
                    unmet="f={} not epi")),
     Entry("T2.7.1", "module",
           "D2 and dual pi-Rickart => pi-Rickart",
@@ -789,13 +706,17 @@ REGISTRY = {e.id: e for e in [
           _chk_p2_23),
     Entry("L3.1", "module",
           "dual pi-Rickart => End generalized left pp with matching"
-          " annihilators", _chk_l3_1),
+          " annihilators",
+          _at_witnesses(("dual_pi_rickart",), ("end.gen_left_pp",),
+                        _annihilators_match, _maps)),
     Entry("C3.2", "ring",
           "pi-regular => corners generalized left pp",
           _every_corner("gen_left_pp", "e={e},a={a}")),
     Entry("C3.3", "module",
           "dual pi-Rickart => left annihilator of f^n is a principal"
-          " idempotent ideal", _chk_c3_3),
+          " idempotent ideal",
+          _at_witnesses(("dual_pi_rickart",), (), _principal_annihilator,
+                        _maps)),
     Entry("T3.4.1", "module",
           "principal annihilator S*e => kernel intersection is (1-e)M",
           _chk_t3_4_1),
@@ -812,20 +733,22 @@ REGISTRY = {e.id: e for e in [
           _implies(("end.strongly_pi_regular",), ("dual_pi_rickart",))),
     Entry("L3.9.1", "module",
           "pi-regular End => some power has kernel and image summands",
-          _implies(("end.pi_regular",), ("maps.summand_pair",),
-                   _largest_n("max_n={1}", "maps.summand_pair"))),
-    # tentative converse: failures are flagged, not violations
+          _implies(("end.pi_regular",), ("summand_pair",),
+                   _largest_n("max_n={1}", "summand_pair"))),
     Entry("L3.9.2", "module",
           "kernel and image summands at some power => pi-regular End",
-          _chk_l3_9_2),
+          _implies(("summand_pair",), ("end.pi_regular",), unmet="f={}"),
+          tentative=True),
     Entry("L3.10.1", "ring",
           "pi-regular => corners pi-regular",
           _every_corner("pi_regular", "e={e}")),
     Entry("L3.10.2", "ring",
-          "pi-regular 2x2 matrix ring => pi-regular base", _chk_l3_10_2),
+          "pi-regular 2x2 matrix ring => pi-regular base",
+          _implies(("mat2.pi_regular",), ("ring.pi_regular",),
+                   lambda ctx: f"|M2|={ctx.ring.order ** 4}")),
     Entry("L3.10.3", "ring",
           "commutative: pi-regular equiv pi-regular 2x2 matrices",
-          _chk_l3_10_3),
+          _equiv(("ring.commutative",), "ring.pi_regular", "mat2.pi_regular")),
     # projectives realized as idempotent images of the rank-2 free module
     Entry("P3.11", "ring",
           "commutative pi-regular => rank-2 projectives dual pi-Rickart",
@@ -864,17 +787,22 @@ REGISTRY = {e.id: e for e in [
           _chk_p3_18),
     Entry("T3.19.1", "module",
           "dual pi-Rickart => gen left pp End and double-annihilator"
-          " closure of f^n M", _chk_t3_19_1),
+          " closure of f^n M",
+          _at_witnesses(("dual_pi_rickart",), ("end.gen_left_pp",),
+                        lambda end, f, n, e: _double_annihilator_closed(
+                            end, chain_term(end.powers.images[f], n)),
+                        _maps)),
     Entry("T3.19.2", "module",
           "gen left pp End and double-annihilator closure => dual"
           " pi-Rickart", _chk_t3_19_2),
     Entry("T3.19c.1", "module",
           "dual pi-Rickart => f^n M double-annihilator closed and a"
-          " summand", _chk_t3_19c_1),
+          " summand",
+          _at_witnesses(("dual_pi_rickart",), (), _closed_summand)),
     Entry("T3.19c.2", "module",
           "f^n M double-annihilator closed and a summand => dual"
           " pi-Rickart",
-          _implies(("maps.closed_summand",), ("dual_pi_rickart",),
+          _implies(("closed_summand",), ("dual_pi_rickart",),
                    unmet="f={}")),
     Entry("T3.20", "module",
           "dual pi-Rickart => left singular ideal of End nil and inside"
@@ -884,7 +812,7 @@ REGISTRY = {e.id: e for e in [
           _chk_p3_21_1),
     Entry("P3.21.2", "module",
           "maps all epi or nilpotent => indecomposable dual pi-Rickart",
-          _implies(("maps.epi_or_nilpotent",),
+          _implies(("epi_or_nilpotent",),
                    ("indecomposable", "dual_pi_rickart"), unmet="f={}")),
     Entry("T3.22.1", "module",
           "End local with nil radical => indecomposable dual pi-Rickart",
@@ -922,6 +850,8 @@ def _evaluate(tid: str, ctx: InstanceContext) -> TheoremVerdict:
         status, witness = entry.check(ctx)
     except SizeCapExceeded as exc:
         status, witness = SKIPPED, f"cap:{exc.what}"
+    if status == VIOLATION and entry.tentative:
+        status = READING_FLAG
     return TheoremVerdict(tid, ctx.name, status, witness)
 
 

@@ -5,8 +5,8 @@ only as oracles.
 The oracles are the per-decider loops of dual Rickart, dual pi-Rickart,
 Rickart and pi-Rickart (one `_idempotent_generated`), Fitting and
 co-Hopfian, and the entry checks of L2.5.1, L2.5.2, L3.9.1, L3.9.2,
-T3.19c.2 and P3.21.2 (module entries, now read through `map_check`) and of
-P2.2.1 and P2.2.2 (ring entries, now declared with the "reg." scope), as
+T3.19c.2 and P3.21.2 (module entries, now read through `Facts.verdict`) and
+of P2.2.1 and P2.2.2 (ring entries, now declared with the "reg." scope), as
 they were before.  A decider must agree with its oracle in holds,
 counterexample and printed witness, and an entry in status and witness.
 Dual Rickart and Rickart witnesses are now (1, e) and Fitting's (n, True);
@@ -26,17 +26,16 @@ import types
 
 from hypothesis import given, settings, strategies as st
 
-from pirick import homs, properties, theorems
+from pirick import homs, properties
 from pirick.caps import caps_from_env
 from pirick.errors import SizeCapExceeded
 from pirick.families import zmod
-from pirick.homs import PowerChains, chain_term
+from pirick.homs import PowerChains, _double_annihilator_closed, chain_term
 from pirick.modules import ring_as_module
 from pirick.properties import DECIDERS, Facts, _witness_string
 from pirick.rings import Verdict, ring_check
 from pirick.theorems import (HOLDS, NOT_MET, READING_FLAG, SKIPPED,
-                             VIOLATION, InstanceContext,
-                             _double_annihilator_closed, _conclude, verify)
+                             VIOLATION, InstanceContext, _conclude, verify)
 
 from test_iso_oracle import _pools
 
@@ -380,7 +379,7 @@ def test_a_chain_search_that_reads_one_term_is_caught(monkeypatch,
     module = ring_as_module(zmod(4, CAPS), CAPS)
     facts = Facts(module, CAPS)
     assert decider_disagreements(facts) == []
-    for mod in (properties, theorems):
+    for mod in (properties, homs):
         monkeypatch.setattr(mod, "first_chain_term", first_term_only)
     assert decider_disagreements(facts) == ["dual_pi_rickart", "pi_rickart",
                                             "fitting"]

@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from pirick import homs, modules, properties, rings, theorems
+from pirick import homs, modules, properties, rings
 from pirick.caps import caps_from_env
 from pirick.cli import main
 from pirick.errors import PirickError, SizeCapExceeded
@@ -112,7 +112,7 @@ def test_shared_arrays_are_read_only(fresh_intern):
     for array in (module.add_group.add_table(), module.add_group
                   .coords_matrix(), module.ring.mul_np, module.act_np,
                   hom_set(module, module, CAPS), end.tables,
-                  ring_idempotents(end.ring), *ring_units(end.ring),
+                  ring_idempotents(end.ring), ring_units(end.ring),
                   jacobson_radical(end.ring),
                   left_singular_ideal(end.ring, CAPS)):
         with pytest.raises(ValueError, match="read-only"):
@@ -135,11 +135,11 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
             return check(ring)
         monkeypatch.setitem(rings.RING_CHECKS, name, counted)
     map_checks = collections.Counter()
-    for name, check in theorems.MAP_CHECKS.items():
+    for name, check in homs.MAP_CHECKS.items():
         def counted(end, name=name, check=check):
             map_checks[name, end.key] += 1
             return check(end)
-        monkeypatch.setitem(theorems.MAP_CHECKS, name, counted)
+        monkeypatch.setitem(homs.MAP_CHECKS, name, counted)
     assert main(["verify", str(CORPUS)]) == 0
     assert "total=1157" in capsys.readouterr().out
     # Lattices are built only for the lattice deciders and entries, and
@@ -157,10 +157,10 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     assert (sum(deciders.values()), len(deciders)) == (352, 352)
     assert (sum(checks.values()), len(checks)) == (167, 167)
     # One map check per (End(M) structure, name): the four names of
-    # theorems.MAP_CHECKS on each of the 21 corpus modules' End(M).
+    # homs.MAP_CHECKS on each of the 21 corpus modules' End(M).
     assert (sum(map_checks.values()), len(map_checks)) == (84, 84)
     assert collections.Counter(name for name, _ in map_checks) == {
-        name: 21 for name in theorems.MAP_CHECKS}
+        name: 21 for name in homs.MAP_CHECKS}
 
 
 def test_other_scan_or_hom_caps_rebuild_the_structure(monkeypatch,
@@ -245,9 +245,8 @@ def test_lattice_and_submodule_coordinates_are_shared_by_structure(
             modules.all_submodules(module, tight)
         lattice = modules.all_submodules(module, CAPS)
         assert len(lattice) == 3
-        inner, incl = modules.submodule_module(module, lattice[1], CAPS)
-        assert (inner.name, incl.domain, incl.codomain) == (
-            f"{name}|2", inner, module)
+        inner, _ = modules.submodule_module(module, lattice[1], CAPS)
+        assert inner.name == f"{name}|2"
         subs.append((lattice, inner))
     assert subs[0][0] is subs[1][0]
     assert subs[0][1].act_np is subs[1][1].act_np

@@ -133,17 +133,17 @@ def test_quotient_module(z4_reg):
     sub = cyclic_submodule(z4_reg, 2)
     quotient, projection = quotient_module(z4_reg, sub, CAPS)
     assert quotient.order == 2
-    assert projection.table_np.shape == (4,)
+    assert projection.shape == (4,)
     # projection is onto and kills exactly the submodule
-    assert set(projection.table_np.tolist()) == {0, 1}
-    assert [i for i in range(4) if projection.table_np[i] == 0] == [0, 2]
+    assert set(projection.tolist()) == {0, 1}
+    assert [i for i in range(4) if projection[i] == 0] == [0, 2]
 
 
 def test_submodule_as_module(z6_reg):
     three = cyclic_submodule(z6_reg, 3)
     inner, inclusion = submodule_module(z6_reg, three, CAPS)
     assert inner.order == 2
-    assert inclusion.table_np.tolist() == [0, 3]
+    assert inclusion.tolist() == [0, 3]
 
 
 def test_free_module_structure():

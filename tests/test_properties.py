@@ -179,6 +179,6 @@ def test_quasi_projective_names_the_first_map_that_does_not_lift(z4):
     mask, h = v.counterexample
     quot, proj = facts.quotient(mask)
     tables = end_ring(module, CAPS).tables
-    lifted = {tuple(row) for row in proj.table_np[tables].tolist()}
+    lifted = {tuple(row) for row in proj[tables].tolist()}
     homs = [tuple(row) for row in hom_set(module, quot, CAPS).tolist()]
     assert h == next(g for g in homs if g not in lifted)

@@ -138,7 +138,7 @@ def oracle_ring_predicates(ring) -> dict:
     zd = np.argwhere(zero_prod)
     out["domain"] = (zd.size == 0,
                      tuple(int(i) for i in zd[0]) if zd.size else None)
-    unit_mask, _ = ring_units(ring)
+    unit_mask = ring_units(ring)
     jac = set(jacobson_radical(ring).tolist())
     outside = [int(a) for a in np.nonzero(~unit_mask)[0]
                if int(a) not in jac]

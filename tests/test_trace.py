@@ -5,7 +5,8 @@ one leaves its per-layer metrics at 0 without any error.  This runs the
 tracer on one module and checks that the End(M) build, the hom set and all
 sixteen deciders were seen, on the ring entries that build e*R and eRe
 through cached helpers, that the module and ring constructions were seen,
-and on two lattice entries, that the lattice sizes were counted.
+and on two lattice entries, that the lattice sizes were counted; and that
+each of eight registry entries declared as data reports its own span.
 """
 
 import json
@@ -61,3 +62,13 @@ def test_trace_counts_the_lattice_sizes(tmp_path):
     report = _trace(tmp_path, "verify", "corpus", "--theorems", "L2.9,C3.16")
     assert report["calls"].get("modules.all_submodules", 0) > 0
     assert report["counts"]["all_submodules.lattice_size"] > 0
+
+
+def test_trace_sees_each_registry_entry(tmp_path):
+    """The benchmark reads one `theorems.entry.<id>` span per registry id:
+    the entries declared as data must report theirs too."""
+    ids = ("P2.4.1", "L3.1", "C3.3", "T3.19.1", "T3.19c.1", "L3.9.2",
+           "L3.10.2", "L3.10.3")
+    report = _trace(tmp_path, "verify", "corpus", "--theorems", ",".join(ids))
+    for tid in ids:
+        assert report["calls"].get(f"theorems.entry.{tid}", 0) > 0, tid
