@@ -53,9 +53,18 @@ class Caps:
     lattice: int = 64
     hom: int = 2 ** 24
     matrix_check: int = 256
+    # every interned call hashes its caps: the hash is taken once
+    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, name) for name in _FIELDS)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-_FIELDS = {f.name for f in dataclasses.fields(Caps)}
+_FIELDS = tuple(f.name for f in dataclasses.fields(Caps) if f.init)
 
 
 def caps_from_env(env=None):
@@ -109,12 +118,14 @@ class InternTable(dict):
         """The value stored for (kind, key, caps), from build() on the first
         call; a stored cap failure is raised again without rebuilding."""
         full = (kind, key, caps)
-        if full not in self:
+        try:
+            value = self[full]
+        except KeyError:
             try:
-                self[full] = build()
+                value = self[full] = build()
             except SizeCapExceeded as err:
-                self[full] = SizeCapExceeded(err.what, err.size, err.cap)
-        value = self[full]
+                value = self[full] = SizeCapExceeded(err.what, err.size,
+                                                     err.cap)
         if isinstance(value, SizeCapExceeded):
             raise SizeCapExceeded(value.what, value.size, value.cap)
         return value

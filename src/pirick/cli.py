@@ -29,8 +29,8 @@ from .catalog import write_catalog
 from .errors import PirickError
 from .families import FAMILIES, build_instance
 from .homs import end_ring
-from .io import (export_endring, load_dir, parse_module, parse_ring,
-                 write_module, write_ring)
+from .io import (export_endring, load_dir, module_ring_name, parse_module,
+                 parse_ring, ring_file_name, write_module, write_ring)
 from .properties import analyze, render_report
 from .query import match_report, parse_query
 from .rings import ring_check
@@ -68,12 +68,14 @@ def _caps_for(args) -> object:
 
 
 def _registry_for(path: pathlib.Path, caps) -> dict:
-    """Ring registry from the .ring files next to a module file."""
-    registry = {}
-    for ring_path in sorted(path.parent.glob("*.ring")):
-        ring = parse_ring(ring_path, caps)
-        registry[ring.name] = ring
-    return registry
+    """{name: ring} for the ring that a module file's `over` line names,
+    parsed from the .ring file beside it whose `ring <name>` line declares
+    that name (the last such file, by file name).  No other ring file is
+    read past its first line."""
+    wanted = module_ring_name(path)
+    named = [ring_path for ring_path in sorted(path.parent.glob("*.ring"))
+             if ring_file_name(ring_path) == wanted]
+    return {wanted: parse_ring(named[-1], caps)} if named else {}
 
 
 def _cmd_ring_check(args) -> int:
@@ -112,7 +114,7 @@ def _cmd_module_endring(args) -> int:
     module = _load_module(args, caps)
     end = end_ring(module, caps)
     export_endring(end, pathlib.Path(args.out), module.name)
-    print(f"endring of {module.name}: order {end.ring.order}, "
+    print(f"endring of {module.name}: order {end.order}, "
           f"written to {args.out}")
     return 0
 

@@ -6,9 +6,18 @@ x -> x + g_i b_j (b_j the ring's additive basis), and a table is kept iff
 it sends 0 to 0 and respects every edge; the result is one (count, |M|)
 array.  Isomorphism is decided from the same enumeration: find_isomorphism
 returns the first bijective row of hom_set, after cheap invariant checks.
-end_ring re-equips Hom(M, M) with composition as a FiniteRing (via a
-cyclic decomposition of its additive group), giving every ring-theoretic
-tool access to End(M).
+
+End(M) comes in two layers.  end_ring builds the maps: Hom(M, M)'s tables
+numbered by a cyclic decomposition of its additive group, their image and
+kernel chains, the identity's index and what the ring table needs later.
+The idempotents, the central idempotents (with the first noncentral pair)
+and the nontrivial idempotents are read from the maps, comparing them on
+the generators of M; every decider, `analyze` and the registry's map-side
+entries read only this layer.  end_table re-equips End(M) with composition
+as a FiniteRing, giving every ring-theoretic tool access to it; it is built
+only when a caller asks for it: the registry's "end." ring checks, its
+tests on f^n and annihilators in End(M), P2.17's 1 - e, and
+`module endring`.
 
 An endomorphism is a row of End(M)'s table array and nothing else:
 power_chains takes a whole stack of tables and returns the image and
@@ -21,12 +30,12 @@ predicates on End(M).  A map between two modules is its table too:
 check_map validates one by the relation check of hom_set, for the
 projections and inclusions of quotients and submodules.
 
-A hom set and End(M) are built once per structure and caps in a process,
-in the intern table `caps.INTERNED`; every module object of the structure
-gets the same ones, whatever its name, and a cap failure is remembered.
-End(M) carries no module and no module name: a caller that prints one adds
-its own.  The composition self-check of End(M) is exhaustive, on generator
-columns.
+A hom set, End(M) and its ring table are built once per structure and
+caps in a process, in the intern table `caps.INTERNED`; every module object
+of the structure gets the same ones, whatever its name, and a cap failure
+is remembered.  End(M) carries no module and no module name: a caller that
+prints one adds its own.  The composition self-check of the ring table is
+exhaustive, on generator columns.
 """
 
 from __future__ import annotations
@@ -38,10 +47,10 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
-from .groups import elementary_divisors, group_embedding
+from .groups import FinAbGroup, elementary_divisors, group_embedding
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
-from .rings import FiniteRing, Verdict, ring_idempotents, ring_make
+from .rings import FiniteRing, Verdict, ring_make
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +284,41 @@ def _until_repeat(terms) -> tuple:
 
 @dataclasses.dataclass
 class EndRing:
-    """End(M) as a FiniteRing whose element i is the endomorphism with
-    table tables[i]; multiplication is composition, (f * g)(m) = f(g(m)).
+    """End(M) as maps: element i is the endomorphism with table tables[i],
+    the elements numbered as group_embedding numbers them in `group`, End(M)
+    under addition; multiplication is composition, (f * g)(m) = f(g(m)).
 
     key is (structure key of M, caps), and powers holds the image and
-    kernel chains of every element.
+    kernel chains of every element.  A map is fixed by its images of the
+    generators `gens` of M, so maps are compared there.  one is the
+    identity's index, and constants the products of the basis maps of
+    `group`, which is all that `end_table` needs to build the ring table.
     """
 
     key: tuple
-    ring: FiniteRing
     tables: np.ndarray
     powers: PowerChains
+    one: int
+    gens: np.ndarray
+    group: FinAbGroup
+    constants: dict
+
+    @property
+    def order(self) -> int:
+        return len(self.tables)
+
+    @property
+    def ring(self) -> FiniteRing:
+        """The ring table, `end_table(self)`, built on first request.  The
+        package calls end_table; this attribute serves readers of
+        `end.ring`, `perfbench/trace.py` among them, which reads
+        `.ring.order` of every End(M) it sees built."""
+        return end_table(self)
 
 
 @interned
 def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
-    """Compute End(M) with composition, as a validated FiniteRing.
+    """Compute End(M) as maps, without its ring table.
 
     Built at most once per structure and caps in a process, and every
     module object of that structure gets the same one; a build over a cap
@@ -305,7 +333,7 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
         raise SizeCapExceeded("ring construction", len(raw), caps.construct)
     # A map is determined by its generator images; read in mixed radix they
     # give its candidate number, which increases along hom_set's rows.
-    gens = list(module_generators(module))
+    gens = np.array(module_generators(module), dtype=np.int64)
     radix = module.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
     images = raw[:, gens]
     keys = images @ radix
@@ -318,26 +346,85 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     group, from_label, to_index, basis_labels = group_embedding(
         np.arange(len(raw)),
         lambda i, j: raw_index(add_m[images[i], images[j]]))
-    stacked = raw[from_label]
+    tables = raw[from_label]
     basis = raw[basis_labels]
     # products[i, j] is the index of basis map i after basis map j
     products = to_index[raw_index(basis[:, basis[:, gens]])]
     constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
-    one = int(to_index[raw_index(np.array(gens, dtype=np.int64))])
-    ring = ring_make(group, constants, one, caps, "End(M)")
+    one = int(to_index[raw_index(gens)])
+    tables.flags.writeable = False
+    gens.flags.writeable = False
+    return EndRing((module.key, caps), tables, power_chains(tables), one,
+                   gens, group, constants)
 
-    # Independent check, exhaustive over all |End|^2 pairs: the map at
-    # ring index mul[i, j] must be the composition of map i after map j.
-    # Both are homomorphisms (rows of hom_set, and their composition), so
-    # they are equal iff they agree on the generators of M.
-    on_gens = stacked[:, gens]
-    for i in range(group.order):
-        bad = (on_gens[ring.mul_np[i]] != stacked[i][on_gens]).any(axis=1)
+
+@interned
+def end_table(end: EndRing) -> FiniteRing:
+    """End(M) as a validated FiniteRing whose element i is map i, built on
+    request: the ring laws of `ring_make`, then the composition self-check.
+
+    The check is exhaustive over all |End|^2 pairs: the map at index
+    mul[i, j] must be map i after map j.  Both are homomorphisms (rows of
+    hom_set, and their composition), so they are equal iff they agree on
+    the generators of M.  Rows are compared a block at a time, and the
+    first pair that fails, in row-major order, is named.
+    """
+    return _build_end_table(end)
+
+
+def _build_end_table(end: EndRing) -> FiniteRing:
+    ring = ring_make(end.group, end.constants, end.one, end.key[1], "End(M)")
+    tables, mul = end.tables, ring.mul_np
+    on_gens = tables[:, end.gens]
+    block = max(1, (1 << 14) // max(1, on_gens.size))
+    for lo in range(0, end.order, block):
+        rows = slice(lo, lo + block)
+        bad = (on_gens[mul[rows]] != tables[rows][:, on_gens]).any(axis=2)
         if bad.any():
+            i, j = divmod(int(np.argmax(bad)), end.order)
             raise PirickError("endomorphism ring table disagrees with "
-                              f"composition at ({i}, {int(np.argmax(bad))})")
-    stacked.flags.writeable = False
-    return EndRing((module.key, caps), ring, stacked, power_chains(stacked))
+                              f"composition at ({lo + i}, {j})")
+    return ring
+
+
+# ---------------------------------------------------------------------------
+# idempotents, read from the maps
+# ---------------------------------------------------------------------------
+
+
+@interned
+def idempotent_maps(end: EndRing) -> np.ndarray:
+    """Sorted indices of the idempotents e, e(e(x)) == e(x) on the
+    generators of M."""
+    on_gens = end.tables[:, end.gens]
+    twice = np.take_along_axis(end.tables, on_gens, axis=1)
+    return np.flatnonzero((twice == on_gens).all(axis=1))
+
+
+@interned
+def central_idempotent_maps(end: EndRing) -> tuple:
+    """(central, noncentral): the idempotents e with e*g == g*e for every
+    g, in ascending order, and (e, g) for the first idempotent e that is
+    not, g being the first map with e*g != g*e; noncentral is None when
+    every one is.  Maps are compared on the generators of M."""
+    tables = end.tables
+    on_gens = tables[:, end.gens]
+    central, noncentral = [], None
+    for e in idempotent_maps(end).tolist():
+        bad = (tables[e][on_gens] != tables[:, tables[e, end.gens]]) \
+            .any(axis=1)
+        if not bad.any():
+            central.append(e)
+        elif noncentral is None:
+            noncentral = (e, int(np.argmax(bad)))
+    return tuple(central), noncentral
+
+
+@interned
+def nontrivial_idempotent_maps(end: EndRing) -> tuple:
+    """The idempotents other than 0 and the identity, in ascending order."""
+    return tuple(e for e in idempotent_maps(end).tolist()
+                 if e not in (0, end.one))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +455,7 @@ def idempotent_image_masks(end: EndRing) -> dict:
     """Map from image bitmask of an idempotent endomorphism to the smallest
     such idempotent's ring index; computed once per structure and caps."""
     out = {}
-    for e in ring_idempotents(end.ring).tolist():
+    for e in idempotent_maps(end).tolist():
         out.setdefault(image(end, e), e)
     return out
 

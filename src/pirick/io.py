@@ -30,7 +30,7 @@ import re
 from .caps import Caps, DEFAULT_CAPS
 from .errors import FileSyntaxError, PirickError, UnknownRing
 from .groups import FinAbGroup
-from .homs import EndRing
+from .homs import EndRing, end_table
 from .modules import FiniteModule, module_make
 from .rings import FiniteRing, ring_make
 
@@ -156,6 +156,35 @@ def parse_ring(source: str | pathlib.Path, caps: Caps = DEFAULT_CAPS,
     return ring_make(group, constants, one, caps, name)
 
 
+def _module_head(lines, path) -> tuple:
+    """(module name, ring name) from the `module <name> over <ring>` line."""
+    lineno, head = lines[0]
+    if len(head) != 4 or head[0] != "module" or head[2] != "over":
+        raise FileSyntaxError(lineno,
+                              f"{path}: expected 'module <name> over <ring>'")
+    return _check_name(head[1], lineno, path), head[3]
+
+
+def module_ring_name(source: str | pathlib.Path) -> str:
+    """The ring that a module file's `module <name> over <ring>` line
+    names; the file's other lines are not checked."""
+    path = str(source)
+    text = pathlib.Path(source).read_text(encoding="utf-8")
+    return _module_head(_logical_lines(text, path), path)[1]
+
+
+def ring_file_name(source: str | pathlib.Path) -> str | None:
+    """The name on a ring file's first line, `ring <name>`, or None when
+    the file does not start with such a line; no later line is read."""
+    with open(source, encoding="utf-8", errors="replace") as fh:
+        for raw in fh:
+            head = raw.split("#", 1)[0].split()
+            if head:
+                return head[1] if len(head) == 2 and head[0] == "ring" \
+                    else None
+    return None
+
+
 def parse_module(source: str | pathlib.Path, ring_registry: dict,
                  caps: Caps = DEFAULT_CAPS,
                  text: str | None = None) -> FiniteModule:
@@ -164,13 +193,7 @@ def parse_module(source: str | pathlib.Path, ring_registry: dict,
     if text is None:
         text = pathlib.Path(source).read_text(encoding="utf-8")
     lines = _logical_lines(text, path)
-
-    lineno, head = lines[0]
-    if len(head) != 4 or head[0] != "module" or head[2] != "over":
-        raise FileSyntaxError(lineno,
-                              f"{path}: expected 'module <name> over <ring>'")
-    name = _check_name(head[1], lineno, path)
-    ring_name = head[3]
+    name, ring_name = _module_head(lines, path)
     if ring_name not in ring_registry:
         raise UnknownRing(ring_name)
     ring = ring_registry[ring_name]
@@ -236,7 +259,7 @@ def export_endring(end: EndRing, path, name: str) -> None:
     end_<name>, plus a `.maps` sidecar with the tables."""
     out = pathlib.Path(path)
     header = f"# endring-of: {name}\n"
-    out.write_text(header + serialize_ring(end.ring, f"end_{name}"),
+    out.write_text(header + serialize_ring(end_table(end), f"end_{name}"),
                    encoding="utf-8")
     sidecar = out.with_name(out.name + ".maps")
     rows = [f"{i}: " + " ".join(map(str, row))

@@ -17,8 +17,11 @@ property P" (the four Rickart properties, Fitting, co-Hopfian) are each one
 chain-stabilization deciders', map f to (n, w).  Facts.verdict also
 reads the map checks of `homs.MAP_CHECKS` by name, searches of the same
 shape that no report prints.  A quotient's projection and a submodule's
-inclusion are tables, as `homs.check_map` returns them.  The left singular
-ideal of End(M) is read from End(M)'s own multiplication table.
+inclusion are tables, as `homs.check_map` returns them.  The deciders and
+analyze() read End(M) as maps only, its idempotents included
+(`homs.idempotent_maps` and the scans beside it), and never ask for its
+ring table; the left singular ideal of End(M), which the registry reads,
+is read from that table.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -33,14 +36,14 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
-from .homs import (MAP_CHECKS, EndRing, are_isomorphic, end_ring,
-                   first_chain_term, hom_set, idempotent_image_masks)
+from .homs import (MAP_CHECKS, EndRing, are_isomorphic,
+                   central_idempotent_maps, end_ring, first_chain_term,
+                   hom_set, idempotent_image_masks, idempotent_maps,
+                   nontrivial_idempotent_maps)
 from .modules import (FiniteModule, all_submodules, first_moving_map,
                       is_small, lattice_gate, mask_bits, module_generators,
                       quotient_module, submodule_module)
-from .rings import (FiniteRing, Verdict, central_idempotent_scan,
-                    jacobson_radical, nontrivial_idempotents, power_trail,
-                    ring_idempotents)
+from .rings import FiniteRing, Verdict, jacobson_radical, power_trail
 
 PROPERTY_ORDER = (
     "dual_rickart",
@@ -232,7 +235,7 @@ def decide_d2(facts: Facts) -> Verdict:
 
 def decide_abelian(facts: Facts) -> Verdict:
     """Every idempotent endomorphism is central in End(M)."""
-    noncentral = central_idempotent_scan(facts.end().ring)[1]
+    noncentral = central_idempotent_maps(facts.end())[1]
     return Verdict(noncentral is None, {}, noncentral)
 
 
@@ -276,7 +279,7 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
 
 def decide_indecomposable(facts: Facts) -> Verdict:
     """Only 0 and the identity are idempotent endomorphisms."""
-    extra = nontrivial_idempotents(facts.end().ring)
+    extra = nontrivial_idempotent_maps(facts.end())
     return Verdict(not extra, {}, extra[0] if extra else None)
 
 
@@ -434,8 +437,8 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
     max_n = None
     try:
         end = facts.end()
-        end_order = end.ring.order
-        idem_count = int(ring_idempotents(end.ring).size)
+        end_order = end.order
+        idem_count = int(idempotent_maps(end).size)
         if statuses.get("dual_pi_rickart") == "true":
             dpr = facts.verdict("dual_pi_rickart")
             max_n = largest_exponent(dpr.witnesses)[1]

@@ -36,14 +36,16 @@ too.  The gate thus fires after the hypotheses, when the family is first
 advanced.
 
 Entries read End(M) through the deciders' paths: the image and kernel
-chains of End(M).powers, with `chain_term` for a term past a chain's end;
-a left ideal of a ring as one packed key (`rings.left_annihilator_key`,
-`rings.principal_left_ideal_keys`); f^n as a term of `power_trail`.  Each
-derived object is found once per structure and caps, and each ring check
-once per ring structure, in the one cache: e*R is `Facts.inner` of the
-right regular module, and eRe is `InstanceContext.corner`.  The 2x2 matrix
-ring is built anew for each caller, so its cap message names the caller's
-own ring.
+chains of End(M).powers, with `chain_term` for a term past a chain's end,
+and its idempotents read from the maps.  End(M)'s ring table,
+`homs.end_table`, is asked for only where a ring is read: the "end." scope,
+a left ideal of End(M) as one packed key (`rings.left_annihilator_key`,
+`rings.principal_left_ideal_keys`), f^n as a term of `power_trail`, 1 - e
+and the left singular ideal.  Each derived object is found once per
+structure and caps, and each ring check once per ring structure, in the one
+cache: e*R is `Facts.inner` of the right regular module, and eRe is
+`InstanceContext.corner`.  The 2x2 matrix ring is built anew for each
+caller, so its cap message names the caller's own ring.
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
-from .homs import (EndRing, _double_annihilator_closed, chain_term, hom_set,
-                   image, idempotent_image_masks, left_annihilator,
+from .homs import (EndRing, _double_annihilator_closed,
+                   central_idempotent_maps, chain_term, end_table, hom_set,
+                   image, idempotent_image_masks, idempotent_maps,
+                   left_annihilator, nontrivial_idempotent_maps,
                    right_annihilator)
 from .modules import (FiniteModule, elems_mask, first_moving_map,
                       free_module, is_direct_summand, radical,
@@ -63,9 +67,9 @@ from .modules import (FiniteModule, elems_mask, first_moving_map,
 from .properties import (Facts, largest_exponent, singular_nil_jacobson,
                          small_image_endos)
 from .rings import (FiniteRing, Verdict, central_idempotent_scan, corner_ring,
-                    left_annihilator_key, matrix_ring, nontrivial_idempotents,
-                    power_trail, principal_left_ideal_keys, ring_check,
-                    ring_idempotents, ring_neg)
+                    left_annihilator_key, matrix_ring, power_trail,
+                    principal_left_ideal_keys, ring_check, ring_idempotents,
+                    ring_neg)
 
 HOLDS = "holds"
 NOT_MET = "hypothesis_not_met"
@@ -174,7 +178,7 @@ def _verdict(ctx, name: str) -> Verdict:
     if scope == "mat2":
         return ring_check(_mat2(ctx.ring, ctx.caps), check)
     if scope == "end":
-        return ring_check(ctx.facts().end().ring, check)
+        return ring_check(end_table(ctx.facts().end()), check)
     if scope == "reg":
         return ctx.reg_facts().verdict(check)
     return ctx.facts().verdict(name)
@@ -257,12 +261,13 @@ def _equiv(hypotheses: tuple, a: str, b: str):
 
 
 def _at_witnesses(hypotheses: tuple, conclusions: tuple, test, holds=None):
-    """Check for "all hypotheses => all conclusions, and test(end, f, n, e)
+    """Check for "all hypotheses => all conclusions, and test(end)(f, n, e)
     holds at every witness f -> (n, e) of dual pi-Rickart", Im f^n = eM.
 
-    The witnesses are walked in order once the implication holds, and the
-    first that fails the test is witnessed as f=<f>,n=<n>.  When all pass,
-    the witness is holds(ctx), or "-" without it.
+    test(end) is called once, after the implication holds, and what it
+    looks up serves the whole walk.  The witnesses are walked in order, and
+    the first that fails is witnessed as f=<f>,n=<n>.  When all pass, the
+    witness is holds(ctx), or "-" without it.
     """
     implication = _implies(hypotheses, conclusions)
 
@@ -270,9 +275,9 @@ def _at_witnesses(hypotheses: tuple, conclusions: tuple, test, holds=None):
         status, witness = implication(ctx)
         if status != HOLDS:
             return status, witness
-        end = ctx.facts().end()
+        at = test(ctx.facts().end())
         for f, (n, e) in _verdict(ctx, "dual_pi_rickart").witnesses.items():
-            if not test(end, f, n, e):
+            if not at(f, n, e):
                 return VIOLATION, f"f={f},n={n}"
         return HOLDS, "-" if holds is None else holds(ctx)
     return check
@@ -324,42 +329,52 @@ def _largest_n(fmt: str, name: str):
 
 
 # ---------------------------------------------------------------------------
-# tests at a dual pi-Rickart witness f -> (n, e), for _at_witnesses
+# tests at a dual pi-Rickart witness f -> (n, e), for _at_witnesses: each
+# takes End(M) and returns the test of one witness, test(f, n, e)
 # ---------------------------------------------------------------------------
 
 
-def _power(end: EndRing, f: int, n: int) -> int:
-    """f^n as an element of End(M)."""
-    return power_trail(end.ring, f)[n - 1]
+def _power(ring: FiniteRing, f: int, n: int) -> int:
+    """f^n as an element of the ring table of End(M)."""
+    return power_trail(ring, f)[n - 1]
 
 
-def _annihilators_match(end: EndRing, f: int, n: int, e: int) -> bool:
+def _annihilators_match(end: EndRing):
     """l_M(f^n M) == l_S(f^n) == S(1 - e), S = End(M)."""
-    ring = end.ring
-    fn = _power(end, f, n)
-    return (np.array_equal(left_annihilator(end, end.powers.images[f][n - 1]),
-                           np.flatnonzero(ring.mul_np[:, fn] == 0))
-            and _one_minus(ring, e) in principal_left_ideal_keys(ring).get(
-                left_annihilator_key(ring, fn), ()))
+    ring = end_table(end)
+    principal = principal_left_ideal_keys(ring)
+
+    def test(f: int, n: int, e: int) -> bool:
+        fn = _power(ring, f, n)
+        on_image = left_annihilator(end, end.powers.images[f][n - 1])
+        return (np.array_equal(on_image,
+                               np.flatnonzero(ring.mul_np[:, fn] == 0))
+                and _one_minus(ring, e) in principal.get(
+                    left_annihilator_key(ring, fn), ()))
+    return test
 
 
-def _principal_annihilator(end: EndRing, f: int, n: int, e: int) -> bool:
+def _principal_annihilator(end: EndRing):
     """l_S(f^n) == S e' for an idempotent e' of S = End(M)."""
-    ring = end.ring
-    return (left_annihilator_key(ring, _power(end, f, n))
-            in principal_left_ideal_keys(ring))
+    ring = end_table(end)
+    principal = principal_left_ideal_keys(ring)
+    return lambda f, n, e: (left_annihilator_key(ring, _power(ring, f, n))
+                            in principal)
 
 
-def _closed_summand(end: EndRing, f: int, n: int, e: int) -> bool:
+def _closed_summand(end: EndRing):
     """Im f^n is double-annihilator closed and, then, a summand."""
-    im = chain_term(end.powers.images[f], n)
-    return (_double_annihilator_closed(end, im)
-            and im in idempotent_image_masks(end))
+    idem = idempotent_image_masks(end)
+
+    def test(f: int, n: int, e: int) -> bool:
+        im = chain_term(end.powers.images[f], n)
+        return _double_annihilator_closed(end, im) and im in idem
+    return test
 
 
 def _maps(ctx) -> str:
     """The holds witness maps=<|End(M)|>."""
-    return f"maps={ctx.facts().end().ring.order}"
+    return f"maps={ctx.facts().end().order}"
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +386,9 @@ def _idempotent_images(facts: Facts, prefix: str = "", whole: bool = False):
     """(<prefix>e=<e>, eM) for each idempotent e of End(M) but 0 and, unless
     whole, 1; the image of 1 is M itself."""
     end = facts.end()
-    for e in ring_idempotents(end.ring).tolist():
-        if e and (whole or e != end.ring.one):
-            yield f"{prefix}e={e}", (facts.module if e == end.ring.one
+    for e in idempotent_maps(end).tolist():
+        if e and (whole or e != end.one):
+            yield f"{prefix}e={e}", (facts.module if e == end.one
                                      else facts.inner(image(end, e))[0])
 
 
@@ -464,7 +479,7 @@ def _chk_l2_16(ctx):
     facts = ctx.facts()
     end = facts.end()
     central_masks = {image(end, e)
-                     for e in central_idempotent_scan(end.ring)[0]}
+                     for e in central_idempotent_maps(end)[0]}
     checked = 0
     for f, imgs in enumerate(end.powers.images):
         for n, im in enumerate(imgs, start=1):
@@ -482,8 +497,8 @@ def _chk_p2_17(ctx):
     facts = ctx.facts()
     end = facts.end()
     fired = None
-    for e in nontrivial_idempotents(end.ring):
-        comp = _one_minus(end.ring, e)
+    for e in nontrivial_idempotent_maps(end):
+        comp = _one_minus(end_table(end), e)
         m1, _ = facts.inner(image(end, e))
         m2, _ = facts.inner(image(end, comp))
         f1, f2 = Facts(m1, ctx.caps), Facts(m2, ctx.caps)
@@ -522,7 +537,7 @@ def _chk_p2_23(ctx):
 def _chk_t3_4_1(ctx):
     facts = ctx.facts()
     end = facts.end()
-    ring = end.ring
+    ring = end_table(end)
     principal = principal_left_ideal_keys(ring)
     checked = 0
     for f, imgs in enumerate(end.powers.images):
@@ -557,12 +572,13 @@ def _chk_p3_18(ctx):
 def _chk_t3_19_2(ctx):
     facts = ctx.facts()
     end = facts.end()
-    if not ring_check(end.ring, "gen_left_pp").holds:
+    ring = end_table(end)
+    if not ring_check(ring, "gen_left_pp").holds:
         return NOT_MET, "gen_left_pp false"
-    principal = principal_left_ideal_keys(end.ring)
+    principal = principal_left_ideal_keys(ring)
     for f, imgs in enumerate(end.powers.images):
-        trail = power_trail(end.ring, f)
-        if not any(left_annihilator_key(end.ring, fn) in principal
+        trail = power_trail(ring, f)
+        if not any(left_annihilator_key(ring, fn) in principal
                    and _double_annihilator_closed(end, chain_term(imgs, n))
                    for n, fn in enumerate(trail[:len(imgs)], start=1)):
             return NOT_MET, f"f={f}"
@@ -573,8 +589,7 @@ def _chk_t3_20(ctx):
     facts = ctx.facts()
     if not facts.verdict("dual_pi_rickart").holds:
         return NOT_MET, "-"
-    end = facts.end()
-    verdict, sing = singular_nil_jacobson(end.ring, ctx.caps)
+    verdict, sing = singular_nil_jacobson(end_table(facts.end()), ctx.caps)
     if not verdict.holds:
         a, reason = verdict.counterexample
         return VIOLATION, f"a={a}({reason})"
@@ -628,7 +643,7 @@ REGISTRY = {e.id: e for e in [
     Entry("P2.4.1", "module",
           "dual Rickart => dual pi-Rickart with exponent 1",
           _at_witnesses(("dual_rickart",), ("dual_pi_rickart",),
-                        lambda end, f, n, e: n == 1,
+                        lambda end: lambda f, n, e: n == 1,
                         lambda ctx: "n=1 throughout")),
     Entry("P2.4.2", "module",
           "End reduced and dual pi-Rickart => dual Rickart",
@@ -637,7 +652,7 @@ REGISTRY = {e.id: e for e in [
           "dual pi-Rickart and End a domain => nonzero maps epi",
           _implies(("dual_pi_rickart", "end.domain"), ("nonzero_epi",),
                    lambda ctx: "nonzero_maps={}".format(
-                       ctx.facts().end().ring.order - 1))),
+                       ctx.facts().end().order - 1))),
     Entry("L2.5.2", "module",
           "nonzero maps epi => dual pi-Rickart and End a domain",
           _implies(("nonzero_epi",), ("dual_pi_rickart", "end.domain"),
@@ -727,7 +742,7 @@ REGISTRY = {e.id: e for e in [
     Entry("L3.6", "module",
           "pi-regular End => dual pi-Rickart",
           _implies(("end.pi_regular",), ("dual_pi_rickart",),
-                   lambda ctx: f"|S|={ctx.facts().end().ring.order}")),
+                   lambda ctx: f"|S|={ctx.facts().end().order}")),
     Entry("C3.7", "module",
           "strongly pi-regular End => dual pi-Rickart",
           _implies(("end.strongly_pi_regular",), ("dual_pi_rickart",))),
@@ -789,7 +804,8 @@ REGISTRY = {e.id: e for e in [
           "dual pi-Rickart => gen left pp End and double-annihilator"
           " closure of f^n M",
           _at_witnesses(("dual_pi_rickart",), ("end.gen_left_pp",),
-                        lambda end, f, n, e: _double_annihilator_closed(
+                        lambda end: lambda f, n, e:
+                        _double_annihilator_closed(
                             end, chain_term(end.powers.images[f], n)),
                         _maps)),
     Entry("T3.19.2", "module",

@@ -16,7 +16,7 @@ from pirick.caps import caps_from_env
 from pirick.catalog import catalog_rows, render_catalog
 from pirick.cli import main
 from pirick.errors import SizeCapExceeded
-from pirick.homs import (end_ring, idempotent_image_masks, image,
+from pirick.homs import (end_ring, end_table, idempotent_image_masks, image,
                          left_annihilator, right_annihilator)
 from pirick.modules import (all_submodules, elems_mask, is_direct_summand,
                             quotient_module, ring_as_module,
@@ -149,10 +149,10 @@ def test_criterion_03_universal_facts(module_instances, reports, announce):
         for prop in ("fitting", "strongly_co_hopfian", "dual_pi_rickart"):
             if report.statuses[prop] != "true":
                 failures.append(f"{inst.name}:{prop}")
-        end = end_ring(inst.module, CAPS)
-        if not ring_check(end.ring, "strongly_pi_regular").holds:
+        ring = end_table(end_ring(inst.module, CAPS))
+        if not ring_check(ring, "strongly_pi_regular").holds:
             failures.append(f"{inst.name}:end_strongly_pi_regular")
-        if not ring_check(end.ring, "gen_left_pp").holds:
+        if not ring_check(ring, "gen_left_pp").holds:
             failures.append(f"{inst.name}:end_generalized_left_pp")
     announce(3, "universal module and endomorphism-ring facts", not failures,
           f"{len(module_instances)} modules, failures: {failures or 'none'}")
@@ -187,7 +187,7 @@ def test_criterion_05_annihilator_identities(module_instances, announce):
     for inst in module_instances:
         module = inst.module
         end = end_ring(module, CAPS)
-        ring = end.ring
+        ring = end_table(end)
         neg = ring_neg(ring)
         add = ring.add_group.add_table()
         # f -> (smallest n with Im f^n = e(M), smallest such idempotent e)
@@ -281,7 +281,7 @@ def test_criterion_08_singular_and_small(module_instances, announce):
     sing_failures = small_failures = sing_total = small_total = 0
     for inst in module_instances:
         end = end_ring(inst.module, wide)
-        verdict, sing = singular_nil_jacobson(end.ring, wide)
+        verdict, sing = singular_nil_jacobson(end_table(end), wide)
         sing_total += int(sing.size)
         if not verdict.holds:
             sing_failures += 1
@@ -313,7 +313,7 @@ def test_criterion_09_epi_or_nilpotent(module_instances, reports, announce):
         indecomposables += 1
         facts = Facts(inst.module, CAPS)
         end = facts.end()
-        for f in range(end.ring.order):
+        for f in range(end.order):
             epi = np.unique(end.tables[f]).size == inst.module.order
             nilpotent = end.powers.images[f][-1] == 1
             classified += 1

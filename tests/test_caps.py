@@ -1,19 +1,26 @@
 """The `interned` memo: keys by function, structure, arguments and caps;
-a cap failure is stored, no other error is."""
+a cap failure is stored, no other error is.  A hit costs one lookup and
+one stored hash of the caps."""
 
+import collections
 import dataclasses
 import pathlib
 import types
 
 import pytest
 
-from pirick.caps import DEFAULT_CAPS, Caps, interned
+from pirick.caps import (DEFAULT_CAPS, INTERNED, Caps, InternTable,
+                         caps_from_env, interned)
+from pirick.cli import main
 from pirick.errors import PirickError, SizeCapExceeded
 from pirick.families import zmod
 from pirick.homs import end_ring
+from pirick.io import load_dir
 from pirick.modules import ring_as_module
+from pirick.theorems import InstanceContext, verify
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pirick"
+CORPUS = SRC.parent.parent / "corpus"
 
 
 def _z4_reg():
@@ -84,3 +91,108 @@ def test_interned_is_the_only_memoization_in_the_package():
              for word in ("_memo", "functools.cache", "lru_cache")
              if word in path.read_text(encoding="utf-8")]
     assert found == []
+
+
+def test_caps_hash_is_stored_once_and_hidden():
+    caps = Caps(lattice=8)
+    assert hash(caps) == hash(Caps(lattice=8)) == caps._hash
+    assert repr(caps) == ("Caps(construct=4096, scan=64, lattice=8, "
+                          "hom=16777216, matrix_check=256)")
+    wider = dataclasses.replace(caps, lattice=64)
+    assert wider == Caps() and hash(wider) == hash(Caps())
+    assert [f.name for f in dataclasses.fields(Caps) if f.compare] == [
+        "construct", "scan", "lattice", "hom", "matrix_check"]
+    with pytest.raises(PirickError, match="unknown cap '_hash'"):
+        caps_from_env({"PIRICK_CAPS": "_hash=1"})
+
+
+def test_a_key_error_while_building_is_no_miss():
+    table = InternTable()
+
+    def broken():
+        raise KeyError("inside the build")
+
+    with pytest.raises(KeyError, match="inside the build"):
+        table.get_or_build("kind", "structure", None, broken)
+    assert not table
+    assert table.get_or_build("kind", "structure", None, lambda: 1) == 1
+    assert table.get_or_build("kind", "structure", None, broken) == 1
+
+
+def _two_lookup_get_or_build(self, kind, key, caps, build):
+    """InternTable.get_or_build as it was, with a membership test before
+    the lookup: the oracle for hits, misses and cap-failure replays."""
+    full = (kind, key, caps)
+    if full not in self:
+        try:
+            self[full] = build()
+        except SizeCapExceeded as err:
+            self[full] = SizeCapExceeded(err.what, err.size, err.cap)
+    value = self[full]
+    if isinstance(value, SizeCapExceeded):
+        raise SizeCapExceeded(value.what, value.size, value.cap)
+    return value
+
+
+def _tally(monkeypatch, get_or_build) -> collections.Counter:
+    """Count the calls, builds and raised cap failures of get_or_build."""
+    counts = collections.Counter()
+
+    def counted(self, kind, key, caps, build):
+        counts["calls"] += 1
+
+        def counted_build():
+            counts["builds"] += 1
+            return build()
+        try:
+            return get_or_build(self, kind, key, caps, counted_build)
+        except SizeCapExceeded:
+            counts["cap_raises"] += 1
+            raise
+
+    monkeypatch.setattr(InternTable, "get_or_build", counted)
+    return counts
+
+
+@pytest.mark.parametrize("env", ["", "lattice=8,hom=200"])
+def test_hits_misses_and_cap_replays_match_the_two_lookup_table(
+        monkeypatch, capsys, fresh_intern, env):
+    monkeypatch.setenv("PIRICK_CAPS", env)
+    runs = []
+    for get_or_build in (_two_lookup_get_or_build,
+                         InternTable.get_or_build):
+        INTERNED.clear()
+        counts = _tally(monkeypatch, get_or_build)
+        assert main(["verify", str(CORPUS)]) == 0
+        # each build stores one entry, a cap failure included
+        assert counts["builds"] == len(INTERNED)
+        runs.append((counts, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    counts = runs[0][0]
+    assert counts["calls"] > counts["builds"] > counts["cap_raises"] > 0
+
+
+@pytest.mark.parametrize("tid, lookup", [
+    ("L3.1", "principal_left_ideal_keys"),
+    ("C3.3", "principal_left_ideal_keys"),
+    ("T3.19c.1", "idempotent_image_masks"),
+])
+def test_a_witness_walk_looks_up_once_per_entry(monkeypatch, tid, lookup):
+    """z4_free2 has 256 dual pi-Rickart witnesses; a second evaluation of
+    the entry, its verdicts served from the table, looks its lookup up
+    once."""
+    inst = next(i for i in load_dir(CORPUS, DEFAULT_CAPS)
+                if i.name == "z4_free2")
+    ctx = InstanceContext(inst.name, inst.kind, inst.ring, inst.module,
+                          DEFAULT_CAPS)
+    assert [v.status for v in verify(tid, ctx)] == ["holds"]
+    kinds = collections.Counter()
+    real = InternTable.get_or_build
+
+    def counted(self, kind, key, caps, build):
+        kinds[getattr(kind, "__name__", kind)] += 1
+        return real(self, kind, key, caps, build)
+
+    monkeypatch.setattr(InternTable, "get_or_build", counted)
+    assert [v.status for v in verify(tid, ctx)] == ["holds"]
+    assert kinds[lookup] == 1

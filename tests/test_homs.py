@@ -9,13 +9,14 @@ from pirick import homs
 from pirick.caps import caps_from_env
 from pirick.errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from pirick.families import ex23_module, zmod
-from pirick.homs import (chain_term, check_map, end_ring, hom_set,
-                         idempotent_image_masks, image, left_annihilator,
-                         power_chains, right_annihilator)
+from pirick.homs import (chain_term, check_map, end_ring, end_table,
+                         hom_set, idempotent_image_masks, idempotent_maps,
+                         image, left_annihilator,
+                         nontrivial_idempotent_maps, power_chains,
+                         right_annihilator)
 from pirick.modules import (all_submodules, free_module, mask_bits,
                             ring_as_module)
 from pirick.properties import PROPERTY_ORDER, analyze
-from pirick.rings import nontrivial_idempotents, ring_idempotents
 
 CAPS = caps_from_env()
 
@@ -60,27 +61,28 @@ def _row(end, table) -> int:
 
 def test_end_ring_structure(z4_reg):
     end = end_ring(z4_reg, CAPS)
-    assert end.ring.order == 4
+    ring = end_table(end)
+    assert end.order == ring.order == 4
     # ring multiplication agrees with composition of the stored tables
     for i in range(4):
         for j in range(4):
             composed = end.tables[i][end.tables[j]]
-            assert (end.tables[int(end.ring.mul_np[i, j])] == composed).all()
-    assert end.ring.one == _row(end, np.arange(4))
+            assert (end.tables[int(ring.mul_np[i, j])] == composed).all()
+    assert end.one == ring.one == _row(end, np.arange(4))
 
 
 def test_end_ring_of_free_module():
     f2 = free_module(zmod(2), 2, CAPS)
     end = end_ring(f2, CAPS)
-    assert end.ring.order == 16           # 2x2 matrices over Z_2
-    assert ring_idempotents(end.ring).size == 8
+    assert end.order == 16                # 2x2 matrices over Z_2
+    assert idempotent_maps(end).size == 8
 
 
 def test_map_power_and_identity(z4_reg):
     end = end_ring(z4_reg, CAPS)
     doubling = end.tables[_row(end, [0, 2, 0, 2])]
     assert doubling[doubling].tolist() == [0, 0, 0, 0]
-    assert end.tables[end.ring.one].tolist() == [0, 1, 2, 3]
+    assert end.tables[end.one].tolist() == [0, 1, 2, 3]
 
 
 def test_image_and_kernel(z4_reg):
@@ -127,8 +129,8 @@ def test_power_chains_match_powers_taken_one_at_a_time(ex23):
 def test_annihilators(ex23):
     end = end_ring(ex23, CAPS)
     # l_S({0}) is everything; r_M(whole ring) is 0
-    assert left_annihilator(end, 0b1).size == end.ring.order
-    assert right_annihilator(end, range(end.ring.order)) == 1    # {0}
+    assert left_annihilator(end, 0b1).size == end.order
+    assert right_annihilator(end, range(end.order)) == 1         # {0}
     # l_S and r_M are antitone
     small = left_annihilator(end, 0b11)                          # {0, 1}
     large = left_annihilator(end, 0b10011)                       # {0, 1, 4}
@@ -141,7 +143,7 @@ def test_idempotent_images_are_summands(ex23):
     lattice = set(all_submodules(ex23, CAPS))
     for mask, e in masks.items():
         assert mask in lattice
-        assert e in ring_idempotents(end.ring).tolist()
+        assert e in idempotent_maps(end).tolist()
         assert image(end, e) == mask
 
 
@@ -154,16 +156,16 @@ def test_summand_routes_agree_on_ex23(ex23):
 
 
 def test_principal_left_ideal(z4_reg):
-    end = end_ring(z4_reg, CAPS)
+    ring = end_table(end_ring(z4_reg, CAPS))
     # S*1 is everything, S*0 is zero
-    assert np.unique(end.ring.mul_np[:, end.ring.one]).size == 4
-    assert np.unique(end.ring.mul_np[:, 0]).tolist() == [0]
+    assert np.unique(ring.mul_np[:, ring.one]).size == 4
+    assert np.unique(ring.mul_np[:, 0]).tolist() == [0]
 
 
 def test_indecomposability(z4_reg):
-    assert not nontrivial_idempotents(end_ring(z4_reg, CAPS).ring)
+    assert not nontrivial_idempotent_maps(end_ring(z4_reg, CAPS))
     z6_reg = ring_as_module(zmod(6), CAPS)
-    assert nontrivial_idempotents(end_ring(z6_reg, CAPS).ring)
+    assert nontrivial_idempotent_maps(end_ring(z6_reg, CAPS))
 
 
 def test_hom_between_different_modules():
@@ -212,8 +214,9 @@ def test_self_check_catches_a_corrupted_table(monkeypatch, fresh_intern):
         return ring
 
     monkeypatch.setattr(homs, "ring_make", corrupted)
+    end = end_ring(module, CAPS)         # the maps alone build no table
     with pytest.raises(PirickError, match=r"composition at \(2, 3\)"):
-        end_ring(module, CAPS)
+        end_table(end)
 
 
 def test_self_check_compares_every_generator_column(monkeypatch,
@@ -225,7 +228,7 @@ def test_self_check_compares_every_generator_column(monkeypatch,
     module = free_module(zmod(2), 2, CAPS, name="z2_free2")
     gens = list(homs.module_generators(module))
     end = end_ring(module, CAPS)
-    tables, mul = end.tables, end.ring.mul_np
+    tables, mul = end.tables, end_table(end).mul_np
     assert len(gens) == 2
     i, j, wrong = next(
         (i, j, v) for i in range(1, len(tables))
@@ -244,7 +247,8 @@ def test_self_check_compares_every_generator_column(monkeypatch,
 
     monkeypatch.setattr(homs, "ring_make", corrupted)
     with pytest.raises(PirickError, match=rf"composition at \({i}, {j}\)"):
-        end_ring(free_module(zmod(2), 2, CAPS, name="z2_free2"), CAPS)
+        end_table(end_ring(free_module(zmod(2), 2, CAPS, name="z2_free2"),
+                           CAPS))
 
 
 def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch,
@@ -261,7 +265,7 @@ def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch,
                        match="ring construction: size 512 exceeds cap 256"):
         end_ring(module, tight)
     assert len(calls) == 1
-    assert end_ring(module, CAPS).ring.order == 512
+    assert end_ring(module, CAPS).order == 512
     assert calls == [(module, module, tight), (module, module, CAPS)]
 
 
@@ -275,7 +279,7 @@ def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch,
     assert calls == [(first, first, CAPS)]
     # one End(M), named after neither module
     assert end2 is end1
-    assert end1.ring.name == "End(M)"
+    assert end_table(end1).name == "End(M)"
 
 
 def test_construct_cap_is_raised_before_coordinates(monkeypatch,

@@ -17,7 +17,7 @@ from pirick.cli import main
 from pirick.errors import PirickError, SizeCapExceeded
 from pirick.families import zmod
 from pirick.groups import FinAbGroup
-from pirick.homs import end_ring, hom_set
+from pirick.homs import end_ring, end_table, hom_set, idempotent_maps
 from pirick.modules import free_module, ring_as_module
 from pirick.properties import left_singular_ideal
 from pirick.rings import (jacobson_radical, ring_idempotents, ring_make,
@@ -27,16 +27,18 @@ CAPS = caps_from_env()
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 BUILDERS = ((rings, "_bilinear_table"), (rings, "_failed_law"),
             (modules, "_bilinear_table"), (modules, "_failed_law"),
-            (homs, "_enumerate_homs"), (homs, "_build_end_ring"))
+            (homs, "_enumerate_homs"), (homs, "_build_end_ring"),
+            (homs, "_build_end_table"))
 
 
 def _count_builds(monkeypatch) -> collections.Counter:
     """Count ring and module validations, generator searches, lattice
-    enumerations, submodule coordinates, hom enumerations and End(M)
-    builds, wherever pirick calls them."""
+    enumerations, submodule coordinates, hom enumerations, End(M) builds
+    and End(M) ring tables, wherever pirick calls them."""
     counts = collections.Counter()
-    real_law, real_homs, real_end = (rings._failed_law, homs._enumerate_homs,
-                                     homs._build_end_ring)
+    real_law, real_homs, real_end, real_table = (
+        rings._failed_law, homs._enumerate_homs, homs._build_end_ring,
+        homs._build_end_table)
     real_cover, real_lattice, real_coords = (modules._cyclic_cover,
                                              modules._lattice_masks,
                                              modules._submodule_coordinates)
@@ -65,6 +67,10 @@ def _count_builds(monkeypatch) -> collections.Counter:
         counts["end_ring"] += 1
         return real_end(*args)
 
+    def build_end_table(*args):
+        counts["end_table"] += 1
+        return real_table(*args)
+
     monkeypatch.setattr(rings, "_failed_law", failed_law)
     monkeypatch.setattr(modules, "_failed_law", failed_law)
     monkeypatch.setattr(modules, "_cyclic_cover", cyclic_cover)
@@ -73,6 +79,7 @@ def _count_builds(monkeypatch) -> collections.Counter:
                         submodule_coordinates)
     monkeypatch.setattr(homs, "_enumerate_homs", enumerate_homs)
     monkeypatch.setattr(homs, "_build_end_ring", build_end_ring)
+    monkeypatch.setattr(homs, "_build_end_table", build_end_table)
     return counts
 
 
@@ -81,6 +88,7 @@ def test_a_second_object_of_a_known_structure_builds_nothing(monkeypatch,
     first = ring_as_module(zmod(4, CAPS), CAPS, name="first")
     first_homs = hom_set(first, first, CAPS)
     first_end = end_ring(first, CAPS)
+    first_table = end_table(first_end)
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a known structure was built again")
@@ -95,6 +103,7 @@ def test_a_second_object_of_a_known_structure_builds_nothing(monkeypatch,
     assert second.act_np is first.act_np
     assert hom_set(second, first, CAPS) is first_homs
     assert end_ring(second, CAPS) is first_end
+    assert end_table(end_ring(second, CAPS)) is first_table
     assert FinAbGroup((4,)) is first.add_group
 
 
@@ -109,12 +118,13 @@ def test_copied_and_unpickled_groups_are_the_interned_group():
 def test_shared_arrays_are_read_only(fresh_intern):
     module = free_module(zmod(2, CAPS), 2, CAPS)
     end = end_ring(module, CAPS)
+    ring = end_table(end)
     for array in (module.add_group.add_table(), module.add_group
                   .coords_matrix(), module.ring.mul_np, module.act_np,
-                  hom_set(module, module, CAPS), end.tables,
-                  ring_idempotents(end.ring), ring_units(end.ring),
-                  jacobson_radical(end.ring),
-                  left_singular_ideal(end.ring, CAPS)):
+                  hom_set(module, module, CAPS), end.tables, end.gens,
+                  idempotent_maps(end), ring.mul_np, ring_idempotents(ring),
+                  ring_units(ring), jacobson_radical(ring),
+                  left_singular_ideal(ring, CAPS)):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
 
@@ -144,10 +154,15 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     assert "total=1157" in capsys.readouterr().out
     # Lattices are built only for the lattice deciders and entries, and
     # the left singular ideal of End(M) is read off End(M)'s own table: it
-    # builds no ring, no module and no lattice.
-    assert counts == {"ring": 41, "module": 102, "generators": 99,
+    # builds no ring, no module and no lattice.  End(M) is built as maps 89
+    # times, and its ring table only for the 21 corpus modules, whose
+    # registry entries read "end." ring checks.  32 ring structures are
+    # validated: 17 from the corpus files, 8 corners, one 2x2 matrix ring
+    # and 6 End(M) tables that no other ring shares (41 when all 89 End(M)
+    # had a table).
+    assert counts == {"ring": 32, "module": 102, "generators": 99,
                       "lattice": 21, "submodule": 111, "hom_set": 275,
-                      "end_ring": 89}
+                      "end_ring": 89, "end_table": 21}
     # One decider body per (structure, caps, property): 348 that return a
     # verdict and 4 that stop at a cap.  One ring check per (ring
     # structure, name): 167, that is 32 pi_regular, 27 gen_left_pp and 23

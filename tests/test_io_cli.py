@@ -318,3 +318,81 @@ def test_a_run_does_not_load_numpy_ma(tmp_path):
                               "OPENBLAS_NUM_THREADS": "1"})
     assert "violation=0" in run.stdout
     assert run.stdout.splitlines()[-1] == "False"
+
+
+# M2(Z8), order 4096: basis E11, E12, E21, E22 and E_ab E_cd = [b = c] E_ad.
+M2Z8_TEXT = """ring m2z8
+add 8 8 8 8
+one 1 0 0 1
+mul 1 1 1 0 0 0
+mul 1 2 0 1 0 0
+mul 2 3 1 0 0 0
+mul 2 4 0 1 0 0
+mul 3 1 0 0 1 0
+mul 3 2 0 0 0 1
+mul 4 3 0 0 1 0
+mul 4 4 0 0 0 1
+end
+"""
+
+
+def _module_dir(folder: pathlib.Path, ring_file: str = "z4.ring"):
+    """A folder holding Z4, in `ring_file`, and its regular module."""
+    folder.mkdir()
+    write_ring(zmod(4), folder / ring_file)
+    (folder / "z4_reg.mod").write_text(
+        (CORPUS / "z4_reg.mod").read_text())
+    return folder / "z4_reg.mod"
+
+
+def test_module_commands_parse_only_the_ring_they_are_over(
+        tmp_path, monkeypatch, capsys):
+    """A malformed ring file, one that is not text and an unrelated M2(Z8)
+    beside a module change nothing: only the ring its `over` line names is
+    parsed."""
+    from pirick import cli
+    alone = _module_dir(tmp_path / "alone")
+    crowded = _module_dir(tmp_path / "crowded")
+    (crowded.parent / "bad.ring").write_text("ring bad\nadd 2\none 5\nend\n")
+    (crowded.parent / "m2z8.ring").write_text(M2Z8_TEXT)
+    (crowded.parent / "blob.ring").write_bytes(b"\xff\xfe\x00 ring z4\n")
+    parsed = []
+    real = cli.parse_ring
+
+    def recorded(path, caps):
+        parsed.append(path.name)
+        return real(path, caps)
+
+    monkeypatch.setattr(cli, "parse_ring", recorded)
+    outputs = []
+    for mod in (alone, crowded):
+        assert main(["module", "check", str(mod), "--witnesses"]) == 0
+        assert main(["module", "endring", str(mod), "--out",
+                     str(mod.parent / "end.ring")]) == 0
+        outputs.append(capsys.readouterr().out.replace(str(mod.parent), ""))
+    assert outputs[0] == outputs[1]
+    assert parsed == ["z4.ring"] * 4
+    assert main(["verify", str(crowded.parent)]) == 3      # reads every file
+    assert "bad.ring" in capsys.readouterr().err
+
+
+def test_a_ring_is_found_by_the_name_on_its_ring_line(tmp_path, capsys):
+    mod = _module_dir(tmp_path / "renamed", ring_file="integers_mod_4.ring")
+    (tmp_path / "renamed" / "z4.ring").write_text(
+        "ring not_z4\nadd 2\none 1\nend\n")
+    assert main(["module", "check", str(mod), "--format", "machine"]) == 0
+    assert "module_order=4;end_order=4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ring_text, message", [
+    ("ring z4\nadd 4\none 9\nend\n", "coordinate 9 out of range"),
+    ("ring z5\nadd 5\none 1\nmul 1 1 1\nend\n", "error: z4\n"),
+], ids=["malformed", "missing"])
+def test_the_ring_a_module_is_over_must_parse(tmp_path, capsys, ring_text,
+                                              message):
+    folder = tmp_path / "d"
+    folder.mkdir()
+    (folder / "r.ring").write_text(ring_text)
+    (folder / "z4_reg.mod").write_text((CORPUS / "z4_reg.mod").read_text())
+    assert main(["module", "check", str(folder / "z4_reg.mod")]) == 3
+    assert message in capsys.readouterr().err

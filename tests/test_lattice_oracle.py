@@ -28,7 +28,7 @@ from pirick.caps import caps_from_env
 from pirick.errors import SizeCapExceeded
 from pirick.families import ex23_ring, zmod
 from pirick.groups import FinAbGroup
-from pirick.homs import end_ring
+from pirick.homs import end_ring, end_table
 from pirick.modules import (FiniteModule, all_submodules, elems_mask,
                             free_module, is_essential, is_small, lattice_gate,
                             mask_bits, masks, radical, ring_as_module, socle)
@@ -217,7 +217,7 @@ def _singular_rings() -> tuple:
     for module in (m for pool in _lattice_pools() for m in pool):
         rings.setdefault(module.ring.key, module.ring)
         try:
-            end = end_ring(module, SINGULAR_CAPS).ring
+            end = end_table(end_ring(module, SINGULAR_CAPS))
         except SizeCapExceeded:
             continue
         rings.setdefault(end.key, end)

@@ -88,7 +88,7 @@ def test_min_exponent(z4_reg=None):
     end = end_ring(module, CAPS)
     witnesses = DECIDERS["dual_pi_rickart"](Facts(module, CAPS)).witnesses
     assert witnesses[_doubling(end)] == (2, 0)
-    assert witnesses[end.ring.one] == (1, end.ring.one)
+    assert witnesses[end.one] == (1, end.one)
 
 
 def test_skipped_when_lattice_cap_hit():
