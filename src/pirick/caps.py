@@ -1,10 +1,10 @@
 """Size caps that gate expensive constructions and scans.
 
 All potentially explosive operations (building multiplication tables,
-enumerating submodule lattices, enumerating hom-sets, full associativity
-scans) consult a Caps instance.  Deciders that would exceed a cap report
-the affected property as "skipped" rather than silently computing a wrong
-or partial answer.
+enumerating submodule lattices, enumerating hom-sets, matrix rings inside
+verification entries) consult a Caps instance.  Deciders that would exceed
+a cap report the affected property as "skipped" rather than silently
+computing a wrong or partial answer.  No cap samples a law check.
 
 Defaults can be overridden process-wide with the PIRICK_CAPS environment
 variable (e.g. ``PIRICK_CAPS=lattice=128,hom=1048576``) or per-call by
@@ -33,23 +33,19 @@ from .errors import PirickError, SizeCapExceeded
 
 @dataclasses.dataclass(frozen=True)
 class Caps:
-    """Limits for table constructions and exhaustive scans.
+    """Limits for table constructions and exhaustive enumerations.
 
-    construct:    largest ring/module order for which full tables are built.
-    scan:         one rule for every ring and module law: a law is checked
-                  on all its triples while they number at most scan**3 (for
-                  a ring, |R| <= scan); above that on seeded random triples,
-                  and associativity first on all basis triples.
+    construct:    largest ring/module order for which full tables are built
+                  (and checked, exactly, whatever their size).
     lattice:      largest module order for which the submodule lattice is
                   enumerated, or the radical and socle are computed.
     hom:          largest number of candidate generator-image assignments
                   enumerated when computing a hom-set.
-    matrix_check: largest ring order for which matrix-ring constructions are
-                  attempted inside verification entries.
+    matrix_check: largest order |R|^4 of the 2x2 matrix ring M2(R) that
+                  verification entries build.
     """
 
     construct: int = 4096
-    scan: int = 64
     lattice: int = 64
     hom: int = 2 ** 24
     matrix_check: int = 256

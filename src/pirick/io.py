@@ -37,6 +37,15 @@ from .rings import FiniteRing, ring_make
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
+def _read_text(source) -> str:
+    """The file's text; a byte that is not UTF-8 is a FileSyntaxError."""
+    try:
+        return pathlib.Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FileSyntaxError(err.object.count(b"\n", 0, err.start) + 1,
+                              f"{source}: not UTF-8 text") from None
+
+
 def _logical_lines(text: str, path: str):
     """(line number, tokens) for every non-empty line, comments stripped."""
     out = []
@@ -129,7 +138,7 @@ def parse_ring(source: str | pathlib.Path, caps: Caps = DEFAULT_CAPS,
     """Parse a ring file (or explicit text) into a validated FiniteRing."""
     path = str(source)
     if text is None:
-        text = pathlib.Path(source).read_text(encoding="utf-8")
+        text = _read_text(source)
     lines = _logical_lines(text, path)
 
     lineno, head = lines[0]
@@ -169,7 +178,7 @@ def module_ring_name(source: str | pathlib.Path) -> str:
     """The ring that a module file's `module <name> over <ring>` line
     names; the file's other lines are not checked."""
     path = str(source)
-    text = pathlib.Path(source).read_text(encoding="utf-8")
+    text = _read_text(source)
     return _module_head(_logical_lines(text, path), path)[1]
 
 
@@ -191,7 +200,7 @@ def parse_module(source: str | pathlib.Path, ring_registry: dict,
     """Parse a module file against a {name: FiniteRing} registry."""
     path = str(source)
     if text is None:
-        text = pathlib.Path(source).read_text(encoding="utf-8")
+        text = _read_text(source)
     lines = _logical_lines(text, path)
     name, ring_name = _module_head(lines, path)
     if ring_name not in ring_registry:

@@ -5,8 +5,8 @@ given by structure constants on the two additive bases (zero values
 dropped) and extended biadditively to a full (|M| x |R|) table by the
 ring's own builder, `rings._bilinear_table`, then validated against the
 module axioms (identity, associativity of the action, both distributive
-laws) by `rings._failed_law`, the check that rings go through too.  The
-table is built and checked once per structure and caps in a process (the
+laws) by `rings._failed_law`, the exact check that rings go through too.
+The table is built and checked once per structure in a process (the
 intern table `caps.INTERNED`); each module_make call returns a new module
 with its own name that shares it.  The generating set, the lattice's masks
 and submodule coordinates are interned by structure too.
@@ -89,16 +89,16 @@ def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
     module = FiniteModule(ring, add_group,
                           {key: c for key, c in constants.items() if c},
                           None, name)
-    module.act_np = INTERNED.get_or_build("module", module.key, caps,
-                                          lambda: _checked_act(module, caps))
+    module.act_np = INTERNED.get_or_build("module", module.key, None,
+                                          lambda: _checked_act(module))
     return module
 
 
-def _checked_act(module: FiniteModule, caps: Caps) -> np.ndarray:
+def _checked_act(module: FiniteModule) -> np.ndarray:
     """module's action table, built from its constants and checked."""
     act = _bilinear_table(module.add_group, module.ring.add_group,
                           {(j, i): c for (i, j), c in module.constants.items()})
-    failed = _failed_law(act, module.ring, module.add_group, caps)
+    failed = _failed_law(act, module.ring, module.add_group)
     if failed:
         raise AxiomViolation(*failed)
     act.flags.writeable = False

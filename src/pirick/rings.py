@@ -3,13 +3,14 @@
 A FiniteRing is a FinAbGroup plus multiplication.  Multiplication is given
 by structure constants on the additive basis, with zero values dropped, and
 extended bilinearly to a full (order x order) table by row recurrence.
-The table is checked for 1*a = a and then, by `_failed_law`, as the
-action table of the ring's right regular module (a*1 = a, associativity, both distributive laws).
-`_bilinear_table` and `_failed_law` also build and check every module's
-action table.  Each table is built and checked once per structure and caps
-in a process (the intern table `caps.INTERNED`); each ring_make call returns
-a new ring with its own name that shares it, and the per-ring data below
-(idempotents, units, J(R), ring checks) is found once per structure.
+The table is checked for 1*a = a and then, exactly and in a time linear
+in it, by `_failed_law`, as the action table of the ring's right regular
+module.  `_bilinear_table` and `_failed_law` also build and check every
+module's action table.  Each table is built and checked once per structure
+in a process, whatever the caps (the intern table `caps.INTERNED`); each
+ring_make call returns a new ring with its own name that shares it, and the
+per-ring data below (idempotents, units, J(R), ring checks) is found once
+per structure.
 Elements are the group's integer indices, so every ring-theoretic scan
 below is a vectorized numpy pass over tables.
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 
@@ -35,10 +35,6 @@ from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
                      NotIdempotent, PirickError, SizeCapExceeded)
 from .groups import FinAbGroup, group_embedding
-
-_RNG_SEED = 20260814
-_RANDOM_TRIPLES = 10_000
-
 
 @dataclasses.dataclass
 class Verdict:
@@ -136,80 +132,77 @@ def _first_true(bits: np.ndarray) -> tuple:
                                                   bits.shape))
 
 
-def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, sampled=None):
-    """Index tuple of the first entry with lhs != rhs, or None.
-
-    For a sampled check, lhs and rhs run over the samples and `sampled`
-    holds one index array per coordinate; the tuple is read from those.
-    """
+def _first_mismatch(lhs: np.ndarray, rhs):
+    """Index tuple of the first entry with lhs != rhs, or None."""
     diff = lhs != rhs
-    if not diff.any():
-        return None
-    first = _first_true(diff)
-    if sampled is None:
-        return first
-    return tuple(int(arr[first[0]]) for arr in sampled)
+    return _first_true(diff) if diff.any() else None
 
 
-def _draw(seed: int, *bounds) -> tuple:
-    """_RANDOM_TRIPLES random indices below each bound, drawn in order."""
-    rng = np.random.default_rng(seed)
-    return tuple(rng.integers(0, bound, size=_RANDOM_TRIPLES)
-                 for bound in bounds)
+def _first_nonadditive(table: np.ndarray, group: FinAbGroup,
+                       add: np.ndarray):
+    """(x, b, c) for the first edge with table[x + b, c] != table[x, c] +
+    table[b, c], or None; table's rows are `group`'s elements and `add`
+    adds its values.
+
+    The edges are the mixed-radix tree that `_bilinear_table` walks,
+    x -> x + b for each basis element b, of order f, and each x below
+    (f - 1)b, plus the wrap (f - 1)b -> fb = 0.  With row 0 zero they make
+    every column additive: the tree fixes it as the sum of coordinates
+    times table[b], and the wraps say f * table[b] = 0.
+    """
+    step = max(1, (1 << 20) // table.shape[1])    # entries per gather
+    for f, b in zip(group.factors, group.strides):
+        if f == 1:
+            continue
+        row = table[b]
+        top = (f - 1) * b
+        for lo in range(0, top, step):
+            hi = min(lo + step, top)
+            # column by column, so that one row of `add` serves each column
+            bad = _first_mismatch(table[lo + b:hi + b].T,
+                                  add[row[:, None], table[lo:hi].T])
+            if bad:
+                return lo + bad[1], b, bad[0]
+        bad = _first_mismatch(table[0], add[table[top], row])
+        if bad:
+            return top, b, bad[0]
+    return None
 
 
-def _failed_law(act: np.ndarray, ring: FiniteRing, group: FinAbGroup,
-                caps: Caps):
+def _failed_law(act: np.ndarray, ring: FiniteRing, group: FinAbGroup):
     """(law, witness) for the first right-module law that the action table
     `act` of `group` by `ring` breaks, or None.
 
-    The laws, in order: identity m*1 = m, associativity (mr)s = m(rs),
-    distributivity_module (m1+m2)r = m1r + m2r and distributivity_ring
-    m(r+s) = mr + ms.  A law is checked on every triple while it has at
-    most caps.scan**3 of them.  Above that it is checked on _RANDOM_TRIPLES
-    seeded random triples, and associativity first on every basis triple,
-    which suffices for a table built bilinearly.  A ring's multiplication
-    is the action table of its right regular module.
+    The laws, each decided exactly in a time linear in the table: identity
+    m*1 = m on every m; distributivity_module (m1+m2)r = m1r + m2r and
+    distributivity_ring m(r+s) = mr + ms as row and column 0 being zero,
+    then `_first_nonadditive` on the rows and on the columns; associativity
+    (mr)s = m(rs) on the basis triples, which decide it once act and
+    ring.mul_np are additive in each argument.  A ring's multiplication is
+    the action table of its right regular module.
     """
-    mul = ring.mul_np
     add_m = group.add_table()
-    add_r = ring.add_group.add_table()
-    n_m, n_r = act.shape
-    bad = _first_mismatch(act[:, ring.one], np.arange(n_m))
+    bad = _first_mismatch(act[:, ring.one], np.arange(act.shape[0]))
     if bad:
         return "identity", (bad[0], ring.one)
-    if n_m * n_r * n_r > caps.scan ** 3:
-        basis_m = [group.basis_index(j) for j in range(len(group.factors))]
-        basis_r = [ring.add_group.basis_index(i)
-                   for i in range(len(ring.add_group.factors))]
-        for m, r, s in itertools.product(basis_m, basis_r, basis_r):
-            if act[act[m, r], s] != act[m, mul[r, s]]:
-                return "associativity", (int(m), int(r), int(s))
-    # each law: its name, the bounds of its triples, and its two sides on
-    # every triple and on index arrays of sampled triples
-    laws = (
-        ("associativity", (n_m, n_r, n_r),
-         lambda: (act[act, :], act[:, mul]),
-         lambda m, r, s: (act[act[m, r], s], act[m, mul[r, s]])),
-        ("distributivity_module", (n_m, n_m, n_r),
-         lambda: (act[add_m, :], add_m[act[:, None, :], act[None, :, :]]),
-         lambda m1, m2, r: (act[add_m[m1, m2], r],
-                            add_m[act[m1, r], act[m2, r]])),
-        ("distributivity_ring", (n_m, n_r, n_r),
-         lambda: (act[:, add_r], add_m[act[:, :, None], act[:, None, :]]),
-         lambda m, r, s: (act[m, add_r[r, s]],
-                          add_m[act[m, r], act[m, s]])),
-    )
-    for seed, (law, bounds, every, at) in enumerate(laws):
-        if math.prod(bounds) <= caps.scan ** 3:
-            sampled = None
-            lhs, rhs = every()
-        else:
-            sampled = _draw(_RNG_SEED + seed, *bounds)
-            lhs, rhs = at(*sampled)
-        bad = _first_mismatch(lhs, rhs, sampled)
-        if bad:
-            return law, bad
+    bad = _first_mismatch(act[0], 0)
+    if bad:
+        return "distributivity_module", (0, 0, bad[0])
+    bad = _first_mismatch(act[:, 0], 0)
+    if bad:
+        return "distributivity_ring", (bad[0], 0, 0)
+    bad = _first_nonadditive(act, group, add_m)
+    if bad:
+        return "distributivity_module", bad
+    bad = _first_nonadditive(act.T, ring.add_group, add_m)
+    if bad:
+        return "distributivity_ring", (bad[2], bad[0], bad[1])
+    mul = ring.mul_np
+    basis_m, basis_r = ([g.basis_index(j) for j in range(len(g.factors))]
+                        for g in (group, ring.add_group))
+    for m, r, s in itertools.product(basis_m, basis_r, basis_r):
+        if act[act[m, r], s] != act[m, mul[r, s]]:
+            return "associativity", (m, r, s)
     return None
 
 
@@ -239,19 +232,19 @@ def ring_make(add_group: FinAbGroup, constants: dict, one: int,
     ring = FiniteRing(add_group, int(one),
                       {key: c for key, c in constants.items() if c}, None,
                       name)
-    ring.mul_np = INTERNED.get_or_build("ring", ring.key, caps,
-                                        lambda: _checked_mul(ring, caps))
+    ring.mul_np = INTERNED.get_or_build("ring", ring.key, None,
+                                        lambda: _checked_mul(ring))
     return ring
 
 
-def _checked_mul(ring: FiniteRing, caps: Caps) -> np.ndarray:
+def _checked_mul(ring: FiniteRing) -> np.ndarray:
     """ring's multiplication table, built from its constants and checked."""
     ring.mul_np = mul = _bilinear_table(ring.add_group, ring.add_group,
                                         ring.constants)
     bad = _first_mismatch(mul[ring.one, :], np.arange(ring.order))
     if bad:
         raise BadIdentity(*bad)
-    failed = _failed_law(mul, ring, ring.add_group, caps)
+    failed = _failed_law(mul, ring, ring.add_group)
     if failed:
         law, witness = failed
         raise _RING_ERRORS[law](witness)

@@ -93,15 +93,23 @@ def test_interned_is_the_only_memoization_in_the_package():
     assert found == []
 
 
+def test_no_check_is_sampled_in_the_package():
+    """Every table law is checked exactly: no random number generator."""
+    found = [(path.name, word) for path in sorted(SRC.glob("*.py"))
+             for word in ("default_rng", "np.random", "import random")
+             if word in path.read_text(encoding="utf-8")]
+    assert found == []
+
+
 def test_caps_hash_is_stored_once_and_hidden():
     caps = Caps(lattice=8)
     assert hash(caps) == hash(Caps(lattice=8)) == caps._hash
-    assert repr(caps) == ("Caps(construct=4096, scan=64, lattice=8, "
-                          "hom=16777216, matrix_check=256)")
+    assert repr(caps) == ("Caps(construct=4096, lattice=8, hom=16777216, "
+                          "matrix_check=256)")
     wider = dataclasses.replace(caps, lattice=64)
     assert wider == Caps() and hash(wider) == hash(Caps())
     assert [f.name for f in dataclasses.fields(Caps) if f.compare] == [
-        "construct", "scan", "lattice", "hom", "matrix_check"]
+        "construct", "lattice", "hom", "matrix_check"]
     with pytest.raises(PirickError, match="unknown cap '_hash'"):
         caps_from_env({"PIRICK_CAPS": "_hash=1"})
 

@@ -108,16 +108,14 @@ def _validation_sweep() -> str:
     `fixed` constants are added to every swept table, so that sweeps with
     the identity pinned reach the laws checked after it."""
     lines = []
-    tight = Caps(scan=2)
 
-    def ring_case(factors, constants, one, caps=Caps()):
+    def ring_case(factors, constants, one):
         group = FinAbGroup(factors)
         text = " ".join(f"{i}{j}:{c}" for (i, j), c in constants.items())
-        got = _outcome(lambda: ring_make(group, constants, one, caps))
-        lines.append(f"ring {factors} scan={caps.scan} one={one} "
-                     f"[{text}] -> {got}\n")
+        got = _outcome(lambda: ring_make(group, constants, one, Caps()))
+        lines.append(f"ring {factors} one={one} [{text}] -> {got}\n")
 
-    def ring_sweep(factors, caps=Caps(), step=1, one=None, fixed=None):
+    def ring_sweep(factors, step=1, one=None, fixed=None):
         fixed = fixed or {}
         group = FinAbGroup(factors)
         keys = [key for key in itertools.product(range(len(factors)),
@@ -125,23 +123,21 @@ def _validation_sweep() -> str:
         ones = range(group.order) if one is None else (one,)
         cases = itertools.product(_tables(keys, group.order), ones)
         for constants, one in itertools.islice(cases, 0, None, step):
-            ring_case(factors, {**fixed, **constants}, one, caps)
+            ring_case(factors, {**fixed, **constants}, one)
 
     for factors in ((1,), (2,), (3,), (4,), (6,)):
         ring_sweep(factors)
     ring_sweep((2, 2), step=3)
-    ring_sweep((2, 2), tight, step=5)
     ring_sweep((2, 4), step=64)
     # basis element 0 of Z_2^3 is the identity: only products of the other
     # two basis elements are swept
     unit = {(0, 0): 4, (0, 1): 2, (1, 0): 2, (0, 2): 1, (2, 0): 1}
     ring_sweep((2, 2, 2), step=8, one=4, fixed=unit)
-    ring_sweep((2, 2, 2), tight, step=17, one=4, fixed=unit)
     ring_case((2,), {(0, 0): 2}, 1)
     ring_case((2,), {(1, 0): 1}, 1)
     ring_case((2, 2), {(0, 2): 1}, 1)
 
-    def module_sweep(ring, factors, caps=Caps(), step=1, fixed=None):
+    def module_sweep(ring, factors, step=1, fixed=None):
         fixed = fixed or {}
         group = FinAbGroup(factors)
         keys = [key for key in itertools.product(
@@ -150,9 +146,9 @@ def _validation_sweep() -> str:
         for constants in _tables(keys, group.order, step):
             constants = {**fixed, **constants}
             text = " ".join(f"{i}{j}:{c}" for (i, j), c in constants.items())
-            got = _outcome(lambda: module_make(ring, group, constants, caps))
-            lines.append(f"module {ring.name} {factors} scan={caps.scan} "
-                         f"[{text}] -> {got}\n")
+            got = _outcome(lambda: module_make(ring, group, constants,
+                                               Caps()))
+            lines.append(f"module {ring.name} {factors} [{text}] -> {got}\n")
 
     z2, z4 = zmod(2), zmod(4)
     z2xz2 = product_ring(z2, z2, name="z2xz2")
@@ -165,16 +161,14 @@ def _validation_sweep() -> str:
             module_sweep(ring, factors)
     module_sweep(z2xz2, (2, 2), step=3)
     module_sweep(t2z2, (2, 2), step=20)
-    module_sweep(t2z2, (2, 2), tight, step=23)
     # Z_2[x]/(x^2) with basis (1, x): 1 acts as the identity and only the
     # action of x is swept
     dual = ring_make(FinAbGroup((2, 2)), {(0, 0): 2, (0, 1): 1, (1, 0): 1},
                      2, name="z2x")
-    for factors, caps, step in (((2, 2), Caps(), 1), ((2, 2, 2), Caps(), 2),
-                                ((2, 4), Caps(), 1), ((2, 2, 2), tight, 3)):
+    for factors, step in (((2, 2), 1), ((2, 2, 2), 2), ((2, 4), 1)):
         group = FinAbGroup(factors)
         unit = {(0, j): group.basis_index(j) for j in range(len(factors))}
-        module_sweep(dual, factors, caps, step, fixed=unit)
+        module_sweep(dual, factors, step, fixed=unit)
     return "".join(lines)
 
 

@@ -286,6 +286,7 @@ def test_cli_missing_file(capsys):
 
 @pytest.mark.parametrize("value, message", [
     ("bogus=1", "unknown cap 'bogus'"),
+    ("scan=64", "unknown cap 'scan'"),   # every table is checked exactly
     ("lattice=eight", "not an integer"),
 ])
 def test_malformed_pirick_caps_is_an_error_not_a_traceback(value, message):
@@ -334,6 +335,25 @@ mul 4 3 0 0 1 0
 mul 4 4 0 0 0 1
 end
 """
+
+
+@pytest.mark.parametrize("command, name, data, line", [
+    ("ring", "bad.ring", b"\xff\xfering z2\n", 1),
+    ("module", "bad.mod", b"module bad over z2\nadd 2\n\xe9\nend\n", 3),
+    ("verify", "bad.ring", b"ring bad\n# caf\xe9\nadd 2\none 1\nend\n", 2),
+    ("verify", "bad.mod", b"module bad over z2\nadd 2\n\xff\nend\n", 3),
+])
+def test_a_file_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys, command,
+                                                   name, data, line):
+    write_ring(zmod(2), tmp_path / "z2.ring")
+    (tmp_path / name).write_bytes(data)
+    target = tmp_path if command == "verify" else tmp_path / name
+    argv = [command, str(target)] if command == "verify" \
+        else [command, "check", str(target)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"pirick: error: line {line}: ")
+    assert "not UTF-8 text" in err
 
 
 def _module_dir(folder: pathlib.Path, ring_file: str = "z4.ring"):

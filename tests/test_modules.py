@@ -17,6 +17,7 @@ from pirick.modules import (all_submodules, cyclic_submodule,
                             mask_bits, module_generators, module_make,
                             quotient_module, radical, ring_as_module, socle,
                             submodule_module)
+from pirick.rings import ring_make
 
 CAPS = caps_from_env()
 
@@ -187,11 +188,12 @@ def test_lattice_is_the_interned_tuple(ex23):
     assert all(isinstance(mask, int) for mask in lattice)
 
 
-# Action tables of R^2 corrupted after construction.  Under scan=2 the module
-# laws exceed the scan**3 budget and are checked on random triples; the
-# recorded triples pin each law's seed and draw order (|M| != |R| here).
+# Action tables of R^2 corrupted after construction.  The module laws are
+# checked exactly whatever the caps, so each mutant reports one triple under
+# TIGHT and CAPS alike: the first failing edge or basis triple of the check,
+# which breaks the law named (|M| != |R| here).
 _BUILD = rings._bilinear_table
-TIGHT = dataclasses.replace(CAPS, scan=2)
+TIGHT = dataclasses.replace(CAPS, lattice=2)
 
 
 def _zero_row_2(group, ring_group, constants):
@@ -213,17 +215,105 @@ def _fifth_power(group, ring_group, constants):
     return _BUILD(group, ring_group, constants)[:, r ** 5 % ring_group.order]
 
 
+def _breaks(law, act, ring, group, triple) -> bool:
+    """Whether the triple breaks, in the action table act of group by ring,
+    the right-module law named `law`."""
+    add_m, add_r, mul = (group.add_table(), ring.add_group.add_table(),
+                         ring.mul_np)
+    a, b, c = triple
+    if law == "associativity":
+        return act[act[a, b], c] != act[a, mul[b, c]]
+    if law == "distributivity_module":
+        return act[add_m[a, b], c] != add_m[act[a, c], act[b, c]]
+    return act[a, add_r[b, c]] != add_m[act[a, b], act[a, c]]
+
+
+def _recorded(table, built):
+    """table, also appending each table it builds to `built`."""
+    def build(*args):
+        built.append(table(*args))
+        return built[-1]
+    return build
+
+
 @pytest.mark.parametrize("n, caps, table, law, triple", [
-    (4, TIGHT, _zero_row_2, "associativity", (1, 2, 3)),
-    (3, TIGHT, _swap_2_3, "distributivity_module", (7, 1, 2)),
+    (4, TIGHT, _zero_row_2, "distributivity_module", (2, 4, 3)),
+    (3, TIGHT, _swap_2_3, "distributivity_module", (1, 3, 2)),
     (3, CAPS, _swap_2_3, "distributivity_module", (1, 3, 2)),
-    (7, TIGHT, _fifth_power, "distributivity_ring", (6, 3, 2)),
+    (7, TIGHT, _fifth_power, "distributivity_ring", (1, 1, 1)),
     (7, CAPS, _fifth_power, "distributivity_ring", (1, 1, 1)),
 ])
 def test_validation_names_the_first_bad_triple(monkeypatch, fresh_intern, n,
                                                caps, table, law, triple):
     ring = zmod(n, caps)
-    monkeypatch.setattr(modules, "_bilinear_table", table)
+    built = []
+    monkeypatch.setattr(modules, "_bilinear_table", _recorded(table, built))
     with pytest.raises(AxiomViolation) as err:
         free_module(ring, 2, caps)
     assert (err.value.axiom, err.value.witness) == (law, triple)
+    assert _breaks(law, built[-1], ring, FinAbGroup((n, n)), triple)
+
+
+# One mutant for each step of the check after the identity, on Z_2 + Z_4
+# over Z_4 (element (c0, c1) has index 4*c0 + c1): a row that is not
+# additive, rows additive along the tree whose wrap fails (m -> m*2 + c0
+# (0, 1) sends (1, 0), of order 2, to (0, 1), of order 4), columns that
+# are not additive, and a biadditive table that is not associative.
+def _bad_row(group, ring_group, constants):
+    table = _BUILD(group, ring_group, constants)
+    table[5, 3] = 0                      # (1, 1)*3 is (1, 3)
+    return table
+
+
+def _bad_wrap(group, ring_group, constants):
+    table = _BUILD(group, ring_group, constants)
+    table[4:, 2] += 1
+    return table
+
+
+def _bad_column(group, ring_group, constants):
+    """m*2 and m*3 swapped."""
+    return _BUILD(group, ring_group, constants)[:, [0, 1, 3, 2]]
+
+
+@pytest.mark.parametrize("table, law", [
+    (_bad_row, "distributivity_module"),
+    (_bad_wrap, "distributivity_module"),
+    (_bad_column, "distributivity_ring"),
+])
+def test_each_additivity_step_catches_its_mutant(monkeypatch, fresh_intern,
+                                                 table, law):
+    ring, group = zmod(4, CAPS), FinAbGroup((2, 4))
+    built = []
+    monkeypatch.setattr(modules, "_bilinear_table", _recorded(table, built))
+    with pytest.raises(AxiomViolation) as err:
+        module_make(ring, group, {(0, 0): 4, (0, 1): 1}, CAPS)
+    assert err.value.axiom == law
+    assert _breaks(law, built[-1], ring, group, err.value.witness)
+
+
+def test_column_0_catches_a_nonzero_module_over_the_zero_ring(monkeypatch,
+                                                              fresh_intern):
+    """Z_2 over the zero ring, where 1 = 0 acts as the identity: no edge
+    of the zero ring's tree sees that m*0 = m*(0 + 0) forces m = 0."""
+    zero, group = ring_make(FinAbGroup((1,)), {}, 0, CAPS), FinAbGroup((2,))
+    monkeypatch.setattr(modules, "_bilinear_table",
+                        lambda *args: np.array([[0], [1]], dtype=np.int32))
+    with pytest.raises(AxiomViolation) as err:
+        module_make(zero, group, {}, CAPS)
+    assert (err.value.axiom, err.value.witness) == ("distributivity_ring",
+                                                    (1, 0, 0))
+
+
+def test_the_basis_triples_catch_a_biadditive_nonassociative_action():
+    """Z_2 over Z_2[x]/(x^2) (basis 1, x) with x acting as 1: (m x) x = m
+    but m x^2 = 0."""
+    dual = ring_make(FinAbGroup((2, 2)), {(0, 0): 2, (0, 1): 1, (1, 0): 1},
+                     2, CAPS, "z2x")
+    group = FinAbGroup((2,))
+    with pytest.raises(AxiomViolation) as err:
+        module_make(dual, group, {(0, 0): 1, (1, 0): 1}, CAPS)
+    assert (err.value.axiom, err.value.witness) == ("associativity",
+                                                    (1, 1, 1))
+    act = _BUILD(group, dual.add_group, {(0, 0): 1, (0, 1): 1})
+    assert _breaks("associativity", act, dual, group, (1, 1, 1))

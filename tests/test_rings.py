@@ -205,8 +205,9 @@ def test_construction_cap():
 
 
 # A table on Z_n corrupted after construction, as a table-building bug would
-# leave it.  Z_67 is over the scan cap, so its laws are checked on random
-# triples; the recorded triples pin the seed and the draw order.
+# leave it.  The laws are checked exactly at every size: the recorded
+# triple is the first failing edge or basis triple of that check, and it
+# breaks the law named.
 _BUILD = rings._bilinear_table
 
 
@@ -235,9 +236,9 @@ def _breaks(error, mul, add, triple) -> bool:
 
 
 @pytest.mark.parametrize("n, table, error, triple", [
-    (67, _zero_row_5, NonAssociative, (25, 27, 25)),
-    (67, _swap_2_3, NotDistributive, (55, 15, 20)),
-    (7, _swap_2_3, NotDistributive, (1, 1, 2)),         # every triple
+    (67, _zero_row_5, NotDistributive, (4, 1, 2)),
+    (67, _swap_2_3, NotDistributive, (1, 1, 2)),
+    (7, _swap_2_3, NotDistributive, (1, 1, 2)),
 ])
 def test_validation_names_the_first_bad_triple(monkeypatch, fresh_intern, n,
                                                table, error, triple):
@@ -262,16 +263,35 @@ def _maps_of_z2(group, right, constants):
     return table
 
 
-@pytest.mark.parametrize("scan, triple", [(64, (0, 0, 2)), (2, (3, 0, 3))])
+# no cap touches the check, so the witness is the same at every cap
+@pytest.mark.parametrize("lattice, triple", [(64, (0, 0, 2)), (2, (0, 0, 2))])
 def test_validation_catches_a_right_distributivity_failure(monkeypatch,
-                                                           fresh_intern, scan,
-                                                           triple):
+                                                           fresh_intern,
+                                                           lattice, triple):
     monkeypatch.setattr(rings, "_bilinear_table", _maps_of_z2)
     group = FinAbGroup((2, 2))
     with pytest.raises(NotDistributive) as err:
         ring_make(group, {}, group.index_of((0, 1)),
-                  dataclasses.replace(CAPS, scan=scan))
+                  dataclasses.replace(CAPS, lattice=lattice))
     assert err.value.triple == triple
     # Z_2 x Z_2 adds indices as bit vectors
     assert _breaks(NotDistributive, _maps_of_z2(group, group, {}),
                    operator.xor, triple)
+
+
+def test_one_wrong_product_in_z4096_is_caught(monkeypatch, fresh_intern):
+    """Z_4096 with 1234 * 2345 off by one: a ring of any size is checked
+    on every edge, so the one entry is found."""
+    built = []
+
+    def off_by_one(left, right, constants):
+        table = _BUILD(left, right, constants)
+        table[1234, 2345] = (table[1234, 2345] + 1) % 4096
+        built.append(table)
+        return table
+
+    monkeypatch.setattr(rings, "_bilinear_table", off_by_one)
+    with pytest.raises(NotDistributive) as err:
+        zmod(4096, CAPS)
+    assert _breaks(NotDistributive, built[-1],
+                   lambda x, y: (x + y) % 4096, err.value.triple)
