@@ -43,7 +43,7 @@ from .homs import (MAP_CHECKS, EndRing, are_isomorphic,
 from .modules import (FiniteModule, all_submodules, first_moving_map,
                       is_small, lattice_gate, mask_bits, module_generators,
                       quotient_module, submodule_module)
-from .rings import FiniteRing, Verdict, jacobson_radical, power_trail
+from .rings import FiniteRing, Verdict, jacobson_radical, nilpotency
 
 PROPERTY_ORDER = (
     "dual_rickart",
@@ -330,14 +330,14 @@ def singular_nil_jacobson(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     singular element to its nilpotency index."""
     sing = left_singular_ideal(ring, caps)
     rad = set(jacobson_radical(ring).tolist())
+    nil = nilpotency(ring, sing).witnesses
     witnesses = {}
     for a in sing.tolist():
-        trail = power_trail(ring, a)
-        if 0 not in trail:
+        if a not in nil:
             return Verdict(False, witnesses, (a, "not nilpotent")), sing
         if a not in rad:
             return Verdict(False, witnesses, (a, "outside radical")), sing
-        witnesses[a] = trail.index(0) + 1
+        witnesses[a] = nil[a][0]
     return Verdict(True, witnesses, None), sing
 
 

@@ -17,11 +17,17 @@ below is a vectorized numpy pass over tables.
 Also here: the ring checks, one table `RING_CHECKS` from a name to a
 function returning a Verdict, read through `ring_check(ring, name)`.  The
 checks of the form "every a has a power a^n with property P" (regular,
-pi_regular, strongly_pi_regular, gen_left_pp, nil_radical) are one search
-over power trails, `_first_power`; the classical predicates (commutative,
-reduced, abelian, domain, local, division) report their first offender.
-Then the Jacobson radical, and ring constructions (corner, matrix,
-triangular, product).
+pi_regular, strongly_pi_regular, gen_left_pp, nil_radical) are one batched
+search, `_first_power`, over the ring's `power_table`, whose row a holds
+the distinct powers of a: at exponent n it tests, with whole-array passes,
+only the elements that no smaller exponent resolved.  Left annihilators
+are rows of one packed key table, `left_annihilator_keys`.  The classical
+predicates (commutative, reduced, abelian, domain, local, division)
+report their first offender.  Then the Jacobson radical, and ring
+constructions (corner, matrix, triangular, product).  The power and key
+tables, the searches, J(R) and the units read the multiplication table a
+block of at most _BLOCK entries at a time, so none of them builds a
+temporary of order^2 entries.
 """
 
 from __future__ import annotations
@@ -130,6 +136,28 @@ def _first_true(bits: np.ndarray) -> tuple:
     in row-major order, found without listing the others."""
     return tuple(int(i) for i in np.unravel_index(np.argmax(bits),
                                                   bits.shape))
+
+
+# entries in one temporary array of a blocked whole-table pass
+_BLOCK = 1 << 16
+
+
+def _row_blocks(count: int, width: int):
+    """Slices of range(count) in order, each of at most _BLOCK // width
+    items (one at least), for passes that build `width` entries per item."""
+    step = max(1, _BLOCK // max(1, width))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _first_hits(bits_of, count: int, width: int) -> np.ndarray:
+    """For each i < count, the first j with bits[i, j] True, or -1 when
+    none is; bits_of(rows) gives the (rows, width) boolean block of bits
+    for a slice of the i."""
+    out = np.empty(count, dtype=np.int32)
+    for rows in _row_blocks(count, width):
+        bits = bits_of(rows)
+        out[rows] = np.where(bits.any(axis=1), bits.argmax(axis=1), -1)
+    return out
 
 
 def _first_mismatch(lhs: np.ndarray, rhs):
@@ -272,9 +300,12 @@ def ring_idempotents(ring: FiniteRing) -> np.ndarray:
 
 @interned
 def ring_units(ring: FiniteRing) -> np.ndarray:
-    """The boolean mask of the two-sided units."""
-    mul = ring.mul_np
-    return ((mul == ring.one) & (mul.T == ring.one)).any(axis=1)
+    """The boolean mask of the two-sided units, a block of rows at a time."""
+    mul, one = ring.mul_np, ring.one
+    out = np.empty(ring.order, dtype=bool)
+    for rows in _row_blocks(ring.order, ring.order):
+        out[rows] = ((mul[rows] == one) & (mul[:, rows].T == one)).any(axis=1)
+    return out
 
 
 @interned
@@ -301,32 +332,57 @@ def nontrivial_idempotents(ring: FiniteRing) -> list:
 
 @interned
 def jacobson_radical(ring: FiniteRing) -> np.ndarray:
-    """Sorted indices of J(R) = {a : 1 - r*a is a unit for every r}."""
+    """Sorted indices of J(R) = {a : 1 - r*a is a unit for every r}, read
+    a block of rows r at a time."""
     mul = ring.mul_np
-    add = ring.add_group.add_table()
-    neg = ring_neg(ring)
+    one_minus = ring.add_group.add_table()[ring.one, ring_neg(ring)]
     unit_mask = ring_units(ring)
-    candidates = add[ring.one, neg[mul]]     # [r, a] -> 1 - r*a
-    in_j = unit_mask[candidates].all(axis=0)
+    in_j = np.ones(ring.order, dtype=bool)
+    for rows in _row_blocks(ring.order, ring.order):
+        in_j &= unit_mask[one_minus[mul[rows]]].all(axis=0)
     return np.nonzero(in_j)[0].astype(np.int32)
 
 
-def power_trail(ring: FiniteRing, a: int) -> list:
-    """Distinct powers [a, a^2, ..., a^m] up to the first repeated value.
+@interned
+def power_table(ring: FiniteRing) -> np.ndarray:
+    """The (order, m) table whose row a holds the distinct powers a, a^2,
+    ..., a^k up to the first repeated value, then -1s; k is a's index plus
+    its period minus 1, and m the largest k.  Its type is the smallest
+    signed integer type that holds -order.
 
-    Every positive power of `a` equals one of these, so any exponent search
-    over a^n only needs the trail; the exponent of trail[i] is i + 1.
+    Every positive power of a equals one of these, so any exponent search
+    over a^n only needs row a; the exponent of column i is i + 1.  Rows are
+    built a block at a time and column by column, a^(n+1) = a^n * a, each
+    row's powers so far marked in a (rows, order) block of flags.
     """
-    mul = ring.mul_np
-    trail = [int(a)]
-    seen = {int(a)}
-    cur = int(a)
-    while True:
-        cur = int(mul[cur, a])
-        if cur in seen:
-            return trail
-        seen.add(cur)
-        trail.append(cur)
+    mul, order = ring.mul_np, ring.order
+    dtype = np.min_scalar_type(-order)
+    blocks = []
+    for rows in _row_blocks(order, order):
+        a = np.arange(order)[rows]
+        seen = np.zeros((len(a), order), dtype=bool)
+        pos, cur, steps = np.arange(len(a)), a, []   # steps[n]: a^(n+1)
+        while pos.size:
+            steps.append((pos, cur))
+            seen[pos, cur] = True
+            cur = mul[cur, a]
+            fresh = ~seen[pos, cur]
+            pos, cur, a = pos[fresh], cur[fresh], a[fresh]
+        block = np.full((len(seen), len(steps)), -1, dtype=dtype)
+        for n, (pos, cur) in enumerate(steps):
+            block[pos, n] = cur
+        blocks.append(block)
+    out = np.full((order, max(b.shape[1] for b in blocks)), -1, dtype=dtype)
+    for rows, block in zip(_row_blocks(order, order), blocks):
+        out[rows, :block.shape[1]] = block
+    return out
+
+
+def power_trail(ring: FiniteRing, a: int) -> list:
+    """Distinct powers [a, a^2, ..., a^k] up to the first repeated value:
+    row a of `power_table`; the exponent of trail[i] is i + 1."""
+    row = power_table(ring)[a]
+    return row[row >= 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +393,36 @@ def power_trail(ring: FiniteRing, a: int) -> list:
 def _first_power(ring: FiniteRing, test, elements=None,
                  terms=None) -> Verdict:
     """Whether every a in `elements` (all of R by default) has a power a^n,
-    among the first `terms` of its power trail (all by default), for which
-    test(a, a^n) returns a witness w other than None.
+    among the first `terms` of its row of `power_table` (all by default),
+    for which test(a, a^n) is a witness w >= 0.
 
+    The search is batched: at exponent n, test takes the array of the
+    elements a that no smaller exponent resolved and whose rows reach n,
+    and the array of their a^n, and returns their witnesses, -1 for none.
     Witnesses map a -> (n, w) for the smallest such n; the counterexample
     is the first a with none.
     """
-    witnesses = {}
-    for a in range(ring.order) if elements is None else elements:
-        found = next(((n, w) for n, an in
-                      enumerate(power_trail(ring, a)[:terms], start=1)
-                      if (w := test(a, an)) is not None), None)
-        if found is None:
-            return Verdict(False, witnesses, counterexample=a)
-        witnesses[a] = found
+    powers = power_table(ring)[:, :terms]
+    a = (np.arange(ring.order) if elements is None
+         else np.asarray(elements, dtype=np.intp))
+    exponent = np.zeros(len(a), dtype=np.intp)
+    witness = np.zeros(len(a), dtype=np.intp)
+    live = np.arange(len(a))
+    for n, column in enumerate(powers.T, start=1):
+        an = column[a[live]]
+        live, an = live[an >= 0], an[an >= 0]
+        if not live.size:
+            break
+        w = test(a[live], an)
+        hit = w >= 0
+        exponent[live[hit]], witness[live[hit]] = n, w[hit]
+        live = live[~hit]
+    failed = exponent == 0
+    stop = int(np.argmax(failed)) if failed.any() else len(a)
+    witnesses = dict(zip(a[:stop].tolist(), zip(exponent[:stop].tolist(),
+                                                witness[:stop].tolist())))
+    if stop < len(a):
+        return Verdict(False, witnesses, counterexample=int(a[stop]))
     return Verdict(True, witnesses)
 
 
@@ -363,33 +435,57 @@ def _no_offender(bad: np.ndarray) -> Verdict:
     return Verdict(False, counterexample=first if bad.ndim > 1 else first[0])
 
 
-def _first_hit(bits: np.ndarray):
-    """Index of the first True entry of a boolean vector, or None."""
-    return int(np.argmax(bits)) if bits.any() else None
+@interned
+def _inner_inverses(ring: FiniteRing) -> np.ndarray:
+    """For each x, the first y with x*y*x == x, or -1.
+
+    For a block of x, column x of the table gives the z with z*x == x, and
+    y qualifies iff x*y is one of them; every read is of whole rows or of
+    contiguous runs of columns.
+    """
+    mul, x = ring.mul_np, np.arange(ring.order)
+
+    def bits(rows):
+        fixes = (mul[:, rows] == x[rows]).T       # [i, z]: z * x_i == x_i
+        return np.take_along_axis(fixes, mul[rows], axis=1)
+    return _first_hits(bits, ring.order, ring.order)
 
 
 def _pi_regular(ring: FiniteRing, terms: int = None) -> Verdict:
     """Every a has a power a^n, among the first `terms` of its power trail,
     and x with a^n*x*a^n == a^n.  Witness: a -> (n, x).  With all terms
     this is pi-regularity, and with terms=1 von Neumann regularity."""
-    mul = ring.mul_np
-    return _first_power(ring, lambda a, an: _first_hit(mul[mul[an], an] == an),
-                        terms=terms)
+    inverses = _inner_inverses(ring)
+    return _first_power(ring, lambda a, an: inverses[an], terms=terms)
 
 
 def _strongly_pi_regular(ring: FiniteRing) -> Verdict:
     """Every a has n with a^n in a^(n+1)*R and also some m with a^m in
     R*a^(m+1).
 
-    Both sides are searched for every element.  The witness is the right
-    side's, a -> (n, x) with a^(n+1)*x == a^n; the counterexample is
-    (a, 'right'|'left') for the first a that fails a side, 'right' when it
-    fails both.
+    Both sides are searched for every element, over the one power table.
+    The witness is the right side's, a -> (n, x) with a^(n+1)*x == a^n; the
+    counterexample is (a, 'right'|'left') for the first a that fails a
+    side, 'right' when it fails both.
     """
-    mul = ring.mul_np
-    rv = _first_power(ring, lambda a, an: _first_hit(mul[mul[a, an]] == an))
-    lv = _first_power(ring,
-                      lambda a, an: _first_hit(mul[:, mul[a, an]] == an))
+    mul, order = ring.mul_np, ring.order
+
+    def right(a, an):
+        up = mul[a, an]
+        return _first_hits(lambda rows: mul[up[rows]] == an[rows, None],
+                           len(a), order)
+
+    def left(a, an):
+        """0 where some x has x * a^(n+1) == a^n, -1 elsewhere; the x are
+        read a block of whole rows at a time, and the left side keeps no
+        witness."""
+        up = mul[a, an]
+        found = np.zeros(len(a), dtype=bool)
+        for rows in _row_blocks(order, len(a)):
+            found |= (mul[rows][:, up] == an).any(axis=0)
+        return np.where(found, 0, -1)
+
+    rv, lv = _first_power(ring, right), _first_power(ring, left)
     if rv.holds and lv.holds:
         return rv
     if lv.holds or not rv.holds and rv.counterexample <= lv.counterexample:
@@ -400,9 +496,21 @@ def _strongly_pi_regular(ring: FiniteRing) -> Verdict:
                    counterexample=(bad, side))
 
 
+@interned
+def left_annihilator_keys(ring: FiniteRing) -> np.ndarray:
+    """Row a is the canonical key of l(a) = {r : r*a == 0}: its membership
+    flags packed by `np.packbits`, a block of columns at a time."""
+    mul, order = ring.mul_np, ring.order
+    out = np.empty((order, (order + 7) // 8), dtype=np.uint8)
+    for cols in _row_blocks(order, order):
+        out[cols] = np.packbits(mul[:, cols] == 0, axis=0).T
+    return out
+
+
 def left_annihilator_key(ring: FiniteRing, a: int) -> bytes:
-    """Canonical key for the set {r : r*a == 0}."""
-    return np.packbits(ring.mul_np[:, a] == 0).tobytes()
+    """Canonical key for the set {r : r*a == 0}: row a of
+    `left_annihilator_keys`."""
+    return left_annihilator_keys(ring)[a].tobytes()
 
 
 @interned
@@ -417,22 +525,31 @@ def principal_left_ideal_keys(ring: FiniteRing) -> dict:
     return out
 
 
+@interned
+def principal_annihilators(ring: FiniteRing) -> tuple:
+    """For each a, the idempotents e with l(a) == R*e in ascending order;
+    empty when l(a) is not generated by an idempotent."""
+    keys = principal_left_ideal_keys(ring)
+    return tuple(tuple(keys.get(key.tobytes(), ()))
+                 for key in left_annihilator_keys(ring))
+
+
 def _gen_left_pp(ring: FiniteRing) -> Verdict:
     """Every a has n >= 1 with l(a^n) == R*e for an idempotent e.
 
     l(a^n) is the left annihilator {r : r * a^n == 0}.  Witness: a -> (n, e)
     with the smallest exponent first, then the smallest idempotent.
     """
-    keys = principal_left_ideal_keys(ring)
-    return _first_power(ring, lambda a, an: keys.get(
-        left_annihilator_key(ring, an), [None])[0])
+    first = np.array([es[0] if es else -1
+                      for es in principal_annihilators(ring)])
+    return _first_power(ring, lambda a, an: first[an])
 
 
-def _nil_radical(ring: FiniteRing) -> Verdict:
-    """Every element of J(R) is nilpotent.  Witness: a -> (n, 0), n its
-    nilpotency index."""
-    return _first_power(ring, lambda a, an: 0 if an == 0 else None,
-                        jacobson_radical(ring).tolist())
+def nilpotency(ring: FiniteRing, elements) -> Verdict:
+    """Whether every a in `elements` is nilpotent.  Witness: a -> (n, 0), n
+    its nilpotency index; the counterexample is the first a that is not."""
+    return _first_power(ring, lambda a, an: np.where(an == 0, 0, -1),
+                        elements)
 
 
 def _abelian(ring: FiniteRing) -> Verdict:
@@ -453,7 +570,8 @@ RING_CHECKS = {
     "pi_regular": _pi_regular,
     "strongly_pi_regular": _strongly_pi_regular,
     "gen_left_pp": _gen_left_pp,
-    "nil_radical": _nil_radical,
+    # every element of J(R) is nilpotent
+    "nil_radical": lambda ring: nilpotency(ring, jacobson_radical(ring)),
     "commutative": lambda ring: _no_offender(ring.mul_np != ring.mul_np.T),
     # no nonzero nilpotent, that is, no nonzero a with a*a == 0
     "reduced": lambda ring: _no_offender(

@@ -39,9 +39,12 @@ Entries read End(M) through the deciders' paths: the image and kernel
 chains of End(M).powers, with `chain_term` for a term past a chain's end,
 and its idempotents read from the maps.  End(M)'s ring table,
 `homs.end_table`, is asked for only where a ring is read: the "end." scope,
-a left ideal of End(M) as one packed key (`rings.left_annihilator_key`,
-`rings.principal_left_ideal_keys`), f^n as a term of `power_trail`, 1 - e
-and the left singular ideal.  Each derived object is found once per
+a left ideal of End(M) as a row of one packed key table
+(`rings.left_annihilator_keys`, `rings.principal_annihilators`), f^n as an
+entry of `rings.power_table`, 1 - e and the left singular ideal.  The walks
+over f^n find what depends on f^n alone (its annihilators, the maps that
+kill its image) once per distinct element, image or principal left ideal,
+not once per (f, n).  Each derived object is found once per
 structure and caps, and each ring check once per ring structure, in the one
 cache: e*R is `Facts.inner` of the right regular module, and eRe is
 `InstanceContext.corner`.  The 2x2 matrix ring is built anew for each
@@ -67,8 +70,8 @@ from .modules import (FiniteModule, elems_mask, first_moving_map,
 from .properties import (Facts, largest_exponent, singular_nil_jacobson,
                          small_image_endos)
 from .rings import (FiniteRing, Verdict, central_idempotent_scan, corner_ring,
-                    left_annihilator_key, matrix_ring, power_trail,
-                    principal_left_ideal_keys, ring_check, ring_idempotents,
+                    left_annihilator_keys, matrix_ring, power_table,
+                    principal_annihilators, ring_check, ring_idempotents,
                     ring_neg)
 
 HOLDS = "holds"
@@ -334,32 +337,33 @@ def _largest_n(fmt: str, name: str):
 # ---------------------------------------------------------------------------
 
 
-def _power(ring: FiniteRing, f: int, n: int) -> int:
-    """f^n as an element of the ring table of End(M)."""
-    return power_trail(ring, f)[n - 1]
-
-
 def _annihilators_match(end: EndRing):
-    """l_M(f^n M) == l_S(f^n) == S(1 - e), S = End(M)."""
+    """l_M(f^n M) == l_S(f^n) == S(1 - e), S = End(M).
+
+    l_M(N) is found once per distinct image N of an element, packed as
+    `rings.left_annihilator_keys` packs l_S, and compared with it.
+    """
     ring = end_table(end)
-    principal = principal_left_ideal_keys(ring)
+    powers, principal = power_table(ring), principal_annihilators(ring)
+    keys = left_annihilator_keys(ring)
+    on_image = {}
+    for mask in {imgs[0] for imgs in end.powers.images}:
+        member = np.zeros(end.order, dtype=bool)
+        member[left_annihilator(end, mask)] = True
+        on_image[mask] = np.packbits(member).tobytes()
 
     def test(f: int, n: int, e: int) -> bool:
-        fn = _power(ring, f, n)
-        on_image = left_annihilator(end, end.powers.images[f][n - 1])
-        return (np.array_equal(on_image,
-                               np.flatnonzero(ring.mul_np[:, fn] == 0))
-                and _one_minus(ring, e) in principal.get(
-                    left_annihilator_key(ring, fn), ()))
+        x = int(powers[f, n - 1])
+        return (on_image[image(end, x)] == keys[x].tobytes()
+                and _one_minus(ring, e) in principal[x])
     return test
 
 
 def _principal_annihilator(end: EndRing):
     """l_S(f^n) == S e' for an idempotent e' of S = End(M)."""
     ring = end_table(end)
-    principal = principal_left_ideal_keys(ring)
-    return lambda f, n, e: (left_annihilator_key(ring, _power(ring, f, n))
-                            in principal)
+    powers, principal = power_table(ring), principal_annihilators(ring)
+    return lambda f, n, e: bool(principal[powers[f, n - 1]])
 
 
 def _closed_summand(end: EndRing):
@@ -538,21 +542,26 @@ def _chk_t3_4_1(ctx):
     facts = ctx.facts()
     end = facts.end()
     ring = end_table(end)
-    principal = principal_left_ideal_keys(ring)
+    powers, principal = power_table(ring), principal_annihilators(ring)
+
+    def first_bad(x: int, hits: tuple):
+        """The first e of hits, the e with l_S(x) == S*e, for which
+        r_M(l_S(x)) != (1 - e)M, or None."""
+        inter = right_annihilator(end, np.flatnonzero(ring.mul_np[:, x] == 0))
+        return next((e for e in hits
+                     if inter != image(end, _one_minus(ring, e))), None)
+
+    # hits fixes l_S(x), so each left ideal S*e is checked once, at any x
+    at = {hits: x for x, hits in enumerate(principal) if hits}
+    bad = {hits: first_bad(x, hits) for hits, x in at.items()}
     checked = 0
     for f, imgs in enumerate(end.powers.images):
-        # n runs up to len(imgs), which is at most len(trail)
-        trail = power_trail(ring, f)
-        for n, fn in enumerate(trail[:len(imgs)], start=1):
-            hits = principal.get(left_annihilator_key(ring, fn), ())
-            if not hits:
-                continue
-            inter = right_annihilator(
-                end, np.flatnonzero(ring.mul_np[:, fn] == 0))
-            for e in hits:
-                if inter != image(end, _one_minus(ring, e)):
-                    return VIOLATION, f"f={f},n={n},e={e}"
-                checked += 1
+        # n runs up to len(imgs), which is at most the length of row f
+        for n, x in enumerate(powers[f, :len(imgs)].tolist(), start=1):
+            hits = principal[x]
+            if hits and bad[hits] is not None:
+                return VIOLATION, f"f={f},n={n},e={bad[hits]}"
+            checked += len(hits)
     if checked == 0:
         return NOT_MET, "no principal annihilator"
     return HOLDS, f"triples={checked}"
@@ -575,12 +584,14 @@ def _chk_t3_19_2(ctx):
     ring = end_table(end)
     if not ring_check(ring, "gen_left_pp").holds:
         return NOT_MET, "gen_left_pp false"
-    principal = principal_left_ideal_keys(ring)
+    powers, principal = power_table(ring), principal_annihilators(ring)
+    # for each element x: l_S(x) is S*e for an idempotent e, and Im x is
+    # double-annihilator closed
+    closed = [bool(hits) and _double_annihilator_closed(end, image(end, x))
+              for x, hits in enumerate(principal)]
     for f, imgs in enumerate(end.powers.images):
-        trail = power_trail(ring, f)
-        if not any(left_annihilator_key(ring, fn) in principal
-                   and _double_annihilator_closed(end, chain_term(imgs, n))
-                   for n, fn in enumerate(trail[:len(imgs)], start=1)):
+        # n runs up to len(imgs), which is at most the length of row f
+        if not any(closed[x] for x in powers[f, :len(imgs)].tolist()):
             return NOT_MET, f"f={f}"
     return _conclude(ctx, ("dual_pi_rickart",))
 

@@ -181,8 +181,10 @@ def test_hits_misses_and_cap_replays_match_the_two_lookup_table(
 
 
 @pytest.mark.parametrize("tid, lookup", [
-    ("L3.1", "principal_left_ideal_keys"),
-    ("C3.3", "principal_left_ideal_keys"),
+    ("L3.1", "principal_annihilators"),
+    ("L3.1", "power_table"),
+    ("C3.3", "principal_annihilators"),
+    ("C3.3", "power_table"),
     ("T3.19c.1", "idempotent_image_masks"),
 ])
 def test_a_witness_walk_looks_up_once_per_entry(monkeypatch, tid, lookup):

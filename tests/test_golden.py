@@ -1,4 +1,5 @@
-"""Byte-level goldens: whole-corpus `verify`, `catalog`, `module endring`,
+"""Byte-level goldens: whole-corpus `verify` (at the default caps, both
+edges of the lattice cap and matrix_check=1296), `catalog`, `module endring`,
 `module check --witnesses` and `ring check` output, the corpus itself as
 `build_corpus` writes it, and the error (or none) that `ring_make` and
 `module_make` give on a fixed sweep of small constant tables."""
@@ -28,6 +29,16 @@ def test_verify_corpus_matches_benchmark_reference(capsys):
         .read_text(encoding="utf-8")
     assert main(["verify", str(CORPUS)]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_verify_corpus_at_matrix_check_1296_matches_golden(monkeypatch,
+                                                          capsys):
+    # at 1296 the "mat2." entries and the rank-2 families run on Z5, Z6
+    # and Z2 x Z3 too, whose 2x2 matrix rings have order 625 and 1296
+    monkeypatch.setenv("PIRICK_CAPS", "matrix_check=1296")
+    assert main(["verify", str(CORPUS)]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "verify_corpus_matrix1296.out").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("lattice, digest", [

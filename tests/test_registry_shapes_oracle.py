@@ -43,8 +43,7 @@ from pirick.homs import (_double_annihilator_closed, chain_term,
                          left_annihilator)
 from pirick.modules import ring_as_module
 from pirick.properties import Facts
-from pirick.rings import (Verdict, left_annihilator_key, power_trail,
-                          principal_left_ideal_keys, ring_check,
+from pirick.rings import (Verdict, principal_left_ideal_keys, ring_check,
                           ring_idempotents)
 from pirick.theorems import (HOLDS, NOT_MET, READING_FLAG, SKIPPED,
                              VIOLATION, _mat2, _one_minus)
@@ -61,8 +60,30 @@ def map_check(end, name: str) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# the oracles: the entry checks as they were before
+# the oracles: the entry checks as they were before, with their own copies
+# of the power trail walk and the column key, which the package now reads
+# off `rings.power_table` and `rings.left_annihilator_keys`
 # ---------------------------------------------------------------------------
+
+
+def power_trail(ring, a: int) -> list:
+    """Distinct powers [a, a^2, ..., a^m] up to the first repeated value,
+    one term at a time."""
+    mul = ring.mul_np
+    trail = [int(a)]
+    seen = {int(a)}
+    cur = int(a)
+    while True:
+        cur = int(mul[cur, a])
+        if cur in seen:
+            return trail
+        seen.add(cur)
+        trail.append(cur)
+
+
+def left_annihilator_key(ring, a: int) -> bytes:
+    """The packed key of {r : r*a == 0}, from column a alone."""
+    return np.packbits(ring.mul_np[:, a] == 0).tobytes()
 
 
 def _chk_p2_4_1(ctx):

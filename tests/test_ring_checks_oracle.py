@@ -6,7 +6,11 @@ strongly pi-regular, generalized left pp, nil radical) and the one
 `ring_predicates` pass over the six classical predicates.  Each check must
 agree with its oracle in (holds, witnesses, counterexample).  `regular` and
 `nil_radical` now share the power search's witness shape a -> (n, w): the
-oracle's x and n are compared as (1, x) and (n, 0).
+oracle's x and n are compared as (1, x) and (n, 0).  The oracles walk each
+power trail one term at a time and pack each left annihilator from its
+column, with their own copies of the walk and the key (`trail`, `key`), so
+they do not read `rings.power_table` or `rings.left_annihilator_keys`,
+which the checks read and which are compared with those copies too.
 
 Hypothesis draws two kinds of input: valid rings (Z/n, products, corners,
 and 2x2 triangular and matrix rings, of order at most 81), and raw
@@ -15,6 +19,10 @@ finite ring is always pi-regular, strongly pi-regular and has a nil
 radical, so only the raw tables reach those checks' failure branches.  A
 raw ring's structure key holds its table's bytes, so the per-ring data
 that the checks intern (idempotents, units, J(R)) is its own.
+
+Four mutants must be caught: a search that reads one term of each trail,
+a power table that drops the last term of every trail, one whose padding
+is read as a term, and a key table with one column flipped.
 """
 
 import numpy as np
@@ -40,6 +48,27 @@ CAPS = caps_from_env()
 # ---------------------------------------------------------------------------
 
 
+def trail(ring, a: int) -> list:
+    """Distinct powers [a, a^2, ..., a^m] up to the first repeated value,
+    one term at a time: `rings.power_trail` as it was before the table."""
+    mul = ring.mul_np
+    out = [int(a)]
+    seen = {int(a)}
+    cur = int(a)
+    while True:
+        cur = int(mul[cur, a])
+        if cur in seen:
+            return out
+        seen.add(cur)
+        out.append(cur)
+
+
+def key(ring, a: int) -> bytes:
+    """The packed key of {r : r*a == 0}, from column a alone:
+    `rings.left_annihilator_key` as it was before the key table."""
+    return np.packbits(ring.mul_np[:, a] == 0).tobytes()
+
+
 def oracle_regular(ring):
     mul = ring.mul_np
     witnesses = {}
@@ -56,7 +85,7 @@ def oracle_pi_regular(ring):
     witnesses = {}
     for a in range(ring.order):
         found = None
-        for pos, an in enumerate(power_trail(ring, a)):
+        for pos, an in enumerate(trail(ring, a)):
             hits = np.nonzero(mul[mul[an, :], an] == an)[0]
             if hits.size:
                 found = (pos + 1, int(hits[0]))
@@ -73,7 +102,7 @@ def oracle_strongly_pi_regular(ring):
     for a in range(ring.order):
         right = None
         left_ok = False
-        for pos, an in enumerate(power_trail(ring, a)):
+        for pos, an in enumerate(trail(ring, a)):
             an1 = int(mul[a, an])
             if right is None:
                 hits = np.nonzero(mul[an1, :] == an)[0]
@@ -96,10 +125,10 @@ def oracle_gen_left_pp(ring):
     witnesses = {}
     for a in range(ring.order):
         found = None
-        for pos, an in enumerate(power_trail(ring, a)):
-            key = left_annihilator_key(ring, an)
-            if key in keys:
-                found = (pos + 1, keys[key][0])
+        for pos, an in enumerate(trail(ring, a)):
+            k = key(ring, an)
+            if k in keys:
+                found = (pos + 1, keys[k][0])
                 break
         if found is None:
             return Verdict(False, witnesses, counterexample=a)
@@ -110,10 +139,10 @@ def oracle_gen_left_pp(ring):
 def oracle_nil_radical(ring):
     witnesses = {}
     for a in jacobson_radical(ring).tolist():
-        trail = power_trail(ring, a)
-        if 0 not in trail:
+        powers = trail(ring, a)
+        if 0 not in powers:
             return Verdict(False, witnesses, counterexample=int(a))
-        witnesses[int(a)] = trail.index(0) + 1
+        witnesses[int(a)] = powers.index(0) + 1
     return Verdict(True, witnesses)
 
 
@@ -168,11 +197,18 @@ def oracle(ring, name: str) -> tuple:
 
 def disagreements(ring) -> list:
     """The names whose check, run directly and not through the intern
-    table, differs from its oracle on ring."""
+    table, differs from its oracle on ring; and "power_trail" or
+    "left_annihilator_key" when that function differs from its copy above
+    at some element."""
     out = []
     for name, check in RING_CHECKS.items():
         v = check(ring)
         if (v.holds, v.witnesses, v.counterexample) != oracle(ring, name):
+            out.append(name)
+    for name, new, old in (("power_trail", power_trail, trail),
+                           ("left_annihilator_key", left_annihilator_key,
+                            key)):
+        if any(new(ring, a) != old(ring, a) for a in range(ring.order)):
             out.append(name)
     return out
 
@@ -294,3 +330,65 @@ def test_a_first_power_that_reads_one_term_is_caught(monkeypatch):
     assert disagreements(z4) == []
     monkeypatch.setattr(rings, "_first_power", first_term_only)
     assert "pi_regular" in disagreements(z4)
+
+
+# A corrupted table is read through the package's name for it, as every
+# search and `power_trail` read it; fresh_intern keeps the derived tables
+# (the principal annihilators among them) from being served from before.
+
+
+def _drop_last_term(real):
+    """Every row of the power table one term short."""
+    def table(ring):
+        out = real(ring).copy()
+        out[np.arange(ring.order), (out >= 0).sum(axis=1) - 1] = -1
+        return out
+    return table
+
+
+def _padding_as_term(real):
+    """The power table with one more column, its padding read as a term:
+    as element order - 1, which an index of -1 reads."""
+    def table(ring):
+        out = np.pad(real(ring), ((0, 0), (0, 1)), constant_values=-1)
+        return np.where(out < 0, ring.order - 1, out)
+    return table
+
+
+def _flip_column_0(real):
+    """The key table with the key of 0 taken from the nonzero entries of
+    its column."""
+    def table(ring):
+        out = real(ring).copy()
+        out[0] = np.packbits(ring.mul_np[:, 0] != 0)
+        return out
+    return table
+
+
+def _mutant_inputs() -> list:
+    """Z/4, Z/6, 2x2 upper triangular matrices over Z/2, every table of
+    order 2 and the three tables above, as raw rings."""
+    tables = [np.reshape(cells, (2, 2)) for cells in np.ndindex(*(2,) * 4)]
+    return ([zmod(4, CAPS), zmod(6, CAPS),
+             triangular_ring(zmod(2, CAPS), 2, CAPS)]
+            + [raw_ring(table, 0)
+               for table in tables + [BOTH_SIDES, LEFT_ONLY, RIGHT_ONLY]])
+
+
+@pytest.mark.parametrize("table, mutate, caught", [
+    # a trail of one term is left empty, so `regular` fails too
+    ("power_table", _drop_last_term,
+     {"power_trail", "regular", "pi_regular", "strongly_pi_regular",
+      "gen_left_pp", "nil_radical"}),
+    # on these inputs the extra term is a hit only where gen_left_pp fails
+    ("power_table", _padding_as_term, {"power_trail", "gen_left_pp"}),
+    ("left_annihilator_keys", _flip_column_0,
+     {"left_annihilator_key", "gen_left_pp"}),
+])
+def test_a_corrupted_table_is_caught(monkeypatch, fresh_intern, table,
+                                     mutate, caught):
+    inputs = _mutant_inputs()
+    assert all(disagreements(ring) == [] for ring in inputs)
+    fresh_intern.clear()
+    monkeypatch.setattr(rings, table, mutate(getattr(rings, table)))
+    assert set().union(*map(disagreements, inputs)) == caught
