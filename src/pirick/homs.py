@@ -8,27 +8,28 @@ array.  Isomorphism is decided from the same enumeration: find_isomorphism
 returns the first bijective row of hom_set, after cheap invariant checks.
 
 End(M) comes in two layers.  end_ring builds the maps: Hom(M, M)'s tables
-numbered by a cyclic decomposition of its additive group, their image and
-kernel chains, the identity's index and what the ring table needs later.
-The idempotents, the central idempotents (with the first noncentral pair)
-and the nontrivial idempotents are read from the maps, comparing them on
-the generators of M; every decider, `analyze` and the registry's map-side
+numbered by a cyclic decomposition of its additive group, the power table
+(row f: the indices of f, f^2, ..., f^s, s the index of f, where its image
+and kernel chains end), the image and kernel mask of every element, the
+identity's index and what the ring table needs later.  The idempotents,
+the central idempotents (with the first noncentral pair) and the
+nontrivial idempotents are read from the maps, comparing them on the
+generators of M; every decider, `analyze` and the registry's map-side
 entries read only this layer.  end_table re-equips End(M) with composition
 as a FiniteRing, giving every ring-theoretic tool access to it; it is built
 only when a caller asks for it: the registry's "end." ring checks, its
-tests on f^n and annihilators in End(M), P2.17's 1 - e, and
-`module endring`.
+left annihilators in End(M), P2.17's 1 - e, and `module endring`.
 
-An endomorphism is a row of End(M)'s table array and nothing else:
-power_chains takes a whole stack of tables and returns the image and
-kernel bitmasks of every power of every row in one batch, and End(M) keeps
-that result for all of its elements; chain_term reads term n of a chain,
-and first_chain_term is the one search "for every f, some power f^n has
-property P" over them, the module-side twin of `rings._first_power`;
-MAP_CHECKS names the four such searches that the registry reads as
-predicates on End(M).  A map between two modules is its table too:
-check_map validates one by the relation check of hom_set, for the
-projections and inclusions of quotients and submodules.
+An endomorphism is a row of End(M)'s table array and nothing else, and f^n
+is the element End(M).powers[f, n - 1], so Im f^n is one mask lookup.
+first_chain_term is the one search "for every f, some power f^n has
+property P(Im f^n, Ker f^n)": P is tested once per distinct (image,
+kernel) pair, and `rings._first_power`, the search the ring checks use,
+walks the rows; first_offender is its n = 1 form.  MAP_CHECKS names the
+four such checks that the registry reads as predicates on End(M).  A map
+between two modules is its table too: check_map validates one by the
+relation check of hom_set, for the projections and inclusions of quotients
+and submodules.
 
 A hom set, End(M) and its ring table are built once per structure and
 caps in a process, in the intern table `caps.INTERNED`; every module object
@@ -41,7 +42,6 @@ exhaustive, on generator columns.
 from __future__ import annotations
 
 import dataclasses
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +50,8 @@ from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from .groups import FinAbGroup, elementary_divisors, group_embedding
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
-from .rings import FiniteRing, Verdict, ring_make
+from .rings import (FiniteRing, Verdict, _first_power, _no_offender,
+                    ring_make)
 
 
 # ---------------------------------------------------------------------------
@@ -200,84 +201,6 @@ def are_isomorphic(m1: FiniteModule, m2: FiniteModule,
 
 
 # ---------------------------------------------------------------------------
-# image and kernel chains
-# ---------------------------------------------------------------------------
-
-
-class PowerChains(NamedTuple):
-    """Image and kernel chains of a stack of endomorphisms, as bitmasks.
-
-    For the map f in row i, images[i] is (Im f, Im f^2, ..., Im f^s), where
-    s = len(images[i]) is the first n with Im f^n == Im f^(n+1), so the
-    last term is the stable image; kernels[i] is the same for Ker f^n.
-    """
-
-    images: tuple
-    kernels: tuple
-
-
-def power_chains(tables: np.ndarray) -> PowerChains:
-    """The image and kernel chains of every row of a (k, |M|) stack of
-    endomorphism tables, every row and power in one batch.
-
-    Row i of the n-th power is f^n for the map f of row i, and the (n+1)-th
-    power is one gather of `tables` by it.  Once Im f^n == Im f^(n+1) every
-    later term is the same (Ker likewise), so powers are taken until no
-    row's image or kernel changes, and each chain is cut at its first
-    repeated term.
-    """
-    k, n = tables.shape
-    rows = np.arange(k)[:, None]
-    steps = []                    # steps[p]: (image masks, kernel masks)
-    power = tables
-    while True:
-        in_image = np.zeros((k, n), dtype=bool)
-        in_image[rows, power] = True
-        step = (masks(in_image), masks(power == 0))
-        if steps and step == steps[-1]:
-            break
-        steps.append(step)
-        power = np.take_along_axis(tables, power, axis=1)
-    images = [_until_repeat(terms) for terms in zip(*(s[0] for s in steps))]
-    kernels = [_until_repeat(terms) for terms in zip(*(s[1] for s in steps))]
-    return PowerChains(tuple(images), tuple(kernels))
-
-
-def chain_term(chain: tuple, n: int) -> int:
-    """Term n of a power chain, Im f^n (Ker f^n) for chain images[f]
-    (kernels[f]), also for n past its end, where every term is the last."""
-    return chain[min(n, len(chain)) - 1]
-
-
-def first_chain_term(powers: PowerChains, test, terms: int = None) -> Verdict:
-    """Whether every row f has a power f^n, n among the first `terms` (by
-    default to the end of its longer chain), for which test(Im f^n, Ker f^n)
-    returns a witness w other than None.  Witnesses map f -> (n, w) for the
-    smallest such n; the counterexample is the first f with none.
-    """
-    witnesses = {}
-    for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
-        for n in range(1, (terms or max(len(imgs), len(kers))) + 1):
-            w = test(chain_term(imgs, n), chain_term(kers, n))
-            if w is not None:
-                witnesses[f] = (n, w)
-                break
-        else:
-            return Verdict(False, witnesses, counterexample=f)
-    return Verdict(True, witnesses)
-
-
-def _until_repeat(terms) -> tuple:
-    """The terms before the first one equal to its predecessor."""
-    out = [terms[0]]
-    for term in terms[1:]:
-        if term == out[-1]:
-            break
-        out.append(term)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # endomorphism rings
 # ---------------------------------------------------------------------------
 
@@ -288,16 +211,21 @@ class EndRing:
     the elements numbered as group_embedding numbers them in `group`, End(M)
     under addition; multiplication is composition, (f * g)(m) = f(g(m)).
 
-    key is (structure key of M, caps), and powers holds the image and
-    kernel chains of every element.  A map is fixed by its images of the
-    generators `gens` of M, so maps are compared there.  one is the
-    identity's index, and constants the products of the basis maps of
-    `group`, which is all that `end_table` needs to build the ring table.
+    key is (structure key of M, caps).  Row f of powers holds the element
+    indices of f, f^2, ..., f^s and then -1s, s being f's index, the first
+    n with Ker f^n == Ker f^(n+1); images[x] and kernels[x] are the bitmasks
+    of Im x and Ker x, so term n of f's image chain is images[powers[f, n -
+    1]].  A map is fixed by its images of the generators `gens` of M, so
+    maps are compared there.  one is the identity's index, and constants
+    the products of the basis maps of `group`, which is all that
+    `end_table` needs to build the ring table.
     """
 
     key: tuple
     tables: np.ndarray
-    powers: PowerChains
+    powers: np.ndarray
+    images: tuple
+    kernels: tuple
     one: int
     gens: np.ndarray
     group: FinAbGroup
@@ -352,10 +280,41 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     products = to_index[raw_index(basis[:, basis[:, gens]])]
     constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
     one = int(to_index[raw_index(gens)])
-    tables.flags.writeable = False
-    gens.flags.writeable = False
-    return EndRing((module.key, caps), tables, power_chains(tables), one,
+    powers = _power_table(tables, gens,
+                          lambda gen_images: to_index[raw_index(gen_images)])
+    in_image = np.zeros(tables.shape, dtype=bool)
+    in_image[np.arange(len(tables))[:, None], tables] = True
+    for array in (tables, gens, powers):
+        array.flags.writeable = False
+    return EndRing((module.key, caps), tables, powers,
+                   tuple(masks(in_image)), tuple(masks(tables == 0)), one,
                    gens, group, constants)
+
+
+def _power_table(tables: np.ndarray, gens: np.ndarray, index) -> np.ndarray:
+    """The (|End|, m) table whose row f holds f, f^2, ..., f^s and then
+    -1s, s the first n with |Ker f^n| == |Ker f^(n+1)| and m the largest
+    s; index(images) is the element with these generator images.
+
+    Ker f^n grows with n, so it stops changing at s, and so does Im f^n,
+    as |Im f^n| * |Ker f^n| = |M|: s is f's index, the first n with f^n =
+    f^(n+p) for some p.  f^(n+1) is found on the generators alone, as
+    f(f^n(g)), for the rows still growing.  Its type is the smallest
+    signed integer type that holds -|End|, as for `rings.power_table`.
+    """
+    order = len(tables)
+    kernel_size = (tables == 0).sum(axis=1)
+    rows = power = np.arange(order)
+    steps = []                            # steps[n]: rows and their f^(n+1)
+    while rows.size:
+        steps.append((rows, power))
+        up = index(tables[rows[:, None], tables[power[:, None], gens]])
+        grows = kernel_size[up] != kernel_size[power]
+        rows, power = rows[grows], up[grows]
+    out = np.full((order, len(steps)), -1, dtype=np.min_scalar_type(-order))
+    for n, (rows, power) in enumerate(steps):
+        out[rows, n] = power
+    return out
 
 
 @interned
@@ -428,13 +387,55 @@ def nontrivial_idempotent_maps(end: EndRing) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# images, kernels, annihilators
+# powers, images, kernels, annihilators
 # ---------------------------------------------------------------------------
 
 
-def image(end: EndRing, f: int) -> int:
-    """The bitmask of Im f for the endomorphism f of End(M)."""
-    return end.powers.images[f][0]
+def power_rows(end: EndRing):
+    """(f, [f, f^2, ..., f^s]) for each f: row f of end.powers as a list,
+    without its -1s."""
+    for f, row in enumerate(end.powers.tolist()):
+        yield f, row[:row.index(-1)] if -1 in row else row
+
+
+@interned
+def _distinct_pairs(end: EndRing) -> tuple:
+    """(pairs, pair_of): the distinct pairs (Im x, Ker x) of the elements
+    x, in order of first appearance, and the index in pairs of each x's;
+    found once per structure and caps."""
+    pairs = {}
+    pair_of = np.array([pairs.setdefault(pair, len(pairs))
+                        for pair in zip(end.images, end.kernels)])
+    return list(pairs), pair_of
+
+
+def first_chain_term(end: EndRing, test, terms: int = None) -> Verdict:
+    """Whether every f has a power f^n, among the first `terms` of its row
+    of end.powers (all by default), for which test(Im f^n, Ker f^n)
+    returns a witness w other than None.
+
+    test runs once per distinct (Im x, Ker x) of an element x, and
+    `rings._first_power` searches the rows for the elements that pass.
+    Witnesses map f -> (n, w) for the smallest such n; the counterexample
+    is the first f with none.
+    """
+    pairs, pair_of = _distinct_pairs(end)
+    found = [test(im, ker) for im, ker in pairs]
+    passed = np.array([-1 if w is None else p for p, w in enumerate(found)])
+    v = _first_power(end.powers, lambda f, fn: passed[pair_of[fn]],
+                     terms=terms)
+    return Verdict(v.holds, {f: (n, found[p])
+                             for f, (n, p) in v.witnesses.items()},
+                   v.counterexample)
+
+
+def first_offender(end: EndRing, bad) -> Verdict:
+    """Holds iff bad(Im f, Ker f) is false for every f; the counterexample
+    is the first f for which it is true.  bad runs once per distinct
+    (Im f, Ker f)."""
+    pairs, pair_of = _distinct_pairs(end)
+    return _no_offender(np.array([bool(bad(im, ker))
+                                  for im, ker in pairs])[pair_of])
 
 
 def left_annihilator(end: EndRing, mask: int) -> np.ndarray:
@@ -456,7 +457,7 @@ def idempotent_image_masks(end: EndRing) -> dict:
     such idempotent's ring index; computed once per structure and caps."""
     out = {}
     for e in idempotent_maps(end).tolist():
-        out.setdefault(image(end, e), e)
+        out.setdefault(end.images[e], e)
     return out
 
 
@@ -471,30 +472,30 @@ def _double_annihilator_closed(end: EndRing, mask: int) -> bool:
     return right_annihilator(end, left_annihilator(end, mask)) == mask
 
 
-def _image_trivial(end: EndRing, terms: int = None) -> Verdict:
-    """Every f has Im f^n in {0, M} for some n among the first `terms`."""
-    trivial = (1, (1 << end.tables.shape[1]) - 1)
-    return first_chain_term(end.powers, lambda im, ker: im in trivial or None,
-                            terms)
-
-
 def _summands(end: EndRing, kernels: bool) -> Verdict:
     """Every f has Im f^n a summand and, at the same n, Ker f^n a summand
     (with `kernels`) or Im f^n double-annihilator closed (without)."""
     idem = idempotent_image_masks(end)
-    return first_chain_term(end.powers, lambda im, ker: im in idem and (
+    return first_chain_term(end, lambda im, ker: im in idem and (
         ker in idem if kernels else _double_annihilator_closed(end, im))
         or None)
 
 
-# Each is one first_chain_term search over End(M), with witnesses
-# f -> (n, True) and the first f with no such n as counterexample; the
-# registry reads them by name through `properties.Facts.verdict`.
+def _image_trivial(end: EndRing, at_first: bool) -> Verdict:
+    """Every f has Im f (with `at_first`) or some Im f^n in {0, M}."""
+    trivial = (1, (1 << end.tables.shape[1]) - 1)
+    if at_first:
+        return first_offender(end, lambda im, ker: im not in trivial)
+    return first_chain_term(end, lambda im, ker: im in trivial or None)
+
+
+# Read by name through `properties.Facts.verdict`; the counterexample is
+# the first f that fails, and a search's witnesses are f -> (n, True).
 MAP_CHECKS = {
     # only f = 0 has Im f = 0, so this is "every nonzero f is epi"
-    "nonzero_epi": lambda end: _image_trivial(end, terms=1),
+    "nonzero_epi": lambda end: _image_trivial(end, at_first=True),
     # Im f = M, or Im f^n = 0: f nilpotent
-    "epi_or_nilpotent": _image_trivial,
+    "epi_or_nilpotent": lambda end: _image_trivial(end, at_first=False),
     "summand_pair": lambda end: _summands(end, kernels=True),
     "closed_summand": lambda end: _summands(end, kernels=False),
 }

@@ -10,13 +10,14 @@ every module of one structure gets one of each, and a decider runs once per
 structure and caps; the registry in `theorems` builds its submodules, e*R
 among them, through the same Facts.  Every submodule is a bitmask over the
 module's elements, as in `modules`: the lattice's masks, and the image and
-kernel chains of every endomorphism, read from End(M)'s one `powers`
-result and nowhere else.  The deciders "every f has a power f^n with
-property P" (the four Rickart properties, Fitting, co-Hopfian) are each one
-`homs.first_chain_term` search over those chains; their witnesses, and the
-chain-stabilization deciders', map f to (n, w).  Facts.verdict also
-reads the map checks of `homs.MAP_CHECKS` by name, searches of the same
-shape that no report prints.  A quotient's projection and a submodule's
+kernel of every endomorphism, read from End(M).images and End(M).kernels;
+f^n is End(M).powers[f, n - 1].  The deciders "every f has a power f^n
+with property P" (the four Rickart properties, Fitting) are each one
+`homs.first_chain_term` search; their witnesses, and the
+chain-stabilization deciders', map f to (n, w).  co-Hopfian reads n = 1
+only, as `homs.first_offender`, and keeps no witnesses.  Facts.verdict
+also reads the map checks of `homs.MAP_CHECKS` by name, checks of the same
+shapes that no report prints.  A quotient's projection and a submodule's
 inclusion are tables, as `homs.check_map` returns them.  The deciders and
 analyze() read End(M) as maps only, its idempotents included
 (`homs.idempotent_maps` and the scans beside it), and never ask for its
@@ -36,10 +37,10 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
-from .homs import (MAP_CHECKS, EndRing, are_isomorphic,
+from .homs import (MAP_CHECKS, EndRing, _distinct_pairs, are_isomorphic,
                    central_idempotent_maps, end_ring, first_chain_term,
-                   hom_set, idempotent_image_masks, idempotent_maps,
-                   nontrivial_idempotent_maps)
+                   first_offender, hom_set, idempotent_image_masks,
+                   idempotent_maps, nontrivial_idempotent_maps, power_rows)
 from .modules import (FiniteModule, all_submodules, first_moving_map,
                       is_small, lattice_gate, mask_bits, module_generators,
                       quotient_module, submodule_module)
@@ -123,7 +124,7 @@ def _idempotent_generated(facts: Facts, kernels: bool,
     that term); without `any_power`, n is 1.
     """
     idem = facts.idem_masks()
-    return first_chain_term(facts.end().powers,
+    return first_chain_term(facts.end(),
                             lambda im, ker: idem.get(ker if kernels else im),
                             terms=None if any_power else 1)
 
@@ -152,48 +153,45 @@ def decide_fitting(facts: Facts) -> Verdict:
     """For every f some power splits M as Ker f^n + Im f^n (sum direct).
     Witnesses map f to (smallest such n, True)."""
     full = facts.module.order
-    return first_chain_term(facts.end().powers, lambda im, ker: (
+    return first_chain_term(facts.end(), lambda im, ker: (
         im & ker) == 1 and im.bit_count() * ker.bit_count() == full or None)
 
 
 def decide_morphic(facts: Facts) -> Verdict:
     """M/Im f and Ker f are isomorphic, for every f."""
-    powers = facts.end().powers
-    seen = {}
-    for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
-        key = (imgs[0], kers[0])
-        if key not in seen:
-            quot, _ = facts.quotient(imgs[0])
-            inner, _ = facts.inner(kers[0])
-            seen[key] = are_isomorphic(quot, inner, facts.caps)
-        if not seen[key]:
-            return Verdict(False, {}, f)
+    pairs, pair_of = _distinct_pairs(facts.end())
+    # pairs come in order of first appearance, so the first pair that fails
+    # is that of the first f that fails
+    for p, (im, ker) in enumerate(pairs):
+        if not are_isomorphic(facts.quotient(im)[0], facts.inner(ker)[0],
+                              facts.caps):
+            return Verdict(False, {}, int(np.argmax(pair_of == p)))
     return Verdict(True, {}, None)
 
 
 def decide_co_hopfian(facts: Facts) -> Verdict:
     """Every injective endomorphism is surjective."""
     everything = (1 << facts.module.order) - 1
-    return first_chain_term(facts.end().powers, lambda im, ker: (
-        ker != 1 or im == everything or None), terms=1)
+    return first_offender(facts.end(),
+                          lambda im, ker: ker == 1 and im != everything)
 
 
-def _chain_stabilization(facts: Facts, kernels: bool) -> Verdict:
-    """Always true for a finite module; witnesses map f to (n, True), n the
-    exponent at which the image (kernel) chain of f stabilizes."""
-    powers = facts.end().powers
-    chains = powers.kernels if kernels else powers.images
-    return Verdict(True, {f: (len(c), True) for f, c in enumerate(chains)})
+def _chain_stabilization(facts: Facts) -> Verdict:
+    """Always true for a finite module; witnesses map f to (s, True), s
+    the exponent at which the image and kernel chains of f stabilize, the
+    length of row f of End(M).powers."""
+    lengths = (facts.end().powers >= 0).sum(axis=1).tolist()
+    return Verdict(True, {f: (s, True) for f, s in enumerate(lengths)})
 
 
 def decide_strongly_co_hopfian(facts: Facts) -> Verdict:
     """The image chain of every endomorphism stabilizes."""
-    return _chain_stabilization(facts, kernels=False)
+    return _chain_stabilization(facts)
 
 
 def decide_strongly_hopfian(facts: Facts) -> Verdict:
     """The kernel chain of every endomorphism stabilizes."""
-    return _chain_stabilization(facts, kernels=True)
+    return _chain_stabilization(facts)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +344,13 @@ def small_image_endos(facts: Facts):
 
     Returns a list of (f index, is_nilpotent, nilpotency index or None).
     """
-    powers = facts.end().powers
+    end = facts.end()
     out = []
-    for f, imgs in enumerate(powers.images):
-        if not is_small(facts.module, imgs[0], facts.caps):
+    for f, row in power_rows(end):
+        if not is_small(facts.module, end.images[f], facts.caps):
             continue
-        if imgs[-1] == 1:
-            out.append((f, True, len(imgs)))
+        if end.images[row[-1]] == 1:
+            out.append((f, True, len(row)))
         else:
             out.append((f, False, None))
     return out

@@ -20,7 +20,9 @@ checks of the form "every a has a power a^n with property P" (regular,
 pi_regular, strongly_pi_regular, gen_left_pp, nil_radical) are one batched
 search, `_first_power`, over the ring's `power_table`, whose row a holds
 the distinct powers of a: at exponent n it tests, with whole-array passes,
-only the elements that no smaller exponent resolved.  Left annihilators
+only the elements that no smaller exponent resolved.  It is the package's
+one power search: End(M)'s searches run it over `EndRing.powers`, the
+powers of each map up to its index.  Left annihilators
 are rows of one packed key table, `left_annihilator_keys`.  The classical
 predicates (commutative, reduced, abelian, domain, local, division)
 report their first offender.  Then the Jacobson radical, and ring
@@ -390,20 +392,22 @@ def power_trail(ring: FiniteRing, a: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _first_power(ring: FiniteRing, test, elements=None,
+def _first_power(powers: np.ndarray, test, elements=None,
                  terms=None) -> Verdict:
-    """Whether every a in `elements` (all of R by default) has a power a^n,
-    among the first `terms` of its row of `power_table` (all by default),
-    for which test(a, a^n) is a witness w >= 0.
+    """Whether every a in `elements` (every row by default) has a power
+    a^n, among the first `terms` of its row of the power table `powers`
+    (all by default), for which test(a, a^n) is a witness w >= 0.
 
-    The search is batched: at exponent n, test takes the array of the
+    Row a of `powers` holds the indices of a, a^2, ... and then -1s, as in
+    `power_table` for a ring and `homs.EndRing.powers` for End(M).  The
+    search is batched: at exponent n, test takes the array of the
     elements a that no smaller exponent resolved and whose rows reach n,
     and the array of their a^n, and returns their witnesses, -1 for none.
     Witnesses map a -> (n, w) for the smallest such n; the counterexample
     is the first a with none.
     """
-    powers = power_table(ring)[:, :terms]
-    a = (np.arange(ring.order) if elements is None
+    powers = powers[:, :terms]
+    a = (np.arange(len(powers)) if elements is None
          else np.asarray(elements, dtype=np.intp))
     exponent = np.zeros(len(a), dtype=np.intp)
     witness = np.zeros(len(a), dtype=np.intp)
@@ -456,7 +460,8 @@ def _pi_regular(ring: FiniteRing, terms: int = None) -> Verdict:
     and x with a^n*x*a^n == a^n.  Witness: a -> (n, x).  With all terms
     this is pi-regularity, and with terms=1 von Neumann regularity."""
     inverses = _inner_inverses(ring)
-    return _first_power(ring, lambda a, an: inverses[an], terms=terms)
+    return _first_power(power_table(ring), lambda a, an: inverses[an],
+                        terms=terms)
 
 
 def _strongly_pi_regular(ring: FiniteRing) -> Verdict:
@@ -485,7 +490,8 @@ def _strongly_pi_regular(ring: FiniteRing) -> Verdict:
             found |= (mul[rows][:, up] == an).any(axis=0)
         return np.where(found, 0, -1)
 
-    rv, lv = _first_power(ring, right), _first_power(ring, left)
+    powers = power_table(ring)
+    rv, lv = _first_power(powers, right), _first_power(powers, left)
     if rv.holds and lv.holds:
         return rv
     if lv.holds or not rv.holds and rv.counterexample <= lv.counterexample:
@@ -542,14 +548,14 @@ def _gen_left_pp(ring: FiniteRing) -> Verdict:
     """
     first = np.array([es[0] if es else -1
                       for es in principal_annihilators(ring)])
-    return _first_power(ring, lambda a, an: first[an])
+    return _first_power(power_table(ring), lambda a, an: first[an])
 
 
 def nilpotency(ring: FiniteRing, elements) -> Verdict:
     """Whether every a in `elements` is nilpotent.  Witness: a -> (n, 0), n
     its nilpotency index; the counterexample is the first a that is not."""
-    return _first_power(ring, lambda a, an: np.where(an == 0, 0, -1),
-                        elements)
+    return _first_power(power_table(ring),
+                        lambda a, an: np.where(an == 0, 0, -1), elements)
 
 
 def _abelian(ring: FiniteRing) -> Verdict:

@@ -1,6 +1,9 @@
 """Differential test: the searches over End(M)'s power chains that go
-through `homs.first_chain_term` against the loops they replaced, kept here
-only as oracles.
+through `homs.first_chain_term` (or, reading n = 1 only, through
+`homs.first_offender`) against the loops they replaced, kept here only as
+oracles.  The oracles read the chains along the rows of End(M).powers, as
+`test_end_powers_oracle.row_chains` reads them, and that file checks those
+chains against the chains End(M) kept before the power table.
 
 The oracles are the per-decider loops of dual Rickart, dual pi-Rickart,
 Rickart and pi-Rickart (one `_idempotent_generated`), Fitting and
@@ -10,33 +13,41 @@ of P2.2.1 and P2.2.2 (ring entries, now declared with the "reg." scope), as
 they were before.  A decider must agree with its oracle in holds,
 counterexample and printed witness, and an entry in status and witness.
 Dual Rickart and Rickart witnesses are now (1, e) and Fitting's (n, True);
-the printed witness must not change.
+the printed witness must not change.  The four map checks of
+`homs.MAP_CHECKS` have oracles too, the loops of those entries as
+predicates, and must agree with them in holds, counterexample and
+witnesses; nonzero_epi, like co-Hopfian, keeps no witnesses.
 
 The comparison runs on every corpus instance, and with Hypothesis on the
 module pools of `test_iso_oracle.py`: the submodules and quotients of the
 regular and rank-2 free modules over Z/n (n <= 6), and of the regular t2z2
-module and ex23.  A finite module never fails the power searches, so the
-deciders are also compared on arbitrary chains and idempotent images that
-no module has, which reach every failure branch.  A `first_chain_term`
-that reads only the first term of each chain must fail the comparison.
+module and ex23.  The deciders and the map checks are also compared on
+z2_free4 (Z/2)^4, with 65,536 maps, under raised caps.  A finite module
+never fails the power searches, so the deciders are also compared on
+arbitrary power tables with arbitrary image and kernel masks that no
+module has, which reach every failure branch.  A power search in `homs`
+that reads only the first term of each row must fail the comparison.
 """
 
+import dataclasses
 import itertools
 import types
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pirick import homs, properties
 from pirick.caps import caps_from_env
 from pirick.errors import SizeCapExceeded
 from pirick.families import zmod
-from pirick.homs import PowerChains, _double_annihilator_closed, chain_term
-from pirick.modules import ring_as_module
+from pirick.homs import _double_annihilator_closed, end_ring
+from pirick.modules import free_module, ring_as_module
 from pirick.properties import DECIDERS, Facts, _witness_string
 from pirick.rings import Verdict, ring_check
 from pirick.theorems import (HOLDS, NOT_MET, READING_FLAG, SKIPPED,
                              VIOLATION, InstanceContext, _conclude, verify)
 
+from test_end_powers_oracle import chain_term, row_chains
 from test_iso_oracle import _pools
 
 CAPS = caps_from_env()
@@ -49,7 +60,7 @@ CAPS = caps_from_env()
 
 def oracle_idempotent_generated(facts, kernels: bool,
                                 any_power: bool) -> Verdict:
-    powers = facts.end().powers
+    powers = row_chains(facts.end())
     idem = facts.idem_masks()
     witnesses = {}
     for f, chain in enumerate(powers.kernels if kernels else powers.images):
@@ -64,7 +75,7 @@ def oracle_idempotent_generated(facts, kernels: bool,
 
 
 def oracle_fitting(facts) -> Verdict:
-    powers = facts.end().powers
+    powers = row_chains(facts.end())
     full = facts.module.order
     witnesses = {}
     for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
@@ -81,7 +92,7 @@ def oracle_fitting(facts) -> Verdict:
 
 
 def oracle_co_hopfian(facts) -> Verdict:
-    powers = facts.end().powers
+    powers = row_chains(facts.end())
     everything = (1 << facts.module.order) - 1
     for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
         if kers[0] == 1 and imgs[0] != everything:
@@ -121,9 +132,7 @@ def oracle_witness_string(prop: str, verdict: Verdict) -> str:
     return "-"
 
 
-def _both_summand_exponent(facts, f: int):
-    masks = facts.idem_masks()
-    powers = facts.end().powers
+def _both_summand_exponent(masks: dict, powers, f: int):
     imgs, kers = powers.images[f], powers.kernels[f]
     return next((n for n in range(1, max(len(imgs), len(kers)) + 1)
                  if chain_term(imgs, n) in masks
@@ -139,7 +148,7 @@ def oracle_l2_5_1(ctx):
         return NOT_MET, "-"
     everything = (1 << facts.module.order) - 1
     for f in range(1, end.ring.order):
-        if end.powers.images[f][0] != everything:
+        if end.images[f] != everything:
             return VIOLATION, f"f={f}"
     return HOLDS, f"nonzero_maps={end.ring.order - 1}"
 
@@ -149,7 +158,7 @@ def oracle_l2_5_2(ctx):
     end = facts.end()
     everything = (1 << facts.module.order) - 1
     for f in range(1, end.ring.order):
-        if end.powers.images[f][0] != everything:
+        if end.images[f] != everything:
             return NOT_MET, f"f={f} not epi"
     return _conclude(ctx, ("dual_pi_rickart", "end.domain"))
 
@@ -160,8 +169,9 @@ def oracle_l3_9_1(ctx):
     if not ring_check(end.ring, "pi_regular").holds:
         return NOT_MET, "-"
     worst = 0
+    masks, powers = facts.idem_masks(), row_chains(end)
     for f in range(end.ring.order):
-        n = _both_summand_exponent(facts, f)
+        n = _both_summand_exponent(masks, powers, f)
         if n is None:
             return VIOLATION, f"f={f}"
         worst = max(worst, n)
@@ -171,8 +181,9 @@ def oracle_l3_9_1(ctx):
 def oracle_l3_9_2(ctx):
     facts = ctx.facts()
     end = facts.end()
+    masks, powers = facts.idem_masks(), row_chains(end)
     for f in range(end.ring.order):
-        if _both_summand_exponent(facts, f) is None:
+        if _both_summand_exponent(masks, powers, f) is None:
             return NOT_MET, f"f={f}"
     v = ring_check(end.ring, "pi_regular")
     if not v.holds:
@@ -184,7 +195,7 @@ def oracle_t3_19c_2(ctx):
     facts = ctx.facts()
     masks = facts.idem_masks()
     end = facts.end()
-    for f, imgs in enumerate(end.powers.images):
+    for f, imgs in enumerate(row_chains(end).images):
         if not any(im in masks and _double_annihilator_closed(end, im)
                    for im in imgs):
             return NOT_MET, f"f={f}"
@@ -194,7 +205,7 @@ def oracle_t3_19c_2(ctx):
 def oracle_p3_21_2(ctx):
     facts = ctx.facts()
     everything = (1 << facts.module.order) - 1
-    for f, imgs in enumerate(facts.end().powers.images):
+    for f, imgs in enumerate(row_chains(facts.end()).images):
         if not (imgs[0] == everything or imgs[-1] == 1):
             return NOT_MET, f"f={f}"
     return _conclude(ctx, ("indecomposable", "dual_pi_rickart"))
@@ -220,6 +231,55 @@ def oracle_p2_2_2(ctx):
         return VIOLATION, f"f={v.counterexample}"
     f, (n, e) = max(v.witnesses.items(), key=lambda kv: (kv[1][0], kv[0]))
     return HOLDS, f"f={f},n={n},e={e}"
+
+
+def _oracle_search(facts, found) -> Verdict:
+    """Every f has a smallest n with found(f, n), n within its chains:
+    witnesses f -> (n, True), and the first f with none as
+    counterexample."""
+    powers = row_chains(facts.end())
+    witnesses = {}
+    for f, imgs in enumerate(powers.images):
+        n = next((n for n in range(1, len(imgs) + 1) if found(f, n)), None)
+        if n is None:
+            return Verdict(False, witnesses, f)
+        witnesses[f] = (n, True)
+    return Verdict(True, witnesses, None)
+
+
+def oracle_nonzero_epi(facts) -> Verdict:
+    everything = (1 << facts.module.order) - 1
+    for f, imgs in enumerate(row_chains(facts.end()).images):
+        if imgs[0] not in (1, everything):
+            return Verdict(False, {}, f)
+    return Verdict(True, {}, None)
+
+
+def oracle_epi_or_nilpotent(facts) -> Verdict:
+    everything = (1 << facts.module.order) - 1
+    imgs = row_chains(facts.end()).images
+    return _oracle_search(facts, lambda f, n: chain_term(imgs[f], n) in (
+        1, everything))
+
+
+def oracle_summand_pair(facts) -> Verdict:
+    masks, powers = facts.idem_masks(), row_chains(facts.end())
+    return _oracle_search(
+        facts, lambda f, n: _both_summand_exponent(masks, powers, f) == n)
+
+
+def oracle_closed_summand(facts) -> Verdict:
+    masks, end = facts.idem_masks(), facts.end()
+    imgs = row_chains(end).images
+    return _oracle_search(facts, lambda f, n: chain_term(imgs[f], n) in masks
+                          and _double_annihilator_closed(
+                              end, chain_term(imgs[f], n)))
+
+
+ORACLE_MAP_CHECKS = {"nonzero_epi": oracle_nonzero_epi,
+                     "epi_or_nilpotent": oracle_epi_or_nilpotent,
+                     "summand_pair": oracle_summand_pair,
+                     "closed_summand": oracle_closed_summand}
 
 
 MODULE_ENTRIES = {"L2.5.1": oracle_l2_5_1, "L2.5.2": oracle_l2_5_2,
@@ -255,6 +315,18 @@ def decider_disagreements(facts) -> list:
     return out
 
 
+def map_check_disagreements(facts) -> list:
+    """The map checks whose verdict, run directly, differs from its
+    oracle's in holds, counterexample or witnesses."""
+    out = []
+    for name, oracle in ORACLE_MAP_CHECKS.items():
+        new, old = homs.MAP_CHECKS[name](facts.end()), oracle(facts)
+        if ((new.holds, new.counterexample, new.witnesses)
+                != (old.holds, old.counterexample, old.witnesses)):
+            out.append(name)
+    return out
+
+
 def entry_disagreements(ctx, entries: dict) -> list:
     """The registry ids whose (status, witness) differs from the oracle's
     on the instance."""
@@ -274,8 +346,9 @@ def _module_ctx(module, name=None):
 def test_deciders_and_entries_match_the_oracles_on_the_corpus(
         module_instances, ring_instances):
     for inst in module_instances:
-        assert decider_disagreements(Facts(inst.module, CAPS)) == [], \
-            inst.name
+        facts = Facts(inst.module, CAPS)
+        assert decider_disagreements(facts) == [], inst.name
+        assert map_check_disagreements(facts) == [], inst.name
         ctx = _module_ctx(inst.module, inst.name)
         assert entry_disagreements(ctx, MODULE_ENTRIES) == [], inst.name
     for inst in ring_instances:
@@ -284,49 +357,53 @@ def test_deciders_and_entries_match_the_oracles_on_the_corpus(
 
 
 # ---------------------------------------------------------------------------
-# arbitrary chains: a finite module's deciders never fail the power
+# arbitrary power tables: a finite module's deciders never fail the power
 # searches (every finite module is Fitting and dual pi-Rickart), so only
-# chains that no module has reach their failure branches
+# tables and masks that no module has reach their failure branches
 # ---------------------------------------------------------------------------
 
 
-class RawFacts:
-    """What the chain deciders read, over arbitrary chains: End(M).powers,
-    the idempotent image masks and the module order."""
+_RAW_KEYS = itertools.count()
 
-    def __init__(self, order: int, images, kernels, idem: dict):
+
+class RawFacts:
+    """What the chain deciders read, over an arbitrary power table: rows
+    of End(M).powers (row f starting with f), the image and kernel mask of
+    each element, the idempotent image masks and the module order.  Each
+    has a key of its own, under which the intern table keeps what it finds
+    from them."""
+
+    def __init__(self, order: int, rows, images, kernels, idem: dict):
+        width = max(map(len, rows))
         self.module = types.SimpleNamespace(order=order)
-        self.powers = PowerChains(tuple(images), tuple(kernels))
+        self._end = types.SimpleNamespace(
+            key=("raw", next(_RAW_KEYS)),
+            powers=np.array([row + [-1] * (width - len(row))
+                             for row in rows]),
+            images=tuple(images), kernels=tuple(kernels))
         self.idem = idem
 
     def end(self):
-        return types.SimpleNamespace(powers=self.powers)
+        return self._end
 
     def idem_masks(self) -> dict:
         return self.idem
 
 
-def _chain(terms) -> tuple:
-    """The terms before the first one equal to its predecessor."""
-    out = [terms[0]]
-    for term in terms[1:]:
-        if term == out[-1]:
-            break
-        out.append(term)
-    return tuple(out)
-
-
 @st.composite
 def raw_facts(draw):
-    """Up to 5 maps on a set of order at most 4, with chains of up to 4
-    masks that contain 0, and a random set of idempotent images."""
+    """Up to 5 elements of a set of order at most 4, with masks that
+    contain 0, rows of up to 4 powers, and a random set of idempotent
+    images."""
     order = draw(st.integers(1, 4))
     masks = st.integers(0, (1 << order) - 1).map(lambda m: m | 1)
     k = draw(st.integers(1, 5))
-    chains = [_chain(draw(st.lists(masks, min_size=1, max_size=4)))
-              for _ in range(2 * k)]
+    rows = [[f] + draw(st.lists(st.integers(0, k - 1), max_size=3))
+            for f in range(k)]
+    images, kernels = (draw(st.lists(masks, min_size=k, max_size=k))
+                       for _ in range(2))
     idem = {m: draw(st.integers(0, 5)) for m in draw(st.sets(masks))}
-    return RawFacts(order, chains[:k], chains[k:], idem)
+    return RawFacts(order, rows, images, kernels, idem)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -336,13 +413,15 @@ def test_deciders_match_the_oracles_on_raw_chains(facts):
 
 
 def test_raw_chains_reach_every_failure_branch():
-    """Every single map on a set of order 2 whose two chains have at most
-    two terms, each set of idempotent images."""
-    chains = [(1,), (3,), (1, 3), (3, 1)]
+    """Two elements of a set of order 2: element 0, whose powers are
+    itself and, or not, element 1, and element 1, whose only power is
+    itself; every image and kernel mask of each, each set of idempotent
+    images."""
     failing = set()
-    for im, ker, idem in itertools.product(chains, chains,
-                                           ({}, {1: 0}, {3: 1}, {1: 0, 3: 1})):
-        facts = RawFacts(2, [im], [ker], idem)
+    for rows, masks, idem in itertools.product(
+            ([[0], [1]], [[0, 1], [1]]), itertools.product((1, 3), repeat=4),
+            ({}, {1: 0}, {3: 1}, {1: 0, 3: 1})):
+        facts = RawFacts(2, rows, masks[:2], masks[2:], idem)
         assert decider_disagreements(facts) == []
         failing |= {prop for prop, oracle in ORACLE_DECIDERS.items()
                     if not oracle(facts).holds}
@@ -367,21 +446,35 @@ def test_deciders_and_entries_match_the_oracles_on_the_pools(module):
     assert entry_disagreements(_module_ctx(module), MODULE_ENTRIES) == []
 
 
+def test_the_searches_match_the_oracles_on_z2_free4(fresh_intern):
+    """(Z/2)^4 over Z/2: End(M) is M4(Z/2), 65,536 maps, built in-process
+    under construct and hom caps of 2^20."""
+    caps = dataclasses.replace(CAPS, construct=1 << 20, hom=1 << 20)
+    module = free_module(zmod(2, caps), 4, caps)
+    assert end_ring(module, caps).order == 65536
+    facts = Facts(module, caps)
+    assert decider_disagreements(facts) == []
+    assert map_check_disagreements(facts) == []
+
+
 def test_a_chain_search_that_reads_one_term_is_caught(monkeypatch,
                                                       fresh_intern):
     """On Z/4, the doubling map's image {0, 2} is no summand, but its
     square is 0: every search that needs the second term sees the change."""
-    real = homs.first_chain_term
+    real = homs._first_power
 
-    def first_term_only(powers, test, terms=None):
-        return real(powers, test, terms=1)
+    def first_term_only(powers, test, elements=None, terms=None):
+        return real(powers, test, elements, terms=1)
 
     module = ring_as_module(zmod(4, CAPS), CAPS)
     facts = Facts(module, CAPS)
     assert decider_disagreements(facts) == []
-    for mod in (properties, homs):
-        monkeypatch.setattr(mod, "first_chain_term", first_term_only)
+    assert map_check_disagreements(facts) == []
+    monkeypatch.setattr(homs, "_first_power", first_term_only)
     assert decider_disagreements(facts) == ["dual_pi_rickart", "pi_rickart",
                                             "fitting"]
+    assert map_check_disagreements(facts) == ["epi_or_nilpotent",
+                                              "summand_pair",
+                                              "closed_summand"]
     assert entry_disagreements(_module_ctx(module), MODULE_ENTRIES) == [
         "L3.9.1", "L3.9.2", "T3.19c.2", "P3.21.2"]

@@ -9,11 +9,10 @@ from pirick import homs
 from pirick.caps import caps_from_env
 from pirick.errors import NotAHomomorphism, PirickError, SizeCapExceeded
 from pirick.families import ex23_module, zmod
-from pirick.homs import (chain_term, check_map, end_ring, end_table,
-                         hom_set, idempotent_image_masks, idempotent_maps,
-                         image, left_annihilator,
-                         nontrivial_idempotent_maps, power_chains,
-                         right_annihilator)
+from pirick.homs import (check_map, end_ring, end_table, hom_set,
+                         idempotent_image_masks, idempotent_maps,
+                         left_annihilator, nontrivial_idempotent_maps,
+                         power_rows, right_annihilator)
 from pirick.modules import (all_submodules, free_module, mask_bits,
                             ring_as_module)
 from pirick.properties import PROPERTY_ORDER, analyze
@@ -88,42 +87,43 @@ def test_map_power_and_identity(z4_reg):
 def test_image_and_kernel(z4_reg):
     end = end_ring(z4_reg, CAPS)
     doubling = _row(end, [0, 2, 0, 2])
-    assert _elems(z4_reg, image(end, doubling)) == (0, 2)
-    kers = end.powers.kernels[doubling]
-    assert _elems(z4_reg, kers[0]) == (0, 2)
+    assert _elems(z4_reg, end.images[doubling]) == (0, 2)
+    assert _elems(z4_reg, end.kernels[doubling]) == (0, 2)
 
 
 def test_chains_stabilize(z4_reg):
     end = end_ring(z4_reg, CAPS)
     doubling = _row(end, [0, 2, 0, 2])
-    imgs = end.powers.images[doubling]
+    # doubling, then 0, and the row ends: nilpotent of index 2
+    assert end.powers[doubling].tolist() == [doubling, 0]
+    assert dict(power_rows(end))[doubling] == [doubling, 0]
+    imgs = [end.images[x] for x in end.powers[doubling]]
     assert [_elems(z4_reg, i) for i in imgs] == [(0, 2), (0,)]
-    assert len(imgs) == 2
-    kers = end.powers.kernels[doubling]
+    kers = [end.kernels[x] for x in end.powers[doubling]]
     assert [_elems(z4_reg, k) for k in kers] == \
         [(0, 2), (0, 1, 2, 3)]
-    assert len(kers) == 2
-    # past the end of a chain every term is the stable one
-    assert [chain_term(imgs, n) for n in (1, 2, 3, 9)] == \
-        [imgs[0], imgs[1], imgs[1], imgs[1]]
-    # nilpotent of index 2: the stable image is zero
-    assert imgs[-1] == 1 and len(imgs) == 2
+    # the identity's row is itself alone, as is the unit 3 = -1's: its
+    # index is 1, though its period is 2
+    assert end.powers[end.one].tolist() == [end.one, -1]
+    assert end.powers[_row(end, [0, 3, 2, 1])].tolist()[1] == -1
 
 
 def test_power_chains_match_powers_taken_one_at_a_time(ex23):
-    tables = end_ring(ex23, CAPS).tables
-    chains = power_chains(tables)
-    for i, f in enumerate(tables):
-        power, imgs, kers = f, [], []
+    end = end_ring(ex23, CAPS)
+    rows = dict(power_rows(end))
+    for i, f in enumerate(end.tables):
+        power, tables, imgs, kers = f, [], [], []
         for _ in range(ex23.order + 1):
+            tables.append(power.tolist())
             imgs.append(sum(1 << x for x in set(power.tolist())))
             kers.append(sum(1 << x for x in np.flatnonzero(power == 0)))
             power = f[power]
         s = next(n for n in range(1, len(imgs)) if imgs[n] == imgs[n - 1])
         t = next(n for n in range(1, len(kers)) if kers[n] == kers[n - 1])
-        assert chains.images[i] == tuple(imgs[:s])
-        assert chains.kernels[i] == tuple(kers[:t])
-        assert (len(chains.images[i]), len(chains.kernels[i])) == (s, t)
+        assert s == t == len(rows[i])
+        assert [end.tables[x].tolist() for x in rows[i]] == tables[:s]
+        assert [end.images[x] for x in rows[i]] == imgs[:s]
+        assert [end.kernels[x] for x in rows[i]] == kers[:t]
 
 
 def test_annihilators(ex23):
@@ -144,7 +144,7 @@ def test_idempotent_images_are_summands(ex23):
     for mask, e in masks.items():
         assert mask in lattice
         assert e in idempotent_maps(end).tolist()
-        assert image(end, e) == mask
+        assert end.images[e] == mask
 
 
 def test_summand_routes_agree_on_ex23(ex23):
