@@ -59,6 +59,12 @@ class Caps:
     def __hash__(self) -> int:
         return self._hash
 
+    def gate(self, field: str, what: str, size: int) -> None:
+        """Raise SizeCapExceeded(what, size, cap) if size is over cap field."""
+        cap = getattr(self, field)
+        if size > cap:
+            raise SizeCapExceeded(what, size, cap)
+
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(Caps) if f.init)
 

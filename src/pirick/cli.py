@@ -70,12 +70,14 @@ def _caps_for(args) -> object:
 def _registry_for(path: pathlib.Path, caps) -> dict:
     """{name: ring} for the ring that a module file's `over` line names,
     parsed from the .ring file beside it whose `ring <name>` line declares
-    that name (the last such file, by file name).  No other ring file is
-    read past its first line."""
+    that name; a second such file is an error, as for `io.load_dir`.  No
+    other ring file is read past its first line."""
     wanted = module_ring_name(path)
     named = [ring_path for ring_path in sorted(path.parent.glob("*.ring"))
              if ring_file_name(ring_path) == wanted]
-    return {wanted: parse_ring(named[-1], caps)} if named else {}
+    if len(named) > 1:
+        raise PirickError(f"duplicate ring name {wanted!r} in {named[1]}")
+    return {wanted: parse_ring(named[0], caps)} if named else {}
 
 
 def _cmd_ring_check(args) -> int:

@@ -46,7 +46,7 @@ import dataclasses
 import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
-from .errors import NotAHomomorphism, PirickError, SizeCapExceeded
+from .errors import NotAHomomorphism, PirickError
 from .groups import FinAbGroup, elementary_divisors, group_embedding
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
@@ -151,8 +151,7 @@ def _enumerate_homs(domain: FiniteModule, codomain: FiniteModule,
                     caps: Caps) -> np.ndarray:
     gens, basis, ends = edges = _relation_edges(domain)
     count = codomain.order ** len(gens)
-    if count > caps.hom:
-        raise SizeCapExceeded("hom-set enumeration", count, caps.hom)
+    caps.gate("hom", "hom-set enumeration", count)
     plan = _derivation_plan(domain, gens, ends)
     add_c = codomain.add_group.add_table()
     radix = codomain.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
@@ -257,8 +256,7 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
 
 def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     raw = hom_set(module, module, caps)                  # (s, n)
-    if len(raw) > caps.construct:
-        raise SizeCapExceeded("ring construction", len(raw), caps.construct)
+    caps.gate("construct", "ring construction", len(raw))
     # A map is determined by its generator images; read in mixed radix they
     # give its candidate number, which increases along hom_set's rows.
     gens = np.array(module_generators(module), dtype=np.int64)
@@ -365,18 +363,22 @@ def central_idempotent_maps(end: EndRing) -> tuple:
     """(central, noncentral): the idempotents e with e*g == g*e for every
     g, in ascending order, and (e, g) for the first idempotent e that is
     not, g being the first map with e*g != g*e; noncentral is None when
-    every one is.  Maps are compared on the generators of M."""
-    tables = end.tables
-    on_gens = tables[:, end.gens]
-    central, noncentral = [], None
-    for e in idempotent_maps(end).tolist():
-        bad = (tables[e][on_gens] != tables[:, tables[e, end.gens]]) \
-            .any(axis=1)
-        if not bad.any():
-            central.append(e)
-        elif noncentral is None:
-            noncentral = (e, int(np.argmax(bad)))
-    return tuple(central), noncentral
+    every one is.  Maps are compared on the generators of M.  Composition
+    is additive in g, so e is central iff it commutes with the basis maps
+    of end.group; only the first noncentral e is held against every g."""
+    tables, gens = end.tables, end.gens
+    idem = idempotent_maps(end)
+    basis = tables[[end.group.basis_index(j)
+                    for j in range(len(end.group.factors))]]
+    # [b, e, g]: e(b(g)) == b(e(g))
+    commutes = (tables[idem[:, None], basis[:, None, gens]] ==
+                basis[:, tables[idem[:, None], gens]]).all(axis=(0, 2))
+    if commutes.all():
+        return tuple(idem.tolist()), None
+    e = int(idem[np.argmin(commutes)])
+    bad = (tables[e][tables[:, gens]] != tables[:, tables[e, gens]]) \
+        .any(axis=1)
+    return tuple(idem[commutes].tolist()), (e, int(np.argmax(bad)))
 
 
 @interned

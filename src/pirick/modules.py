@@ -19,7 +19,7 @@ summands are found, is the closure of 0 under S -> S + mR.  Over a
 finite, so Artinian, ring the rest needs no lattice: Rad M = M*J(R),
 Soc M = ann_M(J(R)), N is small iff N <= Rad M and essential iff
 Soc M <= N (Anderson and Fuller, GTM 13, sections 9, 10 and 15), and
-`lattice_gate` holds all of them to caps.lattice.  Also here: quotient and
+`Caps.gate` holds all of them to caps.lattice.  Also here: quotient and
 submodule modules with their canonical maps, and the generating set that
 hom-set enumeration assigns images to.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
-from .errors import AxiomViolation, PirickError, SizeCapExceeded
+from .errors import AxiomViolation, PirickError
 from .groups import FinAbGroup, group_embedding
 from .rings import (FiniteRing, _bilinear_table, _failed_law,
                     jacobson_radical)
@@ -72,9 +72,7 @@ def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
     index of module basis j acted on by ring basis i; missing pairs default
     to zero, and zero values are dropped.
     """
-    if add_group.order > caps.construct:
-        raise SizeCapExceeded("module construction", add_group.order,
-                              caps.construct)
+    caps.gate("construct", "module construction", add_group.order)
     k_r = len(ring.add_group.factors)
     k_m = len(add_group.factors)
     for (i, j), c in constants.items():
@@ -160,13 +158,6 @@ def _additive_closure(module: FiniteModule, mask: int) -> int:
         mask = grown
 
 
-def lattice_gate(order: int, caps: Caps) -> None:
-    """Raise SizeCapExceeded("submodule lattice") when a module's order is
-    over caps.lattice."""
-    if order > caps.lattice:
-        raise SizeCapExceeded("submodule lattice", order, caps.lattice)
-
-
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> tuple:
     """The mask of every submodule, ascending (deterministic order); one
     tuple per structure and caps in a process."""
@@ -178,7 +169,7 @@ def _lattice_masks(module: FiniteModule, caps: Caps) -> tuple:
     """The closure of {0} under S -> S + mR, one m per distinct cyclic
     submodule: every submodule is a sum of cyclic ones.  S + mR is the
     set of x whose coset x + S meets mR."""
-    lattice_gate(module.order, caps)
+    caps.gate("lattice", "submodule lattice", module.order)
     n = module.order
     add = module.add_group.add_table()
     reps = {}                                   # cyclic mask -> first m
@@ -253,7 +244,7 @@ def _rad_soc_masks(module: FiniteModule, caps: Caps) -> tuple:
     """The masks of Rad M = M*J(R), the subgroup generated by the products
     m*j, since R is Artinian; and of Soc M, the elements that J(R) kills,
     since R/J(R) is semisimple."""
-    lattice_gate(module.order, caps)
+    caps.gate("lattice", "submodule lattice", module.order)
     products = module.act_np[:, jacobson_radical(module.ring)]
     rad = _additive_closure(module, elems_mask(products, module.order))
     return rad, masks((products == 0).all(axis=1)[None])[0]

@@ -42,7 +42,7 @@ from .homs import (MAP_CHECKS, EndRing, _distinct_pairs, are_isomorphic,
                    first_offender, hom_set, idempotent_image_masks,
                    idempotent_maps, nontrivial_idempotent_maps, power_rows)
 from .modules import (FiniteModule, all_submodules, first_moving_map,
-                      is_small, lattice_gate, mask_bits, module_generators,
+                      is_small, mask_bits, module_generators,
                       quotient_module, submodule_module)
 from .rings import FiniteRing, Verdict, jacobson_radical, nilpotency
 
@@ -262,16 +262,19 @@ def decide_self_cogenerator(facts: Facts) -> Verdict:
 def decide_quasi_projective(facts: Facts) -> Verdict:
     """Every homomorphism M -> M/N lifts through the projection."""
     end = facts.end()
+    on_gens = end.tables[:, end.gens]
     for mask in facts.lattice():
         quot, proj = facts.quotient(mask)
         homs = hom_set(facts.module, quot, facts.caps)
-        lifted = proj[end.tables]
-        # each lifted row is a map M -> M/N, so all of Hom(M, M/N) is lifted
-        # iff there are as many distinct lifted rows as maps
-        if len(set(map(bytes, lifted))) != len(homs):
-            lifted = set(map(tuple, lifted.tolist()))
-            h = next(h for h in map(tuple, homs.tolist()) if h not in lifted)
-            return Verdict(False, {}, (mask, h))
+        # maps M -> M/N keyed by generator images, as hom_set numbers them:
+        # all are lifted iff there are as many distinct lifted keys as maps
+        radix = quot.order ** np.arange(len(end.gens), dtype=np.int64)
+        lifted = np.sort(proj[on_gens] @ radix)
+        if 1 + np.count_nonzero(np.diff(lifted)) != len(homs):
+            keys = homs[:, end.gens] @ radix
+            at = np.minimum(np.searchsorted(lifted, keys), len(lifted) - 1)
+            h = homs[np.argmax(lifted[at] != keys)]
+            return Verdict(False, {}, (mask, tuple(h.tolist())))
     return Verdict(True, {}, None)
 
 
@@ -316,7 +319,7 @@ def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     in Z_l(R) iff s*f = 0 for every s in that socle.  The check is gated by
     the lattice cap at the order of R, the order of that module.
     """
-    lattice_gate(ring.order, caps)
+    caps.gate("lattice", "submodule lattice", ring.order)
     mul = ring.mul_np                                 # mul[g, f] = g * f
     soc = (mul[jacobson_radical(ring)] == 0).all(axis=0)
     return np.flatnonzero((mul[soc] == 0).all(axis=0))

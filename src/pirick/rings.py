@@ -41,7 +41,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
-                     NotIdempotent, PirickError, SizeCapExceeded)
+                     NotIdempotent, PirickError)
 from .groups import FinAbGroup, group_embedding
 
 @dataclasses.dataclass
@@ -252,9 +252,7 @@ def ring_make(add_group: FinAbGroup, constants: dict, one: int,
     pairs default to zero, and zero values are dropped.  `one` is the
     element index of the identity.
     """
-    if add_group.order > caps.construct:
-        raise SizeCapExceeded("ring construction", add_group.order,
-                              caps.construct)
+    caps.gate("construct", "ring construction", add_group.order)
     _validate_constants(add_group, constants)
     if not 0 <= one < add_group.order:
         raise PirickError(f"identity index {one} out of range for order "
@@ -637,10 +635,8 @@ def _matrix_like_ring(ring: FiniteRing, positions: list, k: int,
     """
     base = ring.add_group
     kb = len(base.factors)
-    total_order = ring.order ** len(positions)
-    if total_order > caps.construct:
-        raise SizeCapExceeded(f"matrix ring over {ring.name}", total_order,
-                              caps.construct)
+    caps.gate("construct", f"matrix ring over {ring.name}",
+              ring.order ** len(positions))
     factors = []
     for _ in positions:
         factors.extend(base.factors)

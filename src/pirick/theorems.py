@@ -30,9 +30,9 @@ Every ring check, there and below, is read through `rings.ring_check`.  An
 entry marked tentative, a converse that holds only under one reading of its
 statement, reports a violation as reading_flag.  A family is a generator
 of (label, module) pairs taken lazily, so no module after the first
-failure is built; a family over R^2 first calls `_matrix_gate`, the one
-test of a 2x2 matrix size against caps.matrix_check, which `_mat2` calls
-too.  The gate thus fires after the hypotheses, when the family is first
+failure is built; a family over R^2 first holds |R|^4, the order of 2x2
+matrices over R, to caps.matrix_check through `Caps.gate`, as `_mat2`
+does.  The gate thus fires after the hypotheses, when the family is first
 advanced.
 
 Entries read End(M) through the deciders' paths: f^n as the element
@@ -150,17 +150,10 @@ def _dual_pi_of(module: FiniteModule, caps: Caps) -> Verdict:
     return Facts(module, caps).verdict("dual_pi_rickart")
 
 
-def _matrix_gate(ring: FiniteRing, caps: Caps, what: str) -> None:
-    """Raise SizeCapExceeded(what) when 2x2 matrices over the ring, order
-    |R|^4, are over caps.matrix_check."""
-    if ring.order ** 4 > caps.matrix_check:
-        raise SizeCapExceeded(what, ring.order ** 4, caps.matrix_check)
-
-
 def _mat2(ring: FiniteRing, caps: Caps) -> FiniteRing:
     """M2(ring), built for each call (its table is interned), so a cap
     failure names the caller's own ring."""
-    _matrix_gate(ring, caps, "matrix ring")
+    caps.gate("matrix_check", "matrix ring", ring.order ** 4)
     return matrix_ring(ring, 2, caps)
 
 
@@ -403,7 +396,8 @@ def _summand_ideals(ctx):
 
 def _free_ranks_and_summands(ctx):
     """R, R^2 and the nontrivial summands of R^2, behind the rank-2 gate."""
-    _matrix_gate(ctx.ring, ctx.caps, "rank-2 endomorphism ring")
+    ctx.caps.gate("matrix_check", "rank-2 endomorphism ring",
+                  ctx.ring.order ** 4)
     yield "rank=1", ctx.reg_module()
     yield "rank=2", ctx.free2()
     yield from _idempotent_images(Facts(ctx.free2(), ctx.caps), "rank=2,")
@@ -411,7 +405,8 @@ def _free_ranks_and_summands(ctx):
 
 def _rank2_projectives(ctx):
     """Every nonzero summand of R^2, R^2 included, behind the rank-2 gate."""
-    _matrix_gate(ctx.ring, ctx.caps, "rank-2 endomorphism ring")
+    ctx.caps.gate("matrix_check", "rank-2 endomorphism ring",
+                  ctx.ring.order ** 4)
     yield from _idempotent_images(Facts(ctx.free2(), ctx.caps), whole=True)
 
 

@@ -404,6 +404,22 @@ def test_a_ring_is_found_by_the_name_on_its_ring_line(tmp_path, capsys):
     assert "module_order=4;end_order=4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["check", "endring"])
+def test_module_commands_refuse_two_rings_of_one_name(tmp_path, capsys,
+                                                      command):
+    """Two files beside a module that both declare `ring z4`: the module
+    commands exit 3 and name the second file, as `verify` does."""
+    mod = _module_dir(tmp_path / "two", ring_file="a.ring")
+    write_ring(zmod(4), tmp_path / "two" / "b.ring")
+    message = f"duplicate ring name 'z4' in {tmp_path / 'two' / 'b.ring'}"
+    out = ["--out", str(tmp_path / "end.ring")] if command == "endring" \
+        else []
+    assert main(["module", command, str(mod), *out]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["verify", str(mod.parent)]) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ring_text, message", [
     ("ring z4\nadd 4\none 9\nend\n", "coordinate 9 out of range"),
     ("ring z5\nadd 5\none 1\nmul 1 1 1\nend\n", "error: z4\n"),

@@ -30,8 +30,8 @@ from pirick.families import ex23_ring, zmod
 from pirick.groups import FinAbGroup
 from pirick.homs import end_ring, end_table
 from pirick.modules import (FiniteModule, all_submodules, elems_mask,
-                            free_module, is_essential, is_small, lattice_gate,
-                            mask_bits, masks, radical, ring_as_module, socle)
+                            free_module, is_essential, is_small, mask_bits,
+                            masks, radical, ring_as_module, socle)
 from pirick.properties import left_singular_ideal
 from pirick.rings import jacobson_radical, ring_make
 
@@ -203,7 +203,7 @@ def oracle_left_singular_ideal(ring, caps) -> list:
 
 def right_socle_mutant(ring, caps):
     """left_singular_ideal with the socle read from the right, x*J = 0."""
-    lattice_gate(ring.order, caps)
+    caps.gate("lattice", "submodule lattice", ring.order)
     mul = ring.mul_np
     soc = (mul[:, jacobson_radical(ring)] == 0).all(axis=1)
     return np.flatnonzero((mul[soc] == 0).all(axis=0))
