@@ -15,6 +15,10 @@ Common flags (per subcommand): ``--cap-lattice N``, ``--cap-hom N``,
 process-wide cap overrides; explicit flags win over it.
 
 Exit codes: 0 success, 2 verification violations, 3 parse/validation errors.
+
+Each subcommand imports the package modules it runs in its own handler, so
+a process compiles and loads only those: `module check` never loads the
+registry (`theorems`) or the query parser.
 """
 
 from __future__ import annotations
@@ -25,16 +29,10 @@ import pathlib
 import sys
 
 from .caps import caps_from_env
-from .catalog import write_catalog
 from .errors import PirickError
 from .families import FAMILIES, build_instance
-from .homs import end_ring
 from .io import (export_endring, load_dir, module_ring_name, parse_module,
                  parse_ring, ring_file_name, write_module, write_ring)
-from .properties import analyze, render_report
-from .query import match_report, parse_query
-from .rings import ring_check
-from .theorems import InstanceContext, expand_ids, summarize, verify_all
 
 VIOLATION_EXIT = 2
 ERROR_EXIT = 3
@@ -81,6 +79,7 @@ def _registry_for(path: pathlib.Path, caps) -> dict:
 
 
 def _cmd_ring_check(args) -> int:
+    from .rings import ring_check
     caps = _caps_for(args)
     ring = parse_ring(pathlib.Path(args.file), caps)
     rows = [("name", ring.name), ("order", ring.order),
@@ -103,6 +102,7 @@ def _load_module(args, caps):
 
 
 def _cmd_module_check(args) -> int:
+    from .properties import analyze, render_report
     caps = _caps_for(args)
     module = _load_module(args, caps)
     report = analyze(module, caps)
@@ -112,6 +112,7 @@ def _cmd_module_check(args) -> int:
 
 
 def _cmd_module_endring(args) -> int:
+    from .homs import end_ring
     caps = _caps_for(args)
     module = _load_module(args, caps)
     end = end_ring(module, caps)
@@ -122,6 +123,7 @@ def _cmd_module_endring(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .theorems import InstanceContext, expand_ids, summarize, verify_all
     caps = _caps_for(args)
     requested = None
     if args.theorems:
@@ -146,6 +148,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .properties import analyze
+    from .query import match_report, parse_query
     caps = _caps_for(args)
     query = parse_query(args.expr)
     instances = load_dir(pathlib.Path(args.dir), caps)
@@ -165,6 +169,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import write_catalog
     caps = _caps_for(args)
     count = write_catalog(pathlib.Path(args.dir), pathlib.Path(args.out),
                           caps)

@@ -130,39 +130,6 @@ class FinAbGroup:
         return FinAbGroup, (self.factors,)
 
 
-def elementary_divisors(factors: Sequence[int]) -> tuple:
-    """Invariant factors d1 | d2 | ... | dm (each > 1) of prod Z_{n_i}.
-
-    Two finite abelian groups are isomorphic iff these tuples agree, so this
-    is the canonical isomorphism-class key.  The trivial group gives ().
-    """
-    prime_powers: dict[int, list[int]] = {}
-    for n in factors:
-        n = int(n)
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                prime_powers.setdefault(d, []).append(d ** e)
-            d += 1
-        if n > 1:
-            prime_powers.setdefault(n, []).append(n)
-    for p in prime_powers:
-        prime_powers[p].sort(reverse=True)
-    depth = max((len(v) for v in prime_powers.values()), default=0)
-    out = []
-    for i in range(depth):
-        d = 1
-        for p in prime_powers:
-            if i < len(prime_powers[p]):
-                d *= prime_powers[p][i]
-        out.append(d)
-    return tuple(sorted(out))
-
-
 def group_embedding(labels: np.ndarray, add: Callable) -> tuple:
     """Re-present a finite abelian group, given by labels, as a FinAbGroup.
 

@@ -4,8 +4,7 @@ hom_set enumerates Hom(M, N) exactly: images of generators g_i of M are
 expanded, a block at a time, to full tables along the relation edges
 x -> x + g_i b_j (b_j the ring's additive basis), and a table is kept iff
 it sends 0 to 0 and respects every edge; the result is one (count, |M|)
-array.  Isomorphism is decided from the same enumeration: find_isomorphism
-returns the first bijective row of hom_set, after cheap invariant checks.
+array.
 
 End(M) comes in two layers.  end_ring builds the maps: Hom(M, M)'s tables
 numbered by a cyclic decomposition of its additive group, the power table
@@ -47,7 +46,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import NotAHomomorphism, PirickError
-from .groups import FinAbGroup, elementary_divisors, group_embedding
+from .groups import FinAbGroup, group_embedding
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
 from .rings import (FiniteRing, Verdict, _first_power, _no_offender,
@@ -170,33 +169,6 @@ def _enumerate_homs(domain: FiniteModule, codomain: FiniteModule,
     out = np.concatenate(kept)
     out.flags.writeable = False             # shared by every caller
     return out
-
-
-def find_isomorphism(m1: FiniteModule, m2: FiniteModule,
-                     caps: Caps = DEFAULT_CAPS):
-    """A module isomorphism m1 -> m2 over the same ring, as the full index
-    map tuple, or None.
-
-    Modules over other rings, of other orders or with other elementary
-    divisors are told apart before anything is enumerated.  Otherwise the
-    answer is the first bijective row of hom_set(m1, m2, caps): the rows
-    come in lexicographic order of the generator images, so this is the
-    isomorphism with the smallest generator images.
-    """
-    if not same_ring(m1.ring, m2.ring) or m1.order != m2.order or \
-            elementary_divisors(m1.add_group.factors) != \
-            elementary_divisors(m2.add_group.factors):
-        return None
-    maps = hom_set(m1, m2, caps)
-    bijective = (np.sort(maps, axis=1) == np.arange(m1.order)).all(axis=1)
-    if not bijective.any():
-        return None
-    return tuple(maps[np.argmax(bijective)].tolist())
-
-
-def are_isomorphic(m1: FiniteModule, m2: FiniteModule,
-                   caps: Caps = DEFAULT_CAPS) -> bool:
-    return find_isomorphism(m1, m2, caps) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,17 @@ f^n is End(M).powers[f, n - 1].  The deciders "every f has a power f^n
 with property P" (the four Rickart properties, Fitting) are each one
 `homs.first_chain_term` search; their witnesses, and the
 chain-stabilization deciders', map f to (n, w).  co-Hopfian reads n = 1
-only, as `homs.first_offender`, and keeps no witnesses.  Facts.verdict
-also reads the map checks of `homs.MAP_CHECKS` by name, checks of the same
-shapes that no report prints.  A quotient's projection and a submodule's
-inclusion are tables, as `homs.check_map` returns them.  The deciders and
-analyze() read End(M) as maps only, its idempotents included
-(`homs.idempotent_maps` and the scans beside it), and never ask for its
-ring table; the left singular ideal of End(M), which the registry reads,
-is read from that table.
+only, as `homs.first_offender`, and keeps no witnesses.  Morphic, C2 and
+D2 ask whether two submodules or quotients are isomorphic; by the first
+isomorphism theorem each such question is whether some g in End(M) has a
+given (Im g, Ker g), so they build no module and search no isomorphism.
+Facts.verdict also reads the map checks of `homs.MAP_CHECKS` by name,
+checks of the same shapes that no report prints.  A quotient's projection
+and a submodule's inclusion are tables, as `homs.check_map` returns them.
+The deciders and analyze() read End(M) as maps only, its idempotents
+included (`homs.idempotent_maps` and the scans beside it), and never ask
+for its ring table; the left singular ideal of End(M), which the registry
+reads, is read from that table.
 
 analyze() runs the deciders in a fixed order and produces a PropertyReport;
 deciders that would exceed a size cap report status "skipped" instead of
@@ -37,7 +40,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
-from .homs import (MAP_CHECKS, EndRing, _distinct_pairs, are_isomorphic,
+from .homs import (MAP_CHECKS, EndRing, _distinct_pairs,
                    central_idempotent_maps, end_ring, first_chain_term,
                    first_offender, hom_set, idempotent_image_masks,
                    idempotent_maps, nontrivial_idempotent_maps, power_rows)
@@ -158,15 +161,18 @@ def decide_fitting(facts: Facts) -> Verdict:
 
 
 def decide_morphic(facts: Facts) -> Verdict:
-    """M/Im f and Ker f are isomorphic, for every f."""
-    pairs, pair_of = _distinct_pairs(facts.end())
-    # pairs come in order of first appearance, so the first pair that fails
-    # is that of the first f that fails
-    for p, (im, ker) in enumerate(pairs):
-        if not are_isomorphic(facts.quotient(im)[0], facts.inner(ker)[0],
-                              facts.caps):
-            return Verdict(False, {}, int(np.argmax(pair_of == p)))
-    return Verdict(True, {}, None)
+    """M/Im f and Ker f are isomorphic, for every f.
+
+    By the first isomorphism theorem, M/Im f is isomorphic to Ker f iff
+    some g has Im g = Ker f and Ker g = Im f (Nicholson and Sanchez
+    Campillo, "Morphic modules", Comm. Algebra 33, 2005): given an
+    isomorphism phi: M/Im f -> Ker f, take g = phi after the projection;
+    given g, M/Ker g is isomorphic to Im g.  So f passes iff (Ker f, Im f)
+    is the (Im g, Ker g) of some g, one lookup per distinct pair.
+    """
+    end = facts.end()
+    present = set(_distinct_pairs(end)[0])
+    return first_offender(end, lambda im, ker: (ker, im) not in present)
 
 
 def decide_co_hopfian(facts: Facts) -> Verdict:
@@ -203,20 +209,27 @@ def _summand_when_isomorphic(facts: Facts, quotients: bool) -> Verdict:
     """Every submodule N (with `quotients`, every M/N) isomorphic to a
     direct summand has N itself a summand.
 
+    Both are read off End(M)'s (Im g, Ker g) pairs, for a summand D = eM, e
+    the smallest idempotent with that image:
+    - N is isomorphic to eM iff some g has Im g = N and Ker g = Ker e.
+      Given an isomorphism phi: eM -> N, take g = phi e.  Given g, g
+      restricted to eM is injective, as eM meets Ker e in 0, and onto N,
+      as M = eM + Ker e.
+    - M/N is isomorphic to eM iff some g has Im g = eM and Ker g = N, by
+      the first isomorphism theorem.
+
     The counterexample is (N, D) for the first such N that is not a
     summand and the smallest summand D it is isomorphic to.
     """
+    end = facts.end()
     idem = facts.idem_masks()
-    summands = sorted(idem)
+    present = set(_distinct_pairs(end)[0])
+    summands = [(dmask, end.kernels[idem[dmask]]) for dmask in sorted(idem)]
     for mask in facts.lattice():
         if mask in idem:
             continue
-        shape = (facts.quotient if quotients else facts.inner)(mask)[0]
-        for dmask in summands:
-            if dmask.bit_count() != shape.order:
-                continue
-            dinner, _ = facts.inner(dmask)
-            if are_isomorphic(shape, dinner, facts.caps):
+        for dmask, ker_e in summands:
+            if ((dmask, mask) if quotients else (mask, ker_e)) in present:
                 return Verdict(False, {}, (mask, dmask))
     return Verdict(True, {}, None)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pirick.errors import EmptyFactorList, PirickError, ZeroFactor
-from pirick.groups import FinAbGroup, elementary_divisors, group_embedding
+from pirick.groups import FinAbGroup, group_embedding
+from test_iso_oracle import elementary_divisors
 
 
 def test_cyclic_group_arithmetic():

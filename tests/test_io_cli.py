@@ -321,6 +321,30 @@ def test_a_run_does_not_load_numpy_ma(tmp_path):
     assert run.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("command, unloaded", [
+    (["module", "check", str(CORPUS / "ex23.mod")],
+     ["pirick.theorems", "pirick.query"]),
+    (["catalog", str(CORPUS), "--out", "{tmp}/catalog.csv"],
+     ["pirick.theorems", "pirick.query"]),
+    (["verify", str(CORPUS)], ["pirick.query"]),
+])
+def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, command,
+                                                     unloaded):
+    """A fresh process that runs one subcommand never imports the package
+    modules of the others: each one is compiled on every run of a checkout
+    without bytecode."""
+    command = [part.format(tmp=tmp_path) for part in command]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; from pirick.cli import main; "
+             f"code = main({command!r}); "
+             f"print(code, [m for m in {unloaded!r} if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={"PYTHONPATH": str(src),
+                              "OPENBLAS_NUM_THREADS": "1"})
+    assert run.stdout.splitlines()[-1] == "0 []"
+
+
 # M2(Z8), order 4096: basis E11, E12, E21, E22 and E_ab E_cd = [b = c] E_ad.
 M2Z8_TEXT = """ring m2z8
 add 8 8 8 8

@@ -1,7 +1,12 @@
-"""Differential test: module isomorphism as the first bijective row of
-`hom_set`, against the backtracking search it replaced, kept here only as
-an oracle.  The oracle is the old search unchanged, except that element
-orders come from a local helper instead of the deleted
+"""Module isomorphism, searched two ways, kept here as test oracles.
+
+The package asks no isomorphism question of two modules: morphic, C2 and D2
+are read off End(M)'s (Im g, Ker g) pairs.  The search those deciders used
+before lives on here, for `test_pair_deciders_oracle.py` and the module
+tests: `find_isomorphism` is the first bijective row of `hom_set`, after
+the invariant checks (same ring, order and `elementary_divisors`).  It is
+itself checked against the backtracking search it replaced, kept unchanged
+except that element orders come from a local helper instead of the deleted
 `FinAbGroup.element_order`.
 
 Hypothesis draws pairs of equal order among the submodules and quotients of
@@ -13,21 +18,80 @@ t2z2 module and ex23 over t2z2; both routines must return the same tuple
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pirick import homs
-from pirick.caps import Caps, caps_from_env
+from pirick.caps import DEFAULT_CAPS, Caps, caps_from_env
 from pirick.errors import SizeCapExceeded
 from pirick.families import ex23_module, ex23_ring, zmod
-from pirick.groups import elementary_divisors
-from pirick.homs import find_isomorphism
 from pirick.modules import (FiniteModule, all_submodules, cyclic_submodule,
                             free_module, mask_bits, module_generators,
                             quotient_module, ring_as_module, same_ring,
                             submodule_module)
 
 CAPS = caps_from_env()
+
+
+def elementary_divisors(factors) -> tuple:
+    """Invariant factors d1 | d2 | ... | dm (each > 1) of prod Z_{n_i}.
+
+    Two finite abelian groups are isomorphic iff these tuples agree, so this
+    is the canonical isomorphism-class key.  The trivial group gives ().
+    """
+    prime_powers: dict[int, list[int]] = {}
+    for n in factors:
+        n = int(n)
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n //= d
+                    e += 1
+                prime_powers.setdefault(d, []).append(d ** e)
+            d += 1
+        if n > 1:
+            prime_powers.setdefault(n, []).append(n)
+    for p in prime_powers:
+        prime_powers[p].sort(reverse=True)
+    depth = max((len(v) for v in prime_powers.values()), default=0)
+    out = []
+    for i in range(depth):
+        d = 1
+        for p in prime_powers:
+            if i < len(prime_powers[p]):
+                d *= prime_powers[p][i]
+        out.append(d)
+    return tuple(sorted(out))
+
+
+def find_isomorphism(m1: FiniteModule, m2: FiniteModule,
+                     caps: Caps = DEFAULT_CAPS):
+    """A module isomorphism m1 -> m2 over the same ring, as the full index
+    map tuple, or None.
+
+    Modules over other rings, of other orders or with other elementary
+    divisors are told apart before anything is enumerated.  Otherwise the
+    answer is the first bijective row of hom_set(m1, m2, caps): the rows
+    come in lexicographic order of the generator images, so this is the
+    isomorphism with the smallest generator images.
+    """
+    if not same_ring(m1.ring, m2.ring) or m1.order != m2.order or \
+            elementary_divisors(m1.add_group.factors) != \
+            elementary_divisors(m2.add_group.factors):
+        return None
+    maps = homs.hom_set(m1, m2, caps)
+    bijective = (np.sort(maps, axis=1) == np.arange(m1.order)).all(axis=1)
+    if not bijective.any():
+        return None
+    return tuple(maps[np.argmax(bijective)].tolist())
+
+
+def are_isomorphic(m1: FiniteModule, m2: FiniteModule,
+                   caps: Caps = DEFAULT_CAPS) -> bool:
+    return find_isomorphism(m1, m2, caps) is not None
 
 
 def _element_order(group, i: int) -> int:
