@@ -39,8 +39,11 @@ class Caps:
                   (and checked, exactly, whatever their size).
     lattice:      largest module order for which the submodule lattice is
                   enumerated, or the radical and socle are computed.
-    hom:          largest number of candidate generator-image assignments
-                  enumerated when computing a hom-set.
+    hom:          largest number |N|^k of candidate generator-image
+                  assignments of a hom set Hom(M, N), M with k generators.
+                  The hom set is solved as a kernel and no candidate is
+                  enumerated; the cap stays where it was so that no
+                  verdict moves.
     matrix_check: largest order |R|^4 of the 2x2 matrix ring M2(R) that
                   verification entries build.
     """

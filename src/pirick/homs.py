@@ -1,10 +1,16 @@
 """Module homomorphisms, hom-sets, and endomorphism rings.
 
-hom_set enumerates Hom(M, N) exactly: images of generators g_i of M are
-expanded, a block at a time, to full tables along the relation edges
-x -> x + g_i b_j (b_j the ring's additive basis), and a table is kept iff
-it sends 0 to 0 and respects every edge; the result is one (count, |M|)
-array.
+hom_set computes Hom(M, N) exactly, as one (count, |M|) array of tables,
+without trying the |N|^k candidate images of the generators g_i of M.  A
+table is a homomorphism iff it sends 0 to 0 and respects every relation
+edge x -> x + g_i b_j (b_j the ring's additive basis), and on the images of
+the g_i these checks are one additive map into a product of copies of N, so
+Hom(M, N) is its kernel.  The kernel is solved exactly, by extended gcds on
+integer coordinates, into generators in echelon form; each generator's
+table is checked on every edge, and every map is one sum of their multiples,
+built in two halves and sorted by generator images.  hom_count reads the
+order of Hom(M, N) off the same kernel without building a map, for the
+callers that need only the count.
 
 End(M) comes in two layers.  end_ring builds the maps: Hom(M, M)'s tables
 numbered by a cyclic decomposition of its additive group, the power table
@@ -41,6 +47,7 @@ exhaustive, on generator columns.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -109,35 +116,15 @@ def check_map(domain: FiniteModule, codomain: FiniteModule,
     return table
 
 
-def _derivation_plan(module: FiniteModule, gens: list,
-                     ends: np.ndarray) -> list:
-    """Steps (target, source, e), target = ends[source].flat[e]: a spanning
-    tree of the relation edges from zero and the generators, each source
-    derived before its use, along which generator images fix a table."""
-    queue = [0, *sorted(gens)]             # grows breadth first
-    derived = set(queue)
-    plan = []
-    for src in queue:
-        for e, tgt in enumerate(ends[src].ravel().tolist()):
-            if tgt not in derived:
-                derived.add(tgt)
-                plan.append((tgt, src, e))
-                queue.append(tgt)
-    if len(derived) < module.order:
-        raise PirickError("generators do not generate the module")
-    return plan
-
-
 def hom_set(domain: FiniteModule, codomain: FiniteModule,
             caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """All module homomorphisms domain -> codomain, as one int64 array of
     shape (count, |domain|) whose row i is the table of the i-th map.
 
-    Candidate images for a generating set of the domain are enumerated in
-    lexicographic order, in blocks; each block is expanded along the
-    derivation plan and the tables that send 0 to 0 and satisfy t(x + g b) =
-    t(x) + t(g) b for every element x, generator g and additive basis
-    element b of the ring are kept, in that order.  The array is read-only.
+    A map is fixed by its images of the generators of the domain, and the
+    rows are in lexicographic order of those images.  They are the kernel
+    of one additive map on the candidate images (`_kernel_basis`), spanned
+    from a checked generating set of tables.  The array is read-only.
     """
     if not same_ring(domain.ring, codomain.ring):
         raise PirickError("hom set requires a common base ring")
@@ -146,29 +133,225 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
         lambda: _enumerate_homs(domain, codomain, caps))
 
 
+def hom_count(domain: FiniteModule, codomain: FiniteModule,
+              caps: Caps = DEFAULT_CAPS) -> int:
+    """|Hom(domain, codomain)|, the order of `_kernel`, without building a
+    map; capped as hom_set is, and found once per structure and caps."""
+    if not same_ring(domain.ring, codomain.ring):
+        raise PirickError("hom set requires a common base ring")
+
+    def count() -> int:
+        _gate_homs(domain, codomain, caps)
+        return _kernel(domain, codomain)[1]
+
+    return INTERNED.get_or_build("hom_count", (domain.key, codomain.key),
+                                 caps, count)
+
+
+def _gate_homs(domain: FiniteModule, codomain: FiniteModule,
+               caps: Caps) -> None:
+    caps.gate("hom", "hom-set enumeration",
+              codomain.order ** len(module_generators(domain)))
+
+
 def _enumerate_homs(domain: FiniteModule, codomain: FiniteModule,
                     caps: Caps) -> np.ndarray:
-    gens, basis, ends = edges = _relation_edges(domain)
-    count = codomain.order ** len(gens)
-    caps.gate("hom", "hom-set enumeration", count)
-    plan = _derivation_plan(domain, gens, ends)
-    add_c = codomain.add_group.add_table()
-    radix = codomain.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
-    kept = []
-    # t holds candidate tables as columns; the zero module has no edges.
-    chunk = max(1, (1 << 16) // max(1, ends.size))
-    for lo in range(0, count, chunk):
-        cand = np.arange(lo, min(count, lo + chunk), dtype=np.int64)
-        t = np.zeros((domain.order, cand.size), dtype=np.int64)
-        t[gens] = cand // radix[:, None] % codomain.order
-        moved = codomain.act_np[t[gens][:, None], np.array(basis)[:, None]] \
-            .reshape(-1, cand.size)                    # t(g_i) b_j
-        for tgt, src, e in plan:
-            t[tgt] = add_c[t[src], moved[e]]
-        kept.append(t[:, _relations_hold(t, codomain, edges).all(axis=0)].T)
-    out = np.concatenate(kept)
+    _gate_homs(domain, codomain, caps)
+    gens, _, _ = edges = _relation_edges(domain)
+    maps, orders, order = _kernel_basis(domain, codomain)
+    tables = maps @ np.array(codomain.add_group.strides)
+    # a sum of homomorphisms is one, so checked generators check the span
+    if len(tables) and not _relations_hold(tables.T, codomain, edges).all():
+        raise PirickError("a hom-set generator fails the relation check")
+    out = _span(maps, orders, codomain, gens)
+    if len(out) != order:
+        raise PirickError(f"hom set spans {len(out)} maps, not {order}")
     out.flags.writeable = False             # shared by every caller
     return out
+
+
+@interned
+def _presentation(module: FiniteModule) -> tuple:
+    """(coef, relations) for the generators g_1, ..., g_k of M.
+
+    Row m of coef holds ring elements r_i with m = sum g_i r_i and row 0
+    is 0, found for the sums g_1 R + ... + g_i R in turn, the first r_i
+    for each new element.  relations holds the nonzero rows
+    coef[x + g_i b_j] - coef[x] - b_j e_i over every relation edge: each
+    row r has sum g_i r_i = 0.
+    """
+    gens, basis, ends = _relation_edges(module)
+    add_m = module.add_group.add_table()
+    add_r = module.ring.add_group.add_table()
+    neg_r = module.ring.add_group.neg_vector()
+    reached = np.zeros(1, dtype=np.int64)
+    coef = np.zeros((1, 0), dtype=np.int64)
+    for g in gens:
+        cyclic, r = np.unique(module.act_np[g], return_index=True)
+        new, first = np.unique(add_m[reached[:, None], cyclic],
+                               return_index=True)
+        old, pick = np.divmod(first, len(cyclic))
+        coef = np.concatenate([coef[old], r[pick, None]], axis=1)
+        reached = new
+    if len(reached) < module.order:
+        raise PirickError("generators do not generate the module")
+    rel = add_r[coef[ends], neg_r[coef][:, None, None]]    # [x, i, j, slot]
+    slot = np.arange(len(gens))
+    rel[:, slot, :, slot] = add_r[rel[:, slot, :, slot], neg_r[basis]]
+    rel = rel.reshape(rel.size // max(len(gens), 1), len(gens))
+    return coef, rel[rel.any(axis=1)]
+
+
+def _kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
+    """(rows, order): rows of coordinates that generate Hom(M, N) as the
+    kernel K below, and the order of K.
+
+    Generator images c in N^k give the table E(c)(m) = sum c_i coef[m]_i,
+    additive in c, and c are the images of a homomorphism, which is then
+    E(c), iff sum c_i r_i = 0 for every relation r of `_presentation`: each
+    edge check of `_relations_hold` on E(c), with c_i for E(c)(g_i), is one
+    such sum.  Hom(M, N) is thus the kernel K of c -> (sum c_i r_i)_r,
+    an additive map from the product of N's cyclic factors, one copy per
+    generator, to a product of N's; row (i, e) of the identity is the c
+    with c_i the e-th basis element of N and 0 elsewhere.  The identity's
+    rows generate K once `_cut` has cut them down to each target
+    coordinate's kernel in turn (Cohen, GTM 138, section 2.4), and each
+    cut divides the order by its step.
+    """
+    coef, relations = _presentation(domain)
+    group = codomain.add_group
+    factors = np.array(group.factors, dtype=np.int64)
+    moduli = list(group.factors) * coef.shape[1]
+    values = _basis_moves(codomain)[:, relations].transpose(2, 0, 1, 3) \
+        .reshape(len(moduli), len(relations) * len(factors))
+    rows = [[int(q == s) % m for q in range(len(moduli))]
+            for s, m in enumerate(moduli)]
+    order = group.order ** coef.shape[1]
+    while len(relations):
+        hit = (np.array(rows, dtype=np.int64) @ values) \
+            .reshape(len(rows), len(relations), len(factors)) % factors
+        live = np.flatnonzero(hit.any(axis=0))
+        if not live.size:
+            break
+        r, f = divmod(int(live[0]), len(factors))
+        order //= _cut(rows, hit[:, r, f].tolist(), group.factors[f],
+                       moduli)[1]
+    return rows, order
+
+
+def _kernel_basis(domain: FiniteModule, codomain: FiniteModule) -> tuple:
+    """(maps, orders, order): homomorphisms h_t, as their tables in N's
+    coordinates, [t, m, f], and numbers o_t such that every map in
+    Hom(M, N) is sum j_t h_t for exactly one choice of 0 <= j_t < o_t, and
+    the order of Hom(M, N), found apart by `_kernel`.
+
+    Cut down to the source's own coordinates in turn, the kernel's rows
+    give it in echelon (Howell) form: the row set aside at coordinate s
+    has zeros before s, and its multiples below its step o_s differ at s,
+    while what is left of the kernel has 0 there too.
+    """
+    rows, order = _kernel(domain, codomain)
+    coef = _presentation(domain)[0]
+    factors = codomain.add_group.factors
+    moduli = list(factors) * coef.shape[1]
+    pivots, orders = [], []
+    for s, m in enumerate(moduli):
+        column = [row[s] for row in rows]
+        if any(column):
+            pivot, step = _cut(rows, column, m, moduli)
+            pivots.append(pivot)
+            orders.append(step)
+    # E of each basis candidate: [(i, e), (m, f)]
+    images = _basis_moves(codomain)[:, coef].transpose(2, 0, 1, 3).reshape(
+        len(moduli), domain.order * len(factors))
+    sums = np.array(pivots, dtype=np.int64).reshape(
+        len(pivots), len(moduli)) @ images
+    return sums.reshape(len(pivots), domain.order, len(factors)) \
+        % np.array(factors), orders, order
+
+
+@interned
+def _basis_moves(module: FiniteModule) -> np.ndarray:
+    """[e, r, f]: coordinate f of the e-th additive basis element of M
+    times the ring element r."""
+    group = module.add_group
+    basis = [group.basis_index(e) for e in range(len(group.factors))]
+    return group.coords_matrix()[module.act_np[basis]]
+
+
+def _cut(rows: list, values: list, n: int, moduli: list) -> tuple:
+    """Cut the group spanned by rows, lists of coordinates modulo moduli,
+    down to the kernel of a map into Z/n, in place; values, not all 0 mod
+    n, are the rows' images there.
+
+    Extended gcds bring every value but row p's to 0 by unimodular row
+    operations, leaving p the value d = gcd(values); row p is then replaced
+    by its multiple o = n / gcd(d, n), the first with value 0.  Returns
+    (row p before that, o)."""
+    live = [q for q, v in enumerate(values) if v % n]
+    p, d = live[0], values[live[0]] % n
+    for q in live[1:]:
+        v = values[q] % n
+        g, x, y = _ext_gcd(d, v)
+        rp, rq = rows[p], rows[q]
+        rows[p] = [(x * a + y * b) % m for a, b, m in zip(rp, rq, moduli)]
+        rows[q] = [(v // g * a - d // g * b) % m
+                   for a, b, m in zip(rp, rq, moduli)]
+        d = g
+    pivot = rows[p]
+    step = n // math.gcd(d, n)
+    rows[p] = [a * step % m for a, m in zip(pivot, moduli)]
+    return pivot, step
+
+
+def _ext_gcd(a: int, b: int) -> tuple:
+    """(g, x, y) with g = gcd(a, b) = x a + y b."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _span(maps: np.ndarray, orders: list, codomain: FiniteModule,
+          gens: list) -> np.ndarray:
+    """The tables of sum j_t h_t over every 0 <= j_t < orders[t], h_t given
+    as maps[t] in N's coordinates, as one int64 array ordered by the
+    mixed-radix key of the generator images.
+
+    The sums split in two halves, over the first maps (about the square
+    root of all in number) and over the rest, each found from its digits j
+    by one product in N's coordinates.  Every head plus every tail is then
+    one pass over N's add table, as `group_embedding` stacks its cosets.
+    """
+    count = math.prod(orders)
+    cut = 0
+    while cut < len(orders) and math.prod(orders[:cut + 1]) ** 2 <= count:
+        cut += 1
+    group = codomain.add_group
+    factors, strides = np.array(group.factors), np.array(group.strides)
+    head, tail = (_sums(maps[part], orders[part], factors, strides)
+                  for part in (slice(0, cut), slice(cut, None)))
+    add = group.add_table()
+    if count * maps.shape[1] >= add.size:
+        add = add.astype(np.int64)      # no larger than the rows it gives
+    rows = add[head[:, None], tail[None]].reshape(count, maps.shape[1])
+    keys = rows[:, gens] @ codomain.order ** np.arange(len(gens))[::-1]
+    if not (keys[1:] > keys[:-1]).all():
+        rows = rows[np.argsort(keys)]
+    return rows.astype(np.int64, copy=False)
+
+
+def _sums(maps: np.ndarray, orders: list, factors: np.ndarray,
+          strides: np.ndarray) -> np.ndarray:
+    """The tables of sum j_t h_t over every 0 <= j_t < orders[t], the first
+    t most significant, for h_t given as maps[t] in the coordinates of a
+    group with these factors and strides."""
+    count, width = math.prod(orders), maps.shape[1]
+    digits = np.indices(orders).reshape(len(orders), count).T
+    sums = digits @ maps.reshape(len(orders), width * len(factors))
+    return (sums.reshape(count, width, len(factors)) % factors) @ strides
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,9 @@ from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
 from .homs import (MAP_CHECKS, EndRing, _distinct_pairs,
                    central_idempotent_maps, end_ring, first_chain_term,
-                   first_offender, hom_set, idempotent_image_masks,
-                   idempotent_maps, nontrivial_idempotent_maps, power_rows)
+                   first_offender, hom_count, hom_set,
+                   idempotent_image_masks, idempotent_maps,
+                   nontrivial_idempotent_maps, power_rows)
 from .modules import (FiniteModule, all_submodules, first_moving_map,
                       is_small, mask_bits, module_generators,
                       quotient_module, submodule_module)
@@ -262,14 +263,33 @@ def decide_duo(facts: Facts) -> Verdict:
 
 def decide_self_cogenerator(facts: Facts) -> Verdict:
     """Every factor module M/N is cogenerated by M: the kernels of all
-    homomorphisms M/N -> M intersect to zero."""
-    for mask in facts.lattice():
-        quot, _ = facts.quotient(mask)
-        homs = hom_set(quot, facts.module, facts.caps)
-        in_all_kernels = (homs == 0).all(axis=0)
-        if int(in_all_kernels.sum()) != 1:
+    homomorphisms M/N -> M intersect to zero.  Those maps are the g in
+    Hom(M, M) with N <= Ker g, read through the projection, so N must be
+    the meet of the kernels of Hom(M, M) that contain it."""
+    lattice = facts.lattice()
+    kernels = _distinct_kernels(hom_set(facts.module, facts.module,
+                                        facts.caps))
+    for mask in lattice:
+        meet = -1
+        for kernel in kernels:
+            if mask & kernel == mask:
+                meet &= kernel
+        if meet != mask:
             return Verdict(False, {}, mask)
     return Verdict(True, {}, None)
+
+
+def _distinct_kernels(maps: np.ndarray) -> list:
+    """The bitmasks of the distinct kernels of the rows of maps, found by
+    one sort of the packed rows read as 64-bit words."""
+    bits = np.zeros((len(maps), -(-maps.shape[1] // 64) * 64), dtype=bool)
+    bits[:, :maps.shape[1]] = maps == 0
+    words = np.packbits(bits, bitorder="little").view(np.uint64) \
+        .reshape(len(maps), -1)
+    words = words[np.lexsort(words.T)]
+    new = np.ones(len(words), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return [int.from_bytes(row.tobytes(), "little") for row in words[new]]
 
 
 def decide_quasi_projective(facts: Facts) -> Verdict:
@@ -278,12 +298,13 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
     on_gens = end.tables[:, end.gens]
     for mask in facts.lattice():
         quot, proj = facts.quotient(mask)
-        homs = hom_set(facts.module, quot, facts.caps)
+        count = hom_count(facts.module, quot, facts.caps)
         # maps M -> M/N keyed by generator images, as hom_set numbers them:
         # all are lifted iff there are as many distinct lifted keys as maps
         radix = quot.order ** np.arange(len(end.gens), dtype=np.int64)
         lifted = np.sort(proj[on_gens] @ radix)
-        if 1 + np.count_nonzero(np.diff(lifted)) != len(homs):
+        if 1 + np.count_nonzero(np.diff(lifted)) != count:
+            homs = hom_set(facts.module, quot, facts.caps)
             keys = homs[:, end.gens] @ radix
             at = np.minimum(np.searchsorted(lifted, keys), len(lifted) - 1)
             h = homs[np.argmax(lifted[at] != keys)]

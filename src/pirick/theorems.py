@@ -60,7 +60,7 @@ import numpy as np
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
 from .homs import (EndRing, _double_annihilator_closed,
-                   central_idempotent_maps, end_table, hom_set,
+                   central_idempotent_maps, end_table, hom_count,
                    idempotent_image_masks, idempotent_maps,
                    left_annihilator, nontrivial_idempotent_maps, power_rows,
                    right_annihilator)
@@ -502,9 +502,9 @@ def _chk_p2_17(ctx):
         if not (f1.verdict("dual_pi_rickart").holds
                 and f2.verdict("dual_pi_rickart").holds):
             continue
-        if len(hom_set(m1, m2, ctx.caps)) != 1:
+        if hom_count(m1, m2, ctx.caps) != 1:
             continue
-        if len(hom_set(m2, m1, ctx.caps)) != 1:
+        if hom_count(m2, m1, ctx.caps) != 1:
             continue
         fired = e
         break

@@ -160,13 +160,19 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     # validated: 17 from the corpus files, 8 corners, one 2x2 matrix ring
     # and 6 End(M) tables that no other ring shares (41 when all 89 End(M)
     # had a table).  Morphic, C2 and D2 read End(M)'s (Im, Ker) pairs and
-    # build no module: 86 submodule coordinates, 91 generator searches and 238
-    # hom sets remain, for the registry entries and the self-cogenerator and
-    # quasi-projective deciders (111, 99 and 275 when those three searched
-    # isomorphisms between built modules).
-    assert counts == {"ring": 32, "module": 102, "generators": 91,
-                      "lattice": 21, "submodule": 86, "hom_set": 238,
+    # build no module: 86 submodule coordinates and 89 generator searches
+    # remain (111 and 99 when those three searched isomorphisms between
+    # built modules; 91 generator searches while the self-cogenerator
+    # decider built Hom(M/N, M) for each quotient, where it now reads the
+    # kernels of Hom(M, M)).  The 89 hom sets are End(M)'s: the
+    # quasi-projective decider and P2.17 read only the order of a hom set,
+    # which `hom_count` finds for 115 pairs without building a map (238 hom
+    # sets were built when they and the self-cogenerator decider built
+    # them all).
+    assert counts == {"ring": 32, "module": 102, "generators": 89,
+                      "lattice": 21, "submodule": 86, "hom_set": 89,
                       "end_ring": 89, "end_table": 21}
+    assert sum(key[0] == "hom_count" for key in fresh_intern) == 115
     # One decider body per (structure, caps, property): 348 that return a
     # verdict and 4 that stop at a cap.  One ring check per (ring
     # structure, name): 167, that is 32 pi_regular, 27 gen_left_pp and 23
