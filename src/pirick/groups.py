@@ -4,7 +4,8 @@ A FinAbGroup is a product of cyclic groups Z_{n1} x ... x Z_{nk}.  Elements
 are integer indices 0 .. order-1 in lexicographic order of their coordinate
 tuples (index 0 is always the zero element), which keeps every downstream
 table (addition, multiplication, module action) a plain numpy array indexed
-by small ints.
+by small ints.  Every table of element indices, here and in the rings,
+modules and hom sets built on a group, has the type `index_dtype(order)`.
 
 The module also provides `group_embedding`: given a finite abelian group as
 a sorted array of integer labels and an addition that works on whole label
@@ -23,6 +24,17 @@ import numpy as np
 
 from .caps import INTERNED
 from .errors import EmptyFactorList, PirickError, ZeroFactor
+
+
+def index_dtype(order: int) -> np.dtype:
+    """The type of every table whose entries are indices of the elements
+    of a structure of this order: the smallest unsigned integer type that
+    holds order - 1, uint8 up to 256 elements and uint16 up to 65,536.
+
+    NumPy keeps that type when a Python int joins the arithmetic (NEP 50),
+    so 255 + 1 is 0 in uint8: every sum, product, remainder or key computed
+    from the entries widens them first."""
+    return np.min_scalar_type(order - 1)
 
 
 class FinAbGroup:
@@ -97,13 +109,14 @@ class FinAbGroup:
         return self._coords
 
     def add_table(self) -> np.ndarray:
-        """(order, order) int32 table T with T[i, j] = index of element i + j,
-        by a mixed-radix row recurrence: row p + basis_j is row p gathered
-        by the permutation q -> q + basis_j, a block of rows at a time."""
+        """(order, order) table T, of type index_dtype(order), with T[i, j]
+        the index of element i + j, by a mixed-radix row recurrence: row
+        p + basis_j is row p gathered by the permutation q -> q + basis_j,
+        a block of rows at a time."""
         if self._add_table is None:
             n = self.order
-            idx = np.arange(n, dtype=np.int32)
-            out = np.empty((n, n), dtype=np.int32)
+            idx = np.arange(n)
+            out = np.empty((n, n), dtype=index_dtype(n))
             out[0] = idx
             for f, s in zip(reversed(self.factors), reversed(self.strides)):
                 plus = idx + s - np.where(idx // s % f == f - 1, f * s, 0)
@@ -115,11 +128,13 @@ class FinAbGroup:
         return self._add_table
 
     def neg_vector(self) -> np.ndarray:
-        """(order,) int32 vector mapping each index to the index of its negative."""
+        """(order,) vector of type index_dtype(order) mapping each index to
+        the index of its negative."""
         coords = self.coords_matrix()
         facs = np.array(self.factors, dtype=np.int64)
         strides = np.array(self.strides, dtype=np.int64)
-        return (((-coords) % facs) * strides).sum(axis=1).astype(np.int32)
+        return (((-coords) % facs) * strides).sum(axis=1) \
+            .astype(index_dtype(self.order))
 
     # -- misc ----------------------------------------------------------------
 

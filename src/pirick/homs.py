@@ -1,29 +1,31 @@
 """Module homomorphisms, hom-sets, and endomorphism rings.
 
-hom_set computes Hom(M, N) exactly, as one (count, |M|) array of tables,
-without trying the |N|^k candidate images of the generators g_i of M.  A
-table is a homomorphism iff it sends 0 to 0 and respects every relation
-edge x -> x + g_i b_j (b_j the ring's additive basis), and on the images of
-the g_i these checks are one additive map into a product of copies of N, so
-Hom(M, N) is its kernel.  The kernel is solved exactly, by extended gcds on
-integer coordinates, into generators in echelon form; each generator's
-table is checked on every edge, and every map is one sum of their multiples,
-built in two halves and sorted by generator images.  hom_count reads the
-order of Hom(M, N) off the same kernel without building a map, for the
-callers that need only the count.
+hom_set computes Hom(M, N) exactly, as one (count, |M|) array of tables
+of N's element indices, of type index_dtype(|N|) (one byte per entry up to
+|N| = 256), without trying the |N|^k candidate images of the generators
+g_i of M.  A table is a homomorphism iff it sends 0 to 0 and respects
+every relation edge x -> x + g_i b_j (b_j the ring's additive basis), and
+on the images of the g_i these checks are one additive map into a product
+of copies of N, so Hom(M, N) is its kernel.  The kernel is solved exactly,
+by extended gcds on integer coordinates, into generators in echelon form;
+each generator's table is checked on every edge, and every map is one sum
+of their multiples, built in two halves and sorted by generator images.
+hom_count reads the order of Hom(M, N) off the same kernel without
+building a map, for the callers that need only the count.
 
-End(M) comes in two layers.  end_ring builds the maps: Hom(M, M)'s tables
-numbered by a cyclic decomposition of its additive group, the power table
-(row f: the indices of f, f^2, ..., f^s, s the index of f, where its image
-and kernel chains end), the image and kernel mask of every element, the
-identity's index and what the ring table needs later.  The idempotents,
-the central idempotents (with the first noncentral pair) and the
-nontrivial idempotents are read from the maps, comparing them on the
-generators of M; every decider, `analyze` and the registry's map-side
-entries read only this layer.  end_table re-equips End(M) with composition
-as a FiniteRing, giving every ring-theoretic tool access to it; it is built
-only when a caller asks for it: the registry's "end." ring checks, its
-left annihilators in End(M), P2.17's 1 - e, and `module endring`.
+End(M) comes in two layers.  end_ring builds the maps: Hom(M, M)'s tables,
+of the hom set's type, numbered by a cyclic decomposition of its additive
+group, the power table (row f: the indices of f, f^2, ..., f^s, s the
+index of f, where its image and kernel chains end), the image and kernel
+mask of every element, the identity's index and what the ring table needs
+later.  The idempotents, the central idempotents (with the first
+noncentral pair) and the nontrivial idempotents are read from the maps,
+comparing them on the generators of M; every decider, `analyze` and the
+registry's map-side entries read only this layer.  end_table re-equips
+End(M) with composition as a FiniteRing, giving every ring-theoretic tool
+access to it; it is built only when a caller asks for it: the registry's
+"end." ring checks, its left annihilators in End(M), P2.17's 1 - e, and
+`module endring`.
 
 An endomorphism is a row of End(M)'s table array and nothing else, and f^n
 is the element End(M).powers[f, n - 1], so Im f^n is one mask lookup.
@@ -34,7 +36,9 @@ walks the rows; first_offender is its n = 1 form.  MAP_CHECKS names the
 four such checks that the registry reads as predicates on End(M).  A map
 between two modules is its table too: check_map validates one by the
 relation check of hom_set, for the projections and inclusions of quotients
-and submodules.
+and submodules, narrowed to the same type once its entries are known to
+be elements of the codomain.  The keys that order maps by their generator
+images are computed in int64 from widened entries.
 
 A hom set, End(M) and its ring table are built once per structure and
 caps in a process, in the intern table `caps.INTERNED`; every module object
@@ -53,7 +57,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import NotAHomomorphism, PirickError
-from .groups import FinAbGroup, group_embedding
+from .groups import FinAbGroup, group_embedding, index_dtype
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
 from .rings import (FiniteRing, Verdict, _first_power, _no_offender,
@@ -99,12 +103,19 @@ def check_map(domain: FiniteModule, codomain: FiniteModule,
               table) -> np.ndarray:
     """A homomorphism of right modules over a common ring, given by its
     table over the domain's element indices, validated by the relation
-    check of hom_set; returned as a read-only int64 array."""
+    check of hom_set; returned as a read-only array of hom_set's type,
+    index_dtype(|codomain|).  An entry that is not an element index of
+    the codomain fails "range" at the first such element, before the table
+    is narrowed, where it would wrap around."""
     if not same_ring(domain.ring, codomain.ring):
         raise PirickError("domain and codomain have different base rings")
     table = np.array(table, dtype=np.int64)
     if len(table) != domain.order:
         raise PirickError("map table length does not match domain order")
+    outside = (table < 0) | (table >= codomain.order)
+    if outside.any():
+        raise NotAHomomorphism("range", (int(np.argmax(outside)),))
+    table = table.astype(index_dtype(codomain.order))
     gens, basis, ends = edges = _relation_edges(domain)
     holds = _relations_hold(table[:, None], codomain, edges)[:, 0]
     if not holds[0]:
@@ -118,8 +129,9 @@ def check_map(domain: FiniteModule, codomain: FiniteModule,
 
 def hom_set(domain: FiniteModule, codomain: FiniteModule,
             caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """All module homomorphisms domain -> codomain, as one int64 array of
-    shape (count, |domain|) whose row i is the table of the i-th map.
+    """All module homomorphisms domain -> codomain, as one array of shape
+    (count, |domain|) and type index_dtype(|codomain|) whose row i is the
+    table of the i-th map.
 
     A map is fixed by its images of the generators of the domain, and the
     rows are in lexicographic order of those images.  They are the kernel
@@ -317,13 +329,15 @@ def _ext_gcd(a: int, b: int) -> tuple:
 def _span(maps: np.ndarray, orders: list, codomain: FiniteModule,
           gens: list) -> np.ndarray:
     """The tables of sum j_t h_t over every 0 <= j_t < orders[t], h_t given
-    as maps[t] in N's coordinates, as one int64 array ordered by the
-    mixed-radix key of the generator images.
+    as maps[t] in N's coordinates, as one array of the type of N's add
+    table, index_dtype(|N|), ordered by the mixed-radix key of the
+    generator images.
 
     The sums split in two halves, over the first maps (about the square
     root of all in number) and over the rest, each found from its digits j
     by one product in N's coordinates.  Every head plus every tail is then
-    one pass over N's add table, as `group_embedding` stacks its cosets.
+    one gather from N's add table, as `group_embedding` stacks its cosets;
+    the keys, up to |N|^k, are computed from the widened generator images.
     """
     count = math.prod(orders)
     cut = 0
@@ -333,14 +347,13 @@ def _span(maps: np.ndarray, orders: list, codomain: FiniteModule,
     factors, strides = np.array(group.factors), np.array(group.strides)
     head, tail = (_sums(maps[part], orders[part], factors, strides)
                   for part in (slice(0, cut), slice(cut, None)))
-    add = group.add_table()
-    if count * maps.shape[1] >= add.size:
-        add = add.astype(np.int64)      # no larger than the rows it gives
-    rows = add[head[:, None], tail[None]].reshape(count, maps.shape[1])
-    keys = rows[:, gens] @ codomain.order ** np.arange(len(gens))[::-1]
+    rows = group.add_table()[head[:, None], tail[None]] \
+        .reshape(count, maps.shape[1])
+    keys = rows[:, gens].astype(np.int64) \
+        @ codomain.order ** np.arange(len(gens), dtype=np.int64)[::-1]
     if not (keys[1:] > keys[:-1]).all():
         rows = rows[np.argsort(keys)]
-    return rows.astype(np.int64, copy=False)
+    return rows
 
 
 def _sums(maps: np.ndarray, orders: list, factors: np.ndarray,
@@ -417,12 +430,12 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     gens = np.array(module_generators(module), dtype=np.int64)
     radix = module.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
     images = raw[:, gens]
-    keys = images @ radix
+    keys = images.astype(np.int64) @ radix
     add_m = module.add_group.add_table()
 
     def raw_index(gen_images):
         """Row of raw for each map given by a (..., #gens) image stack."""
-        return np.searchsorted(keys, gen_images @ radix)
+        return np.searchsorted(keys, gen_images.astype(np.int64) @ radix)
 
     group, from_label, to_index, basis_labels = group_embedding(
         np.arange(len(raw)),

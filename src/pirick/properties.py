@@ -281,11 +281,12 @@ def decide_self_cogenerator(facts: Facts) -> Verdict:
 
 def _distinct_kernels(maps: np.ndarray) -> list:
     """The bitmasks of the distinct kernels of the rows of maps, found by
-    one sort of the packed rows read as 64-bit words."""
-    bits = np.zeros((len(maps), -(-maps.shape[1] // 64) * 64), dtype=bool)
-    bits[:, :maps.shape[1]] = maps == 0
-    words = np.packbits(bits, bitorder="little").view(np.uint64) \
-        .reshape(len(maps), -1)
+    one sort of the packed rows, padded with zero bytes to whole 64-bit
+    words and read as such."""
+    packed = np.packbits(maps == 0, axis=1, bitorder="little")
+    words = np.zeros((len(maps), -(-packed.shape[1] // 8) * 8), np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
     words = words[np.lexsort(words.T)]
     new = np.ones(len(words), dtype=bool)
     new[1:] = (words[1:] != words[:-1]).any(axis=1)
@@ -302,10 +303,10 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
         # maps M -> M/N keyed by generator images, as hom_set numbers them:
         # all are lifted iff there are as many distinct lifted keys as maps
         radix = quot.order ** np.arange(len(end.gens), dtype=np.int64)
-        lifted = np.sort(proj[on_gens] @ radix)
+        lifted = np.sort(proj[on_gens].astype(np.int64) @ radix)
         if 1 + np.count_nonzero(np.diff(lifted)) != count:
             homs = hom_set(facts.module, quot, facts.caps)
-            keys = homs[:, end.gens] @ radix
+            keys = homs[:, end.gens].astype(np.int64) @ radix
             at = np.minimum(np.searchsorted(lifted, keys), len(lifted) - 1)
             h = homs[np.argmax(lifted[at] != keys)]
             return Verdict(False, {}, (mask, tuple(h.tolist())))

@@ -42,7 +42,7 @@ import numpy as np
 from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
                      NotIdempotent, PirickError)
-from .groups import FinAbGroup, group_embedding
+from .groups import FinAbGroup, group_embedding, index_dtype
 
 @dataclasses.dataclass
 class Verdict:
@@ -91,7 +91,8 @@ def _bilinear_table(left: FinAbGroup, right: FinAbGroup,
 
     `constants` maps (i, j) -> the index in `left` of left basis i times
     right basis j; missing pairs are zero.  A ring's multiplication is the
-    table of (G, G), a module's action the table of (M, R).  The basis
+    table of (G, G), a module's action the table of (M, R); its entries
+    are indices of `left`, of type index_dtype(|left|).  The basis
     rows come from coordinates, the others by the mixed-radix recurrence
     row(p + b_i) = row(p) + row(b_i), one add-table gather per block; that
     is additivity in the left argument, so it holds for any constants.
@@ -103,7 +104,7 @@ def _bilinear_table(left: FinAbGroup, right: FinAbGroup,
     coords = np.einsum("qj,ijl->iql", right.coords_matrix(), cmat)
     basis_rows = (coords % np.array(left.factors)) @ np.array(left.strides)
     add = left.add_table()
-    out = np.empty((left.order, right.order), dtype=np.int32)
+    out = np.empty((left.order, right.order), dtype=index_dtype(left.order))
     out[0] = 0
     for f, s, row in zip(reversed(left.factors), reversed(left.strides),
                          basis_rows[::-1]):

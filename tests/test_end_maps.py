@@ -134,7 +134,7 @@ def test_the_self_check_covers_every_block(monkeypatch, fresh_intern):
         ring = real(*args, **kwargs)
         ring.mul_np = ring.mul_np.copy()
         for i, j in ((255, 255), (200, 7)):
-            ring.mul_np[i, j] = (ring.mul_np[i, j] + 1) % ring.order
+            ring.mul_np[i, j] = (int(ring.mul_np[i, j]) + 1) % ring.order
         return ring
 
     monkeypatch.setattr(homs, "ring_make", corrupted)

@@ -4,12 +4,12 @@ map, against the block enumerator it replaced, kept here only as an oracle.
 The oracle tries every assignment of generator images in lexicographic
 order, a block at a time, expands each along a spanning tree of the
 relation edges x -> x + g_i b_j and keeps the tables that pass
-`homs._relations_hold`.  Both must return arrays equal in shape, dtype and
-bytes: on every ordered pair of corpus modules over one ring, on free
-modules over Z/n, and on z2_free4 under raised caps; `hom_count` must
-give the oracle's number of rows.  The mutation tests
-corrupt one step of the kernel route at a time and must be caught, by the
-package's own checks or by the oracle.
+`homs._relations_hold`.  hom_set must return the oracle's int64 tables cast
+to `index_dtype(|N|)`, equal in shape, dtype and bytes: on every ordered
+pair of corpus modules over one ring, on free modules over Z/n, and on
+z2_free4 under raised caps; `hom_count` must give the oracle's number of
+rows.  The mutation tests corrupt one step of the kernel route at a time
+and must be caught, by the package's own checks or by the oracle.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from pirick import homs
 from pirick.caps import INTERNED, Caps, caps_from_env
 from pirick.errors import PirickError, SizeCapExceeded
 from pirick.families import zmod
+from pirick.groups import index_dtype
 from pirick.modules import FiniteModule, free_module
 
 CAPS = caps_from_env()
@@ -69,10 +70,10 @@ def block_hom_set(domain: FiniteModule, codomain: FiniteModule):
 
 def _differs(domain: FiniteModule, codomain: FiniteModule,
              caps: Caps = CAPS) -> bool:
-    """Whether hom_set, built afresh, differs from the oracle in shape,
-    dtype or bytes."""
+    """Whether hom_set, built afresh, differs from the oracle, cast to the
+    type of the codomain's element indices, in shape, dtype or bytes."""
     got = homs._enumerate_homs(domain, codomain, caps)
-    want = block_hom_set(domain, codomain)
+    want = block_hom_set(domain, codomain).astype(index_dtype(codomain.order))
     assert not got.flags.writeable
     return (got.shape != want.shape or got.dtype != want.dtype
             or got.tobytes() != want.tobytes())

@@ -42,7 +42,7 @@ def test_module_map_validation(z4_reg):
     assert (err.value.law, err.value.witness) == ("relation", (1, 1, 1))
     doubling = check_map(z4_reg, z4_reg, (0, 2, 0, 2))
     assert tuple(doubling.tolist()) == (0, 2, 0, 2)
-    assert doubling.dtype == np.int64 and not doubling.flags.writeable
+    assert doubling.dtype == np.uint8 and not doubling.flags.writeable
 
 
 def test_hom_set_of_regular_module_matches_ring(z4_reg):
