@@ -16,7 +16,9 @@ building a map, for the callers that need only the count.
 End(M) comes in two layers.  end_ring builds the maps: Hom(M, M)'s tables,
 of the hom set's type, numbered by a cyclic decomposition of its additive
 group, the power table (row f: the indices of f, f^2, ..., f^s, s the
-index of f, where its image and kernel chains end), the image and kernel
+index of f, where its image and kernel chains end; `rings.index_powers`
+builds it, as it builds a ring's `rings.power_table`, so End(M).powers is
+the power table of End(M)'s ring table), the image and kernel
 mask of every element, the identity's index and what the ring table needs
 later.  The idempotents, the central idempotents (with the first
 noncentral pair) and the nontrivial idempotents are read from the maps,
@@ -61,7 +63,7 @@ from .groups import FinAbGroup, group_embedding, index_dtype
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
 from .rings import (FiniteRing, Verdict, _first_power, _no_offender,
-                    ring_make)
+                    index_powers, ring_make)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +448,12 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     products = to_index[raw_index(basis[:, basis[:, gens]])]
     constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
     one = int(to_index[raw_index(gens)])
-    powers = _power_table(tables, gens,
-                          lambda gen_images: to_index[raw_index(gen_images)])
+    # f^(n+1) = f(f^n(g)) on the generators g, and kernel sizes |Ker f|
+    powers = index_powers(
+        len(tables),
+        lambda f, fn: to_index[raw_index(tables[f[:, None],
+                                                tables[fn[:, None], gens]])],
+        (tables == 0).sum(axis=1))
     in_image = np.zeros(tables.shape, dtype=bool)
     in_image[np.arange(len(tables))[:, None], tables] = True
     for array in (tables, gens, powers):
@@ -455,32 +461,6 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     return EndRing((module.key, caps), tables, powers,
                    tuple(masks(in_image)), tuple(masks(tables == 0)), one,
                    gens, group, constants)
-
-
-def _power_table(tables: np.ndarray, gens: np.ndarray, index) -> np.ndarray:
-    """The (|End|, m) table whose row f holds f, f^2, ..., f^s and then
-    -1s, s the first n with |Ker f^n| == |Ker f^(n+1)| and m the largest
-    s; index(images) is the element with these generator images.
-
-    Ker f^n grows with n, so it stops changing at s, and so does Im f^n,
-    as |Im f^n| * |Ker f^n| = |M|: s is f's index, the first n with f^n =
-    f^(n+p) for some p.  f^(n+1) is found on the generators alone, as
-    f(f^n(g)), for the rows still growing.  Its type is the smallest
-    signed integer type that holds -|End|, as for `rings.power_table`.
-    """
-    order = len(tables)
-    kernel_size = (tables == 0).sum(axis=1)
-    rows = power = np.arange(order)
-    steps = []                            # steps[n]: rows and their f^(n+1)
-    while rows.size:
-        steps.append((rows, power))
-        up = index(tables[rows[:, None], tables[power[:, None], gens]])
-        grows = kernel_size[up] != kernel_size[power]
-        rows, power = rows[grows], up[grows]
-    out = np.full((order, len(steps)), -1, dtype=np.min_scalar_type(-order))
-    for n, (rows, power) in enumerate(steps):
-        out[rows, n] = power
-    return out
 
 
 @interned

@@ -19,10 +19,13 @@ function returning a Verdict, read through `ring_check(ring, name)`.  The
 checks of the form "every a has a power a^n with property P" (regular,
 pi_regular, strongly_pi_regular, gen_left_pp, nil_radical) are one batched
 search, `_first_power`, over the ring's `power_table`, whose row a holds
-the distinct powers of a: at exponent n it tests, with whole-array passes,
-only the elements that no smaller exponent resolved.  It is the package's
-one power search: End(M)'s searches run it over `EndRing.powers`, the
-powers of each map up to its index.  Left annihilators
+a, a^2, ..., a^k, k the index of a, the first n with a^n = a^(n+p) for
+some p: at exponent n it tests, with whole-array passes, only the elements
+that no smaller exponent resolved.  It is the package's one power search:
+End(M)'s searches run it over `EndRing.powers`, the powers of each map up
+to its index.  Both tables come from one builder, `index_powers`, which
+ends each row where the kernels of the powers stop growing; by Fitting's
+lemma that is the index.  Left annihilators
 are rows of one packed key table, `left_annihilator_keys`.  The classical
 predicates (commutative, reduced, abelian, domain, local, division)
 report their first offender.  Then the Jacobson radical, and ring
@@ -344,46 +347,54 @@ def jacobson_radical(ring: FiniteRing) -> np.ndarray:
     return np.nonzero(in_j)[0].astype(np.int32)
 
 
-@interned
-def power_table(ring: FiniteRing) -> np.ndarray:
-    """The (order, m) table whose row a holds the distinct powers a, a^2,
-    ..., a^k up to the first repeated value, then -1s; k is a's index plus
-    its period minus 1, and m the largest k.  Its type is the smallest
-    signed integer type that holds -order.
+def index_powers(order: int, step, kernel_size) -> np.ndarray:
+    """The (order, m) table whose row a holds a, a^2, ..., a^k and then
+    -1s, k the first n with kernel_size[a^(n+1)] <= kernel_size[a^n] and m
+    the largest k; step(a, a^n) gives a^(n+1) for arrays of rows still
+    growing.  Its type is the smallest signed integer type that holds
+    -order.  This builds the power table of a ring and of End(M).
 
-    Every positive power of a equals one of these, so any exponent search
-    over a^n only needs row a; the exponent of column i is i + 1.  Rows are
-    built a block at a time and column by column, a^(n+1) = a^n * a, each
-    row's powers so far marked in a (rows, order) block of flags.
+    For an endomorphism f of a finite module M, Ker f^n grows with n
+    until it stops at some s, and Im f^n shrinks until s too, as
+    |Im f^n| * |Ker f^n| = |M|.  By Fitting's lemma M is the direct sum of
+    Im f^s, on which f is bijective, and Ker f^s, on which it is nilpotent
+    of index s; so s is f's index, the first n with f^n = f^(n+p) for some
+    p.  Left multiplication by a ring element a is a faithful endomorphism
+    of R_R whose n-th power has kernel r(a^n) = {y : a^n * y == 0}, so
+    with kernel size |r(x)| row a ends at a's index k as well.  From k on,
+    a^n lies in the group part of <a>: it is regular and strongly
+    pi-regular, l(a^n) = R(1 - e) for that group's identity e, and a is
+    nilpotent iff a^k = 0.  So every power search resolves within the
+    row, at the smallest exponent that it finds on any longer one.
+
+    The comparison is strict: on a table that is not associative the
+    sizes need not grow, and a row ends after at most order + 1 terms.
     """
-    mul, order = ring.mul_np, ring.order
-    dtype = np.min_scalar_type(-order)
-    blocks = []
-    for rows in _row_blocks(order, order):
-        a = np.arange(order)[rows]
-        seen = np.zeros((len(a), order), dtype=bool)
-        pos, cur, steps = np.arange(len(a)), a, []   # steps[n]: a^(n+1)
-        while pos.size:
-            steps.append((pos, cur))
-            seen[pos, cur] = True
-            cur = mul[cur, a]
-            fresh = ~seen[pos, cur]
-            pos, cur, a = pos[fresh], cur[fresh], a[fresh]
-        block = np.full((len(seen), len(steps)), -1, dtype=dtype)
-        for n, (pos, cur) in enumerate(steps):
-            block[pos, n] = cur
-        blocks.append(block)
-    out = np.full((order, max(b.shape[1] for b in blocks)), -1, dtype=dtype)
-    for rows, block in zip(_row_blocks(order, order), blocks):
-        out[rows, :block.shape[1]] = block
+    rows = power = np.arange(order)
+    steps = []                            # steps[n]: rows and their a^(n+1)
+    while rows.size:
+        steps.append((rows, power))
+        up = step(rows, power)
+        grows = kernel_size[up] > kernel_size[power]
+        rows, power = rows[grows], up[grows]
+    out = np.full((order, len(steps)), -1, dtype=np.min_scalar_type(-order))
+    for n, (rows, power) in enumerate(steps):
+        out[rows, n] = power
     return out
 
 
-def power_trail(ring: FiniteRing, a: int) -> list:
-    """Distinct powers [a, a^2, ..., a^k] up to the first repeated value:
-    row a of `power_table`; the exponent of trail[i] is i + 1."""
-    row = power_table(ring)[a]
-    return row[row >= 0].tolist()
+@interned
+def power_table(ring: FiniteRing) -> np.ndarray:
+    """`index_powers` of ring: row a holds a, a^2, ..., a^k, k a's index,
+    then -1s, so any exponent search over a^n only needs row a; the
+    exponent of column i is i + 1.  a^(n+1) = a^n * a, and the kernel size
+    of x is |r(x)|, r(x) = {y : x*y == 0}, the zero count of row x of the
+    table, read a block of rows at a time."""
+    mul, order = ring.mul_np, ring.order
+    zeros = np.empty(order, dtype=np.intp)
+    for rows in _row_blocks(order, order):
+        zeros[rows] = np.count_nonzero(mul[rows] == 0, axis=1)
+    return index_powers(order, lambda a, an: mul[an, a], zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +466,8 @@ def _inner_inverses(ring: FiniteRing) -> np.ndarray:
 
 
 def _pi_regular(ring: FiniteRing, terms: int = None) -> Verdict:
-    """Every a has a power a^n, among the first `terms` of its power trail,
-    and x with a^n*x*a^n == a^n.  Witness: a -> (n, x).  With all terms
+    """Every a has a power a^n, among the first `terms` of its row of the
+    power table, and x with a^n*x*a^n == a^n.  Witness: a -> (n, x).  With all terms
     this is pi-regularity, and with terms=1 von Neumann regularity."""
     inverses = _inner_inverses(ring)
     return _first_power(power_table(ring), lambda a, an: inverses[an],

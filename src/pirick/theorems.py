@@ -41,7 +41,9 @@ End(M).kernels, and the idempotents read from the maps.  End(M)'s ring
 table, `homs.end_table`, is asked for only where a ring is read: the
 "end." scope, a left ideal of End(M) as a row of one packed key table
 (`rings.left_annihilator_keys`, `rings.principal_annihilators`), 1 - e and
-the left singular ideal; no walk reads its `rings.power_table`.  The walks
+the left singular ideal.  No walk reads its `rings.power_table`, which
+equals End(M).powers: both end each row f at f's index, the first n with
+Ker f^n == Ker f^(n+1), and both come from `rings.index_powers`.  The walks
 over f^n find what depends on f^n alone (its annihilators, the maps that
 kill its image) once per distinct element, image or principal left ideal,
 not once per (f, n).  Each derived object is found once per

@@ -5,16 +5,19 @@ against two oracles.
 - `power_chains`, the image and kernel chains of every power of every map
   that End(M) kept before the table, kept here unchanged: the masks read
   along row f of the table must be its chains of f.
-- `rings.power_table` of End(M)'s ring table: row f of End(M).powers must
-  be its row f cut at s, where s is the first n with Im f^n == Im f^(n+1)
-  and also the first n with Ker f^n == Ker f^(n+1), both read off the map
-  tables of f^n and f^(n+1) = f^n * f.
+- `first_repeat` of `test_ring_checks_oracle.py` on End(M)'s ring table,
+  the powers of f up to the first repeated one: row f of End(M).powers
+  must be its first s terms, where s is the first n with Im f^n ==
+  Im f^(n+1) and also the first n with Ker f^n == Ker f^(n+1), both read
+  off the map tables of f^n and f^(n+1) = f^n * f.
 
 The comparison runs on the 21 corpus modules, on the zero module and, with
-Hypothesis, on the module pools of `test_iso_oracle.py`.  Two corrupted
-tables must be caught: one a column short, and one that runs on to the
-first repeated power (index + period - 1 terms, as `rings.power_table`
-does).
+Hypothesis, on the module pools of `test_iso_oracle.py`.  On the same
+inputs End(M) has one power table: `rings.power_table` of its ring table
+is End(M).powers, in values and type.  Three corrupted tables must be
+caught: one a column short, one a column long wherever f^(s+1) is not f^s,
+and one that runs on to the first repeated power (index + period - 1
+terms, as `rings.power_table` once did).
 """
 
 from typing import NamedTuple
@@ -29,6 +32,7 @@ from pirick.modules import masks, ring_as_module, submodule_module
 from pirick.rings import power_table
 
 from test_iso_oracle import _pools
+from test_ring_checks_oracle import first_repeat
 
 CAPS = caps_from_env()
 
@@ -132,12 +136,22 @@ def _mask(elements) -> int:
     return sum(1 << int(x) for x in set(np.asarray(elements).tolist()))
 
 
+def first_repeat_table(ring) -> np.ndarray:
+    """The (order, m) table whose row a is `first_repeat(ring, a)`, then
+    -1s."""
+    rows = [first_repeat(ring, a) for a in range(ring.order)]
+    out = np.full((ring.order, max(map(len, rows))), -1)
+    for a, row in enumerate(rows):
+        out[a, :len(row)] = row
+    return out
+
+
 def table_faults(end, powers=None) -> list:
     """What is wrong with a power table of End(M), by default its own:
     (f, reason) for each row f that disagrees with an oracle."""
     powers = end.powers if powers is None else powers
     ring = end_table(end)
-    full = power_table(ring)
+    full = first_repeat_table(ring).tolist()
     chains = oracle_chains(end)
     faults = []
     for f, row in enumerate(np.asarray(powers).tolist()):
@@ -145,7 +159,7 @@ def table_faults(end, powers=None) -> list:
         if not s or any(x != -1 for x in row[s:]):
             faults.append((f, "no powers, or a power after -1"))
             continue
-        if s > full.shape[1] or row[:s] != full[f, :s].tolist():
+        if row[:s] != full[f][:s]:
             faults.append((f, "not the powers of f"))
             continue
         # f^n's tables for n = 1 .. s + 1
@@ -203,9 +217,47 @@ def _one_column_short(end) -> np.ndarray:
     return out
 
 
+def _one_column_long(end) -> np.ndarray:
+    """Each row run on to f^(s+1) = f^s * f, where that is not f^s."""
+    mul = end_table(end).mul_np
+    out = np.pad(end.powers, ((0, 0), (0, 1)), constant_values=-1)
+    f = np.arange(len(out))
+    s = (out >= 0).sum(axis=1)
+    last = out[f, s - 1]
+    up = mul[last, f]
+    on = up != last
+    out[f[on], s[on]] = up[on]
+    return out
+
+
 def _to_first_repeat(end) -> np.ndarray:
-    """Each row run on to the first repeated power: `rings.power_table`."""
-    return power_table(end_table(end))
+    """Each row run on to the first repeated power."""
+    return first_repeat_table(end_table(end))
+
+
+def _periodic(end) -> bool:
+    """Whether some f has period above 1: the power after its first-repeat
+    trail is not the trail's last term."""
+    ring = end_table(end)
+    trails = [first_repeat(ring, f) for f in range(ring.order)]
+    return any(ring.mul_np[t[-1], f] != t[-1] for f, t in enumerate(trails))
+
+
+def test_end_m_has_one_power_table_on_the_corpus(module_instances):
+    for inst in module_instances:
+        end = end_ring(inst.module, CAPS)
+        ring_powers = power_table(end_table(end))
+        assert ring_powers.dtype == end.powers.dtype, inst.name
+        assert np.array_equal(ring_powers, end.powers), inst.name
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pool_modules())
+def test_end_m_has_one_power_table_on_the_pools(module):
+    end = end_ring(module, CAPS)
+    ring_powers = power_table(end_table(end))
+    assert ring_powers.dtype == end.powers.dtype
+    assert np.array_equal(ring_powers, end.powers)
 
 
 def test_corrupted_tables_are_caught(module_instances):
@@ -213,9 +265,13 @@ def test_corrupted_tables_are_caught(module_instances):
     # every row of a table one column short loses a power
     assert [name for name, end in ends.items()
             if table_faults(end, _one_column_short(end))] == list(ends)
-    # a row runs on past s wherever f^s is not f^(s+1)
-    assert [name for name, end in ends.items()
-            if table_faults(end, _to_first_repeat(end))]
+    # a row a column long, or run on to the first repeated power, goes
+    # past s wherever f^s is not f^(s+1)
+    periodic = [name for name, end in ends.items() if _periodic(end)]
+    assert periodic
+    for corrupt in (_one_column_long, _to_first_repeat):
+        assert [name for name, end in ends.items()
+                if table_faults(end, corrupt(end))] == periodic
     # Z/3: 2 has index 1 and period 2, so its row is one term too long
     end = end_ring(ring_as_module(zmod(3, CAPS), CAPS), CAPS)
     assert table_faults(end, _to_first_repeat(end)) == [

@@ -6,11 +6,16 @@ strongly pi-regular, generalized left pp, nil radical) and the one
 `ring_predicates` pass over the six classical predicates.  Each check must
 agree with its oracle in (holds, witnesses, counterexample).  `regular` and
 `nil_radical` now share the power search's witness shape a -> (n, w): the
-oracle's x and n are compared as (1, x) and (n, 0).  The oracles walk each
-power trail one term at a time and pack each left annihilator from its
-column, with their own copies of the walk and the key (`trail`, `key`), so
-they do not read `rings.power_table` or `rings.left_annihilator_keys`,
-which the checks read and which are compared with those copies too.
+oracle's x and n are compared as (1, x) and (n, 0).  The oracles walk the
+powers of each element one term at a time and pack each left annihilator
+from its column, with their own copies of the walk and the key (`trail`,
+`key`), so they do not read `rings.power_table` or
+`rings.left_annihilator_keys`, which the checks read and which are
+compared with those copies too.  `trail` ends at the index, the rule of
+`rings.index_powers`; `first_repeat`, the walk to the first repeated power
+that the package used before, is kept as a second oracle: on a valid ring
+its row of a is longer by a's period minus 1, and the oracles give the
+same results over either walk.
 
 Hypothesis draws two kinds of input: valid rings (Z/n, products, corners,
 and 2x2 triangular and matrix rings, of order at most 81), and raw
@@ -20,9 +25,11 @@ radical, so only the raw tables reach those checks' failure branches.  A
 raw ring's structure key holds its table's bytes, so the per-ring data
 that the checks intern (idempotents, units, J(R)) is its own.
 
-Four mutants must be caught: a search that reads one term of each trail,
-a power table that drops the last term of every trail, one whose padding
-is read as a term, and a key table with one column flipped.
+Five mutants must be caught: a search that reads one term of each row,
+a power table that ends each row one step early, one that runs each row
+one step late, one whose padding is read as a term, and a key table with
+one column flipped.  The early and the late row are also caught on the
+corpus rings.
 """
 
 import numpy as np
@@ -36,7 +43,7 @@ from pirick.groups import FinAbGroup
 from pirick.rings import (RING_CHECKS, FiniteRing, Verdict,
                           central_idempotent_scan, corner_ring,
                           jacobson_radical, left_annihilator_key,
-                          matrix_ring, power_trail, principal_left_ideal_keys,
+                          matrix_ring, principal_left_ideal_keys,
                           product_ring, ring_check, ring_idempotents,
                           ring_units, triangular_ring)
 
@@ -48,9 +55,10 @@ CAPS = caps_from_env()
 # ---------------------------------------------------------------------------
 
 
-def trail(ring, a: int) -> list:
+def first_repeat(ring, a: int) -> list:
     """Distinct powers [a, a^2, ..., a^m] up to the first repeated value,
-    one term at a time: `rings.power_trail` as it was before the table."""
+    one term at a time: the package's power trail before rows ended at the
+    index, m being a's index plus its period minus 1."""
     mul = ring.mul_np
     out = [int(a)]
     seen = {int(a)}
@@ -61,6 +69,22 @@ def trail(ring, a: int) -> list:
             return out
         seen.add(cur)
         out.append(cur)
+
+
+def trail(ring, a: int) -> list:
+    """The powers [a, a^2, ..., a^k], one term at a time, a^(n+1) = a^n * a:
+    k is the first n with |r(a^(n+1))| <= |r(a^n)|, r(x) = {y : x*y == 0}
+    counted along row x of the table.  On a valid ring k is a's index."""
+    mul = ring.mul_np
+
+    def size(x):
+        return int(np.count_nonzero(mul[x] == 0))
+    out = [int(a)]
+    while True:
+        up = int(mul[out[-1], a])
+        if size(up) <= size(out[-1]):
+            return out
+        out.append(up)
 
 
 def key(ring, a: int) -> bytes:
@@ -80,12 +104,12 @@ def oracle_regular(ring):
     return Verdict(True, witnesses)
 
 
-def oracle_pi_regular(ring):
+def oracle_pi_regular(ring, walk=trail):
     mul = ring.mul_np
     witnesses = {}
     for a in range(ring.order):
         found = None
-        for pos, an in enumerate(trail(ring, a)):
+        for pos, an in enumerate(walk(ring, a)):
             hits = np.nonzero(mul[mul[an, :], an] == an)[0]
             if hits.size:
                 found = (pos + 1, int(hits[0]))
@@ -96,13 +120,13 @@ def oracle_pi_regular(ring):
     return Verdict(True, witnesses)
 
 
-def oracle_strongly_pi_regular(ring):
+def oracle_strongly_pi_regular(ring, walk=trail):
     mul = ring.mul_np
     witnesses = {}
     for a in range(ring.order):
         right = None
         left_ok = False
-        for pos, an in enumerate(trail(ring, a)):
+        for pos, an in enumerate(walk(ring, a)):
             an1 = int(mul[a, an])
             if right is None:
                 hits = np.nonzero(mul[an1, :] == an)[0]
@@ -120,12 +144,12 @@ def oracle_strongly_pi_regular(ring):
     return Verdict(True, witnesses)
 
 
-def oracle_gen_left_pp(ring):
+def oracle_gen_left_pp(ring, walk=trail):
     keys = principal_left_ideal_keys(ring)
     witnesses = {}
     for a in range(ring.order):
         found = None
-        for pos, an in enumerate(trail(ring, a)):
+        for pos, an in enumerate(walk(ring, a)):
             k = key(ring, an)
             if k in keys:
                 found = (pos + 1, keys[k][0])
@@ -136,10 +160,10 @@ def oracle_gen_left_pp(ring):
     return Verdict(True, witnesses)
 
 
-def oracle_nil_radical(ring):
+def oracle_nil_radical(ring, walk=trail):
     witnesses = {}
     for a in jacobson_radical(ring).tolist():
-        powers = trail(ring, a)
+        powers = walk(ring, a)
         if 0 not in powers:
             return Verdict(False, witnesses, counterexample=int(a))
         witnesses[int(a)] = powers.index(0) + 1
@@ -177,16 +201,20 @@ def oracle_ring_predicates(ring) -> dict:
     return out
 
 
-def oracle(ring, name: str) -> tuple:
-    """(holds, witnesses, counterexample) of the old code for check name."""
+def oracle(ring, name: str, walk=trail) -> tuple:
+    """(holds, witnesses, counterexample) of the old code for check name,
+    its power searches walking each element's powers by `walk`."""
     if name in ("commutative", "reduced", "abelian", "domain", "local",
                 "division"):
         holds, cex = oracle_ring_predicates(ring)[name]
         return holds, {}, cex
-    v = {"regular": oracle_regular, "pi_regular": oracle_pi_regular,
-         "strongly_pi_regular": oracle_strongly_pi_regular,
-         "gen_left_pp": oracle_gen_left_pp,
-         "nil_radical": oracle_nil_radical}[name](ring)
+    if name == "regular":
+        v = oracle_regular(ring)
+    else:
+        v = {"pi_regular": oracle_pi_regular,
+             "strongly_pi_regular": oracle_strongly_pi_regular,
+             "gen_left_pp": oracle_gen_left_pp,
+             "nil_radical": oracle_nil_radical}[name](ring, walk)
     witnesses = v.witnesses
     if name == "regular":
         witnesses = {a: (1, x) for a, x in witnesses.items()}
@@ -195,21 +223,27 @@ def oracle(ring, name: str) -> tuple:
     return v.holds, witnesses, v.counterexample
 
 
+def table_rows(table) -> list:
+    """The rows of a power table as lists, without their -1s."""
+    return [[x for x in row if x >= 0] for row in np.asarray(table).tolist()]
+
+
 def disagreements(ring) -> list:
     """The names whose check, run directly and not through the intern
-    table, differs from its oracle on ring; and "power_trail" or
-    "left_annihilator_key" when that function differs from its copy above
-    at some element."""
+    table, differs from its oracle on ring; "power_table" when a row of
+    `rings.power_table` is not `trail`, and "left_annihilator_key" when
+    that function differs from `key`, at some element."""
     out = []
     for name, check in RING_CHECKS.items():
         v = check(ring)
         if (v.holds, v.witnesses, v.counterexample) != oracle(ring, name):
             out.append(name)
-    for name, new, old in (("power_trail", power_trail, trail),
-                           ("left_annihilator_key", left_annihilator_key,
-                            key)):
-        if any(new(ring, a) != old(ring, a) for a in range(ring.order)):
-            out.append(name)
+    if table_rows(rings.power_table(ring)) != [trail(ring, a)
+                                               for a in range(ring.order)]:
+        out.append("power_table")
+    if any(left_annihilator_key(ring, a) != key(ring, a)
+           for a in range(ring.order)):
+        out.append("left_annihilator_key")
     return out
 
 
@@ -266,14 +300,16 @@ def raw_rings(draw):
     return raw_ring(table, draw(st.integers(0, n - 1)))
 
 
-# Tables on which strongly pi-regular fails first at element 2, whose power
-# trail is 2, 1 in each: on BOTH_SIDES, 2 and 1 lie neither in
-# a^(n+1)R nor in Ra^(n+1); on LEFT_ONLY, 2 = 2*1*2 is in a^2R but neither
-# lies in Ra^(n+1); on RIGHT_ONLY, 1 = 1*1*2 is in Ra^3 but neither lies in
-# a^(n+1)R.  Elements 0 and 1 pass both sides on all three.
+# Tables on which strongly pi-regular fails first at element 2.  2*2 = 1
+# on all three, and the row of 2 is [2] on BOTH_SIDES and LEFT_ONLY, and
+# [2, 1] on RIGHT_ONLY, where 2*1 = 1 too; the search tests a^n against
+# a*a^n = 1.  On BOTH_SIDES, 2 lies neither in 1*R nor in R*1; on
+# LEFT_ONLY, 2 = 1*2 is in 1*R but not in R*1; on RIGHT_ONLY, 1 = 2*1 is
+# in R*1 but neither 2 nor 1 lies in 1*R.  Elements 0 and 1 pass both
+# sides on all three.
 BOTH_SIDES = [[0, 0, 0], [0, 0, 1], [0, 0, 1]]
 LEFT_ONLY = [[0, 0, 0], [0, 0, 2], [0, 0, 1]]
-RIGHT_ONLY = [[0, 0, 0], [0, 0, 0], [2, 1, 1]]
+RIGHT_ONLY = [[1, 0, 0], [0, 0, 0], [2, 1, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +324,21 @@ def test_ring_checks_match_the_oracles_on_valid_rings(ring):
     for name in RING_CHECKS:
         v = ring_check(ring, name)
         assert (v.holds, v.witnesses, v.counterexample) == oracle(ring, name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(valid_rings())
+def test_rows_end_at_the_index_and_lose_no_witness(ring):
+    """On a valid ring each row is its first-repeat trail cut at the index,
+    the first n with a^n = a^(n+p), and the oracles walking the whole
+    trail find the same results."""
+    mul = ring.mul_np
+    for a in range(ring.order):
+        full = first_repeat(ring, a)
+        index = full.index(int(mul[full[-1], a])) + 1
+        assert trail(ring, a) == full[:index]
+    for name in RING_CHECKS:
+        assert oracle(ring, name, first_repeat) == oracle(ring, name)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -333,8 +384,8 @@ def test_a_first_power_that_reads_one_term_is_caught(monkeypatch):
 
 
 # A corrupted table is read through the package's name for it, as every
-# search and `power_trail` read it; fresh_intern keeps the derived tables
-# (the principal annihilators among them) from being served from before.
+# search reads it; fresh_intern keeps the derived tables (the principal
+# annihilators among them) from being served from before.
 
 
 def _drop_last_term(real):
@@ -342,6 +393,21 @@ def _drop_last_term(real):
     def table(ring):
         out = real(ring).copy()
         out[np.arange(ring.order), (out >= 0).sum(axis=1) - 1] = -1
+        return out
+    return table
+
+
+def _add_next_term(real):
+    """Every row of the power table run one term on, to a^(k+1) = a^k * a,
+    where that differs from a^k."""
+    def table(ring):
+        out = np.pad(real(ring), ((0, 0), (0, 1)), constant_values=-1)
+        a = np.arange(ring.order)
+        k = (out >= 0).sum(axis=1)
+        last = out[a, k - 1]
+        up = ring.mul_np[last, a]
+        on = up != last
+        out[a[on], k[on]] = up[on]
         return out
     return table
 
@@ -376,14 +442,19 @@ def _mutant_inputs() -> list:
 
 
 @pytest.mark.parametrize("table, mutate, caught", [
-    # a trail of one term is left empty, so `regular` fails too
+    # a row of one term is left empty, so `regular` fails too
     ("power_table", _drop_last_term,
-     {"power_trail", "regular", "pi_regular", "strongly_pi_regular",
+     {"power_table", "regular", "pi_regular", "strongly_pi_regular",
       "gen_left_pp", "nil_radical"}),
-    # on these inputs the extra term is a hit only where gen_left_pp fails
-    ("power_table", _padding_as_term, {"power_trail", "gen_left_pp"}),
+    # on these inputs the extra term is a hit only where a check fails
+    ("power_table", _padding_as_term,
+     {"power_table", "pi_regular", "strongly_pi_regular", "gen_left_pp"}),
     ("left_annihilator_keys", _flip_column_0,
      {"left_annihilator_key", "gen_left_pp"}),
+    # a valid ring's searches resolve by the index, so only the row
+    # comparison sees the extra term there; some raw tables fail less
+    ("power_table", _add_next_term,
+     {"power_table", "pi_regular", "strongly_pi_regular", "nil_radical"}),
 ])
 def test_a_corrupted_table_is_caught(monkeypatch, fresh_intern, table,
                                      mutate, caught):
@@ -392,3 +463,21 @@ def test_a_corrupted_table_is_caught(monkeypatch, fresh_intern, table,
     fresh_intern.clear()
     monkeypatch.setattr(rings, table, mutate(getattr(rings, table)))
     assert set().union(*map(disagreements, inputs)) == caught
+
+
+@pytest.mark.parametrize("mutate", [_drop_last_term, _add_next_term])
+def test_a_row_a_step_early_or_late_is_caught_on_the_corpus(
+        monkeypatch, fresh_intern, ring_instances, mutate):
+    """The early row on every corpus ring; the late one on every corpus
+    ring with an element a of period above 1, whose a^k * a is not a^k."""
+    corpus = [inst.ring for inst in ring_instances]
+    assert all(disagreements(ring) == [] for ring in corpus)
+    periodic = [ring.name for ring in corpus
+                if any(ring.mul_np[trail(ring, a)[-1], a] != trail(ring, a)[-1]
+                       for a in range(ring.order))]
+    fresh_intern.clear()
+    monkeypatch.setattr(rings, "power_table", mutate(rings.power_table))
+    caught = [ring.name for ring in corpus if disagreements(ring)]
+    assert caught == ([ring.name for ring in corpus]
+                      if mutate is _drop_last_term else periodic)
+    assert periodic

@@ -13,7 +13,7 @@ from pirick.errors import (BadIdentity, NonAssociative, NotDistributive,
 from pirick.families import zmod
 from pirick.groups import FinAbGroup
 from pirick.rings import (RING_CHECKS, corner_ring, jacobson_radical,
-                          matrix_ring, power_trail, product_ring, ring_check,
+                          matrix_ring, power_table, product_ring, ring_check,
                           ring_idempotents, ring_make, ring_units,
                           triangular_ring)
 
@@ -42,13 +42,38 @@ def test_ring_make_rejects_non_associative():
         ring_make(group, constants, 1, CAPS, "broken")
 
 
+def powers_of(ring, a: int) -> list:
+    """Row a of the ring's power table, without its -1s."""
+    row = power_table(ring)[a]
+    return row[row >= 0].tolist()
+
+
 def test_power_trail_reaches_zero_for_nilpotents():
     z8 = zmod(8)
-    trail = power_trail(z8, 2)
-    assert trail[0] == 2 and trail[-1] == 0
-    assert len(trail) == 3               # 2, 4, 0
-    assert power_trail(z8, 3)[0] == 3    # unit: trail never hits 0
-    assert 0 not in power_trail(z8, 3)
+    assert powers_of(z8, 2) == [2, 4, 0]   # index 3: 2^3 = 0
+    assert powers_of(z8, 6) == [6, 4, 0]
+    assert powers_of(z8, 3) == [3]         # unit: index 1, never 0
+
+
+@pytest.mark.parametrize("n, width", [(1021, 1), (1024, 10)])
+def test_the_table_is_as_wide_as_the_largest_index(n, width):
+    """Z/1021 is a field, so every index is 1 (its periods reach 1,020);
+    in Z/1024 the largest index is that of 2, 2^10 = 0."""
+    table = power_table(zmod(n, CAPS))
+    assert table.shape == (n, width)
+    assert table.dtype == np.min_scalar_type(-n)
+    assert (table[:, 0] == np.arange(n)).all()
+
+
+def test_the_table_ends_on_a_table_that_is_not_associative():
+    """On [[0, 1], [0, 0]] the powers of 1 run 1, 0, 1, ... while the
+    zero counts of their rows run 2, 1, 2, ...: row 1 ends at 1, where the
+    count first fails to grow."""
+    mul = np.array([[0, 1], [0, 0]], dtype=np.uint8)
+    mul.flags.writeable = False
+    ring = rings.FiniteRing(FinAbGroup((2,)), 0,
+                            {("raw", mul.tobytes()): 1}, mul, "raw")
+    assert power_table(ring).tolist() == [[0], [1]]
 
 
 def test_regularity_family_on_z4():
@@ -97,7 +122,7 @@ def test_principal_left_ideal_keys_list_every_idempotent():
     # generalized left pp names the smallest idempotent of its key
     v = ring_check(t2z2, "gen_left_pp")
     assert all(e == keys[rings.left_annihilator_key(
-        t2z2, power_trail(t2z2, a)[n - 1])][0]
+        t2z2, powers_of(t2z2, a)[n - 1])][0]
         for a, (n, e) in v.witnesses.items())
 
 
