@@ -17,6 +17,17 @@ structure key, caps) in a process, and `interned` memoizes every derived
 result in it the same way, End(M) among them.  A value depends only on the
 structure and the caps, so objects of one structure share it whatever
 their names; a name reaches output only from the caller's own object.
+
+Structure keys are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): `StructureKey(*parts)` returns the one
+key of those parts in the process, whose hash is taken once, when it is
+first made.  A ring's key holds its table of constants and a module's
+holds its ring's key, but either hashes in constant time and compares by
+identity, and so does every key built on them (a Facts, an End(M) or an
+InstanceContext pairs one with the caps).  A copy or an unpickled key is
+made from its parts again, so it is that process's key of the structure.
+A key's hash is its parts' hash and no id is handed out, so nothing
+depends on the order in which keys were made.
 """
 
 from __future__ import annotations
@@ -108,6 +119,33 @@ except PirickError:
     # A malformed PIRICK_CAPS must not stop the import: the command line
     # reads the variable again and reports the error.
     DEFAULT_CAPS = Caps()
+
+
+class StructureKey:
+    """The key of one structure: StructureKey(*parts) is the same object
+    for equal parts, so two keys are equal iff they are one object, and
+    its hash is computed once."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __new__(cls, *parts):
+        key = _KEYS.get(parts)
+        if key is None:
+            key = _KEYS[parts] = super().__new__(cls)
+            key.parts, key._hash = parts, hash(parts)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):                    # copies and pickles intern too
+        return StructureKey, self.parts
+
+    def __repr__(self) -> str:
+        return f"StructureKey{self.parts!r}"
+
+
+_KEYS = {}                                   # parts -> their StructureKey
 
 
 class InternTable(dict):

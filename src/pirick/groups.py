@@ -12,7 +12,12 @@ a sorted array of integer labels and an addition that works on whole label
 arrays, it finds a cyclic decomposition in one greedy pass and re-presents
 the group as a FinAbGroup, with the label of each index, the index of each
 label and the labels of the basis.  This is how endomorphism rings, corner
-rings, quotient modules and submodule modules acquire coordinates.
+rings, quotient modules and submodule modules acquire coordinates.  The
+pass has two paths with one result: up to SMALL_GROUP = 64 elements, where
+most of these groups are and a NumPy call costs more than the arithmetic
+it does, it asks `add` once for the whole table and walks it in Python
+lists; above, it adds whole arrays at each step.  The measured crossover
+is at SMALL_GROUP.
 """
 
 from __future__ import annotations
@@ -145,14 +150,26 @@ class FinAbGroup:
         return FinAbGroup, (self.factors,)
 
 
+# Up to this many elements `group_embedding` walks one position table of
+# the addition in Python lists; above it, it makes whole-array NumPy passes.
+# The crossover, per call on FinAbGroup add tables (best of 9 on one CPU of
+# a 2 vCPU shared VM, Python 3.11, NumPy 2.4), NumPy path vs list path:
+# 64 elements, 121 vs 75 us on Z_4^3 and 533 vs 205 on Z_64; 81 elements,
+# 120-185 vs 105-172 on Z_3^4; 128 elements, 150 vs 235 on Z_2^7 and 184 vs
+# 290 on Z_4^2 x Z_8; 256 elements, 204 vs 1,073 on Z_4^4.  The list path
+# wins on every group up to 64 elements; on cyclic groups, where the NumPy
+# path takes one step per multiple, it wins further.
+SMALL_GROUP = 64
+
+
 def group_embedding(labels: np.ndarray, add: Callable) -> tuple:
     """Re-present a finite abelian group, given by labels, as a FinAbGroup.
 
     `labels` is a sorted integer array whose first entry is the zero label,
-    and `add(x, y)` adds two label arrays elementwise.  Returns (group,
-    from_label, to_index, basis): from_label[i] is the label of index i,
-    to_index[label] the index of a label, and basis[j] the label of the
-    j-th standard generator.
+    and `add(x, y)` adds two label arrays elementwise, broadcasting them as
+    NumPy operators do.  Returns (group, from_label, to_index, basis):
+    from_label[i] is the label of index i, to_index[label] the index of a
+    label, and basis[j] the label of the j-th standard generator.
 
     The cyclic factors come from one greedy pass: take the first label, by
     largest order and then earliest position, whose cyclic subgroup meets the
@@ -160,12 +177,20 @@ def group_embedding(labels: np.ndarray, add: Callable) -> tuple:
     backtrack: if H (+) K = G and g = h + k has the largest such order, then
     ord(k) = ord(g) = exp(K), so <k> is a summand of K and H + <g> =
     H (+) <k> is again a summand of G.
+
+    Two paths run the same pass.  Up to SMALL_GROUP elements,
+    `_small_span` calls `add` once, on every pair, and walks the table of
+    positions in Python lists.  Above it, the pass below adds whole arrays
+    of positions at each step, so its cost is a few NumPy calls per step
+    rather than per element.  Both give the same result, and the same
+    PirickError on an input that is not an abelian group.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
-
     position = np.zeros(labels[-1] + 1, dtype=np.int64)
     position[labels] = np.arange(n)
+    if n <= SMALL_GROUP:
+        return _embedding(labels, *_small_span(labels, position, add))
 
     def plus(i, j):                      # positions in labels, elementwise
         return position[add(labels[i], labels[j])]
@@ -176,8 +201,7 @@ def group_embedding(labels: np.ndarray, add: Callable) -> tuple:
     live = np.arange(1, n)
     while live.size:
         if orders[live[0]] >= n:
-            raise PirickError(f"element {int(labels[live[0]])} has no finite "
-                              "order reaching zero; input is not a group")
+            raise _not_a_group(int(labels[live[0]]))
         multiple[live] = plus(multiple[live], live)
         orders[live] += 1
         live = live[multiple[live] != 0]
@@ -200,8 +224,7 @@ def group_embedding(labels: np.ndarray, add: Callable) -> tuple:
             idx = idx[keep]
             mult = plus(mult[keep], cand[idx])
         if not ok.any():
-            raise PirickError("cyclic decomposition failed; input is not an "
-                              "abelian group")
+            raise _not_abelian()
         g = int(cand[np.argmax(ok)])
         cosets = [span]
         for _ in range(1, int(orders[g])):
@@ -210,12 +233,74 @@ def group_embedding(labels: np.ndarray, add: Callable) -> tuple:
         in_span[span] = True
         factors.append(int(orders[g]))
     if span.size != n or not np.array_equal(np.sort(span), np.arange(n)):
-        raise PirickError("cyclic decomposition failed; input is not an "
-                          "abelian group")
+        raise _not_abelian()
+    return _embedding(labels, span, factors)
+
+
+def _embedding(labels: np.ndarray, span, factors: list) -> tuple:
+    """group_embedding's result from the greedy pass: span[i] is the
+    position in labels of index i, and factors the cyclic factors."""
     group = FinAbGroup(factors or (1,))
     from_label = labels[span]
     to_index = np.zeros(labels[-1] + 1, dtype=np.int64)
-    to_index[from_label] = np.arange(n)
+    to_index[from_label] = np.arange(len(labels))
     basis = from_label[[group.basis_index(j)
                         for j in range(len(group.factors))]]
     return group, from_label, to_index, basis
+
+
+def _not_a_group(label) -> PirickError:
+    return PirickError(f"element {label} has no finite order reaching zero; "
+                       "input is not a group")
+
+
+def _not_abelian() -> PirickError:
+    return PirickError("cyclic decomposition failed; input is not an "
+                       "abelian group")
+
+
+def _small_span(labels: np.ndarray, position: np.ndarray,
+                add: Callable) -> tuple:
+    """(span, factors) of the greedy pass over a list table of positions:
+    span[i] is the position of the label of index i."""
+    n = len(labels)
+    table = position[add(labels[:, None], labels[None, :])].tolist()
+    orders = [1] * n
+    for x in range(1, n):
+        multiple = x
+        while multiple:
+            if orders[x] >= n:
+                raise _not_a_group(int(labels[x]))
+            multiple = table[multiple][x]
+            orders[x] += 1
+    rank = sorted(range(1, n), key=lambda x: -orders[x])
+    in_span = [True] + [False] * (n - 1)
+    span, factors = [0], []
+    while len(span) < n:
+        g = next((c for c in rank if not in_span[c] and (
+            len(span) == 1 or _meets_only_zero(table, in_span, c, orders[c]))),
+            None)
+        if g is None:
+            raise _not_abelian()
+        cosets = []                      # x, x + g, x + 2g, ... for each x
+        for x in span:
+            for _ in range(orders[g]):
+                cosets.append(x)
+                x = table[x][g]
+        span = cosets
+        for x in span:
+            in_span[x] = True
+        factors.append(orders[g])
+    if len(span) != n or sorted(span) != list(range(n)):
+        raise _not_abelian()
+    return span, factors
+
+
+def _meets_only_zero(table: list, in_span: list, g: int, order: int) -> bool:
+    """Whether no multiple a*g, 0 < a < order, lies in the span."""
+    multiple = g
+    for _ in range(1, order):
+        if in_span[multiple]:
+            return False
+        multiple = table[multiple][g]
+    return True

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
+from .caps import Caps, DEFAULT_CAPS, INTERNED, StructureKey, interned
 from .errors import AxiomViolation, PirickError
 from .groups import FinAbGroup, group_embedding
-from .rings import (FiniteRing, _bilinear_table, _failed_law,
+from .rings import (FiniteRing, _bilinear_table, _failed_law, _row_blocks,
                     jacobson_radical)
 
 
@@ -45,8 +45,8 @@ class FiniteModule:
         self.ring = ring
         self.add_group = add_group
         self.constants = constants
-        self.key = (ring.key, add_group.factors,
-                    tuple(sorted(constants.items())))
+        self.key = StructureKey(ring.key, add_group.factors,
+                                tuple(sorted(constants.items())))
         self.act_np = act_np
         self.name = name
 
@@ -70,20 +70,17 @@ def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
 
     `constants` maps (ring_basis_i, module_basis_j) -> the module element
     index of module basis j acted on by ring basis i; missing pairs default
-    to zero, and zero values are dropped.
+    to zero, and zero values are dropped.  The ranges of the constants are
+    checked on every call; biadditivity, which depends only on the nonzero
+    constants, with the table, once per structure.
     """
     caps.gate("construct", "module construction", add_group.order)
-    k_r = len(ring.add_group.factors)
-    k_m = len(add_group.factors)
-    for (i, j), c in constants.items():
-        if not (0 <= i < k_r and 0 <= j < k_m):
-            raise PirickError(f"action constant key ({i},{j}) out of range")
-        if not (0 <= c < add_group.order):
-            raise PirickError(f"action constant value {c} out of range")
-        # biadditivity requires ord(c) to divide both basis orders
-        if add_group.scale(c, ring.add_group.factors[i]) != 0 \
-                or add_group.scale(c, add_group.factors[j]) != 0:
-            raise AxiomViolation("biadditivity", (i, j, c))
+    try:
+        _validate_action(ring, add_group, constants, biadditive=False)
+    except PirickError:
+        # a constant before the failure that is not biadditive fails first
+        _validate_action(ring, add_group, constants)
+        raise
     module = FiniteModule(ring, add_group,
                           {key: c for key, c in constants.items() if c},
                           None, name)
@@ -92,8 +89,27 @@ def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
     return module
 
 
+def _validate_action(ring: FiniteRing, add_group: FinAbGroup,
+                     constants: dict, biadditive: bool = True):
+    """Raise the error of the first action constant out of range or, with
+    `biadditive`, of the first whose value has an order that does not
+    divide the orders of both its basis elements."""
+    k_r = len(ring.add_group.factors)
+    k_m = len(add_group.factors)
+    for (i, j), c in constants.items():
+        if not (0 <= i < k_r and 0 <= j < k_m):
+            raise PirickError(f"action constant key ({i},{j}) out of range")
+        if not (0 <= c < add_group.order):
+            raise PirickError(f"action constant value {c} out of range")
+        if biadditive and (
+                add_group.scale(c, ring.add_group.factors[i]) != 0
+                or add_group.scale(c, add_group.factors[j]) != 0):
+            raise AxiomViolation("biadditivity", (i, j, c))
+
+
 def _checked_act(module: FiniteModule) -> np.ndarray:
     """module's action table, built from its constants and checked."""
+    _validate_action(module.ring, module.add_group, module.constants)
     act = _bilinear_table(module.add_group, module.ring.add_group,
                           {(j, i): c for (i, j), c in module.constants.items()})
     failed = _failed_law(act, module.ring, module.add_group)
@@ -147,6 +163,18 @@ def cyclic_submodule(module: FiniteModule, m: int) -> int:
     return elems_mask(module.act_np[m, :], module.order)
 
 
+def cyclic_submodules(module: FiniteModule) -> list:
+    """The mask of m*R for every m in order, from one `masks` pass over
+    the action table, a block of rows at a time."""
+    n, act = module.order, module.act_np
+    out = []
+    for rows in _row_blocks(n, n):
+        bits = np.zeros((rows.stop - rows.start, n), dtype=bool)
+        bits[np.arange(len(bits))[:, None], act[rows]] = True
+        out += masks(bits)
+    return out
+
+
 def _additive_closure(module: FiniteModule, mask: int) -> int:
     """The mask of the subgroup generated by the elements of mask."""
     add = module.add_group.add_table()
@@ -173,8 +201,8 @@ def _lattice_masks(module: FiniteModule, caps: Caps) -> tuple:
     n = module.order
     add = module.add_group.add_table()
     reps = {}                                   # cyclic mask -> first m
-    for m in range(n):
-        reps.setdefault(cyclic_submodule(module, m), m)
+    for m, cyclic in enumerate(cyclic_submodules(module)):
+        reps.setdefault(cyclic, m)
     products = module.act_np[list(reps.values())]           # [m, r] -> mr
     rows = np.arange(len(reps))[:, None]
     seen = {1}
@@ -343,7 +371,7 @@ def module_generators(module: FiniteModule) -> tuple:
 
 def _cyclic_cover(module: FiniteModule) -> tuple:
     n = module.order
-    cyclics = [cyclic_submodule(module, m) for m in range(n)]
+    cyclics = cyclic_submodules(module)
     covered = 1
     gens = []
     while covered != (1 << n) - 1:

@@ -46,8 +46,8 @@ from .homs import (MAP_CHECKS, EndRing, _distinct_pairs,
                    idempotent_image_masks, idempotent_maps,
                    nontrivial_idempotent_maps, power_rows)
 from .modules import (FiniteModule, all_submodules, first_moving_map,
-                      is_small, mask_bits, module_generators,
-                      quotient_module, submodule_module)
+                      mask_bits, module_generators, quotient_module, radical,
+                      submodule_module)
 from .rings import FiniteRing, Verdict, jacobson_radical, nilpotency
 
 PROPERTY_ORDER = (
@@ -383,9 +383,10 @@ def small_image_endos(facts: Facts):
     Returns a list of (f index, is_nilpotent, nilpotency index or None).
     """
     end = facts.end()
+    rad = radical(facts.module, facts.caps)
     out = []
     for f, row in power_rows(end):
-        if not is_small(facts.module, end.images[f], facts.caps):
+        if end.images[f] | rad != rad:          # Im f is not small
             continue
         if end.images[row[-1]] == 1:
             out.append((f, True, len(row)))

@@ -30,9 +30,9 @@ are rows of one packed key table, `left_annihilator_keys`.  The classical
 predicates (commutative, reduced, abelian, domain, local, division)
 report their first offender.  Then the Jacobson radical, and ring
 constructions (corner, matrix, triangular, product).  The power and key
-tables, the searches, J(R) and the units read the multiplication table a
-block of at most _BLOCK entries at a time, so none of them builds a
-temporary of order^2 entries.
+tables, the searches, the commutative and domain checks, J(R) and the
+units read the multiplication table a block of at most _BLOCK entries at a
+time, so none of them builds a temporary of order^2 entries.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import itertools
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
+from .caps import Caps, DEFAULT_CAPS, INTERNED, StructureKey, interned
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
                      NotIdempotent, PirickError)
 from .groups import FinAbGroup, group_embedding, index_dtype
@@ -71,7 +71,8 @@ class FiniteRing:
         self.add_group = add_group
         self.one = one
         self.constants = constants
-        self.key = (add_group.factors, one, tuple(sorted(constants.items())))
+        self.key = StructureKey(add_group.factors, one,
+                                tuple(sorted(constants.items())))
         self.mul_np = mul_np
         self.name = name
 
@@ -116,7 +117,11 @@ def _bilinear_table(left: FinAbGroup, right: FinAbGroup,
     return out
 
 
-def _validate_constants(add_group: FinAbGroup, constants: dict):
+def _validate_constants(add_group: FinAbGroup, constants: dict,
+                        biadditive: bool = True):
+    """Raise the error of the first constant out of range or, with
+    `biadditive`, of the first whose value has an order that does not
+    divide the orders of both its basis elements."""
     k = len(add_group.factors)
     n = add_group.order
     for (i, j), c in constants.items():
@@ -126,6 +131,8 @@ def _validate_constants(add_group: FinAbGroup, constants: dict):
         if not (0 <= c < n):
             raise PirickError(f"structure constant value {c} out of range "
                               f"for order {n}")
+        if not biadditive:
+            continue
         # For the bilinear extension to be additive, the additive order of
         # b_i * b_j must divide the orders of b_i and of b_j.
         for side in (i, j):
@@ -254,13 +261,20 @@ def ring_make(add_group: FinAbGroup, constants: dict, one: int,
 
     `constants` maps (i, j) -> element index of (basis_i * basis_j); missing
     pairs default to zero, and zero values are dropped.  `one` is the
-    element index of the identity.
+    element index of the identity.  The ranges of the constants and of
+    `one` are checked on every call; biadditivity, which depends only on
+    the nonzero constants, with the table, once per structure.
     """
     caps.gate("construct", "ring construction", add_group.order)
-    _validate_constants(add_group, constants)
-    if not 0 <= one < add_group.order:
-        raise PirickError(f"identity index {one} out of range for order "
-                          f"{add_group.order}")
+    try:
+        _validate_constants(add_group, constants, biadditive=False)
+        if not 0 <= one < add_group.order:
+            raise PirickError(f"identity index {one} out of range for "
+                              f"order {add_group.order}")
+    except PirickError:
+        # a constant before the failure that is not biadditive fails first
+        _validate_constants(add_group, constants)
+        raise
     ring = FiniteRing(add_group, int(one),
                       {key: c for key, c in constants.items() if c}, None,
                       name)
@@ -271,6 +285,7 @@ def ring_make(add_group: FinAbGroup, constants: dict, one: int,
 
 def _checked_mul(ring: FiniteRing) -> np.ndarray:
     """ring's multiplication table, built from its constants and checked."""
+    _validate_constants(ring.add_group, ring.constants)
     ring.mul_np = mul = _bilinear_table(ring.add_group, ring.add_group,
                                         ring.constants)
     bad = _first_mismatch(mul[ring.one, :], np.arange(ring.order))
@@ -441,12 +456,11 @@ def _first_power(powers: np.ndarray, test, elements=None,
 
 
 def _no_offender(bad: np.ndarray) -> Verdict:
-    """Holds iff no entry of `bad` is True; the counterexample is the first
-    True entry, an element for a vector and a pair for a matrix."""
+    """Holds iff no entry of the vector `bad` is True; the counterexample
+    is the first element whose entry is."""
     if not bad.any():
         return Verdict(True)
-    first = _first_true(bad)
-    return Verdict(False, counterexample=first if bad.ndim > 1 else first[0])
+    return Verdict(False, counterexample=int(np.argmax(bad)))
 
 
 @interned
@@ -574,11 +588,31 @@ def _abelian(ring: FiniteRing) -> Verdict:
     return Verdict(noncentral is None, counterexample=noncentral)
 
 
+def _no_offending_pair(bits_of, order: int) -> Verdict:
+    """Holds iff no (a, b) has bits[a, b] True; the counterexample is the
+    first such pair in row-major order.  bits_of(rows) gives the (rows,
+    order) boolean block of bits for a slice of the a, so the pass holds
+    one block at a time."""
+    hits = _first_hits(bits_of, order, order)
+    bad = np.flatnonzero(hits >= 0)
+    if not bad.size:
+        return Verdict(True)
+    return Verdict(False, counterexample=(int(bad[0]), int(hits[bad[0]])))
+
+
+def _commutative(ring: FiniteRing) -> Verdict:
+    """a*b == b*a for every a, b.  Counterexample: the first (a, b)."""
+    mul = ring.mul_np
+    return _no_offending_pair(lambda rows: mul[rows] != mul[:, rows].T,
+                              ring.order)
+
+
 def _domain(ring: FiniteRing) -> Verdict:
     """No nonzero a, b with a*b == 0.  Counterexample: the first (a, b)."""
-    zero = ring.mul_np == 0
-    zero[0, :] = zero[:, 0] = False
-    return _no_offender(zero)
+    mul, nonzero = ring.mul_np, np.arange(ring.order) != 0
+    return _no_offending_pair(
+        lambda rows: (mul[rows] == 0) & nonzero & nonzero[rows, None],
+        ring.order)
 
 
 RING_CHECKS = {
@@ -588,7 +622,7 @@ RING_CHECKS = {
     "gen_left_pp": _gen_left_pp,
     # every element of J(R) is nilpotent
     "nil_radical": lambda ring: nilpotency(ring, jacobson_radical(ring)),
-    "commutative": lambda ring: _no_offender(ring.mul_np != ring.mul_np.T),
+    "commutative": _commutative,
     # no nonzero nilpotent, that is, no nonzero a with a*a == 0
     "reduced": lambda ring: _no_offender(
         (np.diagonal(ring.mul_np) == 0) & (np.arange(ring.order) != 0)),

@@ -130,6 +130,7 @@ class InstanceContext:
         """The corner ring e*R*e."""
         return corner_ring(self.ring, e, self.caps)[0]
 
+    @interned
     def summand_ideal(self, e: int) -> FiniteModule:
         """e*R for an idempotent e: the submodule of the right regular
         module whose elements are row e of the multiplication table."""

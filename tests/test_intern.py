@@ -12,13 +12,14 @@ import pickle
 import pytest
 
 from pirick import homs, modules, properties, rings
-from pirick.caps import caps_from_env
+from pirick.caps import StructureKey, caps_from_env
 from pirick.cli import main
-from pirick.errors import PirickError, SizeCapExceeded
+from pirick.errors import (AxiomViolation, NotDistributive, PirickError,
+                           SizeCapExceeded)
 from pirick.families import zmod
 from pirick.groups import FinAbGroup
 from pirick.homs import end_ring, end_table, hom_set, idempotent_maps
-from pirick.modules import free_module, ring_as_module
+from pirick.modules import free_module, module_make, ring_as_module
 from pirick.properties import left_singular_ideal
 from pirick.rings import (jacobson_radical, ring_idempotents, ring_make,
                           ring_units)
@@ -107,12 +108,74 @@ def test_a_second_object_of_a_known_structure_builds_nothing(monkeypatch,
     assert FinAbGroup((4,)) is first.add_group
 
 
-def test_copied_and_unpickled_groups_are_the_interned_group():
+def test_copied_and_unpickled_groups_are_the_interned_group(monkeypatch):
     ring = zmod(4, CAPS)
     assert copy.copy(ring.add_group) is ring.add_group
     back = pickle.loads(pickle.dumps(ring))
     assert back.add_group is ring.add_group
     assert (back.name, back.key) == (ring.name, ring.key)
+    # a copied or unpickled structure key is the process's key again, so
+    # the copies of a module find its hom set and End(M) in the cache
+    module = ring_as_module(ring, CAPS)
+    homs_of, end = hom_set(module, module, CAPS), end_ring(module, CAPS)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a known structure was built again")
+
+    for mod, name in BUILDERS:
+        monkeypatch.setattr(mod, name, unreachable)
+    for other in (copy.copy(module), copy.deepcopy(module),
+                  pickle.loads(pickle.dumps(module)),
+                  ring_as_module(pickle.loads(pickle.dumps(ring)), CAPS)):
+        assert other.key is module.key and other.ring.key is ring.key
+        assert hom_set(other, other, CAPS) is homs_of
+        assert end_ring(other, CAPS) is end
+
+
+def test_a_key_hashes_as_its_parts():
+    """No key carries an id: its hash is that of its parts, whatever keys
+    were made before it."""
+    ring = zmod(6, CAPS)
+    module = ring_as_module(ring, CAPS)
+    for key in (ring.key, module.key):
+        assert hash(key) == hash(key.parts)
+        assert StructureKey(*key.parts) is key
+    assert module.key.parts[0] is ring.key
+
+
+def test_ranges_are_checked_on_every_call_once_the_structure_is_known(
+        fresh_intern):
+    group = FinAbGroup((4,))
+    ring = ring_make(group, {(0, 0): 1}, 1, CAPS)
+    module_make(ring, group, {(0, 0): 1}, CAPS)
+    # a zero value is dropped from the key, but not from the range check
+    with pytest.raises(PirickError, match=r"structure constant key \(1,0\) "
+                                          "out of range"):
+        ring_make(group, {(0, 0): 1, (1, 0): 0}, 1, CAPS)
+    with pytest.raises(PirickError, match=r"action constant key \(0,3\) "
+                                          "out of range"):
+        module_make(ring, group, {(0, 0): 1, (0, 3): 0}, CAPS)
+    assert sum(key[0] in ("ring", "module") for key in fresh_intern) == 2
+
+
+def test_a_constant_that_is_not_biadditive_fails_where_it_stands():
+    """Biadditivity is checked once per structure, with the table, yet the
+    first constant that fails any check names the error, as in one pass
+    over the constants."""
+    group = FinAbGroup((2, 4))
+    ring = zmod(2, CAPS)
+    bad, out = {(0, 1): 1}, {(2, 0): 0}           # ord(1) = 4 on Z_2 x Z_4
+    with pytest.raises(NotDistributive):
+        ring_make(group, {**bad, **out}, 5, CAPS)
+    with pytest.raises(NotDistributive):
+        ring_make(group, bad, 9, CAPS)
+    with pytest.raises(PirickError, match="constant key \\(2,0\\) out of"):
+        ring_make(group, {**out, **bad}, 5, CAPS)
+    bad, out = {(0, 0): 1}, {(0, 2): 0}
+    with pytest.raises(AxiomViolation, match="biadditivity"):
+        module_make(ring, group, {**bad, **out}, CAPS)
+    with pytest.raises(PirickError, match="action constant key \\(0,2\\)"):
+        module_make(ring, group, {**out, **bad}, CAPS)
 
 
 def test_shared_arrays_are_read_only(fresh_intern):

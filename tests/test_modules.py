@@ -89,6 +89,17 @@ def test_cyclic_and_generated(z4_reg):
     assert cyclic_submodule(z4_reg, 1).bit_count() == 4
 
 
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+def test_every_cyclic_submodule_in_one_pass(monkeypatch, ex23, block):
+    """cyclic_submodules reads the action table a block of rows at a time,
+    from one row per block up to the whole table."""
+    monkeypatch.setattr(rings, "_BLOCK", block)
+    for module in (ex23, free_module(zmod(4), 2, CAPS),
+                   ring_as_module(zmod(12), CAPS)):
+        assert modules.cyclic_submodules(module) == [
+            cyclic_submodule(module, m) for m in range(module.order)]
+
+
 def test_direct_summand_complement_route(z4_reg, z6_reg):
     sub = cyclic_submodule(z4_reg, 2)
     ok, _ = is_direct_summand(z4_reg, sub, CAPS)

@@ -481,3 +481,35 @@ def test_a_row_a_step_early_or_late_is_caught_on_the_corpus(
     assert caught == ([ring.name for ring in corpus]
                       if mutate is _drop_last_term else periodic)
     assert periodic
+
+
+def _first_pair(bits: np.ndarray):
+    """The first True entry of a whole boolean table, in row-major order,
+    or None."""
+    hits = np.argwhere(bits)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
+
+
+FULL_TABLE_PAIRS = {
+    "commutative": lambda mul: mul != mul.T,
+    "domain": lambda mul: (mul == 0) & (np.arange(len(mul)) != 0)
+    & (np.arange(len(mul)) != 0)[:, None],
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("name", sorted(FULL_TABLE_PAIRS))
+def test_blocked_pair_checks_match_the_full_table(monkeypatch, ring_instances,
+                                                  name, block):
+    """The commutative and domain checks read the table a few rows at a
+    time; on the corpus rings, with blocks of one row up to several, they
+    name the first offending pair of the whole table, in row-major order."""
+    monkeypatch.setattr(rings, "_BLOCK", block)
+    offenders = 0
+    for ring in (inst.ring for inst in ring_instances):
+        first = _first_pair(FULL_TABLE_PAIRS[name](ring.mul_np))
+        verdict = RING_CHECKS[name](ring)
+        assert (verdict.holds, verdict.counterexample) == (first is None,
+                                                           first)
+        offenders += first is not None
+    assert offenders
