@@ -425,8 +425,9 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
 
 
 def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
+    caps.gate("construct", "ring construction",
+              hom_count(module, module, caps))
     raw = hom_set(module, module, caps)                  # (s, n)
-    caps.gate("construct", "ring construction", len(raw))
     # A map is determined by its generator images; read in mixed radix they
     # give its candidate number, which increases along hom_set's rows.
     gens = np.array(module_generators(module), dtype=np.int64)
@@ -562,21 +563,18 @@ def _distinct_pairs(end: EndRing) -> tuple:
 def first_chain_term(end: EndRing, test, terms: int = None) -> Verdict:
     """Whether every f has a power f^n, among the first `terms` of its row
     of end.powers (all by default), for which test(Im f^n, Ker f^n)
-    returns a witness w other than None.
+    returns a witness w other than None, an integer or True (read as 1).
 
     test runs once per distinct (Im x, Ker x) of an element x, and
-    `rings._first_power` searches the rows for the elements that pass.
-    Witnesses map f -> (n, w) for the smallest such n; the counterexample
-    is the first f with none.
+    `rings._first_power` searches the rows, looking up each f^n's witness
+    by its pair.  Witnesses f -> (n, w), for the smallest such n, are the
+    Verdict's arrays; the counterexample is the first f with none.
     """
     pairs, pair_of = _distinct_pairs(end)
-    found = [test(im, ker) for im, ker in pairs]
-    passed = np.array([-1 if w is None else p for p, w in enumerate(found)])
-    v = _first_power(end.powers, lambda f, fn: passed[pair_of[fn]],
-                     terms=terms)
-    return Verdict(v.holds, {f: (n, found[p])
-                             for f, (n, p) in v.witnesses.items()},
-                   v.counterexample)
+    found = np.array([-1 if w is None else int(w)
+                      for w in (test(im, ker) for im, ker in pairs)])
+    return _first_power(end.powers, lambda f, fn: found[pair_of[fn]],
+                        terms=terms)
 
 
 def first_offender(end: EndRing, bad) -> Verdict:
@@ -640,7 +638,7 @@ def _image_trivial(end: EndRing, at_first: bool) -> Verdict:
 
 
 # Read by name through `properties.Facts.verdict`; the counterexample is
-# the first f that fails, and a search's witnesses are f -> (n, True).
+# the first f that fails, and a search's witnesses are f -> (n, 1).
 MAP_CHECKS = {
     # only f = 0 has Im f = 0, so this is "every nonzero f is epi"
     "nonzero_epi": lambda end: _image_trivial(end, at_first=True),

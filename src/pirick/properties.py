@@ -13,12 +13,13 @@ module's elements, as in `modules`: the lattice's masks, and the image and
 kernel of every endomorphism, read from End(M).images and End(M).kernels;
 f^n is End(M).powers[f, n - 1].  The deciders "every f has a power f^n
 with property P" (the four Rickart properties, Fitting) are each one
-`homs.first_chain_term` search; their witnesses, and the
-chain-stabilization deciders', map f to (n, w).  co-Hopfian reads n = 1
-only, as `homs.first_offender`, and keeps no witnesses.  Morphic, C2 and
-D2 ask whether two submodules or quotients are isomorphic; by the first
-isomorphism theorem each such question is whether some g in End(M) has a
-given (Im g, Ker g), so they build no module and search no isomorphism.
+`homs.first_chain_term` search; their witnesses f -> (n, w), and the
+chain-stabilization deciders', are arrays, exponent[f] and witness[f].
+co-Hopfian reads n = 1 only, as `homs.first_offender`, and keeps no
+witnesses.  Morphic, C2 and D2 ask whether two submodules or quotients are
+isomorphic; by the first isomorphism theorem each such question is whether
+some g in End(M) has a given (Im g, Ker g), so they build no module and
+search no isomorphism.
 Facts.verdict also reads the map checks of `homs.MAP_CHECKS` by name,
 checks of the same shapes that no report prints.  A quotient's projection
 and a submodule's inclusion are tables, as `homs.check_map` returns them.
@@ -155,7 +156,7 @@ def decide_pi_rickart(facts: Facts) -> Verdict:
 
 def decide_fitting(facts: Facts) -> Verdict:
     """For every f some power splits M as Ker f^n + Im f^n (sum direct).
-    Witnesses map f to (smallest such n, True)."""
+    Witnesses map f to (smallest such n, 1)."""
     full = facts.module.order
     return first_chain_term(facts.end(), lambda im, ker: (
         im & ker) == 1 and im.bit_count() * ker.bit_count() == full or None)
@@ -184,11 +185,11 @@ def decide_co_hopfian(facts: Facts) -> Verdict:
 
 
 def _chain_stabilization(facts: Facts) -> Verdict:
-    """Always true for a finite module; witnesses map f to (s, True), s
-    the exponent at which the image and kernel chains of f stabilize, the
+    """Always true for a finite module; witnesses map f to (s, 1), s the
+    exponent at which the image and kernel chains of f stabilize, the
     length of row f of End(M).powers."""
-    lengths = (facts.end().powers >= 0).sum(axis=1).tolist()
-    return Verdict(True, {f: (s, True) for f, s in enumerate(lengths)})
+    lengths = (facts.end().powers >= 0).sum(axis=1)
+    return Verdict(True, None, lengths, np.ones_like(lengths))
 
 
 def decide_strongly_co_hopfian(facts: Facts) -> Verdict:
@@ -231,8 +232,8 @@ def _summand_when_isomorphic(facts: Facts, quotients: bool) -> Verdict:
             continue
         for dmask, ker_e in summands:
             if ((dmask, mask) if quotients else (mask, ker_e)) in present:
-                return Verdict(False, {}, (mask, dmask))
-    return Verdict(True, {}, None)
+                return Verdict(False, (mask, dmask))
+    return Verdict(True)
 
 
 def decide_c2(facts: Facts) -> Verdict:
@@ -248,7 +249,7 @@ def decide_d2(facts: Facts) -> Verdict:
 def decide_abelian(facts: Facts) -> Verdict:
     """Every idempotent endomorphism is central in End(M)."""
     noncentral = central_idempotent_maps(facts.end())[1]
-    return Verdict(noncentral is None, {}, noncentral)
+    return Verdict(noncentral is None, noncentral)
 
 
 def decide_duo(facts: Facts) -> Verdict:
@@ -257,8 +258,8 @@ def decide_duo(facts: Facts) -> Verdict:
     for mask in facts.lattice():
         f = first_moving_map(mask, tables)
         if f is not None:
-            return Verdict(False, {}, (f, mask))
-    return Verdict(True, {}, None)
+            return Verdict(False, (f, mask))
+    return Verdict(True)
 
 
 def decide_self_cogenerator(facts: Facts) -> Verdict:
@@ -275,8 +276,8 @@ def decide_self_cogenerator(facts: Facts) -> Verdict:
             if mask & kernel == mask:
                 meet &= kernel
         if meet != mask:
-            return Verdict(False, {}, mask)
-    return Verdict(True, {}, None)
+            return Verdict(False, mask)
+    return Verdict(True)
 
 
 def _distinct_kernels(maps: np.ndarray) -> list:
@@ -309,14 +310,14 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
             keys = homs[:, end.gens].astype(np.int64) @ radix
             at = np.minimum(np.searchsorted(lifted, keys), len(lifted) - 1)
             h = homs[np.argmax(lifted[at] != keys)]
-            return Verdict(False, {}, (mask, tuple(h.tolist())))
-    return Verdict(True, {}, None)
+            return Verdict(False, (mask, tuple(h.tolist())))
+    return Verdict(True)
 
 
 def decide_indecomposable(facts: Facts) -> Verdict:
     """Only 0 and the identity are idempotent endomorphisms."""
     extra = nontrivial_idempotent_maps(facts.end())
-    return Verdict(not extra, {}, extra[0] if extra else None)
+    return Verdict(not extra, extra[0] if extra else None)
 
 
 DECIDERS = {
@@ -362,19 +363,17 @@ def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
 
 def singular_nil_jacobson(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     """Check every left-singular element is nilpotent and in the Jacobson
-    radical.  Returns (Verdict, singular indices); witnesses map each
-    singular element to its nilpotency index."""
+    radical.  Returns (Verdict, singular indices); its exponent array holds
+    the nilpotency index of each nilpotent singular element."""
     sing = left_singular_ideal(ring, caps)
-    rad = set(jacobson_radical(ring).tolist())
-    nil = nilpotency(ring, sing).witnesses
-    witnesses = {}
-    for a in sing.tolist():
-        if a not in nil:
-            return Verdict(False, witnesses, (a, "not nilpotent")), sing
-        if a not in rad:
-            return Verdict(False, witnesses, (a, "outside radical")), sing
-        witnesses[a] = nil[a][0]
-    return Verdict(True, witnesses, None), sing
+    nil = nilpotency(ring, sing)
+    not_nil = nil.exponent[sing] < 0
+    bad = np.flatnonzero(not_nil | ~np.isin(sing, jacobson_radical(ring)))
+    if not bad.size:
+        return nil, sing
+    i = bad[0]
+    cex = (int(sing[i]), "not nilpotent" if not_nil[i] else "outside radical")
+    return dataclasses.replace(nil, holds=False, counterexample=cex), sing
 
 
 def small_image_endos(facts: Facts):
@@ -419,10 +418,12 @@ def _fmt_sub(facts: Facts, mask: int) -> str:
     return f"sub(size={len(elems)},min={elems[1] if len(elems) > 1 else 0})"
 
 
-def largest_exponent(witnesses: dict) -> tuple:
-    """(a, n, w) for the witness a -> (n, w) with the largest (n, a)."""
-    a = max(witnesses, key=lambda a: (witnesses[a][0], a))
-    return (a, *witnesses[a])
+def largest_exponent(verdict: Verdict, key: str = None) -> tuple:
+    """(a, n, w) for the witness a -> (n, w) with the largest (key[a], a),
+    key the array so named, the exponent by default: one reversed argmax."""
+    key = getattr(verdict, key or "exponent")
+    a = len(key) - 1 - int(np.argmax(key[::-1]))
+    return a, int(verdict.exponent[a]), int(verdict.witness[a])
 
 
 def _witness_string(facts: Facts, prop: str, verdict: Verdict) -> str:
@@ -444,14 +445,12 @@ def _witness_string(facts: Facts, prop: str, verdict: Verdict) -> str:
         if prop == "indecomposable":
             return f"e={c}"
         return str(c)
-    w = verdict.witnesses
-    if prop in ("dual_pi_rickart", "pi_rickart") and w:
-        return "f={},n={},e={}".format(*largest_exponent(w))
-    if prop in ("fitting", "strongly_co_hopfian", "strongly_hopfian") and w:
-        return "f={},n={}".format(*largest_exponent(w))
-    if prop in ("dual_rickart", "rickart") and w:
-        f_max = max(w, key=lambda f: (w[f][1], f))
-        return f"f={f_max},e={w[f_max][1]}"
+    if prop in ("dual_pi_rickart", "pi_rickart"):
+        return "f={},n={},e={}".format(*largest_exponent(verdict))
+    if prop in ("fitting", "strongly_co_hopfian", "strongly_hopfian"):
+        return "f={},n={}".format(*largest_exponent(verdict))
+    if prop in ("dual_rickart", "rickart"):
+        return "f={0},e={2}".format(*largest_exponent(verdict, "witness"))
     return "-"
 
 
@@ -477,8 +476,7 @@ def analyze(module: FiniteModule, caps: Caps = DEFAULT_CAPS,
         end_order = end.order
         idem_count = int(idempotent_maps(end).size)
         if statuses.get("dual_pi_rickart") == "true":
-            dpr = facts.verdict("dual_pi_rickart")
-            max_n = largest_exponent(dpr.witnesses)[1]
+            max_n = int(facts.verdict("dual_pi_rickart").exponent.max())
     except SizeCapExceeded:
         pass
 

@@ -52,13 +52,20 @@ class Verdict:
     """Outcome of a property decision.
 
     holds:          whether the property holds.
-    witnesses:      per-element (or per-map) certificates when it holds.
     counterexample: a concrete failing element/tuple when it does not.
+    exponent, witness: a power search's witnesses a -> (n, w), as arrays
+                    over a, -1 where none; read-only, as they are shared.
     """
 
     holds: bool
-    witnesses: dict = dataclasses.field(default_factory=dict)
     counterexample: object = None
+    exponent: np.ndarray = None
+    witness: np.ndarray = None
+
+    def __post_init__(self):
+        for part in (self.exponent, self.witness):
+            if part is not None:
+                part.flags.writeable = False
 
 
 class FiniteRing:
@@ -428,31 +435,28 @@ def _first_power(powers: np.ndarray, test, elements=None,
     search is batched: at exponent n, test takes the array of the
     elements a that no smaller exponent resolved and whose rows reach n,
     and the array of their a^n, and returns their witnesses, -1 for none.
-    Witnesses map a -> (n, w) for the smallest such n; the counterexample
-    is the first a with none.
+    Witnesses a -> (n, w), for the smallest such n, are the arrays
+    exponent and witness over all rows, -1 where a has none or is not in
+    `elements`; the counterexample is the first a in `elements` with none.
     """
     powers = powers[:, :terms]
     a = (np.arange(len(powers)) if elements is None
          else np.asarray(elements, dtype=np.intp))
-    exponent = np.zeros(len(a), dtype=np.intp)
-    witness = np.zeros(len(a), dtype=np.intp)
-    live = np.arange(len(a))
+    exponent = np.full(len(powers), -1, dtype=np.intp)
+    witness = np.full(len(powers), -1, dtype=np.intp)
+    live = a
     for n, column in enumerate(powers.T, start=1):
-        an = column[a[live]]
+        an = column[live]
         live, an = live[an >= 0], an[an >= 0]
         if not live.size:
             break
-        w = test(a[live], an)
+        w = test(live, an)
         hit = w >= 0
         exponent[live[hit]], witness[live[hit]] = n, w[hit]
         live = live[~hit]
-    failed = exponent == 0
-    stop = int(np.argmax(failed)) if failed.any() else len(a)
-    witnesses = dict(zip(a[:stop].tolist(), zip(exponent[:stop].tolist(),
-                                                witness[:stop].tolist())))
-    if stop < len(a):
-        return Verdict(False, witnesses, counterexample=int(a[stop]))
-    return Verdict(True, witnesses)
+    failed = exponent[a] < 0
+    cex = int(a[np.argmax(failed)]) if failed.any() else None
+    return Verdict(cex is None, cex, exponent, witness)
 
 
 def _no_offender(bad: np.ndarray) -> Verdict:
@@ -522,8 +526,7 @@ def _strongly_pi_regular(ring: FiniteRing) -> Verdict:
         bad, side = rv.counterexample, "right"
     else:
         bad, side = lv.counterexample, "left"
-    return Verdict(False, {a: w for a, w in rv.witnesses.items() if a < bad},
-                   counterexample=(bad, side))
+    return Verdict(False, (bad, side), rv.exponent, rv.witness)
 
 
 @interned

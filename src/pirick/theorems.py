@@ -264,9 +264,9 @@ def _at_witnesses(hypotheses: tuple, conclusions: tuple, test, holds=None):
     holds at every witness f -> (n, e) of dual pi-Rickart", Im f^n = eM.
 
     test(end) is called once, after the implication holds, and what it
-    looks up serves the whole walk.  The witnesses are walked in order, and
-    the first that fails is witnessed as f=<f>,n=<n>.  When all pass, the
-    witness is holds(ctx), or "-" without it.
+    looks up serves the whole walk.  The witnesses are walked in order of
+    f, off the verdict's arrays, and the first that fails is witnessed as
+    f=<f>,n=<n>.  When all pass, the witness is holds(ctx), or "-".
     """
     implication = _implies(hypotheses, conclusions)
 
@@ -275,7 +275,9 @@ def _at_witnesses(hypotheses: tuple, conclusions: tuple, test, holds=None):
         if status != HOLDS:
             return status, witness
         at = test(ctx.facts().end())
-        for f, (n, e) in _verdict(ctx, "dual_pi_rickart").witnesses.items():
+        v = _verdict(ctx, "dual_pi_rickart")
+        witnesses = zip(v.exponent.tolist(), v.witness.tolist())
+        for f, (n, e) in enumerate(witnesses):
             if not at(f, n, e):
                 return VIOLATION, f"f={f},n={n}"
         return HOLDS, "-" if holds is None else holds(ctx)
@@ -323,8 +325,7 @@ def _every_corner(kind: str, violation: str):
 def _largest_n(fmt: str, name: str):
     """A holds witness for _implies: fmt.format(a, n, w) for the witness
     a -> (n, w) of the predicate `name` with the largest (n, a)."""
-    return lambda ctx: fmt.format(
-        *largest_exponent(_verdict(ctx, name).witnesses))
+    return lambda ctx: fmt.format(*largest_exponent(_verdict(ctx, name)))
 
 
 # ---------------------------------------------------------------------------

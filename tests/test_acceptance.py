@@ -28,6 +28,8 @@ from pirick.rings import ring_check, ring_neg
 from pirick.theorems import (HOLDS, InstanceContext, VIOLATION, summarize,
                              verify_all)
 
+from old_verdicts import witness_dict
+
 CAPS = caps_from_env()
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
     / "reference" / "verify_corpus.out"
@@ -191,7 +193,8 @@ def test_criterion_05_annihilator_identities(module_instances, announce):
         neg = ring_neg(ring)
         add = ring.add_group.add_table()
         # f -> (smallest n with Im f^n = e(M), smallest such idempotent e)
-        witnesses = DECIDERS["dual_pi_rickart"](Facts(module, CAPS)).witnesses
+        witnesses = witness_dict(
+            DECIDERS["dual_pi_rickart"](Facts(module, CAPS)))
         for f in range(ring.order):
             n, e = witnesses[f]
             fn = _power(end.tables[f], n)

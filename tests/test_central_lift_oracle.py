@@ -65,8 +65,8 @@ def oracle_quasi_projective(facts) -> Verdict:
         if len(set(map(bytes, lifted))) != len(maps):
             lifted = set(map(tuple, lifted.tolist()))
             h = next(h for h in map(tuple, maps.tolist()) if h not in lifted)
-            return Verdict(False, {}, (mask, h))
-    return Verdict(True, {}, None)
+            return Verdict(False, (mask, h))
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------

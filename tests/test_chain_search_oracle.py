@@ -16,7 +16,9 @@ Dual Rickart and Rickart witnesses are now (1, e) and Fitting's (n, True);
 the printed witness must not change.  The four map checks of
 `homs.MAP_CHECKS` have oracles too, the loops of those entries as
 predicates, and must agree with them in holds, counterexample and
-witnesses; nonzero_epi, like co-Hopfian, keeps no witnesses.
+witnesses, the dict `old_verdicts.witness_dict` rebuilds from the search's
+arrays (a witness True there is 1); nonzero_epi, like co-Hopfian, keeps no
+witnesses.
 
 The comparison runs on every corpus instance, and with Hypothesis on the
 module pools of `test_iso_oracle.py`: the submodules and quotients of the
@@ -26,7 +28,8 @@ z2_free4 (Z/2)^4, with 65,536 maps, under raised caps.  A finite module
 never fails the power searches, so the deciders are also compared on
 arbitrary power tables with arbitrary image and kernel masks that no
 module has, which reach every failure branch.  A power search in `homs`
-that reads only the first term of each row must fail the comparison.
+that reads only the first term of each row must fail the comparison, and
+so must one that drops the last map's witness from its arrays.
 """
 
 import dataclasses
@@ -43,10 +46,11 @@ from pirick.families import zmod
 from pirick.homs import _double_annihilator_closed, end_ring
 from pirick.modules import free_module, ring_as_module
 from pirick.properties import DECIDERS, Facts, _witness_string
-from pirick.rings import Verdict, ring_check
+from pirick.rings import ring_check
 from pirick.theorems import (HOLDS, NOT_MET, READING_FLAG, SKIPPED,
                              VIOLATION, InstanceContext, _conclude, verify)
 
+from old_verdicts import OldVerdict, witness_dict
 from test_end_powers_oracle import chain_term, row_chains
 from test_iso_oracle import _pools
 
@@ -59,7 +63,7 @@ CAPS = caps_from_env()
 
 
 def oracle_idempotent_generated(facts, kernels: bool,
-                                any_power: bool) -> Verdict:
+                                any_power: bool) -> OldVerdict:
     powers = row_chains(facts.end())
     idem = facts.idem_masks()
     witnesses = {}
@@ -69,12 +73,12 @@ def oracle_idempotent_generated(facts, kernels: bool,
         found = next(((n, idem[mask]) for n, mask in enumerate(chain, start=1)
                       if mask in idem), None)
         if found is None:
-            return Verdict(False, witnesses, f)
+            return OldVerdict(False, witnesses, f)
         witnesses[f] = found if any_power else found[1]
-    return Verdict(True, witnesses, None)
+    return OldVerdict(True, witnesses, None)
 
 
-def oracle_fitting(facts) -> Verdict:
+def oracle_fitting(facts) -> OldVerdict:
     powers = row_chains(facts.end())
     full = facts.module.order
     witnesses = {}
@@ -86,18 +90,18 @@ def oracle_fitting(facts) -> Verdict:
                 found = n
                 break
         if found is None:
-            return Verdict(False, witnesses, f)
+            return OldVerdict(False, witnesses, f)
         witnesses[f] = found
-    return Verdict(True, witnesses, None)
+    return OldVerdict(True, witnesses, None)
 
 
-def oracle_co_hopfian(facts) -> Verdict:
+def oracle_co_hopfian(facts) -> OldVerdict:
     powers = row_chains(facts.end())
     everything = (1 << facts.module.order) - 1
     for f, (imgs, kers) in enumerate(zip(powers.images, powers.kernels)):
         if kers[0] == 1 and imgs[0] != everything:
-            return Verdict(False, {}, f)
-    return Verdict(True, {}, None)
+            return OldVerdict(False, {}, f)
+    return OldVerdict(True, {}, None)
 
 
 ORACLE_DECIDERS = {
@@ -114,7 +118,7 @@ ORACLE_DECIDERS = {
 }
 
 
-def oracle_witness_string(prop: str, verdict: Verdict) -> str:
+def oracle_witness_string(prop: str, verdict: OldVerdict) -> str:
     """The printed witness of the old verdict shapes."""
     if not verdict.holds:
         return f"f={verdict.counterexample}"
@@ -218,7 +222,8 @@ def oracle_p2_2_1(ctx):
     v = ring_check(ctx.ring, "pi_regular")
     if not v.holds:
         return VIOLATION, f"a={v.counterexample}"
-    a, (n, x) = max(v.witnesses.items(), key=lambda kv: (kv[1][0], kv[0]))
+    a, (n, x) = max(witness_dict(v).items(),
+                    key=lambda kv: (kv[1][0], kv[0]))
     return HOLDS, f"a={a},n={n},x={x}"
 
 
@@ -229,11 +234,12 @@ def oracle_p2_2_2(ctx):
     v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return VIOLATION, f"f={v.counterexample}"
-    f, (n, e) = max(v.witnesses.items(), key=lambda kv: (kv[1][0], kv[0]))
+    f, (n, e) = max(witness_dict(v).items(),
+                    key=lambda kv: (kv[1][0], kv[0]))
     return HOLDS, f"f={f},n={n},e={e}"
 
 
-def _oracle_search(facts, found) -> Verdict:
+def _oracle_search(facts, found) -> OldVerdict:
     """Every f has a smallest n with found(f, n), n within its chains:
     witnesses f -> (n, True), and the first f with none as
     counterexample."""
@@ -242,33 +248,33 @@ def _oracle_search(facts, found) -> Verdict:
     for f, imgs in enumerate(powers.images):
         n = next((n for n in range(1, len(imgs) + 1) if found(f, n)), None)
         if n is None:
-            return Verdict(False, witnesses, f)
+            return OldVerdict(False, witnesses, f)
         witnesses[f] = (n, True)
-    return Verdict(True, witnesses, None)
+    return OldVerdict(True, witnesses, None)
 
 
-def oracle_nonzero_epi(facts) -> Verdict:
+def oracle_nonzero_epi(facts) -> OldVerdict:
     everything = (1 << facts.module.order) - 1
     for f, imgs in enumerate(row_chains(facts.end()).images):
         if imgs[0] not in (1, everything):
-            return Verdict(False, {}, f)
-    return Verdict(True, {}, None)
+            return OldVerdict(False, {}, f)
+    return OldVerdict(True, {}, None)
 
 
-def oracle_epi_or_nilpotent(facts) -> Verdict:
+def oracle_epi_or_nilpotent(facts) -> OldVerdict:
     everything = (1 << facts.module.order) - 1
     imgs = row_chains(facts.end()).images
     return _oracle_search(facts, lambda f, n: chain_term(imgs[f], n) in (
         1, everything))
 
 
-def oracle_summand_pair(facts) -> Verdict:
+def oracle_summand_pair(facts) -> OldVerdict:
     masks, powers = facts.idem_masks(), row_chains(facts.end())
     return _oracle_search(
         facts, lambda f, n: _both_summand_exponent(masks, powers, f) == n)
 
 
-def oracle_closed_summand(facts) -> Verdict:
+def oracle_closed_summand(facts) -> OldVerdict:
     masks, end = facts.idem_masks(), facts.end()
     imgs = row_chains(end).images
     return _oracle_search(facts, lambda f, n: chain_term(imgs[f], n) in masks
@@ -321,7 +327,7 @@ def map_check_disagreements(facts) -> list:
     out = []
     for name, oracle in ORACLE_MAP_CHECKS.items():
         new, old = homs.MAP_CHECKS[name](facts.end()), oracle(facts)
-        if ((new.holds, new.counterexample, new.witnesses)
+        if ((new.holds, new.counterexample, witness_dict(new))
                 != (old.holds, old.counterexample, old.witnesses)):
             out.append(name)
     return out
@@ -478,3 +484,25 @@ def test_a_chain_search_that_reads_one_term_is_caught(monkeypatch,
                                               "closed_summand"]
     assert entry_disagreements(_module_ctx(module), MODULE_ENTRIES) == [
         "L3.9.1", "L3.9.2", "T3.19c.2", "P3.21.2"]
+
+
+def test_a_search_that_drops_the_last_witness_is_caught(monkeypatch,
+                                                        fresh_intern):
+    """The dicts rebuilt from the witness arrays hold every witness: a
+    power search that leaves the last map of End(Z/4) unresolved, its
+    holds and counterexample kept, fails each map check that keeps
+    witnesses."""
+    real = homs._first_power
+
+    def drop_last(powers, test, elements=None, terms=None):
+        v = real(powers, test, elements, terms)
+        exponent, witness = v.exponent.copy(), v.witness.copy()
+        exponent[-1] = witness[-1] = -1
+        return dataclasses.replace(v, exponent=exponent, witness=witness)
+
+    facts = Facts(ring_as_module(zmod(4, CAPS), CAPS), CAPS)
+    assert map_check_disagreements(facts) == []
+    monkeypatch.setattr(homs, "_first_power", drop_last)
+    assert map_check_disagreements(facts) == ["epi_or_nilpotent",
+                                              "summand_pair",
+                                              "closed_summand"]

@@ -188,16 +188,17 @@ def test_hom_cap():
         hom_set(f2, f2, tight)
 
 
-def _record_end_homs(monkeypatch) -> list:
-    """Record each hom_set call that end_ring makes."""
+def _record_end_homs(monkeypatch, name: str = "hom_set") -> list:
+    """Record each call of `name`, hom_set or hom_count, that end_ring
+    makes."""
     calls = []
-    real = homs.hom_set
+    real = getattr(homs, name)
 
     def counted(domain, codomain, caps=CAPS):
         calls.append((domain, codomain, caps))
         return real(domain, codomain, caps)
 
-    monkeypatch.setattr(homs, "hom_set", counted)
+    monkeypatch.setattr(homs, name, counted)
     return calls
 
 
@@ -254,19 +255,22 @@ def test_self_check_compares_every_generator_column(monkeypatch,
 def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch,
                                                           fresh_intern):
     module = free_module(zmod(2), 3, CAPS, name="z2_free3")
-    calls = _record_end_homs(monkeypatch)
+    built = _record_end_homs(monkeypatch)
+    counted = _record_end_homs(monkeypatch, "hom_count")
     tight = dataclasses.replace(CAPS, construct=256)
     report = analyze(module, tight)
-    assert len(calls) == 1
+    # the construct gate reads |Hom(M, M)| off hom_count: no map is built
+    assert counted == [(module, module, tight)] and built == []
     skipped = {p for p, s in report.statuses.items() if s == "skipped"}
     assert skipped == set(PROPERTY_ORDER) - {"self_cogenerator"}
     assert {report.witnesses[p] for p in skipped} == {"cap:ring construction"}
     with pytest.raises(SizeCapExceeded,
                        match="ring construction: size 512 exceeds cap 256"):
         end_ring(module, tight)
-    assert len(calls) == 1
+    assert len(counted) == 1 and built == []
     assert end_ring(module, CAPS).order == 512
-    assert calls == [(module, module, tight), (module, module, CAPS)]
+    assert counted == [(module, module, tight), (module, module, CAPS)]
+    assert built == [(module, module, CAPS)]
 
 
 def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch,

@@ -192,6 +192,17 @@ def test_shared_arrays_are_read_only(fresh_intern):
             array[(0,) * array.ndim] = 1
 
 
+def test_interned_witness_arrays_are_read_only(fresh_intern):
+    """Every caller of one structure shares an interned Verdict, its
+    witness arrays included."""
+    module = free_module(zmod(2, CAPS), 2, CAPS)
+    for v in (rings.ring_check(zmod(4, CAPS), "pi_regular"),
+              properties.Facts(module, CAPS).verdict("dual_pi_rickart")):
+        for array in (v.exponent, v.witness):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
 def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
                                                   capsys):
     counts = _count_builds(monkeypatch)
@@ -228,14 +239,15 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     # built modules; 91 generator searches while the self-cogenerator
     # decider built Hom(M/N, M) for each quotient, where it now reads the
     # kernels of Hom(M, M)).  The 89 hom sets are End(M)'s: the
-    # quasi-projective decider and P2.17 read only the order of a hom set,
-    # which `hom_count` finds for 115 pairs without building a map (238 hom
-    # sets were built when they and the self-cogenerator decider built
-    # them all).
+    # quasi-projective decider, P2.17 and End(M)'s construct gate, which
+    # runs before Hom(M, M) is built, read only the order of a hom set,
+    # which `hom_count` finds for 188 pairs without building a map (115
+    # before the gate read it; 238 hom sets were built when the first two
+    # and the self-cogenerator decider built them all).
     assert counts == {"ring": 32, "module": 102, "generators": 89,
                       "lattice": 21, "submodule": 86, "hom_set": 89,
                       "end_ring": 89, "end_table": 21}
-    assert sum(key[0] == "hom_count" for key in fresh_intern) == 115
+    assert sum(key[0] == "hom_count" for key in fresh_intern) == 188
     # One decider body per (structure, caps, property): 348 that return a
     # verdict and 4 that stop at a cap.  One ring check per (ring
     # structure, name): 167, that is 32 pi_regular, 27 gen_left_pp and 23

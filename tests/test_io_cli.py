@@ -303,6 +303,37 @@ def test_malformed_pirick_caps_is_an_error_not_a_traceback(value, message):
     assert run.stdout == ""
 
 
+def test_an_end_ring_over_the_construct_cap_allocates_no_map(tmp_path,
+                                                            capsys,
+                                                            fresh_intern):
+    """t3z2_free2, (T3(Z/2))^2 with 4,096 elements, at the default caps:
+    the hom gate admits its 2^24 candidates, but End(M) is refused by the
+    construct gate on |Hom(M, M)| before any map is built, so a child
+    limited to 1 GiB of address space reports 16 skips, not a NumPy
+    MemoryError traceback."""
+    (tmp_path / "t3z2.ring").write_text((CORPUS / "t3z2.ring").read_text())
+    path = tmp_path / "t3z2_free2.mod"
+    assert main(["gen", "free_module", str(tmp_path / "t3z2.ring"), "2",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from pirick.cli import main; "
+             "sys.exit(main(['module', 'check', '--witnesses', "
+             f"{str(path)!r}]))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={"PYTHONPATH": str(src),
+                                         "OPENBLAS_NUM_THREADS": "1"})
+    assert (run.returncode, run.stderr) == (0, "")
+    head, *rows = run.stdout.splitlines()
+    assert "End order (skipped)" in head
+    assert [row.split()[1] for row in rows] == ["skipped"] * 16
+    assert [row.partition("[")[2] for row in rows] == (
+        ["cap:ring construction]"] * 13 + ["cap:submodule lattice]"]
+        + ["cap:ring construction]"] * 2)
+
+
 def test_a_run_does_not_load_numpy_ma(tmp_path):
     """`module check` and `verify` in a fresh process, quotients and corner
     rings included, never import numpy.ma (about 0.03 s of start-up)."""

@@ -48,8 +48,8 @@ def oracle_morphic(facts) -> Verdict:
     for p, (im, ker) in enumerate(pairs):
         if not are_isomorphic(facts.quotient(im)[0], facts.inner(ker)[0],
                               facts.caps):
-            return Verdict(False, {}, int((pair_of == p).argmax()))
-    return Verdict(True, {}, None)
+            return Verdict(False, int((pair_of == p).argmax()))
+    return Verdict(True)
 
 
 def _oracle_summand_when_isomorphic(facts, quotients: bool) -> Verdict:
@@ -64,8 +64,8 @@ def _oracle_summand_when_isomorphic(facts, quotients: bool) -> Verdict:
                 continue
             dinner, _ = facts.inner(dmask)
             if are_isomorphic(shape, dinner, facts.caps):
-                return Verdict(False, {}, (mask, dmask))
-    return Verdict(True, {}, None)
+                return Verdict(False, (mask, dmask))
+    return Verdict(True)
 
 
 ORACLES = {
@@ -149,8 +149,8 @@ def _summand_lookup(pair):
                 continue
             for dmask in sorted(idem):
                 if pair(end, idem, mask, dmask) in present:
-                    return Verdict(False, {}, (mask, dmask))
-        return Verdict(True, {}, None)
+                    return Verdict(False, (mask, dmask))
+        return Verdict(True)
     return decide
 
 

@@ -15,6 +15,8 @@ from pirick.properties import (DECIDERS, Facts, PROPERTY_ORDER, analyze,
                                left_singular_ideal, render_report,
                                singular_nil_jacobson, small_image_endos)
 
+from old_verdicts import witness_dict
+
 CAPS = caps_from_env()
 
 # expected status per property, from exhaustive enumeration of the instance
@@ -75,7 +77,7 @@ def test_dual_pi_rickart_witnesses_on_z4():
     # the doubling map needs exponent 2 and lands on the zero idempotent
     end = facts.end()
     doubling = _doubling(end)
-    assert verdict.witnesses[doubling] == (2, 0)
+    assert witness_dict(verdict)[doubling] == (2, 0)
 
 
 def _doubling(end) -> int:
@@ -86,7 +88,7 @@ def test_min_exponent(z4_reg=None):
     # the smallest n with Im f^n = e(M), and the smallest such idempotent e
     module = ring_as_module(zmod(4), CAPS)
     end = end_ring(module, CAPS)
-    witnesses = DECIDERS["dual_pi_rickart"](Facts(module, CAPS)).witnesses
+    witnesses = witness_dict(DECIDERS["dual_pi_rickart"](Facts(module, CAPS)))
     assert witnesses[_doubling(end)] == (2, 0)
     assert witnesses[end.one] == (1, end.one)
 
@@ -111,7 +113,7 @@ def test_singular_nil_jacobson_on_z4():
     verdict, sing = singular_nil_jacobson(zmod(4), CAPS)
     assert verdict.holds
     assert sing.tolist() == [0, 2]
-    assert verdict.witnesses[2] == 2      # 2^2 = 0
+    assert witness_dict(verdict)[2] == (2, 0)      # 2^2 = 0
 
 
 def test_small_image_endos_on_z4():

@@ -47,6 +47,7 @@ from pirick.rings import (Verdict, principal_left_ideal_keys, ring_check,
 from pirick.theorems import (HOLDS, NOT_MET, READING_FLAG, SKIPPED,
                              VIOLATION, _mat2, _one_minus)
 
+from old_verdicts import witness_dict
 from test_end_powers_oracle import chain_term, oracle_chains
 from test_iso_oracle import _pools
 
@@ -93,7 +94,7 @@ def _chk_p2_4_1(ctx):
     v = facts.verdict("dual_pi_rickart")
     if not v.holds:
         return VIOLATION, f"f={v.counterexample}"
-    bad = [f for f, (n, _) in v.witnesses.items() if n != 1]
+    bad = [f for f, (n, _) in witness_dict(v).items() if n != 1]
     if bad:
         return VIOLATION, f"f={bad[0]},n>1"
     return HOLDS, "n=1 throughout"
@@ -110,7 +111,7 @@ def _chk_l3_1(ctx):
     if not g.holds:
         return VIOLATION, f"a={g.counterexample}"
     principal = principal_left_ideal_keys(ring)
-    for f, (n, e) in v.witnesses.items():
+    for f, (n, e) in witness_dict(v).items():
         fn = power_trail(ring, f)[n - 1]
         im = oracle_chains(end).images[f][n - 1]
         # l_M(f^n M) == l_S(f^n) == S(1 - e)
@@ -129,7 +130,7 @@ def _chk_c3_3(ctx):
         return NOT_MET, "-"
     ring = facts.end().ring
     principal = principal_left_ideal_keys(ring)
-    for f, (n, _) in v.witnesses.items():
+    for f, (n, _) in witness_dict(v).items():
         fn = power_trail(ring, f)[n - 1]
         if left_annihilator_key(ring, fn) not in principal:
             return VIOLATION, f"f={f},n={n}"
@@ -176,7 +177,7 @@ def _chk_t3_19_1(ctx):
     end = facts.end()
     if not ring_check(end.ring, "gen_left_pp").holds:
         return VIOLATION, "gen_left_pp"
-    for f, (n, _) in v.witnesses.items():
+    for f, (n, _) in witness_dict(v).items():
         im = chain_term(oracle_chains(end).images[f], n)
         if not _double_annihilator_closed(end, im):
             return VIOLATION, f"f={f},n={n}"
@@ -190,7 +191,7 @@ def _chk_t3_19c_1(ctx):
         return NOT_MET, "-"
     masks = facts.idem_masks()
     end = facts.end()
-    for f, (n, _) in v.witnesses.items():
+    for f, (n, _) in witness_dict(v).items():
         im = chain_term(oracle_chains(end).images[f], n)
         if not _double_annihilator_closed(end, im) or im not in masks:
             return VIOLATION, f"f={f},n={n}"
@@ -221,7 +222,7 @@ def _in_new_format(tid: str, witness: str, values: dict) -> str:
     violation witnesses differ, and only under stubbed verdicts."""
     if tid == "P2.4.1" and witness.endswith(",n>1"):
         f = int(witness[len("f="):-len(",n>1")])
-        return f"f={f},n={values['dual_pi_rickart'].witnesses[f][0]}"
+        return f"f={f},n={values['dual_pi_rickart'].exponent[f]}"
     if tid == "T3.19.1" and witness == "gen_left_pp":
         return f"a={values['end.gen_left_pp'].counterexample}"
     if tid == "L3.10.3" and witness.startswith("base="):
@@ -339,15 +340,16 @@ def stubbed_disagreements(registry, ctx, entries) -> list:
 
 
 def _flag(holds: bool, cex) -> Verdict:
-    return Verdict(holds, {}, None if holds else cex)
+    return Verdict(holds, None if holds else cex)
 
 
 def _module_stubs(end, choices):
     """The stubbed values for one choice of witness (n, e) per f of End(M)
     and of the truth of each predicate the module entries read."""
     witnesses, dual_pi, dual_rickart, gen_left_pp, pair, pi_regular = choices
-    return {"dual_pi_rickart": Verdict(dual_pi, dict(witnesses),
-                                       None if dual_pi else 1),
+    exponent, witness = np.array([nw for _, nw in witnesses]).T
+    return {"dual_pi_rickart": Verdict(dual_pi, None if dual_pi else 1,
+                                       exponent, witness),
             "dual_rickart": _flag(dual_rickart, 2),
             "end.gen_left_pp": _flag(gen_left_pp, 3),
             "summand_pair": _flag(pair, 4),
@@ -436,7 +438,7 @@ def _mutant(monkeypatch, old: str, new: str):
 
 
 def test_a_walk_that_skips_the_last_witness_is_caught(monkeypatch):
-    walk = '_verdict(ctx, "dual_pi_rickart").witnesses.items()'
+    walk = "zip(v.exponent.tolist(), v.witness.tolist())"
     mutant = _mutant(monkeypatch, walk, f"list({walk})[:-1]")
     caught = set()
     for ctx in _z4_stubs():

@@ -4,7 +4,8 @@ loops it replaced, kept here only as oracles.
 The oracles are the five per-property power searches (regular, pi-regular,
 strongly pi-regular, generalized left pp, nil radical) and the one
 `ring_predicates` pass over the six classical predicates.  Each check must
-agree with its oracle in (holds, witnesses, counterexample).  `regular` and
+agree with its oracle in (holds, witnesses, counterexample), its witnesses
+rebuilt from the search's arrays by `old_verdicts.witness_dict`.  `regular` and
 `nil_radical` now share the power search's witness shape a -> (n, w): the
 oracle's x and n are compared as (1, x) and (n, 0).  The oracles walk the
 powers of each element one term at a time and pack each left annihilator
@@ -40,12 +41,14 @@ from pirick import rings
 from pirick.caps import caps_from_env
 from pirick.families import zmod
 from pirick.groups import FinAbGroup
-from pirick.rings import (RING_CHECKS, FiniteRing, Verdict,
+from pirick.rings import (RING_CHECKS, FiniteRing,
                           central_idempotent_scan, corner_ring,
                           jacobson_radical, left_annihilator_key,
                           matrix_ring, principal_left_ideal_keys,
                           product_ring, ring_check, ring_idempotents,
                           ring_units, triangular_ring)
+
+from old_verdicts import OldVerdict, witness_dict
 
 CAPS = caps_from_env()
 
@@ -99,9 +102,9 @@ def oracle_regular(ring):
     for a in range(ring.order):
         hits = np.nonzero(mul[mul[a, :], a] == a)[0]
         if hits.size == 0:
-            return Verdict(False, witnesses, counterexample=a)
+            return OldVerdict(False, witnesses, counterexample=a)
         witnesses[a] = int(hits[0])
-    return Verdict(True, witnesses)
+    return OldVerdict(True, witnesses)
 
 
 def oracle_pi_regular(ring, walk=trail):
@@ -115,9 +118,9 @@ def oracle_pi_regular(ring, walk=trail):
                 found = (pos + 1, int(hits[0]))
                 break
         if found is None:
-            return Verdict(False, witnesses, counterexample=a)
+            return OldVerdict(False, witnesses, counterexample=a)
         witnesses[a] = found
-    return Verdict(True, witnesses)
+    return OldVerdict(True, witnesses)
 
 
 def oracle_strongly_pi_regular(ring, walk=trail):
@@ -137,11 +140,11 @@ def oracle_strongly_pi_regular(ring, walk=trail):
             if right is not None and left_ok:
                 break
         if right is None:
-            return Verdict(False, witnesses, counterexample=(a, "right"))
+            return OldVerdict(False, witnesses, counterexample=(a, "right"))
         if not left_ok:
-            return Verdict(False, witnesses, counterexample=(a, "left"))
+            return OldVerdict(False, witnesses, counterexample=(a, "left"))
         witnesses[a] = right
-    return Verdict(True, witnesses)
+    return OldVerdict(True, witnesses)
 
 
 def oracle_gen_left_pp(ring, walk=trail):
@@ -155,9 +158,9 @@ def oracle_gen_left_pp(ring, walk=trail):
                 found = (pos + 1, keys[k][0])
                 break
         if found is None:
-            return Verdict(False, witnesses, counterexample=a)
+            return OldVerdict(False, witnesses, counterexample=a)
         witnesses[a] = found
-    return Verdict(True, witnesses)
+    return OldVerdict(True, witnesses)
 
 
 def oracle_nil_radical(ring, walk=trail):
@@ -165,9 +168,9 @@ def oracle_nil_radical(ring, walk=trail):
     for a in jacobson_radical(ring).tolist():
         powers = walk(ring, a)
         if 0 not in powers:
-            return Verdict(False, witnesses, counterexample=int(a))
+            return OldVerdict(False, witnesses, counterexample=int(a))
         witnesses[int(a)] = powers.index(0) + 1
-    return Verdict(True, witnesses)
+    return OldVerdict(True, witnesses)
 
 
 def oracle_ring_predicates(ring) -> dict:
@@ -236,7 +239,7 @@ def disagreements(ring) -> list:
     out = []
     for name, check in RING_CHECKS.items():
         v = check(ring)
-        if (v.holds, v.witnesses, v.counterexample) != oracle(ring, name):
+        if (v.holds, witness_dict(v), v.counterexample) != oracle(ring, name):
             out.append(name)
     if table_rows(rings.power_table(ring)) != [trail(ring, a)
                                                for a in range(ring.order)]:
@@ -323,7 +326,7 @@ def test_ring_checks_match_the_oracles_on_valid_rings(ring):
     assert disagreements(ring) == []
     for name in RING_CHECKS:
         v = ring_check(ring, name)
-        assert (v.holds, v.witnesses, v.counterexample) == oracle(ring, name)
+        assert (v.holds, witness_dict(v), v.counterexample) == oracle(ring, name)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -367,8 +370,8 @@ def test_strongly_pi_regular_names_the_failing_side(table, side):
     ring = raw_ring(table, 0)
     v = RING_CHECKS["strongly_pi_regular"](ring)
     assert (v.holds, v.counterexample) == (False, (2, side))
-    assert v.witnesses == oracle(ring, "strongly_pi_regular")[1]
-    assert set(v.witnesses) == {0, 1}
+    assert witness_dict(v) == oracle(ring, "strongly_pi_regular")[1]
+    assert set(witness_dict(v)) == {0, 1}
 
 
 def test_a_first_power_that_reads_one_term_is_caught(monkeypatch):

@@ -17,6 +17,8 @@ from pirick.rings import (RING_CHECKS, corner_ring, jacobson_radical,
                           ring_idempotents, ring_make, ring_units,
                           triangular_ring)
 
+from old_verdicts import witness_dict
+
 CAPS = caps_from_env()
 
 
@@ -81,7 +83,7 @@ def test_regularity_family_on_z4():
     assert not ring_check(z4, "regular").holds      # a=2 has no x with 2x2=2
     v = ring_check(z4, "pi_regular")
     assert v.holds
-    assert v.witnesses[2] == (2, 0)      # 2^2 = 0 = 0*x*0 with x=0
+    assert witness_dict(v)[2] == (2, 0)      # 2^2 = 0 = 0*x*0 with x=0
     s = ring_check(z4, "strongly_pi_regular")
     assert s.holds
 
@@ -91,14 +93,14 @@ def test_regularity_family_on_z6():
     v = ring_check(z6, "regular")
     assert v.holds
     p = ring_check(z6, "pi_regular")
-    assert all(n == 1 for n, _ in p.witnesses.values())
+    assert all(n == 1 for n, _ in witness_dict(p).values())
 
 
 def test_generalized_left_pp_witnesses():
     z4 = zmod(4)
     v = ring_check(z4, "gen_left_pp")
     assert v.holds
-    n, e = v.witnesses[2]
+    n, e = witness_dict(v)[2]
     # l(2^n) must equal Z4*e exactly
     ln = set(np.nonzero(z4.mul_np[:, int(z4.mul_np[2, 2]) if n == 2 else 2]
                         == 0)[0].tolist())
@@ -123,7 +125,7 @@ def test_principal_left_ideal_keys_list_every_idempotent():
     v = ring_check(t2z2, "gen_left_pp")
     assert all(e == keys[rings.left_annihilator_key(
         t2z2, powers_of(t2z2, a)[n - 1])][0]
-        for a, (n, e) in v.witnesses.items())
+        for a, (n, e) in witness_dict(v).items())
 
 
 def test_jacobson_radical():
@@ -147,7 +149,7 @@ def test_first_true_is_the_row_major_first(shape):
 def test_nil_radical_check():
     v = ring_check(zmod(4), "nil_radical")
     assert v.holds
-    assert set(v.witnesses) == {0, 2}
+    assert set(witness_dict(v)) == {0, 2}
 
 
 def _holding(ring):

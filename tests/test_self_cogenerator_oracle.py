@@ -42,8 +42,8 @@ def oracle_self_cogenerator(facts) -> Verdict:
         homs = hom_set(quot, facts.module, facts.caps)
         in_all_kernels = (homs == 0).all(axis=0)
         if int(in_all_kernels.sum()) != 1:
-            return Verdict(False, {}, mask)
-    return Verdict(True, {}, None)
+            return Verdict(False, mask)
+    return Verdict(True)
 
 
 def _meet_of_every_kernel(facts) -> Verdict:
@@ -56,8 +56,8 @@ def _meet_of_every_kernel(facts) -> Verdict:
         meet &= kernel
     for mask in lattice:
         if meet != mask:
-            return Verdict(False, {}, mask)
-    return Verdict(True, {}, None)
+            return Verdict(False, mask)
+    return Verdict(True)
 
 
 def _inputs(module_instances) -> list:

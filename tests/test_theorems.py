@@ -210,7 +210,7 @@ def _fail_at(monkeypatch, k):
 
     def dual_pi_of(module, caps):
         asked.append(module)
-        return Verdict(len(asked) != k, {}, 9)
+        return Verdict(len(asked) != k, 9)
 
     monkeypatch.setattr(theorems, "_dual_pi_of", dual_pi_of)
     return asked
