@@ -13,8 +13,9 @@ passing an explicit Caps.
 Also here: the one cache, `INTERNED`, keyed by structure and caps.  It
 builds each group, ring table, module table, module generating set,
 submodule lattice, submodule coordinates and hom set once per (kind,
-structure key, caps) in a process, and `interned` memoizes every derived
-result in it the same way, End(M) among them.  A value depends only on the
+structure key, caps) in a process, and the kernel of each pair of modules
+once, and `interned` memoizes every derived result in it the same way,
+End(M) among them.  It stores values only.  A value depends only on the
 structure and the caps, so objects of one structure share it whatever
 their names; a name reaches output only from the caller's own object.
 
@@ -152,26 +153,20 @@ class InternTable(dict):
     """(kind, structure key, caps) -> what was built for that structure.
 
     Under `interned` the kind is a function and caps its other arguments.
-    A build that raised SizeCapExceeded is stored as that error, unraised;
-    any other error is not stored.  The arrays stored are read-only, since
-    every object of the structure shares them.
+    Only values are stored: a build that raises stores nothing, and one
+    over a cap is refused again by its own gate, which runs before the
+    work it bounds.  The arrays stored are read-only, since every object
+    of the structure shares them.
     """
 
     def get_or_build(self, kind, key, caps, build):
-        """The value stored for (kind, key, caps), from build() on the first
-        call; a stored cap failure is raised again without rebuilding."""
+        """The value stored for (kind, key, caps), built on the first call."""
         full = (kind, key, caps)
         try:
-            value = self[full]
+            return self[full]
         except KeyError:
-            try:
-                value = self[full] = build()
-            except SizeCapExceeded as err:
-                value = self[full] = SizeCapExceeded(err.what, err.size,
-                                                     err.cap)
-        if isinstance(value, SizeCapExceeded):
-            raise SizeCapExceeded(value.what, value.size, value.cap)
-        return value
+            value = self[full] = build()
+            return value
 
 
 INTERNED = InternTable()

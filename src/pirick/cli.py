@@ -14,7 +14,7 @@ Common flags (per subcommand): ``--cap-lattice N``, ``--cap-hom N``,
 ``--format text|machine``.  The PIRICK_CAPS environment variable supplies
 process-wide cap overrides; explicit flags win over it.
 
-Exit codes: 0 success, 2 verification violations, 3 parse/validation errors.
+Exit codes: 0 success, 2 verify violations, 3 usage/parse/validation errors.
 
 Each subcommand imports the package modules it runs in its own handler, so
 a process compiles and loads only those: `module check` never loads the
@@ -48,9 +48,13 @@ RING_ROW_LABELS = {"gen_left_pp": "generalized_left_pp"}
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--cap-lattice", type=int, metavar="N",
-                        help="largest module order for lattice enumeration")
+                        help="largest module order for the submodule "
+                             "lattice, the radical, the socle and the small "
+                             "and essential tests, and largest |End(M)| for "
+                             "its left singular ideal")
     parser.add_argument("--cap-hom", type=int, metavar="N",
-                        help="largest hom-set search size")
+                        help="largest candidate space |N|^k of a hom set "
+                             "Hom(M, N), M with k generators")
     parser.add_argument("--format", choices=("text", "machine"),
                         default="text", help="output style")
 
@@ -268,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:                 # --help exits 0, a usage error 2
+        return ERROR_EXIT if exc.code else 0
     try:
         return args.func(args)
     except PirickError as exc:

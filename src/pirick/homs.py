@@ -11,7 +11,8 @@ by extended gcds on integer coordinates, into generators in echelon form;
 each generator's table is checked on every edge, and every map is one sum
 of their multiples, built in two halves and sorted by generator images.
 hom_count reads the order of Hom(M, N) off the same kernel without
-building a map, for the callers that need only the count.
+building a map, for the callers that need only the count; the kernel is
+solved once per pair of structures, since no cap bears on it.
 
 End(M) comes in two layers.  end_ring builds the maps: Hom(M, M)'s tables,
 of the hom set's type, numbered by a cyclic decomposition of its additive
@@ -40,14 +41,14 @@ between two modules is its table too: check_map validates one by the
 relation check of hom_set, for the projections and inclusions of quotients
 and submodules, narrowed to the same type once its entries are known to
 be elements of the codomain.  The keys that order maps by their generator
-images are computed in int64 from widened entries.
+images are `_map_keys`, computed in int64 from widened entries.
 
 A hom set, End(M) and its ring table are built once per structure and
 caps in a process, in the intern table `caps.INTERNED`; every module object
-of the structure gets the same ones, whatever its name, and a cap failure
-is remembered.  End(M) carries no module and no module name: a caller that
-prints one adds its own.  The composition self-check of the ring table is
-exhaustive, on generator columns.
+of the structure gets the same ones, whatever its name.  End(M) carries no
+module and no module name: a caller that prints one adds its own.  The
+composition self-check of the ring table is exhaustive, on generator
+columns.
 """
 
 from __future__ import annotations
@@ -140,8 +141,6 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
     of one additive map on the candidate images (`_kernel_basis`), spanned
     from a checked generating set of tables.  The array is read-only.
     """
-    if not same_ring(domain.ring, codomain.ring):
-        raise PirickError("hom set requires a common base ring")
     return INTERNED.get_or_build(
         "hom_set", (domain.key, codomain.key), caps,
         lambda: _enumerate_homs(domain, codomain, caps))
@@ -150,29 +149,19 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
 def hom_count(domain: FiniteModule, codomain: FiniteModule,
               caps: Caps = DEFAULT_CAPS) -> int:
     """|Hom(domain, codomain)|, the order of `_kernel`, without building a
-    map; capped as hom_set is, and found once per structure and caps."""
+    map; capped as hom_set is."""
     if not same_ring(domain.ring, codomain.ring):
         raise PirickError("hom set requires a common base ring")
-
-    def count() -> int:
-        _gate_homs(domain, codomain, caps)
-        return _kernel(domain, codomain)[1]
-
-    return INTERNED.get_or_build("hom_count", (domain.key, codomain.key),
-                                 caps, count)
-
-
-def _gate_homs(domain: FiniteModule, codomain: FiniteModule,
-               caps: Caps) -> None:
     caps.gate("hom", "hom-set enumeration",
               codomain.order ** len(module_generators(domain)))
+    return _solved_kernel(domain, codomain)[1]
 
 
 def _enumerate_homs(domain: FiniteModule, codomain: FiniteModule,
                     caps: Caps) -> np.ndarray:
-    _gate_homs(domain, codomain, caps)
+    order = hom_count(domain, codomain, caps)
     gens, _, _ = edges = _relation_edges(domain)
-    maps, orders, order = _kernel_basis(domain, codomain)
+    maps, orders = _kernel_basis(domain, codomain)
     tables = maps @ np.array(codomain.add_group.strides)
     # a sum of homomorphisms is one, so checked generators check the span
     if len(tables) and not _relations_hold(tables.T, codomain, edges).all():
@@ -217,7 +206,7 @@ def _presentation(module: FiniteModule) -> tuple:
 
 
 def _kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
-    """(rows, order): rows of coordinates that generate Hom(M, N) as the
+    """(rows, order): tuples of coordinates that generate Hom(M, N) as the
     kernel K below, and the order of K.
 
     Generator images c in N^k give the table E(c)(m) = sum c_i coef[m]_i,
@@ -250,21 +239,26 @@ def _kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
         r, f = divmod(int(live[0]), len(factors))
         order //= _cut(rows, hit[:, r, f].tolist(), group.factors[f],
                        moduli)[1]
-    return rows, order
+    return tuple(map(tuple, rows)), order
+
+
+def _solved_kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
+    """`_kernel` of the pair, solved once per pair of structures."""
+    return INTERNED.get_or_build("kernel", (domain.key, codomain.key), None,
+                                 lambda: _kernel(domain, codomain))
 
 
 def _kernel_basis(domain: FiniteModule, codomain: FiniteModule) -> tuple:
-    """(maps, orders, order): homomorphisms h_t, as their tables in N's
+    """(maps, orders): homomorphisms h_t, as their tables in N's
     coordinates, [t, m, f], and numbers o_t such that every map in
-    Hom(M, N) is sum j_t h_t for exactly one choice of 0 <= j_t < o_t, and
-    the order of Hom(M, N), found apart by `_kernel`.
+    Hom(M, N) is sum j_t h_t for exactly one choice of 0 <= j_t < o_t.
 
     Cut down to the source's own coordinates in turn, the kernel's rows
     give it in echelon (Howell) form: the row set aside at coordinate s
     has zeros before s, and its multiples below its step o_s differ at s,
     while what is left of the kernel has 0 there too.
     """
-    rows, order = _kernel(domain, codomain)
+    rows = [list(row) for row in _solved_kernel(domain, codomain)[0]]
     coef = _presentation(domain)[0]
     factors = codomain.add_group.factors
     moduli = list(factors) * coef.shape[1]
@@ -281,7 +275,7 @@ def _kernel_basis(domain: FiniteModule, codomain: FiniteModule) -> tuple:
     sums = np.array(pivots, dtype=np.int64).reshape(
         len(pivots), len(moduli)) @ images
     return sums.reshape(len(pivots), domain.order, len(factors)) \
-        % np.array(factors), orders, order
+        % np.array(factors), orders
 
 
 @interned
@@ -332,14 +326,12 @@ def _span(maps: np.ndarray, orders: list, codomain: FiniteModule,
           gens: list) -> np.ndarray:
     """The tables of sum j_t h_t over every 0 <= j_t < orders[t], h_t given
     as maps[t] in N's coordinates, as one array of the type of N's add
-    table, index_dtype(|N|), ordered by the mixed-radix key of the
-    generator images.
+    table, index_dtype(|N|), ordered by `_map_keys` of the generator images.
 
     The sums split in two halves, over the first maps (about the square
     root of all in number) and over the rest, each found from its digits j
     by one product in N's coordinates.  Every head plus every tail is then
-    one gather from N's add table, as `group_embedding` stacks its cosets;
-    the keys, up to |N|^k, are computed from the widened generator images.
+    one gather from N's add table, as `group_embedding` stacks its cosets.
     """
     count = math.prod(orders)
     cut = 0
@@ -351,11 +343,17 @@ def _span(maps: np.ndarray, orders: list, codomain: FiniteModule,
                   for part in (slice(0, cut), slice(cut, None)))
     rows = group.add_table()[head[:, None], tail[None]] \
         .reshape(count, maps.shape[1])
-    keys = rows[:, gens].astype(np.int64) \
-        @ codomain.order ** np.arange(len(gens), dtype=np.int64)[::-1]
+    keys = _map_keys(rows[:, gens], codomain.order)
     if not (keys[1:] > keys[:-1]).all():
         rows = rows[np.argsort(keys)]
     return rows
+
+
+def _map_keys(images: np.ndarray, order: int) -> np.ndarray:
+    """int64 keys of maps given by their generator images (the last axis),
+    big-endian in base `order`: they increase along hom_set's rows."""
+    return images.astype(np.int64) @ order ** np.arange(
+        images.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 def _sums(maps: np.ndarray, orders: list, factors: np.ndarray,
@@ -418,9 +416,9 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     """Compute End(M) as maps, without its ring table.
 
     Built at most once per structure and caps in a process, and every
-    module object of that structure gets the same one; a build over a cap
-    raises the same SizeCapExceeded again without rebuilding.  A build
-    under other caps is never reused."""
+    module object of that structure gets the same one.  A build over the
+    construct cap stops at the gate, on the order of Hom(M, M), before any
+    map is built; a build under other caps is never reused."""
     return _build_end_ring(module, caps)
 
 
@@ -428,17 +426,16 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     caps.gate("construct", "ring construction",
               hom_count(module, module, caps))
     raw = hom_set(module, module, caps)                  # (s, n)
-    # A map is determined by its generator images; read in mixed radix they
-    # give its candidate number, which increases along hom_set's rows.
+    # A map is determined by its generator images, and their keys increase
+    # along hom_set's rows.
     gens = np.array(module_generators(module), dtype=np.int64)
-    radix = module.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
     images = raw[:, gens]
-    keys = images.astype(np.int64) @ radix
+    keys = _map_keys(images, module.order)
     add_m = module.add_group.add_table()
 
     def raw_index(gen_images):
         """Row of raw for each map given by a (..., #gens) image stack."""
-        return np.searchsorted(keys, gen_images.astype(np.int64) @ radix)
+        return np.searchsorted(keys, _map_keys(gen_images, module.order))
 
     group, from_label, to_index, basis_labels = group_embedding(
         np.arange(len(raw)),

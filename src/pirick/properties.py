@@ -41,7 +41,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, interned
 from .errors import SizeCapExceeded
-from .homs import (MAP_CHECKS, EndRing, _distinct_pairs,
+from .homs import (MAP_CHECKS, EndRing, _distinct_pairs, _map_keys,
                    central_idempotent_maps, end_ring, first_chain_term,
                    first_offender, hom_count, hom_set,
                    idempotent_image_masks, idempotent_maps,
@@ -301,13 +301,12 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
     for mask in facts.lattice():
         quot, proj = facts.quotient(mask)
         count = hom_count(facts.module, quot, facts.caps)
-        # maps M -> M/N keyed by generator images, as hom_set numbers them:
+        # maps M -> M/N keyed by generator images, as hom_set orders them:
         # all are lifted iff there are as many distinct lifted keys as maps
-        radix = quot.order ** np.arange(len(end.gens), dtype=np.int64)
-        lifted = np.sort(proj[on_gens].astype(np.int64) @ radix)
+        lifted = np.sort(_map_keys(proj[on_gens], quot.order))
         if 1 + np.count_nonzero(np.diff(lifted)) != count:
             homs = hom_set(facts.module, quot, facts.caps)
-            keys = homs[:, end.gens].astype(np.int64) @ radix
+            keys = _map_keys(homs[:, end.gens], quot.order)
             at = np.minimum(np.searchsorted(lifted, keys), len(lifted) - 1)
             h = homs[np.argmax(lifted[at] != keys)]
             return Verdict(False, (mask, tuple(h.tolist())))

@@ -260,8 +260,8 @@ def _equiv(hypotheses: tuple, a: str, b: str):
 
 
 def _at_witnesses(hypotheses: tuple, conclusions: tuple, test, holds=None):
-    """Check for "all hypotheses => all conclusions, and test(end)(f, n, e)
-    holds at every witness f -> (n, e) of dual pi-Rickart", Im f^n = eM.
+    """Check for "all hypotheses => all conclusions, and test(end)(x, n, e)
+    holds for x = f^n at every dual pi-Rickart witness f -> (n, e)".
 
     test(end) is called once, after the implication holds, and what it
     looks up serves the whole walk.  The witnesses are walked in order of
@@ -274,11 +274,12 @@ def _at_witnesses(hypotheses: tuple, conclusions: tuple, test, holds=None):
         status, witness = implication(ctx)
         if status != HOLDS:
             return status, witness
-        at = test(ctx.facts().end())
+        end = ctx.facts().end()
+        at = test(end)
         v = _verdict(ctx, "dual_pi_rickart")
         witnesses = zip(v.exponent.tolist(), v.witness.tolist())
         for f, (n, e) in enumerate(witnesses):
-            if not at(f, n, e):
+            if not at(int(end.powers[f, n - 1]), n, e):
                 return VIOLATION, f"f={f},n={n}"
         return HOLDS, "-" if holds is None else holds(ctx)
     return check
@@ -329,8 +330,9 @@ def _largest_n(fmt: str, name: str):
 
 
 # ---------------------------------------------------------------------------
-# tests at a dual pi-Rickart witness f -> (n, e), for _at_witnesses: each
-# takes End(M) and returns the test of one witness, test(f, n, e)
+# tests at a dual pi-Rickart witness f -> (n, e), Im f^n = eM, for
+# _at_witnesses: each takes End(M) and returns the test of one witness,
+# test(x, n, e), x = f^n
 # ---------------------------------------------------------------------------
 
 
@@ -349,8 +351,7 @@ def _annihilators_match(end: EndRing):
         member[left_annihilator(end, mask)] = True
         on_image[mask] = np.packbits(member).tobytes()
 
-    def test(f: int, n: int, e: int) -> bool:
-        x = int(end.powers[f, n - 1])
+    def test(x: int, n: int, e: int) -> bool:
         return (on_image[end.images[x]] == keys[x].tobytes()
                 and _one_minus(ring, e) in principal[x])
     return test
@@ -359,15 +360,15 @@ def _annihilators_match(end: EndRing):
 def _principal_annihilator(end: EndRing):
     """l_S(f^n) == S e' for an idempotent e' of S = End(M)."""
     principal = principal_annihilators(end_table(end))
-    return lambda f, n, e: bool(principal[end.powers[f, n - 1]])
+    return lambda x, n, e: bool(principal[x])
 
 
 def _closed_summand(end: EndRing):
     """Im f^n is double-annihilator closed and, then, a summand."""
     idem = idempotent_image_masks(end)
 
-    def test(f: int, n: int, e: int) -> bool:
-        im = end.images[end.powers[f, n - 1]]
+    def test(x: int, n: int, e: int) -> bool:
+        im = end.images[x]
         return _double_annihilator_closed(end, im) and im in idem
     return test
 
@@ -646,7 +647,7 @@ REGISTRY = {e.id: e for e in [
     Entry("P2.4.1", "module",
           "dual Rickart => dual pi-Rickart with exponent 1",
           _at_witnesses(("dual_rickart",), ("dual_pi_rickart",),
-                        lambda end: lambda f, n, e: n == 1,
+                        lambda end: lambda x, n, e: n == 1,
                         lambda ctx: "n=1 throughout")),
     Entry("P2.4.2", "module",
           "End reduced and dual pi-Rickart => dual Rickart",
@@ -807,9 +808,8 @@ REGISTRY = {e.id: e for e in [
           "dual pi-Rickart => gen left pp End and double-annihilator"
           " closure of f^n M",
           _at_witnesses(("dual_pi_rickart",), ("end.gen_left_pp",),
-                        lambda end: lambda f, n, e:
-                        _double_annihilator_closed(
-                            end, end.images[end.powers[f, n - 1]]),
+                        lambda end: lambda x, n, e:
+                        _double_annihilator_closed(end, end.images[x]),
                         _maps)),
     Entry("T3.19.2", "module",
           "gen left pp End and double-annihilator closure => dual"

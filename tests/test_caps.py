@@ -43,6 +43,8 @@ def test_each_caps_value_gets_its_own_entry():
 
 
 def test_an_exception_is_not_stored(fresh_intern):
+    """Only values are stored: an error, a cap failure among them, is
+    raised from the body on every call, by the gate at its top."""
     calls = []
 
     @interned
@@ -50,19 +52,20 @@ def test_an_exception_is_not_stored(fresh_intern):
         calls.append(caps)
         if len(calls) == 1:
             raise PirickError("first call fails")
-        if caps.lattice == 2:
-            raise SizeCapExceeded("submodule lattice", 4, 2)
+        caps.gate("lattice", "submodule lattice", 4)
         return "built"
 
     obj = types.SimpleNamespace(key="structure")
     with pytest.raises(PirickError, match="first call fails"):
         flaky(obj)
     assert flaky(obj) == "built"
-    # a cap failure is stored and raised again without running the body
     for _ in range(2):
-        with pytest.raises(SizeCapExceeded, match="size 4 exceeds cap 2"):
+        with pytest.raises(SizeCapExceeded,
+                           match="^submodule lattice: size 4 exceeds cap 2$"):
             flaky(obj, Caps(lattice=2))
-    assert calls == [DEFAULT_CAPS, DEFAULT_CAPS, Caps(lattice=2)]
+    assert calls == [DEFAULT_CAPS, DEFAULT_CAPS, Caps(lattice=2),
+                     Caps(lattice=2)]
+    assert list(fresh_intern.values()) == ["built"]
 
 
 def test_functions_sharing_a_name_do_not_collide(fresh_intern):
@@ -128,22 +131,17 @@ def test_a_key_error_while_building_is_no_miss():
 
 
 def _two_lookup_get_or_build(self, kind, key, caps, build):
-    """InternTable.get_or_build as it was, with a membership test before
-    the lookup: the oracle for hits, misses and cap-failure replays."""
+    """InternTable.get_or_build with a membership test before the lookup:
+    the oracle for hits, misses and cap failures raised again."""
     full = (kind, key, caps)
     if full not in self:
-        try:
-            self[full] = build()
-        except SizeCapExceeded as err:
-            self[full] = SizeCapExceeded(err.what, err.size, err.cap)
-    value = self[full]
-    if isinstance(value, SizeCapExceeded):
-        raise SizeCapExceeded(value.what, value.size, value.cap)
-    return value
+        self[full] = build()
+    return self[full]
 
 
 def _tally(monkeypatch, get_or_build) -> collections.Counter:
-    """Count the calls, builds and raised cap failures of get_or_build."""
+    """Count the calls, builds, refused builds and raised cap failures of
+    get_or_build."""
     counts = collections.Counter()
 
     def counted(self, kind, key, caps, build):
@@ -151,7 +149,11 @@ def _tally(monkeypatch, get_or_build) -> collections.Counter:
 
         def counted_build():
             counts["builds"] += 1
-            return build()
+            try:
+                return build()
+            except SizeCapExceeded:
+                counts["refused"] += 1
+                raise
         try:
             return get_or_build(self, kind, key, caps, counted_build)
         except SizeCapExceeded:
@@ -172,12 +174,16 @@ def test_hits_misses_and_cap_replays_match_the_two_lookup_table(
         INTERNED.clear()
         counts = _tally(monkeypatch, get_or_build)
         assert main(["verify", str(CORPUS)]) == 0
-        # each build stores one entry, a cap failure included
-        assert counts["builds"] == len(INTERNED)
+        # each build that is not refused stores one entry, and every cap
+        # failure raised is a build refused again: none is stored
+        assert counts["builds"] - counts["refused"] == len(INTERNED)
+        assert not any(isinstance(value, BaseException)
+                       for value in INTERNED.values())
         runs.append((counts, capsys.readouterr().out))
     assert runs[0] == runs[1]
     counts = runs[0][0]
     assert counts["calls"] > counts["builds"] > counts["cap_raises"] > 0
+    assert counts["cap_raises"] == counts["refused"]
 
 
 @pytest.mark.parametrize("tid, lookup", [

@@ -95,9 +95,9 @@ def _constructions(tree: ast.AST, scope: str = ""):
         yield from _constructions(node, inner)
 
 
-def test_only_the_gate_and_the_intern_table_build_a_cap_error():
+def test_only_the_gate_builds_a_cap_error():
     found = {path.name: sorted(set(_constructions(ast.parse(
         path.read_text()))))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: scopes for name, scopes in found.items() if scopes} == {
-        "caps.py": ["Caps.gate", "InternTable.get_or_build"]}
+        "caps.py": ["Caps.gate"]}

@@ -252,25 +252,45 @@ def test_self_check_compares_every_generator_column(monkeypatch,
                            CAPS))
 
 
-def test_cap_failure_is_built_once_per_structure_and_caps(monkeypatch,
-                                                          fresh_intern):
-    module = free_module(zmod(2), 3, CAPS, name="z2_free3")
-    built = _record_end_homs(monkeypatch)
-    counted = _record_end_homs(monkeypatch, "hom_count")
-    tight = dataclasses.replace(CAPS, construct=256)
-    report = analyze(module, tight)
-    # the construct gate reads |Hom(M, M)| off hom_count: no map is built
-    assert counted == [(module, module, tight)] and built == []
+def _record(monkeypatch, name: str) -> list:
+    """Record the arguments of each call of homs.<name>."""
+    calls = []
+    real = getattr(homs, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homs, name, recorded)
+    return calls
+
+
+def test_a_refused_end_ring_solves_its_kernel_once(monkeypatch,
+                                                   fresh_intern):
+    """z3_free3 has 27^3 = 19,683 endomorphisms, over the construct cap.
+    No refusal is stored, yet `analyze` and a second end_ring solve the
+    kernel of Hom(M, M) once and give End(M) no coordinates: each refusal
+    stops at the construct gate, with the message it has always had.  The
+    one hom set spanned is the self-cogenerator decider's, under the hom
+    cap, which reads the kernels of its maps.  A refusal blocks no build
+    under caps that admit End(M), which reads the same kernel."""
+    module = free_module(zmod(3), 3, CAPS, name="z3_free3")
+    kernels = _record(monkeypatch, "_kernel")
+    bases = _record(monkeypatch, "_kernel_basis")
+    embeddings = _record(monkeypatch, "group_embedding")
+    report = analyze(module, CAPS)
     skipped = {p for p, s in report.statuses.items() if s == "skipped"}
     assert skipped == set(PROPERTY_ORDER) - {"self_cogenerator"}
     assert {report.witnesses[p] for p in skipped} == {"cap:ring construction"}
-    with pytest.raises(SizeCapExceeded,
-                       match="ring construction: size 512 exceeds cap 256"):
-        end_ring(module, tight)
-    assert len(counted) == 1 and built == []
-    assert end_ring(module, CAPS).order == 512
-    assert counted == [(module, module, tight), (module, module, CAPS)]
-    assert built == [(module, module, CAPS)]
+    with pytest.raises(SizeCapExceeded, match="^ring construction: size "
+                                              "19683 exceeds cap 4096$"):
+        end_ring(module, CAPS)
+    assert [(d.key, c.key) for d, c in kernels] == [(module.key, module.key)]
+    assert [(d.key, c.key) for d, c in bases] == [(module.key, module.key)]
+    assert embeddings == []
+    assert end_ring(module, dataclasses.replace(CAPS, construct=19683)) \
+        .order == 19683
+    assert (len(kernels), len(bases), len(embeddings)) == (1, 2, 1)
 
 
 def test_end_ring_is_shared_by_modules_of_one_structure(monkeypatch,

@@ -206,11 +206,15 @@ def test_interned_witness_arrays_are_read_only(fresh_intern):
 def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
                                                   capsys):
     counts = _count_builds(monkeypatch)
-    deciders = collections.Counter()
+    deciders, refused = collections.Counter(), collections.Counter()
     for prop, decide in properties.DECIDERS.items():
         def counted(facts, prop=prop, decide=decide):
             deciders[prop, facts.key] += 1
-            return decide(facts)
+            try:
+                return decide(facts)
+            except SizeCapExceeded:
+                refused[prop, facts.key] += 1
+                raise
         monkeypatch.setitem(properties.DECIDERS, prop, counted)
     checks = collections.Counter()
     for name, check in rings.RING_CHECKS.items():
@@ -226,10 +230,12 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
         monkeypatch.setitem(homs.MAP_CHECKS, name, counted)
     assert main(["verify", str(CORPUS)]) == 0
     assert "total=1157" in capsys.readouterr().out
-    # Lattices are built only for the lattice deciders and entries, and
-    # the left singular ideal of End(M) is read off End(M)'s own table: it
-    # builds no ring, no module and no lattice.  End(M) is built as maps 89
-    # times, and its ring table only for the 21 corpus modules, whose
+    # Lattices are built only for the lattice deciders and entries, 20 of
+    # them, and the one module over the lattice cap is refused at its gate
+    # each of the 12 times it is asked, since no cap failure is stored
+    # (once, and 21 calls in all, when one was).  The left singular ideal of End(M) is read off End(M)'s own
+    # table: it builds no ring, no module and no lattice.  End(M) is built
+    # as maps 89 times, and its ring table only for the 21 corpus modules, whose
     # registry entries read "end." ring checks.  32 ring structures are
     # validated: 17 from the corpus files, 8 corners, one 2x2 matrix ring
     # and 6 End(M) tables that no other ring shares (41 when all 89 End(M)
@@ -241,26 +247,48 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     # kernels of Hom(M, M)).  The 89 hom sets are End(M)'s: the
     # quasi-projective decider, P2.17 and End(M)'s construct gate, which
     # runs before Hom(M, M) is built, read only the order of a hom set,
-    # which `hom_count` finds for 188 pairs without building a map (115
-    # before the gate read it; 238 hom sets were built when the first two
-    # and the self-cogenerator decider built them all).
+    # which `hom_count` reads off the kernel of 188 pairs without building
+    # a map (115 before the gate read it; 238 hom sets were built when the
+    # first two and the self-cogenerator decider built them all).
     assert counts == {"ring": 32, "module": 102, "generators": 89,
-                      "lattice": 21, "submodule": 86, "hom_set": 89,
+                      "lattice": 32, "submodule": 86, "hom_set": 89,
                       "end_ring": 89, "end_table": 21}
-    assert sum(key[0] == "hom_count" for key in fresh_intern) == 188
-    # One decider body per (structure, caps, property): 348 that return a
-    # verdict and 4 that stop at a cap.  One ring check per (ring
+    assert sum(key[0] == "kernel" for key in fresh_intern) == 188
+    # One decider body per (structure, caps, property) that returns a
+    # verdict, 348 of them; the 4 that stop at a cap run each time they are
+    # asked, 11 times in all (once each when the failure was stored).  One
+    # ring check per (ring
     # structure, name): 167, that is 32 pi_regular, 27 gen_left_pp and 23
     # strongly_pi_regular, plus 20 each of reduced, domain and local, 17
     # commutative and 8 nil_radical, which the registry's "ring." and
     # "end." predicates and L2.5.1 and L3.10.3 read.
-    assert (sum(deciders.values()), len(deciders)) == (352, 352)
+    assert (sum(deciders.values()), len(deciders)) == (359, 352)
+    assert (sum(refused.values()), len(refused)) == (11, 4)
+    assert all(deciders[key] == 1 for key in deciders if key not in refused)
     assert (sum(checks.values()), len(checks)) == (167, 167)
     # One map check per (End(M) structure, name): the four names of
     # homs.MAP_CHECKS on each of the 21 corpus modules' End(M).
     assert (sum(map_checks.values()), len(map_checks)) == (84, 84)
     assert collections.Counter(name for name, _ in map_checks) == {
         name: 21 for name in homs.MAP_CHECKS}
+
+
+def test_verify_corpus_solves_each_hom_kernel_once(monkeypatch,
+                                                   fresh_intern, capsys):
+    """The kernel of a pair of structures depends on no cap, so each is
+    solved once, whether hom_count, hom_set or both read it: 188 solves
+    for 188 pairs (277 when hom_count and hom_set each solved their own)."""
+    pairs = collections.Counter()
+    real = homs._kernel
+
+    def kernel(domain, codomain):
+        pairs[domain.key, codomain.key] += 1
+        return real(domain, codomain)
+
+    monkeypatch.setattr(homs, "_kernel", kernel)
+    assert main(["verify", str(CORPUS)]) == 0
+    capsys.readouterr()
+    assert (sum(pairs.values()), len(pairs)) == (188, 188)
 
 
 def test_other_lattice_or_hom_caps_rebuild_the_structure(monkeypatch,
@@ -278,22 +306,35 @@ def test_other_lattice_or_hom_caps_rebuild_the_structure(monkeypatch,
                       "end_ring": 3}
 
 
-def test_a_cap_failure_is_served_again_without_rebuilding(monkeypatch,
-                                                          fresh_intern):
+def test_a_cap_failure_is_refused_again_without_rebuilding(monkeypatch,
+                                                           fresh_intern):
+    """No cap failure is stored: each call over the cap, for every object
+    of the structure, is refused again by the hom gate, with the same
+    message, before the kernel of the pair is solved."""
     tight = dataclasses.replace(CAPS, hom=2)
     first = free_module(zmod(2, CAPS), 2, CAPS, name="first")
     with pytest.raises(SizeCapExceeded) as err:
         hom_set(first, first, tight)
+    assert str(err.value) == "hom-set enumeration: size 16 exceeds cap 2"
     counts = _count_builds(monkeypatch)
+    kernels = []
+    real_kernel = homs._kernel
+
+    def kernel(*args):
+        kernels.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(homs, "_kernel", kernel)
     second = free_module(zmod(2, CAPS), 2, CAPS, name="second")
     for module in (first, second):
-        with pytest.raises(SizeCapExceeded) as again:
-            hom_set(module, module, tight)
-        assert str(again.value) == str(err.value)
-        with pytest.raises(SizeCapExceeded):
-            end_ring(module, tight)
-    assert counts == {"end_ring": 1}
+        for build in (lambda: hom_set(module, module, tight),
+                      lambda: end_ring(module, tight)):
+            with pytest.raises(SizeCapExceeded) as again:
+                build()
+            assert str(again.value) == str(err.value)
+    assert counts == {"hom_set": 2, "end_ring": 2} and kernels == []
     assert len(hom_set(second, second, CAPS)) == 16
+    assert len(kernels) == 1
 
 
 def test_validation_errors_are_not_stored(fresh_intern):
@@ -350,8 +391,9 @@ def test_lattice_and_submodule_coordinates_are_shared_by_structure(
         subs.append((lattice, inner))
     assert subs[0][0] is subs[1][0]
     assert subs[0][1].act_np is subs[1][1].act_np
-    # each under CAPS once and the cap failure once, for both objects
-    assert counts["lattice"] == 2 and counts["submodule"] == 1
+    # once under CAPS, and the cap failure once for each object: nothing
+    # is stored for it, and the lattice gate refuses it before any work
+    assert counts["lattice"] == 3 and counts["submodule"] == 1
 
 
 @pytest.mark.parametrize("order", [("z2", "m2z2_c1"), ("m2z2_c1", "z2")])

@@ -250,6 +250,26 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", str(tmp_path), "--theorems", "NOPE"]) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["verify", str(CORPUS), "--jobs", "x"], "invalid int value: 'x'"),
+    (["module", "check"], "the following arguments are required: file"),
+])
+def test_cli_usage_errors_exit_3_not_the_violation_code(capsys, argv,
+                                                        message):
+    """A usage error is an input error, 3: argparse's own exit code, 2, is
+    the code of a `verify` run that found a violation."""
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert message in out.err and "usage: pirick" in out.err
+    assert out.out == ""
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pirick")
+
+
 def test_cli_verify_empty_dir(tmp_path, capsys):
     assert main(["verify", str(tmp_path)]) == 0
     out = capsys.readouterr().out
