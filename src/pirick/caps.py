@@ -18,6 +18,8 @@ once, and `interned` memoizes every derived result in it the same way,
 End(M) among them.  It stores values only.  A value depends only on the
 structure and the caps, so objects of one structure share it whatever
 their names; a name reaches output only from the caller's own object.
+A hit is one subscript of the table in `interned`'s wrapper, which builds
+no closure and calls no helper; only a miss calls the function.
 
 Structure keys are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): `StructureKey(*parts)` returns the one
@@ -156,7 +158,8 @@ class InternTable(dict):
     Only values are stored: a build that raises stores nothing, and one
     over a cap is refused again by its own gate, which runs before the
     work it bounds.  The arrays stored are read-only, since every object
-    of the structure shares them.
+    of the structure shares them.  Every lookup, a hit of `interned`'s
+    wrapper or of `get_or_build`, is one subscript of the table.
     """
 
     def get_or_build(self, kind, key, caps, build):
@@ -165,8 +168,9 @@ class InternTable(dict):
         try:
             return self[full]
         except KeyError:
-            value = self[full] = build()
-            return value
+            pass
+        value = self[full] = build()
+        return value
 
 
 INTERNED = InternTable()
@@ -176,25 +180,31 @@ def interned(fn):
     """Memoize ``fn(obj, *args)`` in INTERNED under (fn, obj.key, args).
 
     obj.key is a structure key (with the caps, for a Facts or an
-    InstanceContext), and the args have their defaults filled in, so
-    ``f(m)`` and ``f(m, DEFAULT_CAPS)`` share an entry and no call is
-    served a value built under other caps.  An array returned, alone or in
-    a tuple, is made read-only.
+    InstanceContext), and missing args get their defaults, so ``f(m)`` and
+    ``f(m, DEFAULT_CAPS)`` share an entry and no call is served a value
+    built under other caps.  A hit is one lookup in the wrapper's own
+    frame; a miss calls fn there and stores what it returns, an array,
+    alone or in a tuple, made read-only.  A KeyError raised by fn is its
+    own error, not a miss.
     """
     defaults = tuple(p.default for p in
                      list(inspect.signature(fn).parameters.values())[1:])
+    arity = len(defaults)
 
-    def build(obj, args):
+    @functools.wraps(fn)
+    def memoized(obj, *args):
+        if len(args) < arity:
+            args += defaults[len(args):]
+        full = (fn, obj.key, args)
+        try:
+            return INTERNED[full]
+        except KeyError:
+            pass
         value = fn(obj, *args)
         for part in value if isinstance(value, tuple) else (value,):
             if isinstance(part, np.ndarray):
                 part.flags.writeable = False
+        INTERNED[full] = value
         return value
-
-    @functools.wraps(fn)
-    def memoized(obj, *args):
-        args = (*args, *defaults[len(args):])
-        return INTERNED.get_or_build(fn, obj.key, args,
-                                     lambda: build(obj, args))
 
     return memoized

@@ -18,7 +18,8 @@ Exit codes: 0 success, 2 verify violations, 3 usage/parse/validation errors.
 
 Each subcommand imports the package modules it runs in its own handler, so
 a process compiles and loads only those: `module check` never loads the
-registry (`theorems`) or the query parser.
+registry (`theorems`) or the query parser, and `ring check` never loads the
+hom sets (`homs`).
 """
 
 from __future__ import annotations

@@ -444,7 +444,8 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     basis = raw[basis_labels]
     # products[i, j] is the index of basis map i after basis map j
     products = to_index[raw_index(basis[:, basis[:, gens]])]
-    constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
+    constants = {(i, j): c for i, row in enumerate(products.tolist())
+                 for j, c in enumerate(row)}
     one = int(to_index[raw_index(gens)])
     # f^(n+1) = f(f^n(g)) on the generators g, and kernel sizes |Ker f|
     powers = index_powers(

@@ -30,7 +30,6 @@ import re
 from .caps import Caps, DEFAULT_CAPS
 from .errors import FileSyntaxError, PirickError, UnknownRing
 from .groups import FinAbGroup
-from .homs import EndRing, end_table
 from .modules import FiniteModule, module_make
 from .rings import FiniteRing, ring_make
 
@@ -263,9 +262,10 @@ def write_module(module: FiniteModule, path) -> None:
     pathlib.Path(path).write_text(serialize_module(module), encoding="utf-8")
 
 
-def export_endring(end: EndRing, path, name: str) -> None:
-    """Write End(M) of the module called `name` as a ring file named
-    end_<name>, plus a `.maps` sidecar with the tables."""
+def export_endring(end, path, name: str) -> None:
+    """Write End(M), a `homs.EndRing`, of the module called `name` as a
+    ring file named end_<name>, plus a `.maps` sidecar with the tables."""
+    from .homs import end_table
     out = pathlib.Path(path)
     header = f"# endring-of: {name}\n"
     out.write_text(header + serialize_ring(end_table(end), f"end_{name}"),

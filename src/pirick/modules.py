@@ -179,8 +179,8 @@ def _additive_closure(module: FiniteModule, mask: int) -> int:
     """The mask of the subgroup generated by the elements of mask."""
     add = module.add_group.add_table()
     while True:
-        bits = mask_bits(mask, module.order)
-        grown = mask | elems_mask(add[np.ix_(bits, bits)], module.order)
+        elems = np.flatnonzero(mask_bits(mask, module.order))
+        grown = mask | elems_mask(add[elems[:, None], elems], module.order)
         if grown == mask:
             return mask
         mask = grown
@@ -331,8 +331,9 @@ def _action_constants(module: FiniteModule, reps, index) -> dict:
     element m of `module`."""
     ring_group = module.ring.add_group
     basis_r = [ring_group.basis_index(i) for i in range(len(ring_group.factors))]
-    acted = index[module.act_np[np.ix_(reps, basis_r)]]      # [j, i]
-    return {(i, j): int(c) for (j, i), c in np.ndenumerate(acted)}
+    acted = index[module.act_np[reps[:, None], basis_r]]     # [j, i]
+    return {(i, j): c for j, row in enumerate(acted.tolist())
+            for i, c in enumerate(row)}
 
 
 def free_module(ring: FiniteRing, rank: int, caps: Caps = DEFAULT_CAPS,

@@ -38,7 +38,6 @@ time, so none of them builds a temporary of order^2 entries.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -186,34 +185,85 @@ def _first_mismatch(lhs: np.ndarray, rhs):
     return _first_true(diff) if diff.any() else None
 
 
-def _first_nonadditive(table: np.ndarray, group: FinAbGroup,
+def _tree_edges(group: FinAbGroup) -> tuple:
+    """(src, gen, dst): the edges x -> x + b that `_first_nonadditive`
+    checks, in its order.  For each factor f > 1 of stride b come the
+    edges of each x below (f - 1)b, then the wrap (f - 1)b -> fb = 0.
+    Interned per factors, as read-only intp arrays."""
+    parts = []
+    for f, b in zip(group.factors, group.strides):
+        top = (f - 1) * b
+        if top:
+            x = np.arange(top + 1)
+            parts.append((x, np.full(top + 1, b), np.where(x < top, x + b, 0)))
+    edges = (np.concatenate(parts, axis=1) if parts
+             else np.zeros((3, 0), dtype=np.intp)).astype(np.intp)
+    edges.flags.writeable = False
+    return tuple(edges)
+
+
+def _walk_blocks(group: FinAbGroup, step: int):
+    """[lo, hi) in `_tree_edges` of each block of the walk, in order: each
+    factor's edges x -> x + b, `step` of them at a time, then its wrap."""
+    lo = 0
+    for f, b in zip(group.factors, group.strides):
+        top = (f - 1) * b
+        if top:
+            for x in range(0, top, step):
+                yield lo + x, lo + min(x + step, top)
+            yield lo + top, lo + top + 1
+            lo += top + 1
+
+
+def _first_nonadditive(act: np.ndarray, axis: int, group: FinAbGroup,
                        add: np.ndarray):
     """(x, b, c) for the first edge with table[x + b, c] != table[x, c] +
-    table[b, c], or None; table's rows are `group`'s elements and `add`
-    adds its values.
+    table[b, c], or None, where table is act, or act.T when axis is 1: its
+    rows are `group`'s elements and `add` adds its values.
 
     The edges are the mixed-radix tree that `_bilinear_table` walks,
     x -> x + b for each basis element b, of order f, and each x below
     (f - 1)b, plus the wrap (f - 1)b -> fb = 0.  With row 0 zero they make
     every column additive: the tree fixes it as the sum of coordinates
     times table[b], and the wraps say f * table[b] = 0.
+
+    The edges, `_tree_edges`, are interned per factors.  "First" is the
+    order of a walk that checks each factor's edges a block of as many
+    rows as fit in 2^20 entries at a time, column by column in a block,
+    and its wrap after its blocks.  When all the edges fit in _BLOCK
+    entries, one gather checks them all, and the first failure is read
+    off its mismatch array, a block at a time; a larger table is checked
+    one block of the walk to a gather, the rows of a block as views, so
+    that it builds no more temporaries than the walk did.
     """
-    step = max(1, (1 << 20) // table.shape[1])    # entries per gather
-    for f, b in zip(group.factors, group.strides):
-        if f == 1:
-            continue
-        row = table[b]
-        top = (f - 1) * b
-        for lo in range(0, top, step):
-            hi = min(lo + step, top)
-            # column by column, so that one row of `add` serves each column
-            bad = _first_mismatch(table[lo + b:hi + b].T,
-                                  add[row[:, None], table[lo:hi].T])
-            if bad:
-                return lo + bad[1], b, bad[0]
-        bad = _first_mismatch(table[0], add[table[top], row])
-        if bad:
-            return top, b, bad[0]
+    src, gen, dst = INTERNED.get_or_build("tree_edges", group.factors, None,
+                                          lambda: _tree_edges(group))
+    width = act.shape[1 - axis]
+    step = max(1, (1 << 20) // width)            # rows per block of the walk
+
+    def gather(index):
+        """act's rows (axis 0) or columns (axis 1) at index, as an (other
+        element, edge) array; a view when index is a slice."""
+        return act[index].T if axis == 0 else act[:, index]
+
+    if not len(src):                             # a trivial group
+        return None
+    spans = ([(0, len(src))] if len(src) * width <= _BLOCK
+             else _walk_blocks(group, step))
+    for lo, hi in spans:
+        x, b, xb = at, by, to = src[lo:hi], gen[lo:hi], dst[lo:hi]
+        if b[0] == b[-1]:                        # one factor's edges:
+            by = b[:1]            # one row of `add` serves each other element
+            if xb[-1]:            # no wrap: x and x + b are runs, read as views
+                at, to = slice(x[0], x[-1] + 1), slice(xb[0], xb[-1] + 1)
+        bad = add[gather(by), gather(at)] != gather(to)
+        if bad.any():
+            e = int(bad.any(axis=0).argmax())
+            # one factor's edges or its wrap: a block of the walk
+            block = np.flatnonzero((b == b[e]) & ((xb == 0) == (xb[e] == 0)))
+            c, r = _first_true(bad[:, block])
+            return int(x[block[r]]), int(b[block[r]]), c
+        del bad                   # so that one block's arrays are live at once
     return None
 
 
@@ -224,10 +274,12 @@ def _failed_law(act: np.ndarray, ring: FiniteRing, group: FinAbGroup):
     The laws, each decided exactly in a time linear in the table: identity
     m*1 = m on every m; distributivity_module (m1+m2)r = m1r + m2r and
     distributivity_ring m(r+s) = mr + ms as row and column 0 being zero,
-    then `_first_nonadditive` on the rows and on the columns; associativity
-    (mr)s = m(rs) on the basis triples, which decide it once act and
-    ring.mul_np are additive in each argument.  A ring's multiplication is
-    the action table of its right regular module.
+    then `_first_nonadditive` on the rows and on the columns, one gather
+    of the interned tree edges per direction unless the table is wide;
+    associativity (mr)s = m(rs) on the basis triples, which decide it once
+    act and ring.mul_np are additive in each argument, in one broadcast
+    gather whose first failure is the first triple (m, r, s) in order.  A
+    ring's multiplication is the action table of its right regular module.
     """
     add_m = group.add_table()
     bad = _first_mismatch(act[:, ring.one], np.arange(act.shape[0]))
@@ -239,18 +291,21 @@ def _failed_law(act: np.ndarray, ring: FiniteRing, group: FinAbGroup):
     bad = _first_mismatch(act[:, 0], 0)
     if bad:
         return "distributivity_ring", (bad[0], 0, 0)
-    bad = _first_nonadditive(act, group, add_m)
+    bad = _first_nonadditive(act, 0, group, add_m)
     if bad:
         return "distributivity_module", bad
-    bad = _first_nonadditive(act.T, ring.add_group, add_m)
+    bad = _first_nonadditive(act, 1, ring.add_group, add_m)
     if bad:
         return "distributivity_ring", (bad[2], bad[0], bad[1])
-    mul = ring.mul_np
-    basis_m, basis_r = ([g.basis_index(j) for j in range(len(g.factors))]
-                        for g in (group, ring.add_group))
-    for m, r, s in itertools.product(basis_m, basis_r, basis_r):
-        if act[act[m, r], s] != act[m, mul[r, s]]:
-            return "associativity", (m, r, s)
+    m, r = (np.array([g.basis_index(j) for j in range(len(g.factors))])
+            for g in (group, ring.add_group))
+    m = m[:, None, None]
+    # (mr)s and m(rs) at [i, j, l] for the basis triple (m_i, r_j, r_l)
+    bad = _first_mismatch(act[act[m, r[:, None]], r],
+                          act[m, ring.mul_np[r[:, None], r]])
+    if bad:
+        return "associativity", (int(m[bad[0], 0, 0]), int(r[bad[1]]),
+                                 int(r[bad[2]]))
     return None
 
 
@@ -667,8 +722,9 @@ def corner_ring(ring: FiniteRing, e: int, caps: Caps = DEFAULT_CAPS,
     elems = np.flatnonzero(np.bincount(mul[mul[e, :], e]))     # of eRe
     group, from_label, to_index, basis = group_embedding(
         elems, lambda x, y: add[x, y])
-    products = to_index[mul[np.ix_(basis, basis)]]
-    constants = {(i, j): int(c) for (i, j), c in np.ndenumerate(products)}
+    products = to_index[mul[basis[:, None], basis]]
+    constants = {(i, j): c for i, row in enumerate(products.tolist())
+                 for j, c in enumerate(row)}
     if name is None:
         name = f"{ring.name}_c{e}"
     corner = ring_make(group, constants, int(to_index[e]), caps, name)

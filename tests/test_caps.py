@@ -1,6 +1,8 @@
 """The `interned` memo: keys by function, structure, arguments and caps;
-a cap failure is stored, no other error is.  A hit costs one lookup and
-one stored hash of the caps."""
+only values are stored, so an error, a cap failure among them, is raised
+again by every call.  A hit is one lookup, a subscript of the table, in
+the wrapper's own frame, and so is every lookup of `get_or_build`: the
+tests below count lookups through `InternTable.__getitem__`."""
 
 import collections
 import dataclasses
@@ -130,38 +132,75 @@ def test_a_key_error_while_building_is_no_miss():
     assert table.get_or_build("kind", "structure", None, broken) == 1
 
 
-def _two_lookup_get_or_build(self, kind, key, caps, build):
-    """InternTable.get_or_build with a membership test before the lookup:
-    the oracle for hits, misses and cap failures raised again."""
-    full = (kind, key, caps)
-    if full not in self:
-        self[full] = build()
-    return self[full]
+def test_a_key_error_inside_an_interned_function_is_no_miss(fresh_intern):
+    calls = []
+
+    @interned
+    def broken(obj):
+        calls.append(obj)
+        raise KeyError("inside the function")
+
+    obj = types.SimpleNamespace(key="structure")
+    for _ in range(2):
+        with pytest.raises(KeyError, match="inside the function"):
+            broken(obj)
+    assert len(calls) == 2 and not fresh_intern
 
 
-def _tally(monkeypatch, get_or_build) -> collections.Counter:
-    """Count the calls, builds, refused builds and raised cap failures of
-    get_or_build."""
+def _two_lookup_getitem(self, full):
+    """The table's subscript with a membership test before the lookup: the
+    oracle for hits, misses and failed builds raised again."""
+    if not dict.__contains__(self, full):
+        raise KeyError(full)
+    return dict.__getitem__(self, full)
+
+
+_GATE = Caps.gate
+
+
+def _tally(monkeypatch, getitem) -> collections.Counter:
+    """Count the lookups, misses and stores of the table, whoever looks up
+    (an `interned` wrapper or `get_or_build`), with getitem as its
+    subscript, and the cap failures that `Caps.gate` raises."""
     counts = collections.Counter()
 
-    def counted(self, kind, key, caps, build):
-        counts["calls"] += 1
-
-        def counted_build():
-            counts["builds"] += 1
-            try:
-                return build()
-            except SizeCapExceeded:
-                counts["refused"] += 1
-                raise
+    def counted_getitem(self, full):
+        counts["lookups"] += 1
         try:
-            return get_or_build(self, kind, key, caps, counted_build)
+            return getitem(self, full)
+        except KeyError:
+            counts["misses"] += 1
+            raise
+
+    def counted_setitem(self, full, value):
+        counts["stores"] += 1
+        dict.__setitem__(self, full, value)
+
+    def counted_gate(caps, field, what, size):
+        try:
+            _GATE(caps, field, what, size)
         except SizeCapExceeded:
             counts["cap_raises"] += 1
             raise
 
-    monkeypatch.setattr(InternTable, "get_or_build", counted)
+    monkeypatch.setattr(InternTable, "__getitem__", counted_getitem)
+    monkeypatch.setattr(InternTable, "__setitem__", counted_setitem)
+    monkeypatch.setattr(Caps, "gate", counted_gate)
     return counts
+
+
+def test_a_hit_is_one_lookup(monkeypatch, fresh_intern):
+    @interned
+    def built(obj, caps=DEFAULT_CAPS):
+        return [obj.key, caps]
+
+    counts = _tally(monkeypatch, dict.__getitem__)
+    obj = types.SimpleNamespace(key="structure")
+    values = [built(obj), built(obj, DEFAULT_CAPS), built(obj)]
+    assert values[0] is values[1] is values[2]
+    assert fresh_intern.get_or_build("kind", "structure", None, list) == []
+    assert fresh_intern.get_or_build("kind", "structure", None, list) == []
+    assert counts == {"lookups": 5, "misses": 2, "stores": 2}
 
 
 @pytest.mark.parametrize("env", ["", "lattice=8,hom=200"])
@@ -169,21 +208,23 @@ def test_hits_misses_and_cap_replays_match_the_two_lookup_table(
         monkeypatch, capsys, fresh_intern, env):
     monkeypatch.setenv("PIRICK_CAPS", env)
     runs = []
-    for get_or_build in (_two_lookup_get_or_build,
-                         InternTable.get_or_build):
+    for getitem in (_two_lookup_getitem, dict.__getitem__):
         INTERNED.clear()
-        counts = _tally(monkeypatch, get_or_build)
+        counts = _tally(monkeypatch, getitem)
         assert main(["verify", str(CORPUS)]) == 0
-        # each build that is not refused stores one entry, and every cap
-        # failure raised is a build refused again: none is stored
-        assert counts["builds"] - counts["refused"] == len(INTERNED)
+        # every miss builds, each build that is not refused stores one
+        # entry, and a refused build stores nothing: its failure is
+        # raised again by the next call
+        assert counts["stores"] == len(INTERNED)
         assert not any(isinstance(value, BaseException)
                        for value in INTERNED.values())
         runs.append((counts, capsys.readouterr().out))
     assert runs[0] == runs[1]
     counts = runs[0][0]
-    assert counts["calls"] > counts["builds"] > counts["cap_raises"] > 0
-    assert counts["cap_raises"] == counts["refused"]
+    # builds refused over a cap, each with the builds that enclose it
+    refused = counts["misses"] - counts["stores"]
+    assert counts["lookups"] > counts["misses"] > refused > 0
+    assert counts["cap_raises"] > 0
 
 
 @pytest.mark.parametrize("tid, lookup", [
@@ -204,12 +245,11 @@ def test_a_witness_walk_looks_up_once_per_entry(monkeypatch, tid, lookup):
                           DEFAULT_CAPS)
     assert [v.status for v in verify(tid, ctx)] == ["holds"]
     kinds = collections.Counter()
-    real = InternTable.get_or_build
 
-    def counted(self, kind, key, caps, build):
-        kinds[getattr(kind, "__name__", kind)] += 1
-        return real(self, kind, key, caps, build)
+    def counted(self, full):
+        kinds[getattr(full[0], "__name__", full[0])] += 1
+        return dict.__getitem__(self, full)
 
-    monkeypatch.setattr(InternTable, "get_or_build", counted)
+    monkeypatch.setattr(InternTable, "__getitem__", counted)
     assert [v.status for v in verify(tid, ctx)] == ["holds"]
     assert kinds[lookup] == (0 if lookup == "power_table" else 1)

@@ -378,16 +378,24 @@ def test_a_run_does_not_load_numpy_ma(tmp_path):
     (["catalog", str(CORPUS), "--out", "{tmp}/catalog.csv"],
      ["pirick.theorems", "pirick.query"]),
     (["verify", str(CORPUS)], ["pirick.query"]),
+    (["ring", "check", str(CORPUS / "t2z2.ring")],
+     ["pirick.homs", "pirick.properties", "pirick.theorems"]),
+    # the benchmark's set-up probe: the parsers, with no subcommand run
+    (None, ["pirick.homs", "pirick.properties", "pirick.theorems"]),
 ])
 def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, command,
                                                      unloaded):
     """A fresh process that runs one subcommand never imports the package
     modules of the others: each one is compiled on every run of a checkout
-    without bytecode."""
-    command = [part.format(tmp=tmp_path) for part in command]
+    without bytecode.  Reading the corpus alone loads no hom set code."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys; from pirick.cli import main; "
-             f"code = main({command!r}); "
+    if command is None:
+        run_it = ("import pirick.cli, pirick.io; "
+                  f"pirick.io.load_dir({str(CORPUS)!r}); code = 0")
+    else:
+        command = [part.format(tmp=tmp_path) for part in command]
+        run_it = f"from pirick.cli import main; code = main({command!r})"
+    probe = (f"import sys; {run_it}; "
              f"print(code, [m for m in {unloaded!r} if m in sys.modules])")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
