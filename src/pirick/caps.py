@@ -10,27 +10,29 @@ Defaults can be overridden process-wide with the PIRICK_CAPS environment
 variable (e.g. ``PIRICK_CAPS=lattice=128,hom=1048576``) or per-call by
 passing an explicit Caps.
 
-Also here: the one cache, `INTERNED`, keyed by structure and caps.  It
-builds each group, ring table, module table, module generating set,
-submodule lattice, submodule coordinates and hom set once per (kind,
-structure key, caps) in a process, and the kernel of each pair of modules
-once, and `interned` memoizes every derived result in it the same way,
-End(M) among them.  It stores values only.  A value depends only on the
-structure and the caps, so objects of one structure share it whatever
-their names; a name reaches output only from the caller's own object.
-A hit is one subscript of the table in `interned`'s wrapper, which builds
-no closure and calls no helper; only a miss calls the function.
+Also here: the one cache, `INTERNED`, and its one entry point, the
+`interned` decorator.  Every cached build in the package, a group's
+tables, a ring or module table, a generating set, a lattice, submodule
+coordinates, a kernel, a hom set, End(M) and every derived result, is an
+`interned` function of an object with a `.key`, stored once per
+(function, structure key, arguments) in a process.  It stores values
+only.  A value depends only on the structure and the arguments, the caps
+among them, so objects of one structure share it whatever their names; a
+name reaches output only from the caller's own object.  A hit is one
+subscript of the table in `interned`'s wrapper, which builds no closure
+and calls no helper; only a miss calls the function.
 
 Structure keys are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): `StructureKey(*parts)` returns the one
 key of those parts in the process, whose hash is taken once, when it is
 first made.  A ring's key holds its table of constants and a module's
 holds its ring's key, but either hashes in constant time and compares by
-identity, and so does every key built on them (a Facts, an End(M) or an
-InstanceContext pairs one with the caps).  A copy or an unpickled key is
-made from its parts again, so it is that process's key of the structure.
-A key's hash is its parts' hash and no id is handed out, so nothing
-depends on the order in which keys were made.
+identity, and so does every key built on them: a Facts, an End(M) or an
+InstanceContext has the key StructureKey(structure key, caps).  A group's
+key is its tuple of factors.  A copy or an unpickled key is made from its
+parts again, so it is that process's key of the structure.  A key's hash
+is its parts' hash and no id is handed out, so nothing depends on the
+order in which keys were made.
 """
 
 from __future__ import annotations
@@ -152,25 +154,14 @@ _KEYS = {}                                   # parts -> their StructureKey
 
 
 class InternTable(dict):
-    """(kind, structure key, caps) -> what was built for that structure.
+    """(function, key, arguments) -> the value that `interned` stored.
 
-    Under `interned` the kind is a function and caps its other arguments.
     Only values are stored: a build that raises stores nothing, and one
     over a cap is refused again by its own gate, which runs before the
     work it bounds.  The arrays stored are read-only, since every object
-    of the structure shares them.  Every lookup, a hit of `interned`'s
-    wrapper or of `get_or_build`, is one subscript of the table.
+    of the structure shares them.  Every lookup is one subscript of the
+    table, in `interned`'s wrapper.
     """
-
-    def get_or_build(self, kind, key, caps, build):
-        """The value stored for (kind, key, caps), built on the first call."""
-        full = (kind, key, caps)
-        try:
-            return self[full]
-        except KeyError:
-            pass
-        value = self[full] = build()
-        return value
 
 
 INTERNED = InternTable()
@@ -179,13 +170,14 @@ INTERNED = InternTable()
 def interned(fn):
     """Memoize ``fn(obj, *args)`` in INTERNED under (fn, obj.key, args).
 
-    obj.key is a structure key (with the caps, for a Facts or an
-    InstanceContext), and missing args get their defaults, so ``f(m)`` and
-    ``f(m, DEFAULT_CAPS)`` share an entry and no call is served a value
-    built under other caps.  A hit is one lookup in the wrapper's own
-    frame; a miss calls fn there and stores what it returns, an array,
-    alone or in a tuple, made read-only.  A KeyError raised by fn is its
-    own error, not a miss.
+    obj.key is a structure key (with the caps, for a Facts, an End(M) or
+    an InstanceContext; a group's factors), and missing args get their
+    defaults, so ``f(m)`` and ``f(m, DEFAULT_CAPS)`` share an entry and no
+    call is served a value built under other caps.  A module among the
+    args is matched by its structure, as it compares and hashes by its
+    key.  A hit is one lookup in the wrapper's own frame; a miss calls fn
+    there and stores what it returns, an array, alone or in a tuple, made
+    read-only.  A KeyError raised by fn is its own error, not a miss.
     """
     defaults = tuple(p.default for p in
                      list(inspect.signature(fn).parameters.values())[1:])

@@ -50,10 +50,10 @@ def ex23_module(caps: Caps = DEFAULT_CAPS,
     """The standard bimodule-style module over t2z2.
 
     Elements are triples (x, y, z) in Z_2^3; the module basis is m1 =
-    (1,0,0), m2 = (0,1,0), m3 = (0,0,1), the ring basis is e11, e12, e22,
-    and the action matches right multiplication of (x (y z)) layouts:
-    m1*e11 = m3 is the only mixed product besides m1*e12 = m2 and
-    m2*e22 = m2, m3*e22 = m3... in structure-constant form below.
+    (1,0,0), m2 = (0,1,0), m3 = (0,0,1), and the ring basis is e11, e12,
+    e22, in the order of `triangular_ring(z2, 2)`.  The action has exactly
+    four nonzero products of basis elements: m1*e22 = m1, m2*e11 = m2,
+    m2*e12 = m3 and m3*e22 = m3.
     """
     ring = ring or ex23_ring(caps)
     group = FinAbGroup((2, 2, 2))

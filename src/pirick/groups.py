@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .caps import INTERNED
+from .caps import interned
 from .errors import EmptyFactorList, PirickError, ZeroFactor
 
 
@@ -45,31 +45,22 @@ def index_dtype(order: int) -> np.dtype:
 class FinAbGroup:
     """Z_{n1} x ... x Z_{nk} with elements indexed lexicographically.
 
-    FinAbGroup(factors) returns the one group of those factors in the
-    process, so its add table and coordinates are built once."""
+    Its key is its factors, so its add table, coordinates and negation,
+    all `interned`, are built once per factors in a process."""
 
-    __slots__ = ("factors", "order", "strides", "_add_table", "_coords")
+    __slots__ = ("factors", "order", "strides", "key")
 
-    def __new__(cls, factors: Sequence[int]):
+    def __init__(self, factors: Sequence[int]):
         factors = tuple(int(n) for n in factors)
         if not factors:
             raise EmptyFactorList("a group needs at least one cyclic factor")
         for n in factors:
             if n < 1:
                 raise ZeroFactor(f"cyclic factor {n} is not a positive integer")
-        return INTERNED.get_or_build("group", factors, None,
-                                     lambda: cls._build(factors))
-
-    @classmethod
-    def _build(cls, factors: tuple):
-        self = super().__new__(cls)
-        self.factors = factors
+        self.factors = self.key = factors
         self.order = math.prod(factors)
         self.strides = tuple(math.prod(factors[i + 1:])
                              for i in range(len(factors)))
-        self._add_table = None
-        self._coords = None
-        return self
 
     # -- element <-> index ------------------------------------------------
 
@@ -100,38 +91,35 @@ class FinAbGroup:
 
     # -- bulk tables -------------------------------------------------------
 
+    @interned
     def coords_matrix(self) -> np.ndarray:
         """(order, k) int64 matrix whose row i is tuple_of(i)."""
-        if self._coords is None:
-            n = self.order
-            k = len(self.factors)
-            mat = np.empty((n, k), dtype=np.int64)
-            idx = np.arange(n, dtype=np.int64)
-            for j, (f, s) in enumerate(zip(self.factors, self.strides)):
-                mat[:, j] = (idx // s) % f
-            mat.flags.writeable = False
-            self._coords = mat
-        return self._coords
+        n = self.order
+        k = len(self.factors)
+        mat = np.empty((n, k), dtype=np.int64)
+        idx = np.arange(n, dtype=np.int64)
+        for j, (f, s) in enumerate(zip(self.factors, self.strides)):
+            mat[:, j] = (idx // s) % f
+        return mat
 
+    @interned
     def add_table(self) -> np.ndarray:
         """(order, order) table T, of type index_dtype(order), with T[i, j]
         the index of element i + j, by a mixed-radix row recurrence: row
         p + basis_j is row p gathered by the permutation q -> q + basis_j,
         a block of rows at a time."""
-        if self._add_table is None:
-            n = self.order
-            idx = np.arange(n)
-            out = np.empty((n, n), dtype=index_dtype(n))
-            out[0] = idx
-            for f, s in zip(reversed(self.factors), reversed(self.strides)):
-                plus = idx + s - np.where(idx // s % f == f - 1, f * s, 0)
-                for c in range(1, f):     # "clip" writes to out unbuffered
-                    np.take(out[(c - 1) * s:c * s], plus, axis=1,
-                            out=out[c * s:(c + 1) * s], mode="clip")
-            out.flags.writeable = False
-            self._add_table = out
-        return self._add_table
+        n = self.order
+        idx = np.arange(n)
+        out = np.empty((n, n), dtype=index_dtype(n))
+        out[0] = idx
+        for f, s in zip(reversed(self.factors), reversed(self.strides)):
+            plus = idx + s - np.where(idx // s % f == f - 1, f * s, 0)
+            for c in range(1, f):         # "clip" writes to out unbuffered
+                np.take(out[(c - 1) * s:c * s], plus, axis=1,
+                        out=out[c * s:(c + 1) * s], mode="clip")
+        return out
 
+    @interned
     def neg_vector(self) -> np.ndarray:
         """(order,) vector of type index_dtype(order) mapping each index to
         the index of its negative."""
@@ -145,9 +133,6 @@ class FinAbGroup:
 
     def __repr__(self) -> str:
         return f"FinAbGroup{self.factors}"
-
-    def __reduce__(self):                    # copies and pickles intern too
-        return FinAbGroup, (self.factors,)
 
 
 # Up to this many elements `group_embedding` walks one position table of

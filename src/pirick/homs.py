@@ -43,12 +43,13 @@ and submodules, narrowed to the same type once its entries are known to
 be elements of the codomain.  The keys that order maps by their generator
 images are `_map_keys`, computed in int64 from widened entries.
 
-A hom set, End(M) and its ring table are built once per structure and
-caps in a process, in the intern table `caps.INTERNED`; every module object
-of the structure gets the same ones, whatever its name.  End(M) carries no
-module and no module name: a caller that prints one adds its own.  The
-composition self-check of the ring table is exhaustive, on generator
-columns.
+A hom set, End(M) and its ring table are `interned` functions, built once
+per structure and caps in a process, and so is the kernel of each pair of
+structures.  Every module object of the structure gets the same ones,
+whatever its name, as domain or as codomain, since modules compare and
+hash by their structure key.  End(M) carries no module and no module
+name: a caller that prints one adds its own.  The composition self-check
+of the ring table is exhaustive, on generator columns.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import math
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED, interned
+from .caps import Caps, DEFAULT_CAPS, StructureKey, interned
 from .errors import NotAHomomorphism, PirickError
 from .groups import FinAbGroup, group_embedding, index_dtype
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
@@ -130,6 +131,7 @@ def check_map(domain: FiniteModule, codomain: FiniteModule,
     return table
 
 
+@interned
 def hom_set(domain: FiniteModule, codomain: FiniteModule,
             caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """All module homomorphisms domain -> codomain, as one array of shape
@@ -141,9 +143,7 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
     of one additive map on the candidate images (`_kernel_basis`), spanned
     from a checked generating set of tables.  The array is read-only.
     """
-    return INTERNED.get_or_build(
-        "hom_set", (domain.key, codomain.key), caps,
-        lambda: _enumerate_homs(domain, codomain, caps))
+    return _enumerate_homs(domain, codomain, caps)
 
 
 def hom_count(domain: FiniteModule, codomain: FiniteModule,
@@ -154,7 +154,7 @@ def hom_count(domain: FiniteModule, codomain: FiniteModule,
         raise PirickError("hom set requires a common base ring")
     caps.gate("hom", "hom-set enumeration",
               codomain.order ** len(module_generators(domain)))
-    return _solved_kernel(domain, codomain)[1]
+    return _kernel(domain, codomain)[1]
 
 
 def _enumerate_homs(domain: FiniteModule, codomain: FiniteModule,
@@ -205,9 +205,11 @@ def _presentation(module: FiniteModule) -> tuple:
     return coef, rel[rel.any(axis=1)]
 
 
+@interned
 def _kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
     """(rows, order): tuples of coordinates that generate Hom(M, N) as the
-    kernel K below, and the order of K.
+    kernel K below, and the order of K, solved once per pair of
+    structures.
 
     Generator images c in N^k give the table E(c)(m) = sum c_i coef[m]_i,
     additive in c, and c are the images of a homomorphism, which is then
@@ -242,12 +244,6 @@ def _kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
     return tuple(map(tuple, rows)), order
 
 
-def _solved_kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
-    """`_kernel` of the pair, solved once per pair of structures."""
-    return INTERNED.get_or_build("kernel", (domain.key, codomain.key), None,
-                                 lambda: _kernel(domain, codomain))
-
-
 def _kernel_basis(domain: FiniteModule, codomain: FiniteModule) -> tuple:
     """(maps, orders): homomorphisms h_t, as their tables in N's
     coordinates, [t, m, f], and numbers o_t such that every map in
@@ -258,7 +254,7 @@ def _kernel_basis(domain: FiniteModule, codomain: FiniteModule) -> tuple:
     has zeros before s, and its multiples below its step o_s differ at s,
     while what is left of the kernel has 0 there too.
     """
-    rows = [list(row) for row in _solved_kernel(domain, codomain)[0]]
+    rows = [list(row) for row in _kernel(domain, codomain)[0]]
     coef = _presentation(domain)[0]
     factors = codomain.add_group.factors
     moduli = list(factors) * coef.shape[1]
@@ -378,17 +374,17 @@ class EndRing:
     the elements numbered as group_embedding numbers them in `group`, End(M)
     under addition; multiplication is composition, (f * g)(m) = f(g(m)).
 
-    key is (structure key of M, caps).  Row f of powers holds the element
-    indices of f, f^2, ..., f^s and then -1s, s being f's index, the first
-    n with Ker f^n == Ker f^(n+1); images[x] and kernels[x] are the bitmasks
-    of Im x and Ker x, so term n of f's image chain is images[powers[f, n -
-    1]].  A map is fixed by its images of the generators `gens` of M, so
+    key is StructureKey(structure key of M, caps).  Row f of powers holds
+    the element indices of f, f^2, ..., f^s and then -1s, s being f's
+    index, the first n with Ker f^n == Ker f^(n+1); images[x] and
+    kernels[x] are the bitmasks of Im x and Ker x, so term n of f's image
+    chain is images[powers[f, n - 1]].  A map is fixed by its images of the generators `gens` of M, so
     maps are compared there.  one is the identity's index, and constants
     the products of the basis maps of `group`, which is all that
     `end_table` needs to build the ring table.
     """
 
-    key: tuple
+    key: StructureKey
     tables: np.ndarray
     powers: np.ndarray
     images: tuple
@@ -457,7 +453,7 @@ def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     in_image[np.arange(len(tables))[:, None], tables] = True
     for array in (tables, gens, powers):
         array.flags.writeable = False
-    return EndRing((module.key, caps), tables, powers,
+    return EndRing(StructureKey(module.key, caps), tables, powers,
                    tuple(masks(in_image)), tuple(masks(tables == 0)), one,
                    gens, group, constants)
 
@@ -477,7 +473,8 @@ def end_table(end: EndRing) -> FiniteRing:
 
 
 def _build_end_table(end: EndRing) -> FiniteRing:
-    ring = ring_make(end.group, end.constants, end.one, end.key[1], "End(M)")
+    ring = ring_make(end.group, end.constants, end.one, end.key.parts[1],
+                     "End(M)")
     tables, mul = end.tables, ring.mul_np
     on_gens = tables[:, end.gens]
     block = max(1, (1 << 14) // max(1, on_gens.size))

@@ -6,9 +6,11 @@ dropped) and extended biadditively to a full (|M| x |R|) table by the
 ring's own builder, `rings._bilinear_table`, then validated against the
 module axioms (identity, associativity of the action, both distributive
 laws) by `rings._failed_law`, the exact check that rings go through too.
-The table is built and checked once per structure in a process (the
-intern table `caps.INTERNED`); each module_make call returns a new module
-with its own name that shares it.  The generating set, the lattice's masks
+The table is built and checked once per structure in a process, by
+`_checked_act`, an `interned` function of the module's structure key; each
+module_make call returns a new module with its own name that shares it.
+Modules compare and hash by that key, so an interned function matches a
+module argument by its structure.  The generating set, the lattice's masks
 and submodule coordinates are interned by structure too.
 
 A submodule of M is an int, a bitmask over M's element indices (bit e set
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED, StructureKey, interned
+from .caps import Caps, DEFAULT_CAPS, StructureKey, interned
 from .errors import AxiomViolation, PirickError
 from .groups import FinAbGroup, group_embedding
 from .rings import (FiniteRing, _bilinear_table, _failed_law, _row_blocks,
@@ -37,7 +39,7 @@ from .rings import (FiniteRing, _bilinear_table, _failed_law, _row_blocks,
 
 class FiniteModule:
     """A finite right module, with the action as a full (|M|, |R|) table;
-    modules of one structure `key` share act_np."""
+    modules of one structure `key` share act_np, and are equal."""
 
     __slots__ = ("ring", "add_group", "constants", "key", "act_np", "name")
 
@@ -53,6 +55,12 @@ class FiniteModule:
     @property
     def order(self) -> int:
         return self.add_group.order
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteModule) and self.key is other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return (f"FiniteModule({self.name!r}, order={self.order}, "
@@ -84,8 +92,7 @@ def module_make(ring: FiniteRing, add_group: FinAbGroup, constants: dict,
     module = FiniteModule(ring, add_group,
                           {key: c for key, c in constants.items() if c},
                           None, name)
-    module.act_np = INTERNED.get_or_build("module", module.key, None,
-                                          lambda: _checked_act(module))
+    module.act_np = _checked_act(module)
     return module
 
 
@@ -107,6 +114,7 @@ def _validate_action(ring: FiniteRing, add_group: FinAbGroup,
             raise AxiomViolation("biadditivity", (i, j, c))
 
 
+@interned
 def _checked_act(module: FiniteModule) -> np.ndarray:
     """module's action table, built from its constants and checked."""
     _validate_action(module.ring, module.add_group, module.constants)
@@ -115,7 +123,6 @@ def _checked_act(module: FiniteModule) -> np.ndarray:
     failed = _failed_law(act, module.ring, module.add_group)
     if failed:
         raise AxiomViolation(*failed)
-    act.flags.writeable = False
     return act
 
 
@@ -186,11 +193,11 @@ def _additive_closure(module: FiniteModule, mask: int) -> int:
         mask = grown
 
 
+@interned
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> tuple:
     """The mask of every submodule, ascending (deterministic order); one
     tuple per structure and caps in a process."""
-    return INTERNED.get_or_build("lattice", module.key, caps,
-                                 lambda: _lattice_masks(module, caps))
+    return _lattice_masks(module, caps)
 
 
 def _lattice_masks(module: FiniteModule, caps: Caps) -> tuple:
@@ -307,21 +314,19 @@ def submodule_module(parent: FiniteModule, mask: int,
     right.  Returns (module, inclusion table).  Its coordinates are
     found once per parent structure and mask."""
     from .homs import check_map
-    group, from_label, constants = INTERNED.get_or_build(
-        "submodule", (parent.key, mask), None,
-        lambda: _submodule_coordinates(parent, mask))
+    group, from_label, constants = _submodule_coordinates(parent, mask)
     inner = module_make(parent.ring, group, constants, caps,
                         f"{parent.name}|{mask.bit_count()}")
     return inner, check_map(inner, parent, from_label)
 
 
+@interned
 def _submodule_coordinates(parent: FiniteModule, mask: int) -> tuple:
     """(group, from_label, action constants) of the submodule on its own
     cyclic decomposition; from_label[i] is the parent element of index i."""
     add = parent.add_group.add_table()
     group, from_label, to_index, basis = group_embedding(
         np.flatnonzero(mask_bits(mask, parent.order)), lambda x, y: add[x, y])
-    from_label.flags.writeable = False
     return group, from_label, _action_constants(parent, basis, to_index)
 
 
@@ -358,6 +363,7 @@ def free_module(ring: FiniteRing, rank: int, caps: Caps = DEFAULT_CAPS,
 # ---------------------------------------------------------------------------
 
 
+@interned
 def module_generators(module: FiniteModule) -> tuple:
     """A small generating set: greedy cover by cyclic submodules.
 
@@ -366,11 +372,6 @@ def module_generators(module: FiniteModule) -> tuple:
     indices depend only on the structure, so they are found once per
     structure in a process.
     """
-    return INTERNED.get_or_build("generators", module.key, None,
-                                 lambda: _cyclic_cover(module))
-
-
-def _cyclic_cover(module: FiniteModule) -> tuple:
     n = module.order
     cyclics = cyclic_submodules(module)
     covered = 1

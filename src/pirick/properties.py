@@ -4,9 +4,9 @@ Every decider is exact: it enumerates the endomorphism ring, the submodule
 lattice, or a hom set outright and returns a Verdict with explicit witnesses
 (exponents, idempotents, counterexample elements).  A Facts object hands
 the deciders the shared objects (End(M), the lattice, quotients,
-submodules, verdicts).  Its key is (structure key of the module, caps), and
-each of those is memoized under it in the one cache, `caps.INTERNED`, so
-every module of one structure gets one of each, and a decider runs once per
+submodules, verdicts).  Its key is StructureKey(structure key of the
+module, caps), and each of those is an `interned` function of it, so every
+module of one structure gets one of each, and a decider runs once per
 structure and caps; the registry in `theorems` builds its submodules, e*R
 among them, through the same Facts.  Every submodule is a bitmask over the
 module's elements, as in `modules`: the lattice's masks, and the image and
@@ -39,7 +39,7 @@ import dataclasses
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, interned
+from .caps import Caps, DEFAULT_CAPS, StructureKey, interned
 from .errors import SizeCapExceeded
 from .homs import (MAP_CHECKS, EndRing, _distinct_pairs, _map_keys,
                    central_idempotent_maps, end_ring, first_chain_term,
@@ -84,7 +84,7 @@ class Facts:
     def __init__(self, module: FiniteModule, caps: Caps = DEFAULT_CAPS):
         self.module = module
         self.caps = caps
-        self.key = (module.key, caps)
+        self.key = StructureKey(module.key, caps)
 
     def end(self) -> EndRing:
         return end_ring(self.module, self.caps)

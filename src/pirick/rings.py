@@ -7,10 +7,10 @@ The table is checked for 1*a = a and then, exactly and in a time linear
 in it, by `_failed_law`, as the action table of the ring's right regular
 module.  `_bilinear_table` and `_failed_law` also build and check every
 module's action table.  Each table is built and checked once per structure
-in a process, whatever the caps (the intern table `caps.INTERNED`); each
-ring_make call returns a new ring with its own name that shares it, and the
-per-ring data below (idempotents, units, J(R), ring checks) is found once
-per structure.
+in a process, whatever the caps, by `_checked_mul`, an `interned` function
+of the ring's structure key; each ring_make call returns a new ring with
+its own name that shares it, and the per-ring data below (idempotents,
+units, J(R), ring checks) is interned by structure too.
 Elements are the group's integer indices, so every ring-theoretic scan
 below is a vectorized numpy pass over tables.
 
@@ -41,7 +41,7 @@ import dataclasses
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, INTERNED, StructureKey, interned
+from .caps import Caps, DEFAULT_CAPS, StructureKey, interned
 from .errors import (BadIdentity, NonAssociative, NotDistributive,
                      NotIdempotent, PirickError)
 from .groups import FinAbGroup, group_embedding, index_dtype
@@ -185,6 +185,7 @@ def _first_mismatch(lhs: np.ndarray, rhs):
     return _first_true(diff) if diff.any() else None
 
 
+@interned
 def _tree_edges(group: FinAbGroup) -> tuple:
     """(src, gen, dst): the edges x -> x + b that `_first_nonadditive`
     checks, in its order.  For each factor f > 1 of stride b come the
@@ -196,10 +197,8 @@ def _tree_edges(group: FinAbGroup) -> tuple:
         if top:
             x = np.arange(top + 1)
             parts.append((x, np.full(top + 1, b), np.where(x < top, x + b, 0)))
-    edges = (np.concatenate(parts, axis=1) if parts
-             else np.zeros((3, 0), dtype=np.intp)).astype(np.intp)
-    edges.flags.writeable = False
-    return tuple(edges)
+    return tuple((np.concatenate(parts, axis=1) if parts
+                  else np.zeros((3, 0), dtype=np.intp)).astype(np.intp))
 
 
 def _walk_blocks(group: FinAbGroup, step: int):
@@ -236,8 +235,7 @@ def _first_nonadditive(act: np.ndarray, axis: int, group: FinAbGroup,
     one block of the walk to a gather, the rows of a block as views, so
     that it builds no more temporaries than the walk did.
     """
-    src, gen, dst = INTERNED.get_or_build("tree_edges", group.factors, None,
-                                          lambda: _tree_edges(group))
+    src, gen, dst = _tree_edges(group)
     width = act.shape[1 - axis]
     step = max(1, (1 << 20) // width)            # rows per block of the walk
 
@@ -340,11 +338,11 @@ def ring_make(add_group: FinAbGroup, constants: dict, one: int,
     ring = FiniteRing(add_group, int(one),
                       {key: c for key, c in constants.items() if c}, None,
                       name)
-    ring.mul_np = INTERNED.get_or_build("ring", ring.key, None,
-                                        lambda: _checked_mul(ring))
+    ring.mul_np = _checked_mul(ring)
     return ring
 
 
+@interned
 def _checked_mul(ring: FiniteRing) -> np.ndarray:
     """ring's multiplication table, built from its constants and checked."""
     _validate_constants(ring.add_group, ring.constants)
@@ -357,18 +355,12 @@ def _checked_mul(ring: FiniteRing) -> np.ndarray:
     if failed:
         law, witness = failed
         raise _RING_ERRORS[law](witness)
-    mul.flags.writeable = False
     return mul
 
 
 # ---------------------------------------------------------------------------
 # per-ring data, found once per structure
 # ---------------------------------------------------------------------------
-
-
-@interned
-def ring_neg(ring: FiniteRing) -> np.ndarray:
-    return ring.add_group.neg_vector()
 
 
 @interned
@@ -416,7 +408,8 @@ def jacobson_radical(ring: FiniteRing) -> np.ndarray:
     """Sorted indices of J(R) = {a : 1 - r*a is a unit for every r}, read
     a block of rows r at a time."""
     mul = ring.mul_np
-    one_minus = ring.add_group.add_table()[ring.one, ring_neg(ring)]
+    one_minus = ring.add_group.add_table()[ring.one,
+                                          ring.add_group.neg_vector()]
     unit_mask = ring_units(ring)
     in_j = np.ones(ring.order, dtype=bool)
     for rows in _row_blocks(ring.order, ring.order):

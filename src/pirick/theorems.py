@@ -59,7 +59,7 @@ import dataclasses
 
 import numpy as np
 
-from .caps import Caps, DEFAULT_CAPS, interned
+from .caps import Caps, DEFAULT_CAPS, StructureKey, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
 from .homs import (EndRing, _double_annihilator_closed,
                    central_idempotent_maps, end_table, hom_count,
@@ -73,8 +73,7 @@ from .properties import (Facts, largest_exponent, singular_nil_jacobson,
                          small_image_endos)
 from .rings import (FiniteRing, Verdict, central_idempotent_scan, corner_ring,
                     left_annihilator_keys, matrix_ring,
-                    principal_annihilators, ring_check, ring_idempotents,
-                    ring_neg)
+                    principal_annihilators, ring_check, ring_idempotents)
 
 HOLDS = "holds"
 NOT_MET = "hypothesis_not_met"
@@ -94,8 +93,9 @@ class TheoremVerdict:
 class InstanceContext:
     """One corpus instance (a ring or a module) plus its evaluation caps.
 
-    Its key is (structure key of the ring, caps): the modules and corners
-    built from the ring are found once per ring structure and caps.
+    Its key is StructureKey(structure key of the ring, caps): the modules
+    and corners built from the ring are found once per ring structure and
+    caps.
     """
 
     def __init__(self, name: str, kind: str, ring: FiniteRing,
@@ -107,7 +107,7 @@ class InstanceContext:
         self.ring = ring
         self.module = module
         self.caps = caps
-        self.key = (ring.key, caps)
+        self.key = StructureKey(ring.key, caps)
 
     def facts(self) -> Facts:
         if self.module is None:
@@ -146,7 +146,7 @@ class InstanceContext:
 
 def _one_minus(ring: FiniteRing, e: int) -> int:
     add = ring.add_group.add_table()
-    return int(add[ring.one, ring_neg(ring)[e]])
+    return int(add[ring.one, ring.add_group.neg_vector()[e]])
 
 
 def _dual_pi_of(module: FiniteModule, caps: Caps) -> Verdict:

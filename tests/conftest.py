@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from pirick.caps import INTERNED, caps_from_env
+from pirick.caps import INTERNED, InternTable, caps_from_env
 from pirick.families import ex23_module, ex23_ring, zmod
 from pirick.io import load_dir
 from pirick.properties import analyze
@@ -25,6 +25,33 @@ def fresh_intern():
     yield INTERNED
     INTERNED.clear()
     INTERNED.update(saved)
+
+
+class Misses(list):
+    """The keys (function, structure key, arguments) that missed the
+    intern table, in order.  Each miss runs the body of an interned
+    function once; a body that raises, a build refused at a cap among
+    them, stores nothing, so its next call misses again."""
+
+    def of(self, fn) -> list:
+        """The misses of the interned function fn."""
+        return [full for full in self if full[0] is fn.__wrapped__]
+
+
+@pytest.fixture
+def misses(monkeypatch):
+    """Every miss of the intern table during one test, as `Misses`."""
+    found = Misses()
+
+    def getitem(table, full):
+        try:
+            return dict.__getitem__(table, full)
+        except KeyError:
+            found.append(full)
+            raise
+
+    monkeypatch.setattr(InternTable, "__getitem__", getitem)
+    return found
 
 
 @pytest.fixture(scope="session")

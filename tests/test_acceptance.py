@@ -24,7 +24,7 @@ from pirick.modules import (all_submodules, elems_mask, is_direct_summand,
 from pirick.properties import (DECIDERS, Facts, singular_nil_jacobson,
                                small_image_endos)
 from pirick.query import match_report, parse_query
-from pirick.rings import ring_check, ring_neg
+from pirick.rings import ring_check
 from pirick.theorems import (HOLDS, InstanceContext, VIOLATION, summarize,
                              verify_all)
 
@@ -190,7 +190,7 @@ def test_criterion_05_annihilator_identities(module_instances, announce):
         module = inst.module
         end = end_ring(module, CAPS)
         ring = end_table(end)
-        neg = ring_neg(ring)
+        neg = ring.add_group.neg_vector()
         add = ring.add_group.add_table()
         # f -> (smallest n with Im f^n = e(M), smallest such idempotent e)
         witnesses = witness_dict(

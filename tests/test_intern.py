@@ -1,7 +1,8 @@
-"""The intern table: each group, ring table, module table, hom set,
+"""The intern table: each group table, ring table, module table, hom set,
 End(M), decider verdict and ring check is built once per structure and caps
 in a process, and every object of that structure shares it; names are
-added only where output is written."""
+added only where output is written.  A build is counted as a miss of its
+`interned` function, the `misses` fixture, which runs its body."""
 
 import collections
 import copy
@@ -14,8 +15,8 @@ import pytest
 from pirick import homs, modules, properties, rings
 from pirick.caps import StructureKey, caps_from_env
 from pirick.cli import main
-from pirick.errors import (AxiomViolation, NotDistributive, PirickError,
-                           SizeCapExceeded)
+from pirick.errors import (AxiomViolation, BadIdentity, NotDistributive,
+                           PirickError, SizeCapExceeded)
 from pirick.families import zmod
 from pirick.groups import FinAbGroup
 from pirick.homs import end_ring, end_table, hom_set, idempotent_maps
@@ -26,76 +27,31 @@ from pirick.rings import (jacobson_radical, ring_idempotents, ring_make,
 
 CAPS = caps_from_env()
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-BUILDERS = ((rings, "_bilinear_table"), (rings, "_failed_law"),
-            (modules, "_bilinear_table"), (modules, "_failed_law"),
-            (homs, "_enumerate_homs"), (homs, "_build_end_ring"),
-            (homs, "_build_end_table"))
+# the interned builds counted below, by the name they are counted under
+BUILDS = {rings._checked_mul: "ring", modules._checked_act: "module",
+          modules.module_generators: "generators",
+          modules.all_submodules: "lattice",
+          modules._submodule_coordinates: "submodule", hom_set: "hom_set",
+          end_ring: "end_ring", end_table: "end_table"}
 
 
-def _count_builds(monkeypatch) -> collections.Counter:
-    """Count ring and module validations, generator searches, lattice
+def _builds(misses) -> collections.Counter:
+    """Ring and module validations, generator searches, lattice
     enumerations, submodule coordinates, hom enumerations, End(M) builds
-    and End(M) ring tables, wherever pirick calls them."""
-    counts = collections.Counter()
-    real_law, real_homs, real_end, real_table = (
-        rings._failed_law, homs._enumerate_homs, homs._build_end_ring,
-        homs._build_end_table)
-    real_cover, real_lattice, real_coords = (modules._cyclic_cover,
-                                             modules._lattice_masks,
-                                             modules._submodule_coordinates)
-
-    def failed_law(act, ring, group):
-        counts["ring" if act is ring.mul_np else "module"] += 1
-        return real_law(act, ring, group)
-
-    def cyclic_cover(module):
-        counts["generators"] += 1
-        return real_cover(module)
-
-    def lattice_masks(*args):
-        counts["lattice"] += 1
-        return real_lattice(*args)
-
-    def submodule_coordinates(*args):
-        counts["submodule"] += 1
-        return real_coords(*args)
-
-    def enumerate_homs(*args):
-        counts["hom_set"] += 1
-        return real_homs(*args)
-
-    def build_end_ring(*args):
-        counts["end_ring"] += 1
-        return real_end(*args)
-
-    def build_end_table(*args):
-        counts["end_table"] += 1
-        return real_table(*args)
-
-    monkeypatch.setattr(rings, "_failed_law", failed_law)
-    monkeypatch.setattr(modules, "_failed_law", failed_law)
-    monkeypatch.setattr(modules, "_cyclic_cover", cyclic_cover)
-    monkeypatch.setattr(modules, "_lattice_masks", lattice_masks)
-    monkeypatch.setattr(modules, "_submodule_coordinates",
-                        submodule_coordinates)
-    monkeypatch.setattr(homs, "_enumerate_homs", enumerate_homs)
-    monkeypatch.setattr(homs, "_build_end_ring", build_end_ring)
-    monkeypatch.setattr(homs, "_build_end_table", build_end_table)
-    return counts
+    and End(M) ring tables among the misses, wherever pirick asked for
+    them; a build refused at a cap is one each time it is asked."""
+    names = {fn.__wrapped__: name for fn, name in BUILDS.items()}
+    return collections.Counter(names[full[0]] for full in misses
+                               if full[0] in names)
 
 
-def test_a_second_object_of_a_known_structure_builds_nothing(monkeypatch,
+def test_a_second_object_of_a_known_structure_builds_nothing(misses,
                                                             fresh_intern):
     first = ring_as_module(zmod(4, CAPS), CAPS, name="first")
     first_homs = hom_set(first, first, CAPS)
     first_end = end_ring(first, CAPS)
     first_table = end_table(first_end)
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a known structure was built again")
-
-    for mod, name in BUILDERS:
-        monkeypatch.setattr(mod, name, unreachable)
+    misses.clear()
     ring = ring_make(FinAbGroup((4,)), {(0, 0): 1}, 1, CAPS, "other_z4")
     second = ring_as_module(ring, CAPS, name="second")
     assert (ring.name, second.name, second.ring) == ("other_z4", "second",
@@ -105,31 +61,46 @@ def test_a_second_object_of_a_known_structure_builds_nothing(monkeypatch,
     assert hom_set(second, first, CAPS) is first_homs
     assert end_ring(second, CAPS) is first_end
     assert end_table(end_ring(second, CAPS)) is first_table
-    assert FinAbGroup((4,)) is first.add_group
+    assert FinAbGroup((4,)).add_table() is first.add_group.add_table()
+    assert misses == []
 
 
-def test_copied_and_unpickled_groups_are_the_interned_group(monkeypatch):
+def test_the_codomain_is_matched_by_structure(misses, fresh_intern):
+    """Two modules of one structure are one argument: hom_set and
+    hom_count of (first, second) are served what (first, first) built."""
+    first = ring_as_module(zmod(4, CAPS), CAPS, name="first")
+    first_homs = hom_set(first, first, CAPS)
+    count = homs.hom_count(first, first, CAPS)
+    misses.clear()
+    second = ring_as_module(zmod(4, CAPS), CAPS, name="second")
+    assert second is not first and second.name != first.name
+    assert second == first and hash(second) == hash(first)
+    assert hom_set(first, second, CAPS) is first_homs
+    assert homs.hom_count(first, second, CAPS) == count == len(first_homs)
+    assert misses == []
+    other = ring_as_module(zmod(2, CAPS), CAPS, name="first")
+    assert other != first and first != first.ring
+
+
+def test_copied_and_unpickled_groups_share_the_interned_tables(misses):
     ring = zmod(4, CAPS)
-    assert copy.copy(ring.add_group) is ring.add_group
+    table = ring.add_group.add_table()
+    assert copy.copy(ring.add_group).add_table() is table
     back = pickle.loads(pickle.dumps(ring))
-    assert back.add_group is ring.add_group
+    assert back.add_group.add_table() is table
     assert (back.name, back.key) == (ring.name, ring.key)
     # a copied or unpickled structure key is the process's key again, so
     # the copies of a module find its hom set and End(M) in the cache
     module = ring_as_module(ring, CAPS)
     homs_of, end = hom_set(module, module, CAPS), end_ring(module, CAPS)
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a known structure was built again")
-
-    for mod, name in BUILDERS:
-        monkeypatch.setattr(mod, name, unreachable)
+    misses.clear()
     for other in (copy.copy(module), copy.deepcopy(module),
                   pickle.loads(pickle.dumps(module)),
                   ring_as_module(pickle.loads(pickle.dumps(ring)), CAPS)):
         assert other.key is module.key and other.ring.key is ring.key
         assert hom_set(other, other, CAPS) is homs_of
         assert end_ring(other, CAPS) is end
+    assert misses == []
 
 
 def test_a_key_hashes_as_its_parts():
@@ -155,7 +126,9 @@ def test_ranges_are_checked_on_every_call_once_the_structure_is_known(
     with pytest.raises(PirickError, match=r"action constant key \(0,3\) "
                                           "out of range"):
         module_make(ring, group, {(0, 0): 1, (0, 3): 0}, CAPS)
-    assert sum(key[0] in ("ring", "module") for key in fresh_intern) == 2
+    assert sum(full[0] in (rings._checked_mul.__wrapped__,
+                           modules._checked_act.__wrapped__)
+               for full in fresh_intern) == 2
 
 
 def test_a_constant_that_is_not_biadditive_fails_where_it_stands():
@@ -204,8 +177,7 @@ def test_interned_witness_arrays_are_read_only(fresh_intern):
 
 
 def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
-                                                  capsys):
-    counts = _count_builds(monkeypatch)
+                                                  misses, capsys):
     deciders, refused = collections.Counter(), collections.Counter()
     for prop, decide in properties.DECIDERS.items():
         def counted(facts, prop=prop, decide=decide):
@@ -230,6 +202,7 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
         monkeypatch.setitem(homs.MAP_CHECKS, name, counted)
     assert main(["verify", str(CORPUS)]) == 0
     assert "total=1157" in capsys.readouterr().out
+    counts = _builds(misses)
     # Lattices are built only for the lattice deciders and entries, 20 of
     # them, and the one module over the lattice cap is refused at its gate
     # each of the 12 times it is asked, since no cap failure is stored
@@ -253,7 +226,7 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     assert counts == {"ring": 32, "module": 102, "generators": 89,
                       "lattice": 32, "submodule": 86, "hom_set": 89,
                       "end_ring": 89, "end_table": 21}
-    assert sum(key[0] == "kernel" for key in fresh_intern) == 188
+    assert len(misses.of(homs._kernel)) == 188
     # One decider body per (structure, caps, property) that returns a
     # verdict, 348 of them; the 4 that stop at a cap run each time they are
     # asked, 11 times in all (once each when the failure was stored).  One
@@ -273,27 +246,21 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
         name: 21 for name in homs.MAP_CHECKS}
 
 
-def test_verify_corpus_solves_each_hom_kernel_once(monkeypatch,
-                                                   fresh_intern, capsys):
+def test_verify_corpus_solves_each_hom_kernel_once(misses, fresh_intern,
+                                                   capsys):
     """The kernel of a pair of structures depends on no cap, so each is
     solved once, whether hom_count, hom_set or both read it: 188 solves
     for 188 pairs (277 when hom_count and hom_set each solved their own)."""
-    pairs = collections.Counter()
-    real = homs._kernel
-
-    def kernel(domain, codomain):
-        pairs[domain.key, codomain.key] += 1
-        return real(domain, codomain)
-
-    monkeypatch.setattr(homs, "_kernel", kernel)
     assert main(["verify", str(CORPUS)]) == 0
     capsys.readouterr()
+    pairs = collections.Counter((domain_key, codomain.key) for
+                                _, domain_key, (codomain,)
+                                in misses.of(homs._kernel))
     assert (sum(pairs.values()), len(pairs)) == (188, 188)
 
 
-def test_other_lattice_or_hom_caps_rebuild_the_structure(monkeypatch,
+def test_other_lattice_or_hom_caps_rebuild_the_structure(misses,
                                                          fresh_intern):
-    counts = _count_builds(monkeypatch)
     wide = dataclasses.replace(CAPS, hom=CAPS.hom + 1)
     narrow = dataclasses.replace(CAPS, lattice=2)
     for caps in (CAPS, CAPS, wide, narrow):
@@ -302,11 +269,11 @@ def test_other_lattice_or_hom_caps_rebuild_the_structure(monkeypatch,
     # CAPS once, then wide and narrow once more each.  The ring and module
     # tables are checked exactly whatever the caps, and the generating set
     # does not depend on caps: each is found once.
-    assert counts == {"ring": 1, "module": 1, "generators": 1, "hom_set": 3,
+    assert _builds(misses) == {"ring": 1, "module": 1, "generators": 1, "hom_set": 3,
                       "end_ring": 3}
 
 
-def test_a_cap_failure_is_refused_again_without_rebuilding(monkeypatch,
+def test_a_cap_failure_is_refused_again_without_rebuilding(misses,
                                                            fresh_intern):
     """No cap failure is stored: each call over the cap, for every object
     of the structure, is refused again by the hom gate, with the same
@@ -316,15 +283,7 @@ def test_a_cap_failure_is_refused_again_without_rebuilding(monkeypatch,
     with pytest.raises(SizeCapExceeded) as err:
         hom_set(first, first, tight)
     assert str(err.value) == "hom-set enumeration: size 16 exceeds cap 2"
-    counts = _count_builds(monkeypatch)
-    kernels = []
-    real_kernel = homs._kernel
-
-    def kernel(*args):
-        kernels.append(args)
-        return real_kernel(*args)
-
-    monkeypatch.setattr(homs, "_kernel", kernel)
+    misses.clear()
     second = free_module(zmod(2, CAPS), 2, CAPS, name="second")
     for module in (first, second):
         for build in (lambda: hom_set(module, module, tight),
@@ -332,9 +291,10 @@ def test_a_cap_failure_is_refused_again_without_rebuilding(monkeypatch,
             with pytest.raises(SizeCapExceeded) as again:
                 build()
             assert str(again.value) == str(err.value)
-    assert counts == {"hom_set": 2, "end_ring": 2} and kernels == []
+    assert _builds(misses) == {"hom_set": 2, "end_ring": 2}
+    assert misses.of(homs._kernel) == []
     assert len(hom_set(second, second, CAPS)) == 16
-    assert len(kernels) == 1
+    assert len(misses.of(homs._kernel)) == 1
 
 
 def test_validation_errors_are_not_stored(fresh_intern):
@@ -342,6 +302,17 @@ def test_validation_errors_are_not_stored(fresh_intern):
         with pytest.raises(PirickError, match="identity index"):
             ring_make(FinAbGroup((2,)), {(0, 0): 1}, 5, CAPS)
     assert not any(key[0] == "ring" for key in fresh_intern)
+
+
+def test_a_table_that_breaks_a_law_is_not_stored(misses, fresh_intern):
+    """Z_2 with a zero product has no identity: its table is built and
+    refused on every call, and nothing is stored for it."""
+    for _ in range(2):
+        with pytest.raises(BadIdentity):
+            ring_make(FinAbGroup((2,)), {}, 1, CAPS)
+    assert len(misses.of(rings._checked_mul)) == 2
+    assert not any(full[0] is rings._checked_mul.__wrapped__
+                   for full in fresh_intern)
 
 
 @pytest.mark.parametrize("one", [-1, 2, 5])
@@ -376,8 +347,7 @@ def test_modules_of_one_structure_keep_their_names(tmp_path, capsys):
 
 
 def test_lattice_and_submodule_coordinates_are_shared_by_structure(
-        monkeypatch, fresh_intern):
-    counts = _count_builds(monkeypatch)
+        misses, fresh_intern):
     tight = dataclasses.replace(CAPS, lattice=2)
     subs = []
     for name in ("first", "second"):
@@ -393,6 +363,7 @@ def test_lattice_and_submodule_coordinates_are_shared_by_structure(
     assert subs[0][1].act_np is subs[1][1].act_np
     # once under CAPS, and the cap failure once for each object: nothing
     # is stored for it, and the lattice gate refuses it before any work
+    counts = _builds(misses)
     assert counts["lattice"] == 3 and counts["submodule"] == 1
 
 

@@ -315,7 +315,7 @@ def test_malformed_pirick_caps_is_an_error_not_a_traceback(value, message):
         [sys.executable, "-m", "pirick", "verify", str(CORPUS)],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-             "PIRICK_CAPS": value})
+             "PYTHONDONTWRITEBYTECODE": "1", "PIRICK_CAPS": value})
     assert run.returncode == 3
     assert run.stderr.startswith("pirick: error: PIRICK_CAPS")
     assert message in run.stderr
@@ -344,7 +344,8 @@ def test_an_end_ring_over_the_construct_cap_allocates_no_map(tmp_path,
              f"{str(path)!r}]))")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env={"PYTHONPATH": str(src),
-                                         "OPENBLAS_NUM_THREADS": "1"})
+                                         "OPENBLAS_NUM_THREADS": "1",
+                                         "PYTHONDONTWRITEBYTECODE": "1"})
     assert (run.returncode, run.stderr) == (0, "")
     head, *rows = run.stdout.splitlines()
     assert "End order (skipped)" in head
@@ -367,7 +368,8 @@ def test_a_run_does_not_load_numpy_ma(tmp_path):
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env={"PYTHONPATH": str(src),
-                              "OPENBLAS_NUM_THREADS": "1"})
+                              "OPENBLAS_NUM_THREADS": "1",
+                              "PYTHONDONTWRITEBYTECODE": "1"})
     assert "violation=0" in run.stdout
     assert run.stdout.splitlines()[-1] == "False"
 
@@ -400,7 +402,8 @@ def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, command,
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env={"PYTHONPATH": str(src),
-                              "OPENBLAS_NUM_THREADS": "1"})
+                              "OPENBLAS_NUM_THREADS": "1",
+                              "PYTHONDONTWRITEBYTECODE": "1"})
     assert run.stdout.splitlines()[-1] == "0 []"
 
 
