@@ -27,8 +27,7 @@ comparing them on the generators of M; every decider, `analyze` and the
 registry's map-side entries read only this layer.  end_table re-equips
 End(M) with composition as a FiniteRing, giving every ring-theoretic tool
 access to it; it is built only when a caller asks for it: the registry's
-"end." ring checks, its left annihilators in End(M), P2.17's 1 - e, and
-`module endring`.
+"end." ring checks, its left annihilators in End(M), and `module endring`.
 
 An endomorphism is a row of End(M)'s table array and nothing else, and f^n
 is the element End(M).powers[f, n - 1], so Im f^n is one mask lookup.
@@ -65,7 +64,7 @@ from .groups import FinAbGroup, group_embedding, index_dtype
 from .modules import (FiniteModule, mask_bits, masks, module_generators,
                       same_ring)
 from .rings import (FiniteRing, Verdict, _first_power, _no_offender,
-                    index_powers, ring_make)
+                    _no_offending_pair, index_powers, ring_make)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +414,6 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     module object of that structure gets the same one.  A build over the
     construct cap stops at the gate, on the order of Hom(M, M), before any
     map is built; a build under other caps is never reused."""
-    return _build_end_ring(module, caps)
-
-
-def _build_end_ring(module: FiniteModule, caps: Caps) -> EndRing:
     caps.gate("construct", "ring construction",
               hom_count(module, module, caps))
     raw = hom_set(module, module, caps)                  # (s, n)
@@ -466,8 +461,9 @@ def end_table(end: EndRing) -> FiniteRing:
     The check is exhaustive over all |End|^2 pairs: the map at index
     mul[i, j] must be map i after map j.  Both are homomorphisms (rows of
     hom_set, and their composition), so they are equal iff they agree on
-    the generators of M.  Rows are compared a block at a time, and the
-    first pair that fails, in row-major order, is named.
+    the generators of M.  Rows are compared a block at a time by
+    `rings._no_offending_pair`, the scan of the commutative and domain
+    checks, and the first pair that fails, in row-major order, is named.
     """
     return _build_end_table(end)
 
@@ -477,14 +473,12 @@ def _build_end_table(end: EndRing) -> FiniteRing:
                      "End(M)")
     tables, mul = end.tables, ring.mul_np
     on_gens = tables[:, end.gens]
-    block = max(1, (1 << 14) // max(1, on_gens.size))
-    for lo in range(0, end.order, block):
-        rows = slice(lo, lo + block)
-        bad = (on_gens[mul[rows]] != tables[rows][:, on_gens]).any(axis=2)
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), end.order)
-            raise PirickError("endomorphism ring table disagrees with "
-                              f"composition at ({lo + i}, {j})")
+    check = _no_offending_pair(
+        lambda rows: (on_gens[mul[rows]] != tables[rows][:, on_gens])
+        .any(axis=2), end.order)
+    if not check.holds:
+        raise PirickError("endomorphism ring table disagrees with "
+                          f"composition at {check.counterexample}")
     return ring
 
 

@@ -132,13 +132,11 @@ def _parse_body(lines, start, path, kind):
     return rows
 
 
-def parse_ring(source: str | pathlib.Path, caps: Caps = DEFAULT_CAPS,
-               text: str | None = None) -> FiniteRing:
-    """Parse a ring file (or explicit text) into a validated FiniteRing."""
+def parse_ring(source: str | pathlib.Path,
+               caps: Caps = DEFAULT_CAPS) -> FiniteRing:
+    """Parse a ring file into a validated FiniteRing."""
     path = str(source)
-    if text is None:
-        text = _read_text(source)
-    lines = _logical_lines(text, path)
+    lines = _logical_lines(_read_text(source), path)
 
     lineno, head = lines[0]
     if len(head) != 2 or head[0] != "ring":
@@ -194,13 +192,10 @@ def ring_file_name(source: str | pathlib.Path) -> str | None:
 
 
 def parse_module(source: str | pathlib.Path, ring_registry: dict,
-                 caps: Caps = DEFAULT_CAPS,
-                 text: str | None = None) -> FiniteModule:
+                 caps: Caps = DEFAULT_CAPS) -> FiniteModule:
     """Parse a module file against a {name: FiniteRing} registry."""
     path = str(source)
-    if text is None:
-        text = _read_text(source)
-    lines = _logical_lines(text, path)
+    lines = _logical_lines(_read_text(source), path)
     name, ring_name = _module_head(lines, path)
     if ring_name not in ring_registry:
         raise UnknownRing(ring_name)

@@ -10,8 +10,8 @@ The table is built and checked once per structure in a process, by
 `_checked_act`, an `interned` function of the module's structure key; each
 module_make call returns a new module with its own name that shares it.
 Modules compare and hash by that key, so an interned function matches a
-module argument by its structure.  The generating set, the lattice's masks
-and submodule coordinates are interned by structure too.
+module argument by its structure.  The generating set, the lattice's masks,
+the radical and the socle are interned by structure too.
 
 A submodule of M is an int, a bitmask over M's element indices (bit e set
 iff element e is in it), and the functions below take and return it beside
@@ -164,12 +164,6 @@ def mask_bits(mask: int, order: int) -> np.ndarray:
     return np.unpackbits(raw, count=order, bitorder="little").view(bool)
 
 
-def cyclic_submodule(module: FiniteModule, m: int) -> int:
-    """The mask of the submodule m*R (already closed: m*r + m*s =
-    m*(r+s))."""
-    return elems_mask(module.act_np[m, :], module.order)
-
-
 def cyclic_submodules(module: FiniteModule) -> list:
     """The mask of m*R for every m in order, from one `masks` pass over
     the action table, a block of rows at a time."""
@@ -240,22 +234,6 @@ def is_direct_summand(module: FiniteModule, mask: int,
     return False, None
 
 
-def is_small(module: FiniteModule, mask: int,
-             caps: Caps = DEFAULT_CAPS) -> bool:
-    """N is superfluous (N + K = M forces K = M) iff N is inside Rad M,
-    since M is finitely generated."""
-    rad = radical(module, caps)
-    return mask | rad == rad
-
-
-def is_essential(module: FiniteModule, mask: int,
-                 caps: Caps = DEFAULT_CAPS) -> bool:
-    """N is essential (N meet K = 0 forces K = 0) iff N contains Soc M,
-    since M has finite length."""
-    soc = socle(module, caps)
-    return mask & soc == soc
-
-
 def first_moving_map(mask: int, tables: np.ndarray):
     """The first row f of `tables` that maps some element of N out of N,
     or None: N is fully invariant iff every row keeps it in place."""
@@ -311,23 +289,16 @@ def quotient_module(module: FiniteModule, mask: int,
 def submodule_module(parent: FiniteModule, mask: int,
                      caps: Caps = DEFAULT_CAPS):
     """The submodule N of parent with this mask as a module in its own
-    right.  Returns (module, inclusion table).  Its coordinates are
-    found once per parent structure and mask."""
+    right, on its own cyclic decomposition.  Returns (module, inclusion
+    table); element i of the module is element from_label[i] of parent."""
     from .homs import check_map
-    group, from_label, constants = _submodule_coordinates(parent, mask)
-    inner = module_make(parent.ring, group, constants, caps,
-                        f"{parent.name}|{mask.bit_count()}")
-    return inner, check_map(inner, parent, from_label)
-
-
-@interned
-def _submodule_coordinates(parent: FiniteModule, mask: int) -> tuple:
-    """(group, from_label, action constants) of the submodule on its own
-    cyclic decomposition; from_label[i] is the parent element of index i."""
     add = parent.add_group.add_table()
     group, from_label, to_index, basis = group_embedding(
         np.flatnonzero(mask_bits(mask, parent.order)), lambda x, y: add[x, y])
-    return group, from_label, _action_constants(parent, basis, to_index)
+    inner = module_make(parent.ring, group,
+                        _action_constants(parent, basis, to_index), caps,
+                        f"{parent.name}|{mask.bit_count()}")
+    return inner, check_map(inner, parent, from_label)
 
 
 def _action_constants(module: FiniteModule, reps, index) -> dict:

@@ -51,25 +51,6 @@ from .modules import (FiniteModule, all_submodules, first_moving_map,
                       submodule_module)
 from .rings import FiniteRing, Verdict, jacobson_radical, nilpotency
 
-PROPERTY_ORDER = (
-    "dual_rickart",
-    "dual_pi_rickart",
-    "rickart",
-    "pi_rickart",
-    "fitting",
-    "morphic",
-    "co_hopfian",
-    "strongly_co_hopfian",
-    "strongly_hopfian",
-    "c2",
-    "d2",
-    "abelian",
-    "duo",
-    "self_cogenerator",
-    "quasi_projective",
-    "indecomposable",
-)
-
 
 class Facts:
     """The per-module computations shared by the property deciders.
@@ -337,6 +318,8 @@ DECIDERS = {
     "quasi_projective": decide_quasi_projective,
     "indecomposable": decide_indecomposable,
 }
+# the order of report lines and catalog columns
+PROPERTY_ORDER = tuple(DECIDERS)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +332,11 @@ def left_singular_ideal(ring: FiniteRing, caps: Caps = DEFAULT_CAPS):
     """Z_l(R), the elements f whose left annihilator {g : g*f = 0} is an
     essential left ideal, read off the ring's own table.
 
-    As for `modules.is_essential` on the left regular module, a left ideal
-    is essential iff it contains the left socle {x : J(R)*x = 0}, so f is
-    in Z_l(R) iff s*f = 0 for every s in that socle.  The check is gated by
-    the lattice cap at the order of R, the order of that module.
+    A left ideal is essential iff it contains the left socle
+    {x : J(R)*x = 0}, as a submodule of a module of finite length is
+    essential iff it contains the socle; so f is in Z_l(R) iff s*f = 0
+    for every s in that socle.  The check is gated by the lattice cap at
+    the order of R, the order of the left regular module.
     """
     caps.gate("lattice", "submodule lattice", ring.order)
     mul = ring.mul_np                                 # mul[g, f] = g * f

@@ -397,12 +397,6 @@ def central_idempotent_scan(ring: FiniteRing) -> tuple:
     return tuple(central), noncentral
 
 
-def nontrivial_idempotents(ring: FiniteRing) -> list:
-    """The idempotents other than 0 and 1, in ascending order."""
-    return [e for e in ring_idempotents(ring).tolist()
-            if e not in (0, ring.one)]
-
-
 @interned
 def jacobson_radical(ring: FiniteRing) -> np.ndarray:
     """Sorted indices of J(R) = {a : 1 - r*a is a unit for every r}, read
@@ -588,16 +582,10 @@ def left_annihilator_keys(ring: FiniteRing) -> np.ndarray:
     return out
 
 
-def left_annihilator_key(ring: FiniteRing, a: int) -> bytes:
-    """Canonical key for the set {r : r*a == 0}: row a of
-    `left_annihilator_keys`."""
-    return left_annihilator_keys(ring)[a].tobytes()
-
-
-@interned
 def principal_left_ideal_keys(ring: FiniteRing) -> dict:
-    """Map from the key of each R*e, in the form of `left_annihilator_key`,
-    to every idempotent e generating it, in ascending order."""
+    """Map from the key of each R*e, in the form of a row of
+    `left_annihilator_keys` as bytes, to every idempotent e generating it,
+    in ascending order."""
     out = {}
     for e in ring_idempotents(ring).tolist():
         member = np.zeros(ring.order, dtype=bool)

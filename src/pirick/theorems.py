@@ -61,6 +61,7 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, StructureKey, interned
 from .errors import PirickError, SizeCapExceeded, UnknownTheorem
+from .groups import FinAbGroup
 from .homs import (EndRing, _double_annihilator_closed,
                    central_idempotent_maps, end_table, hom_count,
                    idempotent_image_masks, idempotent_maps,
@@ -144,9 +145,9 @@ class InstanceContext:
 # ---------------------------------------------------------------------------
 
 
-def _one_minus(ring: FiniteRing, e: int) -> int:
-    add = ring.add_group.add_table()
-    return int(add[ring.one, ring.add_group.neg_vector()[e]])
+def _one_minus(group: FinAbGroup, one: int, e: int) -> int:
+    """1 - e, for the identity `one` of a ring on the additive group."""
+    return int(group.add_table()[one, group.neg_vector()[e]])
 
 
 def _dual_pi_of(module: FiniteModule, caps: Caps) -> Verdict:
@@ -353,7 +354,7 @@ def _annihilators_match(end: EndRing):
 
     def test(x: int, n: int, e: int) -> bool:
         return (on_image[end.images[x]] == keys[x].tobytes()
-                and _one_minus(ring, e) in principal[x])
+                and _one_minus(end.group, end.one, e) in principal[x])
     return test
 
 
@@ -461,7 +462,7 @@ def _chk_c2_13(ctx):
     if not centrals:
         return NOT_MET, "no nontrivial central idempotent"
     for c in centrals:
-        for piece in (c, _one_minus(ring, c)):
+        for piece in (c, _one_minus(ring.add_group, ring.one, c)):
             if not ring_check(ctx.corner(piece), "pi_regular").holds:
                 return VIOLATION, f"c={c},corner_at={piece}"
     return HOLDS, f"decompositions={len(centrals)}"
@@ -498,7 +499,7 @@ def _chk_p2_17(ctx):
     end = facts.end()
     fired = None
     for e in nontrivial_idempotent_maps(end):
-        comp = _one_minus(end_table(end), e)
+        comp = _one_minus(end.group, end.one, e)
         m1, _ = facts.inner(end.images[e])
         m2, _ = facts.inner(end.images[comp])
         f1, f2 = Facts(m1, ctx.caps), Facts(m2, ctx.caps)
@@ -544,8 +545,8 @@ def _chk_t3_4_1(ctx):
         """The first e of hits, the e with l_S(x) == S*e, for which
         r_M(l_S(x)) != (1 - e)M, or None."""
         inter = right_annihilator(end, np.flatnonzero(ring.mul_np[:, x] == 0))
-        return next((e for e in hits
-                     if inter != end.images[_one_minus(ring, e)]), None)
+        return next((e for e in hits if end.images[
+            _one_minus(end.group, end.one, e)] != inter), None)
 
     # hits fixes l_S(x), so each left ideal S*e is checked once, at any x
     at = {hits: x for x, hits in enumerate(principal) if hits}

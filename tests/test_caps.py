@@ -4,6 +4,7 @@ again by every call.  A hit is one lookup, a subscript of the table, in
 the wrapper's own frame: the tests below count lookups through
 `InternTable.__getitem__`."""
 
+import ast
 import collections
 import dataclasses
 import pathlib
@@ -107,6 +108,33 @@ def test_no_check_is_sampled_in_the_package():
              for word in ("default_rng", "np.random", "import random")
              if word in path.read_text(encoding="utf-8")]
     assert found == []
+
+
+def _names(node) -> collections.Counter:
+    """How often each name is read, called, imported or looked up as an
+    attribute under an AST node."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name)
+        else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_public_function_is_named_elsewhere_in_the_package():
+    """A public module-level function of the package is named somewhere in
+    it outside its own body, so some command can reach it; only the two
+    entry points that other programs call are named nowhere."""
+    entry_points = {("families", "build_corpus"), ("theorems", "verify")}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum(map(_names, trees.values()), collections.Counter())
+    unreached = [(stem, node.name) for stem, tree in trees.items()
+                 for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and not node.name.startswith("_")
+                 and everywhere[node.name] == _names(node)[node.name]
+                 and (stem, node.name) not in entry_points]
+    assert unreached == []
 
 
 def test_caps_hash_is_stored_once_and_hidden():

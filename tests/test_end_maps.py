@@ -28,8 +28,7 @@ from pirick.homs import (central_idempotent_maps, end_ring, end_table,
                          idempotent_maps, nontrivial_idempotent_maps)
 from pirick.io import load_dir
 from pirick.modules import free_module
-from pirick.rings import (central_idempotent_scan, nontrivial_idempotents,
-                          ring_idempotents)
+from pirick.rings import central_idempotent_scan, ring_idempotents
 
 from test_iso_oracle import _derived, _pools
 
@@ -70,7 +69,8 @@ def _scans_match(end, central_scan=central_idempotent_maps) -> bool:
     return (np.array_equal(idempotent_maps(end), ring_idempotents(ring))
             and central_scan(end) == central_idempotent_scan(ring)
             and list(nontrivial_idempotent_maps(end))
-            == nontrivial_idempotents(ring)
+            == [e for e in ring_idempotents(ring).tolist()
+                if e not in (0, ring.one)]
             and (end.order, end.one) == (ring.order, ring.one))
 
 
@@ -121,22 +121,43 @@ def test_the_ring_table_is_built_once_on_request(monkeypatch, fresh_intern):
     assert ring.order == end.order == 16
 
 
-def test_the_self_check_covers_every_block(monkeypatch, fresh_intern):
-    """End(Z4^2) has 256 maps on 2 generators, so its self-check compares
-    rows in more than one block.  Two products are corrupted, one in a late
-    block and one in the last row; the first in row-major order is named."""
-    module = free_module(zmod(4), 2, CAPS, name="z4_free2")
-    end = end_ring(module, CAPS)
-    assert end.order == 256 and len(end.gens) == 2
+def _corrupt_products(monkeypatch, cells):
+    """Make `homs.ring_make` return its ring with the product at each
+    (i, j) of cells changed, so that only the self-check can catch it."""
     real = homs.ring_make
 
     def corrupted(*args, **kwargs):
         ring = real(*args, **kwargs)
         ring.mul_np = ring.mul_np.copy()
-        for i, j in ((255, 255), (200, 7)):
+        for i, j in cells:
             ring.mul_np[i, j] = (int(ring.mul_np[i, j]) + 1) % ring.order
         return ring
 
     monkeypatch.setattr(homs, "ring_make", corrupted)
+
+
+def test_the_self_check_covers_every_block(monkeypatch, fresh_intern):
+    """End(Z4^2) has 256 maps on 2 generators.  Two products are
+    corrupted, one in a late row and one in the last row; the first in
+    row-major order is named."""
+    module = free_module(zmod(4), 2, CAPS, name="z4_free2")
+    end = end_ring(module, CAPS)
+    assert end.order == 256 and len(end.gens) == 2
+    _corrupt_products(monkeypatch, ((255, 255), (200, 7)))
     with pytest.raises(PirickError, match=r"composition at \(200, 7\)"):
+        end_table(end)
+
+
+def test_the_self_check_scans_past_its_first_block(monkeypatch,
+                                                   fresh_intern):
+    """End(Z2^3) = M_3(Z_2) has 512 maps, so the self-check's scan, 128
+    rows a block, takes 4 blocks.  Products in rows 300 and 400 are
+    corrupted, both past the first block; the first in row-major order
+    is named."""
+    module = free_module(zmod(2), 3, CAPS, name="z2_free3")
+    end = end_ring(module, CAPS)
+    assert end.order == 512
+    _corrupt_products(monkeypatch, ((400, 2), (300, 7)))
+    with pytest.raises(PirickError, match=r"^endomorphism ring table "
+                       r"disagrees with composition at \(300, 7\)$"):
         end_table(end)

@@ -31,15 +31,16 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 BUILDS = {rings._checked_mul: "ring", modules._checked_act: "module",
           modules.module_generators: "generators",
           modules.all_submodules: "lattice",
-          modules._submodule_coordinates: "submodule", hom_set: "hom_set",
+          properties.Facts.inner: "submodule", hom_set: "hom_set",
           end_ring: "end_ring", end_table: "end_table"}
 
 
 def _builds(misses) -> collections.Counter:
     """Ring and module validations, generator searches, lattice
-    enumerations, submodule coordinates, hom enumerations, End(M) builds
-    and End(M) ring tables among the misses, wherever pirick asked for
-    them; a build refused at a cap is one each time it is asked."""
+    enumerations, submodules built as modules by `Facts.inner`, hom
+    enumerations, End(M) builds and End(M) ring tables among the misses,
+    wherever pirick asked for them; a build refused at a cap is one each
+    time it is asked."""
     names = {fn.__wrapped__: name for fn, name in BUILDS.items()}
     return collections.Counter(names[full[0]] for full in misses
                                if full[0] in names)
@@ -213,12 +214,12 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     # validated: 17 from the corpus files, 8 corners, one 2x2 matrix ring
     # and 6 End(M) tables that no other ring shares (41 when all 89 End(M)
     # had a table).  Morphic, C2 and D2 read End(M)'s (Im, Ker) pairs and
-    # build no module: 86 submodule coordinates and 89 generator searches
-    # remain (111 and 99 when those three searched isomorphisms between
-    # built modules; 91 generator searches while the self-cogenerator
-    # decider built Hom(M/N, M) for each quotient, where it now reads the
-    # kernels of Hom(M, M)).  The 89 hom sets are End(M)'s: the
-    # quasi-projective decider, P2.17 and End(M)'s construct gate, which
+    # build no module: 86 submodules built as modules and 89 generator
+    # searches remain (111 and 99 when those three searched isomorphisms
+    # between built modules; 91 generator searches while the
+    # self-cogenerator decider built Hom(M/N, M) for each quotient, where
+    # it now reads the kernels of Hom(M, M)).  The 89 hom sets are End(M)'s:
+    # the quasi-projective decider, P2.17 and End(M)'s construct gate, which
     # runs before Hom(M, M) is built, read only the order of a hom set,
     # which `hom_count` reads off the kernel of 188 pairs without building
     # a map (115 before the gate read it; 238 hom sets were built when the
@@ -297,11 +298,20 @@ def test_a_cap_failure_is_refused_again_without_rebuilding(misses,
     assert len(misses.of(homs._kernel)) == 1
 
 
-def test_validation_errors_are_not_stored(fresh_intern):
+def test_validation_errors_are_not_stored(misses, fresh_intern):
+    """An identity out of range fails before the table is built; a
+    constant that is not biadditive fails inside `_checked_mul`, on every
+    call; neither stores anything."""
     for _ in range(2):
         with pytest.raises(PirickError, match="identity index"):
             ring_make(FinAbGroup((2,)), {(0, 0): 1}, 5, CAPS)
-    assert not any(key[0] == "ring" for key in fresh_intern)
+    assert misses.of(rings._checked_mul) == []
+    for _ in range(2):
+        with pytest.raises(NotDistributive):
+            ring_make(FinAbGroup((2, 4)), {(0, 0): 1}, 0, CAPS)
+    assert len(misses.of(rings._checked_mul)) == 2
+    assert not any(full[0] is rings._checked_mul.__wrapped__
+                   for full in fresh_intern)
 
 
 def test_a_table_that_breaks_a_law_is_not_stored(misses, fresh_intern):
@@ -346,7 +356,7 @@ def test_modules_of_one_structure_keep_their_names(tmp_path, capsys):
     assert maps[0] == maps[1]
 
 
-def test_lattice_and_submodule_coordinates_are_shared_by_structure(
+def test_lattice_and_submodule_tables_are_shared_by_structure(
         misses, fresh_intern):
     tight = dataclasses.replace(CAPS, lattice=2)
     subs = []
@@ -362,9 +372,12 @@ def test_lattice_and_submodule_coordinates_are_shared_by_structure(
     assert subs[0][0] is subs[1][0]
     assert subs[0][1].act_np is subs[1][1].act_np
     # once under CAPS, and the cap failure once for each object: nothing
-    # is stored for it, and the lattice gate refuses it before any work
+    # is stored for it, and the lattice gate refuses it before any work;
+    # the regular module and its submodule are each validated once
     counts = _builds(misses)
-    assert counts["lattice"] == 3 and counts["submodule"] == 1
+    assert counts["lattice"] == 3
+    assert [full[1] for full in misses.of(modules._checked_act)] == \
+        [module.key, inner.key]
 
 
 @pytest.mark.parametrize("order", [("z2", "m2z2_c1"), ("m2z2_c1", "z2")])

@@ -26,7 +26,7 @@ from pirick import homs
 from pirick.caps import DEFAULT_CAPS, Caps, caps_from_env
 from pirick.errors import SizeCapExceeded
 from pirick.families import ex23_module, ex23_ring, zmod
-from pirick.modules import (FiniteModule, all_submodules, cyclic_submodule,
+from pirick.modules import (FiniteModule, all_submodules, cyclic_submodules,
                             free_module, mask_bits, module_generators,
                             quotient_module, ring_as_module, same_ring,
                             submodule_module)
@@ -226,7 +226,7 @@ def _z4_squared_halves():
     """Two order-4 submodules of Z4^2 over Z4, as modules: the cyclic one
     of element 1 (additively Z4) and 2(Z4^2) (additively Z2 x Z2)."""
     free = free_module(zmod(4, CAPS), 2, CAPS)
-    cyclic = submodule_module(free, cyclic_submodule(free, 1), CAPS)[0]
+    cyclic = submodule_module(free, cyclic_submodules(free)[1], CAPS)[0]
     doubled = [sub for sub in all_submodules(free, CAPS)
                if sub.bit_count() == 4
                and not free.act_np[mask_bits(sub, free.order), 2].any()]

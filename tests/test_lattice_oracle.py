@@ -30,8 +30,8 @@ from pirick.families import ex23_ring, zmod
 from pirick.groups import FinAbGroup
 from pirick.homs import end_ring, end_table
 from pirick.modules import (FiniteModule, all_submodules, elems_mask,
-                            free_module, is_essential, is_small, mask_bits,
-                            masks, radical, ring_as_module, socle)
+                            free_module, mask_bits, masks, radical,
+                            ring_as_module, socle)
 from pirick.properties import left_singular_ideal
 from pirick.rings import jacobson_radical, ring_make
 
@@ -125,13 +125,13 @@ def pool_modules(draw):
 def _assert_matches_oracle(module: FiniteModule):
     lattice = oracle_lattice_masks(module)
     assert all_submodules(module, CAPS) == lattice
-    assert radical(module, CAPS) == oracle_radical(module, lattice)
-    assert socle(module, CAPS) == oracle_socle(module, lattice)
+    rad, soc = radical(module, CAPS), socle(module, CAPS)
+    assert rad == oracle_radical(module, lattice)
+    assert soc == oracle_socle(module, lattice)
+    # N is small iff N <= Rad M, and essential iff Soc M <= N
     for mask in lattice:
-        assert is_small(module, mask, CAPS) == \
-            oracle_is_small(module, lattice, mask)
-        assert is_essential(module, mask, CAPS) == \
-            oracle_is_essential(lattice, mask)
+        assert (mask | rad == rad) == oracle_is_small(module, lattice, mask)
+        assert (mask & soc == soc) == oracle_is_essential(lattice, mask)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -166,15 +166,16 @@ def test_the_four_predicates_never_enumerate_the_lattice(monkeypatch,
     monkeypatch.setattr(modules, "_lattice_masks", unreachable)
     module = ring_as_module(zmod(12, CAPS), CAPS)
     two = elems_mask(np.arange(0, 12, 2), 12)
-    assert radical(module, CAPS).bit_count() == 2
-    assert socle(module, CAPS).bit_count() == 6
-    assert not is_small(module, two, CAPS)
-    assert is_essential(module, two, CAPS)
+    rad, soc = radical(module, CAPS), socle(module, CAPS)
+    assert rad.bit_count() == 2
+    assert soc.bit_count() == 6
+    assert two | rad != rad                     # not small
+    assert two & soc == soc                     # essential
     tight = dataclasses.replace(CAPS, lattice=11)
     for call in (lambda: radical(module, tight),
                  lambda: socle(module, tight),
-                 lambda: is_small(module, two, tight),
-                 lambda: is_essential(module, two, tight)):
+                 lambda: two | radical(module, tight),
+                 lambda: two & socle(module, tight)):
         with pytest.raises(SizeCapExceeded) as err:
             call()
         assert (err.value.what, err.value.size, err.value.cap) == \
@@ -196,9 +197,11 @@ def oracle_left_singular_ideal(ring, caps) -> list:
                          {(j, i): c for (i, j), c in ring.constants.items()},
                          ring.one, caps, f"{ring.name}_op")
     reg = ring_as_module(opposite, caps)
-    # row f of the transposed table holds g * f for every g
+    soc = socle(reg, caps)
+    # row f of the transposed table holds g * f for every g; l(f) is
+    # essential iff it contains the socle
     return [f for f, ann in enumerate(masks(ring.mul_np.T == 0))
-            if is_essential(reg, ann, caps)]
+            if ann & soc == soc]
 
 
 def right_socle_mutant(ring, caps):

@@ -10,10 +10,10 @@ from pirick.caps import caps_from_env
 from pirick.errors import AxiomViolation, SizeCapExceeded
 from pirick.families import ex23_module, zmod
 from pirick.groups import FinAbGroup
-from pirick.modules import (all_submodules, cyclic_submodule,
-                            first_moving_map, free_module,
-                            is_direct_summand, is_essential, is_small,
-                            mask_bits, module_generators, module_make,
+from pirick.modules import (all_submodules, cyclic_submodules,
+                            elems_mask, first_moving_map, free_module,
+                            is_direct_summand, mask_bits,
+                            module_generators, module_make,
                             quotient_module, radical, ring_as_module, socle,
                             submodule_module)
 from pirick.rings import ring_make
@@ -85,8 +85,8 @@ def test_lattice_of_ex23(ex23):
 
 
 def test_cyclic_and_generated(z4_reg):
-    assert _elems(z4_reg, cyclic_submodule(z4_reg, 2)) == (0, 2)
-    assert cyclic_submodule(z4_reg, 1).bit_count() == 4
+    assert _elems(z4_reg, cyclic_submodules(z4_reg)[2]) == (0, 2)
+    assert cyclic_submodules(z4_reg)[1].bit_count() == 4
 
 
 @pytest.mark.parametrize("block", [1, 40, 1 << 16])
@@ -97,27 +97,31 @@ def test_every_cyclic_submodule_in_one_pass(monkeypatch, ex23, block):
     for module in (ex23, free_module(zmod(4), 2, CAPS),
                    ring_as_module(zmod(12), CAPS)):
         assert modules.cyclic_submodules(module) == [
-            cyclic_submodule(module, m) for m in range(module.order)]
+            elems_mask(module.act_np[m], module.order)
+            for m in range(module.order)]
 
 
 def test_direct_summand_complement_route(z4_reg, z6_reg):
-    sub = cyclic_submodule(z4_reg, 2)
+    sub = cyclic_submodules(z4_reg)[2]
     ok, _ = is_direct_summand(z4_reg, sub, CAPS)
     assert not ok                         # {0,2} has no complement in Z_4
-    three = cyclic_submodule(z6_reg, 3)   # {0,3}, complement {0,2,4}
+    three = cyclic_submodules(z6_reg)[3]  # {0,3}, complement {0,2,4}
     ok, comp = is_direct_summand(z6_reg, three, CAPS)
     assert ok and _elems(z6_reg, comp) == (0, 2, 4)
 
 
 def test_small_and_essential(z4_reg, z6_reg):
-    two = cyclic_submodule(z4_reg, 2)
-    assert is_small(z4_reg, two, CAPS)          # {0,2} superfluous in Z_4
-    assert is_essential(z4_reg, two, CAPS)      # meets every nonzero one
-    three = cyclic_submodule(z6_reg, 3)
-    assert not is_small(z6_reg, three, CAPS)    # {0,3} + {0,2,4} = Z_6
-    assert not is_essential(z6_reg, three, CAPS)
-    assert not is_small(z4_reg, 0b1111, CAPS)
-    assert is_small(z4_reg, 0b1, CAPS)
+    """N is small iff N <= Rad M, and essential iff Soc M <= N."""
+    rad4, soc4 = radical(z4_reg, CAPS), socle(z4_reg, CAPS)
+    rad6, soc6 = radical(z6_reg, CAPS), socle(z6_reg, CAPS)
+    two = cyclic_submodules(z4_reg)[2]
+    assert two | rad4 == rad4                   # {0,2} superfluous in Z_4
+    assert two & soc4 == soc4                   # meets every nonzero one
+    three = cyclic_submodules(z6_reg)[3]
+    assert three | rad6 != rad6                 # {0,3} + {0,2,4} = Z_6
+    assert three & soc6 != soc6
+    assert 0b1111 | rad4 != rad4
+    assert 0b1 | rad4 == rad4
 
 
 def test_fully_invariant(ex23):
@@ -142,7 +146,7 @@ def test_radical_and_socle(z4_reg, z6_reg):
 
 
 def test_quotient_module(z4_reg):
-    sub = cyclic_submodule(z4_reg, 2)
+    sub = cyclic_submodules(z4_reg)[2]
     quotient, projection = quotient_module(z4_reg, sub, CAPS)
     assert quotient.order == 2
     assert projection.shape == (4,)
@@ -152,7 +156,7 @@ def test_quotient_module(z4_reg):
 
 
 def test_submodule_as_module(z6_reg):
-    three = cyclic_submodule(z6_reg, 3)
+    three = cyclic_submodules(z6_reg)[3]
     inner, inclusion = submodule_module(z6_reg, three, CAPS)
     assert inner.order == 2
     assert inclusion.tolist() == [0, 3]

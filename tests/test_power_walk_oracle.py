@@ -57,7 +57,8 @@ def _chk_t3_4_1(ctx):
             inter = right_annihilator(
                 end, np.flatnonzero(ring.mul_np[:, fn] == 0))
             for e in hits:
-                if inter != chains.images[_one_minus(ring, e)][0]:
+                comp = _one_minus(ring.add_group, ring.one, e)
+                if inter != chains.images[comp][0]:
                     return VIOLATION, f"f={f},n={n},e={e}"
                 checked += 1
     if checked == 0:

@@ -170,10 +170,13 @@ def test_left_singular_ideal_respects_caps():
         left_singular_ideal(ring, Caps(lattice=4))
 
 
-def test_quasi_projective_names_the_first_map_that_does_not_lift(z4):
+def test_quasi_projective_names_the_first_map_that_does_not_lift(z4,
+                                                                  tmp_path):
     # Z2 + Z4 over Z4: the corpus has no module that is not quasi-projective
-    module = parse_module("z2xz4.mod", {"z4": z4}, CAPS, text=(
-        "module z2xz4 over z4\nadd 2 4\nact 1 1 1 0\nact 1 2 0 1\nend\n"))
+    path = tmp_path / "z2xz4.mod"
+    path.write_text("module z2xz4 over z4\nadd 2 4\nact 1 1 1 0\n"
+                    "act 1 2 0 1\nend\n", encoding="utf-8")
+    module = parse_module(path, {"z4": z4}, CAPS)
     facts = Facts(module, CAPS)
     v = facts.verdict("quasi_projective")
     assert (v.holds, v.counterexample) == \

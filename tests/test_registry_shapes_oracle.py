@@ -117,7 +117,7 @@ def _chk_l3_1(ctx):
         # l_M(f^n M) == l_S(f^n) == S(1 - e)
         if not (np.array_equal(left_annihilator(end, im),
                                np.flatnonzero(ring.mul_np[:, fn] == 0))
-                and _one_minus(ring, e) in
+                and _one_minus(ring.add_group, ring.one, e) in
                 principal.get(left_annihilator_key(ring, fn), ())):
             return VIOLATION, f"f={f},n={n}"
     return HOLDS, f"maps={ring.order}"

@@ -43,8 +43,8 @@ from pirick.families import zmod
 from pirick.groups import FinAbGroup
 from pirick.rings import (RING_CHECKS, FiniteRing,
                           central_idempotent_scan, corner_ring,
-                          jacobson_radical, left_annihilator_key,
-                          matrix_ring, principal_left_ideal_keys,
+                          jacobson_radical, matrix_ring,
+                          principal_left_ideal_keys,
                           product_ring, ring_check, ring_idempotents,
                           ring_units, triangular_ring)
 
@@ -91,8 +91,8 @@ def trail(ring, a: int) -> list:
 
 
 def key(ring, a: int) -> bytes:
-    """The packed key of {r : r*a == 0}, from column a alone:
-    `rings.left_annihilator_key` as it was before the key table."""
+    """The packed key of {r : r*a == 0}, from column a alone: row a of
+    `rings.left_annihilator_keys` as it was read before the key table."""
     return np.packbits(ring.mul_np[:, a] == 0).tobytes()
 
 
@@ -235,7 +235,8 @@ def disagreements(ring) -> list:
     """The names whose check, run directly and not through the intern
     table, differs from its oracle on ring; "power_table" when a row of
     `rings.power_table` is not `trail`, and "left_annihilator_key" when
-    that function differs from `key`, at some element."""
+    row a of `rings.left_annihilator_keys` differs from `key`, at some
+    element a."""
     out = []
     for name, check in RING_CHECKS.items():
         v = check(ring)
@@ -244,8 +245,8 @@ def disagreements(ring) -> list:
     if table_rows(rings.power_table(ring)) != [trail(ring, a)
                                                for a in range(ring.order)]:
         out.append("power_table")
-    if any(left_annihilator_key(ring, a) != key(ring, a)
-           for a in range(ring.order)):
+    keys = rings.left_annihilator_keys(ring)
+    if any(keys[a].tobytes() != key(ring, a) for a in range(ring.order)):
         out.append("left_annihilator_key")
     return out
 

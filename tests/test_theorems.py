@@ -6,6 +6,7 @@ import pytest
 
 from pirick import homs, modules, properties, rings, theorems
 from pirick.caps import Caps, caps_from_env
+from pirick.cli import main
 from pirick.errors import UnknownTheorem
 from pirick.families import ex23_module, ex23_ring, zmod
 from pirick.io import parse_ring
@@ -326,3 +327,12 @@ def test_ring_entries_do_not_depend_on_what_ran_before(name):
     alone = [v for tid in expand_ids() if REGISTRY[tid].scope == "ring"
              for v in verify_all(_ring_ctx(_fresh_ring(name)), [tid])]
     assert alone == shared
+
+
+def test_p2_17_builds_no_end_ring_table(misses, fresh_intern, capsys):
+    """P2.17 reads 1 - e off End(M)'s maps, whose additive group and
+    identity are its ring table's, and asks for no ring table."""
+    assert main(["verify", str(CORPUS), "--theorems", "P2.17"]) == 0
+    assert "holds=4 hypothesis_not_met=17" in capsys.readouterr().out
+    assert misses.of(homs.end_ring)
+    assert misses.of(homs.end_table) == []
