@@ -81,10 +81,6 @@ class NotAHomomorphism(PirickError):
         super().__init__(f"map fails {law} at {self.witness}")
 
 
-class UnknownRing(PirickError):
-    """A module file referenced a ring name that was not loaded."""
-
-
 class UnknownTheorem(PirickError):
     """A verification run referenced a registry id that does not exist."""
 
@@ -99,6 +95,10 @@ class FileSyntaxError(PirickError):
     def __init__(self, line, message):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+class UnknownRing(FileSyntaxError):
+    """A module file's `over` clause names a ring that was not loaded."""
 
 
 class QueryParseError(PirickError):

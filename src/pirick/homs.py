@@ -9,7 +9,8 @@ on the images of the g_i these checks are one additive map into a product
 of copies of N, so Hom(M, N) is its kernel.  The kernel is solved exactly,
 by extended gcds on integer coordinates, into generators in echelon form;
 each generator's table is checked on every edge, and every map is one sum
-of their multiples, built in two halves and sorted by generator images.
+of their multiples, built in two halves and put at the row that map_rows
+reads off its generator images by arithmetic on that echelon form.
 hom_count reads the order of Hom(M, N) off the same kernel without
 building a map, for the callers that need only the count; the kernel is
 solved once per pair of structures, since no cap bears on it.
@@ -39,8 +40,7 @@ four such checks that the registry reads as predicates on End(M).  A map
 between two modules is its table too: check_map validates one by the
 relation check of hom_set, for the projections and inclusions of quotients
 and submodules, narrowed to the same type once its entries are known to
-be elements of the codomain.  The keys that order maps by their generator
-images are `_map_keys`, computed in int64 from widened entries.
+be elements of the codomain.
 
 A hom set, End(M) and its ring table are `interned` functions, built once
 per structure and caps in a process, and so is the kernel of each pair of
@@ -140,9 +140,23 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
     A map is fixed by its images of the generators of the domain, and the
     rows are in lexicographic order of those images.  They are the kernel
     of one additive map on the candidate images (`_kernel_basis`), spanned
-    from a checked generating set of tables.  The array is read-only.
+    from checked generating tables and placed by `map_rows`; read-only.
     """
-    return _enumerate_homs(domain, codomain, caps)
+    order = hom_count(domain, codomain, caps)
+    gens, _, _ = edges = _relation_edges(domain)
+    maps, orders, _ = _kernel_basis(domain, codomain)
+    tables = maps @ np.array(codomain.add_group.strides)
+    # a sum of homomorphisms is one, so checked generators check the span
+    if len(tables) and not _relations_hold(tables.T, codomain, edges).all():
+        raise PirickError("a hom-set generator fails the relation check")
+    out = _span(maps, orders, codomain)
+    if len(out) != order:
+        raise PirickError(f"hom set spans {len(out)} maps, not {order}")
+    at = map_rows(domain, codomain, out[:, gens])
+    if (at != np.arange(order)).any():      # digit order is not key order
+        out[at] = out.copy()
+    out.flags.writeable = False             # shared by every caller
+    return out
 
 
 def hom_count(domain: FiniteModule, codomain: FiniteModule,
@@ -154,22 +168,6 @@ def hom_count(domain: FiniteModule, codomain: FiniteModule,
     caps.gate("hom", "hom-set enumeration",
               codomain.order ** len(module_generators(domain)))
     return _kernel(domain, codomain)[1]
-
-
-def _enumerate_homs(domain: FiniteModule, codomain: FiniteModule,
-                    caps: Caps) -> np.ndarray:
-    order = hom_count(domain, codomain, caps)
-    gens, _, _ = edges = _relation_edges(domain)
-    maps, orders = _kernel_basis(domain, codomain)
-    tables = maps @ np.array(codomain.add_group.strides)
-    # a sum of homomorphisms is one, so checked generators check the span
-    if len(tables) and not _relations_hold(tables.T, codomain, edges).all():
-        raise PirickError("a hom-set generator fails the relation check")
-    out = _span(maps, orders, codomain, gens)
-    if len(out) != order:
-        raise PirickError(f"hom set spans {len(out)} maps, not {order}")
-    out.flags.writeable = False             # shared by every caller
-    return out
 
 
 @interned
@@ -244,33 +242,68 @@ def _kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
 
 
 def _kernel_basis(domain: FiniteModule, codomain: FiniteModule) -> tuple:
-    """(maps, orders): homomorphisms h_t, as their tables in N's
+    """(maps, orders, cuts): homomorphisms h_t, as their tables in N's
     coordinates, [t, m, f], and numbers o_t such that every map in
     Hom(M, N) is sum j_t h_t for exactly one choice of 0 <= j_t < o_t.
 
     Cut down to the source's own coordinates in turn, the kernel's rows
-    give it in echelon (Howell) form: the row set aside at coordinate s
-    has zeros before s, and its multiples below its step o_s differ at s,
-    while what is left of the kernel has 0 there too.
+    give it in echelon (Howell) form: the row set aside at coordinate
+    s_t = cuts[t] has zeros before s_t, and its multiples below its step
+    o_t differ at s_t, while what is left of the kernel has 0 there too.
     """
     rows = [list(row) for row in _kernel(domain, codomain)[0]]
     coef = _presentation(domain)[0]
     factors = codomain.add_group.factors
     moduli = list(factors) * coef.shape[1]
-    pivots, orders = [], []
+    pivots, orders, cuts = [], [], []
     for s, m in enumerate(moduli):
         column = [row[s] for row in rows]
         if any(column):
             pivot, step = _cut(rows, column, m, moduli)
             pivots.append(pivot)
             orders.append(step)
+            cuts.append(s)
     # E of each basis candidate: [(i, e), (m, f)]
     images = _basis_moves(codomain)[:, coef].transpose(2, 0, 1, 3).reshape(
         len(moduli), domain.order * len(factors))
     sums = np.array(pivots, dtype=np.int64).reshape(
         len(pivots), len(moduli)) @ images
     return sums.reshape(len(pivots), domain.order, len(factors)) \
-        % np.array(factors), orders
+        % np.array(factors), orders, cuts
+
+
+def map_rows(domain: FiniteModule, codomain: FiniteModule,
+             images) -> np.ndarray:
+    """The row in hom_set(domain, codomain) of each homomorphism given by
+    its images of the domain's generators, the last axis of `images`: the
+    sum of one `_row_shares` entry per generator, in int64."""
+    rows = np.zeros(np.shape(images)[:-1], dtype=np.int64)
+    for i, share in enumerate(_row_shares(domain, codomain)):
+        rows += share[images[..., i]]
+    return rows
+
+
+@interned
+def _row_shares(domain: FiniteModule, codomain: FiniteModule) -> np.ndarray:
+    """[i, x]: what the image x of the i-th generator adds to a map's row.
+
+    Rows are in lexicographic order of the images' coordinates v (N's
+    strides are big-endian).  At each cut of `_kernel_basis`, coordinate
+    s_t with step o_t and modulus m, maps that agree before s_t take
+    values there in a coset of <g_t>, g_t = m / o_t, and maps that agree
+    at s_0, ..., s_t agree before s_(t+1).  So the row is the mixed-radix
+    number of the digits v[s_t] // g_t, radices o_t, the first most
+    significant."""
+    _, orders, cuts = _kernel_basis(domain, codomain)
+    factors = codomain.add_group.factors
+    coords = codomain.add_group.coords_matrix()
+    shares = np.zeros((len(module_generators(domain)), len(coords)), np.int64)
+    weight = math.prod(orders)
+    for s, o in zip(cuts, orders):
+        weight //= o
+        i, e = divmod(s, len(factors))
+        shares[i] += coords[:, e] // (factors[e] // o) * weight
+    return shares
 
 
 @interned
@@ -317,11 +350,12 @@ def _ext_gcd(a: int, b: int) -> tuple:
     return a, x0, y0
 
 
-def _span(maps: np.ndarray, orders: list, codomain: FiniteModule,
-          gens: list) -> np.ndarray:
+def _span(maps: np.ndarray, orders: list,
+          codomain: FiniteModule) -> np.ndarray:
     """The tables of sum j_t h_t over every 0 <= j_t < orders[t], h_t given
     as maps[t] in N's coordinates, as one array of the type of N's add
-    table, index_dtype(|N|), ordered by `_map_keys` of the generator images.
+    table, index_dtype(|N|), in order of the digits j, the first t most
+    significant.
 
     The sums split in two halves, over the first maps (about the square
     root of all in number) and over the rest, each found from its digits j
@@ -336,19 +370,8 @@ def _span(maps: np.ndarray, orders: list, codomain: FiniteModule,
     factors, strides = np.array(group.factors), np.array(group.strides)
     head, tail = (_sums(maps[part], orders[part], factors, strides)
                   for part in (slice(0, cut), slice(cut, None)))
-    rows = group.add_table()[head[:, None], tail[None]] \
+    return group.add_table()[head[:, None], tail[None]] \
         .reshape(count, maps.shape[1])
-    keys = _map_keys(rows[:, gens], codomain.order)
-    if not (keys[1:] > keys[:-1]).all():
-        rows = rows[np.argsort(keys)]
-    return rows
-
-
-def _map_keys(images: np.ndarray, order: int) -> np.ndarray:
-    """int64 keys of maps given by their generator images (the last axis),
-    big-endian in base `order`: they increase along hom_set's rows."""
-    return images.astype(np.int64) @ order ** np.arange(
-        images.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 def _sums(maps: np.ndarray, orders: list, factors: np.ndarray,
@@ -417,32 +440,25 @@ def end_ring(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> EndRing:
     caps.gate("construct", "ring construction",
               hom_count(module, module, caps))
     raw = hom_set(module, module, caps)                  # (s, n)
-    # A map is determined by its generator images, and their keys increase
-    # along hom_set's rows.
+    # A map is determined by its generator images, which give its row.
     gens = np.array(module_generators(module), dtype=np.int64)
     images = raw[:, gens]
-    keys = _map_keys(images, module.order)
     add_m = module.add_group.add_table()
-
-    def raw_index(gen_images):
-        """Row of raw for each map given by a (..., #gens) image stack."""
-        return np.searchsorted(keys, _map_keys(gen_images, module.order))
-
     group, from_label, to_index, basis_labels = group_embedding(
         np.arange(len(raw)),
-        lambda i, j: raw_index(add_m[images[i], images[j]]))
+        lambda i, j: map_rows(module, module, add_m[images[i], images[j]]))
     tables = raw[from_label]
     basis = raw[basis_labels]
     # products[i, j] is the index of basis map i after basis map j
-    products = to_index[raw_index(basis[:, basis[:, gens]])]
+    products = to_index[map_rows(module, module, basis[:, basis[:, gens]])]
     constants = {(i, j): c for i, row in enumerate(products.tolist())
                  for j, c in enumerate(row)}
-    one = int(to_index[raw_index(gens)])
+    one = int(to_index[map_rows(module, module, gens)])
     # f^(n+1) = f(f^n(g)) on the generators g, and kernel sizes |Ker f|
     powers = index_powers(
         len(tables),
-        lambda f, fn: to_index[raw_index(tables[f[:, None],
-                                                tables[fn[:, None], gens]])],
+        lambda f, fn: to_index[map_rows(module, module, tables[
+            f[:, None], tables[fn[:, None], gens]])],
         (tables == 0).sum(axis=1))
     in_image = np.zeros(tables.shape, dtype=bool)
     in_image[np.arange(len(tables))[:, None], tables] = True
@@ -539,7 +555,7 @@ def power_rows(end: EndRing):
 
 
 @interned
-def _distinct_pairs(end: EndRing) -> tuple:
+def distinct_pairs(end: EndRing) -> tuple:
     """(pairs, pair_of): the distinct pairs (Im x, Ker x) of the elements
     x, in order of first appearance, and the index in pairs of each x's;
     found once per structure and caps."""
@@ -559,7 +575,7 @@ def first_chain_term(end: EndRing, test, terms: int = None) -> Verdict:
     by its pair.  Witnesses f -> (n, w), for the smallest such n, are the
     Verdict's arrays; the counterexample is the first f with none.
     """
-    pairs, pair_of = _distinct_pairs(end)
+    pairs, pair_of = distinct_pairs(end)
     found = np.array([-1 if w is None else int(w)
                       for w in (test(im, ker) for im, ker in pairs)])
     return _first_power(end.powers, lambda f, fn: found[pair_of[fn]],
@@ -570,7 +586,7 @@ def first_offender(end: EndRing, bad) -> Verdict:
     """Holds iff bad(Im f, Ker f) is false for every f; the counterexample
     is the first f for which it is true.  bad runs once per distinct
     (Im f, Ker f)."""
-    pairs, pair_of = _distinct_pairs(end)
+    pairs, pair_of = distinct_pairs(end)
     return _no_offender(np.array([bool(bad(im, ker))
                                   for im, ker in pairs])[pair_of])
 

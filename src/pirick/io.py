@@ -198,7 +198,7 @@ def parse_module(source: str | pathlib.Path, ring_registry: dict,
     lines = _logical_lines(_read_text(source), path)
     name, ring_name = _module_head(lines, path)
     if ring_name not in ring_registry:
-        raise UnknownRing(ring_name)
+        raise UnknownRing(lines[0][0], f"{path}: unknown ring {ring_name!r}")
     ring = ring_registry[ring_name]
     k_ring = len(ring.add_group.factors)
 

@@ -190,36 +190,38 @@ def _additive_closure(module: FiniteModule, mask: int) -> int:
 @interned
 def all_submodules(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> tuple:
     """The mask of every submodule, ascending (deterministic order); one
-    tuple per structure and caps in a process."""
-    return _lattice_masks(module, caps)
-
-
-def _lattice_masks(module: FiniteModule, caps: Caps) -> tuple:
-    """The closure of {0} under S -> S + mR, one m per distinct cyclic
-    submodule: every submodule is a sum of cyclic ones.  S + mR is the
-    set of x whose coset x + S meets mR."""
+    tuple per structure and caps in a process.  It is the closure of {0}
+    under `cyclic_joins`, as every submodule is a sum of cyclic ones."""
     caps.gate("lattice", "submodule lattice", module.order)
-    n = module.order
-    add = module.add_group.add_table()
-    reps = {}                                   # cyclic mask -> first m
-    for m, cyclic in enumerate(cyclic_submodules(module)):
-        reps.setdefault(cyclic, m)
-    products = module.act_np[list(reps.values())]           # [m, r] -> mr
-    rows = np.arange(len(reps))[:, None]
     seen = {1}
-    frontier = [1]
-    while frontier:
-        new = []
-        for mask in frontier:
-            coset = add[:, np.flatnonzero(mask_bits(mask, n))].min(axis=1)
-            hit = np.zeros((len(reps), n), dtype=bool)
-            hit[rows, coset[products]] = True
-            for grown in masks(hit[:, coset]):
-                if grown not in seen:
-                    seen.add(grown)
-                    new.append(grown)
-        frontier = new
+    todo = [1]
+    while todo:
+        for grown in cyclic_joins(module, todo.pop()):
+            if grown not in seen:
+                seen.add(grown)
+                todo.append(grown)
     return tuple(sorted(seen))
+
+
+def cyclic_joins(module: FiniteModule, mask: int) -> list:
+    """The mask of N + mR, N the submodule with this mask, for one m per
+    distinct cyclic submodule mR, the first, in order of m.  N + mR is the
+    set of x whose coset x + N meets mR."""
+    coset = module.add_group.add_table()[
+        :, np.flatnonzero(mask_bits(mask, module.order))].min(axis=1)
+    products = _cyclic_products(module)
+    hit = np.zeros((len(products), module.order), dtype=bool)
+    hit[np.arange(len(products))[:, None], coset[products]] = True
+    return masks(hit[:, coset])
+
+
+@interned
+def _cyclic_products(module: FiniteModule) -> np.ndarray:
+    """[m, r]: the products m r for the first m of each distinct cyclic
+    submodule mR, in order of m."""
+    cyclics = cyclic_submodules(module)
+    first = dict(zip(cyclics[::-1], range(len(cyclics) - 1, -1, -1)))
+    return module.act_np[sorted(first.values())]
 
 
 def is_direct_summand(module: FiniteModule, mask: int,

@@ -1,7 +1,7 @@
 """Property deciders for finite modules.
 
-Every decider is exact: it enumerates the endomorphism ring, the submodule
-lattice, or a hom set outright and returns a Verdict with explicit witnesses
+Every decider is exact: it reads End(M), the submodule lattice or the
+orders of hom groups, and returns a Verdict with explicit witnesses
 (exponents, idempotents, counterexample elements).  A Facts object hands
 the deciders the shared objects (End(M), the lattice, quotients,
 submodules, verdicts).  Its key is StructureKey(structure key of the
@@ -41,14 +41,14 @@ import numpy as np
 
 from .caps import Caps, DEFAULT_CAPS, StructureKey, interned
 from .errors import SizeCapExceeded
-from .homs import (MAP_CHECKS, EndRing, _distinct_pairs, _map_keys,
+from .homs import (MAP_CHECKS, EndRing, distinct_pairs,
                    central_idempotent_maps, end_ring, first_chain_term,
                    first_offender, hom_count, hom_set,
-                   idempotent_image_masks, idempotent_maps,
+                   idempotent_image_masks, idempotent_maps, map_rows,
                    nontrivial_idempotent_maps, power_rows)
-from .modules import (FiniteModule, all_submodules, first_moving_map,
-                      mask_bits, module_generators, quotient_module, radical,
-                      submodule_module)
+from .modules import (FiniteModule, all_submodules, cyclic_joins,
+                      first_moving_map, mask_bits, module_generators,
+                      quotient_module, radical, submodule_module)
 from .rings import FiniteRing, Verdict, jacobson_radical, nilpotency
 
 
@@ -154,7 +154,7 @@ def decide_morphic(facts: Facts) -> Verdict:
     is the (Im g, Ker g) of some g, one lookup per distinct pair.
     """
     end = facts.end()
-    present = set(_distinct_pairs(end)[0])
+    present = set(distinct_pairs(end)[0])
     return first_offender(end, lambda im, ker: (ker, im) not in present)
 
 
@@ -206,7 +206,7 @@ def _summand_when_isomorphic(facts: Facts, quotients: bool) -> Verdict:
     """
     end = facts.end()
     idem = facts.idem_masks()
-    present = set(_distinct_pairs(end)[0])
+    present = set(distinct_pairs(end)[0])
     summands = [(dmask, end.kernels[idem[dmask]]) for dmask in sorted(idem)]
     for mask in facts.lattice():
         if mask in idem:
@@ -244,35 +244,21 @@ def decide_duo(facts: Facts) -> Verdict:
 
 
 def decide_self_cogenerator(facts: Facts) -> Verdict:
-    """Every factor module M/N is cogenerated by M: the kernels of all
-    homomorphisms M/N -> M intersect to zero.  Those maps are the g in
-    Hom(M, M) with N <= Ker g, read through the projection, so N must be
-    the meet of the kernels of Hom(M, M) that contain it."""
-    lattice = facts.lattice()
-    kernels = _distinct_kernels(hom_set(facts.module, facts.module,
-                                        facts.caps))
-    for mask in lattice:
-        meet = -1
-        for kernel in kernels:
-            if mask & kernel == mask:
-                meet &= kernel
-        if meet != mask:
+    """Every factor module M/N is cogenerated by M: the kernels of the
+    maps M/N -> M, the g in End(M) with N <= Ker g, meet in N.
+
+    There are c(N) = |Hom(M/N, M)| such g, and c falls as N grows.  Their
+    kernels meet in more than N iff some N + mR, m outside N, lies in all
+    of them, iff c(N + mR) = c(N); one m per distinct mR will do
+    (`modules.cyclic_joins`).  Each c is a `hom_count`: no map is built."""
+    def count(mask):
+        return hom_count(facts.quotient(mask)[0], facts.module, facts.caps)
+
+    for mask in facts.lattice():
+        if any(count(mask) == count(join) for join in
+               cyclic_joins(facts.module, mask) if join != mask):
             return Verdict(False, mask)
     return Verdict(True)
-
-
-def _distinct_kernels(maps: np.ndarray) -> list:
-    """The bitmasks of the distinct kernels of the rows of maps, found by
-    one sort of the packed rows, padded with zero bytes to whole 64-bit
-    words and read as such."""
-    packed = np.packbits(maps == 0, axis=1, bitorder="little")
-    words = np.zeros((len(maps), -(-packed.shape[1] // 8) * 8), np.uint8)
-    words[:, :packed.shape[1]] = packed
-    words = words.view(np.uint64)
-    words = words[np.lexsort(words.T)]
-    new = np.ones(len(words), dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    return [int.from_bytes(row.tobytes(), "little") for row in words[new]]
 
 
 def decide_quasi_projective(facts: Facts) -> Verdict:
@@ -281,15 +267,11 @@ def decide_quasi_projective(facts: Facts) -> Verdict:
     on_gens = end.tables[:, end.gens]
     for mask in facts.lattice():
         quot, proj = facts.quotient(mask)
-        count = hom_count(facts.module, quot, facts.caps)
-        # maps M -> M/N keyed by generator images, as hom_set orders them:
-        # all are lifted iff there are as many distinct lifted keys as maps
-        lifted = np.sort(_map_keys(proj[on_gens], quot.order))
-        if 1 + np.count_nonzero(np.diff(lifted)) != count:
-            homs = hom_set(facts.module, quot, facts.caps)
-            keys = _map_keys(homs[:, end.gens], quot.order)
-            at = np.minimum(np.searchsorted(lifted, keys), len(lifted) - 1)
-            h = homs[np.argmax(lifted[at] != keys)]
+        # mark the rows of Hom(M, M/N) that some pi f fills
+        lifted = np.zeros(hom_count(facts.module, quot, facts.caps), bool)
+        lifted[map_rows(facts.module, quot, proj[on_gens])] = True
+        if not lifted.all():
+            h = hom_set(facts.module, quot, facts.caps)[np.argmin(lifted)]
             return Verdict(False, (mask, tuple(h.tolist())))
     return Verdict(True)
 

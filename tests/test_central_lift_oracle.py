@@ -6,14 +6,15 @@ decider against the loops they replaced, kept here unchanged as oracles.
   commutes with every map iff it commutes with those), and scans every g
   for the first noncentral e alone.  The oracle compares each idempotent
   with every map.
-- `properties.decide_quasi_projective` keys each lifted map proj * f, and
-  each map of Hom(M, M/N), by its generator images.  The oracle compares
-  whole lifted tables, hashed as bytes.
+- `properties.decide_quasi_projective` marks the row of each lifted map
+  proj * f in Hom(M, M/N), found by `homs.map_rows` from its generator
+  images.  The oracle compares whole lifted tables, hashed as bytes.
 
 Both run on every module of the `test_iso_oracle.py` pools, on the 21
 corpus modules and on z2_free4, (Z/2)^4 over Z/2 with 65,536 maps, under
 construct and hom caps of 2^20.  A basis scan that drops any one basis
-map, and a key that reads only the first generator, must be caught.
+map must be caught; `test_map_rows_oracle.py` catches a row sum that
+reads only the first generator.
 """
 
 import dataclasses
@@ -152,19 +153,3 @@ def test_a_basis_scan_that_drops_a_basis_map_is_caught(module_instances):
             if scan(dataclasses.replace(
                 end, group=_BasisWithout(end.group, j))) != oracle)
     assert caught == {0, 1, 2}
-
-
-class _FirstGeneratorFacts(Facts):
-    """Facts whose End(M) reads maps on the first generator only."""
-
-    def end(self):
-        end = super().end()
-        return dataclasses.replace(end, gens=end.gens[:1])
-
-
-def test_a_key_that_reads_only_the_first_generator_is_caught():
-    module = free_module(zmod(2, CAPS), 2, CAPS)
-    assert decide_quasi_projective(Facts(module, CAPS)).holds
-    assert not decide_quasi_projective(
-        _FirstGeneratorFacts(module, CAPS)).holds
-

@@ -89,10 +89,26 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 
 
 def test_unknown_ring_reference(tmp_path):
+    """The error names the module file and the line of its `over`
+    clause, counted with comments."""
     path = tmp_path / "m.mod"
-    path.write_text("module m over ghost\nadd 2\nend\n")
-    with pytest.raises(UnknownRing):
+    path.write_text("# c\nmodule m over ghost\nadd 2\nend\n")
+    with pytest.raises(UnknownRing) as err:
         parse_module(path, {}, CAPS)
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: {path}: unknown ring 'ghost'"
+
+
+@pytest.mark.parametrize("command", (["module", "check"], ["verify"]))
+def test_a_ring_not_beside_its_module_is_named_with_file_and_line(
+        tmp_path, capsys, command):
+    path = tmp_path / "m.mod"
+    path.write_text("# over a ring with no file here\n"
+                    "module m over z3\nadd 3\nend\n")
+    target = path if command[0] == "module" else tmp_path
+    assert main([*command, str(target)]) == 3
+    assert capsys.readouterr().err == \
+        f"pirick: error: line 2: {path}: unknown ring 'z3'\n"
 
 
 def test_module_act_bounds(tmp_path):
@@ -508,7 +524,8 @@ def test_module_commands_refuse_two_rings_of_one_name(tmp_path, capsys,
 
 @pytest.mark.parametrize("ring_text, message", [
     ("ring z4\nadd 4\none 9\nend\n", "coordinate 9 out of range"),
-    ("ring z5\nadd 5\none 1\nmul 1 1 1\nend\n", "error: z4\n"),
+    ("ring z5\nadd 5\none 1\nmul 1 1 1\nend\n",
+     "z4_reg.mod: unknown ring 'z4'\n"),
 ], ids=["malformed", "missing"])
 def test_the_ring_a_module_is_over_must_parse(tmp_path, capsys, ring_text,
                                               message):

@@ -163,7 +163,6 @@ def test_the_four_predicates_never_enumerate_the_lattice(monkeypatch,
         raise AssertionError("the submodule lattice was enumerated")
 
     monkeypatch.setattr(modules, "all_submodules", unreachable)
-    monkeypatch.setattr(modules, "_lattice_masks", unreachable)
     module = ring_as_module(zmod(12, CAPS), CAPS)
     two = elems_mask(np.arange(0, 12, 2), 12)
     rad, soc = radical(module, CAPS), socle(module, CAPS)

@@ -25,7 +25,7 @@ import pytest
 from pirick.caps import caps_from_env
 from pirick.errors import SizeCapExceeded
 from pirick.families import ex23_ring, zmod
-from pirick.homs import _distinct_pairs, end_ring, first_offender
+from pirick.homs import distinct_pairs, end_ring, first_offender
 from pirick.modules import free_module
 from pirick.properties import Facts, decide_c2, decide_d2, decide_morphic
 from pirick.rings import Verdict
@@ -44,7 +44,7 @@ FREE = (("z2", 3), ("z5", 2), ("z8", 2), ("z6", 2), ("z9", 2), ("t2z2", 2))
 
 def oracle_morphic(facts) -> Verdict:
     """M/Im f and Ker f are isomorphic, for every f, by search."""
-    pairs, pair_of = _distinct_pairs(facts.end())
+    pairs, pair_of = distinct_pairs(facts.end())
     for p, (im, ker) in enumerate(pairs):
         if not are_isomorphic(facts.quotient(im)[0], facts.inner(ker)[0],
                               facts.caps):
@@ -134,7 +134,7 @@ def test_the_deciders_match_the_oracles_on_z2_free4(fresh_intern):
 
 def _morphic_on_its_own_pair(facts) -> Verdict:
     end = facts.end()
-    present = set(_distinct_pairs(end)[0])
+    present = set(distinct_pairs(end)[0])
     return first_offender(end, lambda im, ker: (im, ker) not in present)
 
 
@@ -143,7 +143,7 @@ def _summand_lookup(pair):
     def decide(facts) -> Verdict:
         end = facts.end()
         idem = facts.idem_masks()
-        present = set(_distinct_pairs(end)[0])
+        present = set(distinct_pairs(end)[0])
         for mask in facts.lattice():
             if mask in idem:
                 continue
