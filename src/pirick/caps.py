@@ -13,7 +13,7 @@ passing an explicit Caps.
 Also here: the one cache, `INTERNED`, and its one entry point, the
 `interned` decorator.  Every cached build in the package, a group's
 tables, a ring or module table, a generating set, a lattice, submodule
-coordinates, a kernel, a hom set, End(M) and every derived result, is an
+coordinates, a kernel and its basis, End(M) and every derived result, is an
 `interned` function of an object with a `.key`, stored once per
 (function, structure key, arguments) in a process.  It stores values
 only.  A value depends only on the structure and the arguments, the caps

@@ -42,13 +42,15 @@ relation check of hom_set, for the projections and inclusions of quotients
 and submodules, narrowed to the same type once its entries are known to
 be elements of the codomain.
 
-A hom set, End(M) and its ring table are `interned` functions, built once
-per structure and caps in a process, and so is the kernel of each pair of
-structures.  Every module object of the structure gets the same ones,
-whatever its name, as domain or as codomain, since modules compare and
-hash by their structure key.  End(M) carries no module and no module
-name: a caller that prints one adds its own.  The composition self-check
-of the ring table is exhaustive, on generator columns.
+End(M) and its ring table are `interned` functions, built once per
+structure and caps in a process, and so are the kernel of each pair of
+structures and its echelon basis.  A hom set is not: its one caller,
+end_ring, keeps the maps once, in End(M)'s order.  Every module object of
+the structure gets the same ones, whatever its name, as domain or as
+codomain, since modules compare and hash by their structure key.  End(M)
+carries no module and no module name: a caller that prints one adds its
+own.  The composition self-check of the ring table is exhaustive, on
+generator columns.
 """
 
 from __future__ import annotations
@@ -130,7 +132,6 @@ def check_map(domain: FiniteModule, codomain: FiniteModule,
     return table
 
 
-@interned
 def hom_set(domain: FiniteModule, codomain: FiniteModule,
             caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """All module homomorphisms domain -> codomain, as one array of shape
@@ -155,7 +156,7 @@ def hom_set(domain: FiniteModule, codomain: FiniteModule,
     at = map_rows(domain, codomain, out[:, gens])
     if (at != np.arange(order)).any():      # digit order is not key order
         out[at] = out.copy()
-    out.flags.writeable = False             # shared by every caller
+    out.flags.writeable = False
     return out
 
 
@@ -241,6 +242,7 @@ def _kernel(domain: FiniteModule, codomain: FiniteModule) -> tuple:
     return tuple(map(tuple, rows)), order
 
 
+@interned
 def _kernel_basis(domain: FiniteModule, codomain: FiniteModule) -> tuple:
     """(maps, orders, cuts): homomorphisms h_t, as their tables in N's
     coordinates, [t, m, f], and numbers o_t such that every map in

@@ -19,7 +19,8 @@ co-Hopfian reads n = 1 only, as `homs.first_offender`, and keeps no
 witnesses.  Morphic, C2 and D2 ask whether two submodules or quotients are
 isomorphic; by the first isomorphism theorem each such question is whether
 some g in End(M) has a given (Im g, Ker g), so they build no module and
-search no isomorphism.
+search no isomorphism.  Self-cogeneration and quasi-projectivity read,
+for each N, orders of hom groups (`homs.hom_count`) and build no map.
 Facts.verdict also reads the map checks of `homs.MAP_CHECKS` by name,
 checks of the same shapes that no report prints.  A quotient's projection
 and a submodule's inclusion are tables, as `homs.check_map` returns them.
@@ -43,9 +44,8 @@ from .caps import Caps, DEFAULT_CAPS, StructureKey, interned
 from .errors import SizeCapExceeded
 from .homs import (MAP_CHECKS, EndRing, distinct_pairs,
                    central_idempotent_maps, end_ring, first_chain_term,
-                   first_offender, hom_count, hom_set,
-                   idempotent_image_masks, idempotent_maps, map_rows,
-                   nontrivial_idempotent_maps, power_rows)
+                   first_offender, hom_count, idempotent_image_masks,
+                   idempotent_maps, nontrivial_idempotent_maps, power_rows)
 from .modules import (FiniteModule, all_submodules, cyclic_joins,
                       first_moving_map, mask_bits, module_generators,
                       quotient_module, radical, submodule_module)
@@ -262,17 +262,17 @@ def decide_self_cogenerator(facts: Facts) -> Verdict:
 
 
 def decide_quasi_projective(facts: Facts) -> Verdict:
-    """Every homomorphism M -> M/N lifts through the projection."""
-    end = facts.end()
-    on_gens = end.tables[:, end.gens]
+    """Every homomorphism M -> M/N lifts through the projection pi.
+
+    f -> pi f is an additive map End(M) -> Hom(M, M/N) whose kernel is
+    Hom(M, N), so by the first isomorphism theorem every map lifts iff
+    |End(M)| = |Hom(M, N)| |Hom(M, M/N)|.  Each order is a `hom_count`: no
+    map is built."""
+    order = hom_count(facts.module, facts.module, facts.caps)
     for mask in facts.lattice():
-        quot, proj = facts.quotient(mask)
-        # mark the rows of Hom(M, M/N) that some pi f fills
-        lifted = np.zeros(hom_count(facts.module, quot, facts.caps), bool)
-        lifted[map_rows(facts.module, quot, proj[on_gens])] = True
-        if not lifted.all():
-            h = hom_set(facts.module, quot, facts.caps)[np.argmin(lifted)]
-            return Verdict(False, (mask, tuple(h.tolist())))
+        if order != hom_count(facts.module, facts.inner(mask)[0], facts.caps) \
+                * hom_count(facts.module, facts.quotient(mask)[0], facts.caps):
+            return Verdict(False, mask)
     return Verdict(True)
 
 
@@ -403,10 +403,8 @@ def _witness_string(facts: Facts, prop: str, verdict: Verdict) -> str:
             return f"e={c[0]},f={c[1]}"
         if prop == "duo":
             return f"f={c[0]},N={_fmt_sub(facts, c[1])}"
-        if prop == "self_cogenerator":
+        if prop in ("self_cogenerator", "quasi_projective"):
             return f"N={_fmt_sub(facts, c)}"
-        if prop == "quasi_projective":
-            return f"N={_fmt_sub(facts, c[0])}"
         if prop == "indecomposable":
             return f"e={c}"
         return str(c)

@@ -71,9 +71,10 @@ def block_hom_set(domain: FiniteModule, codomain: FiniteModule):
 
 def _differs(domain: FiniteModule, codomain: FiniteModule,
              caps: Caps = CAPS) -> bool:
-    """Whether hom_set, built afresh, differs from the oracle, cast to the
-    type of the codomain's element indices, in shape, dtype or bytes."""
-    got = homs.hom_set.__wrapped__(domain, codomain, caps)
+    """Whether hom_set, which builds on every call, differs from the
+    oracle, cast to the type of the codomain's element indices, in shape,
+    dtype or bytes."""
+    got = homs.hom_set(domain, codomain, caps)
     want = block_hom_set(domain, codomain).astype(index_dtype(codomain.order))
     assert not got.flags.writeable
     return (got.shape != want.shape or got.dtype != want.dtype
@@ -148,7 +149,7 @@ def test_a_corrupted_kernel_generator_table_is_rejected(monkeypatch, z3_pair):
     for domain in z3_pair:
         for codomain in z3_pair:
             with pytest.raises(PirickError, match="relation check"):
-                homs.hom_set.__wrapped__(domain, codomain, CAPS)
+                homs.hom_set(domain, codomain, CAPS)
 
 
 def test_a_kernel_basis_missing_a_generator_is_rejected(monkeypatch, z3_pair):
@@ -161,9 +162,9 @@ def test_a_kernel_basis_missing_a_generator_is_rejected(monkeypatch, z3_pair):
     monkeypatch.setattr(homs, "_kernel_basis", short)
     domain, codomain = z3_pair
     with pytest.raises(PirickError, match="spans 27 maps, not 81"):
-        homs.hom_set.__wrapped__(domain, domain, CAPS)
+        homs.hom_set(domain, domain, CAPS)
     with pytest.raises(PirickError, match="spans 1 maps, not 3"):
-        homs.hom_set.__wrapped__(codomain, codomain, CAPS)
+        homs.hom_set(codomain, codomain, CAPS)
 
 
 def test_rows_spanned_out_of_key_order_are_placed(monkeypatch, z3_pair):
@@ -177,8 +178,9 @@ def test_rows_spanned_out_of_key_order_are_placed(monkeypatch, z3_pair):
 
 
 def test_a_rejected_build_is_not_interned(monkeypatch, z3_pair):
-    """Only values are stored: a hom set that fails its own checks is not,
-    while the kernel it was spanned from, solved before, stays."""
+    """Only values are stored: End(M), when its hom set fails its own
+    checks, is not, while the kernel it was spanned from, solved before,
+    stays."""
     domain, _ = z3_pair
     width = len(domain.add_group.factors)
     monkeypatch.setattr(homs, "_kernel_basis",
@@ -186,7 +188,7 @@ def test_a_rejected_build_is_not_interned(monkeypatch, z3_pair):
                                       [], []))
     for _ in range(2):
         with pytest.raises(PirickError, match="spans 1 maps, not 81"):
-            homs.hom_set(domain, domain, CAPS)
-    built = (homs.hom_set.__wrapped__, homs._kernel.__wrapped__)
+            homs.end_ring(domain, CAPS)
+    built = (homs.end_ring.__wrapped__, homs._kernel.__wrapped__)
     assert [full[0] for full in INTERNED if full[0] in built] \
         == [homs._kernel.__wrapped__]

@@ -1,6 +1,6 @@
-"""The intern table: each group table, ring table, module table, hom set,
-End(M), decider verdict and ring check is built once per structure and caps
-in a process, and every object of that structure shares it; names are
+"""The intern table: each group table, ring table, module table, hom
+kernel, End(M), decider verdict and ring check is built once per structure
+and caps in a process, and every object of that structure shares it; names are
 added only where output is written.  A build is counted as a miss of its
 `interned` function, the `misses` fixture, which runs its body."""
 
@@ -31,14 +31,16 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 BUILDS = {rings._checked_mul: "ring", modules._checked_act: "module",
           modules.module_generators: "generators",
           modules.all_submodules: "lattice",
-          properties.Facts.inner: "submodule", hom_set: "hom_set",
-          end_ring: "end_ring", end_table: "end_table"}
+          properties.Facts.inner: "submodule",
+          homs._kernel_basis: "kernel_basis", end_ring: "end_ring",
+          end_table: "end_table"}
 
 
 def _builds(misses) -> collections.Counter:
     """Ring and module validations, generator searches, lattice
-    enumerations, submodules built as modules by `Facts.inner`, hom
-    enumerations, End(M) builds and End(M) ring tables among the misses,
+    enumerations, submodules built as modules by `Facts.inner`, echelon
+    bases of hom kernels, End(M) builds and End(M) ring tables among the
+    misses,
     wherever pirick asked for them; a build refused at a cap is one each
     time it is asked."""
     names = {fn.__wrapped__: name for fn, name in BUILDS.items()}
@@ -49,7 +51,7 @@ def _builds(misses) -> collections.Counter:
 def test_a_second_object_of_a_known_structure_builds_nothing(misses,
                                                             fresh_intern):
     first = ring_as_module(zmod(4, CAPS), CAPS, name="first")
-    first_homs = hom_set(first, first, CAPS)
+    first_kernel = homs._kernel(first, first)
     first_end = end_ring(first, CAPS)
     first_table = end_table(first_end)
     misses.clear()
@@ -59,7 +61,7 @@ def test_a_second_object_of_a_known_structure_builds_nothing(misses,
                                                      ring)
     assert ring.mul_np is first.ring.mul_np
     assert second.act_np is first.act_np
-    assert hom_set(second, first, CAPS) is first_homs
+    assert homs._kernel(second, first) is first_kernel
     assert end_ring(second, CAPS) is first_end
     assert end_table(end_ring(second, CAPS)) is first_table
     assert FinAbGroup((4,)).add_table() is first.add_group.add_table()
@@ -68,15 +70,18 @@ def test_a_second_object_of_a_known_structure_builds_nothing(misses,
 
 def test_the_codomain_is_matched_by_structure(misses, fresh_intern):
     """Two modules of one structure are one argument: hom_set and
-    hom_count of (first, second) are served what (first, first) built."""
+    hom_count of (first, second) are served the kernel, its basis and the
+    row shares that (first, first) built."""
     first = ring_as_module(zmod(4, CAPS), CAPS, name="first")
     first_homs = hom_set(first, first, CAPS)
+    basis = homs._kernel_basis(first, first)
     count = homs.hom_count(first, first, CAPS)
     misses.clear()
     second = ring_as_module(zmod(4, CAPS), CAPS, name="second")
     assert second is not first and second.name != first.name
     assert second == first and hash(second) == hash(first)
-    assert hom_set(first, second, CAPS) is first_homs
+    assert homs._kernel_basis(first, second) is basis
+    assert hom_set(first, second, CAPS).tobytes() == first_homs.tobytes()
     assert homs.hom_count(first, second, CAPS) == count == len(first_homs)
     assert misses == []
     other = ring_as_module(zmod(2, CAPS), CAPS, name="first")
@@ -91,15 +96,15 @@ def test_copied_and_unpickled_groups_share_the_interned_tables(misses):
     assert back.add_group.add_table() is table
     assert (back.name, back.key) == (ring.name, ring.key)
     # a copied or unpickled structure key is the process's key again, so
-    # the copies of a module find its hom set and End(M) in the cache
+    # the copies of a module find its hom kernel and End(M) in the cache
     module = ring_as_module(ring, CAPS)
-    homs_of, end = hom_set(module, module, CAPS), end_ring(module, CAPS)
+    kernel, end = homs._kernel(module, module), end_ring(module, CAPS)
     misses.clear()
     for other in (copy.copy(module), copy.deepcopy(module),
                   pickle.loads(pickle.dumps(module)),
                   ring_as_module(pickle.loads(pickle.dumps(ring)), CAPS)):
         assert other.key is module.key and other.ring.key is ring.key
-        assert hom_set(other, other, CAPS) is homs_of
+        assert homs._kernel(other, other) is kernel
         assert end_ring(other, CAPS) is end
     assert misses == []
 
@@ -214,23 +219,28 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
     # validated: 17 from the corpus files, 8 corners, one 2x2 matrix ring
     # and 6 End(M) tables that no other ring shares (41 when all 89 End(M)
     # had a table).  Morphic, C2 and D2 read End(M)'s (Im, Ker) pairs and
-    # build no module: 86 submodules are built as modules (111, with 99
-    # generator searches against 89, when those three searched
-    # isomorphisms between built modules).  The 89 hom sets are End(M)'s: the
-    # quasi-projective and self-cogenerator deciders, P2.17 and End(M)'s
-    # construct gate, which runs before Hom(M, M) is built, read only the
-    # order of a hom set, which `hom_count` reads off the kernel of 269
-    # pairs without building a map (188 while the self-cogenerator decider
-    # read the kernels of Hom(M, M)'s maps, 115 before the gate read it;
-    # 238 hom sets were built when the first two and the self-cogenerator
-    # decider built them all).  Of the 101 generator searches, 12 are of
-    # quotients M/N that only Hom(M/N, M) takes as its domain (89 while
-    # the self-cogenerator decider read Hom(M, M), 91 when it built
-    # Hom(M/N, M) for each quotient).
-    assert counts == {"ring": 32, "module": 102, "generators": 101,
-                      "lattice": 32, "submodule": 86, "hom_set": 89,
+    # build no module: 137 submodules are built as modules, 51 of them
+    # only for the quasi-projective decider's Hom(M, N) (86 while it read
+    # End(M)'s maps; 111, with 99 generator searches against 89, when those
+    # three searched isomorphisms between built modules).  The 89 kernel
+    # bases are End(M)'s, each cut once to span Hom(M, M), which is not
+    # interned: End(M) keeps its maps.  The quasi-projective and
+    # self-cogenerator deciders, P2.17 and End(M)'s construct gate, which
+    # runs before Hom(M, M) is built, read only the order of a hom set,
+    # which `hom_count` reads off the kernel of 282 pairs without building
+    # a map (269 while the quasi-projective decider read End(M)'s maps,
+    # 188 while the self-cogenerator decider read the kernels of Hom(M,
+    # M)'s maps, 115 before the gate read it; 238 hom sets were built when
+    # the first two and the self-cogenerator decider built them all).  Of
+    # the 111 generator searches, 12 are of quotients M/N that only
+    # Hom(M/N, M) takes as its domain and 10 of the submodules N, new
+    # structures, whose inclusions `check_map` validates (89 while the
+    # self-cogenerator decider read Hom(M, M), 91 when it built Hom(M/N, M)
+    # for each quotient); those 10 are also the 10 new module validations.
+    assert counts == {"ring": 32, "module": 112, "generators": 111,
+                      "lattice": 32, "submodule": 137, "kernel_basis": 89,
                       "end_ring": 89, "end_table": 21}
-    assert len(misses.of(homs._kernel)) == 269
+    assert len(misses.of(homs._kernel)) == 282
     # One decider body per (structure, caps, property) that returns a
     # verdict, 348 of them; the 4 that stop at a cap run each time they are
     # asked, 11 times in all (once each when the failure was stored).  One
@@ -253,16 +263,22 @@ def test_verify_corpus_builds_each_structure_once(monkeypatch, fresh_intern,
 def test_verify_corpus_solves_each_hom_kernel_once(misses, fresh_intern,
                                                    capsys):
     """The kernel of a pair of structures depends on no cap, so each is
-    solved once, whether hom_count, hom_set or both read it: 269 solves
-    for 269 pairs (188 for 188 before the self-cogenerator decider read
-    Hom(M/N, M)'s order; 277 for 188 when hom_count and hom_set each
-    solved their own)."""
+    solved once, whether hom_count, hom_set or both read it: 282 solves
+    for 282 pairs (269 for 269 before the quasi-projective decider read
+    the orders of Hom(M, N) and Hom(M, M/N); 188 for 188 before the
+    self-cogenerator decider read Hom(M/N, M)'s order; 277 for 188 when
+    hom_count and hom_set each solved their own).  Each kernel that a hom
+    set is spanned from is cut down to its echelon basis once."""
     assert main(["verify", str(CORPUS)]) == 0
     capsys.readouterr()
     pairs = collections.Counter((domain_key, codomain.key) for
                                 _, domain_key, (codomain,)
                                 in misses.of(homs._kernel))
-    assert (sum(pairs.values()), len(pairs)) == (269, 269)
+    assert (sum(pairs.values()), len(pairs)) == (282, 282)
+    bases = collections.Counter((domain_key, codomain.key) for
+                                _, domain_key, (codomain,)
+                                in misses.of(homs._kernel_basis))
+    assert (sum(bases.values()), len(bases)) == (89, 89)
 
 
 def test_other_lattice_or_hom_caps_rebuild_the_structure(misses,
@@ -275,8 +291,9 @@ def test_other_lattice_or_hom_caps_rebuild_the_structure(misses,
     # CAPS once, then wide and narrow once more each.  The ring and module
     # tables are checked exactly whatever the caps, and the generating set
     # does not depend on caps: each is found once.
-    assert _builds(misses) == {"ring": 1, "module": 1, "generators": 1, "hom_set": 3,
-                      "end_ring": 3}
+    # So is the kernel basis of Hom(M, M), since no cap bears on it.
+    assert _builds(misses) == {"ring": 1, "module": 1, "generators": 1,
+                               "kernel_basis": 1, "end_ring": 3}
 
 
 def test_a_cap_failure_is_refused_again_without_rebuilding(misses,
@@ -297,7 +314,7 @@ def test_a_cap_failure_is_refused_again_without_rebuilding(misses,
             with pytest.raises(SizeCapExceeded) as again:
                 build()
             assert str(again.value) == str(err.value)
-    assert _builds(misses) == {"hom_set": 2, "end_ring": 2}
+    assert _builds(misses) == {"end_ring": 2}
     assert misses.of(homs._kernel) == []
     assert len(hom_set(second, second, CAPS)) == 16
     assert len(misses.of(homs._kernel)) == 1

@@ -167,23 +167,28 @@ def test_distinct_kernels_spans_words():
                                       for row in maps.tolist()})
 
 
+def z4_squared_plus_z2_squared(tmp_path):
+    """Z4^2 + Z2^2 over Z/4, written to and parsed from a module file."""
+    path = tmp_path / "z4z4z2z2.mod"
+    path.write_text("module z4z4z2z2 over z4\nadd 4 4 2 2\n"
+                    "act 1 1 1 0 0 0\nact 1 2 0 1 0 0\n"
+                    "act 1 3 0 0 1 0\nact 1 4 0 0 0 1\nend\n")
+    return parse_module(path, {"z4": zmod(4, CAPS)}, CAPS)
+
+
 def test_z4_squared_plus_z2_squared_builds_no_map(tmp_path, monkeypatch,
                                                   misses, fresh_intern):
     """Z4^2 + Z2^2 over Z/4 has 64 elements and 4 generators, so Hom(M, M)
     has 64^4 = 2^24 candidates, exactly the default hom cap, and End(M)
     is over the construct cap.  The decider counts: it asks for neither
     Hom(M, M) nor End(M), and builds no hom set at all."""
-    path = tmp_path / "z4z4z2z2.mod"
-    path.write_text("module z4z4z2z2 over z4\nadd 4 4 2 2\n"
-                    "act 1 1 1 0 0 0\nact 1 2 0 1 0 0\n"
-                    "act 1 3 0 0 1 0\nact 1 4 0 0 0 1\nend\n")
-    module = parse_module(path, {"z4": zmod(4, CAPS)}, CAPS)
+    module = z4_squared_plus_z2_squared(tmp_path)
 
     def refused(*args):
         raise AssertionError("a hom set or End(M) was asked for")
 
-    for name in ("hom_set", "end_ring"):
-        monkeypatch.setattr(properties, name, refused)
+    monkeypatch.setattr(homs, "hom_set", refused)
+    monkeypatch.setattr(properties, "end_ring", refused)
     assert (module.order, len(module.add_group.factors)) == (64, 4)
     assert decide_self_cogenerator(Facts(module, CAPS)).holds
-    assert misses.of(homs.hom_set) == misses.of(homs.end_ring) == []
+    assert misses.of(homs.end_ring) == []
